@@ -29,9 +29,7 @@ const EXPERIMENTS: &[&str] = &[
     "fig2-hashtable",
     "fig2-vacation",
     "ablation-stl2",
-    "ablation-snorec",
     "ablation-cm",
-    "ablation-ring",
     "ablation-layout",
     "ablation-durability",
     "ablation-adaptive",
@@ -199,14 +197,6 @@ fn main() {
             &[],
         );
     }
-    if pick("ablation-ring") {
-        emit(
-            "ablation_ring",
-            "Ablation A4 — RingSTM commit filters on/off (LRU, S-NOrec)",
-            exp::ablation_ring_filters(&sweep),
-            &[("S-NOrec", "S-NOrec/ring-filters")],
-        );
-    }
     if pick("ablation-layout") {
         emit(
             "ablation_layout",
@@ -333,14 +323,6 @@ fn main() {
         println!(
             "final: {:.0} tx/s, {:.1}% aborts, {} spans retained",
             last.throughput_tps, last.abort_pct, last.spans
-        );
-    }
-    if pick("ablation-snorec") {
-        emit(
-            "ablation_snorec",
-            "Ablation A2 — S-NOrec read-set duplicates vs dedup (Hashtable)",
-            exp::ablation_snorec_dedup(&sweep),
-            &[("S-NOrec/dedup", "S-NOrec")],
         );
     }
     println!("\ndone.");

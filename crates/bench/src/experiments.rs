@@ -13,7 +13,7 @@ use std::time::Duration;
 /// Experiment scale.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {
-    /// Tiny runs for `cargo bench` / CI smoke.
+    /// Tiny runs for `figures -- --smoke` / CI.
     Smoke,
     /// The scale used for EXPERIMENTS.md numbers.
     Paper,
@@ -305,38 +305,6 @@ pub fn ablation_stl2_extension(sweep: &Sweep) -> Vec<FigureRow> {
     rows
 }
 
-/// Ablation A2 (DESIGN.md): S-NOrec with duplicate read-set entries
-/// (paper default) vs deduplicated entries, on the hashtable.
-pub fn ablation_snorec_dedup(sweep: &Sweep) -> Vec<FigureRow> {
-    let cfg = hashtable::HashtableConfig {
-        capacity: sweep.pick(1 << 9, 1 << 12),
-        ..hashtable::HashtableConfig::default()
-    };
-    let mut rows = Vec::new();
-    for (label, dedup) in [("S-NOrec", false), ("S-NOrec/dedup", true)] {
-        for &t in &sweep.threads {
-            let stm = Stm::new(
-                StmConfig::new(Algorithm::SNOrec)
-                    .heap_words(1 << 16)
-                    .snorec_dedup_reads(dedup),
-            );
-            let r = hashtable::run(&stm, cfg, t, sweep.duration, sweep.seed);
-            rows.push(FigureRow {
-                figure: "A2",
-                benchmark: "hashtable",
-                algorithm: label.to_string(),
-                threads: r.threads,
-                metric: "throughput_ktps",
-                value: r.throughput_ktps(),
-                abort_pct: r.abort_pct(),
-                commits: r.stats.commits,
-                aborts: r.stats.conflict_aborts(),
-            });
-        }
-    }
-    rows
-}
-
 /// Supplementary experiment C1: a deliberately *hot* hashtable (tiny
 /// table, long probe chains, many threads) to recover the paper's
 /// high-contention regime on small hosts, where the recorded Figure-1
@@ -365,39 +333,6 @@ pub fn contention_sweep(sweep: &Sweep) -> Vec<FigureRow> {
                 figure: "C1",
                 benchmark: "hashtable-hot",
                 algorithm: alg.name().to_string(),
-                threads: r.threads,
-                metric: "throughput_ktps",
-                value: r.throughput_ktps(),
-                abort_pct: r.abort_pct(),
-                commits: r.stats.commits,
-                aborts: r.stats.conflict_aborts(),
-            });
-        }
-    }
-    rows
-}
-
-/// Ablation A4: RingSTM-style commit filters on/off for S-NOrec, on the
-/// LRU cache (read-set-heavy, mostly-disjoint lines: the case filters
-/// are built for).
-pub fn ablation_ring_filters(sweep: &Sweep) -> Vec<FigureRow> {
-    let cfg = lru::LruConfig {
-        lines: sweep.pick(64, 256),
-        ..lru::LruConfig::default()
-    };
-    let mut rows = Vec::new();
-    for (label, ring) in [("S-NOrec", false), ("S-NOrec/ring-filters", true)] {
-        for &t in &sweep.threads {
-            let stm = Stm::new(
-                StmConfig::new(Algorithm::SNOrec)
-                    .heap_words(1 << 16)
-                    .norec_ring_filters(ring),
-            );
-            let r = lru::run(&stm, cfg, t, sweep.duration, sweep.seed);
-            rows.push(FigureRow {
-                figure: "A4",
-                benchmark: "lru",
-                algorithm: label.to_string(),
                 threads: r.threads,
                 metric: "throughput_ktps",
                 value: r.throughput_ktps(),

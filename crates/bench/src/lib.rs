@@ -7,8 +7,9 @@
 //!
 //! The `figures` binary (`cargo run --release -p semtm-bench --bin
 //! figures -- all`) prints every experiment as a markdown table and
-//! writes CSVs under `results/`; `cargo bench` runs reduced-scale
-//! versions of the same sweeps plus Criterion latency benches.
+//! writes CSVs under `results/`; `figures -- --smoke all` runs
+//! reduced-scale versions of the same sweeps, and `benchmark/run.sh`
+//! (its own workspace) measures per-barrier latencies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -73,7 +73,7 @@ impl CrashKernel {
 pub struct CrashConfig {
     /// The STM algorithm under test.
     pub algorithm: Algorithm,
-    /// Commit-clock shards (`> 1` selects the ScNorec engine for the
+    /// Commit-clock shards (`> 1` selects the sharded clock for the
     /// NOrec family).
     pub clock_shards: usize,
     /// The workload kernel.

@@ -23,8 +23,8 @@ fn executions() -> usize {
 #[test]
 fn crash_matrix_no_lost_acked_no_partial_tx() {
     // The four algorithms at a single clock shard, plus S-NOrec on the
-    // sharded commit clock (the ScNorec engine) — the one engine whose
-    // commit path differs structurally from its single-shard form.
+    // sharded commit clock — the one cell whose commit path differs
+    // structurally from its single-shard form.
     let engines: [(Algorithm, usize); 5] = [
         (Algorithm::NOrec, 1),
         (Algorithm::SNOrec, 1),

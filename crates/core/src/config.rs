@@ -64,6 +64,9 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
+/// Default of [`StmConfig::lock_wait_spins`].
+pub(crate) const DEFAULT_LOCK_WAIT_SPINS: u32 = 4096;
+
 /// Construction-time configuration for an [`crate::Stm`].
 #[derive(Clone, Debug)]
 pub struct StmConfig {
@@ -87,19 +90,9 @@ pub struct StmConfig {
     /// optimisation (Algorithm 7 lines 19–25). With extension disabled,
     /// phase-1 `cmp`s validate like phase-2 ones. Default `true`.
     pub stl2_snapshot_extension: bool,
-    /// NOrec-family accelerator: publish RingSTM-style per-commit write
-    /// filters and skip read-set revalidation when no missed commit's
-    /// filter intersects the transaction's read filter ([`crate::ring`];
-    /// ablation A4). Default `false` — plain NOrec/S-NOrec.
-    pub norec_ring_filters: bool,
-    /// S-NOrec ablation knob: deduplicate read-set entries for repeated
-    /// reads of the same address instead of appending duplicates (§4.1
-    /// "read after read" discussion). Default `false` — the paper appends
-    /// duplicates, judging the dedup lookup cost not worth it.
-    pub snorec_dedup_reads: bool,
     /// Number of commit-clock shards for the NOrec family (rounded up to
     /// a power of two). The default `1` keeps the classical single global
-    /// sequence lock; values above 1 switch NOrec/S-NOrec to the sharded
+    /// sequence lock; values above 1 run NOrec/S-NOrec over the sharded
     /// commit clock ([`crate::sclock`]): per-cache-line sequence locks,
     /// per-shard read-set revalidation, and multi-shard commit
     /// acquisition. The TL2 family keeps its global version clock
@@ -155,13 +148,11 @@ impl StmConfig {
             algorithm,
             heap_words: 1 << 24,
             orec_count: 1 << 16,
-            lock_wait_spins: 4096,
+            lock_wait_spins: DEFAULT_LOCK_WAIT_SPINS,
             backoff_min_spins: 16,
             backoff_max_spins: 8192,
             cm_policy: CmPolicy::Backoff,
-            norec_ring_filters: false,
             stl2_snapshot_extension: true,
-            snorec_dedup_reads: false,
             clock_shards: 1,
             padded_alloc: false,
             telemetry: TelemetryLevel::Counters,
@@ -198,18 +189,6 @@ impl StmConfig {
     /// Builder-style toggle for the S-TL2 snapshot-extension optimisation.
     pub fn stl2_snapshot_extension(mut self, on: bool) -> StmConfig {
         self.stl2_snapshot_extension = on;
-        self
-    }
-
-    /// Builder-style toggle for the RingSTM-filter validation fast path.
-    pub fn norec_ring_filters(mut self, on: bool) -> StmConfig {
-        self.norec_ring_filters = on;
-        self
-    }
-
-    /// Builder-style toggle for S-NOrec read-set deduplication.
-    pub fn snorec_dedup_reads(mut self, on: bool) -> StmConfig {
-        self.snorec_dedup_reads = on;
         self
     }
 
@@ -284,7 +263,6 @@ mod tests {
             .orec_count(32)
             .lock_wait_spins(7)
             .stl2_snapshot_extension(false)
-            .snorec_dedup_reads(true)
             .clock_shards(8)
             .padded_alloc(true)
             .telemetry(TelemetryLevel::Trace)
@@ -293,7 +271,6 @@ mod tests {
         assert_eq!(c.orec_count, 32);
         assert_eq!(c.lock_wait_spins, 7);
         assert!(!c.stl2_snapshot_extension);
-        assert!(c.snorec_dedup_reads);
         assert_eq!(c.clock_shards, 8);
         assert!(c.padded_alloc);
         assert_eq!(c.cm_policy, CmPolicy::Yield);

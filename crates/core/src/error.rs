@@ -60,7 +60,7 @@ impl Conflict {
     /// The [thread token](crate::util::thread_token) of the transaction
     /// whose commit caused this abort, where knowable: the lock owner
     /// for TL2 lock conflicts, the most recent committer (a heuristic —
-    /// see `NorecGlobal`) for value-validation failures.
+    /// see `GlobalClock`) for value-validation failures.
     #[inline]
     pub fn by(&self) -> Option<u64> {
         if self.by == 0 {

@@ -50,6 +50,9 @@
 //!   metadata and data words). This is a reproduction-grade simulator of
 //!   the algorithms, not a cycle-tuned runtime; the algorithmic behaviour
 //!   (what validates, what aborts) is what we reproduce.
+//! * The NOrec family is one engine ([`norec`]) monomorphised over its
+//!   commit clock — the global sequence lock or the sharded clock
+//!   ([`sclock`]) — and shares its commit tail and barrier ABI with [`tl2`].
 //! * Base algorithms (`NOrec`, `Tl2`) accept the semantic API but delegate
 //!   `cmp` to `read` and `inc` to `read`+`write`, exactly like the paper's
 //!   unmodified-libitm configuration; this is what makes base-vs-semantic
@@ -78,7 +81,6 @@ pub mod ops;
 pub mod ring;
 pub mod sched;
 pub mod sclock;
-pub mod scnorec;
 pub mod sets;
 pub mod stats;
 pub mod stm;

@@ -1,42 +1,130 @@
-//! NOrec and S-NOrec (the paper's Algorithm 6).
+//! NOrec and S-NOrec (the paper's Algorithm 6): one engine, two clocks.
 //!
 //! NOrec [Dalessandro et al., PPoPP 2010] keeps **no ownership records**:
-//! a single global sequence lock orders writer commits, and readers
-//! maintain value-based read-sets validated whenever the global lock
-//! changes. S-NOrec generalises value-based validation to **semantic
-//! validation**: the read-set stores `(addr, operator, operand)` triples
-//! and validation re-evaluates the recorded relation, so a concurrent
-//! commit that changes a value *without changing the recorded relation's
-//! outcome* no longer aborts the reader. Plain reads degenerate to `EQ`
-//! entries, recovering exactly NOrec's value-based validation.
+//! a commit clock orders writer commits, and readers maintain value-based
+//! read-sets validated whenever that clock moves. S-NOrec generalises
+//! value-based validation to **semantic validation**: the read-set stores
+//! `(addr, operator, operand)` triples and validation re-evaluates the
+//! recorded relation, so a concurrent commit that changes a value
+//! *without changing the recorded relation's outcome* no longer aborts
+//! the reader. Plain reads degenerate to `EQ` entries, recovering exactly
+//! NOrec's value-based validation.
+//!
+//! [`NorecTx`] owns the read-set, the write-set, the read-after-write /
+//! promote rules and every barrier once. How the commit clock is
+//! sampled, validated against and acquired is the [`CommitClock`] it is
+//! monomorphised over: [`GlobalClock`] is the classical single sequence
+//! lock, [`ShardedClock`](crate::sclock::ShardedClock) the per-line shard
+//! vector selected by [`clock_shards`](crate::StmConfig::clock_shards).
+//! DESIGN.md §8 tables what each clock must guarantee.
 //!
 //! The baseline (`Algorithm::NOrec`) uses the same code with the semantic
 //! entry points never invoked — the front-end [`crate::stm::Tx`] delegates
 //! `cmp`→`read` and `inc`→`read`+`write` for non-semantic algorithms,
 //! mirroring how unmodified libitm delegates the new ABI calls.
 
-use crate::error::Abort;
+use crate::error::{Abort, AbortReason};
 use crate::fault;
 use crate::heap::{Addr, Heap};
 use crate::ops::CmpOp;
-use crate::ring::{filter_bit, FilterRing};
-use crate::sched;
+use crate::sched::{self, PointKind};
 use crate::sets::{ReadEntry, WriteEntry, WriteKind, WriteSet};
 use crate::stats::OpCounts;
+use crate::stm::Engine;
 use crate::telemetry::PhaseRecorder;
-use crate::util::SpinWait;
+use crate::util::{thread_token, SpinWait};
 use crate::wal::CommitLog;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// What a clock revalidates: one attempt's read-set over the heap. The
+/// phase recorder rides along so a validation that `acquire` starts is
+/// stamped like any other.
+pub(crate) struct Reads<'a> {
+    pub(crate) heap: &'a Heap,
+    pub(crate) entries: &'a [ReadEntry],
+    pub(crate) phases: &'a mut PhaseRecorder,
+}
+
+impl Reads<'_> {
+    /// Semantically re-check every entry `moved` selects (Algorithm 6
+    /// `Validate`, line 5); the failing entry's address is attributed.
+    pub(crate) fn recheck(&self, moved: impl Fn(&ReadEntry) -> bool) -> Result<(), Abort> {
+        if fault::active(fault::SNOREC_SKIP_REVALIDATION) {
+            return Ok(());
+        }
+        match self
+            .entries
+            .iter()
+            .find(|e| moved(e) && !e.holds(self.heap))
+        {
+            Some(e) => Err(Abort::validation().at_addr(e.addrs().0)),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The commit clock of the NOrec family: the one thing the two NOrec
+/// engines ever differed in. A clock hands each attempt a `View`; the
+/// engine's invariant is that **every read-set entry holds in the heap
+/// state the view denotes**, and each method states what it contributes
+/// to keeping that true.
+pub(crate) trait CommitClock {
+    /// One attempt's view of the clock; kept across attempts so its
+    /// buffers are reused.
+    type View;
+    /// Schedule point ahead of the data load of a consistent read.
+    const READ: PointKind;
+    /// Schedule point between the clock's acquisition and the first data
+    /// store (nothing may yield from there to `release`).
+    const WRITEBACK: PointKind;
+
+    /// A view for a new transaction context (not yet meaningful).
+    fn view(&self) -> Self::View;
+    /// Sample a view at which no write-back is in flight.
+    fn begin(&self, view: &mut Self::View);
+    /// Has a write-back possibly started since `view` was last valid? A
+    /// `false` after a data load proves the loaded value belongs to the
+    /// view's heap state.
+    fn moved(&self, view: &Self::View) -> bool;
+    /// Changes exactly when validation advances the view (the pair-read
+    /// consistency probe of `cmp_addr`).
+    fn stamp(view: &Self::View) -> u64;
+    /// Wait out in-flight commits, re-check the entries whose clock words
+    /// moved and advance `view` to a current quiescent sample, or abort.
+    fn validate(&self, view: &mut Self::View, reads: &mut Reads<'_>) -> Result<(), Abort>;
+    /// Lock the clock words covering `writes`. Returns `Ok` with the
+    /// read-set valid under the held locks; on `Err` nothing is held.
+    fn acquire(
+        &self,
+        view: &mut Self::View,
+        writes: &WriteSet,
+        reads: &mut Reads<'_>,
+    ) -> Result<(), Abort>;
+    /// Called with the locks held, before the first data store: every
+    /// write-back is preceded by a step that makes concurrent views
+    /// [`moved`](CommitClock::moved). Acquisition itself is that step
+    /// unless the clock says otherwise.
+    fn announce(&self) {}
+    /// Unlock what `acquire` locked: stamp the next time when
+    /// `committed`, else restore the pre-acquire words — sound because a
+    /// rollback happens strictly before any data store.
+    fn release(&self, view: &Self::View, committed: bool);
+    /// Record the committing thread (flight recorder only; called under
+    /// the locks so whoever sees the new time also sees the token).
+    fn stamp_committer(&self, token: u64);
+    /// The most recent stamped committer (0 = never stamped).
+    fn committer(&self) -> u64;
+    /// Era bump for an adaptive mode switch ([`crate::adapt`]), on a
+    /// quiescent runtime: no view sampled before it is current after it.
+    fn reseed(&self);
+}
+
 /// The single global timestamped lock (even = free, odd = a writer is
-/// committing). All NOrec-family transactions of one [`crate::Stm`]
+/// committing). All global-clock transactions of one [`crate::Stm`]
 /// serialise their write-backs through this word.
 #[derive(Default)]
-pub struct NorecGlobal {
+pub struct GlobalClock {
     lock: AtomicU64,
-    /// RingSTM-style per-commit write filters (used only when the
-    /// `norec_ring_filters` knob is on; see [`crate::ring`]).
-    ring: FilterRing,
     /// Thread token of the most recent committer, stamped under the
     /// sequence lock — and only when the flight recorder is on
     /// (`TelemetryLevel::Spans`), so the default hot path never touches
@@ -48,124 +136,31 @@ pub struct NorecGlobal {
     committer: AtomicU64,
 }
 
-impl NorecGlobal {
-    #[inline]
-    fn load(&self) -> u64 {
-        self.lock.load(Ordering::SeqCst)
-    }
-
-    #[inline]
-    fn try_acquire(&self, expected_even: u64) -> bool {
-        self.lock
-            .compare_exchange(
-                expected_even,
-                expected_even + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_ok()
-    }
-
-    #[inline]
-    fn release(&self, new_even: u64) {
-        debug_assert_eq!(new_even & 1, 0);
-        self.lock.store(new_even, Ordering::SeqCst);
-    }
-
+impl GlobalClock {
     /// Current timestamp (for diagnostics/tests).
     pub fn time(&self) -> u64 {
-        self.load()
-    }
-
-    /// Era bump for an adaptive mode switch ([`crate::adapt`]): advance
-    /// the timestamp by one commit's worth while keeping it even (free).
-    /// Called only on a quiescent runtime — the drain barrier guarantees
-    /// no writer holds the lock — so any snapshot taken before the
-    /// switch can never validate as "unchanged" after it.
-    pub(crate) fn reseed(&self) {
-        self.lock.fetch_add(2, Ordering::SeqCst);
+        self.lock.load(Ordering::SeqCst)
     }
 }
 
-/// One NOrec / S-NOrec transaction attempt.
-///
-/// Not a public API — used through [`crate::stm::Tx`].
-pub struct NorecTx<'a> {
-    heap: &'a Heap,
-    global: &'a NorecGlobal,
-    dedup_reads: bool,
-    use_ring: bool,
-    snapshot: u64,
-    /// Bloom filter over the read-set's addresses (ring fast path).
-    read_filter: u64,
-    reads: Vec<ReadEntry>,
-    writes: WriteSet,
-    /// Flight-recorder phase marks; inert (its enabled check is the
-    /// materialised `level >= Spans` guard) unless
-    /// [`NorecTx::enable_spans`] installed a live recorder.
-    phases: PhaseRecorder,
-    /// Stamp/read the global committer word for abort attribution.
-    /// Only true at `TelemetryLevel::Spans`.
-    record_committer: bool,
-    /// The write-ahead commit log, when the owning [`crate::Stm`] is
-    /// durable (see [`NorecTx::enable_wal`]).
-    wal: Option<&'a CommitLog>,
-}
+impl CommitClock for GlobalClock {
+    /// The even time at which the read-set was last observed consistent.
+    type View = u64;
+    const READ: PointKind = PointKind::NorecRead;
+    const WRITEBACK: PointKind = PointKind::NorecWriteback;
 
-impl<'a> NorecTx<'a> {
-    /// Create a transaction context bound to `heap` and the global lock.
-    pub(crate) fn new(
-        heap: &'a Heap,
-        global: &'a NorecGlobal,
-        dedup_reads: bool,
-        use_ring: bool,
-    ) -> Self {
-        NorecTx {
-            heap,
-            global,
-            dedup_reads,
-            use_ring,
-            snapshot: 0,
-            read_filter: 0,
-            reads: Vec::new(),
-            writes: WriteSet::default(),
-            phases: PhaseRecorder::disabled(),
-            record_committer: false,
-            wal: None,
-        }
+    fn view(&self) -> u64 {
+        0
     }
 
-    /// Make writer commits durable: append the resolved write set to
-    /// `log` post-validation/pre-write-back and ack only once durable.
-    pub(crate) fn enable_wal(&mut self, log: &'a CommitLog) {
-        self.wal = Some(log);
-    }
-
-    /// Turn the flight recorder on for this context: install a live
-    /// phase recorder and enable committer stamping/attribution.
-    pub(crate) fn enable_spans(&mut self, recorder: PhaseRecorder) {
-        self.phases = recorder;
-        self.record_committer = recorder.is_enabled();
-    }
-
-    /// Current phase marks (read back by the span recorder).
-    pub(crate) fn phases(&self) -> PhaseRecorder {
-        self.phases
-    }
-
-    /// Begin (or re-begin after an abort): clear metadata and take an even
-    /// snapshot of the global lock (Algorithm 6, `Start`).
-    pub(crate) fn begin(&mut self) {
-        self.reads.clear();
-        self.writes.clear();
-        self.read_filter = 0;
-        self.phases.reset();
+    /// Algorithm 6 `Start`: take an even snapshot of the lock.
+    fn begin(&self, view: &mut u64) {
         let mut wait = SpinWait::new();
         loop {
-            sched::point(sched::PointKind::NorecBegin);
-            let s = self.global.load();
+            sched::point(PointKind::NorecBegin);
+            let s = self.time();
             if s & 1 == 0 {
-                self.snapshot = s;
+                *view = s;
                 return;
             }
             sched::spin();
@@ -173,60 +168,147 @@ impl<'a> NorecTx<'a> {
         }
     }
 
-    /// Algorithm 6 `Validate` (lines 1–9): wait out in-flight commits,
-    /// semantically re-check every read-set entry, and return the (even)
-    /// time at which the read-set was observed consistent.
-    /// Also advances `self.snapshot` to the returned time on success.
-    fn validate(&mut self) -> Result<u64, Abort> {
-        self.phases.mark_validate();
+    #[inline]
+    fn moved(&self, view: &u64) -> bool {
+        *view != self.time()
+    }
+
+    #[inline]
+    fn stamp(view: &u64) -> u64 {
+        *view
+    }
+
+    /// Algorithm 6 `Validate` (lines 1–9).
+    fn validate(&self, view: &mut u64, reads: &mut Reads<'_>) -> Result<(), Abort> {
+        reads.phases.mark_validate();
         let mut wait = SpinWait::new();
         loop {
-            sched::point(sched::PointKind::NorecValidate);
-            let time = self.global.load();
+            sched::point(PointKind::NorecValidate);
+            let time = self.time();
             if time & 1 != 0 {
                 sched::spin();
                 wait.spin();
                 continue;
             }
-            // RingSTM fast path: if none of the missed commits' write
-            // filters intersects our read filter, the read-set cannot
-            // have been invalidated — skip the per-entry re-check. Any
-            // concurrent commit during the union flips the lock word and
-            // fails the final time re-check, so overwritten slots can
-            // never be trusted by mistake.
-            let fast_clear = self.use_ring
-                && self
-                    .global
-                    .ring
-                    .union(self.snapshot, time)
-                    .map(|missed| missed & self.read_filter == 0)
-                    .unwrap_or(false);
-            if !fast_clear && !fault::active(fault::SNOREC_SKIP_REVALIDATION) {
-                for e in &self.reads {
-                    if !e.holds(self.heap) {
-                        return Err(self.attributed_validation(e));
-                    }
-                }
-            }
-            sched::point(sched::PointKind::NorecValidateRecheck);
-            if time == self.global.load() {
-                self.snapshot = time;
-                return Ok(time);
+            reads.recheck(|_| true)?;
+            sched::point(PointKind::NorecValidateRecheck);
+            if time == self.time() {
+                *view = time;
+                return Ok(());
             }
         }
     }
 
-    /// Algorithm 6 `ReadValid` (lines 10–16): read a word, re-validating
-    /// (and moving the snapshot forward) whenever the global lock moved.
-    fn read_valid(&mut self, addr: Addr) -> Result<i64, Abort> {
-        sched::point(sched::PointKind::NorecRead);
-        let mut val = self.heap.tm_load(addr);
-        while self.snapshot != self.global.load() {
-            self.snapshot = self.validate()?;
-            sched::point(sched::PointKind::NorecRead);
-            val = self.heap.tm_load(addr);
+    /// CAS the lock odd from the validated time, re-validating until it
+    /// lands: a CAS from `view` proves no commit since the validation.
+    fn acquire(&self, view: &mut u64, _: &WriteSet, reads: &mut Reads<'_>) -> Result<(), Abort> {
+        loop {
+            sched::point(PointKind::NorecCommitAcquire);
+            let odd = *view + 1;
+            if self
+                .lock
+                .compare_exchange(*view, odd, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+            {
+                return Ok(());
+            }
+            self.validate(view, reads)?;
         }
-        Ok(val)
+    }
+
+    fn release(&self, view: &u64, committed: bool) {
+        let next = if committed { *view + 2 } else { *view };
+        self.lock.store(next, Ordering::SeqCst);
+    }
+
+    fn stamp_committer(&self, token: u64) {
+        self.committer.store(token, Ordering::Relaxed);
+    }
+
+    fn committer(&self) -> u64 {
+        self.committer.load(Ordering::Relaxed)
+    }
+
+    /// Advance by one commit's worth, keeping the word even (free).
+    fn reseed(&self) {
+        self.lock.fetch_add(2, Ordering::SeqCst);
+    }
+}
+
+/// One NOrec / S-NOrec transaction attempt over clock `C`.
+///
+/// Not a public API — used through [`crate::stm::Tx`].
+pub(crate) struct NorecTx<'a, C: CommitClock> {
+    heap: &'a Heap,
+    clock: &'a C,
+    view: C::View,
+    reads: Vec<ReadEntry>,
+    writes: WriteSet,
+    /// The clock is acquired and not yet released (only ever true inside
+    /// `commit`; still true afterwards iff a panic unwound out of it).
+    held: bool,
+    /// Flight-recorder phase marks; inert (its enabled check is the
+    /// materialised `level >= Spans` guard) unless `enable_spans`
+    /// installed a live recorder.
+    phases: PhaseRecorder,
+    /// Stamp/read the clock's committer word for abort attribution.
+    /// Only true at `TelemetryLevel::Spans`.
+    record_committer: bool,
+    /// The write-ahead commit log, when the owning [`crate::Stm`] is
+    /// durable.
+    wal: Option<&'a CommitLog>,
+}
+
+impl<'a, C: CommitClock> NorecTx<'a, C> {
+    /// Create a transaction context bound to `heap` and `clock`.
+    pub(crate) fn new(heap: &'a Heap, clock: &'a C) -> Self {
+        NorecTx {
+            heap,
+            clock,
+            view: clock.view(),
+            reads: Vec::new(),
+            writes: WriteSet::default(),
+            held: false,
+            phases: PhaseRecorder::disabled(),
+            record_committer: false,
+            wal: None,
+        }
+    }
+
+    /// A validation abort names the failing entry's address; with the
+    /// flight recorder on, add the most-recent-committer heuristic.
+    fn blame(&self, abort: Abort) -> Abort {
+        if self.record_committer && abort.reason == AbortReason::Validation {
+            // 0 (never stamped) is `Conflict`'s "unknown" sentinel.
+            abort.by(self.clock.committer())
+        } else {
+            abort
+        }
+    }
+
+    /// The slow path of a read: the clock moved.
+    #[cold]
+    fn validate(&mut self) -> Result<(), Abort> {
+        let mut reads = Reads {
+            heap: self.heap,
+            entries: &self.reads,
+            phases: &mut self.phases,
+        };
+        let outcome = self.clock.validate(&mut self.view, &mut reads);
+        outcome.map_err(|abort| self.blame(abort))
+    }
+
+    /// Algorithm 6 `ReadValid` (lines 10–16): read a word, re-validating
+    /// (and moving the view forward) whenever the clock moved.
+    fn read_valid(&mut self, addr: Addr) -> Result<i64, Abort> {
+        loop {
+            sched::point(C::READ);
+            let val = self.heap.tm_load(addr);
+            if !self.clock.moved(&self.view) {
+                return Ok(val);
+            }
+            self.validate()?;
+        }
     }
 
     /// Read-after-write resolution (Algorithm 6 `RAW`, lines 17–23).
@@ -245,53 +327,59 @@ impl<'a> NorecTx<'a> {
             }) => {
                 // Promote: the increment's read can no longer be deferred.
                 let observed = self.read_valid(addr)?;
-                self.push_read(ReadEntry::Val {
-                    addr,
-                    op: CmpOp::Eq,
-                    operand: observed,
-                });
+                self.push_read(addr, CmpOp::Eq, observed);
                 ops.promotes += 1;
                 Ok(Some(self.writes.promote(addr, observed)))
             }
         }
     }
 
-    fn push_read(&mut self, entry: ReadEntry) {
-        let (a, b) = entry.addrs();
-        self.read_filter |= filter_bit(a.index());
-        if let Some(b) = b {
-            self.read_filter |= filter_bit(b.index());
-        }
-        // §4.1 "read after read": duplicates are appended by default; the
-        // dedup variant exists as an ablation knob (A2 in DESIGN.md).
-        if self.dedup_reads && self.reads.contains(&entry) {
-            return;
-        }
-        self.reads.push(entry);
+    /// §4.1 "read after read": duplicates are appended, as the paper
+    /// judges a dedup lookup not worth its cost.
+    fn push_read(&mut self, addr: Addr, op: CmpOp, operand: i64) {
+        self.reads.push(ReadEntry::Val { addr, op, operand });
+    }
+}
+
+impl<'a, C: CommitClock> Engine<'a> for NorecTx<'a, C> {
+    fn enable_wal(&mut self, log: &'a CommitLog) {
+        self.wal = Some(log);
+    }
+
+    fn enable_spans(&mut self, recorder: PhaseRecorder) {
+        self.phases = recorder;
+        self.record_committer = recorder.is_enabled();
+    }
+
+    fn phases(&self) -> PhaseRecorder {
+        self.phases
+    }
+
+    fn begin(&mut self) {
+        self.reads.clear();
+        self.writes.clear();
+        self.phases.reset();
+        self.clock.begin(&mut self.view);
     }
 
     /// `TM_READ` (Algorithm 6, lines 37–43).
-    pub(crate) fn read(&mut self, addr: Addr, ops: &mut OpCounts) -> Result<i64, Abort> {
+    fn read(&mut self, addr: Addr, ops: &mut OpCounts) -> Result<i64, Abort> {
         if let Some(v) = self.raw(addr, ops)? {
             return Ok(v);
         }
         let val = self.read_valid(addr)?;
-        self.push_read(ReadEntry::Val {
-            addr,
-            op: CmpOp::Eq,
-            operand: val,
-        });
+        self.push_read(addr, CmpOp::Eq, val);
         Ok(val)
     }
 
     /// `TM_WRITE` (Algorithm 6, lines 50–52).
-    pub(crate) fn write(&mut self, addr: Addr, value: i64) {
+    fn write(&mut self, addr: Addr, value: i64) {
         self.writes.write(addr, value);
     }
 
     /// Semantic compare, address–value form (Algorithm 6 `Compare`,
-    /// lines 29–36).
-    pub(crate) fn cmp(
+    /// lines 29–36): a false outcome records the inverse relation.
+    fn cmp(
         &mut self,
         addr: Addr,
         op: CmpOp,
@@ -303,11 +391,7 @@ impl<'a> NorecTx<'a> {
         }
         let val = self.read_valid(addr)?;
         let result = op.eval(val, operand);
-        self.push_read(ReadEntry::Val {
-            addr,
-            op: if result { op } else { op.inverse() },
-            operand,
-        });
+        self.push_read(addr, if result { op } else { op.inverse() }, operand);
         Ok(result)
     }
 
@@ -315,13 +399,7 @@ impl<'a> NorecTx<'a> {
     /// by the write-set collapse to the address–value form; when both
     /// operands are live memory the whole relation is recorded as one
     /// `Pair` entry validated semantically.
-    pub(crate) fn cmp_addr(
-        &mut self,
-        a: Addr,
-        op: CmpOp,
-        b: Addr,
-        ops: &mut OpCounts,
-    ) -> Result<bool, Abort> {
+    fn cmp_addr(&mut self, a: Addr, op: CmpOp, b: Addr, ops: &mut OpCounts) -> Result<bool, Abort> {
         let wa = self.raw(a, ops)?;
         let wb = self.raw(b, ops)?;
         match (wa, wb) {
@@ -329,18 +407,18 @@ impl<'a> NorecTx<'a> {
             (Some(va), None) => self.cmp(b, op.swap(), va, ops),
             (None, Some(vb)) => self.cmp(a, op, vb, ops),
             (None, None) => {
-                // Read both sides under one snapshot so the recorded
+                // Read both sides under one view so the recorded
                 // relation reflects a consistent memory state.
                 let (va, vb) = loop {
-                    let s = self.snapshot;
+                    let stamp = C::stamp(&self.view);
                     let va = self.read_valid(a)?;
                     let vb = self.read_valid(b)?;
-                    if self.snapshot == s {
+                    if C::stamp(&self.view) == stamp {
                         break (va, vb);
                     }
                 };
                 let result = op.eval(va, vb);
-                self.push_read(ReadEntry::Pair {
+                self.reads.push(ReadEntry::Pair {
                     a,
                     op: if result { op } else { op.inverse() },
                     b,
@@ -352,430 +430,299 @@ impl<'a> NorecTx<'a> {
 
     /// Semantic increment/decrement (Algorithm 6 `Increment`,
     /// lines 44–49): pure write-set bookkeeping; the read happens at
-    /// commit time under the global lock.
-    pub(crate) fn inc(&mut self, addr: Addr, delta: i64) {
+    /// commit time under the clock's locks.
+    fn inc(&mut self, addr: Addr, delta: i64) {
         self.writes.inc(addr, delta);
     }
 
-    /// The failing entry's address plus, when the flight recorder is
-    /// on, the most-recent-committer heuristic (see
-    /// [`NorecGlobal::committer`]).
-    fn attributed_validation(&self, entry: &ReadEntry) -> Abort {
-        let mut abort = Abort::validation().at_addr(entry.addrs().0);
-        if self.record_committer {
-            // 0 (never stamped) is `Conflict`'s "unknown" sentinel.
-            abort = abort.by(self.global.committer.load(Ordering::Relaxed));
-        }
-        abort
-    }
-
     /// Commit. Read-only transactions commit immediately (their last
-    /// validation is their serialisation point); writers grab the global
-    /// sequence lock, re-validating until the CAS lands, then write back
-    /// (applying deferred increments against live memory) and release.
-    pub(crate) fn commit(&mut self) -> Result<(), Abort> {
+    /// validation is their serialisation point); writers acquire the
+    /// clock, then write back (applying deferred increments against live
+    /// memory) and release.
+    fn commit(&mut self) -> Result<(), Abort> {
         if self.writes.is_empty() {
             return Ok(());
         }
         self.phases.mark_lock();
-        let mut snap = self.snapshot;
-        loop {
-            sched::point(sched::PointKind::NorecCommitAcquire);
-            if self.global.try_acquire(snap) {
-                break;
-            }
-            snap = self.validate()?;
-        }
-        if self.record_committer {
-            // Under the lock: a reader that observes the released time
-            // also observes (at least) this committer token.
-            self.global
-                .committer
-                .store(crate::util::thread_token(), Ordering::Relaxed);
-        }
-        // Lock held: resolve deferred increments against live memory
-        // into absolute values. The WAL record must hold the resolved
-        // values (replay cannot re-run increments), so resolution moves
-        // ahead of the log append; without a log it fuses back into the
-        // write-back loop below via the same `resolve` values.
-        let ticket = if let Some(log) = self.wal {
-            let resolved: Vec<(Addr, i64)> = self
-                .writes
-                .iter()
-                .map(|(addr, e)| (addr, self.resolve(addr, &e)))
-                .collect();
-            sched::point(sched::PointKind::WalAppend);
-            match log.append(&resolved) {
-                Ok(t) => Some(t),
-                Err(_) => {
-                    // Nothing written back yet: restore the pre-acquire
-                    // even time and abort cleanly.
-                    self.global.release(snap);
-                    return Err(Abort::durability());
-                }
-            }
-        } else {
-            None
+        let mut reads = Reads {
+            heap: self.heap,
+            entries: &self.reads,
+            phases: &mut self.phases,
         };
-        // From here through `release` the write-back is one atomic step
-        // of the virtual schedule (no further sched points).
-        sched::point(sched::PointKind::NorecWriteback);
-        self.phases.mark_writeback();
-        let mut write_filter = 0u64;
-        for (addr, e) in self.writes.iter() {
-            let v = self.resolve(addr, &e);
-            self.heap.tm_store(addr, v);
-            write_filter |= filter_bit(addr.index());
+        let acquired = self.clock.acquire(&mut self.view, &self.writes, &mut reads);
+        acquired.map_err(|abort| self.blame(abort))?;
+        if self.record_committer {
+            self.clock.stamp_committer(thread_token());
         }
-        if self.use_ring {
-            // Publish before release so any reader that observes the new
-            // time also observes this commit's filter.
-            self.global.ring.publish(snap, write_filter);
-        }
-        self.global.release(snap + 2);
-        if let (Some(log), Some(t)) = (self.wal, ticket) {
-            // Ack only once durable. A flush failure here is fail-stop:
-            // the in-memory commit is already visible and cannot be
-            // retried (increments would double-apply).
-            if let Err(e) = log.wait_durable(t) {
-                panic!(
-                    "commit {} is applied but cannot be made durable: {e}",
-                    t.seq()
-                );
-            }
-        }
-        Ok(())
+        self.held = true;
+        let (clock, view, held) = (self.clock, &self.view, &mut self.held);
+        self.writes.write_back(
+            self.heap,
+            self.wal,
+            &mut self.phases,
+            || {
+                clock.announce();
+                sched::point(C::WRITEBACK);
+            },
+            |committed| {
+                clock.release(view, committed);
+                *held = false;
+            },
+        )
     }
 
-    /// The absolute value a write entry stores: deferred increments are
-    /// materialised against live memory (valid only under the commit
-    /// lock, after validation).
-    #[inline]
-    fn resolve(&self, addr: Addr, e: &WriteEntry) -> i64 {
-        match e.kind {
-            WriteKind::Store => e.value,
-            WriteKind::Increment => self.heap.tm_load(addr).wrapping_add(e.value),
+    /// Abort cleanup: the clock is held only inside `commit`, which
+    /// releases it on every path it returns from — this covers the one
+    /// it does not, a panic unwinding out of the write-back (a poisoned
+    /// log, a store to an address outside the heap). Some stores may have
+    /// landed, so release as committed: a moved clock sends every
+    /// concurrent view through value-based revalidation, which is sound
+    /// whether or not the data changed.
+    fn rollback(&mut self) {
+        if std::mem::take(&mut self.held) {
+            self.clock.release(&self.view, true);
         }
     }
 
-    /// Number of read-set entries (diagnostics/tests).
-    pub(crate) fn read_set_len(&self) -> usize {
+    fn read_set_len(&self) -> usize {
         self.reads.len()
     }
 
-    /// Number of write-set entries (flight-recorder spans).
-    pub(crate) fn write_set_len(&self) -> usize {
-        self.writes.len()
+    /// Always 0: cmp outcomes live in the read-set.
+    fn compare_set_len(&self) -> usize {
+        0
     }
 
-    /// Whether the transaction has buffered writes.
-    pub(crate) fn is_writer(&self) -> bool {
-        !self.writes.is_empty()
+    fn write_set_len(&self) -> usize {
+        self.writes.len()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::heap::LINE_WORDS;
+    use crate::sclock::ShardedClock;
 
-    fn setup() -> (Heap, NorecGlobal) {
-        (Heap::new(64), NorecGlobal::default())
+    fn heap() -> Heap {
+        Heap::new(LINE_WORDS * 16)
     }
 
-    fn commit_write(heap: &Heap, global: &NorecGlobal, addr: Addr, v: i64) {
-        // A complete concurrent writer transaction, run inline.
-        let mut tx = NorecTx::new(heap, global, false, false);
-        tx.begin();
-        tx.write(addr, v);
-        tx.commit().unwrap();
+    /// A begun attempt.
+    pub(crate) fn tx<'a, C: CommitClock>(heap: &'a Heap, clock: &'a C) -> NorecTx<'a, C> {
+        let mut t = NorecTx::new(heap, clock);
+        t.begin();
+        t
     }
 
-    #[test]
-    fn read_write_roundtrip_single_tx() {
-        let (heap, global) = setup();
-        let a = heap.alloc(1);
+    /// A complete concurrent writer transaction, run inline.
+    pub(crate) fn commit_write<C: CommitClock>(heap: &Heap, clock: &C, addr: Addr, v: i64) {
+        let mut t = tx(heap, clock);
+        t.write(addr, v);
+        t.commit().unwrap();
+    }
+
+    /// The engine's conformance suite: every behaviour below must hold
+    /// whatever clock orders the commits. `time` reads a clock's total
+    /// committed time.
+    fn suite<C: CommitClock>(make: impl Fn() -> C, time: impl Fn(&C) -> u64) {
         let mut ops = OpCounts::default();
-        let mut tx = NorecTx::new(&heap, &global, false, false);
-        tx.begin();
-        tx.write(a, 41);
-        assert_eq!(tx.read(a, &mut ops).unwrap(), 41); // RAW
-        tx.inc(a, 1);
-        assert_eq!(tx.read(a, &mut ops).unwrap(), 42); // inc onto Store
-        tx.commit().unwrap();
+
+        // read_write_roundtrip_single_tx
+        let (heap, clock) = (heap(), make());
+        let a = heap.alloc(1);
+        let mut t = tx(&heap, &clock);
+        t.write(a, 41);
+        assert_eq!(t.read(a, &mut ops).unwrap(), 41); // RAW
+        t.inc(a, 1);
+        assert_eq!(t.read(a, &mut ops).unwrap(), 42); // inc onto Store
+        t.commit().unwrap();
         assert_eq!(heap.load(a), 42);
-    }
 
-    #[test]
-    fn plain_read_conflict_aborts_at_validation() {
-        let (heap, global) = setup();
-        let a = heap.alloc(1);
+        // plain_read_conflict_aborts_at_validation; the failed commit
+        // must not write back (write_after_read_validated_at_commit).
         heap.store(a, 5);
-        let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
-        t1.begin();
-        assert_eq!(t1.read(a, &mut ops).unwrap(), 5);
-        commit_write(&heap, &global, a, 6); // concurrent commit
-        t1.write(a, 100);
+        let mut t1 = tx(&heap, &clock);
+        let v = t1.read(a, &mut ops).unwrap();
+        commit_write(&heap, &clock, a, 6);
+        t1.write(a, v + 100);
         assert_eq!(t1.commit(), Err(Abort::validation()));
-    }
+        assert_eq!(heap.load(a), 6);
 
-    #[test]
-    fn semantic_cmp_survives_value_change_that_preserves_relation() {
-        // The paper's Algorithm 1: T1 checks x > 0; T2 increments x; T1
-        // must still commit under S-NOrec.
-        let (heap, global) = setup();
+        // Algorithm 1: T1 checks x > 0, T2 bumps x, T1 still commits —
+        // semantic_cmp_survives_value_change_that_preserves_relation.
         let x = heap.alloc(1);
+        let y = heap.alloc_padded(1);
         heap.store(x, 5);
-        let y = heap.alloc(1);
-        let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
-        t1.begin();
+        let mut t1 = tx(&heap, &clock);
         assert!(t1.cmp(x, CmpOp::Gt, 0, &mut ops).unwrap());
-        commit_write(&heap, &global, x, 6); // x++ equivalent: 5 -> 6, still > 0
+        commit_write(&heap, &clock, x, 6);
         t1.write(y, 1);
         t1.commit().expect("semantic validation must pass");
         assert_eq!(heap.load(y), 1);
-    }
 
-    #[test]
-    fn semantic_cmp_aborts_when_relation_flips() {
-        let (heap, global) = setup();
-        let x = heap.alloc(1);
-        heap.store(x, 1);
-        let y = heap.alloc(1);
-        let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
-        t1.begin();
+        // semantic_cmp_aborts_when_relation_flips
+        let mut t1 = tx(&heap, &clock);
         assert!(t1.cmp(x, CmpOp::Gt, 0, &mut ops).unwrap());
-        commit_write(&heap, &global, x, -3); // relation x > 0 now false
-        t1.write(y, 1);
+        commit_write(&heap, &clock, x, -3);
+        t1.write(y, 2);
         assert_eq!(t1.commit(), Err(Abort::validation()));
-    }
 
-    #[test]
-    fn false_cmp_records_inverse_and_validates_it() {
-        let (heap, global) = setup();
-        let x = heap.alloc(1);
-        heap.store(x, -4);
-        let y = heap.alloc(1);
-        let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
-        t1.begin();
-        // x > 0 is false; the inverse (x <= 0) is recorded.
+        // false_cmp_records_inverse_and_validates_it: x > 0 is false, so
+        // x <= 0 is recorded; -3 -> -10 keeps it, -10 -> 1 breaks it.
+        let mut t1 = tx(&heap, &clock);
+        let mut t2 = tx(&heap, &clock);
         assert!(!t1.cmp(x, CmpOp::Gt, 0, &mut ops).unwrap());
-        commit_write(&heap, &global, x, -10); // still <= 0: fine
-        t1.write(y, 1);
+        assert!(!t2.cmp(x, CmpOp::Gt, 0, &mut ops).unwrap());
+        commit_write(&heap, &clock, x, -10);
+        t1.write(y, 3);
         t1.commit().unwrap();
-    }
+        commit_write(&heap, &clock, x, 1);
+        t2.write(y, 4);
+        assert_eq!(t2.commit(), Err(Abort::validation()));
 
-    #[test]
-    fn deferred_inc_applies_against_live_memory() {
-        // Two increments racing: one commits between the other's begin and
-        // commit; deferred-inc semantics must not lose either update.
-        let (heap, global) = setup();
-        let x = heap.alloc(1);
+        // deferred_inc_applies_against_live_memory: a pure-inc
+        // transaction has no read-set, so neither racing update is lost.
         heap.store(x, 10);
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
-        t1.begin();
+        let mut t1 = tx(&heap, &clock);
         t1.inc(x, 1);
-        // Concurrent committed increment.
-        let mut t2 = NorecTx::new(&heap, &global, false, false);
-        t2.begin();
+        let mut t2 = tx(&heap, &clock);
         t2.inc(x, 5);
         t2.commit().unwrap();
         assert_eq!(heap.load(x), 15);
-        t1.commit().expect("pure-inc transaction has no read-set");
+        t1.commit().unwrap();
         assert_eq!(heap.load(x), 16, "no lost update");
-    }
 
-    #[test]
-    fn promote_pins_the_observed_value() {
-        let (heap, global) = setup();
-        let x = heap.alloc(1);
-        heap.store(x, 7);
-        let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
-        t1.begin();
+        // promote_pins_the_observed_value: after promotion the entry is
+        // a Store plus an EQ read, so a concurrent change now aborts.
+        let before = ops.promotes;
+        let mut t1 = tx(&heap, &clock);
         t1.inc(x, 2);
-        assert_eq!(t1.read(x, &mut ops).unwrap(), 9); // promoted: 7 + 2
-        assert_eq!(ops.promotes, 1);
+        assert_eq!(t1.read(x, &mut ops).unwrap(), 18);
+        assert_eq!(ops.promotes, before + 1);
         assert_eq!(t1.read_set_len(), 1, "promotion adds an EQ read entry");
-        // After promotion the entry is a Store; a concurrent change must
-        // now abort the transaction (value semantics, no longer deferred).
-        commit_write(&heap, &global, x, 100);
+        commit_write(&heap, &clock, x, 100);
         assert_eq!(t1.commit(), Err(Abort::validation()));
-    }
 
-    #[test]
-    fn cmp_addr_pair_semantic_validation() {
-        let (heap, global) = setup();
-        let h = heap.alloc(1);
-        let t = heap.alloc(1);
+        // cmp_addr pair validation, operands on different lines: head !=
+        // tail (Algorithm 3's queue non-empty check) survives a tail
+        // bump and fails once head catches up.
+        let (h, tl) = (heap.alloc_padded(1), heap.alloc_padded(1));
         heap.store(h, 3);
-        heap.store(t, 9);
-        let out = heap.alloc(1);
-        let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
-        t1.begin();
-        // head != tail (queue non-empty check, Algorithm 3)
-        assert!(t1.cmp_addr(h, CmpOp::Neq, t, &mut ops).unwrap());
-        // Concurrent enqueue bumps tail; relation still holds.
-        commit_write(&heap, &global, t, 10);
-        t1.write(out, 1);
+        heap.store(tl, 9);
+        let mut t1 = tx(&heap, &clock);
+        let mut t2 = tx(&heap, &clock);
+        assert!(t1.cmp_addr(h, CmpOp::Neq, tl, &mut ops).unwrap());
+        assert!(t2.cmp_addr(h, CmpOp::Neq, tl, &mut ops).unwrap());
+        commit_write(&heap, &clock, tl, 10);
+        t1.write(y, 5);
         t1.commit().expect("pair relation still holds");
-        // Now make them equal: relation flips, validation must fail.
-        let mut t2 = NorecTx::new(&heap, &global, false, false);
-        t2.begin();
-        assert!(t2.cmp_addr(h, CmpOp::Neq, t, &mut ops).unwrap());
-        commit_write(&heap, &global, h, 10);
-        t2.write(out, 2);
+        commit_write(&heap, &clock, h, 10);
+        t2.write(y, 6);
         assert_eq!(t2.commit(), Err(Abort::validation()));
+
+        // Duplicate reads are appended (§4.1), and a read-only commit
+        // leaves the clock untouched.
+        let before = time(&clock);
+        let mut t = tx(&heap, &clock);
+        let _ = t.read(a, &mut ops).unwrap();
+        let _ = t.read(a, &mut ops).unwrap();
+        assert_eq!(t.read_set_len(), 2);
+        t.commit().unwrap();
+        assert_eq!(time(&clock), before);
+    }
+
+    fn shard_time(c: &ShardedClock) -> u64 {
+        (0..c.len()).map(|s| c.load(s)).sum()
     }
 
     #[test]
-    fn read_only_tx_commits_without_touching_global() {
-        let (heap, global) = setup();
-        let a = heap.alloc(1);
-        let mut ops = OpCounts::default();
-        let before = global.time();
-        let mut tx = NorecTx::new(&heap, &global, false, false);
-        tx.begin();
-        let _ = tx.read(a, &mut ops).unwrap();
-        tx.commit().unwrap();
-        assert_eq!(global.time(), before);
+    fn conformance_global_clock() {
+        suite(GlobalClock::default, GlobalClock::time);
     }
 
     #[test]
-    fn duplicate_reads_appended_by_default_deduped_with_knob() {
-        let (heap, global) = setup();
-        let a = heap.alloc(1);
-        let mut ops = OpCounts::default();
-
-        let mut tx = NorecTx::new(&heap, &global, false, false);
-        tx.begin();
-        let _ = tx.read(a, &mut ops).unwrap();
-        let _ = tx.read(a, &mut ops).unwrap();
-        assert_eq!(tx.read_set_len(), 2);
-
-        let mut tx = NorecTx::new(&heap, &global, true, false);
-        tx.begin();
-        let _ = tx.read(a, &mut ops).unwrap();
-        let _ = tx.read(a, &mut ops).unwrap();
-        assert_eq!(tx.read_set_len(), 1);
+    fn conformance_sharded_clock() {
+        suite(|| ShardedClock::new(1), shard_time);
+        suite(|| ShardedClock::new(4), shard_time);
     }
 
+    /// One shard *is* the global clock: a deterministic script of
+    /// interleaved attempts (a reader held open across each writer's
+    /// commit) yields the same outcome per attempt, heap and time.
     #[test]
-    fn ring_filters_preserve_all_outcomes() {
-        // Same scenarios as above with the RingSTM fast path on: results
-        // must be identical (the filters are an accelerator, not a
-        // semantics change).
-        let (heap, global) = setup();
-        let x = heap.alloc(1);
-        let y = heap.alloc(1);
-        heap.store(x, 5);
-        let mut ops = OpCounts::default();
-
-        // Disjoint concurrent commit: reader revalidation is skippable
-        // and the transaction commits.
-        let mut t1 = NorecTx::new(&heap, &global, false, true);
-        t1.begin();
-        assert_eq!(t1.read(x, &mut ops).unwrap(), 5);
-        let mut t2 = NorecTx::new(&heap, &global, false, true);
-        t2.begin();
-        t2.write(y, 9);
-        t2.commit().unwrap();
-        t1.write(y, 10);
-        t1.commit()
-            .expect("disjoint commit must not abort the reader");
-        assert_eq!(heap.load(y), 10);
-
-        // Overlapping commit: the filter hits, full validation runs, and
-        // the stale reader aborts exactly as without filters.
-        heap.store(x, 5);
-        let mut t3 = NorecTx::new(&heap, &global, false, true);
-        t3.begin();
-        assert_eq!(t3.read(x, &mut ops).unwrap(), 5);
-        let mut t4 = NorecTx::new(&heap, &global, false, true);
-        t4.begin();
-        t4.write(x, 6);
-        t4.commit().unwrap();
-        t3.write(y, 11);
-        assert_eq!(t3.commit(), Err(Abort::validation()));
-    }
-
-    #[test]
-    fn ring_filters_with_semantic_cmp() {
-        let (heap, global) = setup();
-        let x = heap.alloc(1);
-        let out = heap.alloc(1);
-        heap.store(x, 5);
-        let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, true);
-        t1.begin();
-        assert!(t1.cmp(x, CmpOp::Gt, 0, &mut ops).unwrap());
-        // Same-address commit that preserves the relation: filter hits,
-        // semantic validation passes.
-        let mut t2 = NorecTx::new(&heap, &global, false, true);
-        t2.begin();
-        t2.write(x, 7);
-        t2.commit().unwrap();
-        t1.write(out, 1);
-        t1.commit().expect("relation still holds");
+    fn single_shard_degenerates_to_global_clock() {
+        fn run<C: CommitClock>(clock: C, time: impl Fn(&C) -> u64) -> (Vec<String>, Vec<i64>, u64) {
+            let heap = heap();
+            let cells: Vec<Addr> = (0..6).map(|_| heap.alloc_padded(1)).collect();
+            let mut rng = crate::util::SplitMix64::new(0xD1FF);
+            let mut ops = OpCounts::default();
+            let mut log = Vec::new();
+            for _ in 0..200 {
+                let (p, q, r) = (
+                    cells[rng.index(6)],
+                    cells[rng.index(6)],
+                    cells[rng.index(6)],
+                );
+                let mut reader = tx(&heap, &clock);
+                let seen = match rng.index(3) {
+                    0 => reader.read(p, &mut ops).map(|v| v > 2),
+                    1 => reader.cmp(p, CmpOp::Lt, 3, &mut ops),
+                    _ => reader.cmp_addr(p, CmpOp::Lte, q, &mut ops),
+                };
+                let mut writer = tx(&heap, &clock);
+                writer.inc(q, 1);
+                if rng.chance(50) {
+                    let v = writer.read(q, &mut ops).unwrap();
+                    writer.write(p, v % 5);
+                }
+                log.push(format!("{:?}", writer.commit()));
+                reader.inc(r, 1);
+                log.push(format!("{seen:?} {:?}", reader.commit()));
+            }
+            let values = cells.iter().map(|&c| heap.load(c)).collect();
+            (log, values, time(&clock))
+        }
+        let global = run(GlobalClock::default(), GlobalClock::time);
+        assert!(
+            global.0.iter().any(|o| o.contains("Err")),
+            "script conflicts"
+        );
+        assert!(global.0.iter().any(|o| o.ends_with("Ok(())")));
+        assert_eq!(global, run(ShardedClock::new(1), shard_time));
     }
 
     #[test]
     fn validation_abort_attributes_address_and_committer() {
-        let (heap, global) = setup();
-        let a = heap.alloc(1);
-        heap.store(a, 5);
-        let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
-        t1.enable_spans(PhaseRecorder::enabled(std::time::Instant::now()));
-        t1.begin();
-        assert_eq!(t1.read(a, &mut ops).unwrap(), 5);
-        // Concurrent commit with the recorder on stamps the committer.
-        let mut t2 = NorecTx::new(&heap, &global, false, false);
-        t2.enable_spans(PhaseRecorder::enabled(std::time::Instant::now()));
-        t2.begin();
-        t2.write(a, 6);
-        t2.commit().unwrap();
-        t1.write(a, 100);
-        let err = t1.commit().unwrap_err();
-        assert_eq!(err, Abort::validation());
-        assert_eq!(err.conflict().addr(), Some(a));
-        assert_eq!(err.conflict().by(), Some(crate::util::thread_token()));
-    }
-
-    #[test]
-    fn attribution_is_absent_without_spans() {
-        let (heap, global) = setup();
-        let a = heap.alloc(1);
-        heap.store(a, 5);
-        let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
-        t1.begin();
-        assert_eq!(t1.read(a, &mut ops).unwrap(), 5);
-        commit_write(&heap, &global, a, 6);
-        t1.write(a, 100);
-        let err = t1.commit().unwrap_err();
-        // Address is free to attribute (no extra atomics), but the
-        // committer heuristic needs the gated stamp — absent here.
-        assert_eq!(err.conflict().addr(), Some(a));
-        assert_eq!(err.conflict().by(), None);
-    }
-
-    #[test]
-    fn write_after_read_validated_at_commit() {
-        let (heap, global) = setup();
-        let a = heap.alloc(1);
-        heap.store(a, 1);
-        let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
-        t1.begin();
-        let v = t1.read(a, &mut ops).unwrap();
-        t1.write(a, v + 1);
-        commit_write(&heap, &global, a, 50);
-        assert_eq!(t1.commit(), Err(Abort::validation()));
-        assert_eq!(heap.load(a), 50, "failed commit must not write back");
+        fn check<C: CommitClock>(clock: C) {
+            let heap = heap();
+            let a = heap.alloc(1);
+            heap.store(a, 5);
+            let mut ops = OpCounts::default();
+            let live = || PhaseRecorder::enabled(std::time::Instant::now());
+            for spans in [true, false] {
+                let mut t1 = NorecTx::new(&heap, &clock);
+                let mut t2 = NorecTx::new(&heap, &clock);
+                if spans {
+                    t1.enable_spans(live());
+                    t2.enable_spans(live());
+                }
+                t1.begin();
+                let v = t1.read(a, &mut ops).unwrap();
+                // With the recorder on, the commit stamps the committer.
+                t2.begin();
+                t2.write(a, v + 1);
+                t2.commit().unwrap();
+                t1.write(a, 100);
+                let err = t1.commit().unwrap_err();
+                assert_eq!(err, Abort::validation());
+                // The address is free to attribute (no extra atomics);
+                // the committer heuristic needs the gated stamp.
+                assert_eq!(err.conflict().addr(), Some(a));
+                assert_eq!(err.conflict().by(), spans.then(thread_token));
+            }
+        }
+        check(GlobalClock::default());
+        check(ShardedClock::new(4));
     }
 }

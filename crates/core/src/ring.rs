@@ -1,25 +1,6 @@
-//! RingSTM-style commit filters (Spear, Michael, von Praun — SPAA 2008,
-//! the paper's \[36\]) as a validation fast path for the NOrec family.
-//!
-//! NOrec/S-NOrec revalidate their whole read-set every time the global
-//! sequence lock moves — even when the interfering commit touched
-//! completely unrelated data. RingSTM's observation: publish a compact
-//! Bloom filter of each commit's write-set in a ring indexed by commit
-//! timestamp; a reader whose own read filter does not intersect any of
-//! the missed commits' write filters can skip revalidation entirely.
-//!
-//! This module implements that as an opt-in accelerator
-//! ([`crate::StmConfig::norec_ring_filters`]): the semantic read-set is
-//! still kept (it remains the slow-path truth), so soundness never rests
-//! on the filters — a filter hit merely falls back to full (semantic)
-//! validation, and ring wrap-around falls back likewise. Ablation A4
-//! measures the effect.
-//!
-//! The same fixed-capacity-overwrite shape, generalised over the element
-//! type, is [`EventRing`] — used by the telemetry subsystem to retain
-//! the newest N abort events per thread without unbounded growth.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! A fixed-capacity overwrite ring: [`EventRing`] retains the newest N
+//! elements, which is how the telemetry subsystem keeps per-thread abort
+//! events and flight-recorder spans without unbounded growth.
 
 /// A fixed-capacity ring that keeps the **newest** `capacity` elements:
 /// once full, each push evicts the oldest element. Single-owner (wrap it
@@ -89,98 +70,9 @@ impl<T> EventRing<T> {
     }
 }
 
-/// Number of commit filters retained. A validator that has fallen more
-/// than `RING_SLOTS` commits behind loses the fast path (never
-/// soundness).
-pub const RING_SLOTS: usize = 1024;
-
-/// One 64-bit Bloom filter word per commit slot.
-pub struct FilterRing {
-    slots: Box<[AtomicU64]>,
-}
-
-impl Default for FilterRing {
-    fn default() -> Self {
-        let mut v = Vec::with_capacity(RING_SLOTS);
-        v.resize_with(RING_SLOTS, || AtomicU64::new(0));
-        FilterRing {
-            slots: v.into_boxed_slice(),
-        }
-    }
-}
-
-/// Hash a heap word index into a 64-bit one-bit Bloom filter.
-#[inline]
-pub fn filter_bit(word_index: usize) -> u64 {
-    1u64 << (crate::util::hash_u32(word_index as u32) & 63)
-}
-
-impl FilterRing {
-    /// Publish the write filter of the commit whose pre-acquire sequence
-    /// number was `even_snapshot` (i.e. the `k`-th writer commit with
-    /// `k = even_snapshot / 2`). Must be called while still holding the
-    /// sequence lock, so the filter is visible before the commit is.
-    #[inline]
-    pub fn publish(&self, even_snapshot: u64, filter: u64) {
-        debug_assert_eq!(even_snapshot & 1, 0);
-        let slot = (even_snapshot / 2) as usize % RING_SLOTS;
-        self.slots[slot].store(filter, Ordering::SeqCst);
-    }
-
-    /// OR together the write filters of commits `from/2 .. to/2`
-    /// (pre-acquire sequence numbers `from ≤ s < to`, both even).
-    /// Returns `None` when the interval no longer fits in the ring —
-    /// the caller must take the slow path.
-    #[inline]
-    pub fn union(&self, from: u64, to: u64) -> Option<u64> {
-        debug_assert_eq!(from & 1, 0);
-        debug_assert_eq!(to & 1, 0);
-        let missed = (to.saturating_sub(from) / 2) as usize;
-        if missed > RING_SLOTS {
-            return None;
-        }
-        let mut acc = 0u64;
-        let mut s = from / 2;
-        let end = to / 2;
-        while s < end {
-            acc |= self.slots[s as usize % RING_SLOTS].load(Ordering::SeqCst);
-            s += 1;
-        }
-        Some(acc)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn filter_bits_are_single_bits() {
-        for i in 0..200 {
-            assert_eq!(filter_bit(i).count_ones(), 1);
-        }
-    }
-
-    #[test]
-    fn publish_then_union_sees_filter() {
-        let ring = FilterRing::default();
-        ring.publish(0, 0b1010);
-        ring.publish(2, 0b0100);
-        // Reader at snapshot 0 catching up to time 4 must see both.
-        assert_eq!(ring.union(0, 4), Some(0b1110));
-        // Reader already at 2 sees only the second.
-        assert_eq!(ring.union(2, 4), Some(0b0100));
-        // Fully caught up: empty union.
-        assert_eq!(ring.union(4, 4), Some(0));
-    }
-
-    #[test]
-    fn overflow_returns_none() {
-        let ring = FilterRing::default();
-        let far = (RING_SLOTS as u64 + 1) * 2;
-        assert_eq!(ring.union(0, far), None);
-        assert!(ring.union(2, far).is_some(), "exactly RING_SLOTS fits");
-    }
 
     #[test]
     fn event_ring_below_capacity_keeps_order() {
@@ -214,14 +106,5 @@ mod tests {
         r.push("b");
         assert_eq!(r.len(), 1);
         assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec!["b"]);
-    }
-
-    #[test]
-    fn wraparound_slots_alias() {
-        let ring = FilterRing::default();
-        ring.publish(0, 0b1);
-        let aliased = (RING_SLOTS as u64) * 2; // same slot as snapshot 0
-        ring.publish(aliased, 0b10);
-        assert_eq!(ring.union(aliased, aliased + 2), Some(0b10));
     }
 }

@@ -1,12 +1,13 @@
 //! The sharded commit clock of the NOrec family.
 //!
 //! Plain NOrec serialises every writer commit through **one** global
-//! sequence lock, and every reader revalidates its whole read-set
-//! whenever that word moves — ROADMAP item 3's scalability ceiling. The
-//! sharded clock splits the single word into `2^k` per-shard sequence
-//! locks (each on its own 128-byte line, like the telemetry stat
-//! shards), with heap addresses mapped to shards at cache-line
-//! granularity:
+//! sequence lock ([`crate::norec::GlobalClock`]), and every reader
+//! revalidates its whole read-set whenever that word moves. The sharded
+//! clock — the [`CommitClock`] selected by
+//! [`clock_shards`](crate::StmConfig::clock_shards) above one — splits
+//! the single word into `2^k` per-shard sequence locks (each on its own
+//! 128-byte line, like the telemetry stat shards), with heap addresses
+//! mapped to shards at cache-line granularity:
 //!
 //! ```text
 //! shard(addr) = (addr.index() / LINE_WORDS) & mask
@@ -15,16 +16,27 @@
 //! Two consequences fall out of that mapping:
 //!
 //! * **Writers only contend when their write-sets share a line.** A
-//!   commit acquires exactly the shards covering its write-set (in
-//!   ascending index order — see [`crate::scnorec`] for the protocol),
-//!   so disjoint commits touch disjoint shard words.
-//! * **Readers only revalidate what moved.** A shard's sequence word
-//!   covers *exactly* the addresses mapping to it, so a reader whose
-//!   snapshot of shard `s` is still current knows no write-back touched
-//!   any shard-`s` address — those read-set entries are skipped.
+//!   commit acquires exactly the shards covering its write-set, in
+//!   ascending index order (CAS from the validated snapshot, rolling back
+//!   all acquired shards on any failure), so disjoint commits touch
+//!   disjoint shard words. It then re-validates entries in *foreign*
+//!   shards under the held locks — held shards cannot move, and a
+//!   foreign shard that stays odd past the clock's patience aborts with
+//!   `Timeout`, which is what breaks the cross-committer wait cycle two
+//!   overlapping commits could otherwise deadlock on.
+//! * **Readers only revalidate what moved.** Begin double-collects an
+//!   all-even snapshot of the shard vector (sample every shard, then
+//!   confirm none moved), so it corresponds to a real instant of the
+//!   heap. A shard's sequence word covers *exactly* the addresses mapping
+//!   to it, so validation re-checks only the read-set entries whose
+//!   covering shards moved: a foreign commit costs O(moved entries), not
+//!   O(read-set). Reads consult the single monotone write-back epoch
+//!   first ([`ShardedClock::epoch`]): while it stands still, even the
+//!   O(shards) vector scan is skipped.
 //!
 //! With `clock_shards = 1` the mapping collapses to a single word and
-//! the protocol degenerates to textbook NOrec.
+//! the protocol degenerates to textbook NOrec. See DESIGN.md §8 for the
+//! contract both clocks meet and the opacity argument.
 //!
 //! The per-shard words follow the NOrec seqlock convention: even = free
 //! (a timestamp), odd = a writer is committing. Timestamps only move
@@ -33,7 +45,13 @@
 //! never having been taken because rollback happens strictly before any
 //! data write-back.
 
+use crate::config::DEFAULT_LOCK_WAIT_SPINS;
+use crate::error::Abort;
 use crate::heap::{Addr, LINE_WORDS};
+use crate::norec::{CommitClock, Reads};
+use crate::sched::{self, PointKind};
+use crate::sets::{ReadEntry, WriteSet};
+use crate::util::SpinWait;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One shard of the commit clock, padded to its own line pair so that
@@ -62,8 +80,12 @@ pub struct ShardedClock {
     epoch: ClockShard,
     /// Most recent committer's thread token, stamped under *all* of the
     /// commit's shard locks and only at `TelemetryLevel::Spans` — same
-    /// heuristic as `NorecGlobal::committer`.
+    /// heuristic as the global clock's.
     committer: AtomicU64,
+    /// Rounds a committer holding its write shards waits on an odd
+    /// foreign shard before aborting with `Timeout` (the holder might be
+    /// waiting on *us*, so patience must be bounded).
+    patience: u32,
 }
 
 impl ShardedClock {
@@ -78,7 +100,15 @@ impl ShardedClock {
             mask: n - 1,
             epoch: ClockShard::default(),
             committer: AtomicU64::new(0),
+            patience: DEFAULT_LOCK_WAIT_SPINS,
         }
+    }
+
+    /// Override the foreign-shard patience
+    /// ([`lock_wait_spins`](crate::StmConfig::lock_wait_spins)).
+    pub(crate) fn with_patience(mut self, spins: u32) -> ShardedClock {
+        self.patience = spins;
+        self
     }
 
     /// Number of shards (a power of two).
@@ -126,18 +156,6 @@ impl ShardedClock {
         self.epoch.lock.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Era bump for an adaptive mode switch ([`crate::adapt`]): advance
-    /// every shard word by one commit's worth (keeping it even/free) and
-    /// the write-back epoch. Called only on a quiescent runtime — the
-    /// drain barrier guarantees no shard is held — so no pre-switch
-    /// shard-vector snapshot can validate as current afterwards.
-    pub(crate) fn reseed(&self) {
-        for s in self.shards.iter() {
-            s.lock.fetch_add(2, Ordering::SeqCst);
-        }
-        self.bump_epoch();
-    }
-
     /// Try to swing shard `s` from the even value `expected_even` to the
     /// odd (locked) value `expected_even + 1`.
     #[inline]
@@ -163,18 +181,217 @@ impl ShardedClock {
         debug_assert_eq!(new_even & 1, 0);
         self.shards[s].lock.store(new_even, Ordering::SeqCst);
     }
+}
 
-    /// Stamp the committer token (flight-recorder attribution; called
-    /// only under the commit's shard locks at `TelemetryLevel::Spans`).
+/// One attempt's view of the shard vector.
+pub(crate) struct ShardView {
+    /// Last validated shard vector (all even). Invariant: every read-set
+    /// entry holds in the heap state determined by these shard values.
+    snapshot: Vec<u64>,
+    /// Write-back epoch sampled *before* the vector pass that produced
+    /// `snapshot`. Sampling before the pass keeps the stored value
+    /// stale-low, which is safe (at worst one spurious validation) —
+    /// adopting a fresher epoch than the confirmed vector would let a
+    /// pending write-back slip past the filter.
+    epoch: u64,
+    /// Bumped whenever `snapshot` changes.
+    gen: u64,
+    /// Sampling buffer for validation rounds.
+    sample: Vec<u64>,
+    /// Sorted, deduplicated shard indices covering the write-set
+    /// (populated by `acquire`; kept allocated across attempts).
+    wshards: Vec<usize>,
+}
+
+impl ShardedClock {
+    /// One validation pass: sample the vector, re-check moved entries,
+    /// confirm, adopt. With `held`, the commit's write shards are pinned
+    /// to the snapshot and skipped, and foreign odd shards are waited
+    /// out only `patience` times; without, no lock is held and odd
+    /// shards are waited out indefinitely.
+    fn validate_inner(
+        &self,
+        v: &mut ShardView,
+        reads: &mut Reads<'_>,
+        held: bool,
+    ) -> Result<(), Abort> {
+        reads.phases.mark_validate();
+        // Held shards sample as their snapshot and cannot move.
+        let pinned = |s: usize| held && v.wshards.binary_search(&s).is_ok();
+        let mut wait = SpinWait::new();
+        let mut spins: u32 = 0;
+        'round: loop {
+            sched::point(PointKind::ScNorecValidate);
+            // Epoch before the vector pass (see `ShardView::epoch`).
+            let epoch = self.epoch();
+            for s in 0..self.len() {
+                if pinned(s) {
+                    v.sample[s] = v.snapshot[s];
+                    continue;
+                }
+                let word = self.load(s);
+                if word & 1 != 0 {
+                    sched::spin();
+                    wait.spin();
+                    if held {
+                        spins += 1;
+                        if spins > self.patience {
+                            return Err(Abort::timeout());
+                        }
+                    }
+                    continue 'round;
+                }
+                v.sample[s] = word;
+            }
+            let moved = v.sample != v.snapshot;
+            if moved {
+                let shard_moved = |a: Addr| {
+                    let s = self.shard_of(a);
+                    v.sample[s] != v.snapshot[s]
+                };
+                reads.recheck(|e: &ReadEntry| {
+                    let (a, b) = e.addrs();
+                    shard_moved(a) || b.is_some_and(shard_moved)
+                })?;
+            }
+            sched::point(PointKind::ScNorecValidateRecheck);
+            if (0..self.len()).any(|s| !pinned(s) && self.load(s) != v.sample[s]) {
+                continue 'round;
+            }
+            if moved {
+                v.snapshot.copy_from_slice(&v.sample);
+                v.gen = v.gen.wrapping_add(1);
+            }
+            v.epoch = epoch;
+            return Ok(());
+        }
+    }
+
+    fn release_held(&self, v: &ShardView, count: usize, committed: bool) {
+        for &s in &v.wshards[..count] {
+            self.release(s, v.snapshot[s] + if committed { 2 } else { 0 });
+        }
+    }
+}
+
+impl CommitClock for ShardedClock {
+    type View = ShardView;
+    const READ: PointKind = PointKind::ScNorecRead;
+    const WRITEBACK: PointKind = PointKind::ScNorecWriteback;
+
+    fn view(&self) -> ShardView {
+        ShardView {
+            snapshot: vec![0; self.len()],
+            epoch: 0,
+            gen: 0,
+            sample: vec![0; self.len()],
+            wshards: Vec::new(),
+        }
+    }
+
+    /// Double-collect an all-even snapshot of the shard vector.
+    fn begin(&self, v: &mut ShardView) {
+        let mut wait = SpinWait::new();
+        loop {
+            sched::point(PointKind::ScNorecBegin);
+            // Epoch before the vector pass (see `ShardView::epoch`).
+            let epoch = self.epoch();
+            // Stop at the first odd shard: its holder is writing these
+            // lines, so every extra load here slows its release.
+            let all_even = (0..self.len()).all(|s| {
+                v.snapshot[s] = self.load(s);
+                v.snapshot[s] & 1 == 0
+            });
+            // Confirming pass: all shards still at the sampled values ⇒
+            // there was an instant where the whole vector held at once.
+            if all_even && (0..self.len()).all(|s| self.load(s) == v.snapshot[s]) {
+                v.epoch = epoch;
+                v.gen = v.gen.wrapping_add(1);
+                return;
+            }
+            sched::spin();
+            wait.spin();
+        }
+    }
+
+    /// The quiescent read costs one epoch load beside the data load: an
+    /// unchanged epoch means no acquisition, hence no write-back, since
+    /// the vector was validated.
     #[inline]
-    pub fn stamp_committer(&self, token: u64) {
+    fn moved(&self, v: &ShardView) -> bool {
+        self.epoch() != v.epoch
+    }
+
+    #[inline]
+    fn stamp(v: &ShardView) -> u64 {
+        v.gen
+    }
+
+    fn validate(&self, v: &mut ShardView, reads: &mut Reads<'_>) -> Result<(), Abort> {
+        self.validate_inner(v, reads, false)
+    }
+
+    fn acquire(
+        &self,
+        v: &mut ShardView,
+        writes: &WriteSet,
+        reads: &mut Reads<'_>,
+    ) -> Result<(), Abort> {
+        v.wshards.clear();
+        v.wshards
+            .extend(writes.iter().map(|(a, _)| self.shard_of(a)));
+        // Ascending acquisition order: two commits contending for the
+        // same shard pair always race on the lower index first, so the
+        // acquisition phase itself cannot deadlock (only the foreign-
+        // shard wait below can cycle, and that one is patience-bounded).
+        v.wshards.sort_unstable();
+        v.wshards.dedup();
+        'acquire: loop {
+            sched::point(PointKind::ScNorecCommitAcquire);
+            for k in 0..v.wshards.len() {
+                let s = v.wshards[k];
+                if !self.try_acquire(s, v.snapshot[s]) {
+                    // Nothing was written back, so the bounce odd→same
+                    // even published no data change.
+                    self.release_held(v, k, false);
+                    self.validate_inner(v, reads, false)?;
+                    continue 'acquire;
+                }
+            }
+            break;
+        }
+        // All write shards held. Entries covered by held shards are
+        // frozen; entries in foreign shards may have been invalidated
+        // since the last validation — re-check them under the locks.
+        self.validate_inner(v, reads, true)
+            .inspect_err(|_| self.release_held(v, v.wshards.len(), false))
+    }
+
+    /// Readers' epoch fast path relies on every write-back being
+    /// preceded by a bump; a failed acquisition never gets here.
+    fn announce(&self) {
+        self.bump_epoch();
+    }
+
+    fn release(&self, v: &ShardView, committed: bool) {
+        self.release_held(v, v.wshards.len(), committed);
+    }
+
+    fn stamp_committer(&self, token: u64) {
         self.committer.store(token, Ordering::Relaxed);
     }
 
-    /// The most recent stamped committer (0 = never stamped).
-    #[inline]
-    pub fn committer(&self) -> u64 {
+    fn committer(&self) -> u64 {
         self.committer.load(Ordering::Relaxed)
+    }
+
+    /// Advance every shard word by one commit's worth (keeping it
+    /// even/free) and the write-back epoch.
+    fn reseed(&self) {
+        for s in self.shards.iter() {
+            s.lock.fetch_add(2, Ordering::SeqCst);
+        }
+        self.bump_epoch();
     }
 }
 
@@ -242,5 +459,129 @@ mod tests {
     fn shards_are_line_padded() {
         assert_eq!(std::mem::size_of::<ClockShard>(), 128);
         assert_eq!(std::mem::align_of::<ClockShard>(), 128);
+    }
+
+    // --- the clock under the engine: what only a sharded clock does ---
+
+    use crate::heap::Heap;
+    use crate::norec::tests::{commit_write, tx};
+    use crate::stats::OpCounts;
+    use crate::stm::Engine;
+
+    /// A four-shard clock over a heap whose padded allocations land on
+    /// consecutive lines, hence consecutive shards.
+    fn setup() -> (Heap, ShardedClock) {
+        (Heap::new(LINE_WORDS * 16), ShardedClock::new(4))
+    }
+
+    #[test]
+    fn commit_bumps_only_covering_shards() {
+        let (heap, clock) = setup();
+        let a = heap.alloc_padded(1); // line 0 → shard 0
+        let b = heap.alloc_padded(1); // line 1 → shard 1
+        commit_write(&heap, &clock, a, 7);
+        assert_eq!(clock.load(clock.shard_of(a)), 2);
+        assert_eq!(clock.load(clock.shard_of(b)), 0, "foreign shard untouched");
+    }
+
+    #[test]
+    fn foreign_shard_commit_does_not_abort_reader() {
+        // The per-shard win: a commit to a different line leaves the
+        // reader's snapshot intact on the shard that matters, and the
+        // value re-check (which would pass anyway) is skipped entirely.
+        let (heap, clock) = setup();
+        let a = heap.alloc_padded(1); // shard 0
+        let b = heap.alloc_padded(1); // shard 1
+        heap.store(a, 5);
+        let mut ops = OpCounts::default();
+        let mut t1 = tx(&heap, &clock);
+        assert_eq!(t1.read(a, &mut ops).unwrap(), 5);
+        commit_write(&heap, &clock, b, 9); // foreign shard
+        t1.write(a, 6);
+        t1.commit()
+            .expect("disjoint-shard commit must not conflict");
+        assert_eq!(heap.load(a), 6);
+    }
+
+    #[test]
+    fn same_shard_value_revalidation_still_runs() {
+        // Same line, different word: the shard moves, the value
+        // re-check runs, and the unchanged word passes (NOrec value
+        // semantics preserved at shard granularity).
+        let (heap, clock) = setup();
+        let a = heap.alloc_padded(2); // two words, one line, one shard
+        let b = a.offset(1);
+        heap.store(a, 5);
+        let mut ops = OpCounts::default();
+        let mut t1 = tx(&heap, &clock);
+        assert_eq!(t1.read(a, &mut ops).unwrap(), 5);
+        commit_write(&heap, &clock, b, 9); // same shard, different word
+        t1.write(a, 6);
+        t1.commit()
+            .expect("value of `a` unchanged: validation passes");
+    }
+
+    #[test]
+    fn multi_shard_commit_releases_all_shards_even() {
+        let (heap, clock) = setup();
+        let a = heap.alloc_padded(1); // shard 0
+        let b = heap.alloc_padded(1); // shard 1
+        let mut t = tx(&heap, &clock);
+        t.write(a, 1);
+        t.write(b, 2);
+        t.commit().unwrap();
+        assert_eq!(clock.load(0), 2);
+        assert_eq!(clock.load(1), 2);
+        assert_eq!(clock.load(2), 0);
+        assert_eq!(clock.epoch(), 1, "one write-back, one bump");
+        assert_eq!(heap.load(a), 1);
+        assert_eq!(heap.load(b), 2);
+    }
+
+    #[test]
+    fn stale_snapshot_acquire_revalidates_and_retries() {
+        // A commit needing shards {0, 1} whose shard-1 snapshot is stale:
+        // the acquire pass takes shard 0, fails the shard-1 CAS, rolls
+        // shard 0 back to its pre-acquire value, revalidates, and the
+        // retry lands. The rollback bounce must not look like a commit.
+        let (heap, clock) = setup();
+        let a = heap.alloc_padded(1); // shard 0
+        let b = heap.alloc_padded(1); // shard 1
+        let mut t = tx(&heap, &clock);
+        t.write(a, 1);
+        t.write(b, 2);
+        // Foreign commit moves shard 1 after the snapshot was taken.
+        commit_write(&heap, &clock, b, 7);
+        t.commit().expect("no reads: revalidation is vacuous");
+        assert_eq!(clock.load(0), 2, "one commit on shard 0");
+        assert_eq!(clock.load(1), 4, "two commits on shard 1");
+        assert_eq!(heap.load(a), 1);
+        assert_eq!(heap.load(b), 2, "second commit overwrote the foreign 7");
+    }
+
+    #[test]
+    fn commit_blocked_by_held_shard_times_out() {
+        let heap = Heap::new(LINE_WORDS * 16);
+        let clock = ShardedClock::new(4).with_patience(16);
+        let a = heap.alloc_padded(1); // shard 0
+        let b = heap.alloc_padded(1); // shard 1
+        heap.store(b, 3);
+        let mut t = tx(&heap, &clock);
+        let mut ops = OpCounts::default();
+        // Read from shard 1, write to shard 0.
+        assert_eq!(t.read(b, &mut ops).unwrap(), 3);
+        t.write(a, 1);
+        // A foreign committer now holds shard 1: commit-time validation
+        // of the read must bound its wait and abort with Timeout.
+        assert!(clock.try_acquire(1, 0));
+        assert_eq!(t.commit(), Err(Abort::timeout()));
+        assert_eq!(clock.load(0), 0, "write shard rolled back to even");
+        assert_eq!(clock.epoch(), 0, "a failed acquisition never bumps");
+        clock.release(1, 0);
+        // After the holder goes away the retry commits.
+        t.begin();
+        t.write(a, 1);
+        t.commit().unwrap();
+        assert_eq!(heap.load(a), 1);
     }
 }

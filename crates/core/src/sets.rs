@@ -10,9 +10,13 @@
 //! * The **compare-set** of S-TL2 reuses the same entry representation as
 //!   the read-set; only its validation rule differs (module [`crate::tl2`]).
 
+use crate::error::Abort;
 use crate::heap::{Addr, Heap};
 use crate::ops::CmpOp;
+use crate::sched;
+use crate::telemetry::PhaseRecorder;
 use crate::util::hash_u32;
+use crate::wal::CommitLog;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -80,6 +84,19 @@ pub struct WriteEntry {
     pub value: i64,
     /// Entry kind.
     pub kind: WriteKind,
+}
+
+impl WriteEntry {
+    /// The absolute value this entry stores at `addr`: deferred
+    /// increments are materialised against live memory (valid only under
+    /// the commit locks, after validation).
+    #[inline]
+    fn resolve(self, heap: &Heap, addr: Addr) -> i64 {
+        match self.kind {
+            WriteKind::Store => self.value,
+            WriteKind::Increment => heap.tm_load(addr).wrapping_add(self.value),
+        }
+    }
 }
 
 #[derive(Default)]
@@ -180,6 +197,60 @@ impl WriteSet {
     /// commit-path fast iteration this layout exists for).
     pub fn iter(&self) -> impl Iterator<Item = (Addr, WriteEntry)> + '_ {
         self.entries.iter().copied()
+    }
+
+    /// The commit tail every engine shares, entered with the commit locks
+    /// held and validation passed: resolve deferred increments against
+    /// live memory, append the resolved record to `wal` (replay cannot
+    /// re-run increments, so resolution precedes the append), write back,
+    /// release, and ack only once durable.
+    ///
+    /// `before_stores` is the engine's last step ahead of the first data
+    /// store — its write-back schedule point, so the store loop plus
+    /// `release(true)` stay one atomic step of the virtual schedule.
+    /// `release(false)` undoes the acquisition after a refused append:
+    /// nothing was written back, so the abort is clean.
+    pub(crate) fn write_back(
+        &self,
+        heap: &Heap,
+        wal: Option<&CommitLog>,
+        phases: &mut PhaseRecorder,
+        before_stores: impl FnOnce(),
+        release: impl FnOnce(bool),
+    ) -> Result<(), Abort> {
+        let mut ticket = None;
+        if let Some(log) = wal {
+            let resolved: Vec<(Addr, i64)> = self
+                .iter()
+                .map(|(addr, e)| (addr, e.resolve(heap, addr)))
+                .collect();
+            sched::point(sched::PointKind::WalAppend);
+            match log.append(&resolved) {
+                Ok(t) => ticket = Some((log, t)),
+                Err(_) => {
+                    release(false);
+                    return Err(Abort::durability());
+                }
+            }
+        }
+        before_stores();
+        phases.mark_writeback();
+        for (addr, e) in self.iter() {
+            heap.tm_store(addr, e.resolve(heap, addr));
+        }
+        release(true);
+        if let Some((log, t)) = ticket {
+            // Fail stop on a flush failure: the in-memory commit is
+            // already visible and cannot be retried (increments would
+            // double-apply).
+            if let Err(e) = log.wait_durable(t) {
+                panic!(
+                    "commit {} is applied but cannot be made durable: {e}",
+                    t.seq()
+                );
+            }
+        }
+        Ok(())
     }
 
     /// Number of distinct addresses written.

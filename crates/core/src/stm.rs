@@ -16,10 +16,9 @@ use crate::cm::ContentionManager;
 use crate::config::{Algorithm, StmConfig};
 use crate::error::{Abort, AbortReason, Conflict};
 use crate::heap::{Addr, Heap};
-use crate::norec::{NorecGlobal, NorecTx};
+use crate::norec::{CommitClock, GlobalClock, NorecTx};
 use crate::ops::CmpOp;
 use crate::sclock::ShardedClock;
-use crate::scnorec::ScNorecTx;
 use crate::stats::{OpCounts, StatsSnapshot};
 use crate::telemetry::{PhaseRecorder, SpanEvent, Telemetry, TelemetryLevel};
 use crate::tl2::{Tl2Global, Tl2Tx};
@@ -37,7 +36,7 @@ use std::time::Instant;
 pub struct Stm {
     config: StmConfig,
     heap: Heap,
-    norec: NorecGlobal,
+    norec: GlobalClock,
     sclock: ShardedClock,
     tl2: Tl2Global,
     telemetry: Telemetry,
@@ -56,8 +55,8 @@ impl Stm {
     pub fn new(config: StmConfig) -> Stm {
         Stm {
             heap: Heap::new(config.heap_words),
-            norec: NorecGlobal::default(),
-            sclock: ShardedClock::new(config.clock_shards),
+            norec: GlobalClock::default(),
+            sclock: ShardedClock::new(config.clock_shards).with_patience(config.lock_wait_spins),
             tl2: Tl2Global::new(config.orec_count),
             telemetry: Telemetry::new(config.telemetry, config.algorithm, config.trace_capacity),
             wal: None,
@@ -232,10 +231,11 @@ impl Stm {
         );
         // Enter the adaptive epoch before building the attempt context:
         // the entered word pins the engine this attempt dispatches on,
-        // and the matching exit() (after commit, or after an abort's
-        // rollback) is what a switch's drain barrier waits for. The
-        // common case — no switch between attempts — keeps one Tx (and
-        // its buffers) alive across the whole retry loop.
+        // and retiring the slot (the `Attempt` guard below) is what a
+        // switch's drain barrier waits for. The common case — no switch
+        // between attempts — keeps one Tx (and its buffers) alive across
+        // the whole retry loop. Nothing between an `enter` and the guard
+        // that adopts its slot can unwind.
         let mut entered = self.machine.enter();
         let mut mode = adapt::word_mode(entered);
         let mut tx = Tx::new(self, mode);
@@ -260,14 +260,19 @@ impl Stm {
             } else {
                 0
             };
-            tx.begin();
-            let outcome = body(&mut tx).and_then(|v| tx.commit().map(|()| v));
+            let attempt_guard = Attempt {
+                machine: &self.machine,
+                tx: &mut tx,
+            };
+            attempt_guard.tx.begin();
+            let outcome =
+                body(attempt_guard.tx).and_then(|v| attempt_guard.tx.commit().map(|()| v));
             match outcome {
                 Ok(v) => {
                     // Retire from the epoch first: commit (including its
                     // WAL durability ack) is done, so a draining switch
                     // need not wait out the telemetry recording below.
-                    self.machine.exit();
+                    drop(attempt_guard);
                     shard.record_commit(&tx.ops);
                     if let Some(t0) = started {
                         self.telemetry.record_commit_profile(
@@ -292,7 +297,7 @@ impl Stm {
                     // Capture the span (set sizes and all) before rollback
                     // releases the metadata.
                     let span = if spans {
-                        Some(tx.span(
+                        Some(attempt_guard.tx.span(
                             attempt_start,
                             self.telemetry.elapsed_ns(),
                             attempts_total as u32,
@@ -302,16 +307,15 @@ impl Stm {
                         None
                     };
                     let (rs, cs) = if trace {
+                        let tx = &attempt_guard.tx;
                         (tx.read_set_len(), tx.compare_set_len())
                     } else {
                         (0, 0)
                     };
-                    tx.rollback();
-                    // Rollback released any engine metadata (TL2 orec
-                    // locks), so this attempt is fully retired: leave
-                    // the epoch before backing off — a draining switch
-                    // must not wait out our backoff pause.
-                    self.machine.exit();
+                    // Roll back and leave the epoch before backing off —
+                    // a draining switch must not wait out our backoff
+                    // pause.
+                    drop(attempt_guard);
                     shard.record_abort(abort.reason, &tx.ops);
                     if trace {
                         self.telemetry.record_abort_event(
@@ -378,27 +382,98 @@ impl Stm {
         let entered = self.machine.enter();
         let mut tx = Tx::new(self, adapt::word_mode(entered));
         let shard = self.telemetry.shard();
-        tx.begin();
-        let outcome = body(&mut tx).and_then(|v| tx.commit().map(|()| v));
+        let attempt = Attempt {
+            machine: &self.machine,
+            tx: &mut tx,
+        };
+        attempt.tx.begin();
+        let outcome = body(attempt.tx).and_then(|v| attempt.tx.commit().map(|()| v));
+        drop(attempt);
         match &outcome {
-            Ok(_) => {
-                self.machine.exit();
-                shard.record_commit(&tx.ops);
-            }
-            Err(abort) => {
-                tx.rollback();
-                self.machine.exit();
-                shard.record_abort(abort.reason, &tx.ops);
-            }
+            Ok(_) => shard.record_commit(&tx.ops),
+            Err(abort) => shard.record_abort(abort.reason, &tx.ops),
         }
         outcome
     }
 }
 
+/// One attempt's hold on its epoch slot. Dropping it releases whatever
+/// engine metadata the attempt still holds, then retires the slot — on
+/// the explicit paths, and equally when a panic in the body (or the
+/// fail-stop panic inside `commit`) unwinds through the attempt: a slot
+/// that stayed counted would make every later [`Stm::switch_to`] drain
+/// forever, and every `enter` spin behind it.
+struct Attempt<'s, 't, 'a> {
+    machine: &'s ModeMachine,
+    tx: &'t mut Tx<'a>,
+}
+
+impl Drop for Attempt<'_, '_, '_> {
+    fn drop(&mut self) {
+        self.tx.rollback();
+        self.machine.exit();
+    }
+}
+
+/// The engine ABI: the closed set of primitives [`Tx`] forwards to,
+/// implemented once by the NOrec engine (over either clock) and once by
+/// TL2. `ops` is the attempt's operation tally, which engines touch only
+/// to count promotions.
+pub(crate) trait Engine<'a> {
+    /// Make writer commits durable: append the resolved write set to
+    /// `log` post-validation/pre-write-back and ack only once durable.
+    fn enable_wal(&mut self, log: &'a CommitLog);
+    /// Turn the flight recorder on for this context: install a live
+    /// phase recorder and enable committer stamping/attribution.
+    fn enable_spans(&mut self, recorder: PhaseRecorder);
+    /// Current phase marks (read back by the span recorder).
+    fn phases(&self) -> PhaseRecorder;
+    /// Begin (or re-begin after an abort): clear the sets, take a snapshot.
+    fn begin(&mut self);
+    /// `TM_READ`.
+    fn read(&mut self, addr: Addr, ops: &mut OpCounts) -> Result<i64, Abort>;
+    /// `TM_WRITE` (buffered).
+    fn write(&mut self, addr: Addr, value: i64);
+    /// Semantic compare, address–value form.
+    fn cmp(
+        &mut self,
+        addr: Addr,
+        op: CmpOp,
+        operand: i64,
+        ops: &mut OpCounts,
+    ) -> Result<bool, Abort>;
+    /// Semantic compare, address–address form.
+    fn cmp_addr(&mut self, a: Addr, op: CmpOp, b: Addr, ops: &mut OpCounts) -> Result<bool, Abort>;
+    /// `TM_INC` (deferred to commit).
+    fn inc(&mut self, addr: Addr, delta: i64);
+    /// Validate, write back, release; on `Err` nothing was written.
+    fn commit(&mut self) -> Result<(), Abort>;
+    /// Release any metadata an abandoned attempt still holds.
+    fn rollback(&mut self);
+    /// Read-set entries buffered so far.
+    fn read_set_len(&self) -> usize;
+    /// Compare-set entries buffered so far.
+    fn compare_set_len(&self) -> usize;
+    /// Write-set entries buffered so far.
+    fn write_set_len(&self) -> usize;
+}
+
 enum TxInner<'a> {
-    Norec(NorecTx<'a>),
-    ScNorec(ScNorecTx<'a>),
+    Global(NorecTx<'a, GlobalClock>),
+    Sharded(NorecTx<'a, ShardedClock>),
     Tl2(Tl2Tx<'a>),
+}
+
+/// Static dispatch onto the attempt's engine: `$e` is monomorphised per
+/// arm against the [`Engine`] ABI.
+macro_rules! dispatch {
+    ($inner:expr, $t:ident => $e:expr) => {
+        match $inner {
+            TxInner::Global($t) => $e,
+            TxInner::Sharded($t) => $e,
+            TxInner::Tl2($t) => $e,
+        }
+    };
 }
 
 /// An in-flight transaction. Obtained through [`Stm::atomic`] /
@@ -414,24 +489,11 @@ impl<'a> Tx<'a> {
     fn new(stm: &'a Stm, mode: Mode) -> Tx<'a> {
         // Dispatch on the *mode*, not the construction-time algorithm:
         // all engine globals coexist in the Stm, so an adaptive switch
-        // is just a different arm here on the next attempt. (Before
-        // adaptive switching this matched on the config; `Mode::initial`
-        // preserves the old rule, including `clock_shards > 1` selecting
-        // the sharded engine only after its DFS + fuzz gates pass —
-        // crates/check/tests/sharded_clock.rs.)
+        // is just a different arm here on the next attempt.
+        // (`Mode::initial` maps `clock_shards > 1` to the sharded clock.)
         let inner = match (mode.algorithm.baseline(), mode.sharded) {
-            (Algorithm::NOrec, true) => TxInner::ScNorec(ScNorecTx::new(
-                &stm.heap,
-                &stm.sclock,
-                stm.config.snorec_dedup_reads,
-                stm.config.lock_wait_spins,
-            )),
-            (Algorithm::NOrec, false) => TxInner::Norec(NorecTx::new(
-                &stm.heap,
-                &stm.norec,
-                stm.config.snorec_dedup_reads,
-                stm.config.norec_ring_filters,
-            )),
+            (Algorithm::NOrec, true) => TxInner::Sharded(NorecTx::new(&stm.heap, &stm.sclock)),
+            (Algorithm::NOrec, false) => TxInner::Global(NorecTx::new(&stm.heap, &stm.norec)),
             (Algorithm::Tl2, _) => TxInner::Tl2(Tl2Tx::new(
                 &stm.heap,
                 &stm.tl2,
@@ -450,63 +512,37 @@ impl<'a> Tx<'a> {
         // marks inside the algorithms stay behind its `None` check.
         let recorder = stm.telemetry.phase_recorder();
         if recorder.is_enabled() {
-            match &mut tx.inner {
-                TxInner::Norec(t) => t.enable_spans(recorder),
-                TxInner::ScNorec(t) => t.enable_spans(recorder),
-                TxInner::Tl2(t) => t.enable_spans(recorder),
-            }
+            dispatch!(&mut tx.inner, t => t.enable_spans(recorder));
         }
         if let Some(log) = &stm.wal {
-            match &mut tx.inner {
-                TxInner::Norec(t) => t.enable_wal(log),
-                TxInner::ScNorec(t) => t.enable_wal(log),
-                TxInner::Tl2(t) => t.enable_wal(log),
-            }
+            dispatch!(&mut tx.inner, t => t.enable_wal(log));
         }
         tx
     }
 
     fn begin(&mut self) {
         self.ops.clear();
-        match &mut self.inner {
-            TxInner::Norec(t) => t.begin(),
-            TxInner::ScNorec(t) => t.begin(),
-            TxInner::Tl2(t) => t.begin(),
-        }
+        dispatch!(&mut self.inner, t => t.begin())
     }
 
     fn commit(&mut self) -> Result<(), Abort> {
-        match &mut self.inner {
-            TxInner::Norec(t) => t.commit(),
-            TxInner::ScNorec(t) => t.commit(),
-            TxInner::Tl2(t) => t.commit(),
-        }
+        dispatch!(&mut self.inner, t => t.commit())
     }
 
     fn rollback(&mut self) {
-        if let TxInner::Tl2(t) = &mut self.inner {
-            t.on_abort();
-        }
+        dispatch!(&mut self.inner, t => t.rollback())
     }
 
     /// `TM_READ` — transactional read of one word (as `i64`).
     pub fn read(&mut self, addr: Addr) -> Result<i64, Abort> {
         self.ops.reads += 1;
-        match &mut self.inner {
-            TxInner::Norec(t) => t.read(addr, &mut self.ops),
-            TxInner::ScNorec(t) => t.read(addr, &mut self.ops),
-            TxInner::Tl2(t) => t.read(addr, &mut self.ops),
-        }
+        dispatch!(&mut self.inner, t => t.read(addr, &mut self.ops))
     }
 
     /// `TM_WRITE` — transactional (buffered) write of one word.
     pub fn write(&mut self, addr: Addr, value: i64) -> Result<(), Abort> {
         self.ops.writes += 1;
-        match &mut self.inner {
-            TxInner::Norec(t) => t.write(addr, value),
-            TxInner::ScNorec(t) => t.write(addr, value),
-            TxInner::Tl2(t) => t.write(addr, value),
-        }
+        dispatch!(&mut self.inner, t => t.write(addr, value));
         Ok(())
     }
 
@@ -521,11 +557,7 @@ impl<'a> Tx<'a> {
             return Ok(op.eval(v, operand));
         }
         self.ops.cmps += 1;
-        match &mut self.inner {
-            TxInner::Norec(t) => t.cmp(addr, op, operand, &mut self.ops),
-            TxInner::ScNorec(t) => t.cmp(addr, op, operand, &mut self.ops),
-            TxInner::Tl2(t) => t.cmp(addr, op, operand, &mut self.ops),
-        }
+        dispatch!(&mut self.inner, t => t.cmp(addr, op, operand, &mut self.ops))
     }
 
     /// Semantic comparison between two addresses — the paper's
@@ -537,11 +569,7 @@ impl<'a> Tx<'a> {
             return Ok(op.eval(va, vb));
         }
         self.ops.cmp_pairs += 1;
-        match &mut self.inner {
-            TxInner::Norec(t) => t.cmp_addr(a, op, b, &mut self.ops),
-            TxInner::ScNorec(t) => t.cmp_addr(a, op, b, &mut self.ops),
-            TxInner::Tl2(t) => t.cmp_addr(a, op, b, &mut self.ops),
-        }
+        dispatch!(&mut self.inner, t => t.cmp_addr(a, op, b, &mut self.ops))
     }
 
     /// Semantic increment — the paper's `TM_INC(address, delta)`
@@ -555,11 +583,7 @@ impl<'a> Tx<'a> {
             return self.write(addr, v.wrapping_add(delta));
         }
         self.ops.incs += 1;
-        match &mut self.inner {
-            TxInner::Norec(t) => t.inc(addr, delta),
-            TxInner::ScNorec(t) => t.inc(addr, delta),
-            TxInner::Tl2(t) => t.inc(addr, delta),
-        }
+        dispatch!(&mut self.inner, t => t.inc(addr, delta));
         Ok(())
     }
 
@@ -602,45 +626,22 @@ impl<'a> Tx<'a> {
 
     /// Diagnostics: read-set entries buffered so far.
     pub fn read_set_len(&self) -> usize {
-        match &self.inner {
-            TxInner::Norec(t) => t.read_set_len(),
-            TxInner::ScNorec(t) => t.read_set_len(),
-            TxInner::Tl2(t) => t.read_set_len(),
-        }
+        dispatch!(&self.inner, t => t.read_set_len())
     }
 
     /// Diagnostics: compare-set entries buffered so far (always 0 for
     /// the NOrec family, whose cmp outcomes live in the read-set).
     pub fn compare_set_len(&self) -> usize {
-        match &self.inner {
-            TxInner::Norec(_) | TxInner::ScNorec(_) => 0,
-            TxInner::Tl2(t) => t.compare_set_len(),
-        }
+        dispatch!(&self.inner, t => t.compare_set_len())
     }
 
     /// Diagnostics: whether the transaction buffered any write.
     pub fn is_writer(&self) -> bool {
-        match &self.inner {
-            TxInner::Norec(t) => t.is_writer(),
-            TxInner::ScNorec(t) => t.is_writer(),
-            TxInner::Tl2(t) => t.is_writer(),
-        }
+        self.write_set_len() != 0
     }
 
     fn write_set_len(&self) -> usize {
-        match &self.inner {
-            TxInner::Norec(t) => t.write_set_len(),
-            TxInner::ScNorec(t) => t.write_set_len(),
-            TxInner::Tl2(t) => t.write_set_len(),
-        }
-    }
-
-    fn phases(&self) -> PhaseRecorder {
-        match &self.inner {
-            TxInner::Norec(t) => t.phases(),
-            TxInner::ScNorec(t) => t.phases(),
-            TxInner::Tl2(t) => t.phases(),
-        }
+        dispatch!(&self.inner, t => t.write_set_len())
     }
 
     /// Snapshot this attempt as a flight-recorder span. Must run before
@@ -653,7 +654,7 @@ impl<'a> Tx<'a> {
         attempt: u32,
         abort: Option<(AbortReason, Conflict)>,
     ) -> SpanEvent {
-        let phases = self.phases();
+        let phases = dispatch!(&self.inner, t => t.phases());
         SpanEvent {
             thread: thread_token(),
             start_ns,

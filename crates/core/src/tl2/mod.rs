@@ -36,6 +36,7 @@ use crate::ops::CmpOp;
 use crate::sched;
 use crate::sets::{ReadEntry, WriteEntry, WriteKind, WriteSet};
 use crate::stats::OpCounts;
+use crate::stm::Engine;
 use crate::telemetry::PhaseRecorder;
 use crate::util::{thread_token, SpinWait};
 use crate::wal::CommitLog;
@@ -109,7 +110,7 @@ pub struct Tl2Tx<'a> {
     locked: Vec<(usize, OrecWord)>,
     /// Flight-recorder phase marks; inert (its enabled check is the
     /// materialised `level >= Spans` guard) unless
-    /// [`Tl2Tx::enable_spans`] installed a live recorder.
+    /// `enable_spans` installed a live recorder.
     phases: PhaseRecorder,
     /// Stamp/read the global committer word for abort attribution.
     /// Only true at `TelemetryLevel::Spans`.
@@ -141,36 +142,6 @@ impl<'a> Tl2Tx<'a> {
             record_committer: false,
             wal: None,
         }
-    }
-
-    /// Make writer commits durable (see
-    /// [`crate::norec::NorecTx::enable_wal`]).
-    pub(crate) fn enable_wal(&mut self, log: &'a CommitLog) {
-        self.wal = Some(log);
-    }
-
-    /// Turn the flight recorder on for this context: install a live
-    /// phase recorder and enable committer stamping/attribution.
-    pub(crate) fn enable_spans(&mut self, recorder: PhaseRecorder) {
-        self.phases = recorder;
-        self.record_committer = recorder.is_enabled();
-    }
-
-    /// Current phase marks (read back by the span recorder).
-    pub(crate) fn phases(&self) -> PhaseRecorder {
-        self.phases
-    }
-
-    /// Begin / re-begin: clear metadata, snapshot the clock (Algorithm 7
-    /// `Start`).
-    pub(crate) fn begin(&mut self) {
-        debug_assert!(self.locked.is_empty(), "locks leaked across attempts");
-        self.reads.clear();
-        self.compares.clear();
-        self.writes.clear();
-        self.phases.reset();
-        sched::point(sched::PointKind::Tl2Begin);
-        self.start_version = self.global.now();
     }
 
     #[inline]
@@ -251,24 +222,6 @@ impl<'a> Tl2Tx<'a> {
         Ok(val)
     }
 
-    /// `TM_READ` (Algorithm 7 lines 37–50).
-    pub(crate) fn read(&mut self, addr: Addr, ops: &mut OpCounts) -> Result<i64, Abort> {
-        if let Some(v) = self.raw(addr, ops)? {
-            return Ok(v);
-        }
-        self.read_validated(addr)
-    }
-
-    /// `TM_WRITE` — buffered, like Algorithm 6.
-    pub(crate) fn write(&mut self, addr: Addr, value: i64) {
-        self.writes.write(addr, value);
-    }
-
-    /// `TM_INC` — deferred delta in the write-set.
-    pub(crate) fn inc(&mut self, addr: Addr, delta: i64) {
-        self.writes.inc(addr, delta);
-    }
-
     /// Whether the transaction is still in phase 1 (no plain reads yet).
     #[inline]
     fn in_phase1(&self) -> bool {
@@ -309,99 +262,6 @@ impl<'a> Tl2Tx<'a> {
             if time == self.global.now() {
                 self.start_version = self.start_version.max(time);
                 return Ok(());
-            }
-        }
-    }
-
-    /// Semantic compare, address–value form (Algorithm 7 `Compare`).
-    pub(crate) fn cmp(
-        &mut self,
-        addr: Addr,
-        op: CmpOp,
-        operand: i64,
-        ops: &mut OpCounts,
-    ) -> Result<bool, Abort> {
-        if let Some(v) = self.raw(addr, ops)? {
-            return Ok(op.eval(v, operand));
-        }
-        if self.in_phase1() {
-            let (val, l1) = self.patient_read(addr)?;
-            let result = op.eval(val, operand);
-            self.compares.push(ReadEntry::Val {
-                addr,
-                op: if result { op } else { op.inverse() },
-                operand,
-            });
-            if l1.version() > self.start_version {
-                self.extend_snapshot()?;
-            }
-            Ok(result)
-        } else {
-            // Phase 2: consistency with previous reads is mandatory; the
-            // snapshot can no longer move (lines 26–34).
-            let oi = self.orec_index(addr);
-            sched::point(sched::PointKind::Tl2Read);
-            let l1 = self.global.orecs.load(oi);
-            if l1.locked_by_other(self.owner) {
-                return Err(Abort::locked().at_addr(addr).at_orec(oi).by(l1.owner()));
-            }
-            let val = self.heap.tm_load(addr);
-            sched::point(sched::PointKind::Tl2ReadWindow);
-            let l2 = self.global.orecs.load(oi);
-            if l1 != l2 || (!l1.is_locked() && l1.version() > self.start_version) {
-                return Err(self.validation_at(oi).at_addr(addr));
-            }
-            let result = op.eval(val, operand);
-            self.compares.push(ReadEntry::Val {
-                addr,
-                op: if result { op } else { op.inverse() },
-                operand,
-            });
-            Ok(result)
-        }
-    }
-
-    /// Semantic compare, address–address form. Write-set-pinned sides
-    /// collapse to the address–value form; otherwise both words are read
-    /// consistently and recorded as one `Pair` compare entry.
-    pub(crate) fn cmp_addr(
-        &mut self,
-        a: Addr,
-        op: CmpOp,
-        b: Addr,
-        ops: &mut OpCounts,
-    ) -> Result<bool, Abort> {
-        let wa = self.raw(a, ops)?;
-        let wb = self.raw(b, ops)?;
-        match (wa, wb) {
-            (Some(va), Some(vb)) => Ok(op.eval(va, vb)),
-            (Some(va), None) => self.cmp(b, op.swap(), va, ops),
-            (None, Some(vb)) => self.cmp(a, op, vb, ops),
-            (None, None) => {
-                if self.in_phase1() {
-                    let (va, l1a) = self.patient_read(a)?;
-                    let (vb, l1b) = self.patient_read(b)?;
-                    let result = op.eval(va, vb);
-                    self.compares.push(ReadEntry::Pair {
-                        a,
-                        op: if result { op } else { op.inverse() },
-                        b,
-                    });
-                    if l1a.version() > self.start_version || l1b.version() > self.start_version {
-                        self.extend_snapshot()?;
-                    }
-                    Ok(result)
-                } else {
-                    let va = self.phase2_load(a)?;
-                    let vb = self.phase2_load(b)?;
-                    let result = op.eval(va, vb);
-                    self.compares.push(ReadEntry::Pair {
-                        a,
-                        op: if result { op } else { op.inverse() },
-                        b,
-                    });
-                    Ok(result)
-                }
             }
         }
     }
@@ -523,10 +383,141 @@ impl<'a> Tl2Tx<'a> {
         }
     }
 
-    /// Release after successful write-back, stamping the commit version.
-    fn release_locks_committed(&mut self, new_version: u64) {
-        for (oi, _) in self.locked.drain(..) {
-            self.global.orecs.store(oi, OrecWord::unlocked(new_version));
+    /// Diagnostics: current start version (observes snapshot extension).
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn start_version(&self) -> u64 {
+        self.start_version
+    }
+}
+
+impl<'a> Engine<'a> for Tl2Tx<'a> {
+    fn enable_wal(&mut self, log: &'a CommitLog) {
+        self.wal = Some(log);
+    }
+
+    fn enable_spans(&mut self, recorder: PhaseRecorder) {
+        self.phases = recorder;
+        self.record_committer = recorder.is_enabled();
+    }
+
+    fn phases(&self) -> PhaseRecorder {
+        self.phases
+    }
+
+    /// Begin / re-begin: clear metadata, snapshot the clock (Algorithm 7
+    /// `Start`).
+    fn begin(&mut self) {
+        debug_assert!(self.locked.is_empty(), "locks leaked across attempts");
+        self.reads.clear();
+        self.compares.clear();
+        self.writes.clear();
+        self.phases.reset();
+        sched::point(sched::PointKind::Tl2Begin);
+        self.start_version = self.global.now();
+    }
+
+    /// `TM_READ` (Algorithm 7 lines 37–50).
+    fn read(&mut self, addr: Addr, ops: &mut OpCounts) -> Result<i64, Abort> {
+        if let Some(v) = self.raw(addr, ops)? {
+            return Ok(v);
+        }
+        self.read_validated(addr)
+    }
+
+    /// `TM_WRITE` — buffered, like Algorithm 6.
+    fn write(&mut self, addr: Addr, value: i64) {
+        self.writes.write(addr, value);
+    }
+
+    /// `TM_INC` — deferred delta in the write-set.
+    fn inc(&mut self, addr: Addr, delta: i64) {
+        self.writes.inc(addr, delta);
+    }
+
+    /// Semantic compare, address–value form (Algorithm 7 `Compare`).
+    fn cmp(
+        &mut self,
+        addr: Addr,
+        op: CmpOp,
+        operand: i64,
+        ops: &mut OpCounts,
+    ) -> Result<bool, Abort> {
+        if let Some(v) = self.raw(addr, ops)? {
+            return Ok(op.eval(v, operand));
+        }
+        if self.in_phase1() {
+            let (val, l1) = self.patient_read(addr)?;
+            let result = op.eval(val, operand);
+            self.compares.push(ReadEntry::Val {
+                addr,
+                op: if result { op } else { op.inverse() },
+                operand,
+            });
+            if l1.version() > self.start_version {
+                self.extend_snapshot()?;
+            }
+            Ok(result)
+        } else {
+            // Phase 2: consistency with previous reads is mandatory; the
+            // snapshot can no longer move (lines 26–34).
+            let oi = self.orec_index(addr);
+            sched::point(sched::PointKind::Tl2Read);
+            let l1 = self.global.orecs.load(oi);
+            if l1.locked_by_other(self.owner) {
+                return Err(Abort::locked().at_addr(addr).at_orec(oi).by(l1.owner()));
+            }
+            let val = self.heap.tm_load(addr);
+            sched::point(sched::PointKind::Tl2ReadWindow);
+            let l2 = self.global.orecs.load(oi);
+            if l1 != l2 || (!l1.is_locked() && l1.version() > self.start_version) {
+                return Err(self.validation_at(oi).at_addr(addr));
+            }
+            let result = op.eval(val, operand);
+            self.compares.push(ReadEntry::Val {
+                addr,
+                op: if result { op } else { op.inverse() },
+                operand,
+            });
+            Ok(result)
+        }
+    }
+
+    /// Semantic compare, address–address form. Write-set-pinned sides
+    /// collapse to the address–value form; otherwise both words are read
+    /// consistently and recorded as one `Pair` compare entry.
+    fn cmp_addr(&mut self, a: Addr, op: CmpOp, b: Addr, ops: &mut OpCounts) -> Result<bool, Abort> {
+        let wa = self.raw(a, ops)?;
+        let wb = self.raw(b, ops)?;
+        match (wa, wb) {
+            (Some(va), Some(vb)) => Ok(op.eval(va, vb)),
+            (Some(va), None) => self.cmp(b, op.swap(), va, ops),
+            (None, Some(vb)) => self.cmp(a, op, vb, ops),
+            (None, None) => {
+                if self.in_phase1() {
+                    let (va, l1a) = self.patient_read(a)?;
+                    let (vb, l1b) = self.patient_read(b)?;
+                    let result = op.eval(va, vb);
+                    self.compares.push(ReadEntry::Pair {
+                        a,
+                        op: if result { op } else { op.inverse() },
+                        b,
+                    });
+                    if l1a.version() > self.start_version || l1b.version() > self.start_version {
+                        self.extend_snapshot()?;
+                    }
+                    Ok(result)
+                } else {
+                    let va = self.phase2_load(a)?;
+                    let vb = self.phase2_load(b)?;
+                    let result = op.eval(va, vb);
+                    self.compares.push(ReadEntry::Pair {
+                        a,
+                        op: if result { op } else { op.inverse() },
+                        b,
+                    });
+                    Ok(result)
+                }
+            }
         }
     }
 
@@ -534,7 +525,7 @@ impl<'a> Tl2Tx<'a> {
     /// with compare entries) commit immediately: every entry was validated
     /// against `start_version` when recorded, so the transaction
     /// serialises at its (possibly extended) snapshot.
-    pub(crate) fn commit(&mut self) -> Result<(), Abort> {
+    fn commit(&mut self) -> Result<(), Abort> {
         if self.writes.is_empty() {
             return Ok(());
         }
@@ -568,97 +559,52 @@ impl<'a> Tl2Tx<'a> {
             }
         }
 
-        // Validation passed, locks held, nothing stored yet: resolve
-        // deferred increments to absolute values and append the WAL
-        // record. A refused append rolls back cleanly — the advanced
-        // clock is harmless without a stamped orec (other transactions
-        // at worst revalidate spuriously).
-        let ticket = if let Some(log) = self.wal {
-            let resolved: Vec<(Addr, i64)> = self
-                .writes
-                .iter()
-                .map(|(addr, e)| (addr, self.resolve(addr, &e)))
-                .collect();
-            sched::point(sched::PointKind::WalAppend);
-            match log.append(&resolved) {
-                Ok(t) => Some(t),
-                Err(_) => {
-                    self.release_locks_rollback();
-                    return Err(Abort::durability());
-                }
-            }
-        } else {
-            None
-        };
-
-        // Locks held, clock advanced: from here through the lock release
+        // Validation passed, locks held, nothing stored yet. A refused
+        // WAL append rolls back cleanly — the advanced clock is harmless
+        // without a stamped orec (other transactions at worst revalidate
+        // spuriously). From the write-back point through the lock release
         // the write-back is one atomic step of the virtual schedule.
-        sched::point(sched::PointKind::Tl2Writeback);
-        self.phases.mark_writeback();
-        for (addr, e) in self.writes.iter() {
-            let v = self.resolve(addr, &e);
-            self.heap.tm_store(addr, v);
-        }
-        if self.record_committer {
-            // Still under our commit locks: a reader whose validation
-            // fails against `write_version` also observes this token.
-            self.global.committer.store(self.owner, Ordering::Relaxed);
-        }
-        self.release_locks_committed(write_version);
-        if let (Some(log), Some(t)) = (self.wal, ticket) {
-            // Fail stop on flush failure: the in-memory commit is
-            // already visible and cannot be retried.
-            if let Err(e) = log.wait_durable(t) {
-                panic!(
-                    "commit {} is applied but cannot be made durable: {e}",
-                    t.seq()
-                );
-            }
-        }
-        Ok(())
+        self.writes.write_back(
+            self.heap,
+            self.wal,
+            &mut self.phases,
+            || sched::point(sched::PointKind::Tl2Writeback),
+            |committed| {
+                if committed && self.record_committer {
+                    // Still under our commit locks: a reader whose
+                    // validation fails against `write_version` also
+                    // observes this token.
+                    self.global.committer.store(self.owner, Ordering::Relaxed);
+                }
+                for (oi, old) in self.locked.drain(..) {
+                    let word = if committed {
+                        OrecWord::unlocked(write_version)
+                    } else {
+                        old
+                    };
+                    self.global.orecs.store(oi, word);
+                }
+            },
+        )
     }
 
-    /// The absolute value a write entry stores (increments materialised
-    /// against live memory; valid only under the commit locks, after
-    /// validation).
-    #[inline]
-    fn resolve(&self, addr: Addr, e: &WriteEntry) -> i64 {
-        match e.kind {
-            WriteKind::Store => e.value,
-            WriteKind::Increment => self.heap.tm_load(addr).wrapping_add(e.value),
-        }
-    }
-
-    /// Abort cleanup (no locks are held outside `commit`, which already
-    /// rolls back on failure; this is a safety net for the runner).
-    pub(crate) fn on_abort(&mut self) {
+    /// Abort cleanup: no locks are held outside `commit`, which rolls
+    /// back on every failure it returns — this covers the one it does
+    /// not return from, a panic unwinding out of it.
+    fn rollback(&mut self) {
         self.release_locks_rollback();
     }
 
-    /// Diagnostics: compare-set size.
-    pub(crate) fn compare_set_len(&self) -> usize {
+    fn compare_set_len(&self) -> usize {
         self.compares.len()
     }
 
-    /// Diagnostics: read-set size.
-    pub(crate) fn read_set_len(&self) -> usize {
+    fn read_set_len(&self) -> usize {
         self.reads.len()
     }
 
-    /// Number of write-set entries (flight-recorder spans).
-    pub(crate) fn write_set_len(&self) -> usize {
+    fn write_set_len(&self) -> usize {
         self.writes.len()
-    }
-
-    /// Diagnostics: current start version (observes snapshot extension).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn start_version(&self) -> u64 {
-        self.start_version
-    }
-
-    /// Whether the transaction has buffered writes.
-    pub(crate) fn is_writer(&self) -> bool {
-        !self.writes.is_empty()
     }
 }
 

@@ -212,24 +212,6 @@ fn tmap_concurrent_mixed_against_sharded_model() {
 }
 
 #[test]
-fn ring_filters_preserve_bank_conservation() {
-    // Extension A4 under real contention: filters may only skip
-    // validations that could not have failed, so conservation must hold
-    // exactly as without them.
-    let s = Stm::new(
-        StmConfig::new(Algorithm::SNOrec)
-            .heap_words(1 << 12)
-            .norec_ring_filters(true),
-    );
-    let cfg = bank::BankConfig {
-        accounts: 8,
-        ..bank::BankConfig::default()
-    };
-    let r = bank::run_fixed(&s, cfg, 4, 600, 23);
-    assert_exact_accounting(Algorithm::SNOrec, &s, &r, 600);
-}
-
-#[test]
 fn telemetry_invariants_hold_under_full_tracing() {
     // Heaviest-instrumentation configuration (Trace) under real Bank
     // contention: the telemetry's own accounting identities must hold

@@ -131,58 +131,6 @@ fn all_algorithms_match_sequential_spec_deterministic() {
     }
 }
 
-/// The RingSTM-filter fast path (extension A4) must be observation-
-/// equivalent to plain S-NOrec on arbitrary histories.
-#[test]
-fn ring_filters_match_sequential_spec_deterministic() {
-    let mut rng = SplitMix64::new(0xF117);
-    for _ in 0..64 {
-        let (init, tx_sizes, ops) = random_history(&mut rng);
-        let stm = Stm::new(
-            StmConfig::new(Algorithm::SNOrec)
-                .heap_words(256)
-                .orec_count(64)
-                .norec_ring_filters(true),
-        );
-        let addrs: Vec<_> = init.iter().map(|&v| stm.alloc_cell(v)).collect();
-        let mut model = init;
-        let mut cursor = 0;
-        for &size in &tx_sizes {
-            let chunk: Vec<Op> = ops[cursor..(cursor + size).min(ops.len())].to_vec();
-            cursor += chunk.len();
-            if chunk.is_empty() {
-                break;
-            }
-            stm.atomic(|tx| {
-                for op in &chunk {
-                    match *op {
-                        Op::Read(r) => {
-                            tx.read(addrs[r])?;
-                        }
-                        Op::Write(r, v) => tx.write(addrs[r], v)?,
-                        Op::Inc(r, d) => tx.inc(addrs[r], d)?,
-                        Op::Cmp(r, o, v) => {
-                            tx.cmp(addrs[r], o, v)?;
-                        }
-                        Op::CmpAddr(a, o, b) => {
-                            tx.cmp_addr(addrs[a], o, addrs[b])?;
-                        }
-                    }
-                }
-                Ok(())
-            });
-            for op in &chunk {
-                let mut m = Model { regs: model };
-                m.apply(op);
-                model = m.regs;
-            }
-            for (r, addr) in addrs.iter().enumerate() {
-                assert_eq!(stm.read_now(*addr), model[r], "register {r}");
-            }
-        }
-    }
-}
-
 /// All four algorithms agree with each other on arbitrary single-
 /// threaded histories (they implement the same abstraction).
 #[test]
