@@ -150,8 +150,8 @@ fn exhaustive_cross_shard_semantic_revalidation_is_sound() {
 fn exhaustive_opposed_writers_do_not_deadlock_or_corrupt() {
     // T0 transfers x → y while T1 transfers y → x: the write sets cover
     // the same two shards, so commit-time acquisition contention (and
-    // the timeout/rollback path) gets explored. Total is conserved in
-    // every schedule.
+    // the CAS-failure give-back path) gets explored. Total is conserved
+    // in every schedule.
     for alg in [Algorithm::NOrec, Algorithm::SNOrec] {
         explore_exhaustive(opts(2), |driver| {
             let stm = check_stm_sharded(alg, SHARDS);
@@ -180,6 +180,85 @@ fn exhaustive_opposed_writers_do_not_deadlock_or_corrupt() {
                 Err(format!("{alg}: total {total} != 20"))
             }
         });
+    }
+}
+
+#[test]
+fn exhaustive_disjoint_writers_never_abort() {
+    // Each writer reads and writes its own cell; the cells live on
+    // different shards and nothing is shared. A commit looks only at the
+    // shards its read-set lives in, so the other's held shard is never
+    // loaded, let alone waited on: no schedule aborts anyone.
+    for alg in [Algorithm::NOrec, Algorithm::SNOrec] {
+        for bound in [2, 3] {
+            explore_exhaustive(opts(bound), |driver| {
+                let stm = check_stm_sharded(alg, SHARDS);
+                let x = stm.alloc_cell(0i64);
+                let y = stm.alloc_cell(0i64);
+                let bump = |c| {
+                    move |_tid: usize, stm: &&Stm| {
+                        stm.atomic(|tx| {
+                            let v = tx.read(c)?;
+                            tx.write(c, v + 1)
+                        });
+                    }
+                };
+                let (t0, t1) = (bump(x), bump(y));
+                let out = run_threads(&&stm, &[&t0, &t1], driver, STEP_CAP);
+                if out.capped {
+                    return Err("step cap exceeded".into());
+                }
+                let aborts = stm.stats().total_aborts();
+                if (stm.read_now(x), stm.read_now(y), aborts) == (1, 1, 0) {
+                    Ok(())
+                } else {
+                    Err(format!("{alg}: {aborts} abort(s) between disjoint writers"))
+                }
+            });
+        }
+    }
+}
+
+#[test]
+fn exhaustive_crossed_readers_writers_terminate_without_timeout() {
+    // T0 reads y and writes x, T1 reads x and writes y, on distinct
+    // shards: each commit's foreign read shard is the other's write
+    // shard — the hold-and-wait cycle. The one that finds the other's
+    // shard odd gives its own back and waits with nothing held, so every
+    // schedule terminates, no attempt times out and every history is
+    // opaque.
+    for alg in [Algorithm::NOrec, Algorithm::SNOrec] {
+        for bound in [2, 3] {
+            explore_exhaustive(opts(bound), |driver| {
+                let stm = check_stm_sharded(alg, SHARDS);
+                let x = stm.alloc_cell(1i64);
+                let y = stm.alloc_cell(2i64);
+                let rec = Recorder::new();
+                let shared = (&stm, &rec);
+                let copy = |from, to| {
+                    move |tid: usize, (stm, rec): &Shared<'_>| {
+                        atomic_recorded(stm, rec, tid, |tx| {
+                            let v = tx.read(from)?;
+                            tx.write(to, v + 10)
+                        });
+                    }
+                };
+                let (t0, t1) = (copy(y, x), copy(x, y));
+                let out = run_threads(&shared, &[&t0, &t1], driver, STEP_CAP);
+                if out.capped {
+                    return Err("step cap exceeded".into());
+                }
+                if stm.stats().aborts_timeout != 0 {
+                    return Err(format!("{alg}: a commit timed out"));
+                }
+                check_history(
+                    &rec.attempts(),
+                    &[(x, 1), (y, 2)],
+                    &[(x, stm.read_now(x)), (y, stm.read_now(y))],
+                )
+                .map_err(|e| format!("{alg}: {e}"))
+            });
+        }
     }
 }
 

@@ -64,9 +64,6 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-/// Default of [`StmConfig::lock_wait_spins`].
-pub(crate) const DEFAULT_LOCK_WAIT_SPINS: u32 = 4096;
-
 /// Construction-time configuration for an [`crate::Stm`].
 #[derive(Clone, Debug)]
 pub struct StmConfig {
@@ -78,7 +75,9 @@ pub struct StmConfig {
     /// two; addresses map to orecs by masking.
     pub orec_count: usize,
     /// Spins to wait on a locked orec before aborting with `Timeout`
-    /// (the paper's starvation-avoidance timeout, §4.2).
+    /// (the paper's starvation-avoidance timeout, §4.2). TL2 family only:
+    /// the NOrec clocks never wait while holding a lock, so they need
+    /// no bound.
     pub lock_wait_spins: u32,
     /// Minimum contention-manager backoff spins.
     pub backoff_min_spins: u32,
@@ -91,11 +90,11 @@ pub struct StmConfig {
     /// phase-1 `cmp`s validate like phase-2 ones. Default `true`.
     pub stl2_snapshot_extension: bool,
     /// Number of commit-clock shards for the NOrec family (rounded up to
-    /// a power of two). The default `1` keeps the classical single global
-    /// sequence lock; values above 1 run NOrec/S-NOrec over the sharded
-    /// commit clock ([`crate::sclock`]): per-cache-line sequence locks,
-    /// per-shard read-set revalidation, and multi-shard commit
-    /// acquisition. The TL2 family keeps its global version clock
+    /// a power of two, at most 64). The default `1` keeps the classical
+    /// single global sequence lock; values above 1 run NOrec/S-NOrec over
+    /// the sharded commit clock ([`crate::sclock`]): per-cache-line
+    /// sequence locks, per-shard read-set revalidation, and multi-shard
+    /// commit acquisition. The TL2 family keeps its global version clock
     /// regardless — sharding TL2's version numbers safely is out of
     /// scope (versions order *all* commits, not just per-line ones).
     pub clock_shards: usize,
@@ -148,7 +147,7 @@ impl StmConfig {
             algorithm,
             heap_words: 1 << 24,
             orec_count: 1 << 16,
-            lock_wait_spins: DEFAULT_LOCK_WAIT_SPINS,
+            lock_wait_spins: 4096,
             backoff_min_spins: 16,
             backoff_max_spins: 8192,
             cm_policy: CmPolicy::Backoff,
@@ -174,7 +173,7 @@ impl StmConfig {
         self
     }
 
-    /// Builder-style lock-wait patience override.
+    /// Builder-style lock-wait patience override (TL2 family only).
     pub fn lock_wait_spins(mut self, spins: u32) -> StmConfig {
         self.lock_wait_spins = spins;
         self

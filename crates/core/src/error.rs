@@ -94,7 +94,7 @@ pub enum AbortReason {
     /// (TL2 family only).
     Locked,
     /// Waited on a locked orec past the configured patience (the paper's
-    /// "timeout mechanism to avoid starvation", §4.2).
+    /// "timeout mechanism to avoid starvation", §4.2; TL2 family only).
     Timeout,
     /// Commit-time lock acquisition failed (TL2 family only).
     LockAcquire,

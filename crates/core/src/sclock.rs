@@ -19,11 +19,14 @@
 //!   commit acquires exactly the shards covering its write-set, in
 //!   ascending index order (CAS from the validated snapshot, rolling back
 //!   all acquired shards on any failure), so disjoint commits touch
-//!   disjoint shard words. It then re-validates entries in *foreign*
-//!   shards under the held locks — held shards cannot move, and a
-//!   foreign shard that stays odd past the clock's patience aborts with
-//!   `Timeout`, which is what breaks the cross-committer wait cycle two
-//!   overlapping commits could otherwise deadlock on.
+//!   disjoint shard words. Under the held locks it re-validates only
+//!   the *foreign read shards* — shards some read-set entry maps to and
+//!   the commit does not hold: held shards cannot move, and a shard no
+//!   entry maps to is neither loaded nor waited on, so disjoint commits
+//!   run fully in parallel. A committer never waits while it holds a
+//!   shard: on an odd foreign read shard it gives its own shards back,
+//!   waits the holder out lock-free and acquires again, so two
+//!   overlapping commits cannot form a wait cycle.
 //! * **Readers only revalidate what moved.** Begin double-collects an
 //!   all-even snapshot of the shard vector (sample every shard, then
 //!   confirm none moved), so it corresponds to a real instant of the
@@ -45,7 +48,6 @@
 //! never having been taken because rollback happens strictly before any
 //! data write-back.
 
-use crate::config::DEFAULT_LOCK_WAIT_SPINS;
 use crate::error::Abort;
 use crate::heap::{Addr, LINE_WORDS};
 use crate::norec::{CommitClock, Reads};
@@ -82,17 +84,14 @@ pub struct ShardedClock {
     /// commit's shard locks and only at `TelemetryLevel::Spans` — same
     /// heuristic as the global clock's.
     committer: AtomicU64,
-    /// Rounds a committer holding its write shards waits on an odd
-    /// foreign shard before aborting with `Timeout` (the holder might be
-    /// waiting on *us*, so patience must be bounded).
-    patience: u32,
 }
 
 impl ShardedClock {
-    /// Create a clock with at least `count` shards (rounded up to a
-    /// power of two; `count = 1` is allowed and yields plain NOrec).
+    /// Create a clock with `count` shards, rounded up to a power of two
+    /// and capped at 64 — a commit keeps the set of shards it read in one
+    /// word (`count = 1` is allowed and yields plain NOrec).
     pub fn new(count: usize) -> ShardedClock {
-        let n = count.max(1).next_power_of_two();
+        let n = count.clamp(1, u64::BITS as usize).next_power_of_two();
         let mut v = Vec::with_capacity(n);
         v.resize_with(n, ClockShard::default);
         ShardedClock {
@@ -100,15 +99,7 @@ impl ShardedClock {
             mask: n - 1,
             epoch: ClockShard::default(),
             committer: AtomicU64::new(0),
-            patience: DEFAULT_LOCK_WAIT_SPINS,
         }
-    }
-
-    /// Override the foreign-shard patience
-    /// ([`lock_wait_spins`](crate::StmConfig::lock_wait_spins)).
-    pub(crate) fn with_patience(mut self, spins: u32) -> ShardedClock {
-        self.patience = spins;
-        self
     }
 
     /// Number of shards (a power of two).
@@ -201,44 +192,50 @@ pub(crate) struct ShardView {
     /// Sorted, deduplicated shard indices covering the write-set
     /// (populated by `acquire`; kept allocated across attempts).
     wshards: Vec<usize>,
+    /// Bit `s` set: shard `s` is a *foreign read shard* of the commit —
+    /// some read-set entry maps to it and it is not in `wshards`
+    /// (populated by `acquire`, once the read-set is final).
+    foreign: u64,
 }
 
 impl ShardedClock {
     /// One validation pass: sample the vector, re-check moved entries,
-    /// confirm, adopt. With `held`, the commit's write shards are pinned
-    /// to the snapshot and skipped, and foreign odd shards are waited
-    /// out only `patience` times; without, no lock is held and odd
-    /// shards are waited out indefinitely.
+    /// confirm, adopt. Without `held`, no lock is held and odd shards are
+    /// waited out. With `held` — the commit's write shards locked — the
+    /// pass never waits and looks only at the foreign read shards:
+    /// entries in held shards are frozen since the CAS from the validated
+    /// snapshot, a shard no entry maps to cannot invalidate anything, and
+    /// an odd foreign read shard returns `Ok(false)` at once, because its
+    /// holder may be waiting on a shard held here.
     fn validate_inner(
         &self,
         v: &mut ShardView,
         reads: &mut Reads<'_>,
         held: bool,
-    ) -> Result<(), Abort> {
+    ) -> Result<bool, Abort> {
+        if held && v.foreign == 0 {
+            return Ok(true);
+        }
         reads.phases.mark_validate();
-        // Held shards sample as their snapshot and cannot move.
-        let pinned = |s: usize| held && v.wshards.binary_search(&s).is_ok();
+        // Shards not looked at sample as their snapshot.
+        let skipped = |s: usize| held && v.foreign & (1 << s) == 0;
         let mut wait = SpinWait::new();
-        let mut spins: u32 = 0;
         'round: loop {
             sched::point(PointKind::ScNorecValidate);
             // Epoch before the vector pass (see `ShardView::epoch`).
             let epoch = self.epoch();
             for s in 0..self.len() {
-                if pinned(s) {
+                if skipped(s) {
                     v.sample[s] = v.snapshot[s];
                     continue;
                 }
                 let word = self.load(s);
                 if word & 1 != 0 {
+                    if held {
+                        return Ok(false);
+                    }
                     sched::spin();
                     wait.spin();
-                    if held {
-                        spins += 1;
-                        if spins > self.patience {
-                            return Err(Abort::timeout());
-                        }
-                    }
                     continue 'round;
                 }
                 v.sample[s] = word;
@@ -255,7 +252,7 @@ impl ShardedClock {
                 })?;
             }
             sched::point(PointKind::ScNorecValidateRecheck);
-            if (0..self.len()).any(|s| !pinned(s) && self.load(s) != v.sample[s]) {
+            if (0..self.len()).any(|s| !skipped(s) && self.load(s) != v.sample[s]) {
                 continue 'round;
             }
             if moved {
@@ -263,7 +260,7 @@ impl ShardedClock {
                 v.gen = v.gen.wrapping_add(1);
             }
             v.epoch = epoch;
-            return Ok(());
+            return Ok(true);
         }
     }
 
@@ -286,6 +283,7 @@ impl CommitClock for ShardedClock {
             gen: 0,
             sample: vec![0; self.len()],
             wshards: Vec::new(),
+            foreign: 0,
         }
     }
 
@@ -328,7 +326,7 @@ impl CommitClock for ShardedClock {
     }
 
     fn validate(&self, v: &mut ShardView, reads: &mut Reads<'_>) -> Result<(), Abort> {
-        self.validate_inner(v, reads, false)
+        self.validate_inner(v, reads, false).map(|_| ())
     }
 
     fn acquire(
@@ -342,29 +340,44 @@ impl CommitClock for ShardedClock {
             .extend(writes.iter().map(|(a, _)| self.shard_of(a)));
         // Ascending acquisition order: two commits contending for the
         // same shard pair always race on the lower index first, so the
-        // acquisition phase itself cannot deadlock (only the foreign-
-        // shard wait below can cycle, and that one is patience-bounded).
+        // acquisition phase itself cannot deadlock.
         v.wshards.sort_unstable();
         v.wshards.dedup();
-        'acquire: loop {
-            sched::point(PointKind::ScNorecCommitAcquire);
-            for k in 0..v.wshards.len() {
-                let s = v.wshards[k];
-                if !self.try_acquire(s, v.snapshot[s]) {
-                    // Nothing was written back, so the bounce odd→same
-                    // even published no data change.
-                    self.release_held(v, k, false);
-                    self.validate_inner(v, reads, false)?;
-                    continue 'acquire;
-                }
+        v.foreign = 0;
+        for e in reads.entries {
+            let (a, b) = e.addrs();
+            v.foreign |= 1 << self.shard_of(a);
+            if let Some(b) = b {
+                v.foreign |= 1 << self.shard_of(b);
             }
-            break;
         }
-        // All write shards held. Entries covered by held shards are
-        // frozen; entries in foreign shards may have been invalidated
-        // since the last validation — re-check them under the locks.
-        self.validate_inner(v, reads, true)
-            .inspect_err(|_| self.release_held(v, v.wshards.len(), false))
+        for &s in &v.wshards {
+            v.foreign &= !(1 << s);
+        }
+        loop {
+            sched::point(PointKind::ScNorecCommitAcquire);
+            let held = v
+                .wshards
+                .iter()
+                .take_while(|&&s| self.try_acquire(s, v.snapshot[s]))
+                .count();
+            let valid = if held == v.wshards.len() {
+                self.validate_inner(v, reads, true)
+            } else {
+                Ok(false)
+            };
+            if let Ok(true) = valid {
+                return Ok(());
+            }
+            // A stale snapshot, a busy shard or a failed re-check: give
+            // every held shard back. Nothing was written back, so the
+            // bounce odd→same even published no data change — and the
+            // wait for the holder below runs with nothing held, so no
+            // other committer can be waiting on this one.
+            self.release_held(v, held, false);
+            valid?;
+            self.validate(v, reads)?;
+        }
     }
 
     /// Readers' epoch fast path relies on every write-back being
@@ -404,6 +417,7 @@ mod tests {
         assert_eq!(ShardedClock::new(1).len(), 1);
         assert_eq!(ShardedClock::new(5).len(), 8);
         assert_eq!(ShardedClock::new(8).len(), 8);
+        assert_eq!(ShardedClock::new(1000).len(), 64, "capped");
     }
 
     #[test]
@@ -560,28 +574,65 @@ mod tests {
     }
 
     #[test]
-    fn commit_blocked_by_held_shard_times_out() {
-        let heap = Heap::new(LINE_WORDS * 16);
-        let clock = ShardedClock::new(4).with_patience(16);
+    fn commit_ignores_odd_shard_it_did_not_read() {
+        let (heap, clock) = setup();
+        let a = heap.alloc_padded(1); // shard 0
+        let b = heap.alloc_padded(1); // shard 1
+        heap.store(a, 3);
+        let mut t = tx(&heap, &clock);
+        let mut ops = OpCounts::default();
+        assert_eq!(t.read(a, &mut ops).unwrap(), 3);
+        t.write(a, 4);
+        // A foreign committer holds shard 1 for as long as it likes: no
+        // entry maps there, so the commit neither loads nor waits on it.
+        assert!(clock.try_acquire(clock.shard_of(b), 0));
+        t.commit().expect("disjoint commits run in parallel");
+        assert_eq!(heap.load(a), 4);
+        assert_eq!(clock.load(0), 2);
+        assert_eq!(clock.load(1), 1, "the foreign holder is undisturbed");
+    }
+
+    #[test]
+    fn commit_blocked_by_held_read_shard_gives_its_shards_back() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let (heap, clock) = setup();
         let a = heap.alloc_padded(1); // shard 0
         let b = heap.alloc_padded(1); // shard 1
         heap.store(b, 3);
+        // Read from shard 1, write to shard 0.
         let mut t = tx(&heap, &clock);
         let mut ops = OpCounts::default();
-        // Read from shard 1, write to shard 0.
         assert_eq!(t.read(b, &mut ops).unwrap(), 3);
         t.write(a, 1);
-        // A foreign committer now holds shard 1: commit-time validation
-        // of the read must bound its wait and abort with Timeout.
+        // A foreign committer now holds shard 1, and keeps it.
         assert!(clock.try_acquire(1, 0));
-        assert_eq!(t.commit(), Err(Abort::timeout()));
-        assert_eq!(clock.load(0), 0, "write shard rolled back to even");
-        assert_eq!(clock.epoch(), 0, "a failed acquisition never bumps");
-        clock.release(1, 0);
-        // After the holder goes away the retry commits.
-        t.begin();
-        t.write(a, 1);
-        t.commit().unwrap();
+        let committed = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                t.commit().unwrap();
+                committed.store(true, Ordering::SeqCst);
+            });
+            // While the holder stays, the commit may take shard 0 only to
+            // give it back: whenever shard 0 is seen odd it turns even
+            // again with no bump and no store, and it never commits.
+            let deadline = Instant::now() + Duration::from_millis(50);
+            while Instant::now() < deadline {
+                assert!(clock.load(0) <= 1, "shard 0 never advances");
+                assert_eq!(clock.epoch(), 0, "a given-back acquisition never bumps");
+                assert_eq!(heap.load(a), 0, "nothing is written back");
+                assert!(!committed.load(Ordering::SeqCst));
+            }
+            // After the holder goes away the same commit lands.
+            clock.release(1, 0);
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !committed.load(Ordering::SeqCst) {
+                assert!(Instant::now() < deadline, "commit did not land");
+                std::thread::yield_now();
+            }
+        });
         assert_eq!(heap.load(a), 1);
+        assert_eq!(clock.load(0), 2);
+        assert_eq!(clock.epoch(), 1);
     }
 }

@@ -52,7 +52,7 @@ pub struct StatsSnapshot {
     pub aborts_validation: u64,
     /// Aborts due to encountering a locked orec.
     pub aborts_locked: u64,
-    /// Aborts after lock-wait timeout.
+    /// Aborts after lock-wait timeout (TL2 family only).
     pub aborts_timeout: u64,
     /// Aborts during commit-time lock acquisition.
     pub aborts_lock_acquire: u64,

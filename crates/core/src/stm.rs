@@ -56,7 +56,7 @@ impl Stm {
         Stm {
             heap: Heap::new(config.heap_words),
             norec: GlobalClock::default(),
-            sclock: ShardedClock::new(config.clock_shards).with_patience(config.lock_wait_spins),
+            sclock: ShardedClock::new(config.clock_shards),
             tl2: Tl2Global::new(config.orec_count),
             telemetry: Telemetry::new(config.telemetry, config.algorithm, config.trace_capacity),
             wal: None,

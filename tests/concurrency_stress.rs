@@ -9,6 +9,7 @@
 //! wall-clock duration mode for `n` seconds (opt-in; never in tier-1).
 
 use semtm::core::util::SplitMix64;
+use semtm::workloads::driver::run_fixed_work;
 use semtm::workloads::queue::TQueue;
 use semtm::workloads::stamp::tmap::TMap;
 use semtm::workloads::{bank, hashtable, lru};
@@ -296,5 +297,22 @@ fn counter_semantic_guard_never_goes_negative() {
             }
         });
         assert_eq!(s.read_now(sem), 4, "{alg}: all permits returned");
+    }
+}
+
+#[test]
+fn sharded_clock_disjoint_commits_never_time_out() {
+    // Two threads, each incrementing its own padded cell (distinct lines,
+    // distinct shards): the commits share nothing, so neither may ever
+    // wait on — let alone time out behind — the other's held shard.
+    for alg in [Algorithm::NOrec, Algorithm::SNOrec] {
+        let s = Stm::new(StmConfig::new(alg).heap_words(1 << 10).clock_shards(16));
+        let cells = [s.alloc_padded(1), s.alloc_padded(1)];
+        run_fixed_work(&s, 2, 100_000, 1, |tid, _i, _rng| {
+            s.atomic(|tx| tx.inc(cells[tid], 1));
+        });
+        let sum: i64 = cells.iter().map(|&c| s.read_now(c)).sum();
+        assert_eq!(sum, 100_000, "{alg}");
+        assert_eq!(s.stats().aborts_timeout, 0, "{alg}");
     }
 }

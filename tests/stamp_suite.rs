@@ -130,11 +130,11 @@ fn intruder_all_algorithms() {
 
 /// The headline semantic claim end-to-end: on the compare-heavy
 /// workloads, the semantic algorithm's abort rate must not exceed its
-/// baseline's under identical contention.
+/// baseline's under identical contention — the same fixed batch of
+/// operations, drawn from the same seed, on both sides.
 #[test]
 fn semantic_abort_rates_never_worse_on_compare_heavy_workloads() {
     use semtm::workloads::hashtable;
-    use std::time::Duration;
     let cfg = hashtable::HashtableConfig {
         capacity: 256,
         ..hashtable::HashtableConfig::default()
@@ -144,9 +144,9 @@ fn semantic_abort_rates_never_worse_on_compare_heavy_workloads() {
         (Algorithm::Tl2, Algorithm::STl2),
     ] {
         let sb = stm(base, 16);
-        let rb = hashtable::run(&sb, cfg, 4, Duration::from_millis(200), 21);
+        let rb = hashtable::run_fixed(&sb, cfg, 4, 2_000, 21);
         let ss = stm(semantic, 16);
-        let rs = hashtable::run(&ss, cfg, 4, Duration::from_millis(200), 21);
+        let rs = hashtable::run_fixed(&ss, cfg, 4, 2_000, 21);
         assert!(
             rs.abort_pct() <= rb.abort_pct() + 5.0,
             "{semantic:?} {:.1}% should undercut {base:?} {:.1}% (5pt slack for scheduling noise)",
