@@ -11,7 +11,7 @@
 
 use semtm_bench::experiments as exp;
 use semtm_bench::report::{markdown_table, speedup_summary, write_csv, write_results_file};
-use semtm_bench::{dashboard, fig2, snapshot, table3, trace, Scale, Sweep};
+use semtm_bench::{dashboard, fig2, table3, trace, Scale, Sweep};
 use semtm_core::Algorithm;
 use semtm_workloads::stamp::labyrinth::Variant;
 use std::time::Duration;
@@ -29,11 +29,9 @@ const EXPERIMENTS: &[&str] = &[
     "fig2-hashtable",
     "fig2-vacation",
     "ablation-stl2",
-    "ablation-cm",
     "ablation-layout",
     "ablation-durability",
     "ablation-adaptive",
-    "bench-snapshot",
     "contention",
     "telemetry",
     "trace",
@@ -189,14 +187,6 @@ fn main() {
             &[("S-TL2/no-extension", "S-TL2")],
         );
     }
-    if pick("ablation-cm") {
-        emit(
-            "ablation_cm",
-            "Ablation A3 — contention-manager policies (Bank, S-NOrec)",
-            exp::ablation_cm_policy(&sweep),
-            &[],
-        );
-    }
     if pick("ablation-layout") {
         emit(
             "ablation_layout",
@@ -225,19 +215,6 @@ fn main() {
                 ("S-TL2", "adaptive"),
             ],
         );
-    }
-    if pick("bench-snapshot") {
-        let snap = snapshot::collect(&sweep);
-        print!("{}", snapshot::markdown(&snap));
-        let json = snap.to_json().render();
-        if let Err(e) = snapshot::validate(&json) {
-            eprintln!("bench snapshot failed schema validation: {e}");
-            std::process::exit(1);
-        }
-        match write_results_file("BENCH_10.json", &json) {
-            Ok(p) => println!("wrote {} (schema {})", p.display(), snapshot::SCHEMA),
-            Err(e) => eprintln!("snapshot write failed: {e}"),
-        }
     }
     if pick("telemetry") {
         let report = exp::telemetry_bank(&sweep);

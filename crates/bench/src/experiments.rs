@@ -3,7 +3,7 @@
 //! S-NOrec, TL2 and S-TL2.
 
 use crate::report::{AlgorithmTelemetry, FigureRow, OverheadRow, TelemetryReport};
-use semtm_core::{AdaptPolicy, Algorithm, CmPolicy, Stm, StmConfig, TelemetryLevel};
+use semtm_core::{AdaptPolicy, Algorithm, Stm, StmConfig, TelemetryLevel};
 use semtm_workloads::driver::{run_for_duration, RunResult};
 use semtm_workloads::stamp::{kmeans, labyrinth, vacation, yada};
 use semtm_workloads::{bank, hashtable, lru, scan};
@@ -333,39 +333,6 @@ pub fn contention_sweep(sweep: &Sweep) -> Vec<FigureRow> {
                 figure: "C1",
                 benchmark: "hashtable-hot",
                 algorithm: alg.name().to_string(),
-                threads: r.threads,
-                metric: "throughput_ktps",
-                value: r.throughput_ktps(),
-                abort_pct: r.abort_pct(),
-                commits: r.stats.commits,
-                aborts: r.stats.conflict_aborts(),
-            });
-        }
-    }
-    rows
-}
-
-/// Ablation A3: contention-manager policies under the high-conflict
-/// Bank configuration (S-NOrec). Not a paper figure; quantifies how
-/// much of the end-to-end numbers the retry pacing owns.
-pub fn ablation_cm_policy(sweep: &Sweep) -> Vec<FigureRow> {
-    let cfg = bank::BankConfig {
-        accounts: 16,
-        ..bank::BankConfig::default()
-    };
-    let mut rows = Vec::new();
-    for policy in CmPolicy::ALL {
-        for &t in &sweep.threads {
-            let stm = Stm::new(
-                StmConfig::new(Algorithm::SNOrec)
-                    .heap_words(1 << 12)
-                    .cm_policy(policy),
-            );
-            let r = bank::run(&stm, cfg, t, sweep.duration, sweep.seed);
-            rows.push(FigureRow {
-                figure: "A3",
-                benchmark: "bank",
-                algorithm: format!("S-NOrec/{}", policy.name()),
                 threads: r.threads,
                 metric: "throughput_ktps",
                 value: r.throughput_ktps(),
@@ -921,13 +888,6 @@ mod tests {
     fn contention_sweep_reaches_real_abort_rates() {
         let rows = contention_sweep(&tiny());
         assert_eq!(rows.len(), 4);
-        assert!(rows.iter().all(|r| r.commits > 0));
-    }
-
-    #[test]
-    fn cm_ablation_covers_all_policies() {
-        let rows = ablation_cm_policy(&tiny());
-        assert_eq!(rows.len(), CmPolicy::ALL.len());
         assert!(rows.iter().all(|r| r.commits > 0));
     }
 

@@ -19,7 +19,6 @@ pub mod experiments;
 pub mod fig2;
 pub mod jsonin;
 pub mod report;
-pub mod snapshot;
 pub mod table3;
 pub mod trace;
 

@@ -105,16 +105,13 @@ impl CrashConfig {
 
     fn stm_config(&self) -> StmConfig {
         let sharded = self.clock_shards > 1;
-        let mut cfg = StmConfig::new(self.algorithm)
+        StmConfig::new(self.algorithm)
             .heap_words(1 << 11)
             .orec_count(16)
             .clock_shards(self.clock_shards)
             .padded_alloc(sharded)
-            .durability(DurabilityMode::Manual);
-        cfg.lock_wait_spins = 8;
-        cfg.backoff_min_spins = 1;
-        cfg.backoff_max_spins = 2;
-        cfg
+            .durability(DurabilityMode::Manual)
+            .lock_wait_spins(8)
     }
 }
 

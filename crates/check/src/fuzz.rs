@@ -68,20 +68,16 @@ fn check_config(alg: Algorithm, shards: usize) -> StmConfig {
     // micro heap collapses every address into shard 0 and the sharded
     // paths go untested.
     let sharded = shards > 1;
-    let mut cfg = StmConfig::new(alg)
+    StmConfig::new(alg)
         .heap_words(if sharded { 128 } else { 64 })
         .orec_count(16)
         .clock_shards(shards)
-        .padded_alloc(sharded);
-    cfg.lock_wait_spins = 8;
-    cfg.backoff_min_spins = 1;
-    cfg.backoff_max_spins = 2;
-    cfg
+        .padded_alloc(sharded)
+        .lock_wait_spins(8)
 }
 
 /// An [`Stm`] sized and tuned for scheduler-driven micro executions:
-/// tiny heap, short lock patience, minimal backoff. Honors
-/// [`clock_shards`].
+/// tiny heap, short lock patience. Honors [`clock_shards`].
 pub fn check_stm(alg: Algorithm) -> Stm {
     check_stm_sharded(alg, clock_shards())
 }

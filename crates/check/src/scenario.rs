@@ -211,13 +211,11 @@ pub fn adaptive_switch_drain_sharded(driver: &mut dyn Driver, shards: usize) -> 
 /// depends on. Both properties are asserted on every explored schedule.
 pub fn adaptive_switch_wal_flush(driver: &mut dyn Driver) -> Result<(), String> {
     let (sim, handle) = SimStorage::new();
-    let mut cfg = StmConfig::new(Algorithm::SNOrec)
+    let cfg = StmConfig::new(Algorithm::SNOrec)
         .heap_words(64)
         .orec_count(16)
-        .durability(DurabilityMode::Manual);
-    cfg.lock_wait_spins = 8;
-    cfg.backoff_min_spins = 1;
-    cfg.backoff_max_spins = 2;
+        .durability(DurabilityMode::Manual)
+        .lock_wait_spins(8);
     let stm = Stm::with_wal(cfg, Box::new(sim));
     stm.wal().unwrap().track_acks(true);
     let x = stm.alloc_cell(0i64);

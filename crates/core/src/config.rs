@@ -1,7 +1,6 @@
 //! Runtime configuration: algorithm selection and tuning knobs.
 
 use crate::adapt::AdaptPolicy;
-use crate::cm::CmPolicy;
 use crate::telemetry::TelemetryLevel;
 use crate::wal::DurabilityMode;
 
@@ -79,12 +78,6 @@ pub struct StmConfig {
     /// the NOrec clocks never wait while holding a lock, so they need
     /// no bound.
     pub lock_wait_spins: u32,
-    /// Minimum contention-manager backoff spins.
-    pub backoff_min_spins: u32,
-    /// Maximum contention-manager backoff spins.
-    pub backoff_max_spins: u32,
-    /// Retry-pacing policy applied between attempts.
-    pub cm_policy: CmPolicy,
     /// S-TL2 ablation knob: disable the phase-1 snapshot-extension
     /// optimisation (Algorithm 7 lines 19–25). With extension disabled,
     /// phase-1 `cmp`s validate like phase-2 ones. Default `true`.
@@ -148,9 +141,6 @@ impl StmConfig {
             heap_words: 1 << 24,
             orec_count: 1 << 16,
             lock_wait_spins: 4096,
-            backoff_min_spins: 16,
-            backoff_max_spins: 8192,
-            cm_policy: CmPolicy::Backoff,
             stl2_snapshot_extension: true,
             clock_shards: 1,
             padded_alloc: false,
@@ -176,12 +166,6 @@ impl StmConfig {
     /// Builder-style lock-wait patience override (TL2 family only).
     pub fn lock_wait_spins(mut self, spins: u32) -> StmConfig {
         self.lock_wait_spins = spins;
-        self
-    }
-
-    /// Builder-style contention-manager policy override.
-    pub fn cm_policy(mut self, policy: CmPolicy) -> StmConfig {
-        self.cm_policy = policy;
         self
     }
 
@@ -257,7 +241,6 @@ mod tests {
     #[test]
     fn builder_overrides() {
         let c = StmConfig::new(Algorithm::STl2)
-            .cm_policy(CmPolicy::Yield)
             .heap_words(128)
             .orec_count(32)
             .lock_wait_spins(7)
@@ -272,7 +255,6 @@ mod tests {
         assert!(!c.stl2_snapshot_extension);
         assert_eq!(c.clock_shards, 8);
         assert!(c.padded_alloc);
-        assert_eq!(c.cm_policy, CmPolicy::Yield);
         assert_eq!(c.telemetry, TelemetryLevel::Trace);
         assert_eq!(c.trace_capacity, 64);
     }

@@ -92,7 +92,6 @@ pub mod value;
 pub mod wal;
 
 pub use adapt::{AdaptPolicy, Controller, Mode, SwitchError, SwitchReport};
-pub use cm::CmPolicy;
 pub use config::{Algorithm, StmConfig};
 pub use error::{Abort, AbortReason, Conflict};
 pub use heap::{Addr, Heap};

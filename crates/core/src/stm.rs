@@ -20,11 +20,12 @@ use crate::norec::{CommitClock, GlobalClock, NorecTx};
 use crate::ops::CmpOp;
 use crate::sclock::ShardedClock;
 use crate::stats::{OpCounts, StatsSnapshot};
-use crate::telemetry::{PhaseRecorder, SpanEvent, Telemetry, TelemetryLevel};
+use crate::telemetry::{PhaseRecorder, SpanEvent, StatShard, Telemetry, TelemetryLevel};
 use crate::tl2::{Tl2Global, Tl2Tx};
 use crate::util::thread_token;
 use crate::value::Word;
 use crate::wal::{CommitLog, LogStorage};
+use std::convert::Infallible;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -223,18 +224,58 @@ impl Stm {
     /// The body must route **every** shared access through the provided
     /// [`Tx`] and must be safe to re-execute (it runs once per attempt).
     pub fn atomic<T>(&self, mut body: impl FnMut(&mut Tx<'_>) -> Result<T, Abort>) -> T {
-        let mut cm = ContentionManager::new(
-            self.config.cm_policy,
-            thread_token().wrapping_mul(0x9E37_79B9),
-            self.config.backoff_min_spins,
-            self.config.backoff_max_spins,
-        );
+        match self.atomic_or_err(|tx| body(tx).map(Ok::<T, Infallible>)) {
+            Ok(v) => v,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`Stm::atomic`] for a body that can fail for a reason of its own:
+    /// `Err(abort)` from a barrier is retried as usual, while `Ok(Err(e))`
+    /// gives the transaction up — the attempt is rolled back, counted as
+    /// an explicit abort, never retried, and `Err(e)` is returned. This
+    /// is the exit a caller needs whose failure must not commit partial
+    /// effects (the IR interpreter's step budget, a bad address).
+    pub fn atomic_or_err<T, E>(
+        &self,
+        body: impl FnMut(&mut Tx<'_>) -> Result<Result<T, E>, Abort>,
+    ) -> Result<T, E> {
+        self.run(body, |_| None)
+    }
+
+    /// Run `body` as a transaction **once**, returning the abort instead
+    /// of retrying. Useful for tests that assert on specific conflicts,
+    /// and the non-panicking probe of a failed commit log.
+    pub fn try_atomic<T>(
+        &self,
+        body: impl FnOnce(&mut Tx<'_>) -> Result<T, Abort>,
+    ) -> Result<T, Abort> {
+        let mut body = Some(body);
+        self.run(
+            |tx| {
+                let body = body.take().expect("the first abort ends the transaction");
+                body(tx).map(Ok)
+            },
+            Some,
+        )
+    }
+
+    /// The transaction driver — the only attempt loop in the runtime,
+    /// behind every entry point above. Runs [`Stm::attempt`] until the
+    /// body commits or gives up; after an abort, `ends(abort)` may end
+    /// the transaction with an error instead of retrying.
+    fn run<T, E>(
+        &self,
+        mut body: impl FnMut(&mut Tx<'_>) -> Result<Result<T, E>, Abort>,
+        ends: impl Fn(Abort) -> Option<E>,
+    ) -> Result<T, E> {
+        let mut cm = ContentionManager::new(thread_token().wrapping_mul(0x9E37_79B9));
         // Enter the adaptive epoch before building the attempt context:
         // the entered word pins the engine this attempt dispatches on,
-        // and retiring the slot (the `Attempt` guard below) is what a
-        // switch's drain barrier waits for. The common case — no switch
-        // between attempts — keeps one Tx (and its buffers) alive across
-        // the whole retry loop. Nothing between an `enter` and the guard
+        // and retiring the slot (the `Attempt` guard) is what a switch's
+        // drain barrier waits for. The common case — no switch between
+        // attempts — keeps one Tx (and its buffers) alive across the
+        // whole retry loop. Nothing between an `enter` and the guard
         // that adopts its slot can unwind.
         let mut entered = self.machine.enter();
         let mut mode = adapt::word_mode(entered);
@@ -243,155 +284,134 @@ impl Stm {
         // reference stays hot in a register across retries.
         let shard = self.telemetry.shard();
         let histograms = self.telemetry.level() >= TelemetryLevel::Histograms;
-        let trace = self.telemetry.level() >= TelemetryLevel::Trace;
-        let spans = self.telemetry.level() >= TelemetryLevel::Spans;
-        let started = if histograms {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let mut attempt: u32 = 0;
-        let mut attempts_total: u64 = 1;
+        let started = histograms.then(Instant::now);
+        let mut conflicts: u32 = 0;
+        let mut nth: u64 = 1;
         loop {
-            // Every per-attempt flight-recorder cost sits behind the
-            // `spans` guard; at lower levels this loop is unchanged.
-            let attempt_start = if spans {
-                self.telemetry.elapsed_ns()
-            } else {
-                0
+            let abort = match self.attempt(&mut tx, shard, started, nth, &mut body) {
+                Ok(done) => return done,
+                Err(abort) => abort,
             };
-            let attempt_guard = Attempt {
-                machine: &self.machine,
-                tx: &mut tx,
-            };
-            attempt_guard.tx.begin();
-            let outcome =
-                body(attempt_guard.tx).and_then(|v| attempt_guard.tx.commit().map(|()| v));
-            match outcome {
-                Ok(v) => {
-                    // Retire from the epoch first: commit (including its
-                    // WAL durability ack) is done, so a draining switch
-                    // need not wait out the telemetry recording below.
-                    drop(attempt_guard);
-                    shard.record_commit(&tx.ops);
-                    if let Some(t0) = started {
-                        self.telemetry.record_commit_profile(
-                            t0.elapsed().as_nanos() as u64,
-                            attempts_total,
-                            tx.read_set_len(),
-                            tx.compare_set_len(),
-                        );
-                    }
-                    if spans {
-                        let end = self.telemetry.elapsed_ns();
-                        self.telemetry.record_span(tx.span(
-                            attempt_start,
-                            end,
-                            attempts_total as u32,
-                            None,
-                        ));
-                    }
-                    return v;
+            if let Some(e) = ends(abort) {
+                return Err(e);
+            }
+            // Fail stop on durability failures: the rollback was clean
+            // (the append is refused before any heap write-back), but
+            // retrying against a poisoned log can never succeed and
+            // pretending to commit without durability would break the
+            // ack contract. Surface loudly; `try_atomic` is the
+            // non-panicking probe.
+            if abort.reason == AbortReason::Durability {
+                panic!("commit log I/O failure: {abort} — aborting (fail-stop durability)");
+            }
+            let spins = cm.pause(conflicts, abort.reason);
+            if histograms {
+                self.telemetry.record_backoff(spins);
+            }
+            // Under the deterministic scheduler, retrying after an abort
+            // is a futile-wait iteration (the conflicting transaction
+            // must be scheduled for the retry to fare better), so report
+            // it as a spin — otherwise a default-continue explorer
+            // replays the aborting thread forever.
+            crate::sched::spin();
+            if abort.reason != AbortReason::Explicit {
+                conflicts = conflicts.saturating_add(1);
+            }
+            nth += 1;
+            // Re-enter for the retry. A switch may have landed while we
+            // were out (backoff): rebuild the attempt context only when
+            // the engine actually changed — an epoch bump alone keeps
+            // the hot buffers.
+            let word = self.machine.enter();
+            if word != entered {
+                let next = adapt::word_mode(word);
+                if next != mode {
+                    tx = Tx::new(self, next);
+                    mode = next;
                 }
-                Err(abort) => {
-                    // Capture the span (set sizes and all) before rollback
-                    // releases the metadata.
-                    let span = if spans {
-                        Some(attempt_guard.tx.span(
-                            attempt_start,
-                            self.telemetry.elapsed_ns(),
-                            attempts_total as u32,
-                            Some((abort.reason, abort.conflict())),
-                        ))
-                    } else {
-                        None
-                    };
-                    let (rs, cs) = if trace {
-                        let tx = &attempt_guard.tx;
-                        (tx.read_set_len(), tx.compare_set_len())
-                    } else {
-                        (0, 0)
-                    };
-                    // Roll back and leave the epoch before backing off —
-                    // a draining switch must not wait out our backoff
-                    // pause.
-                    drop(attempt_guard);
-                    shard.record_abort(abort.reason, &tx.ops);
-                    if trace {
-                        self.telemetry.record_abort_event(
-                            abort.reason,
-                            abort.conflict(),
-                            attempts_total as u32,
-                            rs,
-                            cs,
-                        );
-                    }
-                    if let Some(span) = span {
-                        let victim = span.thread;
-                        self.telemetry.record_span(span);
-                        self.telemetry.record_conflict(victim, abort.conflict());
-                    }
-                    // Fail stop on durability failures: the rollback was
-                    // clean (the append is refused before any heap
-                    // write-back), but retrying against a poisoned log
-                    // can never succeed and pretending to commit without
-                    // durability would break the ack contract. Surface
-                    // loudly; `try_atomic` is the non-panicking probe.
-                    if abort.reason == AbortReason::Durability {
-                        panic!("commit log I/O failure: {abort} — aborting (fail-stop durability)");
-                    }
-                    let spins = cm.pause(attempt, abort.reason);
-                    if histograms {
-                        self.telemetry.record_backoff(spins);
-                    }
-                    // Under the deterministic scheduler, retrying after an
-                    // abort is a futile-wait iteration (the conflicting
-                    // transaction must be scheduled for the retry to fare
-                    // better), so report it as a spin — otherwise a
-                    // default-continue explorer replays the aborting
-                    // thread forever.
-                    crate::sched::spin();
-                    if abort.reason != AbortReason::Explicit {
-                        attempt = attempt.saturating_add(1);
-                    }
-                    attempts_total += 1;
-                    // Re-enter for the retry. A switch may have landed
-                    // while we were out (backoff): rebuild the attempt
-                    // context only when the engine actually changed —
-                    // an epoch bump alone keeps the hot buffers.
-                    let word = self.machine.enter();
-                    if word != entered {
-                        let next = adapt::word_mode(word);
-                        if next != mode {
-                            tx = Tx::new(self, next);
-                            mode = next;
-                        }
-                        entered = word;
-                    }
-                }
+                entered = word;
             }
         }
     }
 
-    /// Run `body` as a transaction **once**, returning the abort instead
-    /// of retrying. Useful for tests that assert on specific conflicts.
-    pub fn try_atomic<T>(
+    /// One attempt, the `nth` of its transaction, on an epoch slot the
+    /// caller entered: begin, body, commit, retire the slot, record.
+    /// Every statistic an attempt leaves — counters, commit profile,
+    /// abort event, span, conflict attribution — is written here and
+    /// nowhere else, so all entry points are observed alike.
+    #[inline]
+    fn attempt<T, E>(
         &self,
-        body: impl FnOnce(&mut Tx<'_>) -> Result<T, Abort>,
-    ) -> Result<T, Abort> {
-        let entered = self.machine.enter();
-        let mut tx = Tx::new(self, adapt::word_mode(entered));
-        let shard = self.telemetry.shard();
-        let attempt = Attempt {
-            machine: &self.machine,
-            tx: &mut tx,
+        tx: &mut Tx<'_>,
+        shard: &StatShard,
+        started: Option<Instant>,
+        nth: u64,
+        body: impl FnOnce(&mut Tx<'_>) -> Result<Result<T, E>, Abort>,
+    ) -> Result<Result<T, E>, Abort> {
+        // Every per-attempt flight-recorder cost sits behind the `spans`
+        // guard; at lower levels an attempt reads no clock of its own.
+        let spans = self.telemetry.level() >= TelemetryLevel::Spans;
+        let attempt_start = if spans {
+            self.telemetry.elapsed_ns()
+        } else {
+            0
         };
-        attempt.tx.begin();
-        let outcome = body(attempt.tx).and_then(|v| attempt.tx.commit().map(|()| v));
-        drop(attempt);
-        match &outcome {
-            Ok(_) => shard.record_commit(&tx.ops),
-            Err(abort) => shard.record_abort(abort.reason, &tx.ops),
+        let guard = Attempt {
+            machine: &self.machine,
+            tx: &mut *tx,
+        };
+        guard.tx.begin();
+        let outcome = match body(guard.tx) {
+            Ok(Ok(v)) => guard.tx.commit().map(|()| Ok(v)),
+            gave_up_or_aborted => gave_up_or_aborted,
+        };
+        // Roll back and retire from the epoch first: commit (including
+        // its WAL durability ack) is done or refused, so a draining
+        // switch need not wait out the recording below, nor the caller's
+        // backoff pause. The set sizes survive until the next `begin`.
+        drop(guard);
+        let abort = match &outcome {
+            Ok(Ok(_)) => None,
+            Ok(Err(_)) => Some(Abort::explicit()),
+            Err(abort) => Some(*abort),
+        };
+        match abort {
+            None => {
+                shard.record_commit(&tx.ops);
+                if let Some(t0) = started {
+                    self.telemetry.record_commit_profile(
+                        t0.elapsed().as_nanos() as u64,
+                        nth,
+                        tx.read_set_len(),
+                        tx.compare_set_len(),
+                    );
+                }
+            }
+            Some(abort) => {
+                shard.record_abort(abort.reason, &tx.ops);
+                if self.telemetry.level() >= TelemetryLevel::Trace {
+                    self.telemetry.record_abort_event(
+                        abort.reason,
+                        abort.conflict(),
+                        nth as u32,
+                        tx.read_set_len(),
+                        tx.compare_set_len(),
+                    );
+                }
+            }
+        }
+        if spans {
+            let span = tx.span(
+                attempt_start,
+                self.telemetry.elapsed_ns(),
+                nth as u32,
+                abort.map(|a| (a.reason, a.conflict())),
+            );
+            if let Some(abort) = abort {
+                self.telemetry
+                    .record_conflict(span.thread, abort.conflict());
+            }
+            self.telemetry.record_span(span);
         }
         outcome
     }
@@ -476,9 +496,9 @@ macro_rules! dispatch {
     };
 }
 
-/// An in-flight transaction. Obtained through [`Stm::atomic`] /
-/// [`Stm::try_atomic`]; all barriers return `Result<_, Abort>` and the
-/// body should propagate aborts with `?`.
+/// An in-flight transaction. Obtained through [`Stm::atomic`],
+/// [`Stm::atomic_or_err`] or [`Stm::try_atomic`]; all barriers return
+/// `Result<_, Abort>` and the body should propagate aborts with `?`.
 pub struct Tx<'a> {
     inner: TxInner<'a>,
     semantic: bool,
@@ -645,8 +665,8 @@ impl<'a> Tx<'a> {
     }
 
     /// Snapshot this attempt as a flight-recorder span. Must run before
-    /// rollback (the set sizes are still live) — `Stm::atomic` is the
-    /// only caller.
+    /// the next `begin` (the set sizes and phase marks are still live) —
+    /// `Stm::attempt` is the only caller.
     fn span(
         &self,
         start_ns: u64,
@@ -812,6 +832,85 @@ mod tests {
         assert_eq!(aborted.attempt, 1);
         let committed = spans.iter().find(|s| s.committed()).unwrap();
         assert_eq!(committed.attempt, 2);
+    }
+
+    #[test]
+    fn every_entry_point_is_recorded_alike() {
+        // One conflicting attempt through each entry point: a nested
+        // writer commits to `x` between the outer body's two reads.
+        let observe = |entry: &str| {
+            let stm = Stm::new(
+                StmConfig::new(Algorithm::SNOrec)
+                    .heap_words(64)
+                    .telemetry(TelemetryLevel::Spans),
+            );
+            let x = stm.alloc_cell(0i64);
+            let mut first = true;
+            let mut body = |tx: &mut Tx<'_>| {
+                let before = tx.read(x)?;
+                if std::mem::take(&mut first) {
+                    stm.atomic(|writer| writer.write(x, before + 1));
+                }
+                tx.read(x)
+            };
+            let retried = entry != "try_atomic";
+            let got = match entry {
+                "atomic" => Ok(stm.atomic(&mut body)),
+                "atomic_or_err" => stm.atomic_or_err(|tx| body(tx).map(Ok::<_, AbortReason>)),
+                _ => stm.try_atomic(&mut body).map_err(|abort| abort.reason),
+            };
+            let expected = if retried {
+                Ok(1)
+            } else {
+                Err(AbortReason::Validation)
+            };
+            assert_eq!(got, expected, "{entry}");
+            let t = stm.telemetry();
+            let spans = t.span_events();
+            let attempts = 1 + retried as usize;
+            assert_eq!(spans.len(), 1 + attempts, "{entry}: writer + attempts");
+            let commits = spans.iter().filter(|s| s.committed()).count();
+            assert_eq!(t.commit_latency_ns().count(), commits as u64, "{entry}");
+            assert_eq!(t.trace_events().len(), 1, "{entry}");
+            let aborted = spans
+                .iter()
+                .find(|s| !s.committed())
+                .expect("one abort span");
+            let (reason, conflict) = aborted.abort.unwrap();
+            assert_eq!(conflict.addr(), Some(x), "{entry}");
+            (
+                reason,
+                aborted.attempt,
+                aborted.read_set,
+                t.hot_addresses(),
+                t.conflict_edges().len(),
+                stm.stats().aborts_validation,
+            )
+        };
+        let by_atomic = observe("atomic");
+        assert_eq!(by_atomic.3.len(), 1, "the sketch names the contended word");
+        assert_eq!(by_atomic, observe("atomic_or_err"));
+        assert_eq!(by_atomic, observe("try_atomic"));
+    }
+
+    #[test]
+    fn giving_up_rolls_back_counts_an_explicit_abort_and_never_retries() {
+        for stm in all_algorithms() {
+            let a = stm.alloc_cell(1i64);
+            let mut runs = 0;
+            let r: Result<(), &str> = stm.atomic_or_err(|tx| {
+                runs += 1;
+                tx.write(a, 99)?;
+                Ok(Err("gave up"))
+            });
+            assert_eq!(r, Err("gave up"));
+            assert_eq!(runs, 1);
+            assert_eq!(stm.read_now(a), 1, "{}", stm.algorithm());
+            let s = stm.stats();
+            assert_eq!((s.commits, s.aborts_explicit), (0, 1));
+            // The runtime is left usable.
+            assert_eq!(stm.atomic_or_err(|tx| tx.read(a).map(Ok::<_, ()>)), Ok(1));
+        }
     }
 
     #[test]

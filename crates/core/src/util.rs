@@ -1,5 +1,5 @@
-//! Small self-contained utilities: deterministic PRNG, contention-manager
-//! backoff, and a fast integer hasher for write-set maps.
+//! Small self-contained utilities: deterministic PRNG, spin-wait helper,
+//! per-thread tokens, and a fast integer hasher for write-set maps.
 //!
 //! We deliberately avoid external RNG crates in the runtime and workloads
 //! so that experiments are bit-reproducible across runs and machines.
@@ -77,43 +77,6 @@ impl SpinWait {
             std::thread::yield_now();
         } else {
             std::hint::spin_loop();
-        }
-    }
-}
-
-/// Randomised truncated exponential backoff used between transaction
-/// retries — the contention manager of the runtime ("polite" policy).
-#[derive(Clone, Debug)]
-pub struct Backoff {
-    rng: SplitMix64,
-    min_spins: u32,
-    max_spins: u32,
-}
-
-impl Backoff {
-    /// Create a backoff helper; `min_spins`/`max_spins` bound the spin work.
-    pub fn new(seed: u64, min_spins: u32, max_spins: u32) -> Backoff {
-        Backoff {
-            rng: SplitMix64::new(seed),
-            min_spins: min_spins.max(1),
-            max_spins: max_spins.max(2),
-        }
-    }
-
-    /// Spin for an interval that grows exponentially with `attempt`.
-    pub fn pause(&mut self, attempt: u32) {
-        let ceiling = self
-            .min_spins
-            .saturating_mul(1u32.checked_shl(attempt.min(16)).unwrap_or(u32::MAX))
-            .min(self.max_spins);
-        let spins = self.min_spins as u64 + self.rng.below(ceiling.max(2) as u64);
-        for _ in 0..spins {
-            std::hint::spin_loop();
-        }
-        // On heavily oversubscribed machines spinning alone can livelock;
-        // yield to the scheduler once the backoff gets long.
-        if attempt > 4 {
-            std::thread::yield_now();
         }
     }
 }

@@ -2,12 +2,8 @@
 //! the write-set RAW rules of §4.1, the comparison algebra, orec word
 //! encoding, and linearizability of pure-increment traffic.
 //!
-//! Two tiers share the same properties:
-//!
-//! * an always-on deterministic tier driven by [`SplitMix64`] (no
-//!   registry dependencies, runs offline in tier-1);
-//! * the original proptest suite, gated behind the off-by-default
-//!   `registry-deps` feature (see Cargo.toml for how to enable it).
+//! Every property is driven deterministically by [`SplitMix64`] (no
+//! registry dependencies, runs offline in tier-1).
 
 use semtm_core::sets::{WriteKind, WriteSet};
 use semtm_core::util::SplitMix64;
@@ -31,7 +27,7 @@ fn random_wsop(rng: &mut SplitMix64) -> WsOp {
 
 /// §4.1 write-set rules against a direct model: applying the write-set
 /// to any initial memory must equal applying the raw operations
-/// sequentially. (Port of the proptest case, 300 deterministic runs.)
+/// sequentially (300 deterministic runs).
 #[test]
 fn write_set_equals_sequential_model_deterministic() {
     let mut rng = SplitMix64::new(0xC0FE);
@@ -169,87 +165,6 @@ fn guarded_increment_matches_model_deterministic() {
                 }
             }
             assert_eq!(stm.read_now(x), model, "{alg} round {round}");
-        }
-    }
-}
-
-/// The original proptest tier. Enable with the (off-by-default)
-/// `registry-deps` feature after uncommenting the proptest
-/// dev-dependency in Cargo.toml.
-#[cfg(feature = "registry-deps")]
-mod props {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn wsop() -> impl Strategy<Value = WsOp> {
-        prop_oneof![
-            (0u8..4, -40i64..40).prop_map(|(a, v)| WsOp::Write(a, v)),
-            (0u8..4, -40i64..40).prop_map(|(a, v)| WsOp::Inc(a, v)),
-        ]
-    }
-
-    proptest! {
-        #[test]
-        fn write_set_equals_sequential_model(
-            init in prop::array::uniform4(-100i64..100),
-            ops in prop::collection::vec(wsop(), 0..24),
-        ) {
-            let mut ws = WriteSet::default();
-            let mut model = init;
-            for op in &ops {
-                match *op {
-                    WsOp::Write(a, v) => {
-                        ws.write(Addr::from_index(a as usize), v);
-                        model[a as usize] = v;
-                    }
-                    WsOp::Inc(a, d) => {
-                        ws.inc(Addr::from_index(a as usize), d);
-                        model[a as usize] = model[a as usize].wrapping_add(d);
-                    }
-                }
-            }
-            let mut mem = init;
-            for (addr, e) in ws.iter() {
-                let i = addr.index();
-                mem[i] = match e.kind {
-                    WriteKind::Store => e.value,
-                    WriteKind::Increment => mem[i].wrapping_add(e.value),
-                };
-            }
-            prop_assert_eq!(mem, model);
-        }
-
-        #[test]
-        fn cmp_algebra(a in any::<i64>(), b in any::<i64>()) {
-            for op in CmpOp::ALL {
-                prop_assert_ne!(op.eval(a, b), op.inverse().eval(a, b));
-                prop_assert_eq!(op.eval(a, b), op.swap().eval(b, a));
-                prop_assert_eq!(op.inverse().inverse(), op);
-            }
-        }
-
-        #[test]
-        fn guarded_increment_matches_model(
-            init in -50i64..50,
-            steps in prop::collection::vec((-20i64..20, -20i64..20), 1..12),
-        ) {
-            for alg in Algorithm::ALL {
-                let stm = Stm::new(StmConfig::new(alg).heap_words(64).orec_count(16));
-                let x = stm.alloc_cell(init);
-                let mut model = init;
-                for &(threshold, delta) in &steps {
-                    stm.atomic(|tx| {
-                        if tx.cmp(x, CmpOp::Gte, threshold)? {
-                            tx.inc(x, delta)?;
-                        }
-                        Ok(())
-                    });
-                    if model >= threshold {
-                        model += delta;
-                    }
-                }
-                prop_assert_eq!(stm.read_now(x), model, "{}", alg);
-            }
         }
     }
 }

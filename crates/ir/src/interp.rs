@@ -5,10 +5,12 @@
 //!
 //! * outside `tmbegin`/`tmend`, barriers degrade to direct heap
 //!   accesses;
-//! * an atomic region executes under [`Stm::atomic`]: the region body is
-//!   re-run from its entry (with the registers captured at `tmbegin`) on
-//!   every retry — exactly the abort-and-restart semantics of the GCC TM
-//!   runtime;
+//! * an atomic region executes under [`Stm::atomic_or_err`] — the same
+//!   transaction driver hand-annotated code reaches through
+//!   [`Stm::atomic`], so compiled regions share its retry loop, pacing
+//!   and telemetry: the region body is re-run from its entry (with the
+//!   registers captured at `tmbegin`) on every retry — exactly the
+//!   abort-and-restart semantics of the GCC TM runtime;
 //! * each barrier instruction performs **one** dispatch into the TM
 //!   runtime. This is what makes the pass-driven 2→1 call reduction
 //!   (`load`+`store` → `_ITM_SW`, `load`+`cmp` → `_ITM_S1R`) observable
@@ -22,7 +24,8 @@
 
 use crate::ir::{BlockId, Function, Inst, Operand};
 use crate::lower::{LoweredFunction, Op};
-use semtm_core::{Abort, Addr, Stm, Tx};
+use semtm_core::{Abort, Addr, CmpOp, Stm, Tx};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why execution failed.
@@ -83,11 +86,127 @@ pub struct Interp<'a> {
     pub step_limit: u64,
 }
 
-enum Flow {
-    Continue,
-    Jump(BlockId),
+/// Why an op loop stopped short: the program is wrong, or (inside a
+/// region only) a barrier aborted the attempt.
+enum Trap<A> {
+    Exec(ExecError),
+    Abort(A),
+}
+
+impl<A> From<ExecError> for Trap<A> {
+    fn from(e: ExecError) -> Trap<A> {
+        Trap::Exec(e)
+    }
+}
+
+/// Where a barrier instruction goes: straight to the heap outside an
+/// atomic region ([`Direct`]), through the transaction inside one
+/// ([`InRegion`]). Both op loops are generic over this, so each exists
+/// once and is monomorphised per side.
+trait Barriers {
+    /// How a barrier can fail: never on the heap, with an [`Abort`] in
+    /// a transaction.
+    type Abort;
+    /// Nesting depth a loop over these barriers starts at: 0 outside a
+    /// region, 1 inside.
+    const DEPTH: u32;
+    fn read(&mut self, a: Addr) -> Result<i64, Trap<Self::Abort>>;
+    fn write(&mut self, a: Addr, v: i64) -> Result<(), Trap<Self::Abort>>;
+    fn cmp(&mut self, a: Addr, op: CmpOp, v: i64) -> Result<bool, Trap<Self::Abort>>;
+    fn cmp_addr(&mut self, a: Addr, op: CmpOp, b: Addr) -> Result<bool, Trap<Self::Abort>>;
+    fn inc(&mut self, a: Addr, delta: i64) -> Result<(), Trap<Self::Abort>>;
+}
+
+/// Outside a region barriers degrade to direct heap accesses.
+struct Direct<'a>(&'a Stm);
+
+impl Barriers for Direct<'_> {
+    type Abort = Infallible;
+    const DEPTH: u32 = 0;
+    fn read(&mut self, a: Addr) -> Result<i64, Trap<Infallible>> {
+        Ok(self.0.read_now(a))
+    }
+    fn write(&mut self, a: Addr, v: i64) -> Result<(), Trap<Infallible>> {
+        self.0.write_now(a, v);
+        Ok(())
+    }
+    fn cmp(&mut self, a: Addr, op: CmpOp, v: i64) -> Result<bool, Trap<Infallible>> {
+        Ok(op.eval(self.0.read_now(a), v))
+    }
+    fn cmp_addr(&mut self, a: Addr, op: CmpOp, b: Addr) -> Result<bool, Trap<Infallible>> {
+        Ok(op.eval(self.0.read_now(a), self.0.read_now(b)))
+    }
+    fn inc(&mut self, a: Addr, delta: i64) -> Result<(), Trap<Infallible>> {
+        self.0.write_now(a, self.0.read_now(a).wrapping_add(delta));
+        Ok(())
+    }
+}
+
+/// Inside a region each barrier is **one** dispatch into the TM runtime,
+/// counted in [`DispatchCounters::tm_calls`].
+struct InRegion<'t, 'a> {
+    tx: &'t mut Tx<'a>,
+    calls: &'t AtomicU64,
+}
+
+impl<'a> InRegion<'_, 'a> {
+    fn call(&mut self) -> &mut Tx<'a> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.tx
+    }
+}
+
+impl Barriers for InRegion<'_, '_> {
+    type Abort = Abort;
+    const DEPTH: u32 = 1;
+    fn read(&mut self, a: Addr) -> Result<i64, Trap<Abort>> {
+        self.call().read(a).map_err(Trap::Abort)
+    }
+    fn write(&mut self, a: Addr, v: i64) -> Result<(), Trap<Abort>> {
+        self.call().write(a, v).map_err(Trap::Abort)
+    }
+    fn cmp(&mut self, a: Addr, op: CmpOp, v: i64) -> Result<bool, Trap<Abort>> {
+        self.call().cmp(a, op, v).map_err(Trap::Abort)
+    }
+    fn cmp_addr(&mut self, a: Addr, op: CmpOp, b: Addr) -> Result<bool, Trap<Abort>> {
+        self.call().cmp_addr(a, op, b).map_err(Trap::Abort)
+    }
+    fn inc(&mut self, a: Addr, delta: i64) -> Result<(), Trap<Abort>> {
+        self.call().inc(a, delta).map_err(Trap::Abort)
+    }
+}
+
+/// Where an op loop stopped, `P` being the form's notion of a position.
+enum Stop<P> {
+    /// `ret` (inside a region the caller reports it as unbalanced).
     Return(Option<i64>),
-    RegionEnd,
+    /// Crossed the boundary of the outermost region — its `tmbegin` from
+    /// outside, its matching `tmend` from inside; execution continues at
+    /// `P` on the other side.
+    Boundary(P),
+}
+
+fn operand(regs: &[i64], o: Operand) -> i64 {
+    match o {
+        Operand::Reg(r) => regs[r as usize],
+        Operand::Imm(v) => v,
+    }
+}
+
+fn addr(v: i64) -> Result<Addr, ExecError> {
+    if v < 0 {
+        Err(ExecError::BadAddress(v))
+    } else {
+        Ok(Addr::from_index(v as usize))
+    }
+}
+
+/// A fresh register file with the arguments in the low registers.
+fn frame(num_args: u32, num_regs: u32, args: &[i64]) -> Vec<i64> {
+    assert_eq!(args.len(), num_args as usize, "arity mismatch");
+    let mut regs = vec![0i64; num_regs as usize];
+    regs[..args.len()].copy_from_slice(args);
+    regs
 }
 
 impl<'a> Interp<'a> {
@@ -100,318 +219,23 @@ impl<'a> Interp<'a> {
         }
     }
 
-    fn addr(v: i64) -> Result<Addr, ExecError> {
-        if v < 0 {
-            Err(ExecError::BadAddress(v))
-        } else {
-            Ok(Addr::from_index(v as usize))
-        }
-    }
-
     /// Run `func` with `args`; returns the `ret` value.
     pub fn execute(&self, func: &Function, args: &[i64]) -> Result<Option<i64>, ExecError> {
-        assert_eq!(args.len(), func.num_args as usize, "arity mismatch");
-        let mut regs = vec![0i64; func.num_regs as usize];
-        regs[..args.len()].copy_from_slice(args);
+        let mut regs = frame(func.num_args, func.num_regs, args);
         let mut steps = 0u64;
-        let mut block: BlockId = 0;
-        let mut idx = 0usize;
+        let mut at = (0, 0);
         loop {
-            if idx >= func.blocks[block].insts.len() {
-                return Err(ExecError::FellThrough);
-            }
-            let inst = &func.blocks[block].insts[idx];
-            steps += 1;
-            if steps > self.step_limit {
-                return Err(ExecError::StepLimit);
-            }
-            if matches!(inst, Inst::TmBegin) {
-                // Execute the region atomically; the body re-runs from
-                // here on every retry with the captured registers.
-                let entry_regs = regs.clone();
-                let entry = (block, idx + 1);
-                let mut steps_in_region = 0u64;
-                // Retry loop with contention-manager backoff. Region-level
-                // execution errors (step budget, structural problems) must
-                // NOT commit partial effects, so they abort the attempt and
-                // surface through `exec_err`.
-                let mut backoff =
-                    semtm_core::util::Backoff::new(semtm_core::util::thread_token(), 16, 4096);
-                let mut attempt = 0u32;
-                let (b, i) = loop {
-                    let mut exec_err: Option<ExecError> = None;
-                    let mut r = entry_regs.clone();
-                    let out = self.stm.try_atomic(|tx| {
-                        self.counters
-                            .region_attempts
-                            .fetch_add(1, Ordering::Relaxed);
-                        match self.run_region(
-                            func,
-                            tx,
-                            &mut r,
-                            entry.0,
-                            entry.1,
-                            &mut steps_in_region,
-                        )? {
-                            RegionExit::At(b, i) => Ok((b, i)),
-                            RegionExit::Error(e) => {
-                                exec_err = Some(e);
-                                Err(Abort::explicit())
-                            }
-                        }
-                    });
-                    match out {
-                        Ok(pos) => {
-                            regs = r;
-                            break pos;
-                        }
-                        Err(_) => {
-                            if let Some(e) = exec_err {
-                                return Err(e);
-                            }
-                            backoff.pause(attempt);
-                            // Under the deterministic scheduler a retry is a
-                            // futile wait (the rival must run for it to fare
-                            // better) — same convention as `Stm::atomic`.
-                            semtm_core::sched::spin();
-                            attempt = attempt.saturating_add(1);
-                        }
-                    }
-                };
-                steps += steps_in_region;
-                if steps > self.step_limit {
-                    return Err(ExecError::StepLimit);
-                }
-                block = b;
-                idx = i;
-                continue;
-            }
-            match self.step_nontx(inst, &mut regs)? {
-                Flow::Continue => idx += 1,
-                Flow::Jump(b) => {
-                    block = b;
-                    idx = 0;
-                }
-                Flow::Return(v) => return Ok(v),
-                Flow::RegionEnd => return Err(ExecError::UnbalancedEnd),
+            at = match self.walk(func, &mut Direct(self.stm), &mut regs, at, &mut steps) {
+                Ok(Stop::Return(v)) => return Ok(v),
+                Ok(Stop::Boundary(entry)) => self.region(&mut regs, |tm, regs| {
+                    self.walk(func, tm, regs, entry, &mut steps)
+                })?,
+                Err(Trap::Exec(e)) => return Err(e),
+                Err(Trap::Abort(never)) => match never {},
             }
         }
     }
 
-    /// Execute one atomic region from (block, idx) to its matching
-    /// `tmend`, issuing TM barriers through `tx`.
-    fn run_region(
-        &self,
-        func: &Function,
-        tx: &mut Tx<'_>,
-        regs: &mut [i64],
-        mut block: BlockId,
-        mut idx: usize,
-        steps: &mut u64,
-    ) -> Result<RegionExit, Abort> {
-        let mut depth = 1u32;
-        loop {
-            if idx >= func.blocks[block].insts.len() {
-                return Ok(RegionExit::Error(ExecError::FellThrough));
-            }
-            *steps += 1;
-            if *steps > self.step_limit {
-                return Ok(RegionExit::Error(ExecError::StepLimit));
-            }
-            let inst = &func.blocks[block].insts[idx];
-            match inst {
-                Inst::TmBegin => {
-                    // Flattened nesting, as in GCC's TM runtime.
-                    depth += 1;
-                    idx += 1;
-                    continue;
-                }
-                Inst::TmEnd => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Ok(RegionExit::At(block, idx + 1));
-                    }
-                    idx += 1;
-                    continue;
-                }
-                _ => {}
-            }
-            match self.step_tx(inst, regs, tx)? {
-                Flow::Continue => idx += 1,
-                Flow::Jump(b) => {
-                    block = b;
-                    idx = 0;
-                }
-                Flow::Return(_) => {
-                    return Ok(RegionExit::Error(ExecError::UnbalancedEnd));
-                }
-                Flow::RegionEnd => unreachable!(),
-            }
-        }
-    }
-
-    fn operand(regs: &[i64], o: Operand) -> i64 {
-        match o {
-            Operand::Reg(r) => regs[r as usize],
-            Operand::Imm(v) => v,
-        }
-    }
-
-    /// Pure (non-barrier) portion of the step logic shared by both modes.
-    fn step_common(inst: &Inst, regs: &mut [i64]) -> Option<Flow> {
-        let val = |o: Operand, regs: &[i64]| Self::operand(regs, o);
-        match *inst {
-            Inst::Mov { dst, src } => {
-                regs[dst as usize] = val(src, regs);
-            }
-            Inst::Bin { op, dst, a, b } => {
-                regs[dst as usize] = op.eval(val(a, regs), val(b, regs));
-            }
-            Inst::Cmp { op, dst, a, b } => {
-                regs[dst as usize] = op.eval(val(a, regs), val(b, regs)) as i64;
-            }
-            Inst::Not { dst, src } => {
-                regs[dst as usize] = (val(src, regs) == 0) as i64;
-            }
-            Inst::Br { target } => return Some(Flow::Jump(target)),
-            Inst::CondBr {
-                cond,
-                then_to,
-                else_to,
-            } => {
-                return Some(Flow::Jump(if val(cond, regs) != 0 {
-                    then_to
-                } else {
-                    else_to
-                }))
-            }
-            Inst::Ret { val: v } => return Some(Flow::Return(v.map(|o| val(o, regs)))),
-            _ => return None, // barrier or region marker: caller handles
-        }
-        Some(Flow::Continue)
-    }
-
-    /// Non-transactional step (outside atomic regions): barriers act
-    /// directly on the heap.
-    fn step_nontx(&self, inst: &Inst, regs: &mut [i64]) -> Result<Flow, ExecError> {
-        if let Some(flow) = Self::step_common(inst, regs) {
-            return Ok(flow);
-        }
-        let val = |o: Operand, regs: &[i64]| Self::operand(regs, o);
-        match *inst {
-            Inst::TmLoad { dst, addr } => {
-                regs[dst as usize] = self.stm.read_now(Self::addr(val(addr, regs))?);
-            }
-            Inst::TmStore { addr, val: v } => {
-                self.stm
-                    .write_now(Self::addr(val(addr, regs))?, val(v, regs));
-            }
-            Inst::TmCmpVal {
-                op,
-                dst,
-                addr,
-                val: v,
-            } => {
-                let lhs = self.stm.read_now(Self::addr(val(addr, regs))?);
-                regs[dst as usize] = op.eval(lhs, val(v, regs)) as i64;
-            }
-            Inst::TmCmpAddr { op, dst, a, b } => {
-                let lhs = self.stm.read_now(Self::addr(val(a, regs))?);
-                let rhs = self.stm.read_now(Self::addr(val(b, regs))?);
-                regs[dst as usize] = op.eval(lhs, rhs) as i64;
-            }
-            Inst::TmInc {
-                addr,
-                delta,
-                negate,
-            } => {
-                let a = Self::addr(val(addr, regs))?;
-                let d = val(delta, regs);
-                let d = if negate { -d } else { d };
-                self.stm.write_now(a, self.stm.read_now(a).wrapping_add(d));
-            }
-            Inst::TmEnd => return Ok(Flow::RegionEnd),
-            _ => unreachable!("step_common covers the rest"),
-        }
-        Ok(Flow::Continue)
-    }
-
-    /// Transactional step: one TM-runtime dispatch per barrier.
-    fn step_tx(&self, inst: &Inst, regs: &mut [i64], tx: &mut Tx<'_>) -> Result<Flow, Abort> {
-        if let Some(flow) = Self::step_common(inst, regs) {
-            return Ok(flow);
-        }
-        let val = |o: Operand, regs: &[i64]| Self::operand(regs, o);
-        self.counters.tm_calls.fetch_add(1, Ordering::Relaxed);
-        let bad = |_v: i64| Abort::explicit(); // negative address: treated as a failed attempt
-        match *inst {
-            Inst::TmLoad { dst, addr } => {
-                let a = val(addr, regs);
-                if a < 0 {
-                    return Err(bad(a));
-                }
-                regs[dst as usize] = tx.read(Addr::from_index(a as usize))?;
-            }
-            Inst::TmStore { addr, val: v } => {
-                let a = val(addr, regs);
-                if a < 0 {
-                    return Err(bad(a));
-                }
-                tx.write(Addr::from_index(a as usize), val(v, regs))?;
-            }
-            Inst::TmCmpVal {
-                op,
-                dst,
-                addr,
-                val: v,
-            } => {
-                let a = val(addr, regs);
-                if a < 0 {
-                    return Err(bad(a));
-                }
-                regs[dst as usize] = tx.cmp(Addr::from_index(a as usize), op, val(v, regs))? as i64;
-            }
-            Inst::TmCmpAddr { op, dst, a, b } => {
-                let av = val(a, regs);
-                let bv = val(b, regs);
-                if av < 0 || bv < 0 {
-                    return Err(bad(av.min(bv)));
-                }
-                regs[dst as usize] = tx.cmp_addr(
-                    Addr::from_index(av as usize),
-                    op,
-                    Addr::from_index(bv as usize),
-                )? as i64;
-            }
-            Inst::TmInc {
-                addr,
-                delta,
-                negate,
-            } => {
-                let a = val(addr, regs);
-                if a < 0 {
-                    return Err(bad(a));
-                }
-                let d = val(delta, regs);
-                tx.inc(Addr::from_index(a as usize), if negate { -d } else { d })?;
-            }
-            _ => unreachable!("TmBegin/TmEnd handled by run_region"),
-        }
-        Ok(Flow::Continue)
-    }
-}
-
-enum RegionExit {
-    At(BlockId, usize),
-    Error(ExecError),
-}
-
-enum LoweredExit {
-    At(usize),
-    Error(ExecError),
-}
-
-impl<'a> Interp<'a> {
     /// Run a pre-lowered `func` with `args` — the threaded-dispatch
     /// twin of [`Interp::execute`].
     ///
@@ -419,248 +243,249 @@ impl<'a> Interp<'a> {
     /// return value, same heap effects, same barrier dispatches — the
     /// differential oracle checks all three on every backend), but each
     /// step is one pc-indexed op fetch and one match: no
-    /// `blocks[block].insts[idx]` double indirection, no end-of-block
-    /// test, and an atomic-region retry resets a single pc. This is the
-    /// execution mode the Figure-2 "GCC" experiments use, so the
-    /// interpreter tax they measure is dispatch into the TM runtime,
-    /// not tree-walking overhead.
+    /// `blocks[block].insts[idx]` double indirection, and an
+    /// atomic-region retry resets a single pc. This is the execution
+    /// mode the Figure-2 "GCC" experiments use, so the interpreter tax
+    /// they measure is dispatch into the TM runtime, not tree-walking
+    /// overhead.
     pub fn execute_lowered(
         &self,
         func: &LoweredFunction,
         args: &[i64],
     ) -> Result<Option<i64>, ExecError> {
-        assert_eq!(args.len(), func.num_args as usize, "arity mismatch");
-        let mut regs = vec![0i64; func.num_regs as usize];
-        regs[..args.len()].copy_from_slice(args);
+        let mut regs = frame(func.num_args, func.num_regs, args);
         let mut steps = 0u64;
-        let mut pc = 0usize;
-        let val = |o: Operand, regs: &[i64]| Self::operand(regs, o);
+        let mut pc = 0;
         loop {
-            let Some(op) = func.ops.get(pc) else {
-                return Err(ExecError::FellThrough);
-            };
-            steps += 1;
-            if steps > self.step_limit {
-                return Err(ExecError::StepLimit);
+            pc = match self.run(func, &mut Direct(self.stm), &mut regs, pc, &mut steps) {
+                Ok(Stop::Return(v)) => return Ok(v),
+                Ok(Stop::Boundary(entry)) => self.region(&mut regs, |tm, regs| {
+                    self.run(func, tm, regs, entry, &mut steps)
+                })?,
+                Err(Trap::Exec(e)) => return Err(e),
+                Err(Trap::Abort(never)) => match never {},
             }
-            if matches!(op, Op::TmBegin) {
-                // Same retry protocol as `execute`: the region re-runs
-                // from its entry pc with the registers captured at
-                // `tmbegin`, under contention-manager backoff.
-                let entry_regs = regs.clone();
-                let entry_pc = pc + 1;
-                let mut steps_in_region = 0u64;
-                let mut backoff =
-                    semtm_core::util::Backoff::new(semtm_core::util::thread_token(), 16, 4096);
-                let mut attempt = 0u32;
-                let next_pc = loop {
-                    let mut exec_err: Option<ExecError> = None;
-                    let mut r = entry_regs.clone();
-                    let out = self.stm.try_atomic(|tx| {
-                        self.counters
-                            .region_attempts
-                            .fetch_add(1, Ordering::Relaxed);
-                        match self.run_region_lowered(
-                            func,
-                            tx,
-                            &mut r,
-                            entry_pc,
-                            &mut steps_in_region,
-                        )? {
-                            LoweredExit::At(p) => Ok(p),
-                            LoweredExit::Error(e) => {
-                                exec_err = Some(e);
-                                Err(Abort::explicit())
-                            }
-                        }
-                    });
-                    match out {
-                        Ok(p) => {
-                            regs = r;
-                            break p;
-                        }
-                        Err(_) => {
-                            if let Some(e) = exec_err {
-                                return Err(e);
-                            }
-                            backoff.pause(attempt);
-                            semtm_core::sched::spin();
-                            attempt = attempt.saturating_add(1);
-                        }
-                    }
-                };
-                steps += steps_in_region;
-                if steps > self.step_limit {
-                    return Err(ExecError::StepLimit);
-                }
-                pc = next_pc;
-                continue;
-            }
-            match *op {
-                Op::Mov { dst, src } => regs[dst as usize] = val(src, &regs),
-                Op::Bin { op, dst, a, b } => {
-                    regs[dst as usize] = op.eval(val(a, &regs), val(b, &regs));
-                }
-                Op::Cmp { op, dst, a, b } => {
-                    regs[dst as usize] = op.eval(val(a, &regs), val(b, &regs)) as i64;
-                }
-                Op::Not { dst, src } => regs[dst as usize] = (val(src, &regs) == 0) as i64,
-                Op::TmLoad { dst, addr } => {
-                    regs[dst as usize] = self.stm.read_now(Self::addr(val(addr, &regs))?);
-                }
-                Op::TmStore { addr, val: v } => {
-                    self.stm
-                        .write_now(Self::addr(val(addr, &regs))?, val(v, &regs));
-                }
-                Op::TmCmpVal {
-                    op,
-                    dst,
-                    addr,
-                    val: v,
-                } => {
-                    let lhs = self.stm.read_now(Self::addr(val(addr, &regs))?);
-                    regs[dst as usize] = op.eval(lhs, val(v, &regs)) as i64;
-                }
-                Op::TmCmpAddr { op, dst, a, b } => {
-                    let lhs = self.stm.read_now(Self::addr(val(a, &regs))?);
-                    let rhs = self.stm.read_now(Self::addr(val(b, &regs))?);
-                    regs[dst as usize] = op.eval(lhs, rhs) as i64;
-                }
-                Op::TmInc {
-                    addr,
-                    delta,
-                    negate,
-                } => {
-                    let a = Self::addr(val(addr, &regs))?;
-                    let d = val(delta, &regs);
-                    let d = if negate { -d } else { d };
-                    self.stm.write_now(a, self.stm.read_now(a).wrapping_add(d));
-                }
-                Op::Jump { pc: target } => {
-                    pc = target;
-                    continue;
-                }
-                Op::JumpIf {
-                    cond,
-                    then_pc,
-                    else_pc,
-                } => {
-                    pc = if val(cond, &regs) != 0 {
-                        then_pc
-                    } else {
-                        else_pc
-                    };
-                    continue;
-                }
-                Op::Ret { val: v } => return Ok(v.map(|o| val(o, &regs))),
-                Op::TmEnd => return Err(ExecError::UnbalancedEnd),
-                Op::TmBegin => unreachable!("handled above"),
-            }
-            pc += 1;
         }
     }
 
-    /// Execute one atomic region of a lowered function from `pc` to its
-    /// matching `tmend`, issuing TM barriers through `tx`.
-    fn run_region_lowered(
+    /// Execute one atomic region under the runtime's transaction driver
+    /// ([`Stm::atomic_or_err`] — the retry loop, its pacing and all its
+    /// telemetry are the runtime's, shared with hand-annotated code).
+    /// `body` runs the region from its entry to its matching `tmend`;
+    /// every attempt starts from the registers captured at `tmbegin` —
+    /// the abort-and-restart semantics of the GCC TM runtime. A program
+    /// error inside the region gives the transaction up: nothing
+    /// commits and the error is returned after that one attempt.
+    fn region<P>(
+        &self,
+        regs: &mut [i64],
+        mut body: impl FnMut(&mut InRegion<'_, '_>, &mut [i64]) -> Result<Stop<P>, Trap<Abort>>,
+    ) -> Result<P, ExecError> {
+        let entry_regs = regs.to_vec();
+        self.stm.atomic_or_err(|tx| {
+            self.counters
+                .region_attempts
+                .fetch_add(1, Ordering::Relaxed);
+            regs.copy_from_slice(&entry_regs);
+            let mut barriers = InRegion {
+                tx,
+                calls: &self.counters.tm_calls,
+            };
+            match body(&mut barriers, regs) {
+                Ok(Stop::Boundary(exit)) => Ok(Ok(exit)),
+                Ok(Stop::Return(_)) => Ok(Err(ExecError::UnbalancedEnd)),
+                Err(Trap::Exec(e)) => Ok(Err(e)),
+                Err(Trap::Abort(abort)) => Err(abort),
+            }
+        })
+    }
+
+    /// Charge one instruction to the call's budget. The budget spans
+    /// the whole `execute` call, re-executed region attempts included.
+    fn tick(&self, steps: &mut u64) -> Result<(), ExecError> {
+        *steps += 1;
+        if *steps > self.step_limit {
+            Err(ExecError::StepLimit)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// The tree-walking op loop: execute `func` from `(block, idx)`
+    /// until it returns or crosses the boundary of the outermost region.
+    fn walk<B: Barriers>(
+        &self,
+        func: &Function,
+        tm: &mut B,
+        regs: &mut [i64],
+        (mut block, mut idx): (BlockId, usize),
+        steps: &mut u64,
+    ) -> Result<Stop<(BlockId, usize)>, Trap<B::Abort>> {
+        let mut depth = B::DEPTH;
+        loop {
+            let Some(inst) = func.blocks[block].insts.get(idx) else {
+                return Err(ExecError::FellThrough.into());
+            };
+            self.tick(steps)?;
+            idx += 1;
+            match *inst {
+                Inst::Mov { dst, src } => regs[dst as usize] = operand(regs, src),
+                Inst::Bin { op, dst, a, b } => {
+                    regs[dst as usize] = op.eval(operand(regs, a), operand(regs, b));
+                }
+                Inst::Cmp { op, dst, a, b } => {
+                    regs[dst as usize] = op.eval(operand(regs, a), operand(regs, b)) as i64;
+                }
+                Inst::Not { dst, src } => regs[dst as usize] = (operand(regs, src) == 0) as i64,
+                Inst::TmLoad { dst, addr: a } => {
+                    let a = addr(operand(regs, a))?;
+                    regs[dst as usize] = tm.read(a)?;
+                }
+                Inst::TmStore { addr: a, val } => {
+                    let a = addr(operand(regs, a))?;
+                    tm.write(a, operand(regs, val))?;
+                }
+                Inst::TmCmpVal {
+                    op,
+                    dst,
+                    addr: a,
+                    val,
+                } => {
+                    let a = addr(operand(regs, a))?;
+                    let holds = tm.cmp(a, op, operand(regs, val))?;
+                    regs[dst as usize] = holds as i64;
+                }
+                Inst::TmCmpAddr {
+                    op,
+                    dst,
+                    a: lhs,
+                    b: rhs,
+                } => {
+                    let (lhs, rhs) = (addr(operand(regs, lhs))?, addr(operand(regs, rhs))?);
+                    regs[dst as usize] = tm.cmp_addr(lhs, op, rhs)? as i64;
+                }
+                Inst::TmInc {
+                    addr: a,
+                    delta,
+                    negate,
+                } => {
+                    let a = addr(operand(regs, a))?;
+                    let d = operand(regs, delta);
+                    tm.inc(a, if negate { -d } else { d })?;
+                }
+                Inst::Br { target } => (block, idx) = (target, 0),
+                Inst::CondBr {
+                    cond,
+                    then_to,
+                    else_to,
+                } => {
+                    block = if operand(regs, cond) != 0 {
+                        then_to
+                    } else {
+                        else_to
+                    };
+                    idx = 0;
+                }
+                Inst::Ret { val } => return Ok(Stop::Return(val.map(|o| operand(regs, o)))),
+                Inst::TmBegin if depth == 0 => return Ok(Stop::Boundary((block, idx))),
+                // Flattened nesting, as in GCC's TM runtime.
+                Inst::TmBegin => depth += 1,
+                Inst::TmEnd if depth == 0 => return Err(ExecError::UnbalancedEnd.into()),
+                Inst::TmEnd => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Ok(Stop::Boundary((block, idx)));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The lowered op loop: as [`Interp::walk`], over the flat op array.
+    fn run<B: Barriers>(
         &self,
         func: &LoweredFunction,
-        tx: &mut Tx<'_>,
+        tm: &mut B,
         regs: &mut [i64],
         mut pc: usize,
         steps: &mut u64,
-    ) -> Result<LoweredExit, Abort> {
-        let mut depth = 1u32;
-        let val = |o: Operand, regs: &[i64]| Self::operand(regs, o);
-        let addr_of = |v: i64| -> Result<Addr, Abort> {
-            if v < 0 {
-                // Negative address: treated as a failed attempt, same as
-                // the tree-walker's transactional step.
-                Err(Abort::explicit())
-            } else {
-                Ok(Addr::from_index(v as usize))
-            }
-        };
+    ) -> Result<Stop<usize>, Trap<B::Abort>> {
+        let mut depth = B::DEPTH;
         loop {
             let Some(op) = func.ops.get(pc) else {
-                return Ok(LoweredExit::Error(ExecError::FellThrough));
+                return Err(ExecError::FellThrough.into());
             };
-            *steps += 1;
-            if *steps > self.step_limit {
-                return Ok(LoweredExit::Error(ExecError::StepLimit));
-            }
+            self.tick(steps)?;
+            pc += 1;
             match *op {
-                Op::TmBegin => {
-                    // Flattened nesting, as in GCC's TM runtime.
-                    depth += 1;
-                }
-                Op::TmEnd => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Ok(LoweredExit::At(pc + 1));
-                    }
-                }
-                Op::Mov { dst, src } => regs[dst as usize] = val(src, regs),
+                Op::Mov { dst, src } => regs[dst as usize] = operand(regs, src),
                 Op::Bin { op, dst, a, b } => {
-                    regs[dst as usize] = op.eval(val(a, regs), val(b, regs));
+                    regs[dst as usize] = op.eval(operand(regs, a), operand(regs, b));
                 }
                 Op::Cmp { op, dst, a, b } => {
-                    regs[dst as usize] = op.eval(val(a, regs), val(b, regs)) as i64;
+                    regs[dst as usize] = op.eval(operand(regs, a), operand(regs, b)) as i64;
                 }
-                Op::Not { dst, src } => regs[dst as usize] = (val(src, regs) == 0) as i64,
-                Op::TmLoad { dst, addr } => {
-                    self.counters.tm_calls.fetch_add(1, Ordering::Relaxed);
-                    regs[dst as usize] = tx.read(addr_of(val(addr, regs))?)?;
+                Op::Not { dst, src } => regs[dst as usize] = (operand(regs, src) == 0) as i64,
+                Op::TmLoad { dst, addr: a } => {
+                    let a = addr(operand(regs, a))?;
+                    regs[dst as usize] = tm.read(a)?;
                 }
-                Op::TmStore { addr, val: v } => {
-                    self.counters.tm_calls.fetch_add(1, Ordering::Relaxed);
-                    tx.write(addr_of(val(addr, regs))?, val(v, regs))?;
+                Op::TmStore { addr: a, val } => {
+                    let a = addr(operand(regs, a))?;
+                    tm.write(a, operand(regs, val))?;
                 }
                 Op::TmCmpVal {
                     op,
                     dst,
-                    addr,
-                    val: v,
+                    addr: a,
+                    val,
                 } => {
-                    self.counters.tm_calls.fetch_add(1, Ordering::Relaxed);
-                    regs[dst as usize] =
-                        tx.cmp(addr_of(val(addr, regs))?, op, val(v, regs))? as i64;
+                    let a = addr(operand(regs, a))?;
+                    let holds = tm.cmp(a, op, operand(regs, val))?;
+                    regs[dst as usize] = holds as i64;
                 }
-                Op::TmCmpAddr { op, dst, a, b } => {
-                    self.counters.tm_calls.fetch_add(1, Ordering::Relaxed);
-                    regs[dst as usize] =
-                        tx.cmp_addr(addr_of(val(a, regs))?, op, addr_of(val(b, regs))?)? as i64;
+                Op::TmCmpAddr {
+                    op,
+                    dst,
+                    a: lhs,
+                    b: rhs,
+                } => {
+                    let (lhs, rhs) = (addr(operand(regs, lhs))?, addr(operand(regs, rhs))?);
+                    regs[dst as usize] = tm.cmp_addr(lhs, op, rhs)? as i64;
                 }
                 Op::TmInc {
-                    addr,
+                    addr: a,
                     delta,
                     negate,
                 } => {
-                    self.counters.tm_calls.fetch_add(1, Ordering::Relaxed);
-                    let d = val(delta, regs);
-                    tx.inc(addr_of(val(addr, regs))?, if negate { -d } else { d })?;
+                    let a = addr(operand(regs, a))?;
+                    let d = operand(regs, delta);
+                    tm.inc(a, if negate { -d } else { d })?;
                 }
-                Op::Jump { pc: target } => {
-                    pc = target;
-                    continue;
-                }
+                Op::Jump { pc: target } => pc = target,
                 Op::JumpIf {
                     cond,
                     then_pc,
                     else_pc,
                 } => {
-                    pc = if val(cond, regs) != 0 {
+                    pc = if operand(regs, cond) != 0 {
                         then_pc
                     } else {
                         else_pc
                     };
-                    continue;
                 }
-                Op::Ret { .. } => {
-                    return Ok(LoweredExit::Error(ExecError::UnbalancedEnd));
+                Op::Ret { val } => return Ok(Stop::Return(val.map(|o| operand(regs, o)))),
+                Op::TmBegin if depth == 0 => return Ok(Stop::Boundary(pc)),
+                // Flattened nesting, as in GCC's TM runtime.
+                Op::TmBegin => depth += 1,
+                Op::TmEnd if depth == 0 => return Err(ExecError::UnbalancedEnd.into()),
+                Op::TmEnd => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Ok(Stop::Boundary(pc));
+                    }
                 }
             }
-            pc += 1;
         }
     }
 }
@@ -671,6 +496,7 @@ mod tests {
     use crate::ir::{BinOp, FunctionBuilder, Inst, Operand};
     use crate::passes::run_tm_passes;
     use semtm_core::{Algorithm, CmpOp, StmConfig};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn stm(alg: Algorithm) -> Stm {
         Stm::new(StmConfig::new(alg).heap_words(1 << 12).orec_count(1 << 8))
@@ -800,6 +626,114 @@ mod tests {
         let mut interp = Interp::new(&s);
         interp.step_limit = 1000;
         assert_eq!(interp.execute(&f, &[]), Err(ExecError::StepLimit));
+    }
+
+    type Form = Box<dyn Fn(&Interp<'_>, &[i64]) -> Result<Option<i64>, ExecError>>;
+
+    /// `func` run tree-walking and lowered, as closures over an interpreter.
+    fn both_forms(func: crate::ir::Function) -> [(&'static str, Form); 2] {
+        let lowered = crate::lower::lower(&func).unwrap();
+        [
+            ("tree", Box::new(move |i, args| i.execute(&func, args))),
+            (
+                "lowered",
+                Box::new(move |i, args| i.execute_lowered(&lowered, args)),
+            ),
+        ]
+    }
+
+    #[test]
+    fn bad_address_inside_a_region_is_reported_after_one_attempt() {
+        for (form, run) in both_forms(crate::programs::bank_transfer()) {
+            let s = stm(Algorithm::SNOrec);
+            let b = s.alloc_cell(10i64);
+            let mut interp = Interp::new(&s);
+            interp.step_limit = 10_000;
+            assert_eq!(
+                run(&interp, &[-5, b.index() as i64, 1]),
+                Err(ExecError::BadAddress(-5)),
+                "{form}"
+            );
+            assert_eq!(interp.counters.region_attempts(), 1, "{form}");
+            assert_eq!(s.read_now(b), 10, "{form}: nothing commits");
+            assert_eq!(s.stats().aborts_explicit, 1, "{form}");
+        }
+    }
+
+    #[test]
+    fn step_limit_inside_a_region_gives_up_without_committing() {
+        // `atomic { loop { *r0 = 7 } }`
+        let mut fb = FunctionBuilder::new("spin_in_region", 1);
+        let body = fb.block("body");
+        fb.switch_to(0);
+        fb.push(Inst::TmBegin);
+        fb.push(Inst::Br { target: body });
+        fb.switch_to(body);
+        fb.push(Inst::TmStore {
+            addr: Operand::Reg(0),
+            val: Operand::Imm(7),
+        });
+        fb.push(Inst::Br { target: body });
+        for (form, run) in both_forms(fb.build()) {
+            let s = stm(Algorithm::STl2);
+            let x = s.alloc_cell(1i64);
+            let mut interp = Interp::new(&s);
+            interp.step_limit = 1000;
+            assert_eq!(
+                run(&interp, &[x.index() as i64]),
+                Err(ExecError::StepLimit),
+                "{form}"
+            );
+            assert_eq!(interp.counters.region_attempts(), 1, "{form}");
+            assert_eq!(s.read_now(x), 1, "{form}: nothing commits");
+        }
+    }
+
+    #[test]
+    fn region_on_a_poisoned_log_fail_stops_like_atomic() {
+        struct Broken;
+        impl semtm_core::LogStorage for Broken {
+            fn append(&mut self, _: &[u8]) -> std::io::Result<()> {
+                Err(std::io::ErrorKind::Other.into())
+            }
+            fn sync(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let panic_of = |r: std::thread::Result<()>| {
+            *r.expect_err("must fail-stop")
+                .downcast::<String>()
+                .expect("panic message")
+        };
+        for (form, run) in both_forms(crate::programs::bank_transfer()) {
+            let config = StmConfig::new(Algorithm::SNOrec)
+                .heap_words(1 << 8)
+                .durability(semtm_core::DurabilityMode::Sync);
+            let s = Stm::with_wal(config, Box::new(Broken));
+            let accounts = s.alloc_array(2, 10i64);
+            // The first writer finds out the hard way and poisons the log.
+            let first = catch_unwind(AssertUnwindSafe(|| s.atomic(|tx| tx.write(accounts, 11))));
+            assert!(panic_of(first).contains("cannot be made durable"), "{form}");
+            assert!(s.wal().unwrap().is_poisoned());
+
+            let later = catch_unwind(AssertUnwindSafe(|| s.atomic(|tx| tx.write(accounts, 12))));
+            let fail_stop = panic_of(later);
+            assert!(fail_stop.contains("commit log I/O failure"), "{fail_stop}");
+
+            let mut interp = Interp::new(&s);
+            interp.step_limit = 1_000_000;
+            let args = [
+                accounts.index() as i64,
+                accounts.offset(1).index() as i64,
+                1,
+            ];
+            let region = catch_unwind(AssertUnwindSafe(|| {
+                run(&interp, &args).ok();
+            }));
+            assert_eq!(panic_of(region), fail_stop, "{form}");
+            assert_eq!(interp.counters.region_attempts(), 1, "{form}");
+            assert_eq!(s.read_now(accounts.offset(1)), 10, "{form}: rolled back");
+        }
     }
 
     #[test]

@@ -61,37 +61,8 @@ pub fn run_for_duration(
     seed: u64,
     work: impl Fn(usize, &mut SplitMix64) + Sync,
 ) -> RunResult {
-    let stop = AtomicBool::new(false);
-    let ops = AtomicU64::new(0);
-    let before = stm.stats();
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for tid in 0..threads {
-            let stop = &stop;
-            let ops = &ops;
-            let work = &work;
-            s.spawn(move || {
-                let mut rng = SplitMix64::new(seed ^ ((tid as u64 + 1) * 0x9E37_79B9));
-                let mut local = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    work(tid, &mut rng);
-                    local += 1;
-                }
-                ops.fetch_add(local, Ordering::Relaxed);
-            });
-        }
-        // The scope owner doubles as the timer.
-        std::thread::sleep(duration);
-        stop.store(true, Ordering::Relaxed);
-    });
-    let elapsed = start.elapsed();
-    RunResult {
-        threads,
-        elapsed,
-        total_ops: ops.load(Ordering::Relaxed),
-        stats: stm.stats().since(&before),
-        setup_commits: 0,
-    }
+    // One tick spanning the whole run: the timer sleeps through it.
+    run_for_duration_sampled(stm, threads, duration, duration, seed, work).0
 }
 
 /// Like [`run_for_duration`], but the timer thread additionally samples
@@ -106,6 +77,25 @@ pub fn run_for_duration_sampled(
     sample_every: Duration,
     seed: u64,
     work: impl Fn(usize, &mut SplitMix64) + Sync,
+) -> (RunResult, Vec<SamplePoint>) {
+    run_for_duration_observed(stm, threads, duration, sample_every, seed, work, |_, _| {})
+}
+
+/// Like [`run_for_duration_sampled`], but each sample is additionally
+/// handed to `observe` *while the run is in flight* — the hook behind
+/// live dashboards, which can also read `stm`'s telemetry (hot
+/// addresses, span counts) from inside the callback. The observer runs
+/// on the timer thread, so a slow observer stretches the tick, not the
+/// workers.
+#[allow(clippy::too_many_arguments)]
+pub fn run_for_duration_observed(
+    stm: &Stm,
+    threads: usize,
+    duration: Duration,
+    sample_every: Duration,
+    seed: u64,
+    work: impl Fn(usize, &mut SplitMix64) + Sync,
+    mut observe: impl FnMut(Duration, &SamplePoint),
 ) -> (RunResult, Vec<SamplePoint>) {
     let stop = AtomicBool::new(false);
     let ops = AtomicU64::new(0);
@@ -135,68 +125,6 @@ pub fn run_for_duration_sampled(
         while start.elapsed() < duration {
             let remaining = duration.saturating_sub(start.elapsed());
             std::thread::sleep(sample_every.min(remaining));
-            series.push(sampler.sample(stm.stats()));
-        }
-        stop.store(true, Ordering::Relaxed);
-    });
-    let elapsed = start.elapsed();
-    // Workers drain their in-flight transaction after `stop`; fold that
-    // tail into a final sample so the series sums to the run totals.
-    let tail = sampler.sample(stm.stats());
-    if tail.commits > 0 || series.is_empty() {
-        series.push(tail);
-    }
-    let result = RunResult {
-        threads,
-        elapsed,
-        total_ops: ops.load(Ordering::Relaxed),
-        stats: stm.stats().since(&before),
-        setup_commits: 0,
-    };
-    (result, series)
-}
-
-/// Like [`run_for_duration_sampled`], but each sample is additionally
-/// handed to `observe` *while the run is in flight* — the hook behind
-/// live dashboards, which can also read `stm`'s telemetry (hot
-/// addresses, span counts) from inside the callback. The observer runs
-/// on the timer thread, so a slow observer stretches the tick, not the
-/// workers.
-#[allow(clippy::too_many_arguments)]
-pub fn run_for_duration_observed(
-    stm: &Stm,
-    threads: usize,
-    duration: Duration,
-    sample_every: Duration,
-    seed: u64,
-    work: impl Fn(usize, &mut SplitMix64) + Sync,
-    mut observe: impl FnMut(Duration, &SamplePoint),
-) -> (RunResult, Vec<SamplePoint>) {
-    let stop = AtomicBool::new(false);
-    let ops = AtomicU64::new(0);
-    let before = stm.stats();
-    let sample_every = sample_every.max(Duration::from_millis(1));
-    let start = Instant::now();
-    let mut series = Vec::new();
-    let mut sampler = Sampler::new(before);
-    std::thread::scope(|s| {
-        for tid in 0..threads {
-            let stop = &stop;
-            let ops = &ops;
-            let work = &work;
-            s.spawn(move || {
-                let mut rng = SplitMix64::new(seed ^ ((tid as u64 + 1) * 0x9E37_79B9));
-                let mut local = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    work(tid, &mut rng);
-                    local += 1;
-                }
-                ops.fetch_add(local, Ordering::Relaxed);
-            });
-        }
-        while start.elapsed() < duration {
-            let remaining = duration.saturating_sub(start.elapsed());
-            std::thread::sleep(sample_every.min(remaining));
             let point = sampler.sample(stm.stats());
             observe(start.elapsed(), &point);
             series.push(point);
@@ -204,6 +132,8 @@ pub fn run_for_duration_observed(
         stop.store(true, Ordering::Relaxed);
     });
     let elapsed = start.elapsed();
+    // Workers drain their in-flight transaction after `stop`; fold that
+    // tail into a final sample so the series sums to the run totals.
     let tail = sampler.sample(stm.stats());
     if tail.commits > 0 || series.is_empty() {
         observe(elapsed, &tail);

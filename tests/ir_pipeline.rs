@@ -2,8 +2,7 @@
 //! transactional execution, plus property tests that the passes are
 //! semantics-preserving on arbitrary straight-line transactional
 //! programs. The property tier runs deterministically (seeded
-//! `SplitMix64`); the original proptest suite is gated behind the
-//! off-by-default `registry-deps` feature.
+//! `SplitMix64`).
 
 use semtm::core::util::SplitMix64;
 use semtm::ir::ir::{BinOp, Block, Function, Inst, Operand};
@@ -221,7 +220,7 @@ fn run_program(f: &Function, init: [i64; CELLS], alg: Algorithm) -> (Option<i64>
 
 /// tm_mark + tm_optimize never change observable behaviour: same
 /// return value, same final memory, on both the delegating and the
-/// semantic algorithm. Deterministic port of the proptest case.
+/// semantic algorithm.
 #[test]
 fn passes_preserve_semantics_deterministic() {
     let mut rng = SplitMix64::new(0x1AC5);
@@ -253,57 +252,5 @@ fn passes_never_add_barriers_deterministic() {
         let mut passed = plain.clone();
         run_tm_passes(&mut passed);
         assert!(passed.barrier_count() <= plain.barrier_count());
-    }
-}
-
-/// The original proptest tier. Enable with the (off-by-default)
-/// `registry-deps` feature after uncommenting the proptest
-/// dev-dependency in Cargo.toml.
-#[cfg(feature = "registry-deps")]
-mod props {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn sop_strategy() -> impl Strategy<Value = SOp> {
-        let cell = 0..CELLS;
-        let k = -9i64..9;
-        prop_oneof![
-            cell.clone().prop_map(SOp::Load),
-            (cell.clone(), k.clone()).prop_map(|(c, k)| SOp::StoreImm(c, k)),
-            (cell.clone(), k.clone()).prop_map(|(c, k)| SOp::StoreLoadPlus(c, k)),
-            (cell.clone(), k.clone()).prop_map(|(c, k)| SOp::StoreLoadMinus(c, k)),
-            (cell.clone(), cell.clone(), k.clone())
-                .prop_map(|(a, b, k)| SOp::StoreCrossPlus(a, b, k)),
-            (cell, k).prop_map(|(c, k)| SOp::CmpImm(c, k)),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn passes_preserve_semantics(
-            init in prop::array::uniform3(-20i64..20),
-            ops in prop::collection::vec(sop_strategy(), 1..25),
-        ) {
-            let plain = build_function(&ops);
-            let mut passed = plain.clone();
-            run_tm_passes(&mut passed);
-            let baseline = run_program(&plain, init, Algorithm::NOrec);
-            for alg in Algorithm::ALL {
-                prop_assert_eq!(run_program(&plain, init, alg), baseline.clone());
-                prop_assert_eq!(run_program(&passed, init, alg), baseline.clone());
-            }
-        }
-
-        #[test]
-        fn passes_never_add_barriers(
-            ops in prop::collection::vec(sop_strategy(), 1..25),
-        ) {
-            let plain = build_function(&ops);
-            let mut passed = plain.clone();
-            run_tm_passes(&mut passed);
-            prop_assert!(passed.barrier_count() <= plain.barrier_count());
-        }
     }
 }

@@ -6,9 +6,8 @@
 //! `cmp` returns the relation applied to that same value. Single-
 //! threaded, every algorithm must be *exactly* this specification.
 //!
-//! Two tiers share the same checker: an always-on deterministic tier
-//! driven by `SplitMix64` (runs offline in tier-1), and the original
-//! proptest suite behind the off-by-default `registry-deps` feature.
+//! The checker is driven deterministically by `SplitMix64` (runs
+//! offline in tier-1).
 
 use semtm::core::util::SplitMix64;
 use semtm::{Algorithm, CmpOp, Stm, StmConfig};
@@ -167,68 +166,6 @@ fn algorithms_agree_pairwise_deterministic() {
         }
         for pair in finals.windows(2) {
             assert_eq!(&pair[0], &pair[1]);
-        }
-    }
-}
-
-/// The original proptest tier. Enable with the (off-by-default)
-/// `registry-deps` feature after uncommenting the proptest
-/// dev-dependency in Cargo.toml.
-#[cfg(feature = "registry-deps")]
-mod props {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        let reg = 0..REGISTERS;
-        let val = -50i64..50;
-        let cmp_op = prop::sample::select(CmpOp::ALL.to_vec());
-        prop_oneof![
-            reg.clone().prop_map(Op::Read),
-            (reg.clone(), val.clone()).prop_map(|(r, v)| Op::Write(r, v)),
-            (reg.clone(), val.clone()).prop_map(|(r, v)| Op::Inc(r, v)),
-            (reg.clone(), cmp_op.clone(), val).prop_map(|(r, o, v)| Op::Cmp(r, o, v)),
-            (reg.clone(), cmp_op, reg).prop_map(|(a, o, b)| Op::CmpAddr(a, o, b)),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn snorec_matches_sequential_spec(
-            init in prop::array::uniform4(-20i64..20),
-            tx_sizes in prop::collection::vec(1usize..8, 1..6),
-            ops in prop::collection::vec(op_strategy(), 1..40),
-        ) {
-            check_sequential_spec(Algorithm::SNOrec, init, &tx_sizes, &ops);
-        }
-
-        #[test]
-        fn stl2_matches_sequential_spec(
-            init in prop::array::uniform4(-20i64..20),
-            tx_sizes in prop::collection::vec(1usize..8, 1..6),
-            ops in prop::collection::vec(op_strategy(), 1..40),
-        ) {
-            check_sequential_spec(Algorithm::STl2, init, &tx_sizes, &ops);
-        }
-
-        #[test]
-        fn norec_matches_sequential_spec(
-            init in prop::array::uniform4(-20i64..20),
-            tx_sizes in prop::collection::vec(1usize..8, 1..6),
-            ops in prop::collection::vec(op_strategy(), 1..40),
-        ) {
-            check_sequential_spec(Algorithm::NOrec, init, &tx_sizes, &ops);
-        }
-
-        #[test]
-        fn tl2_matches_sequential_spec(
-            init in prop::array::uniform4(-20i64..20),
-            tx_sizes in prop::collection::vec(1usize..8, 1..6),
-            ops in prop::collection::vec(op_strategy(), 1..40),
-        ) {
-            check_sequential_spec(Algorithm::Tl2, init, &tx_sizes, &ops);
         }
     }
 }
