@@ -28,7 +28,7 @@ use crate::fault;
 use crate::heap::{Addr, Heap};
 use crate::ops::CmpOp;
 use crate::sched::{self, PointKind};
-use crate::sets::{ReadEntry, WriteEntry, WriteKind, WriteSet};
+use crate::sets::{ReadEntry, Scratch, ScratchBox, WriteEntry, WriteKind, WriteSet};
 use crate::stats::OpCounts;
 use crate::stm::Engine;
 use crate::telemetry::PhaseRecorder;
@@ -69,8 +69,7 @@ impl Reads<'_> {
 /// state the view denotes**, and each method states what it contributes
 /// to keeping that true.
 pub(crate) trait CommitClock {
-    /// One attempt's view of the clock; kept across attempts so its
-    /// buffers are reused.
+    /// One attempt's view of the clock; kept across attempts.
     type View;
     /// Schedule point ahead of the data load of a consistent read.
     const READ: PointKind;
@@ -78,8 +77,11 @@ pub(crate) trait CommitClock {
     /// store (nothing may yield from there to `release`).
     const WRITEBACK: PointKind;
 
-    /// A view for a new transaction context (not yet meaningful).
-    fn view(&self) -> Self::View;
+    /// A view for a new transaction context (not yet meaningful), built
+    /// over whatever vectors it needs out of `scratch`.
+    fn view(&self, scratch: &mut Scratch) -> Self::View;
+    /// Give `view`'s vectors back to `scratch` when its context ends.
+    fn retire(_view: &mut Self::View, _scratch: &mut Scratch) {}
     /// Sample a view at which no write-back is in flight.
     fn begin(&self, view: &mut Self::View);
     /// Has a write-back possibly started since `view` was last valid? A
@@ -149,7 +151,7 @@ impl CommitClock for GlobalClock {
     const READ: PointKind = PointKind::NorecRead;
     const WRITEBACK: PointKind = PointKind::NorecWriteback;
 
-    fn view(&self) -> u64 {
+    fn view(&self, _: &mut Scratch) -> u64 {
         0
     }
 
@@ -242,8 +244,9 @@ pub(crate) struct NorecTx<'a, C: CommitClock> {
     heap: &'a Heap,
     clock: &'a C,
     view: C::View,
-    reads: Vec<ReadEntry>,
-    writes: WriteSet,
+    /// The read-set, the write-set and the log record buffer, used in
+    /// place; handed back to the thread when this context drops.
+    scratch: ScratchBox,
     /// The clock is acquired and not yet released (only ever true inside
     /// `commit`; still true afterwards iff a panic unwound out of it).
     held: bool,
@@ -260,14 +263,15 @@ pub(crate) struct NorecTx<'a, C: CommitClock> {
 }
 
 impl<'a, C: CommitClock> NorecTx<'a, C> {
-    /// Create a transaction context bound to `heap` and `clock`.
+    /// Create a transaction context bound to `heap` and `clock`, over
+    /// the calling thread's scratch.
     pub(crate) fn new(heap: &'a Heap, clock: &'a C) -> Self {
+        let mut scratch = ScratchBox::take();
         NorecTx {
             heap,
             clock,
-            view: clock.view(),
-            reads: Vec::new(),
-            writes: WriteSet::default(),
+            view: clock.view(&mut scratch),
+            scratch,
             held: false,
             phases: PhaseRecorder::disabled(),
             record_committer: false,
@@ -291,7 +295,7 @@ impl<'a, C: CommitClock> NorecTx<'a, C> {
     fn validate(&mut self) -> Result<(), Abort> {
         let mut reads = Reads {
             heap: self.heap,
-            entries: &self.reads,
+            entries: &self.scratch.entries,
             phases: &mut self.phases,
         };
         let outcome = self.clock.validate(&mut self.view, &mut reads);
@@ -315,7 +319,7 @@ impl<'a, C: CommitClock> NorecTx<'a, C> {
     /// Returns the value the transaction would observe for `addr` if it is
     /// buffered, promoting `Increment` entries to reads+stores.
     fn raw(&mut self, addr: Addr, ops: &mut OpCounts) -> Result<Option<i64>, Abort> {
-        match self.writes.get(addr) {
+        match self.scratch.writes.get(addr) {
             None => Ok(None),
             Some(WriteEntry {
                 kind: WriteKind::Store,
@@ -329,7 +333,7 @@ impl<'a, C: CommitClock> NorecTx<'a, C> {
                 let observed = self.read_valid(addr)?;
                 self.push_read(addr, CmpOp::Eq, observed);
                 ops.promotes += 1;
-                Ok(Some(self.writes.promote(addr, observed)))
+                Ok(Some(self.scratch.writes.promote(addr, observed)))
             }
         }
     }
@@ -337,7 +341,9 @@ impl<'a, C: CommitClock> NorecTx<'a, C> {
     /// §4.1 "read after read": duplicates are appended, as the paper
     /// judges a dedup lookup not worth its cost.
     fn push_read(&mut self, addr: Addr, op: CmpOp, operand: i64) {
-        self.reads.push(ReadEntry::Val { addr, op, operand });
+        self.scratch
+            .entries
+            .push(ReadEntry::Val { addr, op, operand });
     }
 }
 
@@ -356,8 +362,8 @@ impl<'a, C: CommitClock> Engine<'a> for NorecTx<'a, C> {
     }
 
     fn begin(&mut self) {
-        self.reads.clear();
-        self.writes.clear();
+        self.scratch.entries.clear();
+        self.scratch.writes.clear();
         self.phases.reset();
         self.clock.begin(&mut self.view);
     }
@@ -374,7 +380,7 @@ impl<'a, C: CommitClock> Engine<'a> for NorecTx<'a, C> {
 
     /// `TM_WRITE` (Algorithm 6, lines 50–52).
     fn write(&mut self, addr: Addr, value: i64) {
-        self.writes.write(addr, value);
+        self.scratch.writes.write(addr, value);
     }
 
     /// Semantic compare, address–value form (Algorithm 6 `Compare`,
@@ -418,7 +424,7 @@ impl<'a, C: CommitClock> Engine<'a> for NorecTx<'a, C> {
                     }
                 };
                 let result = op.eval(va, vb);
-                self.reads.push(ReadEntry::Pair {
+                self.scratch.entries.push(ReadEntry::Pair {
                     a,
                     op: if result { op } else { op.inverse() },
                     b,
@@ -432,7 +438,7 @@ impl<'a, C: CommitClock> Engine<'a> for NorecTx<'a, C> {
     /// lines 44–49): pure write-set bookkeeping; the read happens at
     /// commit time under the clock's locks.
     fn inc(&mut self, addr: Addr, delta: i64) {
-        self.writes.inc(addr, delta);
+        self.scratch.writes.inc(addr, delta);
     }
 
     /// Commit. Read-only transactions commit immediately (their last
@@ -440,25 +446,31 @@ impl<'a, C: CommitClock> Engine<'a> for NorecTx<'a, C> {
     /// clock, then write back (applying deferred increments against live
     /// memory) and release.
     fn commit(&mut self) -> Result<(), Abort> {
-        if self.writes.is_empty() {
+        if self.scratch.writes.is_empty() {
             return Ok(());
         }
         self.phases.mark_lock();
         let mut reads = Reads {
             heap: self.heap,
-            entries: &self.reads,
+            entries: &self.scratch.entries,
             phases: &mut self.phases,
         };
-        let acquired = self.clock.acquire(&mut self.view, &self.writes, &mut reads);
+        let acquired = self
+            .clock
+            .acquire(&mut self.view, &self.scratch.writes, &mut reads);
         acquired.map_err(|abort| self.blame(abort))?;
         if self.record_committer {
             self.clock.stamp_committer(thread_token());
         }
         self.held = true;
         let (clock, view, held) = (self.clock, &self.view, &mut self.held);
-        self.writes.write_back(
+        let Scratch {
+            writes, resolved, ..
+        } = &mut *self.scratch;
+        writes.write_back(
             self.heap,
             self.wal,
+            resolved,
             &mut self.phases,
             || {
                 clock.announce();
@@ -485,7 +497,7 @@ impl<'a, C: CommitClock> Engine<'a> for NorecTx<'a, C> {
     }
 
     fn read_set_len(&self) -> usize {
-        self.reads.len()
+        self.scratch.entries.len()
     }
 
     /// Always 0: cmp outcomes live in the read-set.
@@ -494,7 +506,13 @@ impl<'a, C: CommitClock> Engine<'a> for NorecTx<'a, C> {
     }
 
     fn write_set_len(&self) -> usize {
-        self.writes.len()
+        self.scratch.writes.len()
+    }
+}
+
+impl<C: CommitClock> Drop for NorecTx<'_, C> {
+    fn drop(&mut self) {
+        C::retire(&mut self.view, &mut self.scratch);
     }
 }
 

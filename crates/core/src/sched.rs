@@ -141,14 +141,20 @@ mod active {
         HOOK.with(|h| *h.borrow_mut() = None);
     }
 
+    /// The calling thread's hook. Cloned out of the RefCell so the borrow
+    /// is not held across the (potentially long) park inside the hook;
+    /// `None` once the slot is destroyed — a transaction run from another
+    /// thread-local's destructor at thread exit runs unscheduled.
+    #[inline]
+    fn hook() -> Option<Arc<dyn SchedHook>> {
+        HOOK.try_with(|h| h.borrow().clone()).ok().flatten()
+    }
+
     /// A schedule point: yields to the coordinator when a hook is
     /// installed, otherwise free.
     #[inline]
     pub fn point(kind: PointKind) {
-        // Clone out of the RefCell so the borrow is not held across the
-        // (potentially long) park inside the hook.
-        let hook = HOOK.with(|h| h.borrow().clone());
-        if let Some(hook) = hook {
+        if let Some(hook) = hook() {
             hook.point(kind);
         }
     }
@@ -157,8 +163,7 @@ mod active {
     /// when a hook is installed, otherwise free.
     #[inline]
     pub fn spin() {
-        let hook = HOOK.with(|h| h.borrow().clone());
-        if let Some(hook) = hook {
+        if let Some(hook) = hook() {
             hook.spin();
         }
     }

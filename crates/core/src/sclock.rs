@@ -52,7 +52,7 @@ use crate::error::Abort;
 use crate::heap::{Addr, LINE_WORDS};
 use crate::norec::{CommitClock, Reads};
 use crate::sched::{self, PointKind};
-use crate::sets::{ReadEntry, WriteSet};
+use crate::sets::{ReadEntry, Scratch, WriteSet};
 use crate::util::SpinWait;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -174,7 +174,9 @@ impl ShardedClock {
     }
 }
 
-/// One attempt's view of the shard vector.
+/// One attempt's view of the shard vector. Its vectors outlive it: a
+/// thread's [`Scratch`] keeps the view between transactions.
+#[derive(Default)]
 pub(crate) struct ShardView {
     /// Last validated shard vector (all even). Invariant: every read-set
     /// entry holds in the heap state determined by these shard values.
@@ -189,8 +191,8 @@ pub(crate) struct ShardView {
     gen: u64,
     /// Sampling buffer for validation rounds.
     sample: Vec<u64>,
-    /// Sorted, deduplicated shard indices covering the write-set
-    /// (populated by `acquire`; kept allocated across attempts).
+    /// Ascending shard indices covering the write-set (populated by
+    /// `acquire`).
     wshards: Vec<usize>,
     /// Bit `s` set: shard `s` is a *foreign read shard* of the commit —
     /// some read-set entry maps to it and it is not in `wshards`
@@ -276,15 +278,19 @@ impl CommitClock for ShardedClock {
     const READ: PointKind = PointKind::ScNorecRead;
     const WRITEBACK: PointKind = PointKind::ScNorecWriteback;
 
-    fn view(&self) -> ShardView {
-        ShardView {
-            snapshot: vec![0; self.len()],
-            epoch: 0,
-            gen: 0,
-            sample: vec![0; self.len()],
-            wshards: Vec::new(),
-            foreign: 0,
+    /// The view the thread's last sharded transaction left, resized to
+    /// this clock: it may have run on a runtime with another shard count.
+    fn view(&self, scratch: &mut Scratch) -> ShardView {
+        let mut v = std::mem::take(&mut scratch.shards);
+        for words in [&mut v.snapshot, &mut v.sample] {
+            words.clear();
+            words.resize(self.len(), 0);
         }
+        v
+    }
+
+    fn retire(v: &mut ShardView, scratch: &mut Scratch) {
+        scratch.shards = std::mem::take(v);
     }
 
     /// Double-collect an all-even snapshot of the shard vector.
@@ -335,14 +341,15 @@ impl CommitClock for ShardedClock {
         writes: &WriteSet,
         reads: &mut Reads<'_>,
     ) -> Result<(), Abort> {
-        v.wshards.clear();
-        v.wshards
-            .extend(writes.iter().map(|(a, _)| self.shard_of(a)));
+        let covered = writes
+            .iter()
+            .fold(0u64, |set, (a, _)| set | 1 << self.shard_of(a));
         // Ascending acquisition order: two commits contending for the
         // same shard pair always race on the lower index first, so the
         // acquisition phase itself cannot deadlock.
-        v.wshards.sort_unstable();
-        v.wshards.dedup();
+        v.wshards.clear();
+        v.wshards
+            .extend((0..self.len()).filter(|s| covered & (1 << s) != 0));
         v.foreign = 0;
         for e in reads.entries {
             let (a, b) = e.addrs();
@@ -351,9 +358,7 @@ impl CommitClock for ShardedClock {
                 v.foreign |= 1 << self.shard_of(b);
             }
         }
-        for &s in &v.wshards {
-            v.foreign &= !(1 << s);
-        }
+        v.foreign &= !covered;
         loop {
             sched::point(PointKind::ScNorecCommitAcquire);
             let held = v

@@ -9,16 +9,21 @@
 //!   entry indicating a standard write or an increment (§4.1).
 //! * The **compare-set** of S-TL2 reuses the same entry representation as
 //!   the read-set; only its validation rule differs (module [`crate::tl2`]).
+//! * The **attempt scratch** ([`Scratch`]) holds all of the above, and the
+//!   engines' other growable buffers, per thread: a transaction takes it
+//!   when its engine is built and hands it back when it ends, so a warm
+//!   thread runs transactions without calling the allocator
+//!   (DESIGN.md §3.1.1).
 
 use crate::error::Abort;
 use crate::heap::{Addr, Heap};
 use crate::ops::CmpOp;
 use crate::sched;
+use crate::sclock::ShardView;
 use crate::telemetry::PhaseRecorder;
-use crate::util::hash_u32;
+use crate::tl2::orec::OrecWord;
 use crate::wal::CommitLog;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::cell::Cell;
 
 /// One recorded semantic read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,44 +104,115 @@ impl WriteEntry {
     }
 }
 
-#[derive(Default)]
-struct IdentityU64 {
-    h: u64,
+/// One buffered address: the public `(Addr, WriteEntry)` pair plus the
+/// index slot that names it.
+#[derive(Clone, Copy)]
+struct Buffered {
+    addr: Addr,
+    /// The `index` slot holding this entry's position, so that `clear`
+    /// frees exactly the slots in use without hashing again.
+    slot: u32,
+    entry: WriteEntry,
 }
-
-impl Hasher for IdentityU64 {
-    fn finish(&self) -> u64 {
-        self.h
-    }
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("only u32 keys are hashed");
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.h = hash_u32(v);
-    }
-}
-
-type AddrMap<V> = HashMap<u32, V, BuildHasherDefault<IdentityU64>>;
 
 /// The transaction write-set, preserving insertion order for deterministic
 /// write-back.
 ///
-/// Entries live **inline** in the insertion-order vec; the hash map only
-/// holds indices into it. Lookups (`get`, the `write`/`inc` upsert,
-/// `promote`) pay one hash probe as before, but [`WriteSet::iter`] — the
-/// commit write-back and WAL record-construction path, executed while the
-/// commit locks are held — is a linear scan with no per-entry hashing.
+/// Entries live **inline** in the insertion-order vec; `index` is an
+/// open-addressed (linear probing, load ≤ ½) table of positions into it.
+/// Lookups (`get`, the `write`/`inc` upsert, `promote`) pay one hash and
+/// one probe sequence, and [`WriteSet::iter`] — the commit write-back and
+/// WAL record-construction path, executed while the commit locks are
+/// held — is a linear scan with no per-entry hashing. Both vectors keep
+/// their capacity across [`WriteSet::clear`], which costs O(entries), not
+/// O(capacity).
 #[derive(Default)]
 pub struct WriteSet {
-    map: AddrMap<u32>,
-    entries: Vec<(Addr, WriteEntry)>,
+    /// Power-of-two table (or empty before the first write): 0 is a free
+    /// slot, anything else a position in `entries` plus one.
+    index: Vec<u32>,
+    entries: Vec<Buffered>,
+}
+
+/// Smallest non-empty index.
+const MIN_SLOTS: usize = 16;
+
+/// Fibonacci hashing: one multiply, whose top bits pick the home slot.
+#[inline]
+fn spread(addr: Addr) -> u64 {
+    (addr.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 impl WriteSet {
+    /// Where `addr` is buffered (`Ok(position)`), or the free slot its
+    /// probe sequence ends at (`Err(slot)`). The index must be non-empty.
+    #[inline]
+    fn find(&self, addr: Addr) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut slot = spread(addr) >> (64 - self.index.len().trailing_zeros());
+        loop {
+            let s = slot as usize & mask;
+            match self.index[s] as usize {
+                0 => return Err(s),
+                named => {
+                    if self.entries[named - 1].addr == addr {
+                        return Ok(named - 1);
+                    }
+                }
+            }
+            slot += 1;
+        }
+    }
+
+    /// [`WriteSet::find`] for an upsert: makes room for one more entry
+    /// first, so an `Err(slot)` stays valid for [`WriteSet::insert`].
+    #[inline]
+    fn find_or_slot(&mut self, addr: Addr) -> Result<usize, usize> {
+        if (self.entries.len() + 1) * 2 > self.index.len() {
+            self.grow();
+        }
+        self.find(addr)
+    }
+
+    /// Double the index and re-place every entry.
+    #[cold]
+    fn grow(&mut self) {
+        let slots = (self.index.len() * 2).max(MIN_SLOTS);
+        self.index.clear();
+        self.index.resize(slots, 0);
+        for at in 0..self.entries.len() {
+            let slot = self
+                .find(self.entries[at].addr)
+                .expect_err("one entry per address");
+            self.index[slot] = at as u32 + 1;
+            self.entries[at].slot = slot as u32;
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, slot: usize, addr: Addr, entry: WriteEntry) {
+        self.entries.push(Buffered {
+            addr,
+            slot: slot as u32,
+            entry,
+        });
+        self.index[slot] = self.entries.len() as u32;
+    }
+
+    /// Where `addr` is buffered, if it is. An empty set answers before
+    /// hashing (and may have no index yet).
+    #[inline]
+    fn position(&self, addr: Addr) -> Option<usize> {
+        if self.entries.is_empty() {
+            return None;
+        }
+        self.find(addr).ok()
+    }
+
     /// Look up the buffered entry for `addr`.
     #[inline]
     pub fn get(&self, addr: Addr) -> Option<WriteEntry> {
-        self.map.get(&addr.0).map(|&i| self.entries[i as usize].1)
+        self.position(addr).map(|at| self.entries[at].entry)
     }
 
     /// Record a `TM_WRITE`: overwrites any previous entry and resets the
@@ -146,12 +222,9 @@ impl WriteSet {
             value,
             kind: WriteKind::Store,
         };
-        match self.map.get(&addr.0) {
-            Some(&i) => self.entries[i as usize].1 = entry,
-            None => {
-                self.map.insert(addr.0, self.entries.len() as u32);
-                self.entries.push((addr, entry));
-            }
+        match self.find_or_slot(addr) {
+            Ok(at) => self.entries[at].entry = entry,
+            Err(slot) => self.insert(slot, addr, entry),
         }
     }
 
@@ -159,21 +232,19 @@ impl WriteSet {
     /// *without changing its kind* (Algorithm 6, line 46), or creates a
     /// fresh `Increment` entry (line 48).
     pub fn inc(&mut self, addr: Addr, delta: i64) {
-        match self.map.get(&addr.0) {
-            Some(&i) => {
-                let e = &mut self.entries[i as usize].1;
+        match self.find_or_slot(addr) {
+            Ok(at) => {
+                let e = &mut self.entries[at].entry;
                 e.value = e.value.wrapping_add(delta);
             }
-            None => {
-                self.map.insert(addr.0, self.entries.len() as u32);
-                self.entries.push((
-                    addr,
-                    WriteEntry {
-                        value: delta,
-                        kind: WriteKind::Increment,
-                    },
-                ));
-            }
+            Err(slot) => self.insert(
+                slot,
+                addr,
+                WriteEntry {
+                    value: delta,
+                    kind: WriteKind::Increment,
+                },
+            ),
         }
     }
 
@@ -182,11 +253,10 @@ impl WriteSet {
     /// Returns the promoted value. Panics if the entry is not an
     /// increment — callers must check the kind first.
     pub fn promote(&mut self, addr: Addr, observed: i64) -> i64 {
-        let i = *self
-            .map
-            .get(&addr.0)
+        let at = self
+            .position(addr)
             .expect("promote of address not in write-set");
-        let e = &mut self.entries[i as usize].1;
+        let e = &mut self.entries[at].entry;
         assert_eq!(e.kind, WriteKind::Increment, "promote of a Store entry");
         e.value = e.value.wrapping_add(observed);
         e.kind = WriteKind::Store;
@@ -196,14 +266,15 @@ impl WriteSet {
     /// Iterate entries in insertion order (a plain slice walk — the
     /// commit-path fast iteration this layout exists for).
     pub fn iter(&self) -> impl Iterator<Item = (Addr, WriteEntry)> + '_ {
-        self.entries.iter().copied()
+        self.entries.iter().map(|e| (e.addr, e.entry))
     }
 
     /// The commit tail every engine shares, entered with the commit locks
     /// held and validation passed: resolve deferred increments against
     /// live memory, append the resolved record to `wal` (replay cannot
     /// re-run increments, so resolution precedes the append), write back,
-    /// release, and ack only once durable.
+    /// release, and ack only once durable. `resolved` is the attempt
+    /// scratch's buffer for that record.
     ///
     /// `before_stores` is the engine's last step ahead of the first data
     /// store — its write-back schedule point, so the store loop plus
@@ -214,18 +285,17 @@ impl WriteSet {
         &self,
         heap: &Heap,
         wal: Option<&CommitLog>,
+        resolved: &mut Vec<(Addr, i64)>,
         phases: &mut PhaseRecorder,
         before_stores: impl FnOnce(),
         release: impl FnOnce(bool),
     ) -> Result<(), Abort> {
         let mut ticket = None;
         if let Some(log) = wal {
-            let resolved: Vec<(Addr, i64)> = self
-                .iter()
-                .map(|(addr, e)| (addr, e.resolve(heap, addr)))
-                .collect();
+            resolved.clear();
+            resolved.extend(self.iter().map(|(addr, e)| (addr, e.resolve(heap, addr))));
             sched::point(sched::PointKind::WalAppend);
-            match log.append(&resolved) {
+            match log.append(resolved) {
                 Ok(t) => ticket = Some((log, t)),
                 Err(_) => {
                     release(false);
@@ -235,8 +305,15 @@ impl WriteSet {
         }
         before_stores();
         phases.mark_writeback();
-        for (addr, e) in self.iter() {
-            heap.tm_store(addr, e.resolve(heap, addr));
+        if ticket.is_some() {
+            // What the log recorded is what memory gets.
+            for &(addr, value) in resolved.iter() {
+                heap.tm_store(addr, value);
+            }
+        } else {
+            for (addr, e) in self.iter() {
+                heap.tm_store(addr, e.resolve(heap, addr));
+            }
         }
         release(true);
         if let Some((log, t)) = ticket {
@@ -265,10 +342,136 @@ impl WriteSet {
         self.entries.is_empty()
     }
 
-    /// Drop all entries, keeping allocations for the next attempt.
+    /// Drop all entries, keeping allocations for the next attempt. Frees
+    /// the entries' own index slots — O(entries), whatever the capacity.
+    #[inline]
     pub fn clear(&mut self) {
-        self.map.clear();
+        for e in &self.entries {
+            self.index[e.slot as usize] = 0;
+        }
         self.entries.clear();
+    }
+}
+
+/// The most entries any scratch buffer keeps between transactions: one
+/// oversized transaction must not pin its buffers on the thread for the
+/// process's life (at this bound the read-set retains 256 KiB, the
+/// write-set 384 KiB plus a 128 KiB index).
+pub(crate) const RETAINED_ENTRIES: usize = 1 << 14;
+
+/// Cut `buffer` down to `most` entries if it outgrew them (what is left
+/// in it is stale either way).
+fn bound<T>(buffer: &mut Vec<T>, most: usize) {
+    buffer.truncate(most);
+    buffer.shrink_to(most);
+}
+
+/// Every growable buffer an attempt uses, whichever engine runs it. A
+/// thread keeps one between its transactions so that, once warm, neither
+/// begin, a barrier, commit nor abort allocates. Each engine clears what
+/// it uses in `begin`; nothing here is meaningful across transactions.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// The NOrec family's read-set; the TL2 family's compare-set.
+    pub(crate) entries: Vec<ReadEntry>,
+    pub(crate) writes: WriteSet,
+    /// The resolved record [`WriteSet::write_back`] hands the log.
+    pub(crate) resolved: Vec<(Addr, i64)>,
+    /// TL2's read-set (Algorithm 7 line 48 stores orecs, not addresses).
+    pub(crate) orecs: Vec<usize>,
+    /// TL2 commit: the distinct write-set orecs, ascending.
+    pub(crate) targets: Vec<usize>,
+    /// TL2 commit: orecs locked so far, with their pre-lock words.
+    pub(crate) locked: Vec<(usize, OrecWord)>,
+    /// The sharded clock's view, parked here between transactions.
+    pub(crate) shards: ShardView,
+}
+
+impl Scratch {
+    fn bound(&mut self) {
+        bound(&mut self.entries, RETAINED_ENTRIES);
+        // An empty write-set's index is all free slots, so it can be cut
+        // to any power of two.
+        self.writes.clear();
+        bound(&mut self.writes.entries, RETAINED_ENTRIES);
+        bound(&mut self.writes.index, 2 * RETAINED_ENTRIES);
+        bound(&mut self.resolved, RETAINED_ENTRIES);
+        bound(&mut self.orecs, RETAINED_ENTRIES);
+        bound(&mut self.targets, RETAINED_ENTRIES);
+        bound(&mut self.locked, RETAINED_ENTRIES);
+    }
+
+    /// Largest capacity of any buffer, in entries.
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        [
+            self.entries.capacity(),
+            self.writes.entries.capacity(),
+            self.writes.index.capacity(),
+            self.resolved.capacity(),
+            self.orecs.capacity(),
+            self.targets.capacity(),
+            self.locked.capacity(),
+        ]
+        .into_iter()
+        .max()
+        .unwrap_or(0)
+    }
+}
+
+thread_local! {
+    /// This thread's scratch while no transaction holds it. A slot, not a
+    /// pool: a transaction nested in another's body finds it empty and
+    /// runs on a fresh scratch of its own.
+    static KEPT: Cell<Option<Box<Scratch>>> = const { Cell::new(None) };
+}
+
+/// One transaction's hold on its thread's [`Scratch`]: taken from the
+/// thread's slot when the engine is built, used in place through `Deref`,
+/// and put back — trimmed to the retention bound — on drop.
+pub(crate) struct ScratchBox(Option<Box<Scratch>>);
+
+impl ScratchBox {
+    /// The thread's kept scratch, or a fresh one when the slot is empty
+    /// (first transaction, nested transaction) or already destroyed (a
+    /// transaction run from another thread-local's destructor).
+    pub(crate) fn take() -> ScratchBox {
+        let kept = KEPT.try_with(Cell::take).ok().flatten();
+        ScratchBox(Some(kept.unwrap_or_default()))
+    }
+
+    /// Largest buffer capacity the calling thread keeps, in entries.
+    #[cfg(test)]
+    pub(crate) fn kept_capacity() -> usize {
+        let kept = KEPT.take();
+        let capacity = kept.as_ref().map_or(0, |s| s.capacity());
+        KEPT.set(kept);
+        capacity
+    }
+}
+
+impl std::ops::Deref for ScratchBox {
+    type Target = Scratch;
+    #[inline]
+    fn deref(&self) -> &Scratch {
+        self.0.as_deref().expect("held until drop")
+    }
+}
+
+impl std::ops::DerefMut for ScratchBox {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut Scratch {
+        self.0.as_deref_mut().expect("held until drop")
+    }
+}
+
+impl Drop for ScratchBox {
+    fn drop(&mut self) {
+        if let Some(mut scratch) = self.0.take() {
+            scratch.bound();
+            // A destroyed slot (thread exit) drops the scratch instead.
+            let _ = KEPT.try_with(|slot| slot.set(Some(scratch)));
+        }
     }
 }
 
@@ -402,6 +605,113 @@ mod tests {
             ]
         );
         assert_eq!(ws.len(), 3);
+    }
+
+    /// The index against a `BTreeMap` + first-touch-order model, checked
+    /// after every step, across growth and across `clear`.
+    #[test]
+    fn index_agrees_with_a_map_model_deterministic() {
+        use crate::heap::LINE_WORDS;
+        use crate::util::SplitMix64;
+        use std::collections::BTreeMap;
+
+        // Addresses whose home slots fall in one 1/1024th of any index:
+        // probe sequences hundreds of slots long.
+        let colliding: Vec<Addr> = (0..u32::MAX)
+            .map(Addr)
+            .filter(|&a| spread(a) >> 54 == 0)
+            .take(600)
+            .collect();
+        type AddrOf<'a> = &'a dyn Fn(usize) -> Addr;
+        let patterns: [(&str, usize, AddrOf<'_>); 3] = [
+            ("dense", 5_000, &|i| Addr(i as u32)),
+            ("strided", 5_000, &|i| Addr((i * LINE_WORDS) as u32)),
+            ("colliding", colliding.len(), &|i| colliding[i]),
+        ];
+        for (pattern, most, addr_of) in patterns {
+            let mut rng = SplitMix64::new(0x5E75 ^ most as u64);
+            let mut ws = WriteSet::default();
+            // The model: entries in first-touch order, and where each
+            // address sits in that order.
+            let mut model: Vec<(Addr, WriteEntry)> = Vec::new();
+            let mut place: BTreeMap<Addr, usize> = BTreeMap::new();
+            let mut universe = 1 + rng.index(most);
+            for step in 0..10_000 {
+                // Epochs of 1 500, 100, 4 400 and 4 000 steps, each over a
+                // new universe: nothing of the old one may show through.
+                if [1_500, 1_600, 6_000].contains(&step) {
+                    ws.clear();
+                    model.clear();
+                    place.clear();
+                    universe = 1 + rng.index(most);
+                }
+                let addr = addr_of(rng.index(universe));
+                let value = rng.next_u64() as i64 >> 40;
+                let known = place.get(&addr).copied();
+                let mut touch = |fresh: WriteEntry, update: &dyn Fn(&mut WriteEntry)| match known {
+                    Some(at) => update(&mut model[at].1),
+                    None => {
+                        place.insert(addr, model.len());
+                        model.push((addr, fresh));
+                    }
+                };
+                match (rng.index(10), known) {
+                    (0..4, _) => {
+                        ws.write(addr, value);
+                        let kind = WriteKind::Store;
+                        touch(WriteEntry { value, kind }, &|e| {
+                            *e = WriteEntry { value, kind };
+                        });
+                    }
+                    (4..8, _) => {
+                        ws.inc(addr, value);
+                        let kind = WriteKind::Increment;
+                        touch(WriteEntry { value, kind }, &|e| {
+                            e.value = e.value.wrapping_add(value);
+                        });
+                    }
+                    (8, Some(at)) if model[at].1.kind == WriteKind::Increment => {
+                        let e = &mut model[at].1;
+                        e.value = e.value.wrapping_add(value);
+                        e.kind = WriteKind::Store;
+                        assert_eq!(ws.promote(addr, value), e.value);
+                    }
+                    _ => {}
+                }
+                let expect = |a: Addr| place.get(&a).map(|&at| model[at].1);
+                let other = addr_of(rng.index(most));
+                assert_eq!(ws.get(addr), expect(addr), "{pattern} step {step}");
+                assert_eq!(ws.get(other), expect(other), "{pattern} step {step}");
+                assert_eq!(ws.len(), model.len(), "{pattern} step {step}");
+                assert_eq!(ws.is_empty(), model.is_empty());
+                assert!(
+                    ws.iter().eq(model.iter().copied()),
+                    "{pattern} step {step}: iteration order or values"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn clear_does_not_resurrect_entries_at_reused_positions() {
+        // `clear` frees slots entry by entry; positions 0..n are filled
+        // again by the next attempt, under other addresses.
+        let mut ws = WriteSet::default();
+        for round in 0..50u32 {
+            for i in 0..40 {
+                ws.write(Addr(round * 1_000 + i), round as i64);
+            }
+            for old in 0..round {
+                assert_eq!(ws.get(Addr(old * 1_000 + 7)), None, "round {round}");
+            }
+            assert_eq!(ws.len(), 40);
+            assert_eq!(
+                ws.get(Addr(round * 1_000 + 39)).unwrap().value,
+                round as i64
+            );
+            ws.clear();
+            assert_eq!(ws.get(Addr(round * 1_000)), None);
+        }
     }
 
     #[test]

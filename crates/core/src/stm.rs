@@ -274,9 +274,11 @@ impl Stm {
         // the entered word pins the engine this attempt dispatches on,
         // and retiring the slot (the `Attempt` guard) is what a switch's
         // drain barrier waits for. The common case — no switch between
-        // attempts — keeps one Tx (and its buffers) alive across the
-        // whole retry loop. Nothing between an `enter` and the guard
-        // that adopts its slot can unwind.
+        // attempts — keeps one Tx alive across the whole retry loop; its
+        // engine runs on the calling thread's attempt scratch, so
+        // building it allocates nothing once the thread is warm. Nothing
+        // between an `enter` and the guard that adopts its slot can
+        // unwind.
         let mut entered = self.machine.enter();
         let mut mode = adapt::word_mode(entered);
         let mut tx = Tx::new(self, mode);
@@ -326,6 +328,10 @@ impl Stm {
             if word != entered {
                 let next = adapt::word_mode(word);
                 if next != mode {
+                    // Old context first: its drop hands the thread's
+                    // scratch back, so the new engine inherits the
+                    // buffers instead of growing a second set.
+                    drop(tx);
                     tx = Tx::new(self, next);
                     mode = next;
                 }
@@ -930,6 +936,153 @@ mod tests {
             stm.atomic(|tx| tx.inc(a, 1));
             assert!(stm.telemetry().span_events().is_empty());
             assert!(stm.telemetry().hot_addresses().is_empty());
+        }
+    }
+
+    // --- the per-thread attempt scratch ---
+
+    /// Every engine cell: the four algorithms, and the sharded clock.
+    fn all_cells() -> impl Iterator<Item = Stm> {
+        let config = |a| StmConfig::new(a).heap_words(1 << 12).orec_count(1 << 8);
+        all_algorithms().chain([Stm::new(config(Algorithm::SNOrec).clock_shards(4))])
+    }
+
+    #[test]
+    fn transaction_in_a_thread_local_destructor_runs_at_thread_exit() {
+        use std::cell::RefCell;
+        use std::sync::Arc;
+        struct AtExit(Arc<Stm>, Addr);
+        impl Drop for AtExit {
+            fn drop(&mut self) {
+                let cell = self.1;
+                self.0.atomic(|tx| {
+                    let v = tx.read(cell)?;
+                    tx.write(cell, v + 10)?;
+                    tx.inc(cell, 1)
+                });
+            }
+        }
+        thread_local! {
+            static LAST: RefCell<Option<AtExit>> = const { RefCell::new(None) };
+        }
+        // Thread-local destructors run in reverse order of first use, so
+        // the two orders cover both sides: the scratch slot still alive
+        // when `LAST` drops, and already destroyed (a fresh scratch,
+        // dropped afterwards).
+        for scratch_first in [true, false] {
+            for stm in all_cells() {
+                let stm = Arc::new(stm);
+                let cell = stm.alloc_cell(0i64);
+                let worker = {
+                    let stm = stm.clone();
+                    std::thread::spawn(move || {
+                        if scratch_first {
+                            stm.atomic(|tx| tx.inc(cell, 100));
+                        }
+                        LAST.with(|l| *l.borrow_mut() = Some(AtExit(stm.clone(), cell)));
+                        if !scratch_first {
+                            stm.atomic(|tx| tx.inc(cell, 100));
+                        }
+                    })
+                };
+                worker.join().expect("worker, including its destructors");
+                assert_eq!(stm.read_now(cell), 111, "{}", stm.mode());
+            }
+        }
+    }
+
+    #[test]
+    fn transactions_of_other_runtimes_nest_and_alternate_on_one_thread() {
+        let config = |a| StmConfig::new(a).heap_words(1 << 12).orec_count(1 << 8);
+        let four = Stm::new(config(Algorithm::SNOrec).clock_shards(4).padded_alloc(true));
+        let sixteen = Stm::new(
+            config(Algorithm::SNOrec)
+                .clock_shards(16)
+                .padded_alloc(true),
+        );
+        let tl2 = Stm::new(config(Algorithm::STl2));
+        let cells = |stm: &Stm| -> Vec<Addr> { (0..24).map(|_| stm.alloc_cell(1i64)).collect() };
+        let (a, b, c) = (cells(&four), cells(&sixteen), cells(&tl2));
+        // Reads and writes over 24 lines: every shard of either clock.
+        let sweep = |tx: &mut Tx<'_>, cells: &[Addr]| -> Result<i64, Abort> {
+            let mut sum = 0;
+            for &cell in cells {
+                sum += tx.read(cell)?;
+                tx.inc(cell, 1)?;
+            }
+            Ok(sum)
+        };
+        for round in 0..3 {
+            // Nested: the inner transactions find the thread's slot empty.
+            let sums = four.atomic(|outer| {
+                let before = sweep(outer, &a)?;
+                let inner = sixteen.atomic(|mid| {
+                    let s = sweep(mid, &b)?;
+                    Ok(s + tl2.atomic(|leaf| sweep(leaf, &c)))
+                });
+                Ok((before, inner))
+            });
+            assert_eq!(sums, (24 * (1 + 2 * round), 48 * (1 + 2 * round)));
+            // Alternating: each inherits the vectors the other's view
+            // left behind, sized for another shard count.
+            assert_eq!(sixteen.atomic(|tx| sweep(tx, &b)), 24 * (2 + 2 * round));
+            assert_eq!(four.atomic(|tx| sweep(tx, &a)), 24 * (2 + 2 * round));
+            assert_eq!(tl2.atomic(|tx| sweep(tx, &c)), 24 * (2 + 2 * round));
+        }
+        for (stm, cells) in [(&four, &a), (&sixteen, &b), (&tl2, &c)] {
+            assert!(cells.iter().all(|&cell| stm.read_now(cell) == 7));
+            assert_eq!(stm.stats().commits, 6);
+        }
+    }
+
+    #[test]
+    fn transaction_after_a_caught_panic_starts_with_empty_sets() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for stm in all_cells() {
+            let cells: Vec<Addr> = (0..8).map(|_| stm.alloc_cell(1i64)).collect();
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                stm.atomic(|tx| -> Result<(), Abort> {
+                    for &cell in &cells {
+                        tx.read(cell)?;
+                        tx.gt(cell, 0)?;
+                        tx.write(cell, 99)?;
+                    }
+                    panic!("body panics with its sets full");
+                })
+            }));
+            assert!(unwound.is_err());
+            // Same thread, same scratch: nothing of the panicked attempt
+            // is left in it.
+            stm.atomic(|tx| {
+                assert_eq!(tx.metadata_len(), 0, "{}", stm.mode());
+                assert!(!tx.is_writer(), "{}", stm.mode());
+                tx.inc(cells[0], 1)
+            });
+            assert_eq!(stm.read_now(cells[0]), 2, "{}", stm.mode());
+            assert!(cells[1..].iter().all(|&cell| stm.read_now(cell) == 1));
+        }
+    }
+
+    #[test]
+    fn an_oversized_transaction_is_not_kept_by_its_thread() {
+        use crate::sets::{ScratchBox, RETAINED_ENTRIES};
+        for alg in [Algorithm::SNOrec, Algorithm::STl2] {
+            let stm = Stm::new(StmConfig::new(alg).heap_words(1 << 18).orec_count(1 << 16));
+            let cells = stm.alloc_array(200_000, 1i64);
+            stm.atomic(|tx| {
+                for i in 0..200_000 {
+                    tx.read(cells.offset(i))?;
+                }
+                for i in 0..50_000 {
+                    tx.write(cells.offset(i), 2)?;
+                }
+                Ok(())
+            });
+            assert_eq!(stm.read_now(cells.offset(49_999)), 2);
+            // The write-set's index has two slots per entry.
+            let kept = ScratchBox::kept_capacity();
+            assert!(kept <= 2 * RETAINED_ENTRIES, "{alg}: keeps {kept} entries");
+            assert!(kept > 0, "{alg}: the scratch itself is kept");
         }
     }
 

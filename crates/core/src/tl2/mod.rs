@@ -34,7 +34,7 @@ use crate::fault;
 use crate::heap::{Addr, Heap};
 use crate::ops::CmpOp;
 use crate::sched;
-use crate::sets::{ReadEntry, WriteEntry, WriteKind, WriteSet};
+use crate::sets::{ReadEntry, Scratch, ScratchBox, WriteEntry, WriteKind};
 use crate::stats::OpCounts;
 use crate::stm::Engine;
 use crate::telemetry::PhaseRecorder;
@@ -100,14 +100,11 @@ pub struct Tl2Tx<'a> {
     lock_wait_spins: u32,
     snapshot_extension: bool,
     start_version: u64,
-    /// Orec indices of plain reads (Algorithm 7 line 48 stores orecs, not
-    /// addresses).
-    reads: Vec<usize>,
-    /// Semantic compare entries (separate set, §4.2).
-    compares: Vec<ReadEntry>,
-    writes: WriteSet,
-    /// Orecs locked during commit, with their pre-lock words for rollback.
-    locked: Vec<(usize, OrecWord)>,
+    /// The read-set (`orecs`), the compare-set (`entries` — semantic
+    /// entries, a separate set, §4.2), the write-set and the commit's
+    /// lock lists, used in place; handed back to the thread when this
+    /// context drops.
+    scratch: ScratchBox,
     /// Flight-recorder phase marks; inert (its enabled check is the
     /// materialised `level >= Spans` guard) unless
     /// `enable_spans` installed a live recorder.
@@ -134,10 +131,7 @@ impl<'a> Tl2Tx<'a> {
             lock_wait_spins,
             snapshot_extension,
             start_version: 0,
-            reads: Vec::new(),
-            compares: Vec::new(),
-            writes: WriteSet::default(),
-            locked: Vec::new(),
+            scratch: ScratchBox::take(),
             phases: PhaseRecorder::disabled(),
             record_committer: false,
             wal: None,
@@ -181,7 +175,7 @@ impl<'a> Tl2Tx<'a> {
     /// Read-after-write resolution (same rules as Algorithm 6's `RAW`):
     /// promoted increments become plain reads + stores.
     fn raw(&mut self, addr: Addr, ops: &mut OpCounts) -> Result<Option<i64>, Abort> {
-        match self.writes.get(addr) {
+        match self.scratch.writes.get(addr) {
             None => Ok(None),
             Some(WriteEntry {
                 kind: WriteKind::Store,
@@ -193,7 +187,7 @@ impl<'a> Tl2Tx<'a> {
             }) => {
                 let observed = self.read_validated(addr)?;
                 ops.promotes += 1;
-                Ok(Some(self.writes.promote(addr, observed)))
+                Ok(Some(self.scratch.writes.promote(addr, observed)))
             }
         }
     }
@@ -218,14 +212,14 @@ impl<'a> Tl2Tx<'a> {
         if l1 != l2 || l1.version() > self.start_version {
             return Err(self.validation_at(oi).at_addr(addr));
         }
-        self.reads.push(oi);
+        self.scratch.orecs.push(oi);
         Ok(val)
     }
 
     /// Whether the transaction is still in phase 1 (no plain reads yet).
     #[inline]
     fn in_phase1(&self) -> bool {
-        self.reads.is_empty() && self.snapshot_extension
+        self.scratch.orecs.is_empty() && self.snapshot_extension
     }
 
     /// Phase-1 tolerant read of one word: waits out locks and retries
@@ -288,7 +282,7 @@ impl<'a> Tl2Tx<'a> {
     /// of entries whose orecs moved past `start_version`; waits out locks
     /// held by other committers (with the starvation timeout).
     fn validate_compare_set(&self) -> Result<(), Abort> {
-        for e in &self.compares {
+        for e in &self.scratch.entries {
             let (a0, a1) = e.addrs();
             let mut changed = false;
             for addr in std::iter::once(a0).chain(a1) {
@@ -314,7 +308,9 @@ impl<'a> Tl2Tx<'a> {
     /// on any moved orec. Self-locked orecs are checked against their
     /// pre-lock version.
     fn validate_read_set(&self) -> Result<(), Abort> {
-        for &oi in &self.reads {
+        let locked = &self.scratch.locked;
+        debug_assert!(locked.is_sorted_by_key(|&(oi, _)| oi));
+        for &oi in &self.scratch.orecs {
             let o = self.global.orecs.load(oi);
             if o.locked_by_other(self.owner) {
                 // Only the orec is known here: Algorithm 7 line 48 keeps
@@ -323,11 +319,12 @@ impl<'a> Tl2Tx<'a> {
             }
             let version = if o.is_locked() {
                 // Locked by us at commit: consult the pre-lock word.
-                self.locked
-                    .iter()
-                    .find(|(i, _)| *i == oi)
-                    .map(|(_, old)| old.version())
-                    .expect("self-locked orec missing from lock list")
+                // `locked` is in acquisition order, ascending, and every
+                // write lock is held here — so search, do not scan.
+                let at = locked
+                    .binary_search_by_key(&oi, |&(i, _)| i)
+                    .expect("self-locked orec missing from lock list");
+                locked[at].1.version()
             } else {
                 o.version()
             };
@@ -341,14 +338,16 @@ impl<'a> Tl2Tx<'a> {
     /// Acquire commit locks for every distinct write-set orec, in index
     /// order (bounded spin per orec; failure rolls everything back).
     fn acquire_write_locks(&mut self) -> Result<(), Abort> {
-        let mut targets: Vec<usize> = self
-            .writes
-            .iter()
-            .map(|(addr, _)| self.global.orecs.index_of(addr.index()))
-            .collect();
+        let orecs = &self.global.orecs;
+        let Scratch {
+            writes, targets, ..
+        } = &mut *self.scratch;
+        targets.clear();
+        targets.extend(writes.iter().map(|(addr, _)| orecs.index_of(addr.index())));
         targets.sort_unstable();
         targets.dedup();
-        for oi in targets {
+        for at in 0..self.scratch.targets.len() {
+            let oi = self.scratch.targets[at];
             let mut acquired = false;
             let mut wait = SpinWait::new();
             let mut holder = 0;
@@ -363,7 +362,7 @@ impl<'a> Tl2Tx<'a> {
                     continue;
                 }
                 if self.global.orecs.try_lock(oi, o, self.owner) {
-                    self.locked.push((oi, o));
+                    self.scratch.locked.push((oi, o));
                     acquired = true;
                     break;
                 }
@@ -378,7 +377,7 @@ impl<'a> Tl2Tx<'a> {
 
     /// Roll back: restore every locked orec to its pre-lock word.
     fn release_locks_rollback(&mut self) {
-        for (oi, old) in self.locked.drain(..) {
+        for (oi, old) in self.scratch.locked.drain(..) {
             self.global.orecs.store(oi, old);
         }
     }
@@ -407,10 +406,13 @@ impl<'a> Engine<'a> for Tl2Tx<'a> {
     /// Begin / re-begin: clear metadata, snapshot the clock (Algorithm 7
     /// `Start`).
     fn begin(&mut self) {
-        debug_assert!(self.locked.is_empty(), "locks leaked across attempts");
-        self.reads.clear();
-        self.compares.clear();
-        self.writes.clear();
+        debug_assert!(
+            self.scratch.locked.is_empty(),
+            "locks leaked across attempts"
+        );
+        self.scratch.orecs.clear();
+        self.scratch.entries.clear();
+        self.scratch.writes.clear();
         self.phases.reset();
         sched::point(sched::PointKind::Tl2Begin);
         self.start_version = self.global.now();
@@ -426,12 +428,12 @@ impl<'a> Engine<'a> for Tl2Tx<'a> {
 
     /// `TM_WRITE` — buffered, like Algorithm 6.
     fn write(&mut self, addr: Addr, value: i64) {
-        self.writes.write(addr, value);
+        self.scratch.writes.write(addr, value);
     }
 
     /// `TM_INC` — deferred delta in the write-set.
     fn inc(&mut self, addr: Addr, delta: i64) {
-        self.writes.inc(addr, delta);
+        self.scratch.writes.inc(addr, delta);
     }
 
     /// Semantic compare, address–value form (Algorithm 7 `Compare`).
@@ -448,7 +450,7 @@ impl<'a> Engine<'a> for Tl2Tx<'a> {
         if self.in_phase1() {
             let (val, l1) = self.patient_read(addr)?;
             let result = op.eval(val, operand);
-            self.compares.push(ReadEntry::Val {
+            self.scratch.entries.push(ReadEntry::Val {
                 addr,
                 op: if result { op } else { op.inverse() },
                 operand,
@@ -473,7 +475,7 @@ impl<'a> Engine<'a> for Tl2Tx<'a> {
                 return Err(self.validation_at(oi).at_addr(addr));
             }
             let result = op.eval(val, operand);
-            self.compares.push(ReadEntry::Val {
+            self.scratch.entries.push(ReadEntry::Val {
                 addr,
                 op: if result { op } else { op.inverse() },
                 operand,
@@ -497,7 +499,7 @@ impl<'a> Engine<'a> for Tl2Tx<'a> {
                     let (va, l1a) = self.patient_read(a)?;
                     let (vb, l1b) = self.patient_read(b)?;
                     let result = op.eval(va, vb);
-                    self.compares.push(ReadEntry::Pair {
+                    self.scratch.entries.push(ReadEntry::Pair {
                         a,
                         op: if result { op } else { op.inverse() },
                         b,
@@ -510,7 +512,7 @@ impl<'a> Engine<'a> for Tl2Tx<'a> {
                     let va = self.phase2_load(a)?;
                     let vb = self.phase2_load(b)?;
                     let result = op.eval(va, vb);
-                    self.compares.push(ReadEntry::Pair {
+                    self.scratch.entries.push(ReadEntry::Pair {
                         a,
                         op: if result { op } else { op.inverse() },
                         b,
@@ -526,7 +528,7 @@ impl<'a> Engine<'a> for Tl2Tx<'a> {
     /// against `start_version` when recorded, so the transaction
     /// serialises at its (possibly extended) snapshot.
     fn commit(&mut self) -> Result<(), Abort> {
-        if self.writes.is_empty() {
+        if self.scratch.writes.is_empty() {
             return Ok(());
         }
         self.phases.mark_lock();
@@ -564,25 +566,33 @@ impl<'a> Engine<'a> for Tl2Tx<'a> {
         // without a stamped orec (other transactions at worst revalidate
         // spuriously). From the write-back point through the lock release
         // the write-back is one atomic step of the virtual schedule.
-        self.writes.write_back(
+        let (global, owner, stamp) = (self.global, self.owner, self.record_committer);
+        let Scratch {
+            writes,
+            resolved,
+            locked,
+            ..
+        } = &mut *self.scratch;
+        writes.write_back(
             self.heap,
             self.wal,
+            resolved,
             &mut self.phases,
             || sched::point(sched::PointKind::Tl2Writeback),
             |committed| {
-                if committed && self.record_committer {
+                if committed && stamp {
                     // Still under our commit locks: a reader whose
                     // validation fails against `write_version` also
                     // observes this token.
-                    self.global.committer.store(self.owner, Ordering::Relaxed);
+                    global.committer.store(owner, Ordering::Relaxed);
                 }
-                for (oi, old) in self.locked.drain(..) {
+                for (oi, old) in locked.drain(..) {
                     let word = if committed {
                         OrecWord::unlocked(write_version)
                     } else {
                         old
                     };
-                    self.global.orecs.store(oi, word);
+                    global.orecs.store(oi, word);
                 }
             },
         )
@@ -596,15 +606,15 @@ impl<'a> Engine<'a> for Tl2Tx<'a> {
     }
 
     fn compare_set_len(&self) -> usize {
-        self.compares.len()
+        self.scratch.entries.len()
     }
 
     fn read_set_len(&self) -> usize {
-        self.reads.len()
+        self.scratch.orecs.len()
     }
 
     fn write_set_len(&self) -> usize {
-        self.writes.len()
+        self.scratch.writes.len()
     }
 }
 
@@ -739,6 +749,46 @@ mod tests {
         commit_write(&heap, &global, x, 3);
         t1.write(out, 1);
         assert_eq!(t1.commit(), Err(Abort::validation()));
+    }
+
+    #[test]
+    fn commit_revalidates_a_large_read_set_it_also_locked() {
+        // Reading and writing the same cells self-locks every read orec;
+        // a concurrent clock advance then sends commit through
+        // `validate_read_set`, which must find each orec's pre-lock word
+        // among 2 000 held locks.
+        const CELLS: usize = 2_000;
+        let (heap, global) = (Heap::new(1 << 12), Tl2Global::new(1 << 12));
+        let cells = heap.alloc(CELLS);
+        let bystander = heap.alloc(1);
+        let mut ops = OpCounts::default();
+        let read_and_write_all = |t: &mut Tl2Tx<'_>, ops: &mut OpCounts| {
+            for i in 0..CELLS {
+                let v = t.read(cells.offset(i), ops).unwrap();
+                t.write(cells.offset(i), v + 1);
+            }
+        };
+
+        let mut t = tx(&heap, &global);
+        read_and_write_all(&mut t, &mut ops);
+        commit_write(&heap, &global, bystander, 1);
+        t.commit().expect("no read orec moved");
+        assert_eq!(heap.load(cells), 1);
+        assert_eq!(heap.load(cells.offset(CELLS - 1)), 1);
+
+        // The word looked up is the right orec's: a commit to one read
+        // cell makes exactly that pre-lock version too new.
+        for moved in [0, CELLS / 2, CELLS - 1] {
+            let mut t = tx(&heap, &global);
+            read_and_write_all(&mut t, &mut ops);
+            commit_write(&heap, &global, cells.offset(moved), 7);
+            let err = t.commit().unwrap_err();
+            assert_eq!(err, Abort::validation());
+            let orec = global.orecs.index_of(cells.offset(moved).index());
+            assert_eq!(err.conflict().orec(), Some(orec as u32), "cell {moved}");
+            assert_eq!(heap.load(cells.offset(moved)), 7, "no write-back on abort");
+            assert!(!global.orecs.load(orec).is_locked(), "locks rolled back");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Small self-contained utilities: deterministic PRNG, spin-wait helper,
-//! per-thread tokens, and a fast integer hasher for write-set maps.
+//! per-thread tokens, and a fast integer hasher.
 //!
 //! We deliberately avoid external RNG crates in the runtime and workloads
 //! so that experiments are bit-reproducible across runs and machines.
@@ -102,8 +102,9 @@ pub fn thread_token() -> u64 {
     })
 }
 
-/// Multiply-based avalanche for word-index keys (FxHash-style), used by
-/// the open-addressed write-set map.
+/// Multiply-based avalanche for word-index keys (FxHash-style): the
+/// bucket hash of the workloads' tables, the hot-address sketch and the
+/// benchmark's key streams.
 #[inline]
 pub fn hash_u32(x: u32) -> u64 {
     let mut h = x as u64;
