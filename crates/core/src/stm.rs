@@ -639,9 +639,10 @@ impl<'a> Tx<'a> {
     pub fn neq(&mut self, addr: Addr, v: i64) -> Result<bool, Abort> {
         self.cmp(addr, CmpOp::Neq, v)
     }
-    /// `TM_DEC(addr, delta)`.
+    /// `TM_DEC(addr, delta)`: `*addr -= delta`, wrapping like `inc` (so
+    /// `delta == i64::MIN` is defined, and equals adding it).
     pub fn dec(&mut self, addr: Addr, delta: i64) -> Result<(), Abort> {
-        self.inc(addr, -delta)
+        self.inc(addr, delta.wrapping_neg())
     }
 
     /// Diagnostics: size of the semantic metadata (read-set entries for
@@ -738,6 +739,16 @@ mod tests {
             assert!(ok);
             assert_eq!(stm.read_now(x), 6, "{}", stm.algorithm());
             assert_eq!(stm.read_now(y), 4, "{}", stm.algorithm());
+        }
+    }
+
+    #[test]
+    fn dec_by_i64_min_wraps_like_subtraction() {
+        for stm in all_algorithms() {
+            let x = stm.alloc_cell(5i64);
+            stm.atomic(|tx| tx.dec(x, i64::MIN));
+            let wrapped = 5i64.wrapping_sub(i64::MIN);
+            assert_eq!(stm.read_now(x), wrapped, "{}", stm.algorithm());
         }
     }
 

@@ -21,10 +21,26 @@
 //! unmodified GCC = no passes + NOrec; "NOrec Modified-GCC" = passes +
 //! NOrec (builtins internally delegate to read/write); semantic = passes
 //! + S-NOrec.
+//!
+//! A compiled region should cost little more than the same region
+//! hand-written over [`Tx`] (`examples/ir_tax.rs` prints the ratio), so
+//! the interpreter keeps its own work off the paths a region repeats:
+//!
+//! * **one frame per thread.** A call runs on one buffer — registers,
+//!   the lowered form's constant pool, and the snapshot of the registers
+//!   a region restarts from — that the thread keeps between calls
+//!   ([`Frame`]), so neither a call nor a region allocates; the first
+//!   attempt of a region skips the restore copy;
+//! * **one counter flush per attempt.** Barrier calls are counted in a
+//!   local and added to [`DispatchCounters::tm_calls`] when the attempt
+//!   returns — on commit, abort and give-up alike — so a barrier pays no
+//!   atomic of the interpreter's. A concurrent reader of a shared
+//!   `Interp`'s counters lags by at most one attempt per running thread.
 
 use crate::ir::{BlockId, Function, Inst, Operand};
-use crate::lower::{LoweredFunction, Op};
+use crate::lower::{LoweredFunction, Op, Slot};
 use semtm_core::{Abort, Addr, CmpOp, Stm, Tx};
+use std::cell::Cell;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,6 +56,13 @@ pub enum ExecError {
     FellThrough,
     /// An address operand was negative.
     BadAddress(i64),
+    /// The call passed the wrong number of arguments; nothing ran.
+    Arity {
+        /// Arguments the function declares.
+        expected: usize,
+        /// Arguments the call passed.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -49,6 +72,9 @@ impl std::fmt::Display for ExecError {
             ExecError::UnbalancedEnd => write!(f, "tmend outside an atomic region"),
             ExecError::FellThrough => write!(f, "block fell through"),
             ExecError::BadAddress(a) => write!(f, "negative heap address {a}"),
+            ExecError::Arity { expected, got } => {
+                write!(f, "function takes {expected} arguments, called with {got}")
+            }
         }
     }
 }
@@ -59,7 +85,8 @@ impl std::error::Error for ExecError {}
 /// interpreter-level metric behind the call-reduction argument.
 #[derive(Default)]
 pub struct DispatchCounters {
-    /// Barrier calls issued inside atomic regions.
+    /// Barrier calls issued inside atomic regions (added once per
+    /// attempt, when the attempt returns).
     pub tm_calls: AtomicU64,
     /// Atomic regions entered (attempts, including retries).
     pub region_attempts: AtomicU64,
@@ -143,15 +170,17 @@ impl Barriers for Direct<'_> {
 }
 
 /// Inside a region each barrier is **one** dispatch into the TM runtime,
-/// counted in [`DispatchCounters::tm_calls`].
+/// counted here and added to [`DispatchCounters::tm_calls`] by
+/// [`Interp::region`] when the attempt returns.
 struct InRegion<'t, 'a> {
     tx: &'t mut Tx<'a>,
-    calls: &'t AtomicU64,
+    /// Barrier calls this attempt issued so far.
+    calls: u64,
 }
 
 impl<'a> InRegion<'_, 'a> {
     fn call(&mut self) -> &mut Tx<'a> {
-        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.calls += 1;
         self.tx
     }
 }
@@ -186,11 +215,16 @@ enum Stop<P> {
     Boundary(P),
 }
 
+/// A tree-walker operand: the lowered form reads a slot instead.
 fn operand(regs: &[i64], o: Operand) -> i64 {
     match o {
         Operand::Reg(r) => regs[r as usize],
         Operand::Imm(v) => v,
     }
+}
+
+fn slot(frame: &[i64], s: Slot) -> i64 {
+    frame[s as usize]
 }
 
 fn addr(v: i64) -> Result<Addr, ExecError> {
@@ -201,12 +235,78 @@ fn addr(v: i64) -> Result<Addr, ExecError> {
     }
 }
 
-/// A fresh register file with the arguments in the low registers.
-fn frame(num_args: u32, num_regs: u32, args: &[i64]) -> Vec<i64> {
-    assert_eq!(args.len(), num_args as usize, "arity mismatch");
-    let mut regs = vec![0i64; num_regs as usize];
-    regs[..args.len()].copy_from_slice(args);
-    regs
+/// The delta a `tminc` / `tmdec` applies: `tmdec` stands for
+/// `*a = *a - d`, whose `sub` wraps, so its negation wraps too.
+fn signed(delta: i64, negate: bool) -> i64 {
+    if negate {
+        delta.wrapping_neg()
+    } else {
+        delta
+    }
+}
+
+/// The most frame words a thread keeps between calls (32 KiB): one call
+/// of a function with a huge register file must not pin its frame on the
+/// thread for the process's life. The shipped kernels need under 64.
+pub const FRAME_RETAINED_WORDS: usize = 1 << 12;
+
+thread_local! {
+    /// This thread's frame buffer while no call holds it. A slot, not a
+    /// pool: a call that finds it taken runs on a fresh buffer.
+    static KEPT: Cell<Vec<i64>> = const { Cell::new(Vec::new()) };
+}
+
+/// One call's hold on its thread's frame buffer, laid out
+/// `[registers | constant pool | region-entry snapshot of the registers]`:
+/// taken from the thread's slot when the call starts (a fresh `Vec` when
+/// the slot is taken, or already destroyed — a call from another
+/// thread-local's destructor), put back — cut to
+/// [`FRAME_RETAINED_WORDS`] — on drop.
+struct Frame {
+    words: Vec<i64>,
+    /// Words the op loop addresses: registers and constants.
+    live: usize,
+}
+
+impl Frame {
+    /// A zeroed register file with `args` in the low registers and
+    /// `consts` behind it, or the arity error — before anything runs.
+    fn enter(
+        num_args: u32,
+        num_regs: u32,
+        consts: &[i64],
+        args: &[i64],
+    ) -> Result<Frame, ExecError> {
+        if args.len() != num_args as usize {
+            return Err(ExecError::Arity {
+                expected: num_args as usize,
+                got: args.len(),
+            });
+        }
+        let regs = num_regs as usize;
+        let live = regs + consts.len();
+        let mut words = KEPT.try_with(Cell::take).unwrap_or_default();
+        words.clear();
+        words.resize(live + regs, 0);
+        words[..args.len()].copy_from_slice(args);
+        words[regs..live].copy_from_slice(consts);
+        Ok(Frame { words, live })
+    }
+
+    /// `(registers and constants, snapshot space)`.
+    fn split(&mut self) -> (&mut [i64], &mut [i64]) {
+        self.words.split_at_mut(self.live)
+    }
+}
+
+impl Drop for Frame {
+    fn drop(&mut self) {
+        let mut words = std::mem::take(&mut self.words);
+        words.truncate(FRAME_RETAINED_WORDS);
+        words.shrink_to(FRAME_RETAINED_WORDS);
+        // A destroyed slot (thread exit) drops the buffer instead.
+        let _ = KEPT.try_with(|kept| kept.set(words));
+    }
 }
 
 impl<'a> Interp<'a> {
@@ -221,13 +321,14 @@ impl<'a> Interp<'a> {
 
     /// Run `func` with `args`; returns the `ret` value.
     pub fn execute(&self, func: &Function, args: &[i64]) -> Result<Option<i64>, ExecError> {
-        let mut regs = frame(func.num_args, func.num_regs, args);
+        let mut frame = Frame::enter(func.num_args, func.num_regs, &[], args)?;
+        let (regs, snapshot) = frame.split();
         let mut steps = 0u64;
         let mut at = (0, 0);
         loop {
-            at = match self.walk(func, &mut Direct(self.stm), &mut regs, at, &mut steps) {
+            at = match self.walk(func, &mut Direct(self.stm), regs, at, &mut steps) {
                 Ok(Stop::Return(v)) => return Ok(v),
-                Ok(Stop::Boundary(entry)) => self.region(&mut regs, |tm, regs| {
+                Ok(Stop::Boundary(entry)) => self.region(regs, snapshot, |tm, regs| {
                     self.walk(func, tm, regs, entry, &mut steps)
                 })?,
                 Err(Trap::Exec(e)) => return Err(e),
@@ -240,10 +341,12 @@ impl<'a> Interp<'a> {
     /// twin of [`Interp::execute`].
     ///
     /// Observationally identical to executing the source function (same
-    /// return value, same heap effects, same barrier dispatches — the
-    /// differential oracle checks all three on every backend), but each
-    /// step is one pc-indexed op fetch and one match: no
-    /// `blocks[block].insts[idx]` double indirection, and an
+    /// return value, same heap effects, same barrier dispatches, same
+    /// step accounting — the differential oracle checks the first three
+    /// on every backend), but each step is one pc-indexed op fetch and
+    /// one match over slot-resolved operands: no
+    /// `blocks[block].insts[idx]` double indirection, no operand decode,
+    /// a compare and the branch on it in one dispatch, and an
     /// atomic-region retry resets a single pc. This is the execution
     /// mode the Figure-2 "GCC" experiments use, so the interpreter tax
     /// they measure is dispatch into the TM runtime, not tree-walking
@@ -253,14 +356,15 @@ impl<'a> Interp<'a> {
         func: &LoweredFunction,
         args: &[i64],
     ) -> Result<Option<i64>, ExecError> {
-        let mut regs = frame(func.num_args, func.num_regs, args);
+        let mut frame = Frame::enter(func.num_args, func.num_regs, &func.consts, args)?;
+        let (live, snapshot) = frame.split();
         let mut steps = 0u64;
         let mut pc = 0;
         loop {
-            pc = match self.run(func, &mut Direct(self.stm), &mut regs, pc, &mut steps) {
+            pc = match self.run(func, &mut Direct(self.stm), live, pc, &mut steps) {
                 Ok(Stop::Return(v)) => return Ok(v),
-                Ok(Stop::Boundary(entry)) => self.region(&mut regs, |tm, regs| {
-                    self.run(func, tm, regs, entry, &mut steps)
+                Ok(Stop::Boundary(entry)) => self.region(live, snapshot, |tm, live| {
+                    self.run(func, tm, live, entry, &mut steps)
                 })?,
                 Err(Trap::Exec(e)) => return Err(e),
                 Err(Trap::Abort(never)) => match never {},
@@ -272,26 +376,37 @@ impl<'a> Interp<'a> {
     /// ([`Stm::atomic_or_err`] — the retry loop, its pacing and all its
     /// telemetry are the runtime's, shared with hand-annotated code).
     /// `body` runs the region from its entry to its matching `tmend`;
-    /// every attempt starts from the registers captured at `tmbegin` —
-    /// the abort-and-restart semantics of the GCC TM runtime. A program
+    /// every attempt starts from the registers captured at `tmbegin`
+    /// (the low `snapshot.len()` words of `live`, copied to `snapshot`
+    /// here and back before every attempt but the first) — the
+    /// abort-and-restart semantics of the GCC TM runtime. A program
     /// error inside the region gives the transaction up: nothing
     /// commits and the error is returned after that one attempt.
+    /// However the attempt returns, its barrier calls reach
+    /// [`DispatchCounters::tm_calls`] in one addition.
     fn region<P>(
         &self,
-        regs: &mut [i64],
+        live: &mut [i64],
+        snapshot: &mut [i64],
         mut body: impl FnMut(&mut InRegion<'_, '_>, &mut [i64]) -> Result<Stop<P>, Trap<Abort>>,
     ) -> Result<P, ExecError> {
-        let entry_regs = regs.to_vec();
+        let regs = snapshot.len();
+        snapshot.copy_from_slice(&live[..regs]);
+        let mut retry = false;
         self.stm.atomic_or_err(|tx| {
             self.counters
                 .region_attempts
                 .fetch_add(1, Ordering::Relaxed);
-            regs.copy_from_slice(&entry_regs);
-            let mut barriers = InRegion {
-                tx,
-                calls: &self.counters.tm_calls,
-            };
-            match body(&mut barriers, regs) {
+            if retry {
+                live[..regs].copy_from_slice(snapshot);
+            }
+            retry = true;
+            let mut barriers = InRegion { tx, calls: 0 };
+            let stopped = body(&mut barriers, live);
+            self.counters
+                .tm_calls
+                .fetch_add(barriers.calls, Ordering::Relaxed);
+            match stopped {
                 Ok(Stop::Boundary(exit)) => Ok(Ok(exit)),
                 Ok(Stop::Return(_)) => Ok(Err(ExecError::UnbalancedEnd)),
                 Err(Trap::Exec(e)) => Ok(Err(e)),
@@ -370,8 +485,7 @@ impl<'a> Interp<'a> {
                     negate,
                 } => {
                     let a = addr(operand(regs, a))?;
-                    let d = operand(regs, delta);
-                    tm.inc(a, if negate { -d } else { d })?;
+                    tm.inc(a, signed(operand(regs, delta), negate))?;
                 }
                 Inst::Br { target } => (block, idx) = (target, 0),
                 Inst::CondBr {
@@ -401,12 +515,15 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// The lowered op loop: as [`Interp::walk`], over the flat op array.
+    /// The lowered op loop: as [`Interp::walk`], over the flat op array
+    /// and the frame's registers-and-constants slots. A fused
+    /// compare-and-branch charges its second step after the compare (and
+    /// its barrier), where the tree walker charges the branch.
     fn run<B: Barriers>(
         &self,
         func: &LoweredFunction,
         tm: &mut B,
-        regs: &mut [i64],
+        frame: &mut [i64],
         mut pc: usize,
         steps: &mut u64,
     ) -> Result<Stop<usize>, Trap<B::Abort>> {
@@ -418,21 +535,34 @@ impl<'a> Interp<'a> {
             self.tick(steps)?;
             pc += 1;
             match *op {
-                Op::Mov { dst, src } => regs[dst as usize] = operand(regs, src),
+                Op::Mov { dst, src } => frame[dst as usize] = slot(frame, src),
                 Op::Bin { op, dst, a, b } => {
-                    regs[dst as usize] = op.eval(operand(regs, a), operand(regs, b));
+                    frame[dst as usize] = op.eval(slot(frame, a), slot(frame, b));
                 }
                 Op::Cmp { op, dst, a, b } => {
-                    regs[dst as usize] = op.eval(operand(regs, a), operand(regs, b)) as i64;
+                    frame[dst as usize] = op.eval(slot(frame, a), slot(frame, b)) as i64;
                 }
-                Op::Not { dst, src } => regs[dst as usize] = (operand(regs, src) == 0) as i64,
+                Op::CmpJump {
+                    op,
+                    dst,
+                    a,
+                    b,
+                    then_pc,
+                    else_pc,
+                } => {
+                    let holds = op.eval(slot(frame, a), slot(frame, b));
+                    frame[dst as usize] = holds as i64;
+                    self.tick(steps)?;
+                    pc = if holds { then_pc } else { else_pc } as usize;
+                }
+                Op::Not { dst, src } => frame[dst as usize] = (slot(frame, src) == 0) as i64,
                 Op::TmLoad { dst, addr: a } => {
-                    let a = addr(operand(regs, a))?;
-                    regs[dst as usize] = tm.read(a)?;
+                    let a = addr(slot(frame, a))?;
+                    frame[dst as usize] = tm.read(a)?;
                 }
                 Op::TmStore { addr: a, val } => {
-                    let a = addr(operand(regs, a))?;
-                    tm.write(a, operand(regs, val))?;
+                    let a = addr(slot(frame, a))?;
+                    tm.write(a, slot(frame, val))?;
                 }
                 Op::TmCmpVal {
                     op,
@@ -440,9 +570,22 @@ impl<'a> Interp<'a> {
                     addr: a,
                     val,
                 } => {
-                    let a = addr(operand(regs, a))?;
-                    let holds = tm.cmp(a, op, operand(regs, val))?;
-                    regs[dst as usize] = holds as i64;
+                    let a = addr(slot(frame, a))?;
+                    frame[dst as usize] = tm.cmp(a, op, slot(frame, val))? as i64;
+                }
+                Op::TmCmpValJump {
+                    op,
+                    dst,
+                    addr: a,
+                    val,
+                    then_pc,
+                    else_pc,
+                } => {
+                    let a = addr(slot(frame, a))?;
+                    let holds = tm.cmp(a, op, slot(frame, val))?;
+                    frame[dst as usize] = holds as i64;
+                    self.tick(steps)?;
+                    pc = if holds { then_pc } else { else_pc } as usize;
                 }
                 Op::TmCmpAddr {
                     op,
@@ -450,31 +593,30 @@ impl<'a> Interp<'a> {
                     a: lhs,
                     b: rhs,
                 } => {
-                    let (lhs, rhs) = (addr(operand(regs, lhs))?, addr(operand(regs, rhs))?);
-                    regs[dst as usize] = tm.cmp_addr(lhs, op, rhs)? as i64;
+                    let (lhs, rhs) = (addr(slot(frame, lhs))?, addr(slot(frame, rhs))?);
+                    frame[dst as usize] = tm.cmp_addr(lhs, op, rhs)? as i64;
                 }
                 Op::TmInc {
                     addr: a,
                     delta,
                     negate,
                 } => {
-                    let a = addr(operand(regs, a))?;
-                    let d = operand(regs, delta);
-                    tm.inc(a, if negate { -d } else { d })?;
+                    let a = addr(slot(frame, a))?;
+                    tm.inc(a, signed(slot(frame, delta), negate))?;
                 }
-                Op::Jump { pc: target } => pc = target,
+                Op::Jump { pc: target } => pc = target as usize,
                 Op::JumpIf {
                     cond,
                     then_pc,
                     else_pc,
                 } => {
-                    pc = if operand(regs, cond) != 0 {
+                    pc = if slot(frame, cond) != 0 {
                         then_pc
                     } else {
                         else_pc
-                    };
+                    } as usize;
                 }
-                Op::Ret { val } => return Ok(Stop::Return(val.map(|o| operand(regs, o)))),
+                Op::Ret { val } => return Ok(Stop::Return(val.map(|s| slot(frame, s)))),
                 Op::TmBegin if depth == 0 => return Ok(Stop::Boundary(pc)),
                 // Flattened nesting, as in GCC's TM runtime.
                 Op::TmBegin => depth += 1,
@@ -644,19 +786,30 @@ mod tests {
 
     #[test]
     fn bad_address_inside_a_region_is_reported_after_one_attempt() {
-        for (form, run) in both_forms(crate::programs::bank_transfer()) {
-            let s = stm(Algorithm::SNOrec);
-            let b = s.alloc_cell(10i64);
-            let mut interp = Interp::new(&s);
-            interp.step_limit = 10_000;
-            assert_eq!(
-                run(&interp, &[-5, b.index() as i64, 1]),
-                Err(ExecError::BadAddress(-5)),
-                "{form}"
-            );
-            assert_eq!(interp.counters.region_attempts(), 1, "{form}");
-            assert_eq!(s.read_now(b), 10, "{form}: nothing commits");
-            assert_eq!(s.stats().aborts_explicit, 1, "{form}");
+        // The bad address is the region's first barrier (source account),
+        // or its fourth (destination, after load + load + store).
+        for (bad_dst, barriers) in [(false, 0), (true, 3)] {
+            for (form, run) in both_forms(crate::programs::bank_transfer()) {
+                let s = stm(Algorithm::SNOrec);
+                let b = s.alloc_cell(10i64);
+                let mut interp = Interp::new(&s);
+                interp.step_limit = 10_000;
+                let good = b.index() as i64;
+                let args = if bad_dst {
+                    [good, -5, 1]
+                } else {
+                    [-5, good, 1]
+                };
+                assert_eq!(
+                    run(&interp, &args),
+                    Err(ExecError::BadAddress(-5)),
+                    "{form}"
+                );
+                assert_eq!(interp.counters.region_attempts(), 1, "{form}");
+                assert_eq!(interp.counters.tm_calls(), barriers, "{form}");
+                assert_eq!(s.read_now(b), 10, "{form}: nothing commits");
+                assert_eq!(s.stats().aborts_explicit, 1, "{form}");
+            }
         }
     }
 
@@ -685,7 +838,71 @@ mod tests {
                 "{form}"
             );
             assert_eq!(interp.counters.region_attempts(), 1, "{form}");
+            // Steps 1 and 2 are `tmbegin` and `br`; every odd step from 3
+            // to 999 is a store, and step 1001 would have been the next.
+            assert_eq!(interp.counters.tm_calls(), 499, "{form}");
             assert_eq!(s.read_now(x), 1, "{form}: nothing commits");
+        }
+    }
+
+    #[test]
+    fn wrong_argument_count_is_an_error_before_anything_runs() {
+        for (form, run) in both_forms(crate::programs::bank_transfer()) {
+            let s = stm(Algorithm::SNOrec);
+            let accounts = s.alloc_array(2, 10i64);
+            let interp = Interp::new(&s);
+            let (a, b) = (accounts.index() as i64, accounts.offset(1).index() as i64);
+            for args in [&[a, b][..], &[a, b, 1, 1], &[]] {
+                assert_eq!(
+                    run(&interp, args),
+                    Err(ExecError::Arity {
+                        expected: 3,
+                        got: args.len()
+                    }),
+                    "{form}"
+                );
+            }
+            assert_eq!(interp.counters.region_attempts(), 0, "{form}");
+            assert_eq!(s.stats().commits + s.stats().aborts_explicit, 0, "{form}");
+            assert_eq!(s.read_now(accounts), 10, "{form}: heap untouched");
+            assert_eq!(run(&interp, &[a, b, 1]), Ok(Some(1)), "{form}: then runs");
+        }
+    }
+
+    #[test]
+    fn subtracting_i64_min_wraps_with_and_without_the_passes() {
+        // `atomic { *r0 = *r0 - r1 }`: `sub` wraps, so the `tmdec` the
+        // passes turn it into must negate `i64::MIN` wrapping too.
+        let source = crate::parser::parse_function(
+            "func sub(2) {
+             entry:
+               tmbegin
+               r2 = tmload r0
+               r3 = sub r2, r1
+               tmstore r0, r3
+               tmend
+               ret
+             }",
+        )
+        .unwrap();
+        for passes in [false, true] {
+            let mut f = source.clone();
+            if passes {
+                assert_eq!(run_tm_passes(&mut f).sw, 1);
+            }
+            for (form, run) in both_forms(f) {
+                for alg in Algorithm::ALL {
+                    let s = stm(alg);
+                    let x = s.alloc_cell(5i64);
+                    let interp = Interp::new(&s);
+                    assert_eq!(run(&interp, &[x.index() as i64, i64::MIN]), Ok(None));
+                    assert_eq!(
+                        s.read_now(x),
+                        5i64.wrapping_sub(i64::MIN),
+                        "{alg} {form} passes={passes}"
+                    );
+                }
+            }
         }
     }
 
@@ -827,21 +1044,27 @@ mod tests {
         let mut f = inc_if_positive();
         run_tm_passes(&mut f);
         let lowered = crate::lower::lower(&f).unwrap();
+        // One interpreter shared by all threads: each attempt adds its
+        // barrier calls in one piece.
+        let interp = Interp::new(&s);
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let s = &s;
-                let lowered = &lowered;
-                scope.spawn(move || {
-                    let interp = Interp::new(s);
+                scope.spawn(|| {
                     for _ in 0..100 {
                         interp
-                            .execute_lowered(lowered, &[x.index() as i64])
+                            .execute_lowered(&lowered, &[x.index() as i64])
                             .unwrap();
                     }
                 });
             }
         });
         assert_eq!(s.read_now(x), 1 + 400);
+        // Every attempt, committed or not, issues the guard's `_ITM_S1R`
+        // and the increment's `_ITM_SW` (neither can abort on S-NOrec
+        // with an empty read-set; the commit can).
+        let attempts = interp.counters.region_attempts();
+        assert!(attempts >= 400);
+        assert_eq!(interp.counters.tm_calls(), attempts * 2);
     }
 
     #[test]
