@@ -192,9 +192,11 @@ struct Slot {
     active: AtomicU64,
 }
 
+/// The epoch slot of the thread whose token is `token`. A transaction
+/// computes it once; `enter` and `exit` must be handed the same one.
 #[inline]
-fn slot_index() -> usize {
-    (crate::util::thread_token() as usize) & (SLOTS - 1)
+pub(crate) fn slot_of(token: u64) -> usize {
+    (token as usize) & (SLOTS - 1)
 }
 
 /// Why a [`crate::Stm::switch_to`] request was refused.
@@ -272,10 +274,10 @@ impl ModeMachine {
         self.switches.load(Ordering::SeqCst)
     }
 
-    /// Enter the current epoch: publish this thread's presence in a slot
-    /// and return the packed word the attempt runs under. Waits out any
-    /// in-flight drain (bounded by one quiesce epoch).
-    pub(crate) fn enter(&self) -> u64 {
+    /// Enter the current epoch: publish this thread's presence in its
+    /// `slot` and return the packed word the attempt runs under. Waits
+    /// out any in-flight drain (bounded by one quiesce epoch).
+    pub(crate) fn enter(&self, slot: usize) -> u64 {
         let mut wait = SpinWait::new();
         loop {
             sched::point(sched::PointKind::AdaptEnter);
@@ -285,7 +287,7 @@ impl ModeMachine {
                 wait.spin();
                 continue;
             }
-            let slot = &self.slots[slot_index()].active;
+            let slot = &self.slots[slot].active;
             slot.fetch_add(1, Ordering::SeqCst);
             sched::point(sched::PointKind::AdaptEnterRecheck);
             // Re-check *the full word*: a switch published `Draining`
@@ -301,11 +303,10 @@ impl ModeMachine {
         }
     }
 
-    /// Retire the attempt entered by the matching [`ModeMachine::enter`].
-    pub(crate) fn exit(&self) {
-        self.slots[slot_index()]
-            .active
-            .fetch_sub(1, Ordering::SeqCst);
+    /// Retire the attempt entered by the matching [`ModeMachine::enter`]
+    /// on the same `slot`.
+    pub(crate) fn exit(&self, slot: usize) {
+        self.slots[slot].active.fetch_sub(1, Ordering::SeqCst);
     }
 
     fn active_total(&self) -> u64 {
@@ -605,9 +606,9 @@ mod tests {
     #[test]
     fn machine_switch_drains_and_bumps_epoch() {
         let m = ModeMachine::new(Mode::new(Algorithm::SNOrec));
-        let w = m.enter();
+        let w = m.enter(5);
         assert_eq!(unpack_mode(w), Mode::new(Algorithm::SNOrec));
-        m.exit();
+        m.exit(5);
         let mut reseeded = false;
         let r = m.switch(Mode::new(Algorithm::STl2), || reseeded = true);
         assert!(reseeded);
@@ -625,21 +626,22 @@ mod tests {
     fn machine_drain_waits_for_inflight_attempts() {
         use std::sync::Arc;
         let m = Arc::new(ModeMachine::new(Mode::new(Algorithm::NOrec)));
-        let entered = m.enter();
+        let slot = slot_of(crate::util::thread_token());
+        let entered = m.enter(slot);
         let m2 = m.clone();
         let switcher = std::thread::spawn(move || m2.switch(Mode::new(Algorithm::Tl2), || ()));
         // The switcher cannot finish while we are in flight. Give it a
         // moment to reach the drain loop, then retire; it must complete.
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(unpack_mode(entered).algorithm, Algorithm::NOrec);
-        m.exit();
+        m.exit(slot);
         let report = switcher.join().unwrap();
         assert!(report.changed());
         assert_eq!(m.mode(), Mode::new(Algorithm::Tl2));
         // Post-switch attempts run the new mode.
-        let w = m.enter();
+        let w = m.enter(slot);
         assert_eq!(unpack_mode(w), Mode::new(Algorithm::Tl2));
-        m.exit();
+        m.exit(slot);
     }
 
     fn window(r: f64, w: f64, abort_ratio: f64, commits: u64) -> RateEwma {

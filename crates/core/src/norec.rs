@@ -10,8 +10,9 @@
 //! the reader. Plain reads degenerate to `EQ` entries, recovering exactly
 //! NOrec's value-based validation.
 //!
-//! [`NorecTx`] owns the read-set, the write-set, the read-after-write /
-//! promote rules and every barrier once. How the commit clock is
+//! [`NorecTx`] owns the read-set, the write-set and the three reads of
+//! live memory once; the write-set's front — filter, read-after-write and
+//! promote rules — is [`Engine`]'s, shared with TL2. How the commit clock is
 //! sampled, validated against and acquired is the [`CommitClock`] it is
 //! monomorphised over: [`GlobalClock`] is the classical single sequence
 //! lock, [`ShardedClock`](crate::sclock::ShardedClock) the per-line shard
@@ -28,8 +29,7 @@ use crate::fault;
 use crate::heap::{Addr, Heap};
 use crate::ops::CmpOp;
 use crate::sched::{self, PointKind};
-use crate::sets::{ReadEntry, Scratch, ScratchBox, WriteEntry, WriteKind, WriteSet};
-use crate::stats::OpCounts;
+use crate::sets::{ReadEntry, Scratch, ScratchBox, WriteSet};
 use crate::stm::Engine;
 use crate::telemetry::PhaseRecorder;
 use crate::util::{thread_token, SpinWait};
@@ -281,6 +281,7 @@ impl<'a, C: CommitClock> NorecTx<'a, C> {
 
     /// A validation abort names the failing entry's address; with the
     /// flight recorder on, add the most-recent-committer heuristic.
+    #[cold]
     fn blame(&self, abort: Abort) -> Abort {
         if self.record_committer && abort.reason == AbortReason::Validation {
             // 0 (never stamped) is `Conflict`'s "unknown" sentinel.
@@ -303,7 +304,9 @@ impl<'a, C: CommitClock> NorecTx<'a, C> {
     }
 
     /// Algorithm 6 `ReadValid` (lines 10–16): read a word, re-validating
-    /// (and moving the view forward) whenever the clock moved.
+    /// (and moving the view forward) whenever the clock moved. While it
+    /// stands still this is a load and a compare.
+    #[inline(always)]
     fn read_valid(&mut self, addr: Addr) -> Result<i64, Abort> {
         loop {
             sched::point(C::READ);
@@ -315,31 +318,9 @@ impl<'a, C: CommitClock> NorecTx<'a, C> {
         }
     }
 
-    /// Read-after-write resolution (Algorithm 6 `RAW`, lines 17–23).
-    /// Returns the value the transaction would observe for `addr` if it is
-    /// buffered, promoting `Increment` entries to reads+stores.
-    fn raw(&mut self, addr: Addr, ops: &mut OpCounts) -> Result<Option<i64>, Abort> {
-        match self.scratch.writes.get(addr) {
-            None => Ok(None),
-            Some(WriteEntry {
-                kind: WriteKind::Store,
-                value,
-            }) => Ok(Some(value)),
-            Some(WriteEntry {
-                kind: WriteKind::Increment,
-                ..
-            }) => {
-                // Promote: the increment's read can no longer be deferred.
-                let observed = self.read_valid(addr)?;
-                self.push_read(addr, CmpOp::Eq, observed);
-                ops.promotes += 1;
-                Ok(Some(self.scratch.writes.promote(addr, observed)))
-            }
-        }
-    }
-
     /// §4.1 "read after read": duplicates are appended, as the paper
     /// judges a dedup lookup not worth its cost.
+    #[inline(always)]
     fn push_read(&mut self, addr: Addr, op: CmpOp, operand: i64) {
         self.scratch
             .entries
@@ -363,82 +344,53 @@ impl<'a, C: CommitClock> Engine<'a> for NorecTx<'a, C> {
 
     fn begin(&mut self) {
         self.scratch.entries.clear();
-        self.scratch.writes.clear();
+        self.scratch.clear_writes();
         self.phases.reset();
         self.clock.begin(&mut self.view);
     }
 
-    /// `TM_READ` (Algorithm 6, lines 37–43).
-    fn read(&mut self, addr: Addr, ops: &mut OpCounts) -> Result<i64, Abort> {
-        if let Some(v) = self.raw(addr, ops)? {
-            return Ok(v);
-        }
+    #[inline(always)]
+    fn scratch(&mut self) -> &mut ScratchBox {
+        &mut self.scratch
+    }
+
+    /// `TM_READ` on live memory (Algorithm 6, lines 40–43); a plain
+    /// read is recorded as an `EQ` entry.
+    #[inline(always)]
+    fn read_live(&mut self, addr: Addr) -> Result<i64, Abort> {
         let val = self.read_valid(addr)?;
         self.push_read(addr, CmpOp::Eq, val);
         Ok(val)
     }
 
-    /// `TM_WRITE` (Algorithm 6, lines 50–52).
-    fn write(&mut self, addr: Addr, value: i64) {
-        self.scratch.writes.write(addr, value);
-    }
-
-    /// Semantic compare, address–value form (Algorithm 6 `Compare`,
-    /// lines 29–36): a false outcome records the inverse relation.
-    fn cmp(
-        &mut self,
-        addr: Addr,
-        op: CmpOp,
-        operand: i64,
-        ops: &mut OpCounts,
-    ) -> Result<bool, Abort> {
-        if let Some(v) = self.raw(addr, ops)? {
-            return Ok(op.eval(v, operand));
-        }
+    /// `Compare` on live memory (Algorithm 6, lines 32–35).
+    #[inline(always)]
+    fn cmp_live(&mut self, addr: Addr, op: CmpOp, operand: i64) -> Result<bool, Abort> {
         let val = self.read_valid(addr)?;
         let result = op.eval(val, operand);
-        self.push_read(addr, if result { op } else { op.inverse() }, operand);
+        self.push_read(addr, op.recorded(result), operand);
         Ok(result)
     }
 
-    /// Semantic compare, address–address form (`_ITM_S2R`). Sides pinned
-    /// by the write-set collapse to the address–value form; when both
-    /// operands are live memory the whole relation is recorded as one
-    /// `Pair` entry validated semantically.
-    fn cmp_addr(&mut self, a: Addr, op: CmpOp, b: Addr, ops: &mut OpCounts) -> Result<bool, Abort> {
-        let wa = self.raw(a, ops)?;
-        let wb = self.raw(b, ops)?;
-        match (wa, wb) {
-            (Some(va), Some(vb)) => Ok(op.eval(va, vb)),
-            (Some(va), None) => self.cmp(b, op.swap(), va, ops),
-            (None, Some(vb)) => self.cmp(a, op, vb, ops),
-            (None, None) => {
-                // Read both sides under one view so the recorded
-                // relation reflects a consistent memory state.
-                let (va, vb) = loop {
-                    let stamp = C::stamp(&self.view);
-                    let va = self.read_valid(a)?;
-                    let vb = self.read_valid(b)?;
-                    if C::stamp(&self.view) == stamp {
-                        break (va, vb);
-                    }
-                };
-                let result = op.eval(va, vb);
-                self.scratch.entries.push(ReadEntry::Pair {
-                    a,
-                    op: if result { op } else { op.inverse() },
-                    b,
-                });
-                Ok(result)
+    #[inline(always)]
+    fn cmp_pair_live(&mut self, a: Addr, op: CmpOp, b: Addr) -> Result<bool, Abort> {
+        // Read both sides under one view so the recorded relation
+        // reflects a consistent memory state.
+        let (va, vb) = loop {
+            let stamp = C::stamp(&self.view);
+            let va = self.read_valid(a)?;
+            let vb = self.read_valid(b)?;
+            if C::stamp(&self.view) == stamp {
+                break (va, vb);
             }
-        }
-    }
-
-    /// Semantic increment/decrement (Algorithm 6 `Increment`,
-    /// lines 44–49): pure write-set bookkeeping; the read happens at
-    /// commit time under the clock's locks.
-    fn inc(&mut self, addr: Addr, delta: i64) {
-        self.scratch.writes.inc(addr, delta);
+        };
+        let result = op.eval(va, vb);
+        self.scratch.entries.push(ReadEntry::Pair {
+            a,
+            op: op.recorded(result),
+            b,
+        });
+        Ok(result)
     }
 
     /// Commit. Read-only transactions commit immediately (their last
@@ -521,6 +473,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::heap::LINE_WORDS;
     use crate::sclock::ShardedClock;
+    use crate::stats::OpCounts;
 
     fn heap() -> Heap {
         Heap::new(LINE_WORDS * 16)
@@ -650,6 +603,63 @@ pub(crate) mod tests {
         assert_eq!(time(&clock), before);
     }
 
+    /// The read barriers of any engine on addresses the write-set's
+    /// filter cannot tell apart: `p` is written, `q` shares its filter
+    /// bit and is never written, so every barrier on `q` passes the
+    /// filter, misses the index and must fall through to memory. `begin`
+    /// hands out a begun attempt over `heap`.
+    pub(crate) fn filter_twin_suite<'a, E: Engine<'a>>(heap: &'a Heap, begin: impl Fn() -> E) {
+        let cells = heap.alloc(80);
+        let (p, q) = (0..80)
+            .flat_map(|i| (i + 1..80).map(move |j| (cells.offset(i), cells.offset(j))))
+            .find(|&(p, q)| crate::sets::tests::filter_twins(p, q))
+            .expect("65 addresses share 64 bits");
+        heap.store(p, 10);
+        heap.store(q, 20);
+        let mut ops = OpCounts::default();
+
+        // Read after write.
+        let mut t = begin();
+        t.write(p, 7);
+        assert_eq!(t.read(q, &mut ops).unwrap(), 20, "the twin reads memory");
+        assert_eq!(
+            t.read(p, &mut ops).unwrap(),
+            7,
+            "the written reads its buffer"
+        );
+        t.inc(q, 1);
+        assert_eq!(
+            t.read(q, &mut ops).unwrap(),
+            21,
+            "and the twin too, once buffered"
+        );
+        t.commit().unwrap();
+        assert_eq!((heap.load(p), heap.load(q)), (7, 21));
+
+        // `cmp` after `inc`: the increment is promoted, its twin compared
+        // in memory — with the inc's filter bit lost, `p` would compare
+        // as 7, not 9.
+        let promotes = ops.promotes;
+        let mut t = begin();
+        t.inc(p, 2);
+        assert!(t.cmp(q, CmpOp::Eq, 21, &mut ops).unwrap());
+        assert_eq!(ops.promotes, promotes, "no buffer, no promotion");
+        assert!(t.cmp(p, CmpOp::Gt, 8, &mut ops).unwrap(), "7 + 2 > 8");
+        assert_eq!(ops.promotes, promotes + 1);
+        assert!(!t.cmp(q, CmpOp::Lt, 21, &mut ops).unwrap());
+        t.commit().unwrap();
+        assert_eq!((heap.load(p), heap.load(q)), (9, 21));
+
+        // `cmp_addr` with one side buffered, either way round.
+        let mut t = begin();
+        t.inc(p, 20);
+        assert!(t.cmp_addr(p, CmpOp::Gt, q, &mut ops).unwrap(), "29 > 21");
+        assert!(t.cmp_addr(q, CmpOp::Lte, p, &mut ops).unwrap());
+        assert_eq!(ops.promotes, promotes + 2, "promoted once, then a store");
+        t.commit().unwrap();
+        assert_eq!((heap.load(p), heap.load(q)), (29, 21));
+    }
+
     fn shard_time(c: &ShardedClock) -> u64 {
         (0..c.len()).map(|s| c.load(s)).sum()
     }
@@ -657,12 +667,16 @@ pub(crate) mod tests {
     #[test]
     fn conformance_global_clock() {
         suite(GlobalClock::default, GlobalClock::time);
+        let (heap, clock) = (heap(), GlobalClock::default());
+        filter_twin_suite(&heap, || tx(&heap, &clock));
     }
 
     #[test]
     fn conformance_sharded_clock() {
         suite(|| ShardedClock::new(1), shard_time);
         suite(|| ShardedClock::new(4), shard_time);
+        let (heap, clock) = (heap(), ShardedClock::new(4));
+        filter_twin_suite(&heap, || tx(&heap, &clock));
     }
 
     /// One shard *is* the global clock: a deterministic script of

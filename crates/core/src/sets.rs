@@ -50,6 +50,9 @@ pub enum ReadEntry {
     },
 }
 
+// A push onto the read-set — every read barrier's last step — is two stores.
+const _: () = assert!(std::mem::size_of::<ReadEntry>() == 16);
+
 impl ReadEntry {
     /// Re-evaluate the recorded relation against current memory — the
     /// semantic validation step (Algorithm 6, line 5).
@@ -217,6 +220,7 @@ impl WriteSet {
 
     /// Record a `TM_WRITE`: overwrites any previous entry and resets the
     /// kind to `Store` (Algorithm 6, line 51).
+    #[inline]
     pub fn write(&mut self, addr: Addr, value: i64) {
         let entry = WriteEntry {
             value,
@@ -231,6 +235,7 @@ impl WriteSet {
     /// Record a `TM_INC`: accumulates the delta onto the existing entry
     /// *without changing its kind* (Algorithm 6, line 46), or creates a
     /// fresh `Increment` entry (line 48).
+    #[inline]
     pub fn inc(&mut self, addr: Addr, delta: i64) {
         match self.find_or_slot(addr) {
             Ok(at) => {
@@ -426,10 +431,36 @@ thread_local! {
     static KEPT: Cell<Option<Box<Scratch>>> = const { Cell::new(None) };
 }
 
+/// The membership bit of an address in a [`ScratchBox`]'s write filter:
+/// the top six bits of the hash the write-set's index takes its home
+/// slot from.
+#[inline]
+fn filter_bit(addr: Addr) -> u64 {
+    1 << (spread(addr) >> 58)
+}
+
 /// One transaction's hold on its thread's [`Scratch`]: taken from the
 /// thread's slot when the engine is built, used in place through `Deref`,
 /// and put back — trimmed to the retention bound — on drop.
-pub(crate) struct ScratchBox(Option<Box<Scratch>>);
+///
+/// It fronts the scratch's write-set with a one-word **membership
+/// filter**. Most lookups miss — every read barrier asks, few addresses
+/// are ever written — and the filter answers "not buffered" from the
+/// hash alone: a multiply and a bit test, no index, no box. The word
+/// lives here, in the engine's context on the stack, so a barrier that
+/// misses dereferences the box once, for its push; and the boxed
+/// `Scratch` keeps its size, on which the benchmark's `setup_s` and
+/// `peak_rss_mb` turn out to depend (where glibc places the box decides
+/// whether a dropped `Stm`'s heap goes back to the OS; CHANGES.md, PR 23).
+pub(crate) struct ScratchBox {
+    /// `Some` until drop.
+    kept: Option<Box<Scratch>>,
+    /// The union of [`filter_bit`] over the addresses `writes` buffers —
+    /// a superset is sound, a missing bit is a lost write. Kept by routing
+    /// every insertion and the clear through the methods below; lookups
+    /// and `promote`, which add no address, go to `writes` directly.
+    written: u64,
+}
 
 impl ScratchBox {
     /// The thread's kept scratch, or a fresh one when the slot is empty
@@ -437,7 +468,53 @@ impl ScratchBox {
     /// transaction run from another thread-local's destructor).
     pub(crate) fn take() -> ScratchBox {
         let kept = KEPT.try_with(Cell::take).ok().flatten();
-        ScratchBox(Some(kept.unwrap_or_default()))
+        // A kept scratch was put back with its write-set cleared.
+        ScratchBox {
+            kept: Some(kept.unwrap_or_default()),
+            written: 0,
+        }
+    }
+
+    /// Whether the write-set can hold `addr`: `false` is exact, `true`
+    /// means look it up.
+    #[inline]
+    pub(crate) fn may_hold(&self, addr: Addr) -> bool {
+        let may = self.written & filter_bit(addr) != 0;
+        debug_assert!(
+            may || self.writes.get(addr).is_none(),
+            "{addr:?} was buffered behind the filter's back"
+        );
+        may
+    }
+
+    /// Look up the buffered entry for `addr`, filter first.
+    #[inline]
+    pub(crate) fn get(&self, addr: Addr) -> Option<WriteEntry> {
+        if !self.may_hold(addr) {
+            return None;
+        }
+        self.writes.get(addr)
+    }
+
+    /// [`WriteSet::write`], seen by the filter.
+    #[inline]
+    pub(crate) fn write(&mut self, addr: Addr, value: i64) {
+        self.written |= filter_bit(addr);
+        self.writes.write(addr, value);
+    }
+
+    /// [`WriteSet::inc`], seen by the filter.
+    #[inline]
+    pub(crate) fn inc(&mut self, addr: Addr, delta: i64) {
+        self.written |= filter_bit(addr);
+        self.writes.inc(addr, delta);
+    }
+
+    /// [`WriteSet::clear`], seen by the filter.
+    #[inline]
+    pub(crate) fn clear_writes(&mut self) {
+        self.written = 0;
+        self.writes.clear();
     }
 
     /// Largest buffer capacity the calling thread keeps, in entries.
@@ -454,20 +531,20 @@ impl std::ops::Deref for ScratchBox {
     type Target = Scratch;
     #[inline]
     fn deref(&self) -> &Scratch {
-        self.0.as_deref().expect("held until drop")
+        self.kept.as_deref().expect("held until drop")
     }
 }
 
 impl std::ops::DerefMut for ScratchBox {
     #[inline]
     fn deref_mut(&mut self) -> &mut Scratch {
-        self.0.as_deref_mut().expect("held until drop")
+        self.kept.as_deref_mut().expect("held until drop")
     }
 }
 
 impl Drop for ScratchBox {
     fn drop(&mut self) {
-        if let Some(mut scratch) = self.0.take() {
+        if let Some(mut scratch) = self.kept.take() {
             scratch.bound();
             // A destroyed slot (thread exit) drops the scratch instead.
             let _ = KEPT.try_with(|slot| slot.set(Some(scratch)));
@@ -476,7 +553,7 @@ impl Drop for ScratchBox {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn heap_with(vals: &[i64]) -> (Heap, Vec<Addr>) {
@@ -607,8 +684,8 @@ mod tests {
         assert_eq!(ws.len(), 3);
     }
 
-    /// The index against a `BTreeMap` + first-touch-order model, checked
-    /// after every step, across growth and across `clear`.
+    /// The index behind its filter against a `BTreeMap` + first-touch-order
+    /// model, checked after every step, across growth and across `clear`.
     #[test]
     fn index_agrees_with_a_map_model_deterministic() {
         use crate::heap::LINE_WORDS;
@@ -622,28 +699,53 @@ mod tests {
             .filter(|&a| spread(a) >> 54 == 0)
             .take(600)
             .collect();
+        // Addresses that share one filter bit but spread over the index:
+        // whatever is buffered, the filter passes every one of them, so
+        // the probe alone must tell the buffered from the rest.
+        let one_bit: Vec<Addr> = (0..u32::MAX)
+            .map(Addr)
+            .filter(|&a| filter_bit(a) == 1 << 17)
+            .take(600)
+            .collect();
         type AddrOf<'a> = &'a dyn Fn(usize) -> Addr;
-        let patterns: [(&str, usize, AddrOf<'_>); 3] = [
-            ("dense", 5_000, &|i| Addr(i as u32)),
-            ("strided", 5_000, &|i| Addr((i * LINE_WORDS) as u32)),
-            ("colliding", colliding.len(), &|i| colliding[i]),
+        // (name, addresses, the address of each, filter bits they can set)
+        let patterns: [(&str, usize, AddrOf<'_>, u32); 4] = [
+            ("dense", 5_000, &|i| Addr(i as u32), 64),
+            ("strided", 5_000, &|i| Addr((i * LINE_WORDS) as u32), 64),
+            ("colliding", colliding.len(), &|i| colliding[i], 1),
+            ("one filter bit", one_bit.len(), &|i| one_bit[i], 1),
         ];
-        for (pattern, most, addr_of) in patterns {
+        for (pattern, most, addr_of, bits) in patterns {
+            let mut widest_filter = 0;
             let mut rng = SplitMix64::new(0x5E75 ^ most as u64);
-            let mut ws = WriteSet::default();
+            let mut ws = ScratchBox::take();
             // The model: entries in first-touch order, and where each
             // address sits in that order.
             let mut model: Vec<(Addr, WriteEntry)> = Vec::new();
             let mut place: BTreeMap<Addr, usize> = BTreeMap::new();
             let mut universe = 1 + rng.index(most);
-            for step in 0..10_000 {
+            for step in 0..=10_000 {
                 // Epochs of 1 500, 100, 4 400 and 4 000 steps, each over a
                 // new universe: nothing of the old one may show through.
-                if [1_500, 1_600, 6_000].contains(&step) {
-                    ws.clear();
+                if [1_500, 1_600, 6_000, 10_000].contains(&step) {
+                    // The whole pattern, not two samples: every buffered
+                    // address found, every other missed, and nothing
+                    // found once the set is cleared.
+                    widest_filter = widest_filter.max(ws.written.count_ones());
+                    for a in (0..most).map(addr_of) {
+                        let expect = place.get(&a).map(|&at| model[at].1);
+                        assert_eq!(ws.get(a), expect, "{pattern} step {step}: {a:?}");
+                    }
+                    ws.clear_writes();
                     model.clear();
                     place.clear();
+                    for a in (0..most).map(addr_of) {
+                        assert_eq!(ws.get(a), None, "{pattern} step {step}: {a:?} cleared");
+                    }
                     universe = 1 + rng.index(most);
+                }
+                if step == 10_000 {
+                    break;
                 }
                 let addr = addr_of(rng.index(universe));
                 let value = rng.next_u64() as i64 >> 40;
@@ -674,7 +776,7 @@ mod tests {
                         let e = &mut model[at].1;
                         e.value = e.value.wrapping_add(value);
                         e.kind = WriteKind::Store;
-                        assert_eq!(ws.promote(addr, value), e.value);
+                        assert_eq!(ws.writes.promote(addr, value), e.value);
                     }
                     _ => {}
                 }
@@ -682,14 +784,44 @@ mod tests {
                 let other = addr_of(rng.index(most));
                 assert_eq!(ws.get(addr), expect(addr), "{pattern} step {step}");
                 assert_eq!(ws.get(other), expect(other), "{pattern} step {step}");
-                assert_eq!(ws.len(), model.len(), "{pattern} step {step}");
-                assert_eq!(ws.is_empty(), model.is_empty());
+                // The filter only ever hides what the index does not hold.
+                assert_eq!(ws.writes.get(other), expect(other));
+                assert_eq!(ws.writes.len(), model.len(), "{pattern} step {step}");
+                assert_eq!(ws.writes.is_empty(), model.is_empty());
                 assert!(
-                    ws.iter().eq(model.iter().copied()),
+                    ws.writes.iter().eq(model.iter().copied()),
                     "{pattern} step {step}: iteration order or values"
                 );
             }
+            // Swept both where the filter rules nothing out (every bit
+            // set, so at least 64 addresses buffered) and where one bit
+            // stands for all that is buffered and all that is not.
+            assert_eq!(widest_filter, bits, "{pattern}: filter bits at a sweep");
         }
+    }
+
+    #[test]
+    fn filter_has_no_false_negatives_and_resets() {
+        let mut ws = ScratchBox::take();
+        assert!(!ws.may_hold(Addr(0)), "an empty set holds nothing");
+        for i in 0..200u32 {
+            // Alternate the two insert paths.
+            if i % 2 == 0 {
+                ws.write(Addr(i * 7), 1);
+            } else {
+                ws.inc(Addr(i * 7), 1);
+            }
+            assert!((0..=i).all(|j| ws.may_hold(Addr(j * 7))), "after {i}");
+        }
+        ws.clear_writes();
+        assert_eq!(ws.written, 0);
+        assert!((0..200).all(|j| !ws.may_hold(Addr(j * 7))));
+    }
+
+    /// Whether one filter bit stands for both addresses: buffering either
+    /// sends a barrier on the other past the filter, into the index.
+    pub(crate) fn filter_twins(a: Addr, b: Addr) -> bool {
+        filter_bit(a) == filter_bit(b)
     }
 
     #[test]

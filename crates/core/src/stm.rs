@@ -19,6 +19,7 @@ use crate::heap::{Addr, Heap};
 use crate::norec::{CommitClock, GlobalClock, NorecTx};
 use crate::ops::CmpOp;
 use crate::sclock::ShardedClock;
+use crate::sets::{ScratchBox, WriteEntry, WriteKind};
 use crate::stats::{OpCounts, StatsSnapshot};
 use crate::telemetry::{PhaseRecorder, SpanEvent, StatShard, Telemetry, TelemetryLevel};
 use crate::tl2::{Tl2Global, Tl2Tx};
@@ -269,7 +270,12 @@ impl Stm {
         mut body: impl FnMut(&mut Tx<'_>) -> Result<Result<T, E>, Abort>,
         ends: impl Fn(Abort) -> Option<E>,
     ) -> Result<T, E> {
-        let mut cm = ContentionManager::new(thread_token().wrapping_mul(0x9E37_79B9));
+        // The one thread-token read of the transaction: everything keyed
+        // by the thread — backoff jitter, epoch slot, counter shard, TL2
+        // lock owner — is handed it.
+        let token = thread_token();
+        let slot = adapt::slot_of(token);
+        let mut cm = ContentionManager::new(token.wrapping_mul(0x9E37_79B9));
         // Enter the adaptive epoch before building the attempt context:
         // the entered word pins the engine this attempt dispatches on,
         // and retiring the slot (the `Attempt` guard) is what a switch's
@@ -279,18 +285,18 @@ impl Stm {
         // building it allocates nothing once the thread is warm. Nothing
         // between an `enter` and the guard that adopts its slot can
         // unwind.
-        let mut entered = self.machine.enter();
+        let mut entered = self.machine.enter(slot);
         let mut mode = adapt::word_mode(entered);
-        let mut tx = Tx::new(self, mode);
-        // One TLS lookup per transaction, not per event: the shard
+        let mut tx = Tx::new(self, mode, token);
+        // Looked up once per transaction, not per event: the shard
         // reference stays hot in a register across retries.
-        let shard = self.telemetry.shard();
+        let shard = self.telemetry.shard_of(token);
         let histograms = self.telemetry.level() >= TelemetryLevel::Histograms;
         let started = histograms.then(Instant::now);
         let mut conflicts: u32 = 0;
         let mut nth: u64 = 1;
         loop {
-            let abort = match self.attempt(&mut tx, shard, started, nth, &mut body) {
+            let abort = match self.attempt(&mut tx, slot, shard, started, nth, &mut body) {
                 Ok(done) => return done,
                 Err(abort) => abort,
             };
@@ -324,7 +330,7 @@ impl Stm {
             // were out (backoff): rebuild the attempt context only when
             // the engine actually changed — an epoch bump alone keeps
             // the hot buffers.
-            let word = self.machine.enter();
+            let word = self.machine.enter(slot);
             if word != entered {
                 let next = adapt::word_mode(word);
                 if next != mode {
@@ -332,7 +338,7 @@ impl Stm {
                     // scratch back, so the new engine inherits the
                     // buffers instead of growing a second set.
                     drop(tx);
-                    tx = Tx::new(self, next);
+                    tx = Tx::new(self, next, token);
                     mode = next;
                 }
                 entered = word;
@@ -340,7 +346,7 @@ impl Stm {
         }
     }
 
-    /// One attempt, the `nth` of its transaction, on an epoch slot the
+    /// One attempt, the `nth` of its transaction, on the epoch `slot` the
     /// caller entered: begin, body, commit, retire the slot, record.
     /// Every statistic an attempt leaves — counters, commit profile,
     /// abort event, span, conflict attribution — is written here and
@@ -349,6 +355,7 @@ impl Stm {
     fn attempt<T, E>(
         &self,
         tx: &mut Tx<'_>,
+        slot: usize,
         shard: &StatShard,
         started: Option<Instant>,
         nth: u64,
@@ -364,6 +371,7 @@ impl Stm {
         };
         let guard = Attempt {
             machine: &self.machine,
+            slot,
             tx: &mut *tx,
         };
         guard.tx.begin();
@@ -431,20 +439,31 @@ impl Stm {
 /// forever, and every `enter` spin behind it.
 struct Attempt<'s, 't, 'a> {
     machine: &'s ModeMachine,
+    /// The epoch slot entered for this attempt.
+    slot: usize,
     tx: &'t mut Tx<'a>,
 }
 
 impl Drop for Attempt<'_, '_, '_> {
     fn drop(&mut self) {
         self.tx.rollback();
-        self.machine.exit();
+        self.machine.exit(self.slot);
     }
 }
 
 /// The engine ABI: the closed set of primitives [`Tx`] forwards to,
 /// implemented once by the NOrec engine (over either clock) and once by
-/// TL2. `ops` is the attempt's operation tally, which engines touch only
-/// to count promotions.
+/// TL2. `ops` is the attempt's operation tally, touched only to count
+/// promotions.
+///
+/// What the write-set does to a barrier is the same under every engine
+/// and is written here once: the barriers are provided methods that put
+/// the write filter and the read-after-write rules (Algorithm 6 `RAW`,
+/// lines 17–23; §4.1) in front of the engine's three reads of *live*
+/// memory. They are `#[inline(always)]` down to the entry push — [`Tx`]
+/// inlines them per arm, so a public barrier is one function — and what
+/// is rare (the filter passes the address, the clock moved, an orec is
+/// locked, an abort is built) is a `#[cold]` call out of that line.
 pub(crate) trait Engine<'a> {
     /// Make writer commits durable: append the resolved write set to
     /// `log` post-validation/pre-write-back and ack only once durable.
@@ -456,22 +475,112 @@ pub(crate) trait Engine<'a> {
     fn phases(&self) -> PhaseRecorder;
     /// Begin (or re-begin after an abort): clear the sets, take a snapshot.
     fn begin(&mut self);
+    /// The attempt's scratch, whose filter fronts the write-set.
+    fn scratch(&mut self) -> &mut ScratchBox;
+    /// `TM_READ` of an address the write-set does not hold: a consistent
+    /// load, recorded in the read-set.
+    fn read_live(&mut self, addr: Addr) -> Result<i64, Abort>;
+    /// `*addr OP operand` on an address the write-set does not hold; the
+    /// relation that held is recorded (the inverse, for a false outcome).
+    fn cmp_live(&mut self, addr: Addr, op: CmpOp, operand: i64) -> Result<bool, Abort>;
+    /// `*a OP *b` with neither side held by the write-set: both words
+    /// read consistently, the relation recorded as one `Pair` entry.
+    fn cmp_pair_live(&mut self, a: Addr, op: CmpOp, b: Addr) -> Result<bool, Abort>;
+
+    /// Read-after-write resolution for an address the filter does not
+    /// rule out: the value the transaction would observe for `addr` if
+    /// it is buffered. An `Increment` entry is promoted — its read can no
+    /// longer be deferred — to a plain read plus a store.
+    #[cold]
+    fn raw(&mut self, addr: Addr, ops: &mut OpCounts) -> Result<Option<i64>, Abort> {
+        match self.scratch().get(addr) {
+            None => Ok(None),
+            Some(WriteEntry {
+                kind: WriteKind::Store,
+                value,
+            }) => Ok(Some(value)),
+            Some(WriteEntry {
+                kind: WriteKind::Increment,
+                ..
+            }) => {
+                let observed = self.read_live(addr)?;
+                ops.promotes += 1;
+                Ok(Some(self.scratch().writes.promote(addr, observed)))
+            }
+        }
+    }
+
     /// `TM_READ`.
-    fn read(&mut self, addr: Addr, ops: &mut OpCounts) -> Result<i64, Abort>;
+    #[inline(always)]
+    fn read(&mut self, addr: Addr, ops: &mut OpCounts) -> Result<i64, Abort> {
+        if self.scratch().may_hold(addr) {
+            if let Some(v) = self.raw(addr, ops)? {
+                return Ok(v);
+            }
+        }
+        self.read_live(addr)
+    }
+
     /// `TM_WRITE` (buffered).
-    fn write(&mut self, addr: Addr, value: i64);
+    #[inline(always)]
+    fn write(&mut self, addr: Addr, value: i64) {
+        self.scratch().write(addr, value);
+    }
+
     /// Semantic compare, address–value form.
+    #[inline(always)]
     fn cmp(
         &mut self,
         addr: Addr,
         op: CmpOp,
         operand: i64,
         ops: &mut OpCounts,
-    ) -> Result<bool, Abort>;
-    /// Semantic compare, address–address form.
-    fn cmp_addr(&mut self, a: Addr, op: CmpOp, b: Addr, ops: &mut OpCounts) -> Result<bool, Abort>;
-    /// `TM_INC` (deferred to commit).
-    fn inc(&mut self, addr: Addr, delta: i64);
+    ) -> Result<bool, Abort> {
+        if self.scratch().may_hold(addr) {
+            if let Some(v) = self.raw(addr, ops)? {
+                return Ok(op.eval(v, operand));
+            }
+        }
+        self.cmp_live(addr, op, operand)
+    }
+
+    /// Semantic compare, address–address form (`_ITM_S2R`).
+    #[inline(always)]
+    fn cmp_addr(&mut self, a: Addr, op: CmpOp, b: Addr, ops: &mut OpCounts) -> Result<bool, Abort> {
+        if self.scratch().may_hold(a) || self.scratch().may_hold(b) {
+            return self.cmp_pair_buffered(a, op, b, ops);
+        }
+        self.cmp_pair_live(a, op, b)
+    }
+
+    /// The address–address compare when the filter rules out neither
+    /// side: those the write-set pins collapse to the address–value form.
+    #[cold]
+    fn cmp_pair_buffered(
+        &mut self,
+        a: Addr,
+        op: CmpOp,
+        b: Addr,
+        ops: &mut OpCounts,
+    ) -> Result<bool, Abort> {
+        let wa = self.raw(a, ops)?;
+        let wb = self.raw(b, ops)?;
+        match (wa, wb) {
+            (Some(va), Some(vb)) => Ok(op.eval(va, vb)),
+            (Some(va), None) => self.cmp_live(b, op.swap(), va),
+            (None, Some(vb)) => self.cmp_live(a, op, vb),
+            (None, None) => self.cmp_pair_live(a, op, b),
+        }
+    }
+
+    /// `TM_INC`: pure write-set bookkeeping; the read is deferred to
+    /// commit time, under the engine's locks (Algorithm 6 `Increment`,
+    /// lines 44–49).
+    #[inline(always)]
+    fn inc(&mut self, addr: Addr, delta: i64) {
+        self.scratch().inc(addr, delta);
+    }
+
     /// Validate, write back, release; on `Err` nothing was written.
     fn commit(&mut self) -> Result<(), Abort>;
     /// Release any metadata an abandoned attempt still holds.
@@ -512,7 +621,8 @@ pub struct Tx<'a> {
 }
 
 impl<'a> Tx<'a> {
-    fn new(stm: &'a Stm, mode: Mode) -> Tx<'a> {
+    /// A context on `mode`'s engine for the thread whose token is `token`.
+    fn new(stm: &'a Stm, mode: Mode, token: u64) -> Tx<'a> {
         // Dispatch on the *mode*, not the construction-time algorithm:
         // all engine globals coexist in the Stm, so an adaptive switch
         // is just a different arm here on the next attempt.
@@ -523,6 +633,7 @@ impl<'a> Tx<'a> {
             (Algorithm::Tl2, _) => TxInner::Tl2(Tl2Tx::new(
                 &stm.heap,
                 &stm.tl2,
+                token,
                 stm.config.lock_wait_spins,
                 stm.config.stl2_snapshot_extension,
             )),
@@ -560,7 +671,17 @@ impl<'a> Tx<'a> {
     }
 
     /// `TM_READ` — transactional read of one word (as `i64`).
+    ///
+    /// Like every barrier below, one call deep: the engine's barrier is
+    /// inlined here per arm, and what it does rarely (a write-set hit,
+    /// revalidation, waiting, building an abort) is a cold call from it.
     pub fn read(&mut self, addr: Addr) -> Result<i64, Abort> {
+        self.read_word(addr)
+    }
+
+    /// [`Tx::read`], inlined into the barriers a baseline delegates to it.
+    #[inline(always)]
+    fn read_word(&mut self, addr: Addr) -> Result<i64, Abort> {
         self.ops.reads += 1;
         dispatch!(&mut self.inner, t => t.read(addr, &mut self.ops))
     }
@@ -579,7 +700,7 @@ impl<'a> Tx<'a> {
     /// semantic validation; under a baseline, delegates to [`Tx::read`].
     pub fn cmp(&mut self, addr: Addr, op: CmpOp, operand: i64) -> Result<bool, Abort> {
         if !self.semantic {
-            let v = self.read(addr)?;
+            let v = self.read_word(addr)?;
             return Ok(op.eval(v, operand));
         }
         self.ops.cmps += 1;
@@ -590,8 +711,8 @@ impl<'a> Tx<'a> {
     /// `TM_*(address, address)` form (ABI `_ITM_S2R`).
     pub fn cmp_addr(&mut self, a: Addr, op: CmpOp, b: Addr) -> Result<bool, Abort> {
         if !self.semantic {
-            let va = self.read(a)?;
-            let vb = self.read(b)?;
+            let va = self.read_word(a)?;
+            let vb = self.read_word(b)?;
             return Ok(op.eval(va, vb));
         }
         self.ops.cmp_pairs += 1;
@@ -605,7 +726,7 @@ impl<'a> Tx<'a> {
     /// time; under a baseline, delegates to read + write.
     pub fn inc(&mut self, addr: Addr, delta: i64) -> Result<(), Abort> {
         if !self.semantic {
-            let v = self.read(addr)?;
+            let v = self.read_word(addr)?;
             return self.write(addr, v.wrapping_add(delta));
         }
         self.ops.incs += 1;

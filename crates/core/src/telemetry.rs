@@ -707,7 +707,13 @@ impl Telemetry {
     /// but not free.
     #[inline]
     pub fn shard(&self) -> &StatShard {
-        &self.shards[crate::util::thread_token() as usize % SHARDS]
+        self.shard_of(crate::util::thread_token())
+    }
+
+    /// The counter shard of the thread whose token is `token`.
+    #[inline]
+    pub(crate) fn shard_of(&self, token: u64) -> &StatShard {
+        &self.shards[token as usize % SHARDS]
     }
 
     /// Merge all shards into one [`StatsSnapshot`].

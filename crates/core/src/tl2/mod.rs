@@ -34,11 +34,10 @@ use crate::fault;
 use crate::heap::{Addr, Heap};
 use crate::ops::CmpOp;
 use crate::sched;
-use crate::sets::{ReadEntry, Scratch, ScratchBox, WriteEntry, WriteKind};
-use crate::stats::OpCounts;
+use crate::sets::{ReadEntry, Scratch, ScratchBox};
 use crate::stm::Engine;
 use crate::telemetry::PhaseRecorder;
-use crate::util::{thread_token, SpinWait};
+use crate::util::SpinWait;
 use crate::wal::CommitLog;
 use orec::{OrecTable, OrecWord};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,6 +99,9 @@ pub struct Tl2Tx<'a> {
     lock_wait_spins: u32,
     snapshot_extension: bool,
     start_version: u64,
+    /// Still in phase 1: snapshot extension is on and the read-set is
+    /// empty (kept beside it, so that a `cmp` asks no buffer).
+    phase1: bool,
     /// The read-set (`orecs`), the compare-set (`entries` — semantic
     /// entries, a separate set, §4.2), the write-set and the commit's
     /// lock lists, used in place; handed back to the thread when this
@@ -118,19 +120,23 @@ pub struct Tl2Tx<'a> {
 }
 
 impl<'a> Tl2Tx<'a> {
+    /// A context for the thread whose [token](crate::util::thread_token)
+    /// is `owner`, the name its commit locks carry.
     pub(crate) fn new(
         heap: &'a Heap,
         global: &'a Tl2Global,
+        owner: u64,
         lock_wait_spins: u32,
         snapshot_extension: bool,
     ) -> Self {
         Tl2Tx {
             heap,
             global,
-            owner: thread_token(),
+            owner,
             lock_wait_spins,
             snapshot_extension,
             start_version: 0,
+            phase1: false,
             scratch: ScratchBox::take(),
             phases: PhaseRecorder::disabled(),
             record_committer: false,
@@ -146,6 +152,7 @@ impl<'a> Tl2Tx<'a> {
     /// Spin until orec `oi` is unlocked, up to the configured patience
     /// (the §4.2 starvation-avoidance timeout). A timeout is attributed
     /// to the orec and to the lock holder we last saw on it.
+    #[cold]
     fn wait_unlocked(&self, oi: usize) -> Result<OrecWord, Abort> {
         let mut wait = SpinWait::new();
         let mut holder = 0;
@@ -164,6 +171,7 @@ impl<'a> Tl2Tx<'a> {
     /// A validation abort attributed to orec `oi` plus, when the flight
     /// recorder is on, the most-recent-committer heuristic (see
     /// [`Tl2Global::committer`]).
+    #[cold]
     fn validation_at(&self, oi: usize) -> Abort {
         let mut abort = Abort::validation().at_orec(oi);
         if self.record_committer {
@@ -172,29 +180,16 @@ impl<'a> Tl2Tx<'a> {
         abort
     }
 
-    /// Read-after-write resolution (same rules as Algorithm 6's `RAW`):
-    /// promoted increments become plain reads + stores.
-    fn raw(&mut self, addr: Addr, ops: &mut OpCounts) -> Result<Option<i64>, Abort> {
-        match self.scratch.writes.get(addr) {
-            None => Ok(None),
-            Some(WriteEntry {
-                kind: WriteKind::Store,
-                value,
-            }) => Ok(Some(value)),
-            Some(WriteEntry {
-                kind: WriteKind::Increment,
-                ..
-            }) => {
-                let observed = self.read_validated(addr)?;
-                ops.promotes += 1;
-                Ok(Some(self.scratch.writes.promote(addr, observed)))
-            }
-        }
+    /// The abort of a read that met `word`, another committer's lock.
+    #[cold]
+    fn locked_at(&self, addr: Addr, oi: usize, word: OrecWord) -> Abort {
+        Abort::locked().at_addr(addr).at_orec(oi).by(word.owner())
     }
 
     /// The core TL2 consistent read: value is valid if its orec was
     /// unlocked and not newer than `start_version`, unchanged across the
-    /// data load. Appends the orec to the read-set.
+    /// data load. Appends the orec to the read-set, which ends phase 1.
+    #[inline(always)]
     fn read_validated(&mut self, addr: Addr) -> Result<i64, Abort> {
         let oi = self.orec_index(addr);
         sched::point(sched::PointKind::Tl2Read);
@@ -204,7 +199,7 @@ impl<'a> Tl2Tx<'a> {
                 l1.owner() != self.owner,
                 "read while holding own commit locks"
             );
-            return Err(Abort::locked().at_addr(addr).at_orec(oi).by(l1.owner()));
+            return Err(self.locked_at(addr, oi, l1));
         }
         let val = self.heap.tm_load(addr);
         sched::point(sched::PointKind::Tl2ReadWindow);
@@ -213,26 +208,25 @@ impl<'a> Tl2Tx<'a> {
             return Err(self.validation_at(oi).at_addr(addr));
         }
         self.scratch.orecs.push(oi);
+        self.phase1 = false;
         Ok(val)
-    }
-
-    /// Whether the transaction is still in phase 1 (no plain reads yet).
-    #[inline]
-    fn in_phase1(&self) -> bool {
-        self.scratch.orecs.is_empty() && self.snapshot_extension
     }
 
     /// Phase-1 tolerant read of one word: waits out locks and retries
     /// version changes instead of aborting (Algorithm 7 lines 11–16).
     /// Returns the value and the orec word it was read under.
-    fn patient_read(&mut self, addr: Addr) -> Result<(i64, OrecWord), Abort> {
+    #[inline(always)]
+    fn patient_read(&self, addr: Addr) -> Result<(i64, OrecWord), Abort> {
         let oi = self.orec_index(addr);
         loop {
             sched::point(sched::PointKind::Tl2Read);
-            let l1 = self.wait_unlocked(oi).map_err(|e| e.at_addr(addr))?;
+            let mut l1 = self.global.orecs.load(oi);
             if l1.is_locked() {
-                // locked by self — cannot happen outside commit
-                return Err(Abort::locked().at_addr(addr).at_orec(oi));
+                l1 = self.wait_unlocked(oi).map_err(|e| e.at_addr(addr))?;
+                if l1.is_locked() {
+                    // locked by self — cannot happen outside commit
+                    return Err(Abort::locked().at_addr(addr).at_orec(oi));
+                }
             }
             let val = self.heap.tm_load(addr);
             sched::point(sched::PointKind::Tl2ReadWindow);
@@ -248,6 +242,7 @@ impl<'a> Tl2Tx<'a> {
     /// Extend the snapshot after a phase-1 `cmp` observed a too-new orec:
     /// revalidate the compare-set, retrying while other commits interleave
     /// (Algorithm 7 lines 19–25).
+    #[cold]
     fn extend_snapshot(&mut self) -> Result<(), Abort> {
         loop {
             sched::point(sched::PointKind::Tl2Extend);
@@ -261,13 +256,16 @@ impl<'a> Tl2Tx<'a> {
     }
 
     /// Phase-2 consistent load that does *not* append to the read-set
-    /// (the caller appends a compare entry instead).
-    fn phase2_load(&mut self, addr: Addr) -> Result<i64, Abort> {
+    /// (the caller appends a compare entry instead): consistency with
+    /// previous reads is mandatory, the snapshot can no longer move
+    /// (Algorithm 7 lines 26–34).
+    #[inline(always)]
+    fn phase2_load(&self, addr: Addr) -> Result<i64, Abort> {
         let oi = self.orec_index(addr);
         sched::point(sched::PointKind::Tl2Read);
         let l1 = self.global.orecs.load(oi);
         if l1.locked_by_other(self.owner) {
-            return Err(Abort::locked().at_addr(addr).at_orec(oi).by(l1.owner()));
+            return Err(self.locked_at(addr, oi, l1));
         }
         let val = self.heap.tm_load(addr);
         sched::point(sched::PointKind::Tl2ReadWindow);
@@ -412,115 +410,67 @@ impl<'a> Engine<'a> for Tl2Tx<'a> {
         );
         self.scratch.orecs.clear();
         self.scratch.entries.clear();
-        self.scratch.writes.clear();
+        self.scratch.clear_writes();
+        self.phase1 = self.snapshot_extension;
         self.phases.reset();
         sched::point(sched::PointKind::Tl2Begin);
         self.start_version = self.global.now();
     }
 
-    /// `TM_READ` (Algorithm 7 lines 37–50).
-    fn read(&mut self, addr: Addr, ops: &mut OpCounts) -> Result<i64, Abort> {
-        if let Some(v) = self.raw(addr, ops)? {
-            return Ok(v);
-        }
+    #[inline(always)]
+    fn scratch(&mut self) -> &mut ScratchBox {
+        &mut self.scratch
+    }
+
+    /// `TM_READ` on live memory (Algorithm 7 lines 40–50).
+    #[inline(always)]
+    fn read_live(&mut self, addr: Addr) -> Result<i64, Abort> {
         self.read_validated(addr)
     }
 
-    /// `TM_WRITE` — buffered, like Algorithm 6.
-    fn write(&mut self, addr: Addr, value: i64) {
-        self.scratch.writes.write(addr, value);
-    }
-
-    /// `TM_INC` — deferred delta in the write-set.
-    fn inc(&mut self, addr: Addr, delta: i64) {
-        self.scratch.writes.inc(addr, delta);
-    }
-
-    /// Semantic compare, address–value form (Algorithm 7 `Compare`).
-    fn cmp(
-        &mut self,
-        addr: Addr,
-        op: CmpOp,
-        operand: i64,
-        ops: &mut OpCounts,
-    ) -> Result<bool, Abort> {
-        if let Some(v) = self.raw(addr, ops)? {
-            return Ok(op.eval(v, operand));
-        }
-        if self.in_phase1() {
+    /// `Compare` on live memory (Algorithm 7): the recorded entry gets
+    /// the semantic treatment at commit whichever phase read it, and a
+    /// phase-1 read of a too-new orec extends the snapshot over it.
+    #[inline(always)]
+    fn cmp_live(&mut self, addr: Addr, op: CmpOp, operand: i64) -> Result<bool, Abort> {
+        let (val, newer) = if self.phase1 {
             let (val, l1) = self.patient_read(addr)?;
-            let result = op.eval(val, operand);
-            self.scratch.entries.push(ReadEntry::Val {
-                addr,
-                op: if result { op } else { op.inverse() },
-                operand,
-            });
-            if l1.version() > self.start_version {
-                self.extend_snapshot()?;
-            }
-            Ok(result)
+            (val, l1.version() > self.start_version)
         } else {
-            // Phase 2: consistency with previous reads is mandatory; the
-            // snapshot can no longer move (lines 26–34).
-            let oi = self.orec_index(addr);
-            sched::point(sched::PointKind::Tl2Read);
-            let l1 = self.global.orecs.load(oi);
-            if l1.locked_by_other(self.owner) {
-                return Err(Abort::locked().at_addr(addr).at_orec(oi).by(l1.owner()));
-            }
-            let val = self.heap.tm_load(addr);
-            sched::point(sched::PointKind::Tl2ReadWindow);
-            let l2 = self.global.orecs.load(oi);
-            if l1 != l2 || (!l1.is_locked() && l1.version() > self.start_version) {
-                return Err(self.validation_at(oi).at_addr(addr));
-            }
-            let result = op.eval(val, operand);
-            self.scratch.entries.push(ReadEntry::Val {
-                addr,
-                op: if result { op } else { op.inverse() },
-                operand,
-            });
-            Ok(result)
+            (self.phase2_load(addr)?, false)
+        };
+        let result = op.eval(val, operand);
+        self.scratch.entries.push(ReadEntry::Val {
+            addr,
+            op: op.recorded(result),
+            operand,
+        });
+        if newer {
+            self.extend_snapshot()?;
         }
+        Ok(result)
     }
 
-    /// Semantic compare, address–address form. Write-set-pinned sides
-    /// collapse to the address–value form; otherwise both words are read
-    /// consistently and recorded as one `Pair` compare entry.
-    fn cmp_addr(&mut self, a: Addr, op: CmpOp, b: Addr, ops: &mut OpCounts) -> Result<bool, Abort> {
-        let wa = self.raw(a, ops)?;
-        let wb = self.raw(b, ops)?;
-        match (wa, wb) {
-            (Some(va), Some(vb)) => Ok(op.eval(va, vb)),
-            (Some(va), None) => self.cmp(b, op.swap(), va, ops),
-            (None, Some(vb)) => self.cmp(a, op, vb, ops),
-            (None, None) => {
-                if self.in_phase1() {
-                    let (va, l1a) = self.patient_read(a)?;
-                    let (vb, l1b) = self.patient_read(b)?;
-                    let result = op.eval(va, vb);
-                    self.scratch.entries.push(ReadEntry::Pair {
-                        a,
-                        op: if result { op } else { op.inverse() },
-                        b,
-                    });
-                    if l1a.version() > self.start_version || l1b.version() > self.start_version {
-                        self.extend_snapshot()?;
-                    }
-                    Ok(result)
-                } else {
-                    let va = self.phase2_load(a)?;
-                    let vb = self.phase2_load(b)?;
-                    let result = op.eval(va, vb);
-                    self.scratch.entries.push(ReadEntry::Pair {
-                        a,
-                        op: if result { op } else { op.inverse() },
-                        b,
-                    });
-                    Ok(result)
-                }
-            }
+    #[inline(always)]
+    fn cmp_pair_live(&mut self, a: Addr, op: CmpOp, b: Addr) -> Result<bool, Abort> {
+        let (va, vb, newer) = if self.phase1 {
+            let (va, l1a) = self.patient_read(a)?;
+            let (vb, l1b) = self.patient_read(b)?;
+            let newest = l1a.version().max(l1b.version());
+            (va, vb, newest > self.start_version)
+        } else {
+            (self.phase2_load(a)?, self.phase2_load(b)?, false)
+        };
+        let result = op.eval(va, vb);
+        self.scratch.entries.push(ReadEntry::Pair {
+            a,
+            op: op.recorded(result),
+            b,
+        });
+        if newer {
+            self.extend_snapshot()?;
         }
+        Ok(result)
     }
 
     /// Commit (Algorithm 7 lines 66–77). Read-only transactions (possibly
@@ -621,13 +571,15 @@ impl<'a> Engine<'a> for Tl2Tx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::OpCounts;
+    use crate::util::thread_token;
 
     fn setup() -> (Heap, Tl2Global) {
         (Heap::new(256), Tl2Global::new(256))
     }
 
     fn tx<'a>(heap: &'a Heap, global: &'a Tl2Global) -> Tl2Tx<'a> {
-        let mut t = Tl2Tx::new(heap, global, 64, true);
+        let mut t = Tl2Tx::new(heap, global, thread_token(), 64, true);
         t.begin();
         t
     }
@@ -649,6 +601,12 @@ mod tests {
         t.commit().unwrap();
         assert_eq!(heap.load(a), 9);
         assert_eq!(global.time(), 1, "one writer commit advances the clock");
+    }
+
+    #[test]
+    fn barriers_tell_filter_twins_apart() {
+        let (heap, global) = setup();
+        crate::norec::tests::filter_twin_suite(&heap, || tx(&heap, &global));
     }
 
     #[test]
@@ -683,7 +641,7 @@ mod tests {
         let x = heap.alloc(1);
         heap.store(x, 5);
         let mut ops = OpCounts::default();
-        let mut t1 = Tl2Tx::new(&heap, &global, 64, false);
+        let mut t1 = Tl2Tx::new(&heap, &global, thread_token(), 64, false);
         t1.begin();
         commit_write(&heap, &global, x, 7);
         assert_eq!(t1.cmp(x, CmpOp::Gt, 0, &mut ops), Err(Abort::validation()));
@@ -826,7 +784,7 @@ mod tests {
         let pre = global.orecs.load(oi);
         assert!(global.orecs.try_lock(oi, pre, 999)); // stuck foreign lock
         let mut ops = OpCounts::default();
-        let mut t1 = Tl2Tx::new(&heap, &global, 16, true);
+        let mut t1 = Tl2Tx::new(&heap, &global, thread_token(), 16, true);
         t1.begin();
         assert_eq!(t1.cmp(x, CmpOp::Gt, 0, &mut ops), Err(Abort::timeout()));
         global.orecs.store(oi, pre);
@@ -873,12 +831,12 @@ mod tests {
         let a = heap.alloc(1);
         let out = heap.alloc(1);
         let mut ops = OpCounts::default();
-        let mut t1 = Tl2Tx::new(&heap, &global, 64, true);
+        let mut t1 = Tl2Tx::new(&heap, &global, thread_token(), 64, true);
         t1.enable_spans(PhaseRecorder::enabled(std::time::Instant::now()));
         t1.begin();
         let _ = t1.read(a, &mut ops).unwrap();
         // Concurrent commit with the recorder on stamps the committer.
-        let mut t2 = Tl2Tx::new(&heap, &global, 64, true);
+        let mut t2 = Tl2Tx::new(&heap, &global, thread_token(), 64, true);
         t2.enable_spans(PhaseRecorder::enabled(std::time::Instant::now()));
         t2.begin();
         t2.write(a, 3);
@@ -901,7 +859,7 @@ mod tests {
         let pre = global.orecs.load(oi);
         assert!(global.orecs.try_lock(oi, pre, 999)); // stuck foreign lock
         let mut ops = OpCounts::default();
-        let mut t1 = Tl2Tx::new(&heap, &global, 16, true);
+        let mut t1 = Tl2Tx::new(&heap, &global, thread_token(), 16, true);
         t1.begin();
         let err = t1.cmp(x, CmpOp::Gt, 0, &mut ops).unwrap_err();
         assert_eq!(err, Abort::timeout());

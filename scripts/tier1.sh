@@ -15,6 +15,14 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 timeout 600 cargo test -q --workspace
 
+echo "==> release-mode engine tests (semtm-core --lib, alloc_free)"
+# The barriers are force-inlined fast paths with cold out-of-line tails
+# (DESIGN.md §8.2): a debug build never gives them the shape that ships,
+# so the engines' unit tests and the allocator-call pins run once more
+# on the optimised code.
+timeout 300 cargo test --release -q -p semtm-core --lib
+timeout 300 cargo test --release -q --test alloc_free
+
 echo "==> schedule-exploration smoke (semtm-check)"
 # Bounded deterministic exploration: exhaustive DFS over the scheduler's
 # fault-injection scenarios plus the cross-backend differential fuzzer.
