@@ -74,6 +74,55 @@ pub fn snorec_revalidation(driver: &mut dyn Driver) -> Result<(), String> {
     })
 }
 
+/// Sharded-clock first-touch scenario (the bug: a first read under a
+/// shard that leaves the shard out of the view, so no later validation
+/// looks at it).
+///
+/// `T0: read x; read y` vs `T1: x = 10; y = 20` (one tx), `x` and `y`
+/// under different shards of a four-shard clock. T0 samples `y`'s shard
+/// only when it first reads under it, possibly after T1's commit: the
+/// epoch it sampled before reading `x` has moved by then, so a correct
+/// engine revalidates `x` (its shard moved too) and aborts the attempt.
+/// If `x`'s shard was forgotten, the validation finds nothing to
+/// re-check and T0 observes the old `x` with the new `y` — which no
+/// serial order explains, committed or not. On the TL2 family the shard
+/// count is inert and the scenario is a plain two-read snapshot check.
+pub fn first_touch_straddle(driver: &mut dyn Driver, alg: Algorithm) -> Result<(), String> {
+    let stm = check_stm_traced_sharded(alg, 4);
+    let x = stm.alloc_cell(1i64);
+    let y = stm.alloc_cell(2i64);
+    let rec = Recorder::new();
+    let shared = (&stm, &rec);
+    let t0 = |tid: usize, (stm, rec): &Shared<'_>| {
+        atomic_recorded(stm, rec, tid, |tx| {
+            tx.read(x)?;
+            tx.read(y).map(|_| ())
+        });
+    };
+    let t1 = |tid: usize, (stm, rec): &Shared<'_>| {
+        atomic_recorded(stm, rec, tid, |tx| {
+            tx.write(x, 10)?;
+            tx.write(y, 20)
+        });
+    };
+    let o = run_threads(&shared, &[&t0, &t1], driver, STEP_CAP);
+    if o.capped {
+        return Err("step cap exceeded".into());
+    }
+    check_history(
+        &rec.attempts(),
+        &[(x, 1), (y, 2)],
+        &[(x, stm.read_now(x)), (y, stm.read_now(y))],
+    )
+    .map_err(|e| {
+        let json = chrome_trace_json(alg, &stm.telemetry().span_events());
+        format!(
+            "{alg}: {e}\n{}",
+            dump_note("scenario_first_touch_straddle", &json)
+        )
+    })
+}
+
 /// TL2 commit-time read-validation scenario (the bug: skipping
 /// `ValidateReadSet` when the commit timestamp moved).
 ///

@@ -2,8 +2,9 @@
 //!
 //! Every scenario here forces 4 clock shards with padded allocation, so
 //! separately allocated cells live on distinct cache lines and therefore
-//! distinct shards — the begin-time double-collect, per-shard read-set
-//! revalidation, and multi-shard commit acquisition all run for real.
+//! distinct shards — first-touch shard sampling, per-shard read-set
+//! revalidation, and multi-shard commit acquisition (by CAS from the
+//! snapshot and blind) all run for real.
 //! Exhaustive bounded-preemption DFS covers the targeted scenarios; the
 //! cross-backend differential fuzzer covers random programs on all four
 //! algorithms (the TL2 family ignores the knob — the runs double as
@@ -14,8 +15,9 @@
 use semtm_check::checker::check_history;
 use semtm_check::fuzz::{check_stm_sharded, iterations, run_differential_sharded};
 use semtm_check::history::{atomic_recorded, Recorder};
-use semtm_check::schedule::{explore_exhaustive, ExploreOptions};
-use semtm_check::vthread::run_threads;
+use semtm_check::scenario;
+use semtm_check::schedule::{explore_exhaustive, Driver, ExploreOptions};
+use semtm_check::vthread::{run_threads, Body};
 use semtm_core::ops::CmpOp;
 use semtm_core::{Algorithm, Stm};
 
@@ -259,6 +261,90 @@ fn exhaustive_crossed_readers_writers_terminate_without_timeout() {
                 .map_err(|e| format!("{alg}: {e}"))
             });
         }
+    }
+}
+
+#[test]
+fn exhaustive_first_touch_straddling_a_commit_is_opaque() {
+    // T0 reads x under shard A, then y under shard B — sampled only at
+    // that first touch; T1 writes both in one transaction. No attempt of
+    // T0, committed or aborted, may observe the old x with the new y.
+    // `tests/fault_sclock.rs` runs the same scenario with the first
+    // touch broken and expects the checker to object.
+    for alg in Algorithm::ALL {
+        let explored = explore_exhaustive(opts(2), |driver| {
+            scenario::first_touch_straddle(driver, alg)
+        });
+        assert!(explored > 1, "{alg}: expected multiple schedules");
+    }
+}
+
+/// `T0: x += 1; y += 1` having read neither, so it takes both shards
+/// blind; `T1: read x; y += 10` — one shard by CAS from its snapshot,
+/// one blind; `T2: read x; read y`. Runs the bodies `cast` names, checks
+/// the final heap and the history.
+fn blind_mix(driver: &mut dyn Driver, alg: Algorithm, cast: &[usize]) -> Result<(), String> {
+    let stm = check_stm_sharded(alg, SHARDS);
+    let x = stm.alloc_cell(0i64);
+    let y = stm.alloc_cell(0i64);
+    let rec = Recorder::new();
+    let shared = (&stm, &rec);
+    let t0 = |tid: usize, (stm, rec): &Shared<'_>| {
+        atomic_recorded(stm, rec, tid, |tx| {
+            tx.inc(x, 1)?;
+            tx.inc(y, 1)
+        });
+    };
+    let t1 = |tid: usize, (stm, rec): &Shared<'_>| {
+        atomic_recorded(stm, rec, tid, |tx| {
+            tx.read(x)?;
+            tx.inc(y, 10)
+        });
+    };
+    let t2 = |tid: usize, (stm, rec): &Shared<'_>| {
+        atomic_recorded(stm, rec, tid, |tx| {
+            tx.read(x)?;
+            tx.read(y).map(|_| ())
+        });
+    };
+    let all: [Body<'_, Shared<'_>>; 3] = [&t0, &t1, &t2];
+    let bodies: Vec<_> = cast.iter().map(|&t| all[t]).collect();
+    let out = run_threads(&shared, &bodies, driver, STEP_CAP);
+    if out.capped {
+        return Err("step cap exceeded".into());
+    }
+    let has = |t: usize| i64::from(cast.contains(&t));
+    let expected = (has(0), has(0) + 10 * has(1));
+    let (vx, vy) = (stm.read_now(x), stm.read_now(y));
+    if (vx, vy) != expected {
+        return Err(format!("{alg}: lost update, x = {vx}, y = {vy}"));
+    }
+    check_history(&rec.attempts(), &[(x, 0), (y, 0)], &[(x, vx), (y, vy)])
+        .map_err(|e| format!("{alg}: {e}"))
+}
+
+#[test]
+fn exhaustive_blind_writers_and_a_reader_stay_serializable() {
+    // Commits that mix sampled and never-sampled shards must serialize
+    // with each other and with a reader. Every pair of the three bodies
+    // is explored exhaustively at two preemptions. The three together are
+    // not: three threads that can each wait on another branch at every
+    // spin, and the bound-1 tree alone is past 35 000 schedules — so, as
+    // `tests/adaptive.rs` does, the trio runs a deterministic DFS prefix.
+    for alg in Algorithm::ALL {
+        for cast in [[0, 1], [0, 2], [1, 2]] {
+            let explored = explore_exhaustive(opts(2), |driver| blind_mix(driver, alg, &cast));
+            assert!(explored > 1, "{alg} {cast:?}: expected multiple schedules");
+        }
+        let prefix = ExploreOptions {
+            max_executions: 500,
+            ..opts(2)
+        };
+        let explored = explore_exhaustive(prefix, |driver| blind_mix(driver, alg, &[0, 1, 2]));
+        assert_eq!(
+            explored, 500,
+            "{alg}: the trio's tree is larger than the prefix"
+        );
     }
 }
 

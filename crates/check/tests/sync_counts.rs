@@ -86,19 +86,27 @@ fn snorec_global_clock_15_056_points() {
     );
 }
 
-/// The global clock's table plus one validation round for each of the 15
-/// commits that read a shard they do not write (an audit read, a failed
-/// guard): only those have a foreign read shard to re-check under the
-/// held locks.
+/// The global clock's table without its begin-time sample, plus one
+/// `ScNorecTouch` for each first read under a shard (a transfer
+/// transaction reads under 7.6 of the 16 shards; the covered shards it
+/// never read under are taken blind, with no sample at all) and one
+/// validation round for each of the 15 commits that read a shard they do
+/// not write (an audit read, a failed guard): only those have a foreign
+/// read shard to re-check under the held locks.
+///
+/// The total went *up* from 15 086 when `begin` stopped sampling, and
+/// the work went down: one old `ScNorecBegin` point stood for 33 loads
+/// (the epoch and every shard word twice), one `ScNorecTouch` stands for
+/// one shard-word load — 7 586 + 1 000 epoch loads against 33 000.
 #[test]
-fn snorec_sharded_clock_15_086_points() {
+fn snorec_sharded_clock_21_672_points() {
     assert_counts(
         Algorithm::SNOrec,
         16,
         &[
             ("AdaptEnter", 1_000),
             ("AdaptEnterRecheck", 1_000),
-            ("ScNorecBegin", 1_000),
+            ("ScNorecTouch", 7_586),
             ("ScNorecRead", 10_056),
             ("ScNorecCommitAcquire", 1_000),
             ("ScNorecValidate", 15),

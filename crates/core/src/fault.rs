@@ -36,6 +36,12 @@ pub const WAL_FSYNC_IO_ERROR: u32 = 1 << 3;
 /// prevent).
 pub const ADAPT_SKIP_DRAIN: u32 = 1 << 4;
 
+/// Sharded-clock NOrec: the first read under a shard records its word
+/// but leaves the shard out of the set the attempt has read under
+/// ([`crate::sclock`]), so no later validation looks at it and a commit
+/// under it goes unnoticed.
+pub const SCNOREC_FORGET_TOUCH: u32 = 1 << 5;
+
 #[cfg(feature = "fault-injection")]
 mod armed {
     use std::sync::atomic::{AtomicU32, Ordering};

@@ -65,9 +65,10 @@ impl Reads<'_> {
 
 /// The commit clock of the NOrec family: the one thing the two NOrec
 /// engines ever differed in. A clock hands each attempt a `View`; the
-/// engine's invariant is that **every read-set entry holds in the heap
-/// state the view denotes**, and each method states what it contributes
-/// to keeping that true.
+/// engine's invariant is that **whenever a read returns with the view
+/// not [`moved`](CommitClock::moved), every read-set entry holds in the
+/// heap as it is at that moment**, and each method states what it
+/// contributes to keeping that true.
 pub(crate) trait CommitClock {
     /// One attempt's view of the clock; kept across attempts.
     type View;
@@ -82,11 +83,19 @@ pub(crate) trait CommitClock {
     fn view(&self, scratch: &mut Scratch) -> Self::View;
     /// Give `view`'s vectors back to `scratch` when its context ends.
     fn retire(_view: &mut Self::View, _scratch: &mut Scratch) {}
-    /// Sample a view at which no write-back is in flight.
+    /// Start an attempt with an empty read-set: either sample a time at
+    /// which no write-back is in flight, or leave every sample to
+    /// [`touch`](CommitClock::touch).
     fn begin(&self, view: &mut Self::View);
+    /// Called ahead of every consistent read of `addr`: a clock whose
+    /// view covers only what the attempt has read under extends it to
+    /// `addr` here. A clock that samples everything in `begin` inherits
+    /// this no-op.
+    #[inline(always)]
+    fn touch(&self, _view: &mut Self::View, _addr: Addr) {}
     /// Has a write-back possibly started since `view` was last valid? A
     /// `false` after a data load proves the loaded value belongs to the
-    /// view's heap state.
+    /// same heap state as every entry read before it.
     fn moved(&self, view: &Self::View) -> bool;
     /// Changes exactly when validation advances the view (the pair-read
     /// consistency probe of `cmp_addr`).
@@ -308,6 +317,7 @@ impl<'a, C: CommitClock> NorecTx<'a, C> {
     /// stands still this is a load and a compare.
     #[inline(always)]
     fn read_valid(&mut self, addr: Addr) -> Result<i64, Abort> {
+        self.clock.touch(&mut self.view, addr);
         loop {
             sched::point(C::READ);
             let val = self.heap.tm_load(addr);

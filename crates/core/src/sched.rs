@@ -55,19 +55,22 @@ pub enum PointKind {
     Tl2CommitCas,
     /// TL2: locks held and clock advanced, before write-back begins.
     Tl2Writeback,
-    /// Sharded-clock NOrec: before the begin-time snapshot of the shard
-    /// vector (one point per double-collect round).
-    ScNorecBegin,
+    /// Sharded-clock NOrec: before one load of a shard word at the first
+    /// read under that shard in an attempt (one point per wait round;
+    /// the attempt's first touch has sampled the epoch just before it).
+    /// Begin itself touches no shared memory and has no point.
+    ScNorecTouch,
     /// Sharded-clock NOrec: head of one validation round (before
-    /// sampling the shard vector).
+    /// sampling the epoch and the shards the attempt has read under).
     ScNorecValidate,
     /// Sharded-clock NOrec: between moved-shard revalidation and the
-    /// closing re-sample of the shard vector.
+    /// closing re-sample of those shards.
     ScNorecValidateRecheck,
     /// Sharded-clock NOrec: before the data load of a consistent read.
     ScNorecRead,
     /// Sharded-clock NOrec: before one commit-time acquire pass over the
-    /// write-set's shards.
+    /// write-set's shards (a CAS from the snapshot on a shard the attempt
+    /// read under, a blind `fetch_or` on one it did not).
     ScNorecCommitAcquire,
     /// Sharded-clock NOrec: all write-set shards held and the read-set
     /// revalidated, before write-back begins.

@@ -52,6 +52,10 @@ pub enum ReadEntry {
 
 // A push onto the read-set — every read barrier's last step — is two stores.
 const _: () = assert!(std::mem::size_of::<ReadEntry>() == 16);
+// The boxed scratch keeps its size: where glibc places it decides the
+// benchmark's `setup_s` / `peak_rss_mb` mode (see `ScratchBox`).
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Scratch>() == 264);
 
 impl ReadEntry {
     /// Re-evaluate the recorded relation against current memory — the

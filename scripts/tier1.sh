@@ -39,6 +39,16 @@ echo "==> sharded-clock re-run (semtm-check, SEMTM_CLOCK_SHARDS=4)"
 SEMTM_CLOCK_SHARDS=4 SEMTM_CHECK_ITERS="${SEMTM_SHARDED_ITERS:-200}" \
   timeout 300 cargo test -q -p semtm-check
 
+echo "==> sharded-clock re-run at the benchmark's shard count (SEMTM_CLOCK_SHARDS=16)"
+# Four shards over the check runtimes' small heaps make lines alias; at
+# 16 — the benchmark's `scnorec` cell — every line has a shard of its
+# own, so a commit that mixes shards it read under (CAS from the
+# snapshot) with shards it never sampled (blind acquisition) is the
+# common case. The three files that drive multi-cell programs, short.
+SEMTM_CLOCK_SHARDS=16 SEMTM_CHECK_ITERS=100 \
+  timeout 300 cargo test -q -p semtm-check \
+  --test fuzz_differential --test sharded_clock --test structures
+
 echo "==> adaptive hot-swap re-run (semtm-check, SEMTM_ADAPTIVE=1)"
 # The deterministic suite once more with a mode-switcher thread injected
 # into every fuzzed program (crates/check/src/fuzz.rs): each execution
