@@ -3,13 +3,16 @@
 //! races it, and every bounded schedule must land in a serializable
 //! outcome — for the original kernel AND for the `tm_mark`/`tm_widen`
 //! output, whose promoted `_ITM_S1R`/`_ITM_S2R` barriers defer the check
-//! to commit time and must revalidate correctly under preemption.
+//! to commit time and must revalidate correctly under preemption. Each
+//! runs tree-walking ([`Interp::execute`]) and lowered
+//! ([`Interp::execute_lowered`], the form every workload runs, whose
+//! fused ops issue the barriers from inside one dispatch).
 
 use semtm_check::fuzz::check_stm;
 use semtm_check::schedule::{explore_exhaustive, ExploreOptions};
 use semtm_check::vthread::run_threads;
 use semtm_core::{Algorithm, Stm};
-use semtm_ir::{programs, run_tm_passes, Function, Interp};
+use semtm_ir::{lower, programs, run_tm_passes, ExecError, Function, Interp, LoweredFunction};
 use std::sync::atomic::{AtomicI64, Ordering};
 
 const STEP_CAP: usize = 20_000;
@@ -22,14 +25,35 @@ fn opts() -> ExploreOptions {
     }
 }
 
+/// A kernel in one of the two forms the interpreter runs.
+enum Form {
+    Tree(Function),
+    Lowered(LoweredFunction),
+}
+
+impl Form {
+    fn execute(&self, interp: &Interp<'_>, args: &[i64]) -> Result<Option<i64>, ExecError> {
+        match self {
+            Form::Tree(f) => interp.execute(f, args),
+            Form::Lowered(l) => interp.execute_lowered(l, args),
+        }
+    }
+}
+
 /// The kernel as checked in, and after the full pass pipeline (which
 /// promotes its guard to a semantic builtin — `tm_widen` proves the
 /// range-shifted compare in `range_gate`, `tm_mark` the cross-block
-/// compare in `cross_block_guard`).
-fn variants(f: Function) -> [(&'static str, Function); 2] {
+/// compare in `cross_block_guard`), each tree-walked and lowered.
+fn variants(f: Function) -> [(&'static str, Form); 4] {
     let mut passed = f.clone();
     run_tm_passes(&mut passed);
-    [("original", f), ("passed", passed)]
+    let lowered = |f: &Function| Form::Lowered(lower(f).expect("shipped kernel lowers"));
+    [
+        ("original/lowered", lowered(&f)),
+        ("passed/lowered", lowered(&passed)),
+        ("original/tree", Form::Tree(f)),
+        ("passed/tree", Form::Tree(passed)),
+    ]
 }
 
 /// `range_gate(tokens, grants)` admits when `*tokens > 50` (written as
@@ -51,8 +75,11 @@ fn range_gate_serializes_against_a_bucket_drain_on_every_schedule() {
                 let shared = (&stm, &ret);
                 type Shared<'a> = (&'a Stm, &'a AtomicI64);
                 let gate = |_tid: usize, (stm, ret): &Shared<'_>| {
-                    let r = Interp::new(stm)
-                        .execute(&f, &[tokens.index() as i64, grants.index() as i64])
+                    let r = f
+                        .execute(
+                            &Interp::new(stm),
+                            &[tokens.index() as i64, grants.index() as i64],
+                        )
                         .expect("kernel executes")
                         .expect("kernel returns a value");
                     ret.store(r, Ordering::Relaxed);
@@ -100,8 +127,11 @@ fn cross_block_guard_is_mutually_exclusive_on_every_schedule() {
                 let shared = (&stm, &rets);
                 type Shared<'a> = (&'a Stm, &'a [AtomicI64; 2]);
                 let body = |tid: usize, (stm, rets): &Shared<'_>| {
-                    let r = Interp::new(stm)
-                        .execute(&f, &[lock.index() as i64, count.index() as i64])
+                    let r = f
+                        .execute(
+                            &Interp::new(stm),
+                            &[lock.index() as i64, count.index() as i64],
+                        )
                         .expect("kernel executes")
                         .expect("kernel returns a value");
                     rets[tid].store(r, Ordering::Relaxed);

@@ -35,14 +35,21 @@
 //!   local and added to [`DispatchCounters::tm_calls`] when the attempt
 //!   returns — on commit, abort and give-up alike — so a barrier pays no
 //!   atomic of the interpreter's. A concurrent reader of a shared
-//!   `Interp`'s counters lags by at most one attempt per running thread.
+//!   `Interp`'s counters lags by at most one attempt per running thread;
+//! * **branches that branch.** Every conditional op of the lowered loop
+//!   picks its next pc with a conditional jump ([`branch`]), so the
+//!   next op is fetched on the prediction, before the compared value —
+//!   inside a region, a barrier's heap load — arrives;
+//! * **the budget in registers.** The lowered loop keeps the step count,
+//!   the step limit and the heap's bound in locals and hands the count
+//!   back however it exits.
 
 use crate::ir::{BlockId, Function, Inst, Operand};
-use crate::lower::{LoweredFunction, Op, Slot};
+use crate::lower::{LoweredFunction, Op, Pc, Slot};
 use semtm_core::{Abort, Addr, CmpOp, Stm, Tx};
 use std::cell::Cell;
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{compiler_fence, AtomicU64, Ordering};
 
 /// Why execution failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,7 +61,8 @@ pub enum ExecError {
     /// A block fell through without a terminator (validation should have
     /// caught this).
     FellThrough,
-    /// An address operand was negative.
+    /// An address operand named no word of the heap: it was negative, or
+    /// at or past the heap's capacity.
     BadAddress(i64),
     /// The call passed the wrong number of arguments; nothing ran.
     Arity {
@@ -71,7 +79,7 @@ impl std::fmt::Display for ExecError {
             ExecError::StepLimit => write!(f, "instruction budget exhausted"),
             ExecError::UnbalancedEnd => write!(f, "tmend outside an atomic region"),
             ExecError::FellThrough => write!(f, "block fell through"),
-            ExecError::BadAddress(a) => write!(f, "negative heap address {a}"),
+            ExecError::BadAddress(a) => write!(f, "heap address {a} out of range"),
             ExecError::Arity { expected, got } => {
                 write!(f, "function takes {expected} arguments, called with {got}")
             }
@@ -227,11 +235,50 @@ fn slot(frame: &[i64], s: Slot) -> i64 {
     frame[s as usize]
 }
 
-fn addr(v: i64) -> Result<Addr, ExecError> {
-    if v < 0 {
-        Err(ExecError::BadAddress(v))
-    } else {
+/// The heap word `v` names, for a heap of `capacity` words: one unsigned
+/// compare turns away negative values and values at or past the end
+/// (the heap's alignment padding among them) alike.
+fn addr(v: i64, capacity: u64) -> Result<Addr, ExecError> {
+    if (v as u64) < capacity {
         Ok(Addr::from_index(v as usize))
+    } else {
+        Err(ExecError::BadAddress(v))
+    }
+}
+
+/// `then_pc` when `holds`, else `else_pc` — picked by a conditional jump.
+/// Left alone, LLVM folds the two arms into a load of the next pc indexed
+/// by `holds` (`sete %cl; mov 0x8(%rax,%rcx,4),%r12d`) or a `cmov`, and
+/// the next op cannot be fetched before the compared value arrives. The
+/// fence emits no instruction; it keeps the else arm from being merged
+/// into a select (DESIGN.md §8.3).
+#[inline(always)]
+fn branch(holds: bool, then_pc: Pc, else_pc: Pc) -> usize {
+    if holds {
+        then_pc as usize
+    } else {
+        compiler_fence(Ordering::SeqCst);
+        else_pc as usize
+    }
+}
+
+/// A call's instruction budget. It spans the whole `execute` call,
+/// re-executed region attempts included.
+#[derive(Clone, Copy)]
+struct Budget {
+    used: u64,
+    limit: u64,
+}
+
+impl Budget {
+    /// Charge one instruction.
+    fn tick(&mut self) -> Result<(), ExecError> {
+        self.used += 1;
+        if self.used > self.limit {
+            Err(ExecError::StepLimit)
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -323,13 +370,13 @@ impl<'a> Interp<'a> {
     pub fn execute(&self, func: &Function, args: &[i64]) -> Result<Option<i64>, ExecError> {
         let mut frame = Frame::enter(func.num_args, func.num_regs, &[], args)?;
         let (regs, snapshot) = frame.split();
-        let mut steps = 0u64;
+        let mut budget = self.budget();
         let mut at = (0, 0);
         loop {
-            at = match self.walk(func, &mut Direct(self.stm), regs, at, &mut steps) {
+            at = match self.walk(func, &mut Direct(self.stm), regs, at, &mut budget) {
                 Ok(Stop::Return(v)) => return Ok(v),
                 Ok(Stop::Boundary(entry)) => self.region(regs, snapshot, |tm, regs| {
-                    self.walk(func, tm, regs, entry, &mut steps)
+                    self.walk(func, tm, regs, entry, &mut budget)
                 })?,
                 Err(Trap::Exec(e)) => return Err(e),
                 Err(Trap::Abort(never)) => match never {},
@@ -358,13 +405,13 @@ impl<'a> Interp<'a> {
     ) -> Result<Option<i64>, ExecError> {
         let mut frame = Frame::enter(func.num_args, func.num_regs, &func.consts, args)?;
         let (live, snapshot) = frame.split();
-        let mut steps = 0u64;
+        let mut budget = self.budget();
         let mut pc = 0;
         loop {
-            pc = match self.run(func, &mut Direct(self.stm), live, pc, &mut steps) {
+            pc = match self.run(func, &mut Direct(self.stm), live, pc, &mut budget) {
                 Ok(Stop::Return(v)) => return Ok(v),
                 Ok(Stop::Boundary(entry)) => self.region(live, snapshot, |tm, live| {
-                    self.run(func, tm, live, entry, &mut steps)
+                    self.run(func, tm, live, entry, &mut budget)
                 })?,
                 Err(Trap::Exec(e)) => return Err(e),
                 Err(Trap::Abort(never)) => match never {},
@@ -415,15 +462,17 @@ impl<'a> Interp<'a> {
         })
     }
 
-    /// Charge one instruction to the call's budget. The budget spans
-    /// the whole `execute` call, re-executed region attempts included.
-    fn tick(&self, steps: &mut u64) -> Result<(), ExecError> {
-        *steps += 1;
-        if *steps > self.step_limit {
-            Err(ExecError::StepLimit)
-        } else {
-            Ok(())
+    /// A fresh call's budget.
+    fn budget(&self) -> Budget {
+        Budget {
+            used: 0,
+            limit: self.step_limit,
         }
+    }
+
+    /// The bound [`addr`] checks against.
+    fn capacity(&self) -> u64 {
+        self.stm.heap().capacity() as u64
     }
 
     /// The tree-walking op loop: execute `func` from `(block, idx)`
@@ -434,14 +483,15 @@ impl<'a> Interp<'a> {
         tm: &mut B,
         regs: &mut [i64],
         (mut block, mut idx): (BlockId, usize),
-        steps: &mut u64,
+        budget: &mut Budget,
     ) -> Result<Stop<(BlockId, usize)>, Trap<B::Abort>> {
         let mut depth = B::DEPTH;
+        let capacity = self.capacity();
         loop {
             let Some(inst) = func.blocks[block].insts.get(idx) else {
                 return Err(ExecError::FellThrough.into());
             };
-            self.tick(steps)?;
+            budget.tick()?;
             idx += 1;
             match *inst {
                 Inst::Mov { dst, src } => regs[dst as usize] = operand(regs, src),
@@ -453,11 +503,11 @@ impl<'a> Interp<'a> {
                 }
                 Inst::Not { dst, src } => regs[dst as usize] = (operand(regs, src) == 0) as i64,
                 Inst::TmLoad { dst, addr: a } => {
-                    let a = addr(operand(regs, a))?;
+                    let a = addr(operand(regs, a), capacity)?;
                     regs[dst as usize] = tm.read(a)?;
                 }
                 Inst::TmStore { addr: a, val } => {
-                    let a = addr(operand(regs, a))?;
+                    let a = addr(operand(regs, a), capacity)?;
                     tm.write(a, operand(regs, val))?;
                 }
                 Inst::TmCmpVal {
@@ -466,7 +516,7 @@ impl<'a> Interp<'a> {
                     addr: a,
                     val,
                 } => {
-                    let a = addr(operand(regs, a))?;
+                    let a = addr(operand(regs, a), capacity)?;
                     let holds = tm.cmp(a, op, operand(regs, val))?;
                     regs[dst as usize] = holds as i64;
                 }
@@ -476,7 +526,10 @@ impl<'a> Interp<'a> {
                     a: lhs,
                     b: rhs,
                 } => {
-                    let (lhs, rhs) = (addr(operand(regs, lhs))?, addr(operand(regs, rhs))?);
+                    let (lhs, rhs) = (
+                        addr(operand(regs, lhs), capacity)?,
+                        addr(operand(regs, rhs), capacity)?,
+                    );
                     regs[dst as usize] = tm.cmp_addr(lhs, op, rhs)? as i64;
                 }
                 Inst::TmInc {
@@ -484,7 +537,7 @@ impl<'a> Interp<'a> {
                     delta,
                     negate,
                 } => {
-                    let a = addr(operand(regs, a))?;
+                    let a = addr(operand(regs, a), capacity)?;
                     tm.inc(a, signed(operand(regs, delta), negate))?;
                 }
                 Inst::Br { target } => (block, idx) = (target, 0),
@@ -516,119 +569,171 @@ impl<'a> Interp<'a> {
     }
 
     /// The lowered op loop: as [`Interp::walk`], over the flat op array
-    /// and the frame's registers-and-constants slots. A fused
-    /// compare-and-branch charges its second step after the compare (and
-    /// its barrier), where the tree walker charges the branch.
+    /// and the frame's registers-and-constants slots. A fused op charges
+    /// the steps of the ops it stands for, in their order, with each
+    /// barrier between the same two steps as in the tree walker.
+    ///
+    /// The budget is copied into a local for the loop and written back
+    /// once, however the loop exits: neither the count nor the limit is
+    /// reloaded or stored per op.
     fn run<B: Barriers>(
         &self,
         func: &LoweredFunction,
         tm: &mut B,
         frame: &mut [i64],
         mut pc: usize,
-        steps: &mut u64,
+        budget: &mut Budget,
     ) -> Result<Stop<usize>, Trap<B::Abort>> {
-        let mut depth = B::DEPTH;
-        loop {
-            let Some(op) = func.ops.get(pc) else {
-                return Err(ExecError::FellThrough.into());
-            };
-            self.tick(steps)?;
-            pc += 1;
-            match *op {
-                Op::Mov { dst, src } => frame[dst as usize] = slot(frame, src),
-                Op::Bin { op, dst, a, b } => {
-                    frame[dst as usize] = op.eval(slot(frame, a), slot(frame, b));
-                }
-                Op::Cmp { op, dst, a, b } => {
-                    frame[dst as usize] = op.eval(slot(frame, a), slot(frame, b)) as i64;
-                }
-                Op::CmpJump {
-                    op,
-                    dst,
-                    a,
-                    b,
-                    then_pc,
-                    else_pc,
-                } => {
-                    let holds = op.eval(slot(frame, a), slot(frame, b));
-                    frame[dst as usize] = holds as i64;
-                    self.tick(steps)?;
-                    pc = if holds { then_pc } else { else_pc } as usize;
-                }
-                Op::Not { dst, src } => frame[dst as usize] = (slot(frame, src) == 0) as i64,
-                Op::TmLoad { dst, addr: a } => {
-                    let a = addr(slot(frame, a))?;
-                    frame[dst as usize] = tm.read(a)?;
-                }
-                Op::TmStore { addr: a, val } => {
-                    let a = addr(slot(frame, a))?;
-                    tm.write(a, slot(frame, val))?;
-                }
-                Op::TmCmpVal {
-                    op,
-                    dst,
-                    addr: a,
-                    val,
-                } => {
-                    let a = addr(slot(frame, a))?;
-                    frame[dst as usize] = tm.cmp(a, op, slot(frame, val))? as i64;
-                }
-                Op::TmCmpValJump {
-                    op,
-                    dst,
-                    addr: a,
-                    val,
-                    then_pc,
-                    else_pc,
-                } => {
-                    let a = addr(slot(frame, a))?;
-                    let holds = tm.cmp(a, op, slot(frame, val))?;
-                    frame[dst as usize] = holds as i64;
-                    self.tick(steps)?;
-                    pc = if holds { then_pc } else { else_pc } as usize;
-                }
-                Op::TmCmpAddr {
-                    op,
-                    dst,
-                    a: lhs,
-                    b: rhs,
-                } => {
-                    let (lhs, rhs) = (addr(slot(frame, lhs))?, addr(slot(frame, rhs))?);
-                    frame[dst as usize] = tm.cmp_addr(lhs, op, rhs)? as i64;
-                }
-                Op::TmInc {
-                    addr: a,
-                    delta,
-                    negate,
-                } => {
-                    let a = addr(slot(frame, a))?;
-                    tm.inc(a, signed(slot(frame, delta), negate))?;
-                }
-                Op::Jump { pc: target } => pc = target as usize,
-                Op::JumpIf {
-                    cond,
-                    then_pc,
-                    else_pc,
-                } => {
-                    pc = if slot(frame, cond) != 0 {
-                        then_pc
-                    } else {
-                        else_pc
-                    } as usize;
-                }
-                Op::Ret { val } => return Ok(Stop::Return(val.map(|s| slot(frame, s)))),
-                Op::TmBegin if depth == 0 => return Ok(Stop::Boundary(pc)),
-                // Flattened nesting, as in GCC's TM runtime.
-                Op::TmBegin => depth += 1,
-                Op::TmEnd if depth == 0 => return Err(ExecError::UnbalancedEnd.into()),
-                Op::TmEnd => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Ok(Stop::Boundary(pc));
+        let mut steps = *budget;
+        let capacity = self.capacity();
+        let ops = &func.ops[..];
+        let stopped = (|| {
+            let mut depth = B::DEPTH;
+            loop {
+                let Some(op) = ops.get(pc) else {
+                    return Err(ExecError::FellThrough.into());
+                };
+                steps.tick()?;
+                pc += 1;
+                match *op {
+                    Op::Mov { dst, src } => frame[dst as usize] = slot(frame, src),
+                    Op::Bin { op, dst, a, b } => {
+                        frame[dst as usize] = op.eval(slot(frame, a), slot(frame, b));
+                    }
+                    Op::BinJump {
+                        op,
+                        dst,
+                        a,
+                        b,
+                        pc: target,
+                    } => {
+                        frame[dst as usize] = op.eval(slot(frame, a), slot(frame, b));
+                        steps.tick()?;
+                        pc = target as usize;
+                        // A loop latch landing on its loop's test runs the
+                        // compare-and-branch here, with its own two steps.
+                        if let Some(&Op::CmpJump {
+                            op,
+                            dst,
+                            a,
+                            b,
+                            then_pc,
+                            else_pc,
+                        }) = ops.get(pc)
+                        {
+                            steps.tick()?;
+                            let holds = op.eval(slot(frame, a), slot(frame, b));
+                            frame[dst as usize] = holds as i64;
+                            steps.tick()?;
+                            pc = branch(holds, then_pc, else_pc);
+                        }
+                    }
+                    Op::Cmp { op, dst, a, b } => {
+                        frame[dst as usize] = op.eval(slot(frame, a), slot(frame, b)) as i64;
+                    }
+                    Op::CmpJump {
+                        op,
+                        dst,
+                        a,
+                        b,
+                        then_pc,
+                        else_pc,
+                    } => {
+                        let holds = op.eval(slot(frame, a), slot(frame, b));
+                        frame[dst as usize] = holds as i64;
+                        steps.tick()?;
+                        pc = branch(holds, then_pc, else_pc);
+                    }
+                    Op::Not { dst, src } => frame[dst as usize] = (slot(frame, src) == 0) as i64,
+                    Op::TmLoad { dst, addr: a } => {
+                        let a = addr(slot(frame, a), capacity)?;
+                        frame[dst as usize] = tm.read(a)?;
+                    }
+                    Op::TmStore { addr: a, val } => {
+                        let a = addr(slot(frame, a), capacity)?;
+                        tm.write(a, slot(frame, val))?;
+                    }
+                    Op::TmCmpVal {
+                        op,
+                        dst,
+                        addr: a,
+                        val,
+                    } => {
+                        let a = addr(slot(frame, a), capacity)?;
+                        frame[dst as usize] = tm.cmp(a, op, slot(frame, val))? as i64;
+                    }
+                    Op::TmCmpValJump {
+                        op,
+                        dst,
+                        addr: a,
+                        val,
+                        then_pc,
+                        else_pc,
+                    } => {
+                        let a = addr(slot(frame, a), capacity)?;
+                        let holds = tm.cmp(a, op, slot(frame, val))?;
+                        frame[dst as usize] = holds as i64;
+                        steps.tick()?;
+                        pc = branch(holds, then_pc, else_pc);
+                    }
+                    Op::AddTmCmpValJump {
+                        addr: t,
+                        a,
+                        b,
+                        op,
+                        dst,
+                        val,
+                        then_pc,
+                        else_pc,
+                    } => {
+                        let sum = slot(frame, a).wrapping_add(slot(frame, b));
+                        frame[t as usize] = sum;
+                        steps.tick()?;
+                        let holds = tm.cmp(addr(sum, capacity)?, op, slot(frame, val))?;
+                        frame[dst as usize] = holds as i64;
+                        steps.tick()?;
+                        pc = branch(holds, then_pc, else_pc);
+                    }
+                    Op::TmCmpAddr {
+                        op,
+                        dst,
+                        a: lhs,
+                        b: rhs,
+                    } => {
+                        let lhs = addr(slot(frame, lhs), capacity)?;
+                        let rhs = addr(slot(frame, rhs), capacity)?;
+                        frame[dst as usize] = tm.cmp_addr(lhs, op, rhs)? as i64;
+                    }
+                    Op::TmInc {
+                        addr: a,
+                        delta,
+                        negate,
+                    } => {
+                        let a = addr(slot(frame, a), capacity)?;
+                        tm.inc(a, signed(slot(frame, delta), negate))?;
+                    }
+                    Op::Jump { pc: target } => pc = target as usize,
+                    Op::JumpIf {
+                        cond,
+                        then_pc,
+                        else_pc,
+                    } => pc = branch(slot(frame, cond) != 0, then_pc, else_pc),
+                    Op::Ret { val } => return Ok(Stop::Return(val.map(|s| slot(frame, s)))),
+                    Op::TmBegin if depth == 0 => return Ok(Stop::Boundary(pc)),
+                    // Flattened nesting, as in GCC's TM runtime.
+                    Op::TmBegin => depth += 1,
+                    Op::TmEnd if depth == 0 => return Err(ExecError::UnbalancedEnd.into()),
+                    Op::TmEnd => {
+                        depth -= 1;
+                        if depth == 0 {
+                            return Ok(Stop::Boundary(pc));
+                        }
                     }
                 }
             }
-        }
+        })();
+        *budget = steps;
+        stopped
     }
 }
 
@@ -809,6 +914,58 @@ mod tests {
                 assert_eq!(interp.counters.tm_calls(), barriers, "{form}");
                 assert_eq!(s.read_now(b), 10, "{form}: nothing commits");
                 assert_eq!(s.stats().aborts_explicit, 1, "{form}");
+            }
+        }
+    }
+
+    #[test]
+    fn addresses_past_the_heap_are_bad_for_every_barrier() {
+        // One op form each: `TmLoad`, `TmStore`, `TmInc`, `TmCmpVal`,
+        // `TmCmpValJump`, `AddTmCmpValJump`, `TmCmpAddr` on either side.
+        // `r0` is the address under test, `r1` a cell of the heap.
+        let barriers = [
+            "r2 = tmload r0",
+            "tmstore r0, 1",
+            "tminc r0, 1",
+            "r2 = tmcmp.gt r0, 0\n r3 = mov r2",
+            "r2 = tmcmp.gt r0, 0\n condbr r2, next, next\n next:",
+            "r2 = add r0, 0\n r3 = tmcmp.gt r2, 0\n condbr r3, next, next\n next:",
+            "r2 = tmcmp2.gt r0, r1",
+            "r2 = tmcmp2.gt r1, r0",
+        ];
+        for barrier in barriers {
+            // Inside a region after a store that must not commit, and
+            // outside one before a store that must not happen.
+            for (inside, body) in [
+                (
+                    true,
+                    format!("tmbegin\n tmstore r1, 9\n {barrier}\n tmend\n ret"),
+                ),
+                (false, format!("{barrier}\n tmstore r1, 9\n ret")),
+            ] {
+                let source = format!("func f(2) {{\n entry:\n {body}\n }}");
+                let f = crate::parser::parse_function(&source).unwrap();
+                for alg in Algorithm::ALL {
+                    for (form, run) in both_forms(f.clone()) {
+                        let s = stm(alg);
+                        let cell = s.alloc_cell(5i64);
+                        let capacity = s.heap().capacity() as i64;
+                        let interp = Interp::new(&s);
+                        for bad in [capacity, capacity + 15, 1 << 33] {
+                            assert_eq!(
+                                run(&interp, &[bad, cell.index() as i64]),
+                                Err(ExecError::BadAddress(bad)),
+                                "{alg} {form} {barrier:?} inside={inside}"
+                            );
+                        }
+                        assert_eq!(interp.counters.region_attempts(), 3 * inside as u64);
+                        assert_eq!(s.read_now(cell), 5, "{alg} {form} {barrier:?}");
+                        // The heap's last word is in range.
+                        let args = [capacity - 1, cell.index() as i64];
+                        assert_eq!(run(&interp, &args), Ok(None), "{alg} {form} {barrier:?}");
+                        assert_eq!(s.read_now(cell), 9, "{alg} {form} {barrier:?}");
+                    }
+                }
             }
         }
     }

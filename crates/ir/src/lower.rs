@@ -23,13 +23,20 @@
 //!   [`Op::TmCmpValJump`]) **at the compare's pc**. Nothing moves: the
 //!   `JumpIf` stays behind it (a block never starts there, so only the
 //!   fused op would have reached it), and `len()` still equals the
-//!   instruction count.
+//!   instruction count;
+//! * a peephole at the end builds two superinstructions by the same
+//!   rule: an `add` whose sum is the address of the `TmCmpValJump`
+//!   after it ([`Op::AddTmCmpValJump`], the *address fold*), and a `Bin`
+//!   followed by a `Br` ([`Op::BinJump`], the *jump fold* — a loop
+//!   latch, which also runs the loop header's `CmpJump` when it lands on
+//!   one).
 //!
 //! **Fusion invariant.** A fused op charges the steps of the ops it
-//! replaces, with the barrier between them: one step, the compare (and
-//! its barrier call), the second step, the branch. Step budgets,
-//! `StepLimit` outcomes and barrier counts are therefore exactly the
-//! tree walker's, whatever the budget.
+//! replaces, in order, with each barrier between the same two steps: a
+//! compare-and-branch charges one step, the compare (and its barrier
+//! call), the second step, the branch. Step budgets, `StepLimit`
+//! outcomes and barrier counts are therefore exactly the tree walker's,
+//! whatever the budget.
 //!
 //! Lowering is otherwise purely structural: the instruction sequence
 //! executed, the TM barriers issued, and therefore the dispatch counters
@@ -53,7 +60,7 @@ pub type Pc = u32;
 
 /// One flat op: the [`Inst`] repertoire with operands resolved to frame
 /// slots and branch targets to absolute pcs, plus the two fused
-/// compare-and-branch forms.
+/// compare-and-branch forms and the two superinstructions.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Op {
     /// `dst = src`.
@@ -73,6 +80,22 @@ pub enum Op {
         a: Slot,
         /// Right operand.
         b: Slot,
+    },
+    /// [`Op::Bin`] fused with the [`Op::Jump`] that follows it: two
+    /// steps. When the target is an [`Op::CmpJump`] — a loop latch landing
+    /// on its loop's test — that compare-and-branch runs in the same
+    /// dispatch with its own two steps.
+    BinJump {
+        /// Operator.
+        op: BinOp,
+        /// Destination register.
+        dst: Reg,
+        /// Left operand.
+        a: Slot,
+        /// Right operand.
+        b: Slot,
+        /// Target pc.
+        pc: Pc,
     },
     /// `dst = (a <relation> b)` as 0/1.
     Cmp {
@@ -142,6 +165,27 @@ pub enum Op {
         dst: Reg,
         /// Heap word index (left side).
         addr: Slot,
+        /// Constant/local right side.
+        val: Slot,
+        /// Pc when the relation holds.
+        then_pc: Pc,
+        /// Pc when it does not.
+        else_pc: Pc,
+    },
+    /// `addr = a + b` fused with the [`Op::TmCmpValJump`] on address
+    /// `addr` that follows it: three steps, the barrier call between the
+    /// second and the third.
+    AddTmCmpValJump {
+        /// The sum's register (still written), the barrier's address.
+        addr: Reg,
+        /// Left addend.
+        a: Slot,
+        /// Right addend.
+        b: Slot,
+        /// Relation.
+        op: CmpOp,
+        /// Destination register of the compare (still written).
+        dst: Reg,
         /// Constant/local right side.
         val: Slot,
         /// Pc when the relation holds.
@@ -381,6 +425,7 @@ pub fn lower(func: &Function) -> Result<LoweredFunction, String> {
             });
         }
     }
+    fuse_superinstructions(&mut ops);
     Ok(LoweredFunction {
         name: func.name.clone(),
         num_args: func.num_args,
@@ -388,6 +433,45 @@ pub fn lower(func: &Function) -> Result<LoweredFunction, String> {
         ops,
         consts: pool.consts,
     })
+}
+
+/// The superinstruction peephole: a `Bin` becomes [`Op::AddTmCmpValJump`]
+/// or [`Op::BinJump`] when the op after it completes the shape. The
+/// second op stays where it is — a `Bin` never ends a block, so no branch
+/// targets it and only the fused op could have reached it.
+fn fuse_superinstructions(ops: &mut [Op]) {
+    for pc in 1..ops.len() {
+        let Op::Bin { op, dst, a, b } = ops[pc - 1] else {
+            continue;
+        };
+        ops[pc - 1] = match ops[pc] {
+            Op::TmCmpValJump {
+                op: relation,
+                dst: holds,
+                addr,
+                val,
+                then_pc,
+                else_pc,
+            } if op == BinOp::Add && addr == dst => Op::AddTmCmpValJump {
+                addr: dst,
+                a,
+                b,
+                op: relation,
+                dst: holds,
+                val,
+                then_pc,
+                else_pc,
+            },
+            Op::Jump { pc: target } => Op::BinJump {
+                op,
+                dst,
+                a,
+                b,
+                pc: target,
+            },
+            _ => continue,
+        };
+    }
 }
 
 #[cfg(test)]

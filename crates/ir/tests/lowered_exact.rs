@@ -1,14 +1,16 @@
 //! The lowered form's accounting is exactly the tree walker's.
 //!
-//! Lowering resolves operands to slots and fuses a compare with the
-//! branch on its result, but a fused op must charge the steps of the two
-//! ops it replaces with the barrier between them. So for every shipped
-//! program (passes off and on) and for hand-written functions holding
-//! each shape the lowering treats specially, this runs both forms under
-//! **every** step budget from 0 up to the steps the call needs and
-//! demands the same `Result`, the same heap, the same `tm_calls` and the
-//! same `region_attempts` — including the budgets that run out between a
-//! fused compare and its branch.
+//! Lowering resolves operands to slots, fuses a compare with the branch
+//! on its result, and builds two superinstructions (an `add` into the
+//! compare-and-branch on its sum, a `Bin` into the `br` after it), but a
+//! fused op must charge the steps of the ops it replaces, in order, with
+//! each barrier between the same two steps. So for every shipped program
+//! (passes off and on) and for hand-written functions holding each shape
+//! the lowering treats specially — and the near misses it must leave
+//! alone — this runs both forms under **every** step budget from 0 up to
+//! the steps the call needs and demands the same `Result`, the same heap,
+//! the same `tm_calls` and the same `region_attempts` — including the
+//! budgets that run out inside a fused op.
 
 use semtm_core::{Algorithm, Stm, StmConfig};
 use semtm_ir::{lower, parse_function, programs, run_tm_passes};
@@ -94,11 +96,32 @@ fn sweep(case: &Case) -> (Observed, u64) {
     panic!("{name}: never completes");
 }
 
-fn fused(l: &LoweredFunction) -> usize {
-    l.ops()
-        .iter()
-        .filter(|op| matches!(op, Op::CmpJump { .. } | Op::TmCmpValJump { .. }))
-        .count()
+/// How many ops of each fused form `l` holds: `[compare-and-branch,
+/// address fold, jump fold, jump folds landing on a CmpJump]` (the last
+/// run that compare-and-branch in their own dispatch).
+fn fused(l: &LoweredFunction) -> [usize; 4] {
+    let ops = l.ops();
+    let count = |form: fn(&Op) -> bool| ops.iter().filter(|op| form(op)).count();
+    [
+        count(|op| matches!(op, Op::CmpJump { .. } | Op::TmCmpValJump { .. })),
+        count(|op| matches!(op, Op::AddTmCmpValJump { .. })),
+        count(|op| matches!(op, Op::BinJump { .. })),
+        ops.iter()
+            .filter(|op| match op {
+                Op::BinJump { pc, .. } => matches!(ops[*pc as usize], Op::CmpJump { .. }),
+                _ => false,
+            })
+            .count(),
+    ]
+}
+
+/// The call stopped at `limit` steps, having issued `tm_calls` barriers.
+fn stops_at(case: &Case, limit: u64, tm_calls: u64) {
+    let name = &case.func.name;
+    let lowered = lower(&case.func).expect("lowers");
+    let seen = observe(case, Some(&lowered), limit);
+    assert_eq!(seen.result, Err(ExecError::StepLimit), "{name} at {limit}");
+    assert_eq!(seen.tm_calls, tm_calls, "{name} at {limit}");
 }
 
 #[test]
@@ -111,25 +134,39 @@ fn shipped_programs_account_alike_under_every_step_budget() {
     let mut table = vec![0i64; 32];
     (table[7], table[16 + 7]) = (1, 23); // key 7's home bucket holds 23
     table[8] = 2; // and the next one is a tombstone
-    let setups: [(&str, Vec<i64>, Vec<Arg>); 5] = [
+                  // With the fusions each program's lowered form holds after the
+                  // passes (see `fused`): a lost fusion fails here, not just slows down.
+    let setups = [
         (
             "ht_op",
             table,
             vec![Cell(0), Cell(16), Val(15), Val(7), Val(1)],
+            [3, 2, 2, 0],
         ),
-        ("vac_reserve", offers, vec![Cell(0), Val(4)]),
+        ("vac_reserve", offers, vec![Cell(0), Val(4)], [4, 2, 1, 1]),
         (
             "bank_transfer",
             vec![10, 10],
             vec![Cell(0), Cell(1), Val(3)],
+            [1, 0, 0, 0],
         ),
-        ("cross_block_guard", vec![0, 0], vec![Cell(0), Cell(1)]),
-        ("range_gate", vec![60, 0], vec![Cell(0), Cell(1)]),
+        (
+            "cross_block_guard",
+            vec![0, 0],
+            vec![Cell(0), Cell(1)],
+            [1, 0, 0, 0],
+        ),
+        (
+            "range_gate",
+            vec![60, 0],
+            vec![Cell(0), Cell(1)],
+            [2, 0, 0, 0],
+        ),
     ];
     let shipped = programs::all();
     assert_eq!(shipped.len(), setups.len(), "a setup for every program");
     for (_, func) in shipped {
-        let (_, heap, args) = setups
+        let (_, heap, args, pinned) = setups
             .iter()
             .find(|(name, ..)| *name == func.name)
             .unwrap_or_else(|| panic!("{}: no setup", func.name));
@@ -144,7 +181,12 @@ fn shipped_programs_account_alike_under_every_step_budget() {
                 heap: heap.clone(),
                 args: args.clone(),
             };
-            assert!(fused(&lower(&case.func).unwrap()) > 0, "{}", case.func.name);
+            let forms = fused(&lower(&case.func).unwrap());
+            if passes {
+                assert_eq!(forms, *pinned, "{}", case.func.name);
+            } else {
+                assert!(forms[0] > 0, "{}", case.func.name);
+            }
             let (done, steps) = sweep(&case);
             assert_ne!(done.heap, case.heap, "{}: the call writes", case.func.name);
             assert_eq!(done.region_attempts, 1);
@@ -164,7 +206,8 @@ fn every_lowering_shape_accounts_alike_under_every_step_budget() {
         args: (0..heap.len()).map(Cell).collect(),
     };
 
-    // `Cmp` + `JumpIf`, fused, in a loop.
+    // `Cmp` + `JumpIf`, fused, in a loop whose latch (`add` + `br`) is a
+    // jump fold landing on it: the latch runs it in its own dispatch.
     let cmp_jump = shape(
         "func cmp_jump(1) {
          entry:
@@ -186,7 +229,7 @@ fn every_lowering_shape_accounts_alike_under_every_step_budget() {
          }",
         &[5],
     );
-    assert_eq!(fused(&lower(&cmp_jump.func).unwrap()), 1);
+    assert_eq!(fused(&lower(&cmp_jump.func).unwrap()), [1, 0, 1, 1]);
     let (done, steps) = sweep(&cmp_jump);
     assert_eq!((done.result, &done.heap[..]), (Ok(Some(3)), &[8][..]));
     assert_eq!((done.tm_calls, steps), (6, 3 + 3 * 7 + 2 + 2));
@@ -210,7 +253,7 @@ fn every_lowering_shape_accounts_alike_under_every_step_budget() {
          }",
         &[5, 0],
     );
-    assert_eq!(fused(&lower(&tmcmp_jump.func).unwrap()), 1);
+    assert_eq!(fused(&lower(&tmcmp_jump.func).unwrap()), [1, 0, 0, 0]);
     let (done, _) = sweep(&tmcmp_jump);
     assert_eq!((done.result, &done.heap[..]), (Ok(Some(1)), &[4, 11][..]));
     assert_eq!(done.tm_calls, 3);
@@ -240,7 +283,7 @@ fn every_lowering_shape_accounts_alike_under_every_step_budget() {
          }",
         &[5, 0],
     );
-    assert_eq!(fused(&lower(&unfused.func).unwrap()), 0);
+    assert_eq!(fused(&lower(&unfused.func).unwrap()), [0; 4]);
     let (done, _) = sweep(&unfused);
     assert_eq!((done.result, &done.heap[..]), (Ok(Some(0)), &[5, 8][..]));
     assert_eq!(done.tm_calls, 4);
@@ -269,7 +312,7 @@ fn every_lowering_shape_accounts_alike_under_every_step_budget() {
         &[5, 0],
     );
     let lowered = lower(&pool.func).unwrap();
-    assert_eq!((fused(&lowered), lowered.consts()), (0, &[7, 19][..]));
+    assert_eq!((fused(&lowered), lowered.consts()), ([0; 4], &[7, 19][..]));
     let (done, _) = sweep(&pool);
     assert_eq!((done.result, &done.heap[..]), (Ok(Some(19)), &[5, 19][..]));
 
@@ -288,8 +331,113 @@ fn every_lowering_shape_accounts_alike_under_every_step_budget() {
          }",
         &[5],
     );
-    assert_eq!(fused(&lower(&outside.func).unwrap()), 1);
+    assert_eq!(fused(&lower(&outside.func).unwrap()), [1, 0, 0, 0]);
     let (done, steps) = sweep(&outside);
     assert_eq!((done.result, &done.heap[..]), (Ok(Some(0)), &[8][..]));
     assert_eq!((done.tm_calls, done.region_attempts, steps), (0, 0, 15));
+
+    // Address fold: the `add` whose sum the compare-and-branch after it
+    // reads as its address, in a loop over the four cells (`r0` is the
+    // first); the sum is read again after it.
+    let addr_fold = shape(
+        "func addr_fold(4) {
+         entry:
+           tmbegin
+           r4 = const 0
+           br loop
+         loop:
+           r5 = add r0, r4
+           r6 = tmcmp.gt r5, 0
+           condbr r6, take, next
+         take:
+           tmdec r5, 1
+           br next
+         next:
+           r4 = add r4, 1
+           r7 = cmp.lt r4, 4
+           condbr r7, loop, done
+         done:
+           r8 = sub r5, r0
+           tmend
+           ret r8
+         }",
+        &[3, 0, 5, 0],
+    );
+    assert_eq!(fused(&lower(&addr_fold.func).unwrap()), [2, 1, 0, 0]);
+    let (done, steps) = sweep(&addr_fold);
+    assert_eq!(
+        (done.result, &done.heap[..]),
+        (Ok(Some(3)), &[2, 0, 4, 0][..])
+    );
+    assert_eq!((done.tm_calls, steps), (6, 3 + 4 * 6 + 2 * 2 + 3));
+    // The budget runs out inside the fused op: after its `add` (step 4),
+    // and after its barrier (step 5) but before its branch.
+    stops_at(&addr_fold, 4, 0);
+    stops_at(&addr_fold, 5, 1);
+
+    // Near misses of the address fold: an `add` whose sum is not the
+    // address; a `sub`; an `add` before a compare that does not branch.
+    let addr_misses = shape(
+        "func addr_misses(2) {
+         entry:
+           tmbegin
+           r2 = add r0, 1
+           r3 = tmcmp.gt r0, 0
+           condbr r3, a, c
+         a:
+           r4 = sub r2, 1
+           r5 = tmcmp.gt r4, 0
+           condbr r5, b, c
+         b:
+           r6 = add r1, 0
+           r7 = tmcmp.eq r6, 0
+           r8 = add r7, 1
+           condbr r7, c, c
+         c:
+           tminc r1, 3
+           tmend
+           ret r8
+         }",
+        &[5, 0],
+    );
+    assert_eq!(fused(&lower(&addr_misses.func).unwrap()), [2, 0, 0, 0]);
+    let (done, _) = sweep(&addr_misses);
+    assert_eq!((done.result, &done.heap[..]), (Ok(Some(2)), &[5, 3][..]));
+    assert_eq!(done.tm_calls, 4);
+
+    // Jump folds that land on something other than a `CmpJump` — a
+    // barrier compare-and-branch, a compare that does not branch — so
+    // they charge two steps and dispatch their target; and near misses:
+    // a `mov` before a `br`, a `Bin` before a `condbr`.
+    let jump_folds = shape(
+        "func jump_folds(1) {
+         entry:
+           tmbegin
+           r1 = const 0
+           r2 = const 0
+           br loop
+         loop:
+           r3 = tmcmp.lt r0, 3
+           condbr r3, body, done
+         body:
+           tminc r0, 1
+           r1 = add r1, 1
+           br loop
+         done:
+           r4 = mul r1, 2
+           br tail
+         tail:
+           r5 = cmp.eq r4, 6
+           r6 = add r5, 1
+           condbr r5, out, out
+         out:
+           tmend
+           ret r4
+         }",
+        &[0],
+    );
+    assert_eq!(fused(&lower(&jump_folds.func).unwrap()), [1, 0, 2, 0]);
+    let (done, steps) = sweep(&jump_folds);
+    assert_eq!((done.result, &done.heap[..]), (Ok(Some(6)), &[3][..]));
+    assert_eq!((done.tm_calls, steps), (7, 4 + 3 * 5 + 2 + 2 + 3 + 2));
 }

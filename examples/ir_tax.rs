@@ -17,8 +17,10 @@
 //! ```
 //!
 //! Both sides consume the same argument stream on heaps laid out alike,
-//! and every run ends by checking that they returned the same values and
-//! left the same heap.
+//! and every run ends by checking that they returned the same values,
+//! left the same heap and issued the same barrier mix (`Stm::stats()`:
+//! reads, writes, cmps, cmp pairs, incs, promotes) — so the lowered
+//! form's fused ops call exactly the barriers the hand-written code does.
 
 use semtm::core::util::{hash_u32, SplitMix64};
 use semtm::ir::{lower, parse_function, programs, run_tm_passes, Interp, LoweredFunction};
@@ -242,9 +244,19 @@ fn main() {
     assert_eq!(lowered_side.dump(), hand_side.dump(), "the two heaps");
     let regions = (shape.0 * shape.1 * KERNELS.len()) as u64;
     assert_eq!(interp.counters.region_attempts(), regions);
+    let (lowered_stats, hand_stats) = (lowered_side.stm.stats(), hand_side.stm.stats());
+    assert_eq!(lowered_stats.commits, hand_stats.commits);
+    let mix =
+        |s: semtm::StatsSnapshot| [s.reads, s.writes, s.cmps, s.cmp_pairs, s.incs, s.promotes];
     assert_eq!(
-        lowered_side.stm.stats().commits,
-        hand_side.stm.stats().commits
+        mix(lowered_stats),
+        mix(hand_stats),
+        "barrier mix [reads, writes, cmps, cmp_pairs, incs, promotes]"
     );
-    println!("ir_tax: OK ({regions} regions a side, same returns, same heap)");
+    let [reads, writes, cmps, cmp_pairs, incs, promotes] = mix(hand_stats);
+    println!(
+        "ir_tax: OK ({regions} regions a side, same returns, same heap, same barriers: \
+         reads {reads}, writes {writes}, cmps {cmps}, cmp_pairs {cmp_pairs}, incs {incs}, \
+         promotes {promotes})"
+    );
 }

@@ -120,8 +120,11 @@ grep -q "switches" results/check/ablation_adaptive_smoke.csv
 echo "==> interpreter-tax smoke (examples/ir_tax -- --smoke)"
 # The three shipped kernels, compiled and lowered, next to the same
 # regions hand-written over `Tx` (300 calls each): the two sides must
-# return the same values and leave the same heap. No timing assertion;
-# without `--smoke` it prints the ns-per-region ratio (DESIGN.md §8.3).
+# return the same values, leave the same heap and issue the same barrier
+# mix (reads, writes, cmps, cmp pairs, incs, promotes in `Stm::stats()`),
+# so a fused op that calls a barrier the hand-written code does not
+# fails here. No timing assertion; without `--smoke` it prints the
+# ns-per-region ratio (DESIGN.md §8.3).
 timeout 120 cargo run --release -q --example ir_tax -- --smoke
 
 echo "==> benchmark workspace gate (benchmark/check.sh)"
