@@ -259,19 +259,4 @@ mod tests {
         assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(|r| r.value > 0.0));
     }
-
-    #[test]
-    fn semantic_config_reduces_hashtable_aborts() {
-        // The headline Figure-2b effect: S-NOrec's abort rate undercuts
-        // plain NOrec's under contention.
-        let rows = fig2_hashtable(&[4], Duration::from_millis(120), 6, 11);
-        let plain = rows.iter().find(|r| r.algorithm == "NOrec").unwrap();
-        let sem = rows.iter().find(|r| r.algorithm == "S-NOrec").unwrap();
-        assert!(
-            sem.abort_pct <= plain.abort_pct + 1e-9,
-            "semantic {:.2}% vs plain {:.2}%",
-            sem.abort_pct,
-            plain.abort_pct
-        );
-    }
 }

@@ -2,11 +2,15 @@
 //! Algorithm 2 and §7.1).
 //!
 //! The probing loop checks *semantics*, not values: a probed cell only
-//! needs to be "not FREE and (REMOVED or holding a different key)" for
+//! needs to be "not FREE and (holding a different key or REMOVED)" for
 //! the probe to continue. Written with the classical API every probed
 //! cell lands in the read-set by value and any concurrent insertion
 //! aborts the prober; with the TM-friendly constructs each check is a
-//! `cmp` that stays valid as long as its outcome holds.
+//! `cmp` that stays valid as long as its outcome holds. The key is
+//! tested before the tombstone (the paper's Algorithm 2 has the other
+//! order), so a passed cell records `keys[i] != key`: an insert that
+//! reuses the tombstone for another key keeps that relation, where it
+//! would flip `states[i] == REMOVED`.
 //!
 //! Layout: two parallel arrays, `states` (FREE / USED / REMOVED) and
 //! `keys`. Linear probing with a fixed stride.
@@ -143,10 +147,14 @@ impl Hashtable {
     pub fn probe_find(&self, tx: &mut Tx<'_>, key: i64) -> Result<Option<usize>, Abort> {
         let mut index = self.bucket(key);
         let mut steps = 0;
-        // while states[i] != FREE && (states[i] == REMOVED || keys[i] != key)
+        // while states[i] != FREE && (keys[i] != key || states[i] == REMOVED)
+        //
+        // Key first, unlike Algorithm 2: a passed cell then records
+        // `keys[i] != key`, which a concurrent insert reusing its
+        // tombstone for another key keeps (DESIGN.md §7).
         while tx.cmp(self.states.addr(index), CmpOp::Neq, FREE)?
-            && (tx.cmp(self.states.addr(index), CmpOp::Eq, REMOVED)?
-                || tx.cmp(self.keys.addr(index), CmpOp::Neq, key)?)
+            && (tx.cmp(self.keys.addr(index), CmpOp::Neq, key)?
+                || tx.cmp(self.states.addr(index), CmpOp::Eq, REMOVED)?)
         {
             index = (index + 1) & self.mask;
             steps += 1;
@@ -247,13 +255,19 @@ impl Hashtable {
     }
 
     /// Quiescent check: every USED cell is reachable from its key's home
-    /// bucket without crossing a FREE cell (open-addressing integrity).
+    /// bucket without crossing a FREE cell (open-addressing integrity),
+    /// and no key is live in two cells (a probe that stopped short of
+    /// the key and inserted it again).
     pub fn verify(&self, stm: &Stm) -> Result<(), String> {
+        let mut live = std::collections::HashMap::new();
         for i in 0..=self.mask {
             if self.states.read_now(stm, i) != USED {
                 continue;
             }
             let key = self.keys.read_now(stm, i);
+            if let Some(first) = live.insert(key, i) {
+                return Err(format!("key {key} live in cells {first} and {i}"));
+            }
             let mut index = self.bucket(key);
             let mut ok = false;
             for _ in 0..=self.mask {
@@ -359,6 +373,52 @@ mod tests {
         // reusable — either reused or next cell; both are valid as long
         // as verify() passes.
         t.verify(&s).unwrap();
+    }
+
+    /// `[REMOVED k_old][USED k_other][USED k]` from `k`'s home bucket,
+    /// all three keys hashing there; returns `k`.
+    fn chain_past_tombstone_and_key(s: &Stm, t: &Hashtable) -> i64 {
+        let home = t.bucket(1);
+        let mut chain = (1..).filter(|&key| t.bucket(key) == home);
+        let [k_old, k_other, k] = [(); 3].map(|()| chain.next().unwrap());
+        for (i, (state, key)) in [(REMOVED, k_old), (USED, k_other), (USED, k)]
+            .into_iter()
+            .enumerate()
+        {
+            t.states.write_now(s, (home + i) & t.mask, state);
+            t.keys.write_now(s, (home + i) & t.mask, key);
+        }
+        t.verify(s).unwrap();
+        k
+    }
+
+    #[test]
+    fn probe_tests_the_key_before_the_tombstone() {
+        // Two compares per passed cell (`!= FREE`, `keys != k`), three on
+        // `k`'s own cell, one for the result: 2 + 2 + 3 + 1. Testing
+        // REMOVED first costs one more on every passed USED cell (9).
+        // The baseline delegates every compare to a read.
+        for (alg, cmps_reads) in [(Algorithm::SNOrec, (8, 0)), (Algorithm::NOrec, (0, 8))] {
+            let s = small_stm(alg);
+            let t = empty_table(&s);
+            let k = chain_past_tombstone_and_key(&s, &t);
+            let before = s.stats();
+            assert!(s.atomic(|tx| t.contains(tx, k)));
+            let st = s.stats().since(&before);
+            assert_eq!((st.cmps, st.reads), cmps_reads, "{alg}: (cmps, reads)");
+        }
+    }
+
+    #[test]
+    fn verify_rejects_a_key_live_in_two_cells() {
+        let s = small_stm(Algorithm::SNOrec);
+        let t = empty_table(&s);
+        let k = chain_past_tombstone_and_key(&s, &t);
+        // The duplicate a probe stopping at the tombstone would insert.
+        t.states.write_now(&s, t.bucket(k), USED);
+        t.keys.write_now(&s, t.bucket(k), k);
+        let err = t.verify(&s).unwrap_err();
+        assert!(err.contains(&format!("key {k} live in cells")), "{err}");
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! cargo run --release --example semantic_hashtable
 //! ```
 //!
-//! Probing only needs each visited cell to be "not FREE and (REMOVED or
-//! a different key)" — relations, not values. This example runs the
-//! same mixed workload on all four algorithms and prints throughput and
-//! abort rate side by side (a miniature of Figures 1a/1b).
+//! Probing only needs each visited cell to be "not FREE and (a different
+//! key or REMOVED)" — relations, not values. The key is tested first, so
+//! a passed cell records `keys[i] != key`, which an insert reusing the
+//! cell for another key keeps. This example runs the same mixed workload
+//! on all four algorithms and prints throughput and abort rate side by
+//! side (a miniature of Figures 1a/1b).
 
 use semtm::workloads::hashtable::{Hashtable, HashtableConfig};
 use semtm::{Algorithm, Stm, StmConfig};

@@ -28,6 +28,9 @@ echo "==> schedule-exploration smoke (semtm-check)"
 # fault-injection scenarios plus the cross-backend differential fuzzer.
 # SEMTM_CHECK_ITERS bounds the fuzz budget (default 1000 programs x 4
 # algorithms, a few seconds); raise it for soak runs outside this gate.
+# Includes the false-conflict census (tests/census.rs): its pinned
+# schedule and abort counts build one-shard runtimes and no switcher,
+# so they hold unchanged in this pass and the two re-runs below.
 SEMTM_CHECK_ITERS="${SEMTM_CHECK_ITERS:-1000}" timeout 300 cargo test -q -p semtm-check
 
 echo "==> sharded-clock re-run (semtm-check, SEMTM_CLOCK_SHARDS=4)"
@@ -35,7 +38,8 @@ echo "==> sharded-clock re-run (semtm-check, SEMTM_CLOCK_SHARDS=4)"
 # selected for every NOrec-family backend (DESIGN.md §8): DFS
 # exploration, opacity checking and the differential fuzzer all drive
 # the multi-shard acquire/epoch/write-back protocol. Smaller fuzz
-# budget — the first run already soaked the global-clock engines.
+# budget — the first run already soaked the global-clock engines. The
+# census keeps its one-shard counts here.
 SEMTM_CLOCK_SHARDS=4 SEMTM_CHECK_ITERS="${SEMTM_SHARDED_ITERS:-200}" \
   timeout 300 cargo test -q -p semtm-check
 
@@ -55,7 +59,8 @@ echo "==> adaptive hot-swap re-run (semtm-check, SEMTM_ADAPTIVE=1)"
 # hot-swaps engine families twice mid-run, so opacity checking and the
 # cross-backend differential oracle cover transactions that overlap
 # ModeMachine drain/publish epochs (DESIGN.md §10). Smaller budget —
-# the fixed-mode runs above already soaked the engines themselves.
+# the fixed-mode runs above already soaked the engines themselves. The
+# census adds no switcher and keeps its counts here.
 SEMTM_ADAPTIVE=1 SEMTM_CHECK_ITERS="${SEMTM_ADAPTIVE_ITERS:-200}" \
   timeout 300 cargo test -q -p semtm-check
 
