@@ -189,6 +189,12 @@ impl Heap {
     }
 
     /// Non-transactional (racy w.r.t. running transactions) word load.
+    ///
+    /// `SeqCst`, unlike [`Heap::tm_store`]'s `Release`: a non-transactional
+    /// access holds no lock whose release or acquisition it could pair
+    /// with, so it keeps the strongest ordering. Reading a word a
+    /// committed transaction wrote back is still an acquire of that store
+    /// (the publication edge, DESIGN.md §8.5).
     #[inline]
     pub fn load(&self, a: Addr) -> i64 {
         self.words[self.base + a.0 as usize].load(Ordering::SeqCst) as i64
@@ -196,22 +202,34 @@ impl Heap {
 
     /// Non-transactional word store. Only safe for program logic when no
     /// transaction is concurrently running (setup / teardown phases).
+    /// `SeqCst` for the reason [`Heap::load`] is: there is no lock here
+    /// to pair with.
     #[inline]
     pub fn store(&self, a: Addr, v: i64) {
         self.words[self.base + a.0 as usize].store(v as u64, Ordering::SeqCst);
     }
 
-    /// Word load used by the STM algorithms themselves.
+    /// Word load used by the STM algorithms themselves. `SeqCst` (so at
+    /// least `Acquire`): it pairs with [`Heap::tm_store`].
     #[inline]
     pub(crate) fn tm_load(&self, a: Addr) -> i64 {
         self.words[self.base + a.0 as usize].load(Ordering::SeqCst) as i64
     }
 
-    /// Word store used by the STM algorithms at commit time (caller must
-    /// hold the appropriate lock: the NOrec sequence lock or the TL2 orec).
+    /// Word store used by the STM algorithms at write-back (caller must
+    /// hold the appropriate lock: the NOrec sequence lock, its clock
+    /// shards, or the TL2 orec).
+    ///
+    /// `Release`: a reader whose [`Heap::tm_load`] (an acquire) returns
+    /// this value also sees the odd clock / shard word or locked orec, and
+    /// the epoch bump, that the committer wrote before it — so its next
+    /// clock or orec check rejects a torn snapshot (DESIGN.md §8.5).
+    /// Nothing the committer does after the store depends on it being
+    /// ordered before a later load, so the full fence of a `SeqCst` store
+    /// (`xchg` on x86) buys nothing.
     #[inline]
     pub(crate) fn tm_store(&self, a: Addr, v: i64) {
-        self.words[self.base + a.0 as usize].store(v as u64, Ordering::SeqCst);
+        self.words[self.base + a.0 as usize].store(v as u64, Ordering::Release);
     }
 }
 

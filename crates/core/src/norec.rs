@@ -227,9 +227,11 @@ impl CommitClock for GlobalClock {
         }
     }
 
+    /// Unlocking the seqlock is a release: a reader that loads the new
+    /// even word (`time`, `SeqCst`) sees every write-back store.
     fn release(&self, view: &u64, committed: bool) {
         let next = if committed { *view + 2 } else { *view };
-        self.lock.store(next, Ordering::SeqCst);
+        self.lock.store(next, Ordering::Release);
     }
 
     fn stamp_committer(&self, token: u64) {

@@ -181,11 +181,13 @@ impl ShardedClock {
     /// Store an even value into shard `s`: `snapshot + 2` after a
     /// committed write-back, or the pre-acquire `snapshot` to roll back
     /// a failed multi-shard acquisition (sound because rollback happens
-    /// before any data write-back under this shard).
+    /// before any data write-back under this shard). A release store: a
+    /// reader that loads the new word ([`ShardedClock::load`]) sees every
+    /// write-back store under the shard.
     #[inline]
     pub fn release(&self, s: usize, new_even: u64) {
         debug_assert_eq!(new_even & 1, 0);
-        self.shards[s].lock.store(new_even, Ordering::SeqCst);
+        self.shards[s].lock.store(new_even, Ordering::Release);
     }
 }
 

@@ -120,10 +120,12 @@ impl OrecTable {
     }
 
     /// Store an arbitrary word into orec `i` (release with a new version,
-    /// or roll back to the pre-lock word after a failed commit).
+    /// or roll back to the pre-lock word after a failed commit). A release
+    /// store: a reader that loads the new version ([`OrecTable::load`])
+    /// sees every write-back store under the orec.
     #[inline]
     pub fn store(&self, i: usize, word: OrecWord) {
-        self.orecs[self.base + i].store(word.0, Ordering::SeqCst);
+        self.orecs[self.base + i].store(word.0, Ordering::Release);
     }
 
     /// Number of orecs in the table.

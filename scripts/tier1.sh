@@ -15,13 +15,18 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 timeout 600 cargo test -q --workspace
 
-echo "==> release-mode engine tests (semtm-core --lib, alloc_free)"
+echo "==> release-mode engine tests (semtm-core --lib, alloc_free, opacity, concurrency_stress)"
 # The barriers are force-inlined fast paths with cold out-of-line tails
 # (DESIGN.md §8.2): a debug build never gives them the shape that ships,
 # so the engines' unit tests and the allocator-call pins run once more
 # on the optimised code.
 timeout 300 cargo test --release -q -p semtm-core --lib
 timeout 300 cargo test --release -q --test alloc_free
+# Write-back and the clock, shard and orec releases are `Release` stores
+# (DESIGN.md §8.5): a weaker ordering is what the optimiser may exploit,
+# so the real-thread opacity and publication tests run on optimised code
+# too.
+timeout 300 cargo test --release -q --test opacity --test concurrency_stress
 
 echo "==> schedule-exploration smoke (semtm-check)"
 # Bounded deterministic exploration: exhaustive DFS over the scheduler's

@@ -316,3 +316,74 @@ fn sharded_clock_disjoint_commits_never_time_out() {
         assert_eq!(s.stats().aborts_timeout, 0, "{alg}");
     }
 }
+
+#[test]
+fn published_block_is_whole_to_every_reader() {
+    // Write-back and lock release are `Release` stores (DESIGN.md §8.5):
+    // a writer fills a padded 16-word block with round `r`, then commits
+    // `flag = r` in a second transaction. A reader that sees the flag at
+    // `f` must see every block word at `f` or later — inside a transaction
+    // (where the block is also uniform: one transaction wrote it) and
+    // through `read_now` after its transaction committed.
+    const WORDS: usize = 16;
+    const ROUNDS: i64 = 20_000;
+    let cells = [
+        (Algorithm::NOrec, 1),
+        (Algorithm::SNOrec, 1),
+        (Algorithm::SNOrec, 16),
+        (Algorithm::Tl2, 1),
+        (Algorithm::STl2, 1),
+    ];
+    for (alg, shards) in cells {
+        let s = Stm::new(
+            StmConfig::new(alg)
+                .heap_words(1 << 12)
+                .orec_count(1 << 10)
+                .clock_shards(shards),
+        );
+        let block = s.alloc_padded(WORDS);
+        let flag = s.alloc_padded(1);
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        std::thread::scope(|scope| {
+            let s = &s;
+            scope.spawn(move || {
+                for r in 1..=ROUNDS {
+                    s.atomic(|tx| {
+                        for i in 0..WORDS {
+                            tx.write(block.offset(i), r)?;
+                        }
+                        Ok(())
+                    });
+                    s.atomic(|tx| tx.write(flag, r));
+                }
+            });
+            for _ in 0..2 {
+                scope.spawn(move || loop {
+                    let (f, words) = s.atomic(|tx| {
+                        let f = tx.read(flag)?;
+                        let mut words = [0i64; WORDS];
+                        for (i, w) in words.iter_mut().enumerate() {
+                            *w = tx.read(block.offset(i))?;
+                        }
+                        Ok((f, words))
+                    });
+                    assert!(
+                        words.iter().all(|&w| w == words[0] && w >= f),
+                        "{alg}/{shards}: flag {f}, block {words:?}"
+                    );
+                    for i in 0..WORDS {
+                        let w = s.read_now(block.offset(i));
+                        assert!(w >= f, "{alg}/{shards}: flag {f}, word {i} = {w}");
+                    }
+                    if f == ROUNDS {
+                        break;
+                    }
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "{alg}/{shards}: flag stuck at {f}"
+                    );
+                });
+            }
+        });
+    }
+}
