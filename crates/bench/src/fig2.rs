@@ -11,7 +11,7 @@
 //! * **S-NOrec** — the passed kernel on the semantic algorithm.
 //!
 //! Kernels execute through the flat threaded-dispatch lowering
-//! ([`semtm_ir::lower`] + [`Interp::execute_lowered`]) rather than the
+//! ([`semtm_ir::lower()`] + [`Interp::execute_lowered`]) rather than the
 //! tree-walking interpreter, so the per-instruction cost these figures
 //! measure is dispatch into the TM runtime — the quantity the paper's
 //! call-reduction argument is about — not block-structure walking

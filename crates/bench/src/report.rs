@@ -5,7 +5,9 @@
 //! tree with an escaping pretty-printer — enough for the telemetry
 //! report schema documented in EXPERIMENTS.md.
 
-use semtm_core::{AbortEvent, ConflictEdge, HistogramSnapshot, SamplePoint, StatsSnapshot};
+use semtm_core::{
+    AbortEvent, AbortReason, ConflictEdge, HistogramSnapshot, SamplePoint, StatsSnapshot,
+};
 
 /// A JSON value for the hand-rolled writer.
 #[derive(Clone, Debug)]
@@ -138,13 +140,11 @@ pub fn histogram_json(h: &HistogramSnapshot) -> Json {
 }
 
 fn abort_breakdown_json(s: &StatsSnapshot) -> Json {
-    Json::Object(vec![
-        ("validation", Json::UInt(s.aborts_validation)),
-        ("locked", Json::UInt(s.aborts_locked)),
-        ("timeout", Json::UInt(s.aborts_timeout)),
-        ("lock_acquire", Json::UInt(s.aborts_lock_acquire)),
-        ("explicit", Json::UInt(s.aborts_explicit)),
-    ])
+    Json::Object(
+        AbortReason::ALL
+            .map(|r| (r.name(), Json::UInt(s.aborts(r))))
+            .to_vec(),
+    )
 }
 
 fn sample_point_json(p: &SamplePoint) -> Json {
@@ -647,6 +647,48 @@ mod tests {
         assert!(s.contains("\"commits\": 32"), "{s}");
         let csv = report.series_csv();
         assert!(csv.starts_with("benchmark,algorithm,threads,t_secs"));
+    }
+
+    #[test]
+    fn abort_breakdown_has_one_key_per_reason_summing_to_aborts() {
+        use crate::jsonin::{parse, JValue};
+        let stats = AbortReason::ALL
+            .iter()
+            .fold(StatsSnapshot::default(), |s, &r| s.with_aborts(r, 1));
+        let report = TelemetryReport {
+            benchmark: "bank".to_string(),
+            threads: 1,
+            duration_secs: 0.1,
+            algorithms: vec![AlgorithmTelemetry {
+                algorithm: "S-NOrec".to_string(),
+                throughput_ktps: 0.0,
+                stats,
+                commit_latency_ns: HistogramSnapshot::default(),
+                attempts_per_commit: HistogramSnapshot::default(),
+                commit_read_set: HistogramSnapshot::default(),
+                commit_compare_set: HistogramSnapshot::default(),
+                backoff_spins: HistogramSnapshot::default(),
+                trace: vec![],
+                trace_evicted: 0,
+                series: vec![],
+                hot_addresses: vec![],
+                conflict_edges: vec![],
+            }],
+            overhead: vec![],
+        };
+        let json = parse(&report.to_json().render()).expect("valid JSON");
+        let algorithms = json.get("algorithms").and_then(JValue::as_arr);
+        let alg = &algorithms.expect("algorithms array")[0];
+        let Some(JValue::Obj(breakdown)) = alg.get("abort_breakdown") else {
+            panic!("abort_breakdown is not an object: {alg:?}");
+        };
+        assert_eq!(breakdown.len(), AbortReason::ALL.len(), "{breakdown:?}");
+        for r in AbortReason::ALL {
+            let n = breakdown.get(r.name()).and_then(JValue::as_num);
+            assert_eq!(n, Some(1.0), "{}", r.name());
+        }
+        let sum: f64 = breakdown.values().filter_map(JValue::as_num).sum();
+        assert_eq!(Some(sum), alg.get("aborts").and_then(JValue::as_num));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Flight-recorder trace export and schema validation.
 //!
 //! `figures -- trace` runs a skewed Bank workload with the
-//! [`TelemetryLevel::Spans`](semtm_core::TelemetryLevel::Spans) flight
+//! [`semtm_core::TelemetryLevel::Spans`] flight
 //! recorder on, serializes the recorded spans as Chrome trace-event JSON
 //! (`results/trace_bank.json`, loadable in Perfetto or
 //! `chrome://tracing` as-is), and re-parses its own output through

@@ -19,7 +19,7 @@ use semtm_check::scenario;
 use semtm_check::schedule::{explore_exhaustive, Driver, ExploreOptions};
 use semtm_check::vthread::{run_threads, Body};
 use semtm_core::ops::CmpOp;
-use semtm_core::{Algorithm, Stm};
+use semtm_core::{AbortReason, Algorithm, Stm};
 
 const STEP_CAP: usize = 20_000;
 const SHARDS: usize = 4;
@@ -250,7 +250,7 @@ fn exhaustive_crossed_readers_writers_terminate_without_timeout() {
                 if out.capped {
                     return Err("step cap exceeded".into());
                 }
-                if stm.stats().aborts_timeout != 0 {
+                if stm.stats().aborts(AbortReason::Timeout) != 0 {
                     return Err(format!("{alg}: a commit timed out"));
                 }
                 check_history(

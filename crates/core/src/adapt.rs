@@ -12,7 +12,7 @@
 //!
 //! ## The mode word and the quiesce handoff
 //!
-//! The mode word packs `(mode, draining, next-mode, epoch)` into one
+//! The mode word packs `(mode, draining, epoch)` into one
 //! `AtomicU64`. Attempts **enter** the current epoch before running and
 //! **exit** when they retire (commit, or abort *after* rollback):
 //!
@@ -28,7 +28,7 @@
 //!
 //! The slots are 64 cache-line-padded **counters** (not flags): beyond 64
 //! threads, slots are shared and the count still sums correctly. A switch
-//! CAS-publishes `Draining(next)` (winning switcher takes the word), waits
+//! CAS-publishes `Draining` (winning switcher takes the word), waits
 //! for every slot to reach zero — at which point *no* transaction is
 //! in flight: no commit lock is held, no write-back is partial, and every
 //! durable commit has been acked (the WAL `wait_durable` happens inside
@@ -150,17 +150,16 @@ impl std::fmt::Display for Mode {
 // Packed mode-word layout (u64):
 //   bits 0..3   current mode (algorithm 2 bits + sharded bit)
 //   bit  3      draining flag
-//   bits 4..7   next mode (valid only while draining)
-//   bits 8..64  epoch (bumped once per completed switch)
+//   bits 4..64  epoch (bumped once per completed switch)
 const DRAINING: u64 = 1 << 3;
-const EPOCH_SHIFT: u32 = 8;
+const EPOCH_SHIFT: u32 = 4;
 
 fn pack_running(mode: Mode, epoch: u64) -> u64 {
     mode.idx() | (epoch << EPOCH_SHIFT)
 }
 
-fn pack_draining(cur: Mode, next: Mode, epoch: u64) -> u64 {
-    cur.idx() | DRAINING | (next.idx() << 4) | (epoch << EPOCH_SHIFT)
+fn pack_draining(cur: Mode, epoch: u64) -> u64 {
+    pack_running(cur, epoch) | DRAINING
 }
 
 fn unpack_mode(word: u64) -> Mode {
@@ -325,7 +324,7 @@ impl ModeMachine {
     pub(crate) fn switch(&self, target: Mode, reseed: impl FnOnce()) -> SwitchReport {
         let started = Instant::now();
         let mut wait = SpinWait::new();
-        // Acquire: CAS Running(cur, e) → Draining(cur → target, e).
+        // Acquire: CAS Running(cur, e) → Draining(cur, e).
         // A concurrent switcher that wins makes us wait for its epoch
         // to complete, then retry against the new mode.
         let (from, epoch) = loop {
@@ -347,7 +346,7 @@ impl ModeMachine {
                     elapsed: started.elapsed(),
                 };
             }
-            let draining = pack_draining(from, target, epoch);
+            let draining = pack_draining(from, epoch);
             if self
                 .word
                 .compare_exchange(w, draining, Ordering::SeqCst, Ordering::SeqCst)
@@ -572,13 +571,10 @@ mod tests {
                 assert!(!is_draining(w));
                 assert_eq!(unpack_mode(w), mode);
                 assert_eq!(unpack_epoch(w), epoch);
-                for next in all_modes() {
-                    let d = pack_draining(mode, next, epoch);
-                    assert!(is_draining(d));
-                    assert_eq!(unpack_mode(d), mode, "draining keeps the old mode");
-                    assert_eq!(unpack_epoch(d), epoch);
-                    assert_eq!(Mode::from_idx((d >> 4) & 7), next);
-                }
+                let d = pack_draining(mode, epoch);
+                assert!(is_draining(d));
+                assert_eq!(unpack_mode(d), mode, "draining keeps the old mode");
+                assert_eq!(unpack_epoch(d), epoch);
             }
         }
     }

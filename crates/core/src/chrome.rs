@@ -184,16 +184,9 @@ mod tests {
 
     #[test]
     fn each_reason_has_a_distinct_color() {
-        let reasons = [
-            AbortReason::Validation,
-            AbortReason::Locked,
-            AbortReason::Timeout,
-            AbortReason::LockAcquire,
-            AbortReason::Explicit,
-        ];
-        let mut colors: Vec<_> = reasons.iter().map(|&r| reason_color(r)).collect();
+        let mut colors: Vec<_> = AbortReason::ALL.map(reason_color).to_vec();
         colors.sort_unstable();
         colors.dedup();
-        assert_eq!(colors.len(), reasons.len());
+        assert_eq!(colors.len(), AbortReason::ALL.len());
     }
 }

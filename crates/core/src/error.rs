@@ -108,6 +108,17 @@ pub enum AbortReason {
 }
 
 impl AbortReason {
+    /// Every reason in declaration order, so `ALL[r as usize] == r`: the
+    /// per-reason counters of [`crate::stats`] are indexed that way.
+    pub const ALL: [AbortReason; 6] = [
+        AbortReason::Validation,
+        AbortReason::Locked,
+        AbortReason::Timeout,
+        AbortReason::LockAcquire,
+        AbortReason::Explicit,
+        AbortReason::Durability,
+    ];
+
     /// Stable display name used in stats tables.
     pub fn name(self) -> &'static str {
         match self {
@@ -252,18 +263,17 @@ mod tests {
 
     #[test]
     fn reasons_have_distinct_names() {
-        let all = [
-            AbortReason::Validation,
-            AbortReason::Locked,
-            AbortReason::Timeout,
-            AbortReason::LockAcquire,
-            AbortReason::Explicit,
-            AbortReason::Durability,
-        ];
-        let mut names: Vec<_> = all.iter().map(|r| r.name()).collect();
+        let mut names: Vec<_> = AbortReason::ALL.iter().map(|r| r.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), all.len());
+        assert_eq!(names.len(), AbortReason::ALL.len());
+    }
+
+    #[test]
+    fn all_is_indexed_by_discriminant() {
+        for (i, &r) in AbortReason::ALL.iter().enumerate() {
+            assert_eq!(r as usize, i, "{}", r.name());
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! reintroducing known ones: each constant below names a specific
 //! validation step an algorithm may (incorrectly) skip. Without the
 //! `fault-injection` feature [`active`] is a const `false` and the gates
-//! compile away; with it, a test process arms a bit via [`arm`] and the
+//! compile away; with it, a test process arms a bit via `arm` and the
 //! corresponding `#[should_panic]` test asserts the history checker
 //! flags the resulting non-serializable execution.
 //!

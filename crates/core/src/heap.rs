@@ -190,7 +190,7 @@ impl Heap {
 
     /// Non-transactional (racy w.r.t. running transactions) word load.
     ///
-    /// `SeqCst`, unlike [`Heap::tm_store`]'s `Release`: a non-transactional
+    /// `SeqCst`, unlike `Heap::tm_store`'s `Release`: a non-transactional
     /// access holds no lock whose release or acquisition it could pair
     /// with, so it keeps the strongest ordering. Reading a word a
     /// committed transaction wrote back is still an acquire of that store

@@ -46,10 +46,12 @@
 //!   the typed layer ([`TVar`], [`TArray`]) encodes Rust values into words.
 //!   Comparisons and increments use **signed (`i64`) semantics**, matching
 //!   the integer-typed shared variables of the paper's benchmarks.
-//! * Atomic orderings are deliberately conservative (`SeqCst` on all
-//!   metadata and data words). This is a reproduction-grade simulator of
-//!   the algorithms, not a cycle-tuned runtime; the algorithmic behaviour
-//!   (what validates, what aborts) is what we reproduce.
+//! * Atomic orderings are conservative: metadata and data words are
+//!   loaded `SeqCst` and every acquiring RMW is `SeqCst`. The four stores
+//!   of the commit path — write-back (`Heap::tm_store`) and the global
+//!   clock, clock-shard and orec releases — are `Release`, each with the
+//!   happens-before edge it provides argued in DESIGN.md §8.5. Statistics
+//!   counters are `Relaxed`.
 //! * The NOrec family is one engine ([`norec`]) monomorphised over its
 //!   commit clock — the global sequence lock or the sharded clock
 //!   ([`sclock`]) — and shares its commit tail and barrier ABI with [`tl2`].

@@ -10,10 +10,10 @@
 //! the reader. Plain reads degenerate to `EQ` entries, recovering exactly
 //! NOrec's value-based validation.
 //!
-//! [`NorecTx`] owns the read-set, the write-set and the three reads of
+//! `NorecTx` owns the read-set, the write-set and the three reads of
 //! live memory once; the write-set's front — filter, read-after-write and
-//! promote rules — is [`Engine`]'s, shared with TL2. How the commit clock is
-//! sampled, validated against and acquired is the [`CommitClock`] it is
+//! promote rules — is `stm::Engine`'s, shared with TL2. How the commit clock is
+//! sampled, validated against and acquired is the `CommitClock` it is
 //! monomorphised over: [`GlobalClock`] is the classical single sequence
 //! lock, [`ShardedClock`](crate::sclock::ShardedClock) the per-line shard
 //! vector selected by [`clock_shards`](crate::StmConfig::clock_shards).

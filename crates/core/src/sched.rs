@@ -8,7 +8,7 @@
 //!
 //! Under `--features shuttle` (named after the style of tool, not a
 //! dependency — this workspace is fully offline), each call consults a
-//! thread-local [`SchedHook`]. The `semtm-check` crate installs a hook
+//! thread-local `SchedHook`. The `semtm-check` crate installs a hook
 //! that parks the calling OS thread and hands control to a coordinator,
 //! which resumes exactly one thread at a time: transactions become
 //! cooperatively scheduled coroutines and the coordinator can explore

@@ -3,7 +3,7 @@
 //! Plain NOrec serialises every writer commit through **one** global
 //! sequence lock ([`crate::norec::GlobalClock`]), and every reader
 //! revalidates its whole read-set whenever that word moves. The sharded
-//! clock — the [`CommitClock`] selected by
+//! clock — the `CommitClock` selected by
 //! [`clock_shards`](crate::StmConfig::clock_shards) above one — splits
 //! the single word into `2^k` per-shard sequence locks (each on its own
 //! 128-byte line, like the telemetry stat shards), with heap addresses

@@ -9,7 +9,7 @@
 //!   entry indicating a standard write or an increment (§4.1).
 //! * The **compare-set** of S-TL2 reuses the same entry representation as
 //!   the read-set; only its validation rule differs (module [`crate::tl2`]).
-//! * The **attempt scratch** ([`Scratch`]) holds all of the above, and the
+//! * The **attempt scratch** (`Scratch`) holds all of the above, and the
 //!   engines' other growable buffers, per thread: a transaction takes it
 //!   when its engine is built and hands it back when it ends, so a warm
 //!   thread runs transactions without calling the allocator

@@ -20,8 +20,8 @@ use crate::norec::{CommitClock, GlobalClock, NorecTx};
 use crate::ops::CmpOp;
 use crate::sclock::ShardedClock;
 use crate::sets::{ScratchBox, WriteEntry, WriteKind};
-use crate::stats::{OpCounts, StatsSnapshot};
-use crate::telemetry::{PhaseRecorder, SpanEvent, StatShard, Telemetry, TelemetryLevel};
+use crate::stats::{OpCounts, StatShard, StatsSnapshot};
+use crate::telemetry::{PhaseRecorder, SpanEvent, Telemetry, TelemetryLevel};
 use crate::tl2::{Tl2Global, Tl2Tx};
 use crate::util::thread_token;
 use crate::value::Word;
@@ -881,7 +881,7 @@ mod tests {
             let _ = tx.gt(x, 0)?;
             tx.inc(x, 1)
         });
-        let s = stm.stats();
+        let s = stm.stats().committed;
         assert_eq!(s.reads, 2, "cmp and inc each delegate to a read");
         assert_eq!(s.writes, 1, "inc delegates to a write");
         assert_eq!(s.cmps, 0);
@@ -899,7 +899,7 @@ mod tests {
                 let _ = tx.cmp_addr(x, CmpOp::Gt, y)?;
                 tx.inc(x, 1)
             });
-            let s = stm.stats();
+            let s = stm.stats().committed;
             assert_eq!(s.reads, 0, "{alg}");
             assert_eq!(s.writes, 0, "{alg}");
             assert_eq!(s.cmps, 1, "{alg}");
@@ -913,7 +913,7 @@ mod tests {
         let stm = Stm::new(StmConfig::new(Algorithm::SNOrec).heap_words(64));
         let r = stm.try_atomic(|_tx| -> Result<(), Abort> { Err(Abort::explicit()) });
         assert_eq!(r, Err(Abort::explicit()));
-        assert_eq!(stm.stats().aborts_explicit, 1);
+        assert_eq!(stm.stats().aborts(AbortReason::Explicit), 1);
         assert_eq!(stm.stats().commits, 0);
     }
 
@@ -1022,7 +1022,7 @@ mod tests {
                 aborted.read_set,
                 t.hot_addresses(),
                 t.conflict_edges().len(),
-                stm.stats().aborts_validation,
+                stm.stats().aborts(AbortReason::Validation),
             )
         };
         let by_atomic = observe("atomic");
@@ -1045,7 +1045,7 @@ mod tests {
             assert_eq!(runs, 1);
             assert_eq!(stm.read_now(a), 1, "{}", stm.algorithm());
             let s = stm.stats();
-            assert_eq!((s.commits, s.aborts_explicit), (0, 1));
+            assert_eq!((s.commits, s.aborts(AbortReason::Explicit)), (0, 1));
             // The runtime is left usable.
             assert_eq!(stm.atomic_or_err(|tx| tx.read(a).map(Ok::<_, ()>)), Ok(1));
         }

@@ -8,12 +8,11 @@
 //! flows through one [`Telemetry`] instance owned by the
 //! [`crate::Stm`].
 //!
-//! Three levels, selected by [`StmConfig::telemetry`](crate::StmConfig):
+//! Four levels, selected by [`StmConfig::telemetry`](crate::StmConfig):
 //!
-//! * [`TelemetryLevel::Counters`] (default) — the sharded counter cells
-//!   only. This *replaces* the old single global `Stats` block of shared
-//!   atomics: each thread increments a cache-line-padded shard selected
-//!   by its [`crate::util::thread_token`], so the hot commit/abort path
+//! * [`TelemetryLevel::Counters`] (default) — the sharded counters only:
+//!   each thread increments a cache-line-padded [`StatShard`] selected by
+//!   its [`crate::util::thread_token`], so the hot commit/abort path
 //!   never bounces a counter cache line between cores. Cost: one relaxed
 //!   `fetch_add` for the commit or abort itself plus one per operation
 //!   kind the attempt actually used — a zero count is not flushed.
@@ -23,17 +22,16 @@
 //!   [`Histogram`]s (two `Instant::now` calls plus a handful of relaxed
 //!   increments per transaction).
 //! * [`TelemetryLevel::Trace`] — additionally records every abort into a
-//!   per-thread fixed-capacity [`EventRing`](crate::ring::EventRing) of
-//!   [`AbortEvent`]s for postmortem dumps (who aborted, why, at which
-//!   attempt, carrying how much metadata).
+//!   per-thread fixed-capacity [`EventRing`] of [`AbortEvent`]s for
+//!   postmortem dumps (who aborted, why, at which attempt, carrying how
+//!   much metadata).
 //! * [`TelemetryLevel::Spans`] — the flight recorder: additionally
 //!   records every transaction *attempt* as a [`SpanEvent`]
 //!   (begin/validate/lock/writeback/end timestamps plus set sizes) into
 //!   a second per-thread ring, attributes each abort to the conflicting
-//!   address/orec and committer where knowable
-//!   ([`Conflict`](crate::error::Conflict)), and feeds the per-shard
-//!   hot-address sketch behind [`Telemetry::hot_addresses`] and the
-//!   who-aborted-whom summary behind [`Telemetry::conflict_edges`].
+//!   address/orec and committer where knowable ([`Conflict`]), and feeds
+//!   the per-shard hot-address sketch behind [`Telemetry::hot_addresses`]
+//!   and the who-aborted-whom summary behind [`Telemetry::conflict_edges`].
 //!
 //! The [`Sampler`] turns successive [`StatsSnapshot`]s into a
 //! throughput/abort-rate time series ([`SamplePoint`]) — the exporter
@@ -44,7 +42,7 @@ use crate::error::{AbortReason, Conflict};
 use crate::heap::Addr;
 use crate::hotspot::{ConflictEdge, EdgeTable, HotSketch};
 use crate::ring::EventRing;
-use crate::stats::{OpCounts, StatsSnapshot};
+use crate::stats::{StatShard, StatsSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -82,101 +80,6 @@ impl TelemetryLevel {
 /// 64 live threads — and sharing is merely a perf, not a correctness,
 /// concern.
 pub const SHARDS: usize = 64;
-
-/// One cache-line-padded block of per-shard counters. 128-byte aligned
-/// so neighbouring shards can never share a line (and to respect the
-/// 2-line prefetcher granularity on x86).
-#[repr(align(128))]
-#[derive(Default)]
-pub struct StatShard {
-    commits: AtomicU64,
-    aborts_validation: AtomicU64,
-    aborts_locked: AtomicU64,
-    aborts_timeout: AtomicU64,
-    aborts_lock_acquire: AtomicU64,
-    aborts_explicit: AtomicU64,
-    aborts_durability: AtomicU64,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    cmps: AtomicU64,
-    cmp_pairs: AtomicU64,
-    incs: AtomicU64,
-    promotes: AtomicU64,
-    aborted_reads: AtomicU64,
-    aborted_writes: AtomicU64,
-    aborted_cmps: AtomicU64,
-    aborted_cmp_pairs: AtomicU64,
-    aborted_incs: AtomicU64,
-    aborted_promotes: AtomicU64,
-}
-
-impl StatShard {
-    /// Record a committed transaction together with its operation counts.
-    #[inline]
-    pub fn record_commit(&self, ops: &OpCounts) {
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        add(&self.reads, ops.reads);
-        add(&self.writes, ops.writes);
-        add(&self.cmps, ops.cmps);
-        add(&self.cmp_pairs, ops.cmp_pairs);
-        add(&self.incs, ops.incs);
-        add(&self.promotes, ops.promotes);
-    }
-
-    /// Record an aborted attempt, flushing its operation counts into the
-    /// wasted-work counters (an aborted attempt's work is real work the
-    /// machine did and threw away; hiding it flatters abort-heavy runs).
-    #[inline]
-    pub fn record_abort(&self, reason: AbortReason, ops: &OpCounts) {
-        let ctr = match reason {
-            AbortReason::Validation => &self.aborts_validation,
-            AbortReason::Locked => &self.aborts_locked,
-            AbortReason::Timeout => &self.aborts_timeout,
-            AbortReason::LockAcquire => &self.aborts_lock_acquire,
-            AbortReason::Explicit => &self.aborts_explicit,
-            AbortReason::Durability => &self.aborts_durability,
-        };
-        ctr.fetch_add(1, Ordering::Relaxed);
-        add(&self.aborted_reads, ops.reads);
-        add(&self.aborted_writes, ops.writes);
-        add(&self.aborted_cmps, ops.cmps);
-        add(&self.aborted_cmp_pairs, ops.cmp_pairs);
-        add(&self.aborted_incs, ops.incs);
-        add(&self.aborted_promotes, ops.promotes);
-    }
-
-    fn merge_into(&self, out: &mut StatsSnapshot) {
-        out.commits += self.commits.load(Ordering::Relaxed);
-        out.aborts_validation += self.aborts_validation.load(Ordering::Relaxed);
-        out.aborts_locked += self.aborts_locked.load(Ordering::Relaxed);
-        out.aborts_timeout += self.aborts_timeout.load(Ordering::Relaxed);
-        out.aborts_lock_acquire += self.aborts_lock_acquire.load(Ordering::Relaxed);
-        out.aborts_explicit += self.aborts_explicit.load(Ordering::Relaxed);
-        out.aborts_durability += self.aborts_durability.load(Ordering::Relaxed);
-        out.reads += self.reads.load(Ordering::Relaxed);
-        out.writes += self.writes.load(Ordering::Relaxed);
-        out.cmps += self.cmps.load(Ordering::Relaxed);
-        out.cmp_pairs += self.cmp_pairs.load(Ordering::Relaxed);
-        out.incs += self.incs.load(Ordering::Relaxed);
-        out.promotes += self.promotes.load(Ordering::Relaxed);
-        out.aborted_reads += self.aborted_reads.load(Ordering::Relaxed);
-        out.aborted_writes += self.aborted_writes.load(Ordering::Relaxed);
-        out.aborted_cmps += self.aborted_cmps.load(Ordering::Relaxed);
-        out.aborted_cmp_pairs += self.aborted_cmp_pairs.load(Ordering::Relaxed);
-        out.aborted_incs += self.aborted_incs.load(Ordering::Relaxed);
-        out.aborted_promotes += self.aborted_promotes.load(Ordering::Relaxed);
-    }
-}
-
-/// Add `n` to a shard counter, skipping the locked add when `n` is zero
-/// (most transactions leave most operation kinds at zero; a Bank commit
-/// flushes 3 counters instead of 7). The sum is the same either way.
-#[inline(always)]
-fn add(ctr: &AtomicU64, n: u64) {
-    if n != 0 {
-        ctr.fetch_add(n, Ordering::Relaxed);
-    }
-}
 
 // --- histograms -----------------------------------------------------------
 
@@ -606,6 +509,23 @@ pub struct Telemetry {
     rates: Mutex<RateState>,
 }
 
+// Every allocation `Telemetry::new` makes holds `SHARDS` or
+// `HISTOGRAM_BUCKETS` elements (a ring, `trace_capacity` events) of one
+// of these types, so their sizes pin its footprint; `StatShard`'s is
+// pinned in `stats.rs`. `Mutex` and `usize` sizes vary by platform.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+const _: () = {
+    use std::mem::size_of;
+    assert!(size_of::<Telemetry>() == 584);
+    assert!(size_of::<AtomicU64>() * HISTOGRAM_BUCKETS == 3968);
+    assert!(size_of::<Mutex<EventRing<AbortEvent>>>() == 56);
+    assert!(size_of::<AbortEvent>() == 48);
+    assert!(size_of::<Mutex<EventRing<SpanEvent>>>() == 56);
+    assert!(size_of::<SpanEvent>() == 128);
+    assert!(size_of::<HotSketch>() == 56);
+    assert!(size_of::<EdgeTable>() == 32);
+};
+
 /// One smoothed rate window from [`Telemetry::rates`]: commit/abort
 /// rates and average set sizes, EWMA-folded across sampling windows.
 ///
@@ -625,8 +545,7 @@ pub struct RateEwma {
     /// Write-set entries per committed transaction — writes plus
     /// deferred increments (smoothed).
     pub avg_write_set: f64,
-    /// Operations wasted in aborted attempts, as a fraction of all
-    /// operations observed in the window (smoothed).
+    /// The window's [`StatsSnapshot::wasted_work_ratio`] (smoothed).
     pub wasted_ratio: f64,
     /// Fraction of committed operations using the semantic API
     /// (`cmp`/`inc`), 0..1 (smoothed). Stays 0 under baseline modes,
@@ -711,14 +630,6 @@ impl Telemetry {
         self.started.elapsed().as_nanos() as u64
     }
 
-    /// The calling thread's counter shard. Cache the reference once per
-    /// transaction, not per event: the `thread_token()` TLS read is cheap
-    /// but not free.
-    #[inline]
-    pub fn shard(&self) -> &StatShard {
-        self.shard_of(crate::util::thread_token())
-    }
-
     /// The counter shard of the thread whose token is `token`.
     #[inline]
     pub(crate) fn shard_of(&self, token: u64) -> &StatShard {
@@ -743,33 +654,28 @@ impl Telemetry {
     /// so interleaving *independent* pollers would split the windows
     /// between them. The first call's window spans from construction.
     pub fn rates(&self, alpha: f64) -> RateEwma {
+        // Snapshot while holding the lock: the `prev` a concurrent poller
+        // stored is then never newer than `snap`, so `since` cannot
+        // underflow.
+        let mut state = self.rates.lock().expect("rate state poisoned");
         let now_ns = self.elapsed_ns();
         let snap = self.snapshot();
-        let mut state = self.rates.lock().expect("rate state poisoned");
+        let w = snap.since(&state.prev);
         let dt = (now_ns.saturating_sub(state.prev_ns)) as f64 / 1e9;
-        let d = |cur: u64, prev: u64| cur.saturating_sub(prev) as f64;
-        let p = &state.prev;
-        let commits = d(snap.commits, p.commits);
-        let aborts = d(snap.conflict_aborts(), p.conflict_aborts());
-        let attempts = commits + d(snap.total_aborts(), p.total_aborts());
-        let reads = d(snap.reads, p.reads) + d(snap.cmps, p.cmps) + d(snap.cmp_pairs, p.cmp_pairs);
-        let writes = d(snap.writes, p.writes) + d(snap.incs, p.incs);
-        let semantic = d(snap.cmps, p.cmps) + d(snap.cmp_pairs, p.cmp_pairs) + d(snap.incs, p.incs);
-        let committed_ops = reads + writes;
-        let wasted = d(snap.aborted_reads, p.aborted_reads)
-            + d(snap.aborted_writes, p.aborted_writes)
-            + d(snap.aborted_cmps, p.aborted_cmps)
-            + d(snap.aborted_cmp_pairs, p.aborted_cmp_pairs)
-            + d(snap.aborted_incs, p.aborted_incs);
+        let ops = &w.committed;
+        let commits = w.commits as f64;
+        let reads = (ops.reads + ops.cmps + ops.cmp_pairs) as f64;
+        let writes = (ops.writes + ops.incs) as f64;
+        let semantic = (ops.cmps + ops.cmp_pairs + ops.incs) as f64;
         let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
         let window = RateEwma {
             commit_rate: ratio(commits, dt.max(1e-9)),
-            abort_ratio: ratio(aborts, attempts),
+            abort_ratio: ratio(w.conflict_aborts() as f64, w.attempts() as f64),
             avg_read_set: ratio(reads, commits),
             avg_write_set: ratio(writes, commits),
-            wasted_ratio: ratio(wasted, committed_ops + wasted),
-            semantic_share: ratio(semantic, committed_ops),
-            window_commits: commits as u64,
+            wasted_ratio: w.wasted_work_ratio(),
+            semantic_share: ratio(semantic, reads + writes),
+            window_commits: w.commits,
             window_secs: dt,
         };
         let alpha = alpha.clamp(f64::MIN_POSITIVE, 1.0);
@@ -1003,7 +909,7 @@ mod tests {
         use crate::stats::OpCounts;
         let t = Telemetry::new(TelemetryLevel::Counters, Algorithm::SNOrec, 1);
         let commit = |reads: u64, writes: u64| {
-            t.shard().record_commit(&OpCounts {
+            t.shards[0].record_commit(&OpCounts {
                 reads,
                 writes,
                 ..OpCounts::default()
@@ -1114,6 +1020,7 @@ mod tests {
 
     #[test]
     fn shard_merge_sums_counts() {
+        use crate::stats::OpCounts;
         let t = Telemetry::new(TelemetryLevel::Counters, Algorithm::SNOrec, 16);
         let ops = OpCounts {
             reads: 2,
@@ -1126,27 +1033,21 @@ mod tests {
         t.shards[1].record_abort(AbortReason::Validation, &ops);
         let s = t.snapshot();
         assert_eq!(s.commits, 2);
-        assert_eq!(s.reads, 4);
-        assert_eq!(s.incs, 2);
-        assert_eq!(s.aborts_validation, 1);
-        assert_eq!(s.aborted_reads, 2);
-        assert_eq!(s.aborted_incs, 1);
+        assert_eq!(s.committed.reads, 4);
+        assert_eq!(s.committed.incs, 2);
+        assert_eq!(s.aborts(AbortReason::Validation), 1);
+        assert_eq!(s.aborted.reads, 2);
+        assert_eq!(s.aborted.incs, 1);
     }
 
     #[test]
     fn zero_counts_are_skipped_without_losing_any() {
+        use crate::stats::OpCounts;
         // Every mix of zero and non-zero operation kinds (bit i of `mix`
         // sets field i), committed and aborted under each reason, spread
         // over several shards: the merged snapshot must be the hand sum.
         let t = Telemetry::new(TelemetryLevel::Counters, Algorithm::SNOrec, 16);
-        let reasons = [
-            AbortReason::Validation,
-            AbortReason::Locked,
-            AbortReason::Timeout,
-            AbortReason::LockAcquire,
-            AbortReason::Explicit,
-            AbortReason::Durability,
-        ];
+        let reasons = AbortReason::ALL;
         let mut want = StatsSnapshot::default();
         for mix in 0u64..64 {
             let field = |i: u64| if mix & (1 << i) != 0 { mix + i + 1 } else { 0 };
@@ -1161,58 +1062,31 @@ mod tests {
             let shard = &t.shards[mix as usize % 3];
             shard.record_commit(&ops);
             want.commits += 1;
-            want.reads += ops.reads;
-            want.writes += ops.writes;
-            want.cmps += ops.cmps;
-            want.cmp_pairs += ops.cmp_pairs;
-            want.incs += ops.incs;
-            want.promotes += ops.promotes;
+            want.committed = want.committed + ops;
 
             let reason = reasons[mix as usize % reasons.len()];
             shard.record_abort(reason, &ops);
-            match reason {
-                AbortReason::Validation => want.aborts_validation += 1,
-                AbortReason::Locked => want.aborts_locked += 1,
-                AbortReason::Timeout => want.aborts_timeout += 1,
-                AbortReason::LockAcquire => want.aborts_lock_acquire += 1,
-                AbortReason::Explicit => want.aborts_explicit += 1,
-                AbortReason::Durability => want.aborts_durability += 1,
-            }
-            want.aborted_reads += ops.reads;
-            want.aborted_writes += ops.writes;
-            want.aborted_cmps += ops.cmps;
-            want.aborted_cmp_pairs += ops.cmp_pairs;
-            want.aborted_incs += ops.incs;
-            want.aborted_promotes += ops.promotes;
+            want = want.with_aborts(reason, 1);
+            want.aborted = want.aborted + ops;
         }
         assert_eq!(t.snapshot(), want);
     }
 
     #[test]
     fn sampler_emits_interval_deltas() {
-        let s0 = StatsSnapshot {
-            commits: 100,
-            aborts_locked: 10,
-            ..StatsSnapshot::default()
+        let snap = |commits: u64, locked: u64| {
+            let mut s = StatsSnapshot::default().with_aborts(AbortReason::Locked, locked);
+            s.commits = commits;
+            s
         };
-        let mut sampler = Sampler::new(s0);
-        let s1 = StatsSnapshot {
-            commits: 300,
-            aborts_locked: 110,
-            ..StatsSnapshot::default()
-        };
-        let p = sampler.sample_at(2.0, s1);
+        let mut sampler = Sampler::new(snap(100, 10));
+        let p = sampler.sample_at(2.0, snap(300, 110));
         assert_eq!(p.commits, 200);
         assert_eq!(p.conflict_aborts, 100);
         assert!((p.throughput - 100.0).abs() < 1e-9);
         assert!((p.abort_pct - 100.0 * 100.0 / 300.0).abs() < 1e-9);
         // Second interval differences against the previous sample.
-        let s2 = StatsSnapshot {
-            commits: 310,
-            aborts_locked: 110,
-            ..StatsSnapshot::default()
-        };
-        let p2 = sampler.sample_at(3.0, s2);
+        let p2 = sampler.sample_at(3.0, snap(310, 110));
         assert_eq!(p2.commits, 10);
         assert_eq!(p2.conflict_aborts, 0);
         assert!((p2.dt_secs - 1.0).abs() < 1e-9);

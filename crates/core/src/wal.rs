@@ -580,7 +580,7 @@ impl CommitLog {
     }
 
     /// One explicit flush step (Manual mode and tests); see
-    /// [`LogShared::flush_step`].
+    /// `LogShared::flush_step`.
     pub fn flush_step(&self) -> Result<bool, WalError> {
         self.shared.flush_step()
     }

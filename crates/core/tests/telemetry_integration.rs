@@ -3,7 +3,7 @@
 //! runtime's own accounting, and sampler deltas.
 
 use semtm_core::util::SplitMix64;
-use semtm_core::{Abort, Algorithm, Sampler, Stm, StmConfig, TelemetryLevel};
+use semtm_core::{Abort, AbortReason, Algorithm, Sampler, Stm, StmConfig, TelemetryLevel};
 
 fn stm(alg: Algorithm, level: TelemetryLevel) -> Stm {
     Stm::new(
@@ -64,7 +64,7 @@ fn explicit_aborts_are_traced_with_reason_and_attempt() {
     assert_eq!(v, 1);
     let st = s.stats();
     assert_eq!(st.commits, 1);
-    assert_eq!(st.aborts_explicit, 2);
+    assert_eq!(st.aborts(AbortReason::Explicit), 2);
     assert_eq!(st.attempts(), 3);
     let t = s.telemetry();
     let events = t.trace_events();
@@ -189,9 +189,9 @@ fn wasted_work_counts_only_aborted_attempts() {
     });
     let st = s.stats();
     assert_eq!(st.commits, 1);
-    assert_eq!(st.incs, 2, "committed attempt's ops");
-    assert_eq!(st.aborted_incs, 2, "aborted attempt's ops land separately");
-    assert_eq!(st.committed_ops(), 2);
-    assert_eq!(st.aborted_ops(), 2);
+    assert_eq!(st.committed.incs, 2, "committed attempt's ops");
+    assert_eq!(st.aborted.incs, 2, "aborted attempt's ops land separately");
+    assert_eq!(st.committed.total(), 2);
+    assert_eq!(st.aborted.total(), 2);
     assert!((st.wasted_work_ratio() - 0.5).abs() < 1e-9);
 }

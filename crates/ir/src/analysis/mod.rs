@@ -5,7 +5,7 @@
 //! This module is the reusable substrate that lifts everything to whole
 //! functions:
 //!
-//! * [`cfg`] — successor/predecessor maps, reverse postorder, and
+//! * [`cfg`](mod@cfg) — successor/predecessor maps, reverse postorder, and
 //!   dominators;
 //! * [`solver`] — a generic worklist solver for forward and backward
 //!   problems;
@@ -16,7 +16,7 @@
 //! * [`absint`] — lattice-based abstract interpretation (value ranges
 //!   plus symbolic addresses), feeding range-widened promotion, the
 //!   static conflict matrix, and lint rules SL006–SL011;
-//! * [`verify`] — the strict IR verifier (definite assignment, region
+//! * [`verify`](mod@verify) — the strict IR verifier (definite assignment, region
 //!   balance, structure) run around every pass.
 //!
 //! [`crate::passes`] consumes [`patterns`], [`absint`] and

@@ -29,7 +29,7 @@
 //! * **one frame per thread.** A call runs on one buffer — registers,
 //!   the lowered form's constant pool, and the snapshot of the registers
 //!   a region restarts from — that the thread keeps between calls
-//!   ([`Frame`]), so neither a call nor a region allocates; the first
+//!   (`Frame`), so neither a call nor a region allocates; the first
 //!   attempt of a region skips the restore copy;
 //! * **one counter flush per attempt.** Barrier calls are counted in a
 //!   local and added to [`DispatchCounters::tm_calls`] when the attempt
@@ -37,7 +37,7 @@
 //!   atomic of the interpreter's. A concurrent reader of a shared
 //!   `Interp`'s counters lags by at most one attempt per running thread;
 //! * **branches that branch.** Every conditional op of the lowered loop
-//!   picks its next pc with a conditional jump ([`branch`]), so the
+//!   picks its next pc with a conditional jump (`branch`), so the
 //!   next op is fetched on the prediction, before the compared value —
 //!   inside a region, a barrier's heap load — arrives;
 //! * **the budget in registers.** The lowered loop keeps the step count,
@@ -742,7 +742,7 @@ mod tests {
     use super::*;
     use crate::ir::{BinOp, FunctionBuilder, Inst, Operand};
     use crate::passes::run_tm_passes;
-    use semtm_core::{Algorithm, CmpOp, StmConfig};
+    use semtm_core::{AbortReason, Algorithm, CmpOp, StmConfig};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn stm(alg: Algorithm) -> Stm {
@@ -913,7 +913,7 @@ mod tests {
                 assert_eq!(interp.counters.region_attempts(), 1, "{form}");
                 assert_eq!(interp.counters.tm_calls(), barriers, "{form}");
                 assert_eq!(s.read_now(b), 10, "{form}: nothing commits");
-                assert_eq!(s.stats().aborts_explicit, 1, "{form}");
+                assert_eq!(s.stats().aborts(AbortReason::Explicit), 1, "{form}");
             }
         }
     }
@@ -1020,7 +1020,8 @@ mod tests {
                 );
             }
             assert_eq!(interp.counters.region_attempts(), 0, "{form}");
-            assert_eq!(s.stats().commits + s.stats().aborts_explicit, 0, "{form}");
+            let st = s.stats();
+            assert_eq!(st.commits + st.aborts(AbortReason::Explicit), 0, "{form}");
             assert_eq!(s.read_now(accounts), 10, "{form}: heap untouched");
             assert_eq!(run(&interp, &[a, b, 1]), Ok(Some(1)), "{form}: then runs");
         }

@@ -306,7 +306,7 @@ impl Function {
     /// are within bounds, and the argument count fits the register
     /// count. Path-sensitive properties — definite assignment and
     /// atomic-region balance — are the strict verifier's job
-    /// ([`crate::analysis::verify`]), which also runs these checks.
+    /// ([`crate::analysis::verify()`]), which also runs these checks.
     pub fn validate(&self) -> Result<(), String> {
         if self.blocks.is_empty() {
             return Err(format!("{}: no blocks", self.name));

@@ -16,7 +16,7 @@
 //! * [`abi`] — the Table 2 ABI mapping;
 //! * [`interp`] — a transactional interpreter executing IR against a
 //!   [`semtm_core::Stm`], with per-barrier dispatch accounting;
-//! * [`lower`] — flat threaded-dispatch lowering: block-structured
+//! * [`lower`](mod@lower) — flat threaded-dispatch lowering: block-structured
 //!   functions become pc-indexed op arrays so the Figure-2 "GCC mode"
 //!   experiments stop paying tree-walking overhead per instruction;
 //! * [`programs`] — the Figure-2 kernels (hashtable, vacation, bank,

@@ -11,7 +11,7 @@
 //! that all executions return identical results and leave identical
 //! heap state. The dispatch dimension makes the oracle also the
 //! correctness gate for the threaded-dispatch lowering
-//! ([`crate::lower`]). Alongside the equivalence verdict it reports
+//! ([`crate::lower()`]). Alongside the equivalence verdict it reports
 //! the barrier-count reduction the passes achieved (the paper's
 //! 2-calls→1 argument, aggregated per kernel).
 //!

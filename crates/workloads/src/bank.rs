@@ -401,7 +401,7 @@ mod tests {
         let st = s.stats();
         assert!(st.reads_per_tx() > 10.0);
         assert!(st.writes_per_tx() > 5.0);
-        assert_eq!(st.cmps, 0);
-        assert_eq!(st.incs, 0);
+        assert_eq!(st.committed.cmps, 0);
+        assert_eq!(st.committed.incs, 0);
     }
 }

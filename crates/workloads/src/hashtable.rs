@@ -404,7 +404,7 @@ mod tests {
             let k = chain_past_tombstone_and_key(&s, &t);
             let before = s.stats();
             assert!(s.atomic(|tx| t.contains(tx, k)));
-            let st = s.stats().since(&before);
+            let st = s.stats().since(&before).committed;
             assert_eq!((st.cmps, st.reads), cmps_reads, "{alg}: (cmps, reads)");
         }
     }
@@ -458,7 +458,10 @@ mod tests {
             t.workload_tx(&s, &mut rng);
         }
         let st = s.stats();
-        assert_eq!(st.reads, 0, "all probe reads must become compares");
+        assert_eq!(
+            st.committed.reads, 0,
+            "all probe reads must become compares"
+        );
         assert!(st.cmps_per_tx() > 10.0);
     }
 

@@ -291,7 +291,7 @@ mod tests {
         for _ in 0..50 {
             c.workload_tx(&s, &mut rng);
         }
-        let st = s.stats();
+        let st = s.stats().committed;
         let total = st.reads + st.cmps + st.cmp_pairs;
         assert!(total > 0);
         let cmp_ratio = (st.cmps + st.cmp_pairs) as f64 / total as f64;

@@ -184,8 +184,8 @@ mod tests {
             ..ScanConfig::default()
         };
         let r = run(&stm, cfg, 1, Duration::from_millis(30), 3);
-        let reads = r.stats.reads;
-        let writes = r.stats.writes + r.stats.incs;
+        let ops = r.stats.committed;
+        let (reads, writes) = (ops.reads, ops.writes + ops.incs);
         assert!(
             reads > writes * 8,
             "expected read-heavy profile, got {reads} reads vs {writes} writes"

@@ -440,7 +440,7 @@ mod tests {
         // paper — a sub-1% residue here too).
         let s = stm(Algorithm::SNOrec);
         let _ = run(&s, small(), 1, 9);
-        let st = s.stats();
+        let st = s.stats().committed;
         assert!(st.reads > 0);
         assert!(
             (st.cmps + st.cmp_pairs) as f64 <= 0.2 * st.reads as f64,

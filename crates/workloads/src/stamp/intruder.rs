@@ -264,7 +264,7 @@ mod tests {
     fn profile_has_no_semantic_operations() {
         let s = stm(Algorithm::SNOrec);
         let _ = run(&s, small(), 1, 31);
-        let st = s.stats();
+        let st = s.stats().committed;
         assert!(st.reads > 0);
         assert_eq!(st.cmps + st.cmp_pairs, 0);
         assert_eq!(st.incs, 0);

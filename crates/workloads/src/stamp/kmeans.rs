@@ -246,8 +246,8 @@ mod tests {
         let km = Kmeans::new(&s, small(), 3);
         km.run_clustering(&s, 1, 3);
         let st = s.stats();
-        assert_eq!(st.reads, 0, "accumulation must be pure TM_INC");
-        assert_eq!(st.writes, 0);
+        assert_eq!(st.committed.reads, 0, "accumulation must be pure TM_INC");
+        assert_eq!(st.committed.writes, 0);
         assert!(st.incs_per_tx() > 4.0, "1 + features increments per tx");
     }
 
@@ -257,7 +257,7 @@ mod tests {
         let km = Kmeans::new(&s, small(), 3);
         km.run_clustering(&s, 1, 3);
         let st = s.stats();
-        assert_eq!(st.incs, 0);
+        assert_eq!(st.committed.incs, 0);
         assert!(st.reads_per_tx() > 4.0);
         assert!((st.reads_per_tx() - st.writes_per_tx()).abs() < 1e-9);
     }

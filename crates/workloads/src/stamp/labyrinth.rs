@@ -394,7 +394,7 @@ mod tests {
         for i in 0..maze.pairs.len() {
             maze.route(&s, i, i as i64 + 1);
         }
-        let st = s.stats();
+        let st = s.stats().committed;
         assert!(st.cmps > 0, "emptiness checks must be semantic");
         assert_eq!(st.reads, 0, "publication does no plain reads");
         assert!(st.writes > 0);

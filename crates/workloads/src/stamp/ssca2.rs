@@ -174,7 +174,7 @@ mod tests {
         );
         assert!((st.writes_per_tx() - 1.0).abs() < 1e-9);
         assert!((st.incs_per_tx() - 1.0).abs() < 1e-9);
-        assert_eq!(st.promotes, 0, "inc after read never promotes");
+        assert_eq!(st.committed.promotes, 0, "inc after read never promotes");
     }
 
     #[test]

@@ -404,7 +404,7 @@ mod tests {
         for _ in 0..40 {
             db.session(&s, &mut rng);
         }
-        let st = s.stats();
+        let st = s.stats().committed;
         assert!(st.promotes > 0, "sanity re-reads must promote increments");
         assert!(st.cmps > 0, "availability/price checks are compares");
         assert!(

@@ -313,7 +313,7 @@ mod tests {
         let s = stm(Algorithm::SNOrec);
         let mesh = Yada::new(&s, small(), 29);
         mesh.run_refinement(&s, 1, 29);
-        let st = s.stats();
+        let st = s.stats().committed;
         assert!(st.reads > 0);
         assert!(st.cmps > 0);
         assert!(

@@ -246,17 +246,9 @@ fn main() {
     assert_eq!(interp.counters.region_attempts(), regions);
     let (lowered_stats, hand_stats) = (lowered_side.stm.stats(), hand_side.stm.stats());
     assert_eq!(lowered_stats.commits, hand_stats.commits);
-    let mix =
-        |s: semtm::StatsSnapshot| [s.reads, s.writes, s.cmps, s.cmp_pairs, s.incs, s.promotes];
-    assert_eq!(
-        mix(lowered_stats),
-        mix(hand_stats),
-        "barrier mix [reads, writes, cmps, cmp_pairs, incs, promotes]"
-    );
-    let [reads, writes, cmps, cmp_pairs, incs, promotes] = mix(hand_stats);
+    assert_eq!(lowered_stats.committed, hand_stats.committed, "barrier mix");
     println!(
-        "ir_tax: OK ({regions} regions a side, same returns, same heap, same barriers: \
-         reads {reads}, writes {writes}, cmps {cmps}, cmp_pairs {cmp_pairs}, incs {incs}, \
-         promotes {promotes})"
+        "ir_tax: OK ({regions} regions a side, same returns, same heap, same barriers: {:?})",
+        hand_stats.committed
     );
 }

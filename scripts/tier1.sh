@@ -150,6 +150,11 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings"
+# Intra-doc links must resolve: to public items only, and to one item
+# (`lower`, `verify` and `cfg` each name a function or macro and a module).
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> semlint (checked-in IR programs + differential oracle)"
 # The shipping kernels must be warning-clean (duplicate loads the
 # passes fold are downgraded to info), and the oracle must agree on

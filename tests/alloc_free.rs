@@ -16,7 +16,7 @@
 use semtm::core::util::{hash_u32, SplitMix64};
 use semtm::ir::interp::FRAME_RETAINED_WORDS;
 use semtm::ir::{lower, parse_function, programs, run_tm_passes, Block, Function, Inst, Interp};
-use semtm::{Abort, Addr, Algorithm, Stm, StmConfig, TelemetryLevel, Tx};
+use semtm::{Abort, AbortReason, Addr, Algorithm, Stm, StmConfig, TelemetryLevel, Tx};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -188,8 +188,9 @@ fn steady_state_transactions_allocate_nothing() {
             }
         }
         let s = stm.stats();
-        assert_eq!(s.commits + s.aborts_explicit, 300 + 6_000, "{name}");
-        assert_eq!(s.aborts_explicit, 3 * 34 + 3 * 334, "{name}");
+        let explicit = s.aborts(AbortReason::Explicit);
+        assert_eq!(s.commits + explicit, 300 + 6_000, "{name}");
+        assert_eq!(explicit, 3 * 34 + 3 * 334, "{name}");
     }
     for (engine, shape, aborting, count) in &table {
         println!("alloc_free: {engine:<10} {shape:<6} aborting={aborting:<5} {count}");

@@ -13,7 +13,7 @@ use semtm::workloads::driver::run_fixed_work;
 use semtm::workloads::queue::TQueue;
 use semtm::workloads::stamp::tmap::TMap;
 use semtm::workloads::{bank, hashtable, lru};
-use semtm::{Algorithm, Stm, StmConfig, TelemetryLevel};
+use semtm::{AbortReason, Algorithm, Stm, StmConfig, TelemetryLevel};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Duration;
 
@@ -313,7 +313,7 @@ fn sharded_clock_disjoint_commits_never_time_out() {
         });
         let sum: i64 = cells.iter().map(|&c| s.read_now(c)).sum();
         assert_eq!(sum, 100_000, "{alg}");
-        assert_eq!(s.stats().aborts_timeout, 0, "{alg}");
+        assert_eq!(s.stats().aborts(AbortReason::Timeout), 0, "{alg}");
     }
 }
 
