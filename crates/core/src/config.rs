@@ -68,7 +68,10 @@ impl std::fmt::Display for Algorithm {
 pub struct StmConfig {
     /// The algorithm to run.
     pub algorithm: Algorithm,
-    /// Transactional heap capacity in 64-bit words.
+    /// Transactional heap capacity in 64-bit words. Capacity costs
+    /// address space, not memory: only the words a program touches
+    /// become resident, and dropping the `Stm` returns them (see
+    /// [`crate::heap`]).
     pub heap_words: usize,
     /// Number of ownership records (TL2 family). Rounded up to a power of
     /// two; addresses map to orecs by masking.
@@ -151,7 +154,8 @@ impl StmConfig {
         }
     }
 
-    /// Builder-style heap-size override (in words).
+    /// Builder-style heap-size override (in words); the `heap_words`
+    /// field says what capacity costs.
     pub fn heap_words(mut self, words: usize) -> StmConfig {
         self.heap_words = words;
         self

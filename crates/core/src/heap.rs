@@ -12,6 +12,27 @@
 //! STAMP-style workloads, which allocate nodes of a handful of distinct
 //! sizes and recycle them through pools).
 //!
+//! # Reserved versus resident words
+//!
+//! Capacity costs address space, not memory: like the process memory the
+//! paper's runtimes instrument, a heap makes resident only the words that
+//! are touched. A heap array larger than 128 KiB (glibc's default
+//! `M_MMAP_THRESHOLD`) is requested as one zeroed block of at least
+//! 32 MiB + 1 word, above the highest value glibc's dynamic mmap
+//! threshold can take (`DEFAULT_MMAP_THRESHOLD_MAX` on 64-bit). The
+//! allocator therefore always serves it with a fresh private mapping:
+//! its pages are zero without being cleared, untouched words never
+//! become resident, and dropping the heap unmaps it, so no later
+//! allocation has to clear what it leaves behind. (Sized exactly, a heap
+//! freed after the threshold has risen lands in the arena, and the next
+//! heap of that size is recycled arena memory that `calloc` clears page
+//! by page.) Smaller arrays keep their exact size: clearing one costs
+//! little, and a debug build, where the zeroed allocation is not folded
+//! (see [`Heap::new`]), writes every reserved word, so a floor on every
+//! small test heap would make debug test binaries many times slower.
+//! Words past the logical length stay out of reach: every access
+//! bounds-checks against it, not against the reservation.
+//!
 //! # Cache-line discipline
 //!
 //! Word index 0 sits on a 128-byte boundary and every run of
@@ -31,6 +52,15 @@ pub const LINE_BYTES: usize = 128;
 
 /// Heap words per padding unit ([`LINE_BYTES`] / 8).
 pub const LINE_WORDS: usize = LINE_BYTES / 8;
+
+/// Largest heap array reserved at its exact size: 128 KiB of words,
+/// glibc's default `M_MMAP_THRESHOLD` (module docs).
+const EXACT_MAX_WORDS: usize = (128 << 10) / 8;
+
+/// Smallest reservation of a larger array: 32 MiB + 1 word, above glibc's
+/// `DEFAULT_MMAP_THRESHOLD_MAX` on 64-bit, the highest its dynamic mmap
+/// threshold rises to, so the block is always a fresh mapping.
+const FRESH_MAPPING_WORDS: usize = (32 << 20) / 8 + 1;
 
 /// Index of a 64-bit word in the transactional [`Heap`].
 ///
@@ -83,8 +113,9 @@ impl Addr {
 /// accesses must go through a transaction.
 pub struct Heap {
     /// Backing store, over-allocated by `LINE_WORDS - 1` words; logical
-    /// word `i` lives at `words[base + i]`.
-    words: Box<[AtomicU64]>,
+    /// word `i` lives at `words[base + i]`. Its spare capacity is the
+    /// untouched tail of the reservation (module docs), never indexed.
+    words: Vec<AtomicU64>,
     /// Offset of logical word 0, chosen so it starts a 128-byte line.
     base: usize,
     /// Logical capacity in words (what `alloc` may hand out).
@@ -96,6 +127,15 @@ impl Heap {
     /// Create a heap with capacity for `capacity` words, all zeroed, with
     /// word 0 cache-line-aligned.
     ///
+    /// The array (`capacity + LINE_WORDS - 1` words) is reserved as one
+    /// zeroed block: at its exact size up to 128 KiB, and otherwise at
+    /// least 32 MiB + 1 word, which the allocator always serves with a
+    /// fresh mapping (module docs). Only the words a program touches
+    /// become resident. In an optimised build the `with_capacity` +
+    /// `resize_with` pair below compiles to one `__rust_alloc_zeroed`
+    /// (glibc `calloc`, which does not clear a fresh mapping); a debug
+    /// build writes every reserved word.
+    ///
     /// # Panics
     /// Panics if `capacity` exceeds the 32-bit [`Addr`] space (checked
     /// before the backing array is allocated).
@@ -104,9 +144,17 @@ impl Heap {
             capacity <= u32::MAX as usize + 1,
             "heap capacity {capacity} words exceeds the 32-bit address space"
         );
-        let mut v = Vec::with_capacity(capacity + LINE_WORDS - 1);
-        v.resize_with(capacity + LINE_WORDS - 1, || AtomicU64::new(0));
-        let words = v.into_boxed_slice();
+        let len = capacity + LINE_WORDS - 1;
+        let reserve = if len > EXACT_MAX_WORDS {
+            len.max(FRESH_MAPPING_WORDS)
+        } else {
+            len
+        };
+        let mut words = Vec::with_capacity(reserve);
+        words.resize_with(reserve, || AtomicU64::new(0));
+        // Indexing checks the length, so the tail past `len` is
+        // reserved, never reachable.
+        words.truncate(len);
         // `as usize` on a pointer is safe (no deref); AtomicU64 is 8-byte
         // aligned, so the distance to the next 128-byte boundary is a
         // whole number of words.
@@ -313,9 +361,37 @@ mod tests {
 
     #[test]
     fn word_zero_is_line_aligned() {
-        let h = Heap::new(64);
-        let addr = h.words[h.base..].as_ptr() as usize;
-        assert_eq!(addr % LINE_BYTES, 0, "word 0 not on a 128-byte boundary");
+        // Exact-size and reserved (fresh-mapping) backing alike.
+        for capacity in [64, 1 << 20] {
+            let h = Heap::new(capacity);
+            let addr = h.words[h.base..].as_ptr() as usize;
+            assert_eq!(addr % LINE_BYTES, 0, "{capacity}: word 0 not line-aligned");
+        }
+    }
+
+    #[test]
+    fn only_large_arrays_are_reserved_past_their_length() {
+        let small = Heap::new(1 << 12);
+        assert_eq!(small.words.capacity(), (1 << 12) + LINE_WORDS - 1);
+        let large = Heap::new(1 << 20);
+        assert_eq!(large.words.len(), (1 << 20) + LINE_WORDS - 1);
+        assert!(large.words.capacity() >= FRESH_MAPPING_WORDS);
+    }
+
+    #[test]
+    fn the_reserved_tail_is_out_of_bounds() {
+        // Both addresses are inside the reservation of a 1 Mi-word heap
+        // (32 MiB + 1 word) but past its array, so they must panic as
+        // they did when the array was sized exactly.
+        let h = Heap::new(1 << 20);
+        for i in [h.capacity() + LINE_WORDS, 2 * h.capacity()] {
+            let a = Addr::from_index(i);
+            assert!(std::panic::catch_unwind(|| h.load(a)).is_err(), "load {i}");
+            assert!(
+                std::panic::catch_unwind(|| h.store(a, 1)).is_err(),
+                "store {i}"
+            );
+        }
     }
 
     #[test]

@@ -52,10 +52,6 @@ pub enum ReadEntry {
 
 // A push onto the read-set — every read barrier's last step — is two stores.
 const _: () = assert!(std::mem::size_of::<ReadEntry>() == 16);
-// The boxed scratch keeps its size: where glibc places it decides the
-// benchmark's `setup_s` / `peak_rss_mb` mode (see `ScratchBox`).
-#[cfg(target_pointer_width = "64")]
-const _: () = assert!(std::mem::size_of::<Scratch>() == 264);
 
 impl ReadEntry {
     /// Re-evaluate the recorded relation against current memory — the
@@ -452,10 +448,7 @@ fn filter_bit(addr: Addr) -> u64 {
 /// are ever written — and the filter answers "not buffered" from the
 /// hash alone: a multiply and a bit test, no index, no box. The word
 /// lives here, in the engine's context on the stack, so a barrier that
-/// misses dereferences the box once, for its push; and the boxed
-/// `Scratch` keeps its size, on which the benchmark's `setup_s` and
-/// `peak_rss_mb` turn out to depend (where glibc places the box decides
-/// whether a dropped `Stm`'s heap goes back to the OS; CHANGES.md, PR 23).
+/// misses dereferences the box once, for its push.
 pub(crate) struct ScratchBox {
     /// `Some` until drop.
     kept: Option<Box<Scratch>>,

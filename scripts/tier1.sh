@@ -15,13 +15,17 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 timeout 600 cargo test -q --workspace
 
-echo "==> release-mode engine tests (semtm-core --lib, alloc_free, opacity, concurrency_stress)"
+echo "==> release-mode engine tests (semtm-core --lib, alloc_free, heap_footprint, opacity, concurrency_stress)"
 # The barriers are force-inlined fast paths with cold out-of-line tails
 # (DESIGN.md §8.2): a debug build never gives them the shape that ships,
 # so the engines' unit tests and the allocator-call pins run once more
 # on the optimised code.
 timeout 300 cargo test --release -q -p semtm-core --lib
 timeout 300 cargo test --release -q --test alloc_free
+# A heap costs only the words it touches: its array is one zeroed block
+# the allocator serves with a fresh mapping, which only the optimised
+# build asks for as one `alloc_zeroed` (a debug build ignores the test).
+timeout 300 cargo test --release -q --test heap_footprint
 # Write-back and the clock, shard and orec releases are `Release` stores
 # (DESIGN.md §8.5): a weaker ordering is what the optimiser may exploit,
 # so the real-thread opacity and publication tests run on optimised code

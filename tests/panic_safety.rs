@@ -15,22 +15,43 @@ use std::time::Duration;
 /// A wedged switch spins forever; fail the test instead of hanging it.
 const DEADLINE: Duration = Duration::from_secs(20);
 
+/// How a body panics after its `inc`, and what the panic says.
+struct Fault {
+    panic: fn(&Stm),
+    says: &'static str,
+}
+
+const EXPLICIT: Fault = Fault {
+    panic: |_| panic!("body panics mid-transaction"),
+    says: "body panics mid-transaction",
+};
+
+/// `Stm::alloc` past the heap's capacity, from inside the body.
+const HEAP_EXHAUSTED: Fault = Fault {
+    panic: |stm| {
+        stm.alloc(stm.heap().capacity());
+    },
+    says: "transactional heap exhausted",
+};
+
 /// Through both entry points: a body that panics mid-transaction, then a
 /// switch away from the panicked attempt's mode, then a commit.
-fn panic_then_switch(config: StmConfig, target: Mode) {
+fn panic_then_switch(config: StmConfig, target: Mode, fault: &Fault) {
     for retrying in [true, false] {
-        panic_then_switch_via(config.clone(), target, retrying);
+        panic_then_switch_via(config.clone(), target, retrying, fault);
     }
 }
 
-fn panic_then_switch_via(config: StmConfig, target: Mode, retrying: bool) {
+fn panic_then_switch_via(config: StmConfig, target: Mode, retrying: bool, fault: &Fault) {
     let stm = Arc::new(Stm::new(config.heap_words(1 << 10).orec_count(1 << 6)));
     let cell = stm.alloc_cell(1i64);
+    let allocated = stm.heap().allocated();
     let from = stm.mode();
 
     let body = |tx: &mut Tx<'_>| -> Result<(), Abort> {
         tx.inc(cell, 1)?;
-        panic!("body panics mid-transaction");
+        (fault.panic)(&stm);
+        unreachable!("the fault panics");
     };
     let unwound = catch_unwind(AssertUnwindSafe(|| {
         if retrying {
@@ -39,7 +60,20 @@ fn panic_then_switch_via(config: StmConfig, target: Mode, retrying: bool) {
             stm.try_atomic(body).expect("unreachable: the body panics")
         }
     }));
-    assert!(unwound.is_err(), "{from}: the panic must reach the caller");
+    let Err(payload) = unwound else {
+        panic!("{from}: the panic must reach the caller")
+    };
+    let said = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or_default();
+    assert!(said.contains(fault.says), "{from}: panicked with {said:?}");
+    assert_eq!(
+        stm.heap().allocated(),
+        allocated,
+        "{from}: allocation moved"
+    );
 
     let (done, finished) = mpsc::channel();
     let switcher = {
@@ -105,6 +139,7 @@ fn panic_in_body_releases_epoch_slot_snorec_global() {
     panic_then_switch(
         StmConfig::new(Algorithm::SNOrec),
         Mode::new(Algorithm::STl2),
+        &EXPLICIT,
     );
 }
 
@@ -113,6 +148,7 @@ fn panic_in_body_releases_epoch_slot_snorec_sharded() {
     panic_then_switch(
         StmConfig::new(Algorithm::SNOrec).clock_shards(4),
         Mode::new(Algorithm::SNOrec),
+        &EXPLICIT,
     );
 }
 
@@ -121,5 +157,37 @@ fn panic_in_body_releases_epoch_slot_stl2() {
     panic_then_switch(
         StmConfig::new(Algorithm::STl2),
         Mode::new(Algorithm::SNOrec),
+        &EXPLICIT,
+    );
+}
+
+/// `Stm::alloc` past capacity inside `atomic` is a defined outcome: the
+/// "transactional heap exhausted" panic reaches the caller, the heap's
+/// allocation count is unchanged, the epoch slot is released (a switch
+/// completes) and the next transaction commits.
+#[test]
+fn heap_exhausted_in_body_reaches_the_caller_snorec_global() {
+    panic_then_switch(
+        StmConfig::new(Algorithm::SNOrec),
+        Mode::new(Algorithm::STl2),
+        &HEAP_EXHAUSTED,
+    );
+}
+
+#[test]
+fn heap_exhausted_in_body_reaches_the_caller_snorec_sharded() {
+    panic_then_switch(
+        StmConfig::new(Algorithm::SNOrec).clock_shards(4),
+        Mode::new(Algorithm::SNOrec),
+        &HEAP_EXHAUSTED,
+    );
+}
+
+#[test]
+fn heap_exhausted_in_body_reaches_the_caller_stl2() {
+    panic_then_switch(
+        StmConfig::new(Algorithm::STl2),
+        Mode::new(Algorithm::SNOrec),
+        &HEAP_EXHAUSTED,
     );
 }
