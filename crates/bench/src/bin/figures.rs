@@ -264,9 +264,9 @@ fn main() {
                     summary.abort_spans,
                     summary.attributed_aborts
                 );
-                println!("hottest addresses (count-min estimate):");
+                println!("hottest addresses (conflicts in the retained spans):");
                 for (addr, n) in hot.iter().take(5) {
-                    println!("  addr {addr:>8}  ~{n} conflicts");
+                    println!("  addr {addr:>8}  {n} conflicts");
                 }
             }
             Err(e) => {

@@ -80,7 +80,7 @@ pub fn render(algorithm: Algorithm, threads: usize, frame: &DashboardFrame) -> S
         out.push_str("  (no attributed conflicts yet)\n");
     }
     for (addr, n) in frame.hot.iter().take(5) {
-        let _ = writeln!(out, "  addr {addr:>8}  ~{n} conflicts");
+        let _ = writeln!(out, "  addr {addr:>8}  {n} conflicts");
     }
     out.push_str("who aborted whom:\n");
     if frame.edges.is_empty() {

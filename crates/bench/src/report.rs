@@ -214,8 +214,9 @@ pub struct AlgorithmTelemetry {
     pub trace_evicted: u64,
     /// Throughput/abort-rate time series over the interval.
     pub series: Vec<SamplePoint>,
-    /// Hottest conflict addresses `(heap index, estimated conflicts)`,
-    /// ranked descending (flight-recorder sketch; empty below `Spans`).
+    /// Hottest conflict addresses `(heap index, conflicts)`, ranked
+    /// descending (counted over the retained flight-recorder spans;
+    /// empty below `Spans`).
     pub hot_addresses: Vec<(u64, u64)>,
     /// Who-aborted-whom conflict summary (empty below `Spans`).
     pub conflict_edges: Vec<ConflictEdge>,

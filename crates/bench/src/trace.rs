@@ -192,7 +192,7 @@ mod tests {
             summary.attributed_aborts > 0,
             "validation aborts must carry a guilty address"
         );
-        assert!(!hot.is_empty(), "hot-address sketch must be populated");
+        assert!(!hot.is_empty(), "abort spans must name hot addresses");
     }
 
     #[test]

@@ -127,11 +127,11 @@ pub struct StmConfig {
     /// [`TelemetryLevel::Spans`]).
     ///
     /// Memory cost: there are 64 ring shards (one per telemetry counter
-    /// shard). Each abort event is ~48 bytes and each span ~112 bytes,
-    /// so at `Trace` a capacity of `c` costs about `64 × 48 × c` bytes
-    /// (≈ 3 MiB at the default 1024) and at `Spans` about
-    /// `64 × 160 × c` bytes (≈ 10 MiB at the default). Below `Trace`
-    /// the rings collapse to capacity 1 and cost a few kilobytes total.
+    /// shard). Each abort event is 48 bytes and each span 128 bytes, so
+    /// at `Trace` a capacity of `c` costs about `64 × 48 × c` bytes
+    /// (3 MiB at the default 1024) and at `Spans` about `64 × 176 × c`
+    /// bytes (11 MiB at the default). Below `Trace` the rings collapse
+    /// to capacity 1 and cost a few kilobytes total.
     pub trace_capacity: usize,
 }
 

@@ -10,8 +10,8 @@
 //! Besides the reason, an `Abort` carries a best-effort [`Conflict`]
 //! attribution — *which* heap address (or orec, for the TL2 family)
 //! failed, and *whose* commit invalidated it. Attribution is advisory:
-//! it feeds the flight recorder and the hot-address sketch, never
-//! control flow, which is why `Abort` equality deliberately compares
+//! it feeds the flight recorder's spans (and the hot-address and
+//! who-aborted-whom counts read from them), never control flow, which is why `Abort` equality deliberately compares
 //! the reason alone.
 
 use crate::heap::Addr;

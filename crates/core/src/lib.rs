@@ -77,7 +77,6 @@ pub mod config;
 pub mod error;
 pub mod fault;
 pub mod heap;
-pub mod hotspot;
 pub mod norec;
 pub mod ops;
 pub mod ring;
@@ -97,13 +96,12 @@ pub use adapt::{AdaptPolicy, Controller, Mode, SwitchError, SwitchReport};
 pub use config::{Algorithm, StmConfig};
 pub use error::{Abort, AbortReason, Conflict};
 pub use heap::{Addr, Heap};
-pub use hotspot::ConflictEdge;
 pub use ops::CmpOp;
 pub use stats::StatsSnapshot;
 pub use stm::{Stm, Tx};
 pub use telemetry::{
-    AbortEvent, HistogramSnapshot, PhaseRecorder, RateEwma, SamplePoint, Sampler, SpanEvent,
-    Telemetry, TelemetryLevel,
+    AbortEvent, ConflictEdge, HistogramSnapshot, PhaseRecorder, RateEwma, SamplePoint, Sampler,
+    SpanEvent, Telemetry, TelemetryLevel,
 };
 pub use tvar::{TArray, TVar};
 pub use value::{Fx32, Word};

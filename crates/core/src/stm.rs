@@ -415,17 +415,14 @@ impl Stm {
             }
         }
         if spans {
-            let span = tx.span(
+            // The span is the one record of the attempt's attribution;
+            // `hot_addresses` and `conflict_edges` count it from there.
+            self.telemetry.record_span(tx.span(
                 attempt_start,
                 self.telemetry.elapsed_ns(),
                 nth as u32,
                 abort.map(|a| (a.reason, a.conflict())),
-            );
-            if let Some(abort) = abort {
-                self.telemetry
-                    .record_conflict(span.thread, abort.conflict());
-            }
-            self.telemetry.record_span(span);
+            ));
         }
         outcome
     }
@@ -1026,7 +1023,7 @@ mod tests {
             )
         };
         let by_atomic = observe("atomic");
-        assert_eq!(by_atomic.3.len(), 1, "the sketch names the contended word");
+        assert_eq!(by_atomic.3.len(), 1, "the span names the word");
         assert_eq!(by_atomic, observe("atomic_or_err"));
         assert_eq!(by_atomic, observe("try_atomic"));
     }
@@ -1068,6 +1065,7 @@ mod tests {
             stm.atomic(|tx| tx.inc(a, 1));
             assert!(stm.telemetry().span_events().is_empty());
             assert!(stm.telemetry().hot_addresses().is_empty());
+            assert!(stm.telemetry().conflict_edges().is_empty());
         }
     }
 

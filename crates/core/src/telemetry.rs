@@ -28,10 +28,11 @@
 //! * [`TelemetryLevel::Spans`] — the flight recorder: additionally
 //!   records every transaction *attempt* as a [`SpanEvent`]
 //!   (begin/validate/lock/writeback/end timestamps plus set sizes) into
-//!   a second per-thread ring, attributes each abort to the conflicting
-//!   address/orec and committer where knowable ([`Conflict`]), and feeds
-//!   the per-shard hot-address sketch behind [`Telemetry::hot_addresses`]
-//!   and the who-aborted-whom summary behind [`Telemetry::conflict_edges`].
+//!   a second per-thread ring and attributes each abort to the
+//!   conflicting address/orec and committer where knowable
+//!   ([`Conflict`]). The span is the one record of that attribution:
+//!   [`Telemetry::hot_addresses`] and the who-aborted-whom summary
+//!   [`Telemetry::conflict_edges`] count it over the retained spans.
 //!
 //! The [`Sampler`] turns successive [`StatsSnapshot`]s into a
 //! throughput/abort-rate time series ([`SamplePoint`]) — the exporter
@@ -40,7 +41,6 @@
 use crate::config::Algorithm;
 use crate::error::{AbortReason, Conflict};
 use crate::heap::Addr;
-use crate::hotspot::{ConflictEdge, EdgeTable, HotSketch};
 use crate::ring::EventRing;
 use crate::stats::{StatShard, StatsSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,8 +57,8 @@ pub enum TelemetryLevel {
     Histograms,
     /// Histograms plus the per-thread abort-event trace ring.
     Trace,
-    /// Trace plus the transaction flight recorder: per-attempt spans,
-    /// abort attribution, hot-address sketch, conflict summary.
+    /// Trace plus the transaction flight recorder: per-attempt spans
+    /// carrying abort attribution.
     Spans,
 }
 
@@ -329,6 +329,18 @@ impl SpanEvent {
     }
 }
 
+/// One aggregated who-aborted-whom edge of
+/// [`Telemetry::conflict_edges`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ConflictEdge {
+    /// Thread token of the aborted transaction.
+    pub victim: u64,
+    /// Thread token of the committer that invalidated it.
+    pub by: u64,
+    /// How many retained aborted spans this edge accounts for.
+    pub count: u64,
+}
+
 /// Intra-attempt phase-timestamp recorder, embedded in the per-thread
 /// transaction contexts. Construction from
 /// [`Telemetry::phase_recorder`] materialises the `level >= Spans`
@@ -504,8 +516,6 @@ pub struct Telemetry {
     backoff_spins: Histogram,
     traces: Box<[Mutex<EventRing<AbortEvent>>]>,
     spans: Box<[Mutex<EventRing<SpanEvent>>]>,
-    hot: Box<[HotSketch]>,
-    edges: Box<[EdgeTable]>,
     rates: Mutex<RateState>,
 }
 
@@ -516,14 +526,12 @@ pub struct Telemetry {
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 const _: () = {
     use std::mem::size_of;
-    assert!(size_of::<Telemetry>() == 584);
+    assert!(size_of::<Telemetry>() == 552);
     assert!(size_of::<AtomicU64>() * HISTOGRAM_BUCKETS == 3968);
     assert!(size_of::<Mutex<EventRing<AbortEvent>>>() == 56);
     assert!(size_of::<AbortEvent>() == 48);
     assert!(size_of::<Mutex<EventRing<SpanEvent>>>() == 56);
     assert!(size_of::<SpanEvent>() == 128);
-    assert!(size_of::<HotSketch>() == 56);
-    assert!(size_of::<EdgeTable>() == 32);
 };
 
 /// One smoothed rate window from [`Telemetry::rates`]: commit/abort
@@ -591,15 +599,10 @@ impl Telemetry {
         } else {
             1
         };
-        let spans_on = level >= TelemetryLevel::Spans;
         let mut traces = Vec::with_capacity(SHARDS);
         traces.resize_with(SHARDS, || Mutex::new(EventRing::new(ring_capacity)));
         let mut spans = Vec::with_capacity(SHARDS);
         spans.resize_with(SHARDS, || Mutex::new(EventRing::new(span_capacity)));
-        let mut hot = Vec::with_capacity(SHARDS);
-        hot.resize_with(SHARDS, || HotSketch::new(spans_on));
-        let mut edges = Vec::with_capacity(SHARDS);
-        edges.resize_with(SHARDS, EdgeTable::new);
         Telemetry {
             level,
             algorithm,
@@ -612,8 +615,6 @@ impl Telemetry {
             backoff_spins: Histogram::default(),
             traces: traces.into_boxed_slice(),
             spans: spans.into_boxed_slice(),
-            hot: hot.into_boxed_slice(),
-            edges: edges.into_boxed_slice(),
             rates: Mutex::new(RateState::default()),
         }
     }
@@ -764,19 +765,6 @@ impl Telemetry {
         }
     }
 
-    /// Feed an abort's attribution into the hot-address sketch and the
-    /// who-aborted-whom table (spans level). `victim` is the aborted
-    /// transaction's thread token.
-    pub fn record_conflict(&self, victim: u64, conflict: Conflict) {
-        let slot = victim as usize % SHARDS;
-        if let Some(addr) = conflict.addr() {
-            self.hot[slot].record(addr.index() as u32);
-        }
-        if let Some(by) = conflict.by() {
-            self.edges[slot].record(victim, by);
-        }
-    }
-
     /// End-to-end commit latency in nanoseconds (histogram level).
     pub fn commit_latency_ns(&self) -> HistogramSnapshot {
         self.commit_latency_ns.snapshot()
@@ -845,51 +833,52 @@ impl Telemetry {
             .sum()
     }
 
-    /// The most contended heap addresses seen by abort attribution,
-    /// ranked by estimated conflict count (descending; ties broken by
-    /// address for determinism). Merges the per-shard sketches; the
-    /// estimates are count-min upper bounds, so ranks are reliable for
-    /// genuinely hot addresses and noisy for one-off conflicts. Empty
-    /// below [`TelemetryLevel::Spans`].
-    pub fn hot_addresses(&self) -> Vec<(Addr, u64)> {
-        let mut agg: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-        for sketch in self.hot.iter() {
-            for (addr, weight) in sketch.entries() {
-                *agg.entry(addr).or_insert(0) += weight;
+    /// Count one key per attributed abort over the retained spans
+    /// (`key` picks what an abort's attribution names, if anything),
+    /// heaviest first, ties broken by key.
+    fn count_conflicts<K: Ord + std::hash::Hash>(
+        &self,
+        key: impl Fn(&SpanEvent, Conflict) -> Option<K>,
+    ) -> Vec<(K, u64)> {
+        let mut agg: std::collections::HashMap<K, u64> = std::collections::HashMap::new();
+        for ring in self.spans.iter() {
+            if let Ok(ring) = ring.lock() {
+                for span in ring.iter() {
+                    if let Some(k) = span.abort.and_then(|(_, c)| key(span, c)) {
+                        *agg.entry(k).or_default() += 1;
+                    }
+                }
             }
         }
-        let mut out: Vec<(u32, u64)> = agg.into_iter().collect();
+        let mut out: Vec<(K, u64)> = agg.into_iter().collect();
         out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out.into_iter()
-            .map(|(a, w)| (Addr::from_index(a as usize), w))
-            .collect()
+        out
+    }
+
+    /// The most contended heap addresses seen by abort attribution,
+    /// ranked by conflict count (descending; ties broken by address for
+    /// determinism). The counts are exact over the retained spans — the
+    /// newest `trace_capacity` attempts per shard, the window
+    /// [`Telemetry::span_events`] returns — so they sum to the number
+    /// of retained aborted spans that name an address. Empty below
+    /// [`TelemetryLevel::Spans`].
+    pub fn hot_addresses(&self) -> Vec<(Addr, u64)> {
+        self.count_conflicts(|_, c| c.addr())
     }
 
     /// The who-aborted-whom summary: aggregated `(victim, aborter)`
     /// thread pairs with abort counts, heaviest first (ties broken by
-    /// victim then aborter token). Empty below
+    /// victim then aborter token). Counted over the same retained spans
+    /// as [`Telemetry::hot_addresses`]. Empty below
     /// [`TelemetryLevel::Spans`], and only as complete as the
     /// algorithms' attribution (TL2 lock conflicts name the owner
     /// exactly; NOrec validation failures use the most-recent-committer
     /// heuristic).
     pub fn conflict_edges(&self) -> Vec<ConflictEdge> {
-        let mut agg: std::collections::HashMap<(u64, u64), u64> = std::collections::HashMap::new();
-        for table in self.edges.iter() {
-            for e in table.entries() {
-                *agg.entry((e.victim, e.by)).or_insert(0) += e.count;
-            }
-        }
-        let mut out: Vec<ConflictEdge> = agg
+        self.count_conflicts(|span, c| c.by().map(|by| (span.thread, by)))
             .into_iter()
             .map(|((victim, by), count)| ConflictEdge { victim, by, count })
-            .collect();
-        out.sort_by(|a, b| {
-            b.count
-                .cmp(&a.count)
-                .then(a.victim.cmp(&b.victim))
-                .then(a.by.cmp(&b.by))
-        });
-        out
+            .collect()
     }
 }
 
@@ -1263,57 +1252,110 @@ mod tests {
         assert!(p.is_enabled(), "reset keeps the epoch");
     }
 
+    /// A synthetic aborted attempt of thread `victim` carrying `conflict`.
+    fn aborted_span(victim: u64, conflict: Conflict) -> SpanEvent {
+        SpanEvent {
+            thread: victim,
+            start_ns: 0,
+            end_ns: 1,
+            validate_ns: None,
+            lock_ns: None,
+            writeback_ns: None,
+            attempt: 1,
+            read_set: 0,
+            write_set: 0,
+            compare_set: 0,
+            abort: Some((AbortReason::Validation, conflict)),
+        }
+    }
+
+    fn at_addr(addr: usize) -> Conflict {
+        crate::error::Abort::validation()
+            .at_addr(Addr::from_index(addr))
+            .conflict()
+    }
+
+    fn by(token: u64) -> Conflict {
+        crate::error::Abort::locked().by(token).conflict()
+    }
+
     #[test]
     fn hot_addresses_rank_by_conflict_weight() {
-        let t = Telemetry::new(TelemetryLevel::Spans, Algorithm::SNOrec, 8);
-        let hit = |addr: usize| {
-            crate::error::Abort::validation()
-                .at_addr(Addr::from_index(addr))
-                .conflict()
-        };
+        let t = Telemetry::new(TelemetryLevel::Spans, Algorithm::SNOrec, 32);
         for _ in 0..20 {
-            t.record_conflict(1, hit(5));
+            t.record_span(aborted_span(1, at_addr(5)));
         }
         for _ in 0..3 {
-            t.record_conflict(2, hit(9));
+            t.record_span(aborted_span(2, at_addr(9)));
         }
         let hot = t.hot_addresses();
-        assert!(hot.len() >= 2);
+        assert_eq!(hot.len(), 2);
         assert_eq!(hot[0].0, Addr::from_index(5));
-        assert!(hot[0].1 >= 20);
-        assert_eq!(hot[1].0, Addr::from_index(9));
+        assert_eq!(hot[0].1, 20);
+        assert_eq!(hot[1], (Addr::from_index(9), 3));
     }
 
     #[test]
     fn conflict_edges_aggregate_across_shards() {
         let t = Telemetry::new(TelemetryLevel::Spans, Algorithm::STl2, 8);
-        let by = |token: u64| crate::error::Abort::locked().by(token).conflict();
-        // Same edge recorded from two victims mapping to different shards.
-        for _ in 0..4 {
-            t.record_conflict(1, by(9));
+        // The same edge lands in this thread's ring and in another's.
+        for _ in 0..3 {
+            t.record_span(aborted_span(1, by(9)));
         }
-        t.record_conflict(2, by(9));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                t.record_span(aborted_span(1, by(9)));
+                t.record_span(aborted_span(2, by(9)));
+            });
+        });
         let edges = t.conflict_edges();
         assert_eq!(
-            edges[0],
-            ConflictEdge {
-                victim: 1,
-                by: 9,
-                count: 4
-            }
+            edges,
+            [
+                ConflictEdge {
+                    victim: 1,
+                    by: 9,
+                    count: 4
+                },
+                ConflictEdge {
+                    victim: 2,
+                    by: 9,
+                    count: 1
+                }
+            ]
         );
-        assert!(edges.contains(&ConflictEdge {
-            victim: 2,
-            by: 9,
-            count: 1
-        }));
     }
 
     #[test]
-    fn unattributed_conflicts_leave_sketches_empty() {
+    fn unattributed_conflicts_leave_both_views_empty() {
         let t = Telemetry::new(TelemetryLevel::Spans, Algorithm::NOrec, 8);
-        t.record_conflict(1, Conflict::NONE);
+        t.record_span(aborted_span(1, Conflict::NONE));
+        assert_eq!(t.span_events().len(), 1);
         assert!(t.hot_addresses().is_empty());
         assert!(t.conflict_edges().is_empty());
+    }
+
+    #[test]
+    fn evicted_spans_drop_out_of_both_views() {
+        let t = Telemetry::new(TelemetryLevel::Spans, Algorithm::STl2, 2);
+        let both = |addr: usize, token: u64| {
+            crate::error::Abort::validation()
+                .at_addr(Addr::from_index(addr))
+                .by(token)
+                .conflict()
+        };
+        t.record_span(aborted_span(1, both(5, 7)));
+        t.record_span(aborted_span(1, both(6, 8)));
+        t.record_span(aborted_span(1, both(6, 8)));
+        assert_eq!(t.spans_evicted(), 1);
+        assert_eq!(t.hot_addresses(), [(Addr::from_index(6), 2)]);
+        assert_eq!(
+            t.conflict_edges(),
+            [ConflictEdge {
+                victim: 1,
+                by: 8,
+                count: 2
+            }]
+        );
     }
 }

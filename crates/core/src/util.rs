@@ -103,8 +103,7 @@ pub fn thread_token() -> u64 {
 }
 
 /// Multiply-based avalanche for word-index keys (FxHash-style): the
-/// bucket hash of the workloads' tables, the hot-address sketch and the
-/// benchmark's key streams.
+/// bucket hash of the workloads' tables and the benchmark's key streams.
 #[inline]
 pub fn hash_u32(x: u32) -> u64 {
     let mut h = x as u64;

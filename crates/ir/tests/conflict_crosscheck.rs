@@ -1,7 +1,7 @@
 //! Cross-check the static conflict matrix against the runtime flight
 //! recorder. The abstract interpreter *predicts* which words two
-//! concurrent instances of a kernel can fight over; the telemetry
-//! sketches *observe* the fight. The sound direction is ⊆: every
+//! concurrent instances of a kernel can fight over; the flight
+//! recorder's attributed abort spans *observe* the fight. The sound direction is ⊆: every
 //! address the recorder attributes a conflict to must lie inside the
 //! concretized static prediction (the static set may over-approximate —
 //! never the reverse). The run continues until the recorder has
@@ -86,7 +86,7 @@ fn runtime_hot_addresses_stay_within_static_prediction() {
     assert!(!tele.span_events().is_empty(), "regions leave spans");
     assert!(
         !tele.hot_addresses().is_empty(),
-        "conflict aborts feed the hot-address sketch"
+        "attributed abort spans name hot addresses"
     );
     assert_eq!(tele.commit_latency_ns().count(), s.stats().commits);
 

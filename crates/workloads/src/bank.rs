@@ -38,7 +38,7 @@ pub struct BankConfig {
     /// Contention skew: when nonzero, half of all transfer endpoints are
     /// drawn from the first `skew_accounts` accounts instead of uniformly,
     /// concentrating conflicts on a known-hot set (used to exercise the
-    /// flight recorder's hot-address sketch). `0` keeps the paper's
+    /// flight recorder's hot-address ranking). `0` keeps the paper's
     /// uniform draw.
     pub skew_accounts: usize,
     /// Line-stripe the account array ([`TArray::new_striped`]): one
@@ -322,7 +322,7 @@ mod tests {
         use semtm_core::TelemetryLevel;
         // Concentrate half of all transfer endpoints on 4 of 64 accounts
         // and let 4 threads fight over them; the flight recorder's
-        // hot-address sketch must rank the skew targets at the top.
+        // hot-address ranking must put the skew targets at the top.
         let skew = 4usize;
         let cfg = BankConfig {
             accounts: 64,
@@ -341,11 +341,25 @@ mod tests {
         });
         bank.verify(&s).expect("bank invariant violated");
         assert!(r.stats.conflict_aborts() > 0, "skewed run must conflict");
-        let ranked = s.telemetry().hot_addresses();
+        let t = s.telemetry();
+        let ranked = t.hot_addresses();
         assert!(
             !ranked.is_empty(),
-            "attributed conflicts must fill the sketch"
+            "attributed conflicts must name addresses"
         );
+        // Both views count the same retained aborted spans, so their
+        // totals match the timeline's even once the rings evict.
+        let aborted: Vec<_> = t
+            .span_events()
+            .into_iter()
+            .filter_map(|sp| sp.abort)
+            .collect();
+        let with_addr = aborted.iter().filter(|(_, c)| c.addr().is_some()).count();
+        let with_by = aborted.iter().filter(|(_, c)| c.by().is_some()).count();
+        let hot_sum: u64 = ranked.iter().map(|&(_, n)| n).sum();
+        let edge_sum: u64 = t.conflict_edges().iter().map(|e| e.count).sum();
+        assert_eq!(hot_sum, with_addr as u64, "hot_addresses vs spans");
+        assert_eq!(edge_sum, with_by as u64, "conflict_edges vs spans");
         assert!(
             hot_addrs.contains(&ranked[0].0),
             "top-ranked address {:?} should be one of the skew targets {:?}; ranking: {:?}",
