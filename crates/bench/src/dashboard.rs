@@ -26,7 +26,8 @@ pub struct DashboardFrame {
     pub abort_pct: f64,
     /// Recent per-tick throughputs, oldest first (sparkline input).
     pub history_tps: Vec<f64>,
-    /// Hottest conflict addresses `(heap index, estimated conflicts)`.
+    /// Hottest conflict addresses `(heap index, conflicts)`, counted
+    /// exactly over the retained spans.
     pub hot: Vec<(u64, u64)>,
     /// Who-aborted-whom edges, most frequent first.
     pub edges: Vec<ConflictEdge>,

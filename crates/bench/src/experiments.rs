@@ -735,8 +735,8 @@ pub fn ablation_adaptive(sweep: &Sweep) -> Vec<FigureRow> {
 /// per algorithm at the sweep's highest thread count, with the
 /// [`TelemetryLevel::Spans`] flight recorder enabled. Produces the JSON
 /// report of EXPERIMENTS.md §Telemetry — commit-latency quantiles,
-/// attempts-per-commit histogram, abort-reason breakdown, attributed
-/// abort-event trace, hot-address ranking, who-aborted-whom edges, a
+/// attempts-per-commit histogram, abort-reason breakdown, the attributed
+/// aborted spans, hot-address ranking, who-aborted-whom edges, a
 /// throughput/abort-rate time series, and a Counters-vs-Spans overhead
 /// ablation demonstrating that the default level stays zero-cost.
 pub fn telemetry_bank(sweep: &Sweep) -> TelemetryReport {
@@ -769,7 +769,8 @@ pub fn telemetry_bank(sweep: &Sweep) -> TelemetryReport {
             commit_compare_set: t.commit_compare_set(),
             backoff_spins: t.backoff_spins(),
             trace: t.trace_events(),
-            trace_evicted: t.trace_evicted(),
+            spans_retained: t.span_events().len() as u64,
+            spans_evicted: t.spans_evicted(),
             series,
             hot_addresses: t
                 .hot_addresses()
@@ -964,10 +965,10 @@ mod tests {
             // The time series sums to the run totals.
             let commits: u64 = a.series.iter().map(|p| p.commits).sum();
             assert_eq!(commits, a.stats.commits, "{}", a.algorithm);
-            // Trace holds one event per (retained) abort.
+            // The rings hold one span per (retained) attempt.
             assert_eq!(
-                a.trace.len() as u64 + a.trace_evicted,
-                a.stats.total_aborts(),
+                a.spans_retained + a.spans_evicted,
+                a.stats.attempts(),
                 "{}",
                 a.algorithm
             );

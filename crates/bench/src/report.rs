@@ -6,7 +6,7 @@
 //! report schema documented in EXPERIMENTS.md.
 
 use semtm_core::{
-    AbortEvent, AbortReason, ConflictEdge, HistogramSnapshot, SamplePoint, StatsSnapshot,
+    AbortReason, ConflictEdge, HistogramSnapshot, SamplePoint, SpanEvent, StatsSnapshot,
 };
 
 /// A JSON value for the hand-rolled writer.
@@ -158,19 +158,21 @@ fn sample_point_json(p: &SamplePoint) -> Json {
     ])
 }
 
-fn abort_event_json(e: &AbortEvent) -> Json {
+/// One aborted span as a `trace` entry, stamped with its end (the abort).
+fn abort_span_json(e: &SpanEvent) -> Json {
     let opt = |v: Option<u64>| v.map_or(Json::Null, Json::UInt);
+    let (reason, conflict) = e.abort.expect("the trace holds aborted spans");
     Json::Object(vec![
-        ("timestamp_ns", Json::UInt(e.timestamp_ns)),
-        ("reason", Json::Str(e.reason.name().to_string())),
+        ("timestamp_ns", Json::UInt(e.end_ns)),
+        ("reason", Json::Str(reason.name().to_string())),
         ("attempt", Json::UInt(e.attempt as u64)),
         ("read_set", Json::UInt(e.read_set as u64)),
         ("compare_set", Json::UInt(e.compare_set as u64)),
         // Conflict attribution; null where the abort site could not name
         // the guilty address / orec / committer.
-        ("addr", opt(e.conflict.addr().map(|a| a.index() as u64))),
-        ("orec", opt(e.conflict.orec().map(u64::from))),
-        ("by", opt(e.conflict.by())),
+        ("addr", opt(conflict.addr().map(|a| a.index() as u64))),
+        ("orec", opt(conflict.orec().map(u64::from))),
+        ("by", opt(conflict.by())),
     ])
 }
 
@@ -208,10 +210,12 @@ pub struct AlgorithmTelemetry {
     pub commit_compare_set: HistogramSnapshot,
     /// Contention-manager backoff spins per abort.
     pub backoff_spins: HistogramSnapshot,
-    /// Most recent abort events (bounded by the trace ring).
-    pub trace: Vec<AbortEvent>,
-    /// Abort events evicted from the trace ring.
-    pub trace_evicted: u64,
+    /// The aborted spans among the retained ones (`trace_events()`).
+    pub trace: Vec<SpanEvent>,
+    /// Spans retained in the rings, committed and aborted.
+    pub spans_retained: u64,
+    /// Spans evicted from the rings.
+    pub spans_evicted: u64,
     /// Throughput/abort-rate time series over the interval.
     pub series: Vec<SamplePoint>,
     /// Hottest conflict addresses `(heap index, conflicts)`, ranked
@@ -275,10 +279,11 @@ impl TelemetryReport {
                     ("commit_read_set", histogram_json(&a.commit_read_set)),
                     ("commit_compare_set", histogram_json(&a.commit_compare_set)),
                     ("backoff_spins", histogram_json(&a.backoff_spins)),
-                    ("trace_evicted", Json::UInt(a.trace_evicted)),
+                    ("spans_retained", Json::UInt(a.spans_retained)),
+                    ("spans_evicted", Json::UInt(a.spans_evicted)),
                     (
                         "trace",
-                        Json::Array(a.trace.iter().map(abort_event_json).collect()),
+                        Json::Array(a.trace.iter().map(abort_span_json).collect()),
                     ),
                     (
                         "hot_addresses",
@@ -609,7 +614,8 @@ mod tests {
                 commit_compare_set: t.commit_compare_set(),
                 backoff_spins: t.backoff_spins(),
                 trace: t.trace_events(),
-                trace_evicted: t.trace_evicted(),
+                spans_retained: t.span_events().len() as u64,
+                spans_evicted: t.spans_evicted(),
                 series: vec![],
                 hot_addresses: vec![(17, 5)],
                 conflict_edges: vec![ConflictEdge {
@@ -670,7 +676,8 @@ mod tests {
                 commit_compare_set: HistogramSnapshot::default(),
                 backoff_spins: HistogramSnapshot::default(),
                 trace: vec![],
-                trace_evicted: 0,
+                spans_retained: 0,
+                spans_evicted: 0,
                 series: vec![],
                 hot_addresses: vec![],
                 conflict_edges: vec![],

@@ -54,7 +54,7 @@
 
 use crate::config::{Algorithm, StmConfig};
 use crate::sched;
-use crate::telemetry::RateEwma;
+use crate::telemetry::{RateEwma, SHARDS};
 use crate::util::SpinWait;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -179,23 +179,14 @@ fn unpack_epoch(word: u64) -> u64 {
     word >> EPOCH_SHIFT
 }
 
-/// Number of epoch slots (matches the telemetry shard count; threads map
-/// by `thread_token() % SLOTS` and may share slots — the counters sum
-/// correctly regardless).
-const SLOTS: usize = 64;
-
 /// One padded epoch-slot counter (own line pair, like the stat shards).
+/// There is one slot per telemetry shard, and a thread's slot is its
+/// [`shard_index`](crate::telemetry::shard_index): a transaction
+/// computes it once, and `enter` and `exit` must be handed the same one.
 #[repr(align(128))]
 #[derive(Default)]
 struct Slot {
     active: AtomicU64,
-}
-
-/// The epoch slot of the thread whose token is `token`. A transaction
-/// computes it once; `enter` and `exit` must be handed the same one.
-#[inline]
-pub(crate) fn slot_of(token: u64) -> usize {
-    (token as usize) & (SLOTS - 1)
 }
 
 /// Why a [`crate::Stm::switch_to`] request was refused.
@@ -253,8 +244,8 @@ pub(crate) struct ModeMachine {
 
 impl ModeMachine {
     pub(crate) fn new(initial: Mode) -> ModeMachine {
-        let mut slots = Vec::with_capacity(SLOTS);
-        slots.resize_with(SLOTS, Slot::default);
+        let mut slots = Vec::with_capacity(SHARDS);
+        slots.resize_with(SHARDS, Slot::default);
         ModeMachine {
             word: AtomicU64::new(pack_running(initial, 0)),
             slots: slots.into_boxed_slice(),
@@ -622,7 +613,7 @@ mod tests {
     fn machine_drain_waits_for_inflight_attempts() {
         use std::sync::Arc;
         let m = Arc::new(ModeMachine::new(Mode::new(Algorithm::NOrec)));
-        let slot = slot_of(crate::util::thread_token());
+        let slot = crate::telemetry::shard_index(crate::util::thread_token());
         let entered = m.enter(slot);
         let m2 = m.clone();
         let switcher = std::thread::spawn(move || m2.switch(Mode::new(Algorithm::Tl2), || ()));

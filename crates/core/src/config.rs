@@ -105,8 +105,8 @@ pub struct StmConfig {
     /// How much the runtime records about itself. The default,
     /// [`TelemetryLevel::Counters`], costs nothing beyond the counter
     /// increments the runtime always did; higher levels add latency
-    /// histograms, the abort-event trace, and (at
-    /// [`TelemetryLevel::Spans`]) the per-attempt flight recorder.
+    /// histograms, the abort trace, and (at [`TelemetryLevel::Spans`])
+    /// the per-attempt flight recorder.
     pub telemetry: TelemetryLevel,
     /// Flush discipline of the write-ahead commit log, when one is
     /// attached via [`crate::Stm::with_wal`]. Ignored by [`crate::Stm::new`]
@@ -121,17 +121,17 @@ pub struct StmConfig {
     /// [`crate::Stm::switch_to`] still works, and adaptation costs
     /// nothing beyond the always-on mode-word epoch protocol.
     pub adaptive: Option<AdaptPolicy>,
-    /// Per-shard event-ring capacity (newest events retained). Governs
-    /// the abort-event rings (allocated at [`TelemetryLevel::Trace`] and
-    /// above) *and* the flight-recorder span rings (allocated at
-    /// [`TelemetryLevel::Spans`]).
+    /// Per-shard span-ring capacity (newest spans retained) at
+    /// [`TelemetryLevel::Trace`] and above. The one ring set holds each
+    /// aborted attempt at `Trace` and every attempt at
+    /// [`TelemetryLevel::Spans`], so at `Spans` the trace
+    /// (`Telemetry::trace_events`) is the aborts in the retained window.
     ///
     /// Memory cost: there are 64 ring shards (one per telemetry counter
-    /// shard). Each abort event is 48 bytes and each span 128 bytes, so
-    /// at `Trace` a capacity of `c` costs about `64 × 48 × c` bytes
-    /// (3 MiB at the default 1024) and at `Spans` about `64 × 176 × c`
-    /// bytes (11 MiB at the default). Below `Trace` the rings collapse
-    /// to capacity 1 and cost a few kilobytes total.
+    /// shard) and each span is 128 bytes, so a capacity of `c` costs
+    /// about `64 × 128 × c` bytes at both tiers (8 MiB at the default
+    /// 1024). Below `Trace` the rings collapse to capacity 1 and cost a
+    /// few kilobytes total.
     pub trace_capacity: usize,
 }
 
@@ -214,9 +214,8 @@ impl StmConfig {
         self
     }
 
-    /// Builder-style event-ring capacity override (per shard; applies
-    /// to both the abort trace and the span rings — see the field docs
-    /// for the memory cost).
+    /// Builder-style span-ring capacity override (per shard; see the
+    /// field docs for the memory cost).
     pub fn trace_capacity(mut self, events: usize) -> StmConfig {
         self.trace_capacity = events;
         self

@@ -100,8 +100,8 @@ pub use ops::CmpOp;
 pub use stats::StatsSnapshot;
 pub use stm::{Stm, Tx};
 pub use telemetry::{
-    AbortEvent, ConflictEdge, HistogramSnapshot, PhaseRecorder, RateEwma, SamplePoint, Sampler,
-    SpanEvent, Telemetry, TelemetryLevel,
+    ConflictEdge, HistogramSnapshot, PhaseRecorder, RateEwma, SamplePoint, Sampler, SpanEvent,
+    Telemetry, TelemetryLevel,
 };
 pub use tvar::{TArray, TVar};
 pub use value::{Fx32, Word};

@@ -1,6 +1,6 @@
 //! A fixed-capacity overwrite ring: [`EventRing`] retains the newest N
-//! elements, which is how the telemetry subsystem keeps per-thread abort
-//! events and flight-recorder spans without unbounded growth.
+//! elements, which is how the telemetry subsystem keeps per-thread
+//! spans without unbounded growth.
 
 /// A fixed-capacity ring that keeps the **newest** `capacity` elements:
 /// once full, each push evicts the oldest element. Single-owner (wrap it

@@ -21,7 +21,7 @@ use crate::ops::CmpOp;
 use crate::sclock::ShardedClock;
 use crate::sets::{ScratchBox, WriteEntry, WriteKind};
 use crate::stats::{OpCounts, StatShard, StatsSnapshot};
-use crate::telemetry::{PhaseRecorder, SpanEvent, Telemetry, TelemetryLevel};
+use crate::telemetry::{shard_index, PhaseRecorder, SpanEvent, Telemetry, TelemetryLevel};
 use crate::tl2::{Tl2Global, Tl2Tx};
 use crate::util::thread_token;
 use crate::value::Word;
@@ -60,7 +60,7 @@ impl Stm {
             norec: GlobalClock::default(),
             sclock: ShardedClock::new(config.clock_shards),
             tl2: Tl2Global::new(config.orec_count),
-            telemetry: Telemetry::new(config.telemetry, config.algorithm, config.trace_capacity),
+            telemetry: Telemetry::new(config.telemetry, config.trace_capacity),
             wal: None,
             machine: ModeMachine::new(Mode::initial(&config)),
             controller: config.adaptive.map(|p| Mutex::new(Controller::new(p))),
@@ -148,7 +148,7 @@ impl Stm {
         self.telemetry.snapshot()
     }
 
-    /// The full telemetry state: histograms, abort traces, shard access.
+    /// The full telemetry state: histograms, spans, shard access.
     #[inline]
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
@@ -272,9 +272,10 @@ impl Stm {
     ) -> Result<T, E> {
         // The one thread-token read of the transaction: everything keyed
         // by the thread — backoff jitter, epoch slot, counter shard, TL2
-        // lock owner — is handed it.
+        // lock owner, span track — is handed it, and the one shard index
+        // serves as both epoch slot and counter shard.
         let token = thread_token();
-        let slot = adapt::slot_of(token);
+        let slot = shard_index(token);
         let mut cm = ContentionManager::new(token.wrapping_mul(0x9E37_79B9));
         // Enter the adaptive epoch before building the attempt context:
         // the entered word pins the engine this attempt dispatches on,
@@ -290,7 +291,7 @@ impl Stm {
         let mut tx = Tx::new(self, mode, token);
         // Looked up once per transaction, not per event: the shard
         // reference stays hot in a register across retries.
-        let shard = self.telemetry.shard_of(token);
+        let shard = self.telemetry.shard(slot);
         let histograms = self.telemetry.level() >= TelemetryLevel::Histograms;
         let started = histograms.then(Instant::now);
         let mut conflicts: u32 = 0;
@@ -349,8 +350,8 @@ impl Stm {
     /// One attempt, the `nth` of its transaction, on the epoch `slot` the
     /// caller entered: begin, body, commit, retire the slot, record.
     /// Every statistic an attempt leaves — counters, commit profile,
-    /// abort event, span, conflict attribution — is written here and
-    /// nowhere else, so all entry points are observed alike.
+    /// span (which carries the abort's attribution) — is written here
+    /// and nowhere else, so all entry points are observed alike.
     #[inline]
     fn attempt<T, E>(
         &self,
@@ -361,14 +362,10 @@ impl Stm {
         nth: u64,
         body: impl FnOnce(&mut Tx<'_>) -> Result<Result<T, E>, Abort>,
     ) -> Result<Result<T, E>, Abort> {
-        // Every per-attempt flight-recorder cost sits behind the `spans`
-        // guard; at lower levels an attempt reads no clock of its own.
+        // Only the flight recorder stamps an attempt's begin; at lower
+        // levels an attempt reads no clock of its own unless it aborts.
         let spans = self.telemetry.level() >= TelemetryLevel::Spans;
-        let attempt_start = if spans {
-            self.telemetry.elapsed_ns()
-        } else {
-            0
-        };
+        let attempt_start = spans.then(|| self.telemetry.elapsed_ns());
         let guard = Attempt {
             machine: &self.machine,
             slot,
@@ -389,7 +386,7 @@ impl Stm {
             Ok(Err(_)) => Some(Abort::explicit()),
             Err(abort) => Some(*abort),
         };
-        match abort {
+        let record_span = match abort {
             None => {
                 shard.record_commit(&tx.ops);
                 if let Some(t0) = started {
@@ -400,26 +397,20 @@ impl Stm {
                         tx.compare_set_len(),
                     );
                 }
+                spans
             }
             Some(abort) => {
                 shard.record_abort(abort.reason, &tx.ops);
-                if self.telemetry.level() >= TelemetryLevel::Trace {
-                    self.telemetry.record_abort_event(
-                        abort.reason,
-                        abort.conflict(),
-                        nth as u32,
-                        tx.read_set_len(),
-                        tx.compare_set_len(),
-                    );
-                }
+                self.telemetry.level() >= TelemetryLevel::Trace
             }
-        }
-        if spans {
-            // The span is the one record of the attempt's attribution;
-            // `hot_addresses` and `conflict_edges` count it from there.
+        };
+        if record_span {
+            // The span is the one record of the attempt. Below `Spans`
+            // only an abort records one, stamped once, at the abort.
+            let end_ns = self.telemetry.elapsed_ns();
             self.telemetry.record_span(tx.span(
-                attempt_start,
-                self.telemetry.elapsed_ns(),
+                attempt_start.unwrap_or(end_ns),
+                end_ns,
                 nth as u32,
                 abort.map(|a| (a.reason, a.conflict())),
             ));
@@ -615,6 +606,8 @@ pub struct Tx<'a> {
     inner: TxInner<'a>,
     semantic: bool,
     ops: OpCounts,
+    /// The running thread's token, read once by [`Stm::run`].
+    token: u64,
 }
 
 impl<'a> Tx<'a> {
@@ -640,6 +633,7 @@ impl<'a> Tx<'a> {
             inner,
             semantic: mode.algorithm.is_semantic(),
             ops: OpCounts::default(),
+            token,
         };
         // At Spans the recorder is live (its epoch is the telemetry
         // clock); below, this installs the inert recorder — the no-op
@@ -801,7 +795,7 @@ impl<'a> Tx<'a> {
     ) -> SpanEvent {
         let phases = dispatch!(&self.inner, t => t.phases());
         SpanEvent {
-            thread: thread_token(),
+            thread: self.token,
             start_ns,
             end_ns,
             validate_ns: phases.validate_ns(),

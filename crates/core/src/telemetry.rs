@@ -1,5 +1,5 @@
 //! The telemetry subsystem: sharded counters, log-bucketed latency
-//! histograms, an abort-event trace, and an interval sampler.
+//! histograms, a ring of attempt spans, and an interval sampler.
 //!
 //! Everything the paper's evaluation measures — Table 3's per-operation
 //! invocation counts, the abort-rate series of Figures 1–2 — and
@@ -21,24 +21,26 @@
 //!   commit, and contention-manager backoff into fixed-size atomic
 //!   [`Histogram`]s (two `Instant::now` calls plus a handful of relaxed
 //!   increments per transaction).
-//! * [`TelemetryLevel::Trace`] — additionally records every abort into a
-//!   per-thread fixed-capacity [`EventRing`] of [`AbortEvent`]s for
-//!   postmortem dumps (who aborted, why, at which attempt, carrying how
-//!   much metadata).
-//! * [`TelemetryLevel::Spans`] — the flight recorder: additionally
-//!   records every transaction *attempt* as a [`SpanEvent`]
-//!   (begin/validate/lock/writeback/end timestamps plus set sizes) into
-//!   a second per-thread ring and attributes each abort to the
-//!   conflicting address/orec and committer where knowable
-//!   ([`Conflict`]). The span is the one record of that attribution:
-//!   [`Telemetry::hot_addresses`] and the who-aborted-whom summary
-//!   [`Telemetry::conflict_edges`] count it over the retained spans.
+//! * [`TelemetryLevel::Trace`] — additionally records every aborted
+//!   attempt as a [`SpanEvent`] stamped once, at the abort (who aborted,
+//!   why, at which attempt, carrying how much metadata, on which
+//!   address), into a per-thread fixed-capacity [`EventRing`] for
+//!   postmortem dumps. A committed attempt records nothing.
+//! * [`TelemetryLevel::Spans`] — the flight recorder: records every
+//!   transaction *attempt* as a [`SpanEvent`] (begin/validate/lock/
+//!   writeback/end timestamps plus set sizes) into the same rings and
+//!   attributes each abort to the conflicting address/orec and committer
+//!   where knowable ([`Conflict`]).
+//!
+//! The span is the one record of an attempt: [`Telemetry::trace_events`]
+//! (the aborted spans), [`Telemetry::hot_addresses`] and the
+//! who-aborted-whom summary [`Telemetry::conflict_edges`] all read the
+//! retained spans.
 //!
 //! The [`Sampler`] turns successive [`StatsSnapshot`]s into a
 //! throughput/abort-rate time series ([`SamplePoint`]) — the exporter
 //! side lives in the bench crate's report writer.
 
-use crate::config::Algorithm;
 use crate::error::{AbortReason, Conflict};
 use crate::heap::Addr;
 use crate::ring::EventRing;
@@ -55,10 +57,11 @@ pub enum TelemetryLevel {
     Counters,
     /// Counters plus latency/attempt/set-size/backoff histograms.
     Histograms,
-    /// Histograms plus the per-thread abort-event trace ring.
+    /// Histograms plus the abort trace: each aborted attempt as a span,
+    /// stamped at the abort.
     Trace,
-    /// Trace plus the transaction flight recorder: per-attempt spans
-    /// carrying abort attribution.
+    /// Trace plus the transaction flight recorder: a span per attempt,
+    /// with phase marks and the committer in abort attribution.
     Spans,
 }
 
@@ -74,12 +77,19 @@ impl TelemetryLevel {
     }
 }
 
-/// Number of counter shards (and trace rings). A power of two larger
-/// than any sane core count; threads map onto shards by
-/// `thread_token() % SHARDS`, so two threads share a shard only beyond
-/// 64 live threads — and sharing is merely a perf, not a correctness,
-/// concern.
+/// Number of counter shards (and span rings, and the mode machine's
+/// epoch slots). A power of two larger than any sane core count;
+/// threads map onto shards by `thread_token() % SHARDS`, so two threads
+/// share a shard only beyond 64 live threads — and sharing is merely a
+/// perf, not a correctness, concern.
 pub const SHARDS: usize = 64;
+
+/// The shard of the thread whose [token](crate::util::thread_token) is
+/// `token`. A transaction computes it once, from its one token read.
+#[inline]
+pub(crate) fn shard_index(token: u64) -> usize {
+    token as usize % SHARDS
+}
 
 // --- histograms -----------------------------------------------------------
 
@@ -257,42 +267,22 @@ impl HistogramSnapshot {
     }
 }
 
-// --- abort trace ----------------------------------------------------------
-
-/// One aborted attempt, as recorded at [`TelemetryLevel::Trace`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AbortEvent {
-    /// Nanoseconds since the owning [`Telemetry`] (i.e. the `Stm`) was
-    /// created — a per-instance monotonic timeline shared by all threads.
-    pub timestamp_ns: u64,
-    /// Algorithm the instance runs (carried so merged dumps from several
-    /// instances stay attributable).
-    pub algorithm: Algorithm,
-    /// Why the attempt aborted.
-    pub reason: AbortReason,
-    /// Best-effort attribution: the conflicting address/orec and the
-    /// committer that caused the abort, where the algorithm knew them.
-    pub conflict: Conflict,
-    /// 1-based attempt number within its transaction (1 = first try).
-    pub attempt: u32,
-    /// Read-set entries at abort time.
-    pub read_set: usize,
-    /// Compare-set entries at abort time (0 for the NOrec family).
-    pub compare_set: usize,
-}
-
 // --- flight-recorder spans ------------------------------------------------
 
 /// One transaction attempt as recorded at [`TelemetryLevel::Spans`]:
 /// a begin/end interval with optional intra-attempt phase marks and,
 /// for aborted attempts, the attributed cause. The raw material of the
-/// Chrome trace-event export ([`crate::chrome`]).
+/// Chrome trace-event export ([`crate::chrome`]). At
+/// [`TelemetryLevel::Trace`] only aborted attempts are recorded, each
+/// stamped once, at the abort: `start_ns == end_ns` and no phase marks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanEvent {
     /// [Thread token](crate::util::thread_token) of the executing
     /// thread — one timeline track per thread.
     pub thread: u64,
-    /// Attempt start, nanoseconds on the owning [`Telemetry`] timeline.
+    /// Attempt start, nanoseconds since the owning [`Telemetry`] (i.e.
+    /// the `Stm`) was created — a per-instance timeline shared by all
+    /// threads.
     pub start_ns: u64,
     /// Attempt end (commit completed or abort detected).
     pub end_ns: u64,
@@ -506,7 +496,6 @@ impl Sampler {
 /// All telemetry state of one [`crate::Stm`] instance.
 pub struct Telemetry {
     level: TelemetryLevel,
-    algorithm: Algorithm,
     started: Instant,
     shards: Box<[StatShard]>,
     commit_latency_ns: Histogram,
@@ -514,7 +503,6 @@ pub struct Telemetry {
     commit_read_set: Histogram,
     commit_compare_set: Histogram,
     backoff_spins: Histogram,
-    traces: Box<[Mutex<EventRing<AbortEvent>>]>,
     spans: Box<[Mutex<EventRing<SpanEvent>>]>,
     rates: Mutex<RateState>,
 }
@@ -526,10 +514,8 @@ pub struct Telemetry {
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 const _: () = {
     use std::mem::size_of;
-    assert!(size_of::<Telemetry>() == 552);
+    assert!(size_of::<Telemetry>() == 536);
     assert!(size_of::<AtomicU64>() * HISTOGRAM_BUCKETS == 3968);
-    assert!(size_of::<Mutex<EventRing<AbortEvent>>>() == 56);
-    assert!(size_of::<AbortEvent>() == 48);
     assert!(size_of::<Mutex<EventRing<SpanEvent>>>() == 56);
     assert!(size_of::<SpanEvent>() == 128);
 };
@@ -579,33 +565,23 @@ fn fold(alpha: f64, prev: f64, next: f64) -> f64 {
 
 impl Telemetry {
     /// Create telemetry state for one runtime instance. `trace_capacity`
-    /// is the per-thread ring capacity (newest events win) — it governs
-    /// both the abort-event rings (≥ `Trace`) and the span rings
-    /// (≥ `Spans`). See [`crate::StmConfig::trace_capacity`] for the
-    /// memory cost.
-    pub fn new(level: TelemetryLevel, algorithm: Algorithm, trace_capacity: usize) -> Telemetry {
+    /// is the per-thread span-ring capacity (newest spans win) at
+    /// `Trace` and above. See [`crate::StmConfig::trace_capacity`] for
+    /// the memory cost.
+    pub fn new(level: TelemetryLevel, trace_capacity: usize) -> Telemetry {
         let mut shards = Vec::with_capacity(SHARDS);
         shards.resize_with(SHARDS, StatShard::default);
-        // The rings only ever see events at their level or above; size
-        // them to 1 otherwise so a disabled trace costs a few words, not
-        // megabytes.
-        let ring_capacity = if level >= TelemetryLevel::Trace {
-            trace_capacity.max(1)
+        // Below `Trace` no span is recorded; size the rings to 1 so a
+        // disabled trace costs a few words, not megabytes.
+        let capacity = if level >= TelemetryLevel::Trace {
+            trace_capacity
         } else {
             1
         };
-        let span_capacity = if level >= TelemetryLevel::Spans {
-            trace_capacity.max(1)
-        } else {
-            1
-        };
-        let mut traces = Vec::with_capacity(SHARDS);
-        traces.resize_with(SHARDS, || Mutex::new(EventRing::new(ring_capacity)));
         let mut spans = Vec::with_capacity(SHARDS);
-        spans.resize_with(SHARDS, || Mutex::new(EventRing::new(span_capacity)));
+        spans.resize_with(SHARDS, || Mutex::new(EventRing::new(capacity)));
         Telemetry {
             level,
-            algorithm,
             started: Instant::now(),
             shards: shards.into_boxed_slice(),
             commit_latency_ns: Histogram::default(),
@@ -613,7 +589,6 @@ impl Telemetry {
             commit_read_set: Histogram::default(),
             commit_compare_set: Histogram::default(),
             backoff_spins: Histogram::default(),
-            traces: traces.into_boxed_slice(),
             spans: spans.into_boxed_slice(),
             rates: Mutex::new(RateState::default()),
         }
@@ -631,10 +606,10 @@ impl Telemetry {
         self.started.elapsed().as_nanos() as u64
     }
 
-    /// The counter shard of the thread whose token is `token`.
+    /// The counter shard at `index` (a [`shard_index`]).
     #[inline]
-    pub(crate) fn shard_of(&self, token: u64) -> &StatShard {
-        &self.shards[token as usize % SHARDS]
+    pub(crate) fn shard(&self, index: usize) -> &StatShard {
+        &self.shards[index]
     }
 
     /// Merge all shards into one [`StatsSnapshot`].
@@ -721,30 +696,6 @@ impl Telemetry {
         self.backoff_spins.record(spins);
     }
 
-    /// Append an abort event to the calling thread's trace ring.
-    pub fn record_abort_event(
-        &self,
-        reason: AbortReason,
-        conflict: Conflict,
-        attempt: u32,
-        rs: usize,
-        cs: usize,
-    ) {
-        let event = AbortEvent {
-            timestamp_ns: self.elapsed_ns(),
-            algorithm: self.algorithm,
-            reason,
-            conflict,
-            attempt,
-            read_set: rs,
-            compare_set: cs,
-        };
-        let slot = crate::util::thread_token() as usize % SHARDS;
-        if let Ok(mut ring) = self.traces[slot].lock() {
-            ring.push(event);
-        }
-    }
-
     /// A [`PhaseRecorder`] appropriate for this telemetry level: live
     /// (sharing this instance's timeline) at `Spans`, inert below.
     #[inline]
@@ -756,11 +707,10 @@ impl Telemetry {
         }
     }
 
-    /// Append a flight-recorder span to the calling thread's span ring
-    /// (spans level).
+    /// Append a span to the ring of its thread's shard (every attempt at
+    /// `Spans`, aborted attempts at `Trace`).
     pub fn record_span(&self, event: SpanEvent) {
-        let slot = crate::util::thread_token() as usize % SHARDS;
-        if let Ok(mut ring) = self.spans[slot].lock() {
+        if let Ok(mut ring) = self.spans[shard_index(event.thread)].lock() {
             ring.push(event);
         }
     }
@@ -787,32 +737,8 @@ impl Telemetry {
         self.backoff_spins.snapshot()
     }
 
-    /// All retained abort events, merged across threads and sorted by
-    /// timestamp. Each thread retains at most `trace_capacity` newest
-    /// events; [`EventRing::evicted`] tells how many were dropped.
-    pub fn trace_events(&self) -> Vec<AbortEvent> {
-        let mut out = Vec::new();
-        for ring in self.traces.iter() {
-            if let Ok(ring) = ring.lock() {
-                out.extend(ring.iter().copied());
-            }
-        }
-        out.sort_by_key(|e| e.timestamp_ns);
-        out
-    }
-
-    /// Total abort events evicted from trace rings (trace truncation
-    /// indicator: nonzero means the dump is missing the oldest events).
-    pub fn trace_evicted(&self) -> u64 {
-        self.traces
-            .iter()
-            .filter_map(|r| r.lock().ok().map(|ring| ring.evicted()))
-            .sum()
-    }
-
-    /// All retained flight-recorder spans, merged across threads and
-    /// sorted by start time. Each thread retains at most
-    /// `trace_capacity` newest spans.
+    /// All retained spans, merged across threads and sorted by start
+    /// time. Each thread retains at most `trace_capacity` newest spans.
     pub fn span_events(&self) -> Vec<SpanEvent> {
         let mut out = Vec::new();
         for ring in self.spans.iter() {
@@ -824,8 +750,21 @@ impl Telemetry {
         out
     }
 
-    /// Total spans evicted from span rings (nonzero means the timeline
-    /// is missing its oldest attempts).
+    /// The aborted attempts among the retained spans, sorted by abort
+    /// time (`end_ns`). At `Trace` that is every retained span; at
+    /// `Spans`, the aborts in the window [`Telemetry::span_events`]
+    /// shows.
+    pub fn trace_events(&self) -> Vec<SpanEvent> {
+        let mut out = self.span_events();
+        out.retain(|e| !e.committed());
+        out.sort_by_key(|e| e.end_ns);
+        out
+    }
+
+    /// Total spans evicted from the rings (nonzero means the dump is
+    /// missing its oldest attempts). At `Trace` the rings hold aborts
+    /// only, so `trace_events().len() + spans_evicted()` is the abort
+    /// count; at `Spans` it is the attempt count.
     pub fn spans_evicted(&self) -> u64 {
         self.spans
             .iter()
@@ -858,10 +797,10 @@ impl Telemetry {
     /// The most contended heap addresses seen by abort attribution,
     /// ranked by conflict count (descending; ties broken by address for
     /// determinism). The counts are exact over the retained spans — the
-    /// newest `trace_capacity` attempts per shard, the window
+    /// newest `trace_capacity` spans per shard, the window
     /// [`Telemetry::span_events`] returns — so they sum to the number
     /// of retained aborted spans that name an address. Empty below
-    /// [`TelemetryLevel::Spans`].
+    /// [`TelemetryLevel::Trace`].
     pub fn hot_addresses(&self) -> Vec<(Addr, u64)> {
         self.count_conflicts(|_, c| c.addr())
     }
@@ -870,11 +809,15 @@ impl Telemetry {
     /// thread pairs with abort counts, heaviest first (ties broken by
     /// victim then aborter token). Counted over the same retained spans
     /// as [`Telemetry::hot_addresses`]. Empty below
-    /// [`TelemetryLevel::Spans`], and only as complete as the
-    /// algorithms' attribution (TL2 lock conflicts name the owner
-    /// exactly; NOrec validation failures use the most-recent-committer
-    /// heuristic).
+    /// [`TelemetryLevel::Spans`] — the NOrec family stamps the committer
+    /// word only there, so a lower tier would show TL2's lock owners
+    /// alone — and only as complete as the algorithms' attribution (TL2
+    /// lock conflicts name the owner exactly; NOrec validation failures
+    /// use the most-recent-committer heuristic).
     pub fn conflict_edges(&self) -> Vec<ConflictEdge> {
+        if self.level < TelemetryLevel::Spans {
+            return Vec::new();
+        }
         self.count_conflicts(|span, c| c.by().map(|by| (span.thread, by)))
             .into_iter()
             .map(|((victim, by), count)| ConflictEdge { victim, by, count })
@@ -896,7 +839,7 @@ mod tests {
     #[test]
     fn rates_windows_diff_counters_and_fold_ewma() {
         use crate::stats::OpCounts;
-        let t = Telemetry::new(TelemetryLevel::Counters, Algorithm::SNOrec, 1);
+        let t = Telemetry::new(TelemetryLevel::Counters, 1);
         let commit = |reads: u64, writes: u64| {
             t.shards[0].record_commit(&OpCounts {
                 reads,
@@ -1010,7 +953,7 @@ mod tests {
     #[test]
     fn shard_merge_sums_counts() {
         use crate::stats::OpCounts;
-        let t = Telemetry::new(TelemetryLevel::Counters, Algorithm::SNOrec, 16);
+        let t = Telemetry::new(TelemetryLevel::Counters, 16);
         let ops = OpCounts {
             reads: 2,
             incs: 1,
@@ -1035,7 +978,7 @@ mod tests {
         // Every mix of zero and non-zero operation kinds (bit i of `mix`
         // sets field i), committed and aborted under each reason, spread
         // over several shards: the merged snapshot must be the hand sum.
-        let t = Telemetry::new(TelemetryLevel::Counters, Algorithm::SNOrec, 16);
+        let t = Telemetry::new(TelemetryLevel::Counters, 16);
         let reasons = AbortReason::ALL;
         let mut want = StatsSnapshot::default();
         for mix in 0u64..64 {
@@ -1083,29 +1026,60 @@ mod tests {
 
     #[test]
     fn trace_records_and_sorts_events() {
-        let t = Telemetry::new(TelemetryLevel::Trace, Algorithm::STl2, 8);
-        t.record_abort_event(AbortReason::Validation, Conflict::NONE, 1, 3, 2);
-        t.record_abort_event(AbortReason::Locked, Conflict::NONE, 2, 5, 0);
+        let t = Telemetry::new(TelemetryLevel::Trace, 8);
+        t.record_span(SpanEvent {
+            start_ns: 10,
+            end_ns: 10,
+            read_set: 3,
+            compare_set: 2,
+            ..aborted_span(1, Conflict::NONE)
+        });
+        t.record_span(SpanEvent {
+            start_ns: 20,
+            end_ns: 20,
+            attempt: 2,
+            read_set: 5,
+            abort: Some((AbortReason::Locked, Conflict::NONE)),
+            ..aborted_span(1, Conflict::NONE)
+        });
         let events = t.trace_events();
         assert_eq!(events.len(), 2);
-        assert!(events[0].timestamp_ns <= events[1].timestamp_ns);
-        assert_eq!(events[0].reason, AbortReason::Validation);
-        assert_eq!(events[0].algorithm, Algorithm::STl2);
-        assert!(events[0].conflict.is_none());
-        assert_eq!(t.trace_evicted(), 0);
+        assert!(events[0].end_ns <= events[1].end_ns);
+        let (reason, conflict) = events[0].abort.unwrap();
+        assert_eq!(reason, AbortReason::Validation);
+        assert!(conflict.is_none());
+        assert_eq!(t.spans_evicted(), 0);
     }
 
     #[test]
     fn trace_events_carry_attribution() {
-        let t = Telemetry::new(TelemetryLevel::Trace, Algorithm::SNOrec, 8);
+        let t = Telemetry::new(TelemetryLevel::Trace, 8);
         let conflict = crate::error::Abort::validation()
             .at_addr(Addr::from_index(42))
             .by(7)
             .conflict();
-        t.record_abort_event(AbortReason::Validation, conflict, 1, 3, 0);
+        t.record_span(SpanEvent {
+            read_set: 3,
+            ..aborted_span(1, conflict)
+        });
         let events = t.trace_events();
-        assert_eq!(events[0].conflict.addr(), Some(Addr::from_index(42)));
-        assert_eq!(events[0].conflict.by(), Some(7));
+        let (_, conflict) = events[0].abort.unwrap();
+        assert_eq!(conflict.addr(), Some(Addr::from_index(42)));
+        assert_eq!(conflict.by(), Some(7));
+    }
+
+    #[test]
+    fn below_spans_addresses_rank_but_edges_stay_empty() {
+        // TL2 names a lock owner at every tier, but the NOrec family's
+        // committer word is stamped only at `Spans`: the edges wait for it.
+        let t = Telemetry::new(TelemetryLevel::Trace, 8);
+        let both = crate::error::Abort::locked()
+            .at_addr(Addr::from_index(5))
+            .by(7)
+            .conflict();
+        t.record_span(aborted_span(1, both));
+        assert_eq!(t.hot_addresses(), [(Addr::from_index(5), 1)]);
+        assert!(t.conflict_edges().is_empty());
     }
 
     #[test]
@@ -1175,7 +1149,7 @@ mod tests {
 
     #[test]
     fn span_ring_records_and_sorts() {
-        let t = Telemetry::new(TelemetryLevel::Spans, Algorithm::SNOrec, 8);
+        let t = Telemetry::new(TelemetryLevel::Spans, 8);
         let span = |start: u64, end: u64, abort| SpanEvent {
             thread: 1,
             start_ns: start,
@@ -1201,12 +1175,13 @@ mod tests {
         assert!(spans[0].committed());
         assert_eq!(spans[0].duration_ns(), 30);
         assert!(!spans[1].committed());
+        assert_eq!(t.trace_events(), [spans[1]], "the trace is the aborts");
         assert_eq!(t.spans_evicted(), 0);
     }
 
     #[test]
     fn span_ring_capacity_follows_trace_capacity() {
-        let t = Telemetry::new(TelemetryLevel::Spans, Algorithm::NOrec, 2);
+        let t = Telemetry::new(TelemetryLevel::Spans, 2);
         for i in 0..5u64 {
             t.record_span(SpanEvent {
                 thread: 1,
@@ -1281,7 +1256,7 @@ mod tests {
 
     #[test]
     fn hot_addresses_rank_by_conflict_weight() {
-        let t = Telemetry::new(TelemetryLevel::Spans, Algorithm::SNOrec, 32);
+        let t = Telemetry::new(TelemetryLevel::Spans, 32);
         for _ in 0..20 {
             t.record_span(aborted_span(1, at_addr(5)));
         }
@@ -1297,17 +1272,13 @@ mod tests {
 
     #[test]
     fn conflict_edges_aggregate_across_shards() {
-        let t = Telemetry::new(TelemetryLevel::Spans, Algorithm::STl2, 8);
-        // The same edge lands in this thread's ring and in another's.
-        for _ in 0..3 {
+        let t = Telemetry::new(TelemetryLevel::Spans, 8);
+        // A span lands in its victim's shard: victims 1 and 2 fill two
+        // rings, and their edges merge into one ranking.
+        for _ in 0..4 {
             t.record_span(aborted_span(1, by(9)));
         }
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                t.record_span(aborted_span(1, by(9)));
-                t.record_span(aborted_span(2, by(9)));
-            });
-        });
+        t.record_span(aborted_span(2, by(9)));
         let edges = t.conflict_edges();
         assert_eq!(
             edges,
@@ -1328,7 +1299,7 @@ mod tests {
 
     #[test]
     fn unattributed_conflicts_leave_both_views_empty() {
-        let t = Telemetry::new(TelemetryLevel::Spans, Algorithm::NOrec, 8);
+        let t = Telemetry::new(TelemetryLevel::Spans, 8);
         t.record_span(aborted_span(1, Conflict::NONE));
         assert_eq!(t.span_events().len(), 1);
         assert!(t.hot_addresses().is_empty());
@@ -1337,7 +1308,7 @@ mod tests {
 
     #[test]
     fn evicted_spans_drop_out_of_both_views() {
-        let t = Telemetry::new(TelemetryLevel::Spans, Algorithm::STl2, 2);
+        let t = Telemetry::new(TelemetryLevel::Spans, 2);
         let both = |addr: usize, token: u64| {
             crate::error::Abort::validation()
                 .at_addr(Addr::from_index(addr))

@@ -3,7 +3,7 @@
 //! runtime's own accounting, and sampler deltas.
 
 use semtm_core::util::SplitMix64;
-use semtm_core::{Abort, AbortReason, Algorithm, Sampler, Stm, StmConfig, TelemetryLevel};
+use semtm_core::{Abort, AbortReason, Algorithm, Mode, Sampler, Stm, StmConfig, TelemetryLevel};
 
 fn stm(alg: Algorithm, level: TelemetryLevel) -> Stm {
     Stm::new(
@@ -69,10 +69,12 @@ fn explicit_aborts_are_traced_with_reason_and_attempt() {
     let t = s.telemetry();
     let events = t.trace_events();
     assert_eq!(events.len(), 2);
-    assert!(events.iter().all(|e| e.reason.name() == "explicit"));
+    assert!(events
+        .iter()
+        .all(|e| e.abort.is_some_and(|(r, _)| r.name() == "explicit")));
     assert_eq!(events[0].attempt, 1, "first abort happens on attempt 1");
     assert_eq!(events[1].attempt, 2);
-    assert!(events[0].timestamp_ns <= events[1].timestamp_ns);
+    assert!(events[0].end_ns <= events[1].end_ns);
     // Attempts histogram: one commit that needed 3 attempts.
     assert_eq!(t.attempts_per_commit().count(), 1);
     assert_eq!(t.attempts_per_commit().sum(), 3);
@@ -97,13 +99,13 @@ fn trace_ring_keeps_newest_events_under_overflow() {
     let t = s.telemetry();
     let events = t.trace_events();
     assert_eq!(events.len(), 8, "ring holds only its capacity");
-    assert_eq!(t.trace_evicted(), 12, "older events are counted as evicted");
+    assert_eq!(t.spans_evicted(), 12, "older events are counted as evicted");
     assert_eq!(
-        events.len() as u64 + t.trace_evicted(),
+        events.len() as u64 + t.spans_evicted(),
         s.stats().total_aborts()
     );
     for w in events.windows(2) {
-        assert!(w[0].timestamp_ns <= w[1].timestamp_ns, "sorted by time");
+        assert!(w[0].end_ns <= w[1].end_ns, "sorted by time");
     }
 }
 
@@ -144,7 +146,7 @@ fn shards_merge_exactly_under_concurrent_threads() {
         assert_eq!(t.attempts_per_commit().count(), st.commits, "{alg}");
         assert_eq!(t.attempts_per_commit().sum(), st.attempts(), "{alg}");
         assert_eq!(
-            t.trace_events().len() as u64 + t.trace_evicted(),
+            t.trace_events().len() as u64 + t.spans_evicted(),
             st.total_aborts(),
             "{alg}: every abort traced or evicted"
         );
@@ -194,4 +196,99 @@ fn wasted_work_counts_only_aborted_attempts() {
     assert_eq!(st.committed.total(), 2);
     assert_eq!(st.aborted.total(), 2);
     assert!((st.wasted_work_ratio() - 0.5).abs() < 1e-9);
+}
+
+#[test]
+fn trace_level_records_each_abort_as_a_span_stamped_at_the_abort() {
+    // A nested writer invalidates the outer read: the retry and the
+    // writer commit, so at Trace they leave no span.
+    let s = stm(Algorithm::SNOrec, TelemetryLevel::Trace);
+    let x = s.alloc_cell(0i64);
+    let mut first = true;
+    let got = s.atomic(|tx| {
+        let before = tx.read(x)?;
+        if std::mem::take(&mut first) {
+            s.atomic(|writer| writer.write(x, before + 1));
+        }
+        tx.read(x)
+    });
+    assert_eq!(got, 1);
+    let t = s.telemetry();
+    let spans = t.span_events();
+    assert_eq!(spans.len(), 1, "one span: the aborted attempt");
+    assert_eq!(t.trace_events(), spans);
+    let e = &spans[0];
+    let (reason, conflict) = e.abort.expect("aborted");
+    assert_eq!(
+        (reason, conflict.addr()),
+        (AbortReason::Validation, Some(x))
+    );
+    assert_eq!(
+        (e.attempt, e.read_set, e.write_set, e.compare_set),
+        (1, 1, 0, 0)
+    );
+    assert_eq!(e.start_ns, e.end_ns, "stamped once, at the abort");
+    assert_eq!(
+        (e.validate_ns, e.lock_ns, e.writeback_ns),
+        (None, None, None)
+    );
+    assert_eq!(t.hot_addresses(), [(x, 1)]);
+    assert!(
+        t.conflict_edges().is_empty(),
+        "the committer word needs Spans"
+    );
+    assert_eq!(t.commit_latency_ns().count(), 2, "histograms still profile");
+}
+
+#[test]
+fn hot_swap_keeps_trace_accounting_exact() {
+    // Contended workers at Trace while a switcher moves the runtime
+    // between the NOrec and TL2 families: every abort, whichever engine
+    // raised it, is one span retained or counted as evicted.
+    let s = stm(Algorithm::SNOrec, TelemetryLevel::Trace);
+    let a = s.alloc_cell(0i64);
+    const THREADS: u64 = 4;
+    const PER_THREAD: u64 = 300;
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS {
+            scope.spawn(|| {
+                for i in 0..PER_THREAD {
+                    // Every fifth transaction also gives up its first
+                    // attempt, so the trace is never empty.
+                    let mut give_up = i % 5 == 0;
+                    s.atomic(|tx| {
+                        let v = tx.read(a)?;
+                        tx.write(a, v + 1)?;
+                        if std::mem::take(&mut give_up) {
+                            return Err(Abort::explicit());
+                        }
+                        Ok(())
+                    });
+                }
+            });
+        }
+        scope.spawn(|| {
+            let cycle = [
+                Mode::new(Algorithm::STl2),
+                Mode::new(Algorithm::NOrec),
+                Mode::new(Algorithm::Tl2),
+                Mode::new(Algorithm::SNOrec),
+            ];
+            for target in cycle.into_iter().cycle().take(12) {
+                s.switch_to(target).unwrap();
+                std::thread::yield_now();
+            }
+        });
+    });
+    assert_eq!(s.read_now(a), (THREADS * PER_THREAD) as i64);
+    assert_eq!(s.switch_count(), 12);
+    let st = s.stats();
+    assert_eq!(st.attempts(), st.commits + st.total_aborts());
+    assert_eq!(st.aborts(AbortReason::Explicit), THREADS * PER_THREAD / 5);
+    let t = s.telemetry();
+    assert_eq!(
+        t.trace_events().len() as u64 + t.spans_evicted(),
+        st.total_aborts(),
+        "every abort traced or evicted across the switches"
+    );
 }

@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything here must pass offline (no registry access).
-# Mirrors .github/workflows/tier1.yml; run locally before pushing.
+# CI runs this script as is; run it locally before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # A hung test must fail the gate, not wedge it: every `cargo test` step
 # and the benchmark gate run under `timeout`, at least 3x the step's wall
-# time from a cold build on the 2-vCPU reference host (the workflow's
-# `timeout-minutes` mirror these).
+# time from a cold build on the 2-vCPU reference host.
 
 echo "==> cargo build --release"
 cargo build --release --workspace

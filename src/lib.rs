@@ -19,7 +19,7 @@ pub use semtm_workloads as workloads;
 
 // Flat re-exports of the everyday API.
 pub use semtm_core::{
-    Abort, AbortEvent, AbortReason, AdaptPolicy, Addr, Algorithm, CmpOp, Conflict, ConflictEdge,
-    Fx32, Heap, HistogramSnapshot, Mode, SamplePoint, Sampler, SpanEvent, StatsSnapshot, Stm,
-    StmConfig, SwitchError, SwitchReport, TArray, TVar, Telemetry, TelemetryLevel, Tx, Word,
+    Abort, AbortReason, AdaptPolicy, Addr, Algorithm, CmpOp, Conflict, ConflictEdge, Fx32, Heap,
+    HistogramSnapshot, Mode, SamplePoint, Sampler, SpanEvent, StatsSnapshot, Stm, StmConfig,
+    SwitchError, SwitchReport, TArray, TVar, Telemetry, TelemetryLevel, Tx, Word,
 };

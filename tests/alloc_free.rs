@@ -81,7 +81,9 @@ fn allocations(f: impl FnOnce()) -> u64 {
 
 const CELLS: usize = 1024;
 
-/// The five engine cells of the assertion, at `Counters`.
+/// The five engine cells of the assertion at `Counters`, and S-NOrec at
+/// `Trace`, whose aborting rows push spans into a ring small enough to
+/// wrap.
 fn engines() -> Vec<(&'static str, Stm)> {
     let config = |alg| {
         StmConfig::new(alg)
@@ -98,6 +100,14 @@ fn engines() -> Vec<(&'static str, Stm)> {
         ("stl2", Stm::new(config(Algorithm::STl2))),
         ("norec", Stm::new(config(Algorithm::NOrec))),
         ("tl2", Stm::new(config(Algorithm::Tl2))),
+        (
+            "snorec/trace",
+            Stm::new(
+                config(Algorithm::SNOrec)
+                    .telemetry(TelemetryLevel::Trace)
+                    .trace_capacity(64),
+            ),
+        ),
     ]
 }
 

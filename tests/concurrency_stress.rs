@@ -254,7 +254,7 @@ fn telemetry_invariants_hold_under_full_tracing() {
             "{alg}: attempts histogram covers every attempt"
         );
         assert_eq!(
-            t.trace_events().len() as u64 + t.trace_evicted(),
+            t.trace_events().len() as u64 + t.spans_evicted(),
             st.total_aborts(),
             "{alg}: every abort is traced or counted as evicted"
         );
