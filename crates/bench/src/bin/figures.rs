@@ -28,7 +28,6 @@ const EXPERIMENTS: &[&str] = &[
     "fig1-yada",
     "fig2-hashtable",
     "fig2-vacation",
-    "ablation-stl2",
     "ablation-layout",
     "ablation-durability",
     "ablation-adaptive",
@@ -177,14 +176,6 @@ fn main() {
             "Supplementary C1 — hot hashtable (90% occupancy, 2x threads)",
             exp::contention_sweep(&sweep),
             stm_pairs,
-        );
-    }
-    if pick("ablation-stl2") {
-        emit(
-            "ablation_stl2",
-            "Ablation A1 — S-TL2 snapshot extension on/off (LRU)",
-            exp::ablation_stl2_extension(&sweep),
-            &[("S-TL2/no-extension", "S-TL2")],
         );
     }
     if pick("ablation-layout") {

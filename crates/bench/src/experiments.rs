@@ -271,40 +271,6 @@ pub fn fig1_yada(sweep: &Sweep) -> Vec<FigureRow> {
     rows
 }
 
-/// Ablation A1 (DESIGN.md): S-TL2 with and without the phase-1
-/// snapshot-extension optimisation, on the LRU cache (whose mix of
-/// plain reads and compares is what the optimisation targets).
-pub fn ablation_stl2_extension(sweep: &Sweep) -> Vec<FigureRow> {
-    let cfg = lru::LruConfig {
-        lines: sweep.pick(64, 256),
-        ..lru::LruConfig::default()
-    };
-    let mut rows = Vec::new();
-    for (label, extension) in [("S-TL2", true), ("S-TL2/no-extension", false)] {
-        for &t in &sweep.threads {
-            let stm = Stm::new(
-                StmConfig::new(Algorithm::STl2)
-                    .heap_words(1 << 16)
-                    .orec_count(1 << 14)
-                    .stl2_snapshot_extension(extension),
-            );
-            let r = lru::run(&stm, cfg, t, sweep.duration, sweep.seed);
-            rows.push(FigureRow {
-                figure: "A1",
-                benchmark: "lru",
-                algorithm: label.to_string(),
-                threads: r.threads,
-                metric: "throughput_ktps",
-                value: r.throughput_ktps(),
-                abort_pct: r.abort_pct(),
-                commits: r.stats.commits,
-                aborts: r.stats.conflict_aborts(),
-            });
-        }
-    }
-    rows
-}
-
 /// Supplementary experiment C1: a deliberately *hot* hashtable (tiny
 /// table, long probe chains, many threads) to recover the paper's
 /// high-contention regime on small hosts, where the recorded Figure-1
@@ -876,13 +842,6 @@ mod tests {
         let rows = fig1_kmeans(&tiny());
         assert_eq!(rows[0].metric, "time_s");
         assert!(rows.iter().all(|r| r.value > 0.0));
-    }
-
-    #[test]
-    fn ablations_produce_paired_series() {
-        let rows = ablation_stl2_extension(&tiny());
-        assert_eq!(rows.len(), 2);
-        assert_ne!(rows[0].algorithm, rows[1].algorithm);
     }
 
     #[test]

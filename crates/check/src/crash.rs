@@ -446,6 +446,23 @@ pub fn sweep(cfg: &CrashConfig) -> Result<CrashReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::tests::assert_cells_spread;
+
+    #[test]
+    fn slots_kernel_spreads_over_lines_and_shards() {
+        // The slot array and its size counter: on shards of their own
+        // in the sharded cells, so a flip's commit takes two shards.
+        for shards in [1, 4, 16] {
+            for alg in Algorithm::ALL {
+                let mut cfg = CrashConfig::new(alg, CrashKernel::Slots);
+                cfg.clock_shards = shards;
+                let stm = Stm::new(cfg.stm_config());
+                let slots = Slots::new(&stm);
+                let what = format!("{alg} crash slots");
+                assert_cells_spread(&[slots.base, slots.size], shards, &what);
+            }
+        }
+    }
 
     #[test]
     fn single_engine_sweep_reports_clean() {

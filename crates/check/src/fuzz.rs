@@ -26,29 +26,6 @@ pub fn iterations(dflt: usize) -> usize {
         .unwrap_or(dflt)
 }
 
-/// Commit-clock shard count for the check runtimes: `SEMTM_CLOCK_SHARDS`
-/// when set (tier-1 reruns the whole suite with it at 4 so every
-/// scenario and fuzz program also gates the sharded clock), else 1 —
-/// the classical global sequence lock.
-pub fn clock_shards() -> usize {
-    std::env::var("SEMTM_CLOCK_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(1)
-}
-
-/// Whether scheduled executions add an engine hot-swap virtual thread:
-/// `SEMTM_ADAPTIVE` (any value but `0` or empty) — tier-1 reruns the
-/// fuzz suite with it so every random program history is also checked
-/// across two mode switches (away from the starting engine family and
-/// back). The switcher performs no data operations, so the serial
-/// oracle of the program is unchanged; only the engines executing the
-/// transactions vary mid-history.
-pub fn adaptive() -> bool {
-    std::env::var("SEMTM_ADAPTIVE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 /// The cross-family hot-swap target for a runtime currently in `mode`:
 /// the other engine family, same semanticity (matching what the
 /// [`semtm_core::Controller`] would propose).
@@ -77,14 +54,10 @@ fn check_config(alg: Algorithm, shards: usize) -> StmConfig {
 }
 
 /// An [`Stm`] sized and tuned for scheduler-driven micro executions:
-/// tiny heap, short lock patience. Honors [`clock_shards`].
-pub fn check_stm(alg: Algorithm) -> Stm {
-    check_stm_sharded(alg, clock_shards())
-}
-
-/// [`check_stm`] with an explicit commit-clock shard count, regardless
-/// of the `SEMTM_CLOCK_SHARDS` environment.
-pub fn check_stm_sharded(alg: Algorithm, shards: usize) -> Stm {
+/// tiny heap, short lock patience, `shards` commit-clock shards (1 is
+/// the classical global sequence lock; above 1 every allocation gets a
+/// cache line, and so a clock shard, of its own).
+pub fn check_stm(alg: Algorithm, shards: usize) -> Stm {
     Stm::new(check_config(alg, shards))
 }
 
@@ -93,12 +66,7 @@ pub fn check_stm_sharded(alg: Algorithm, shards: usize) -> Stm {
 /// micro programs record a handful of spans, and exploration harnesses
 /// construct one `Stm` per schedule, so the eager per-shard ring
 /// allocation must stay cheap.
-pub fn check_stm_traced(alg: Algorithm) -> Stm {
-    check_stm_traced_sharded(alg, clock_shards())
-}
-
-/// [`check_stm_traced`] with an explicit commit-clock shard count.
-pub fn check_stm_traced_sharded(alg: Algorithm, shards: usize) -> Stm {
+pub fn check_stm_traced(alg: Algorithm, shards: usize) -> Stm {
     Stm::new(
         check_config(alg, shards)
             .telemetry(TelemetryLevel::Spans)
@@ -106,90 +74,64 @@ pub fn check_stm_traced_sharded(alg: Algorithm, shards: usize) -> Stm {
     )
 }
 
-fn exec_op(rtx: &mut RecTx<'_, '_>, op: POp, base: Addr, stride: usize) -> Result<(), Abort> {
-    let slot = |s: usize| base.offset(s * stride);
+fn exec_op(rtx: &mut RecTx<'_, '_>, op: POp, slots: &[Addr]) -> Result<(), Abort> {
     match op {
         POp::Read(s) => {
-            rtx.read(slot(s))?;
+            rtx.read(slots[s])?;
         }
-        POp::Write(s, v) => rtx.write(slot(s), v)?,
-        POp::Inc(s, d) => rtx.inc(slot(s), d)?,
+        POp::Write(s, v) => rtx.write(slots[s], v)?,
+        POp::Inc(s, d) => rtx.inc(slots[s], d)?,
         POp::Cmp(s, op, c) => {
-            rtx.cmp(slot(s), op, c)?;
+            rtx.cmp(slots[s], op, c)?;
         }
         POp::CmpAddr(a, op, b) => {
-            rtx.cmp_addr(slot(a), op, slot(b))?;
+            rtx.cmp_addr(slots[a], op, slots[b])?;
         }
         POp::Guard(s, op, c, s2, d) => {
-            if rtx.cmp(slot(s), op, c)? {
-                rtx.inc(slot(s2), d)?;
+            if rtx.cmp(slots[s], op, c)? {
+                rtx.inc(slots[s2], d)?;
             }
         }
     }
     Ok(())
 }
 
-/// Slot spacing in heap words: sharded runtimes place each program slot
-/// on its own cache line so the slots span distinct clock shards
-/// (contiguous slots would all map to shard 0 and leave the multi-shard
-/// commit paths unexercised).
-fn slot_stride(shards: usize) -> usize {
-    if shards > 1 {
-        semtm_core::heap::LINE_WORDS
-    } else {
-        1
-    }
+/// One cell per program slot, holding its initial value. A sharded
+/// runtime pads every allocation, so the slots then span distinct cache
+/// lines and clock shards (packed slots would all map to shard 0 and
+/// leave the multi-shard commit paths unexercised).
+fn alloc_slots(stm: &Stm, init: &[i64]) -> Vec<Addr> {
+    init.iter().map(|&v| stm.alloc_cell(v)).collect()
 }
 
-/// Run `program` once on `alg` under the random schedule `sched_seed`,
-/// recording the full history. Errors describe any divergence from the
-/// serial oracle or any checker violation, with enough context to
-/// replay. Honors [`clock_shards`].
-pub fn run_program(program: &Program, alg: Algorithm, sched_seed: u64) -> Result<(), String> {
-    run_program_sharded(program, alg, sched_seed, clock_shards())
-}
-
-/// [`run_program`] with an explicit commit-clock shard count.
-pub fn run_program_sharded(
+/// Run `program` once on `alg` with `shards` commit-clock shards under
+/// the random schedule `sched_seed`, recording the full history; with
+/// `hot_swap`, one more virtual thread switches engine families and
+/// back mid-run. Errors describe any divergence from the serial oracle
+/// or any checker violation, with enough context to replay.
+pub fn run_program(
     program: &Program,
     alg: Algorithm,
     sched_seed: u64,
     shards: usize,
+    hot_swap: bool,
 ) -> Result<(), String> {
-    run_program_on(
-        &check_stm_sharded(alg, shards),
-        program,
-        alg,
-        sched_seed,
-        slot_stride(shards),
-        adaptive(),
-    )
+    run_program_on(&check_stm(alg, shards), program, alg, sched_seed, hot_swap)
 }
 
-/// Replay `program` on a flight-recorder-enabled runtime under the same
-/// schedule and return the recorded timeline as Chrome trace-event JSON
-/// (pass/fail of the replay itself is irrelevant — the spans are the
-/// product). Honors [`clock_shards`].
-pub fn trace_program(program: &Program, alg: Algorithm, sched_seed: u64) -> String {
-    trace_program_sharded(program, alg, sched_seed, clock_shards())
-}
-
-/// [`trace_program`] with an explicit commit-clock shard count.
-pub fn trace_program_sharded(
+/// Replay [`run_program`] on a flight-recorder-enabled runtime under
+/// the same schedule and return the recorded timeline as Chrome
+/// trace-event JSON (pass/fail of the replay itself is irrelevant — the
+/// spans are the product).
+pub fn trace_program(
     program: &Program,
     alg: Algorithm,
     sched_seed: u64,
     shards: usize,
+    hot_swap: bool,
 ) -> String {
-    let stm = check_stm_traced_sharded(alg, shards);
-    let _ = run_program_on(
-        &stm,
-        program,
-        alg,
-        sched_seed,
-        slot_stride(shards),
-        adaptive(),
-    );
+    let stm = check_stm_traced(alg, shards);
+    let _ = run_program_on(&stm, program, alg, sched_seed, hot_swap);
     chrome_trace_json(alg, &stm.telemetry().span_events())
 }
 
@@ -198,32 +140,28 @@ fn run_program_on(
     program: &Program,
     alg: Algorithm,
     sched_seed: u64,
-    stride: usize,
     hot_swap: bool,
 ) -> Result<(), String> {
-    let base = stm.alloc(program.slots * stride);
-    for (i, v) in program.init.iter().enumerate() {
-        stm.write_now(base.offset(i * stride), *v);
-    }
+    let slots = alloc_slots(stm, &program.init);
     let rec = Recorder::new();
 
-    let shared = (stm, &rec, program, base, stride);
-    type Shared<'a> = (&'a Stm, &'a Recorder, &'a Program, Addr, usize);
+    let shared = (stm, &rec, program, slots.as_slice());
+    type Shared<'a> = (&'a Stm, &'a Recorder, &'a Program, &'a [Addr]);
     let body = |tid: usize, shared: &Shared<'_>| {
-        let (stm, rec, program, base, stride) = *shared;
+        let (stm, rec, program, slots) = *shared;
         for tx in &program.threads[tid] {
             atomic_recorded(stm, rec, tid, |rtx| {
                 for &op in tx {
-                    exec_op(rtx, op, base, stride)?;
+                    exec_op(rtx, op, slots)?;
                 }
                 Ok(())
             });
         }
     };
-    // Under `SEMTM_ADAPTIVE`, one extra virtual thread hot-swaps the
-    // runtime to the other engine family and back, so the recorded
-    // history spans three engine eras. It touches no program slot —
-    // the serial oracle below is the unchanged one.
+    // The hot-swap thread switches the runtime to the other engine
+    // family and back, so the recorded history spans three engine eras.
+    // It touches no program slot — the serial oracle below is the
+    // unchanged one.
     let switcher = |_tid: usize, shared: &Shared<'_>| {
         let (stm, ..) = *shared;
         let home = stm.mode();
@@ -248,9 +186,7 @@ fn run_program_on(
         ));
     }
 
-    let final_mem: Vec<i64> = (0..program.slots)
-        .map(|i| stm.read_now(base.offset(i * stride)))
-        .collect();
+    let final_mem: Vec<i64> = slots.iter().map(|&a| stm.read_now(a)).collect();
     if !program.serial_outcomes().contains(&final_mem) {
         return Err(format!(
             "{alg}: final state {final_mem:?} is outside the serial oracle set \
@@ -260,35 +196,22 @@ fn run_program_on(
         ));
     }
 
-    let init: Vec<(Addr, i64)> = program
-        .init
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (base.offset(i * stride), *v))
-        .collect();
-    let fin: Vec<(Addr, i64)> = final_mem
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (base.offset(i * stride), *v))
-        .collect();
-    check_history(&rec.attempts(), &init, &fin).map_err(|e| format!("{alg}: {e}"))
+    let pairs = |values: &[i64]| -> Vec<(Addr, i64)> {
+        slots.iter().copied().zip(values.iter().copied()).collect()
+    };
+    check_history(&rec.attempts(), &pairs(&program.init), &pairs(&final_mem))
+        .map_err(|e| format!("{alg}: {e}"))
 }
 
-/// Fuzz `programs` random programs, each on every algorithm, under
-/// independently seeded random schedules derived from `base_seed`.
-/// Honors [`clock_shards`].
+/// Fuzz `programs` random programs, each on every algorithm with
+/// `shards` commit-clock shards (and the `hot_swap` thread, if asked),
+/// under independently seeded random schedules derived from
+/// `base_seed`.
 ///
 /// On failure the failing program is minimized with [`shrink`] and the
 /// panic message carries the program, algorithm, program seed, and
 /// schedule seed — everything needed to replay.
-pub fn run_differential(programs: usize, base_seed: u64) {
-    run_differential_sharded(programs, base_seed, clock_shards());
-}
-
-/// [`run_differential`] with an explicit commit-clock shard count —
-/// the fuzz gate the sharded commit clock must pass on all four
-/// backends (`tests/sharded_clock.rs`) independent of the environment.
-pub fn run_differential_sharded(programs: usize, base_seed: u64, shards: usize) {
+pub fn run_differential(programs: usize, base_seed: u64, shards: usize, hot_swap: bool) {
     let mut seeder = SplitMix64::new(base_seed);
     for i in 0..programs {
         let prog_seed = seeder.next_u64();
@@ -296,18 +219,18 @@ pub fn run_differential_sharded(programs: usize, base_seed: u64, shards: usize) 
         let mut rng = SplitMix64::new(prog_seed);
         let program = Program::generate(&mut rng);
         for alg in Algorithm::ALL {
-            if let Err(msg) = run_program_sharded(&program, alg, sched_seed, shards) {
-                let minimized = shrink(&program, |p| {
-                    run_program_sharded(p, alg, sched_seed, shards).is_err()
-                });
+            let run = |p: &Program| run_program(p, alg, sched_seed, shards, hot_swap);
+            if let Err(msg) = run(&program) {
+                let minimized = shrink(&program, |p| run(p).is_err());
                 let note = crate::tracedump::dump_note(
                     &format!("fuzz_{alg}"),
-                    &trace_program_sharded(&minimized, alg, sched_seed, shards),
+                    &trace_program(&minimized, alg, sched_seed, shards, hot_swap),
                 );
                 panic!(
                     "differential fuzz failure at program {i}/{programs} on {alg} \
                      (program seed {prog_seed:#x}, schedule seed {sched_seed:#x}, \
-                     base seed {base_seed:#x}, clock shards {shards}): {msg}\n{note}\n\
+                     base seed {base_seed:#x}, clock shards {shards}, \
+                     hot swap {hot_swap}): {msg}\n{note}\n\
                      minimized program: {minimized:#?}"
                 );
             }
@@ -316,8 +239,50 @@ pub fn run_differential_sharded(programs: usize, base_seed: u64, shards: usize) 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use semtm_core::heap::LINE_WORDS;
+    use semtm_core::sclock::ShardedClock;
+
+    /// The placement the sharded runs depend on: at `shards > 1`, the
+    /// cells in `addrs` sit on pairwise distinct cache lines spread over
+    /// at least two clock shards; at one shard they are packed onto one
+    /// line, as the census's runtimes expect.
+    pub(crate) fn assert_cells_spread(addrs: &[Addr], shards: usize, what: &str) {
+        let lines: Vec<usize> = addrs.iter().map(|a| a.index() / LINE_WORDS).collect();
+        if shards == 1 {
+            let packed = lines.iter().all(|&l| l == lines[0]);
+            assert!(packed, "{what} at 1 shard: {addrs:?} not packed");
+            return;
+        }
+        let mut distinct = lines.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(
+            distinct.len(),
+            lines.len(),
+            "{what} at {shards} shards: cells share a cache line ({lines:?})"
+        );
+        let clock = ShardedClock::new(shards);
+        let mut used: Vec<usize> = addrs.iter().map(|&a| clock.shard_of(a)).collect();
+        used.sort_unstable();
+        used.dedup();
+        assert!(
+            used.len() >= 2,
+            "{what} at {shards} shards: every cell under shard {used:?}"
+        );
+    }
+
+    #[test]
+    fn program_slots_spread_over_lines_and_shards() {
+        let init = [0; 5];
+        for shards in [1, 4, 16] {
+            for alg in Algorithm::ALL {
+                let slots = alloc_slots(&check_stm(alg, shards), &init);
+                assert_cells_spread(&slots, shards, &format!("{alg} fuzz slots"));
+            }
+        }
+    }
 
     #[test]
     fn hot_swap_thread_switches_twice_and_history_still_checks() {
@@ -327,9 +292,8 @@ mod tests {
         let mut rng = SplitMix64::new(11);
         let program = Program::generate(&mut rng);
         for alg in Algorithm::ALL {
-            let stm = check_stm_sharded(alg, 1);
-            run_program_on(&stm, &program, alg, 99, 1, true)
-                .unwrap_or_else(|e| panic!("{alg}: {e}"));
+            let stm = check_stm(alg, 1);
+            run_program_on(&stm, &program, alg, 99, true).unwrap_or_else(|e| panic!("{alg}: {e}"));
             assert_eq!(stm.switch_count(), 2, "{alg}");
             assert_eq!(stm.mode(), Mode::new(alg), "{alg}: back home");
         }
@@ -339,8 +303,15 @@ mod tests {
     fn trace_program_replays_into_chrome_json() {
         let mut rng = SplitMix64::new(7);
         let program = Program::generate(&mut rng);
-        let json = trace_program(&program, Algorithm::SNOrec, 42);
-        assert!(json.contains("\"traceEvents\":["));
-        assert!(json.contains("\"ph\":\"X\""), "replay must record spans");
+        // (shards, hot swap): the global clock, the sharded clock, and
+        // the global clock across a hot swap.
+        for (shards, hot_swap) in [(1, false), (4, false), (1, true)] {
+            let json = trace_program(&program, Algorithm::SNOrec, 42, shards, hot_swap);
+            assert!(json.contains("\"traceEvents\":["), "{shards} {hot_swap}");
+            assert!(
+                json.contains("\"ph\":\"X\""),
+                "{shards} {hot_swap}: replay must record spans"
+            );
+        }
     }
 }

@@ -30,20 +30,23 @@
 //! use semtm_check::fuzz::check_stm;
 //! use semtm_core::Algorithm;
 //!
-//! // Explore every schedule (≤2 preemptions) of two racing increments.
-//! let explored = explore_exhaustive(
-//!     ExploreOptions { max_preemptions: 2, ..ExploreOptions::default() },
-//!     |driver| {
-//!         let stm = check_stm(Algorithm::SNOrec);
-//!         let x = stm.alloc_cell(0i64);
-//!         let body = |_tid: usize, stm: &semtm_core::Stm| {
-//!             stm.atomic(|tx| tx.inc(x, 1));
-//!         };
-//!         run_threads(&stm, &[&body, &body], driver, 10_000);
-//!         if stm.read_now(x) == 2 { Ok(()) } else { Err("lost update".into()) }
-//!     },
-//! );
-//! assert!(explored > 1);
+//! // Explore every schedule (≤2 preemptions) of two racing increments,
+//! // on the global commit clock and on four clock shards.
+//! for shards in [1, 4] {
+//!     let explored = explore_exhaustive(
+//!         ExploreOptions { max_preemptions: 2, ..ExploreOptions::default() },
+//!         |driver| {
+//!             let stm = check_stm(Algorithm::SNOrec, shards);
+//!             let x = stm.alloc_cell(0i64);
+//!             let body = |_tid: usize, stm: &semtm_core::Stm| {
+//!                 stm.atomic(|tx| tx.inc(x, 1));
+//!             };
+//!             run_threads(&stm, &[&body, &body], driver, 10_000);
+//!             if stm.read_now(x) == 2 { Ok(()) } else { Err("lost update".into()) }
+//!         },
+//!     );
+//!     assert!(explored > 1);
+//! }
 //! ```
 //!
 //! Failing explorations panic with a replay seed (random mode) or the

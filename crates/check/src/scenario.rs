@@ -8,7 +8,7 @@
 //! non-serializable history and the checker reports it.
 
 use crate::checker::check_history;
-use crate::fuzz::{check_stm_traced, check_stm_traced_sharded};
+use crate::fuzz::check_stm_traced;
 use crate::history::{atomic_recorded, Recorder};
 use crate::schedule::Driver;
 use crate::tracedump::dump_note;
@@ -16,12 +16,18 @@ use crate::vthread::run_threads;
 use semtm_core::chrome::chrome_trace_json;
 use semtm_core::ops::CmpOp;
 use semtm_core::wal::{DurabilityMode, SimStorage};
-use semtm_core::{Algorithm, Mode, Stm, StmConfig};
+use semtm_core::{Addr, Algorithm, Mode, Stm, StmConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const STEP_CAP: usize = 20_000;
 
 type Shared<'a> = (&'a Stm, &'a Recorder);
+
+/// One cell per value, allocated in order: packed on a one-shard
+/// runtime, a cache line (and clock shard) each on a sharded one.
+fn cells<const N: usize>(stm: &Stm, init: [i64; N]) -> [Addr; N] {
+    init.map(|v| stm.alloc_cell(v))
+}
 
 /// S-NOrec revalidation scenario (the bug: skipping the per-entry
 /// semantic re-check during `Validate`).
@@ -31,12 +37,11 @@ type Shared<'a> = (&'a Stm, &'a Recorder);
 /// S-NOrec revalidates `x > 0` (now false) and aborts T0's attempt.
 /// Skipping revalidation lets T0 commit having observed both
 /// `x > 0 == true` and `y == 1` — no serial order explains that
-/// (`[T0,T1]` gives `y = 0`; `[T1,T0]` gives `x > 0` false).
-pub fn snorec_revalidation(driver: &mut dyn Driver) -> Result<(), String> {
-    let stm = check_stm_traced(Algorithm::SNOrec);
-    let x = stm.alloc_cell(5i64);
-    let y = stm.alloc_cell(0i64);
-    let out = stm.alloc_cell(0i64);
+/// (`[T0,T1]` gives `y = 0`; `[T1,T0]` gives `x > 0` false). Runs on
+/// `shards` commit-clock shards.
+pub fn snorec_revalidation(driver: &mut dyn Driver, shards: usize) -> Result<(), String> {
+    let stm = check_stm_traced(Algorithm::SNOrec, shards);
+    let [x, y, out] = cells(&stm, [5, 0, 0]);
     let rec = Recorder::new();
     let shared = (&stm, &rec);
     let t0 = |tid: usize, (stm, rec): &Shared<'_>| {
@@ -88,9 +93,8 @@ pub fn snorec_revalidation(driver: &mut dyn Driver) -> Result<(), String> {
 /// serial order explains, committed or not. On the TL2 family the shard
 /// count is inert and the scenario is a plain two-read snapshot check.
 pub fn first_touch_straddle(driver: &mut dyn Driver, alg: Algorithm) -> Result<(), String> {
-    let stm = check_stm_traced_sharded(alg, 4);
-    let x = stm.alloc_cell(1i64);
-    let y = stm.alloc_cell(2i64);
+    let stm = check_stm_traced(alg, 4);
+    let [x, y] = cells(&stm, [1, 2]);
     let rec = Recorder::new();
     let shared = (&stm, &rec);
     let t0 = |tid: usize, (stm, rec): &Shared<'_>| {
@@ -131,11 +135,12 @@ pub fn first_touch_straddle(driver: &mut dyn Driver, alg: Algorithm) -> Result<(
 /// T0's start version at commit and aborts. Skipping read validation
 /// publishes `y = 2` while T0 observed the pre-T1 `x = 5` — with final
 /// memory `x = -5, y = 2`, neither serial order fits (`[T0,T1]` ends
-/// with `y = 1`; `[T1,T0]` means T0 read `x = -5`).
-pub fn tl2_read_validation(driver: &mut dyn Driver) -> Result<(), String> {
-    let stm = check_stm_traced(Algorithm::Tl2);
-    let x = stm.alloc_cell(5i64);
-    let y = stm.alloc_cell(0i64);
+/// with `y = 1`; `[T1,T0]` means T0 read `x = -5`). Runs on a runtime
+/// built for `shards` commit-clock shards: TL2 ignores the clock, but a
+/// sharded runtime's padded layout puts `x` and `y` under one orec.
+pub fn tl2_read_validation(driver: &mut dyn Driver, shards: usize) -> Result<(), String> {
+    let stm = check_stm_traced(Algorithm::Tl2, shards);
+    let [x, y] = cells(&stm, [5, 0]);
     let rec = Recorder::new();
     let shared = (&stm, &rec);
     let t0 = |tid: usize, (stm, rec): &Shared<'_>| {
@@ -182,25 +187,14 @@ pub fn tl2_read_validation(driver: &mut dyn Driver) -> Result<(), String> {
 /// commits: it observed both `x > 0` and `y = 1`, which no serial order
 /// explains (`[T0,T1]` gives `y = 0` at T0's read; `[T1,T0]` makes the
 /// cmp false).
-pub fn adaptive_switch_drain(driver: &mut dyn Driver) -> Result<(), String> {
-    adaptive_switch_drain_sharded(driver, crate::fuzz::clock_shards())
-}
-
-/// [`adaptive_switch_drain`] with an explicit commit-clock shard count.
 ///
-/// The faulted regression (`tests/fault_adapt.rs`) pins `shards = 1`:
-/// its documented violating schedule is a *global-clock* interleaving
-/// (step 3 relies on whole-read-set revalidation against the single
-/// NOrec sequence word), and the fault must reproduce it regardless of
-/// the `SEMTM_CLOCK_SHARDS` re-runs the suite is invoked under. The
-/// clean sweeps keep honoring the environment so the sharded drain
-/// path gets the same schedule coverage.
-pub fn adaptive_switch_drain_sharded(driver: &mut dyn Driver, shards: usize) -> Result<(), String> {
-    let stm = check_stm_traced_sharded(Algorithm::SNOrec, shards);
-    let x = stm.alloc_cell(5i64);
-    let y = stm.alloc_cell(0i64);
-    let z = stm.alloc_cell(0i64);
-    let out = stm.alloc_cell(0i64);
+/// Runs on `shards` commit-clock shards. The faulted regression
+/// (`tests/fault_adapt.rs`) runs it at one: the violating schedule above
+/// is a *global-clock* interleaving (step 3 relies on whole-read-set
+/// revalidation against the single NOrec sequence word).
+pub fn adaptive_switch_drain(driver: &mut dyn Driver, shards: usize) -> Result<(), String> {
+    let stm = check_stm_traced(Algorithm::SNOrec, shards);
+    let [x, y, z, out] = cells(&stm, [5, 0, 0, 0]);
     let rec = Recorder::new();
     let shared = (&stm, &rec);
     let t0 = |tid: usize, (stm, rec): &Shared<'_>| {
@@ -317,4 +311,21 @@ pub fn adaptive_switch_wal_flush(driver: &mut dyn Driver) -> Result<(), String> 
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fuzz::tests::assert_cells_spread;
+
+    #[test]
+    fn scenario_cells_spread_over_lines_and_shards() {
+        for shards in [1, 4, 16] {
+            for alg in Algorithm::ALL {
+                let stm = check_stm_traced(alg, shards);
+                let addrs = cells(&stm, [0; 4]);
+                assert_cells_spread(&addrs, shards, &format!("{alg} scenario cells"));
+            }
+        }
+    }
 }

@@ -23,16 +23,19 @@ const BUDGETS: [(u32, usize); 2] = [(1, 400), (2, 800)];
 
 #[test]
 fn switch_racing_commits_and_aborts_serializes() {
-    for (bound, cap) in BUDGETS {
-        let explored = explore_exhaustive(
-            ExploreOptions {
-                max_preemptions: bound,
-                max_executions: cap,
-                step_cap: 20_000,
-            },
-            |driver| scenario::adaptive_switch_drain(driver),
-        );
-        assert!(explored > 1, "bound {bound}: explored {explored}");
+    // Drained from the global commit clock and from 4 clock shards.
+    for shards in [1, 4] {
+        for (bound, cap) in BUDGETS {
+            let explored = explore_exhaustive(
+                ExploreOptions {
+                    max_preemptions: bound,
+                    max_executions: cap,
+                    step_cap: 20_000,
+                },
+                |driver| scenario::adaptive_switch_drain(driver, shards),
+            );
+            assert!(explored > 1, "{shards}, bound {bound}: explored {explored}");
+        }
     }
 }
 

@@ -20,13 +20,18 @@
 //! - *control*: `remove(k)`, which flips the `states != REMOVED` the
 //!   probe recorded on `k`'s cell: every engine must abort somewhere.
 //!
-//! The runtimes are built with one clock shard whatever
-//! `SEMTM_CLOCK_SHARDS` says, and no adaptive switcher joins these
-//! executions, so the pinned counts hold in every `semtm-check` pass of
-//! tier-1. A probe change that records a relation a concurrent insert
-//! flips moves a row below and fails the gate.
+//! The runtimes are built with one clock shard and no adaptive switcher
+//! joins these executions. A probe change that records a relation a
+//! concurrent insert flips moves a row below and fails the gate.
+//!
+//! S-TL2's row pins its phase-1 snapshot extension (Algorithm 7 lines
+//! 19–25), which is why S-TL2 has no off switch for it. With the
+//! extension turned off, S-TL2 counted exactly TL2's rows: *reuse*
+//! 563 schedules / 93 aborts against the pinned 566 / 0, and *control*
+//! 495 / 227 against the pinned 496 / 36. A count, not a wall-clock
+//! ratio, decided it.
 
-use semtm_check::fuzz::check_stm_sharded;
+use semtm_check::fuzz::check_stm;
 use semtm_check::schedule::{explore_exhaustive, ExploreOptions};
 use semtm_check::vthread::run_threads;
 use semtm_core::util::hash_u32;
@@ -61,7 +66,7 @@ fn census(alg: Algorithm, script: Script) -> (usize, u64) {
         step_cap: STEP_CAP,
     };
     let schedules = explore_exhaustive(opts, |driver| {
-        let stm = check_stm_sharded(alg, 1);
+        let stm = check_stm(alg, 1);
         let table = Hashtable::new(
             &stm,
             HashtableConfig {

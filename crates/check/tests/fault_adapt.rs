@@ -21,14 +21,13 @@ fn skipped_switch_drain_is_caught_by_the_checker() {
     // reseeds and publishes S-TL2; T0 extends its snapshot; T1 commits
     // under S-TL2; T0 reads stale-consistently and commits) is reached
     // at execution 649 of this DFS order, in well under a second. The
-    // schedule is a global-clock interleaving, so the shard count is
-    // pinned to 1 rather than read from `SEMTM_CLOCK_SHARDS`.
+    // schedule is a global-clock interleaving, so it runs at one shard.
     explore_exhaustive(
         ExploreOptions {
             max_preemptions: 3,
             max_executions: 0,
             step_cap: 20_000,
         },
-        |driver| scenario::adaptive_switch_drain_sharded(driver, 1),
+        |driver| scenario::adaptive_switch_drain(driver, 1),
     );
 }

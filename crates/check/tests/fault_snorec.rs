@@ -1,6 +1,7 @@
 //! Regression test: the harness catches a deliberately reintroduced
 //! S-NOrec bug (skipping the per-entry semantic revalidation during
-//! `Validate`, i.e. after a snapshot extension).
+//! `Validate`, i.e. after a snapshot extension), on the global commit
+//! clock and on 4 clock shards.
 //!
 //! Faults are process-global, so this file holds exactly one test and
 //! lives in its own integration-test binary (own process). The same
@@ -11,17 +12,29 @@
 use semtm_check::scenario;
 use semtm_check::schedule::{explore_exhaustive, ExploreOptions};
 use semtm_core::fault;
+use std::panic::catch_unwind;
 
 #[test]
-#[should_panic(expected = "no real-time-consistent serial order")]
 fn skipped_snorec_revalidation_is_caught_by_the_checker() {
     fault::arm(fault::SNOREC_SKIP_REVALIDATION);
-    explore_exhaustive(
-        ExploreOptions {
-            max_preemptions: 3,
-            max_executions: 0,
-            step_cap: 20_000,
-        },
-        |driver| scenario::snorec_revalidation(driver),
-    );
+    for shards in [1, 4] {
+        let explored = catch_unwind(|| {
+            explore_exhaustive(
+                ExploreOptions {
+                    max_preemptions: 3,
+                    max_executions: 0,
+                    step_cap: 20_000,
+                },
+                |driver| scenario::snorec_revalidation(driver, shards),
+            )
+        });
+        let msg = *explored
+            .expect_err("the checker must object to some schedule")
+            .downcast::<String>()
+            .expect("panic payload");
+        assert!(
+            msg.contains("no real-time-consistent serial order"),
+            "{shards} shard(s): {msg}"
+        );
+    }
 }

@@ -6,7 +6,8 @@
 //! to commit time and must revalidate correctly under preemption. Each
 //! runs tree-walking ([`Interp::execute`]) and lowered
 //! ([`Interp::execute_lowered`], the form every workload runs, whose
-//! fused ops issue the barriers from inside one dispatch).
+//! fused ops issue the barriers from inside one dispatch). Every test
+//! runs on the global commit clock and on 4 clock shards ([`SHARDS`]).
 
 use semtm_check::fuzz::check_stm;
 use semtm_check::schedule::{explore_exhaustive, ExploreOptions};
@@ -16,6 +17,9 @@ use semtm_ir::{lower, programs, run_tm_passes, ExecError, Function, Interp, Lowe
 use std::sync::atomic::{AtomicI64, Ordering};
 
 const STEP_CAP: usize = 20_000;
+
+/// Commit-clock shard counts every test runs at.
+const SHARDS: [usize; 2] = [1, 4];
 
 fn opts() -> ExploreOptions {
     ExploreOptions {
@@ -65,48 +69,53 @@ fn variants(f: Function) -> [(&'static str, Form); 4] {
 /// grant), never a zombie mix.
 #[test]
 fn range_gate_serializes_against_a_bucket_drain_on_every_schedule() {
-    for alg in Algorithm::ALL {
-        for (name, f) in variants(programs::range_gate()) {
-            let explored = explore_exhaustive(opts(), |driver| {
-                let stm = check_stm(alg);
-                let tokens = stm.alloc_cell(60i64);
-                let grants = stm.alloc_cell(0i64);
-                let ret = AtomicI64::new(-1);
-                let shared = (&stm, &ret);
-                type Shared<'a> = (&'a Stm, &'a AtomicI64);
-                let gate = |_tid: usize, (stm, ret): &Shared<'_>| {
-                    let r = f
-                        .execute(
-                            &Interp::new(stm),
-                            &[tokens.index() as i64, grants.index() as i64],
-                        )
-                        .expect("kernel executes")
-                        .expect("kernel returns a value");
-                    ret.store(r, Ordering::Relaxed);
-                };
-                let drain = |_tid: usize, (stm, _): &Shared<'_>| {
-                    stm.atomic(|tx| tx.inc(tokens, -20));
-                };
-                let out = run_threads(&shared, &[&gate, &drain], driver, STEP_CAP);
-                if out.capped {
-                    return Err("step cap exceeded".into());
-                }
-                let (t, g, r) = (
-                    stm.read_now(tokens),
-                    stm.read_now(grants),
-                    ret.load(Ordering::Relaxed),
+    for shards in SHARDS {
+        for alg in Algorithm::ALL {
+            for (name, f) in variants(programs::range_gate()) {
+                let explored = explore_exhaustive(opts(), |driver| {
+                    let stm = check_stm(alg, shards);
+                    let tokens = stm.alloc_cell(60i64);
+                    let grants = stm.alloc_cell(0i64);
+                    let ret = AtomicI64::new(-1);
+                    let shared = (&stm, &ret);
+                    type Shared<'a> = (&'a Stm, &'a AtomicI64);
+                    let gate = |_tid: usize, (stm, ret): &Shared<'_>| {
+                        let r = f
+                            .execute(
+                                &Interp::new(stm),
+                                &[tokens.index() as i64, grants.index() as i64],
+                            )
+                            .expect("kernel executes")
+                            .expect("kernel returns a value");
+                        ret.store(r, Ordering::Relaxed);
+                    };
+                    let drain = |_tid: usize, (stm, _): &Shared<'_>| {
+                        stm.atomic(|tx| tx.inc(tokens, -20));
+                    };
+                    let out = run_threads(&shared, &[&gate, &drain], driver, STEP_CAP);
+                    if out.capped {
+                        return Err("step cap exceeded".into());
+                    }
+                    let (t, g, r) = (
+                        stm.read_now(tokens),
+                        stm.read_now(grants),
+                        ret.load(Ordering::Relaxed),
+                    );
+                    if t != 40 {
+                        return Err(format!("{alg}/{name}/{shards}: tokens = {t}, drain lost"));
+                    }
+                    match (r, g) {
+                        (1, 1) | (0, 0) => Ok(()),
+                        _ => Err(format!(
+                            "{alg}/{name}/{shards}: non-serializable outcome ret={r} grants={g}"
+                        )),
+                    }
+                });
+                assert!(
+                    explored > 10,
+                    "{alg}/{name}/{shards}: only {explored} schedules"
                 );
-                if t != 40 {
-                    return Err(format!("{alg}/{name}: tokens = {t}, drain lost"));
-                }
-                match (r, g) {
-                    (1, 1) | (0, 0) => Ok(()),
-                    _ => Err(format!(
-                        "{alg}/{name}: non-serializable outcome ret={r} grants={g}"
-                    )),
-                }
-            });
-            assert!(explored > 10, "{alg}/{name}: only {explored} schedules");
+            }
         }
     }
 }
@@ -117,41 +126,47 @@ fn range_gate_serializes_against_a_bucket_drain_on_every_schedule() {
 /// load+cmp pair or the promoted `_ITM_S1R` value-compare.
 #[test]
 fn cross_block_guard_is_mutually_exclusive_on_every_schedule() {
-    for alg in Algorithm::ALL {
-        for (name, f) in variants(programs::cross_block_guard()) {
-            let explored = explore_exhaustive(opts(), |driver| {
-                let stm = check_stm(alg);
-                let lock = stm.alloc_cell(0i64);
-                let count = stm.alloc_cell(0i64);
-                let rets = [AtomicI64::new(-1), AtomicI64::new(-1)];
-                let shared = (&stm, &rets);
-                type Shared<'a> = (&'a Stm, &'a [AtomicI64; 2]);
-                let body = |tid: usize, (stm, rets): &Shared<'_>| {
-                    let r = f
-                        .execute(
-                            &Interp::new(stm),
-                            &[lock.index() as i64, count.index() as i64],
-                        )
-                        .expect("kernel executes")
-                        .expect("kernel returns a value");
-                    rets[tid].store(r, Ordering::Relaxed);
-                };
-                let out = run_threads(&shared, &[&body, &body], driver, STEP_CAP);
-                if out.capped {
-                    return Err("step cap exceeded".into());
-                }
-                let (l, c) = (stm.read_now(lock), stm.read_now(count));
-                let acquired = rets[0].load(Ordering::Relaxed) + rets[1].load(Ordering::Relaxed);
-                if l == 1 && c == 1 && acquired == 1 {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "{alg}/{name}: mutual exclusion broken: lock={l} \
+    for shards in SHARDS {
+        for alg in Algorithm::ALL {
+            for (name, f) in variants(programs::cross_block_guard()) {
+                let explored = explore_exhaustive(opts(), |driver| {
+                    let stm = check_stm(alg, shards);
+                    let lock = stm.alloc_cell(0i64);
+                    let count = stm.alloc_cell(0i64);
+                    let rets = [AtomicI64::new(-1), AtomicI64::new(-1)];
+                    let shared = (&stm, &rets);
+                    type Shared<'a> = (&'a Stm, &'a [AtomicI64; 2]);
+                    let body = |tid: usize, (stm, rets): &Shared<'_>| {
+                        let r = f
+                            .execute(
+                                &Interp::new(stm),
+                                &[lock.index() as i64, count.index() as i64],
+                            )
+                            .expect("kernel executes")
+                            .expect("kernel returns a value");
+                        rets[tid].store(r, Ordering::Relaxed);
+                    };
+                    let out = run_threads(&shared, &[&body, &body], driver, STEP_CAP);
+                    if out.capped {
+                        return Err("step cap exceeded".into());
+                    }
+                    let (l, c) = (stm.read_now(lock), stm.read_now(count));
+                    let acquired =
+                        rets[0].load(Ordering::Relaxed) + rets[1].load(Ordering::Relaxed);
+                    if l == 1 && c == 1 && acquired == 1 {
+                        Ok(())
+                    } else {
+                        Err(format!(
+                            "{alg}/{name}/{shards}: mutual exclusion broken: lock={l} \
                          count={c} acquisitions={acquired}"
-                    ))
-                }
-            });
-            assert!(explored > 10, "{alg}/{name}: only {explored} schedules");
+                        ))
+                    }
+                });
+                assert!(
+                    explored > 10,
+                    "{alg}/{name}/{shards}: only {explored} schedules"
+                );
+            }
         }
     }
 }

@@ -8,12 +8,12 @@
 //! Exhaustive bounded-preemption DFS covers the targeted scenarios; the
 //! cross-backend differential fuzzer covers random programs on all four
 //! algorithms (the TL2 family ignores the knob — the runs double as
-//! proof that it stays inert there). Tier-1 additionally re-runs the
-//! whole check suite with `SEMTM_CLOCK_SHARDS=4`, which routes every
-//! *other* scenario in this crate through the sharded clock too.
+//! proof that it stays inert there), with and without a hot-swapping
+//! switcher thread. The other check files run their own scenarios at
+//! 4 shards (and the multi-cell ones at 16) as rows of their own.
 
 use semtm_check::checker::check_history;
-use semtm_check::fuzz::{check_stm_sharded, iterations, run_differential_sharded};
+use semtm_check::fuzz::{check_stm, iterations, run_differential};
 use semtm_check::history::{atomic_recorded, Recorder};
 use semtm_check::scenario;
 use semtm_check::schedule::{explore_exhaustive, Driver, ExploreOptions};
@@ -40,7 +40,7 @@ fn exhaustive_cross_shard_increments_never_lose_updates() {
     // commit exercises sorted multi-shard acquisition and release.
     for alg in Algorithm::ALL {
         let explored = explore_exhaustive(opts(2), |driver| {
-            let stm = check_stm_sharded(alg, SHARDS);
+            let stm = check_stm(alg, SHARDS);
             let x = stm.alloc_cell(0i64);
             let y = stm.alloc_cell(0i64);
             let body = |_tid: usize, stm: &Stm| {
@@ -72,7 +72,7 @@ fn exhaustive_cross_shard_histories_are_opaque() {
     // aborted attempts included.
     for alg in Algorithm::ALL {
         explore_exhaustive(opts(2), |driver| {
-            let stm = check_stm_sharded(alg, SHARDS);
+            let stm = check_stm(alg, SHARDS);
             let x = stm.alloc_cell(1i64);
             let y = stm.alloc_cell(0i64);
             let rec = Recorder::new();
@@ -110,7 +110,7 @@ fn exhaustive_cross_shard_semantic_revalidation_is_sound() {
     // explains.
     for alg in [Algorithm::NOrec, Algorithm::SNOrec] {
         explore_exhaustive(opts(3), |driver| {
-            let stm = check_stm_sharded(alg, SHARDS);
+            let stm = check_stm(alg, SHARDS);
             let x = stm.alloc_cell(5i64);
             let y = stm.alloc_cell(0i64);
             let out_c = stm.alloc_cell(0i64);
@@ -156,7 +156,7 @@ fn exhaustive_opposed_writers_do_not_deadlock_or_corrupt() {
     // in every schedule.
     for alg in [Algorithm::NOrec, Algorithm::SNOrec] {
         explore_exhaustive(opts(2), |driver| {
-            let stm = check_stm_sharded(alg, SHARDS);
+            let stm = check_stm(alg, SHARDS);
             let x = stm.alloc_cell(10i64);
             let y = stm.alloc_cell(10i64);
             let t0 = |_tid: usize, stm: &&Stm| {
@@ -194,7 +194,7 @@ fn exhaustive_disjoint_writers_never_abort() {
     for alg in [Algorithm::NOrec, Algorithm::SNOrec] {
         for bound in [2, 3] {
             explore_exhaustive(opts(bound), |driver| {
-                let stm = check_stm_sharded(alg, SHARDS);
+                let stm = check_stm(alg, SHARDS);
                 let x = stm.alloc_cell(0i64);
                 let y = stm.alloc_cell(0i64);
                 let bump = |c| {
@@ -232,7 +232,7 @@ fn exhaustive_crossed_readers_writers_terminate_without_timeout() {
     for alg in [Algorithm::NOrec, Algorithm::SNOrec] {
         for bound in [2, 3] {
             explore_exhaustive(opts(bound), |driver| {
-                let stm = check_stm_sharded(alg, SHARDS);
+                let stm = check_stm(alg, SHARDS);
                 let x = stm.alloc_cell(1i64);
                 let y = stm.alloc_cell(2i64);
                 let rec = Recorder::new();
@@ -284,7 +284,7 @@ fn exhaustive_first_touch_straddling_a_commit_is_opaque() {
 /// one blind; `T2: read x; read y`. Runs the bodies `cast` names, checks
 /// the final heap and the history.
 fn blind_mix(driver: &mut dyn Driver, alg: Algorithm, cast: &[usize]) -> Result<(), String> {
-    let stm = check_stm_sharded(alg, SHARDS);
+    let stm = check_stm(alg, SHARDS);
     let x = stm.alloc_cell(0i64);
     let y = stm.alloc_cell(0i64);
     let rec = Recorder::new();
@@ -350,10 +350,17 @@ fn exhaustive_blind_writers_and_a_reader_stay_serializable() {
 
 #[test]
 fn differential_fuzz_all_backends_at_four_shards() {
-    // Same harness as tests/fuzz_differential.rs, but pinned to 4 clock
-    // shards with line-strided slots: random programs on all four
-    // algorithms must match the serial oracle and pass the history
-    // checker. The budget is smaller than the global-clock run since
-    // tier-1 also re-runs that whole file under SEMTM_CLOCK_SHARDS=4.
-    run_differential_sharded(iterations(300), 0x5eed_cafe_f00d_0002, SHARDS);
+    // Same harness as tests/fuzz_differential.rs on its own seed stream,
+    // at 4 clock shards with a cache line per slot: random programs on
+    // all four algorithms must match the serial oracle and pass the
+    // history checker, on fixed engines and across hot swaps.
+    // `(hot-swap thread, programs)`:
+    for (hot_swap, programs) in [(false, 1000), (true, 200)] {
+        run_differential(
+            iterations(programs),
+            0x5eed_cafe_f00d_0002,
+            SHARDS,
+            hot_swap,
+        );
+    }
 }

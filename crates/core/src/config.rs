@@ -81,10 +81,6 @@ pub struct StmConfig {
     /// the NOrec clocks never wait while holding a lock, so they need
     /// no bound.
     pub lock_wait_spins: u32,
-    /// S-TL2 ablation knob: disable the phase-1 snapshot-extension
-    /// optimisation (Algorithm 7 lines 19–25). With extension disabled,
-    /// phase-1 `cmp`s validate like phase-2 ones. Default `true`.
-    pub stl2_snapshot_extension: bool,
     /// Number of commit-clock shards for the NOrec family (rounded up to
     /// a power of two, at most 64). The default `1` keeps the classical
     /// single global sequence lock; values above 1 run NOrec/S-NOrec over
@@ -144,7 +140,6 @@ impl StmConfig {
             heap_words: 1 << 24,
             orec_count: 1 << 16,
             lock_wait_spins: 4096,
-            stl2_snapshot_extension: true,
             clock_shards: 1,
             padded_alloc: false,
             telemetry: TelemetryLevel::Counters,
@@ -170,12 +165,6 @@ impl StmConfig {
     /// Builder-style lock-wait patience override (TL2 family only).
     pub fn lock_wait_spins(mut self, spins: u32) -> StmConfig {
         self.lock_wait_spins = spins;
-        self
-    }
-
-    /// Builder-style toggle for the S-TL2 snapshot-extension optimisation.
-    pub fn stl2_snapshot_extension(mut self, on: bool) -> StmConfig {
-        self.stl2_snapshot_extension = on;
         self
     }
 
@@ -247,7 +236,6 @@ mod tests {
             .heap_words(128)
             .orec_count(32)
             .lock_wait_spins(7)
-            .stl2_snapshot_extension(false)
             .clock_shards(8)
             .padded_alloc(true)
             .telemetry(TelemetryLevel::Trace)
@@ -255,7 +243,6 @@ mod tests {
         assert_eq!(c.heap_words, 128);
         assert_eq!(c.orec_count, 32);
         assert_eq!(c.lock_wait_spins, 7);
-        assert!(!c.stl2_snapshot_extension);
         assert_eq!(c.clock_shards, 8);
         assert!(c.padded_alloc);
         assert_eq!(c.telemetry, TelemetryLevel::Trace);

@@ -32,7 +32,7 @@ use crate::sched::{self, PointKind};
 use crate::sets::{ReadEntry, Scratch, ScratchBox, WriteSet};
 use crate::stm::Engine;
 use crate::telemetry::PhaseRecorder;
-use crate::util::{thread_token, SpinWait};
+use crate::util::SpinWait;
 use crate::wal::CommitLog;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -265,9 +265,10 @@ pub(crate) struct NorecTx<'a, C: CommitClock> {
     /// materialised `level >= Spans` guard) unless `enable_spans`
     /// installed a live recorder.
     phases: PhaseRecorder,
-    /// Stamp/read the clock's committer word for abort attribution.
-    /// Only true at `TelemetryLevel::Spans`.
-    record_committer: bool,
+    /// The running thread's token, which a commit stamps into the
+    /// clock's committer word for abort attribution. Nonzero only at
+    /// `TelemetryLevel::Spans`; 0 turns the stamp and the lookup off.
+    committer: u64,
     /// The write-ahead commit log, when the owning [`crate::Stm`] is
     /// durable.
     wal: Option<&'a CommitLog>,
@@ -285,7 +286,7 @@ impl<'a, C: CommitClock> NorecTx<'a, C> {
             scratch,
             held: false,
             phases: PhaseRecorder::disabled(),
-            record_committer: false,
+            committer: 0,
             wal: None,
         }
     }
@@ -294,7 +295,7 @@ impl<'a, C: CommitClock> NorecTx<'a, C> {
     /// flight recorder on, add the most-recent-committer heuristic.
     #[cold]
     fn blame(&self, abort: Abort) -> Abort {
-        if self.record_committer && abort.reason == AbortReason::Validation {
+        if self.committer != 0 && abort.reason == AbortReason::Validation {
             // 0 (never stamped) is `Conflict`'s "unknown" sentinel.
             abort.by(self.clock.committer())
         } else {
@@ -345,9 +346,9 @@ impl<'a, C: CommitClock> Engine<'a> for NorecTx<'a, C> {
         self.wal = Some(log);
     }
 
-    fn enable_spans(&mut self, recorder: PhaseRecorder) {
+    fn enable_spans(&mut self, recorder: PhaseRecorder, token: u64) {
         self.phases = recorder;
-        self.record_committer = recorder.is_enabled();
+        self.committer = token;
     }
 
     fn phases(&self) -> PhaseRecorder {
@@ -423,8 +424,8 @@ impl<'a, C: CommitClock> Engine<'a> for NorecTx<'a, C> {
             .clock
             .acquire(&mut self.view, &self.scratch.writes, &mut reads);
         acquired.map_err(|abort| self.blame(abort))?;
-        if self.record_committer {
-            self.clock.stamp_committer(thread_token());
+        if self.committer != 0 {
+            self.clock.stamp_committer(self.committer);
         }
         self.held = true;
         let (clock, view, held) = (self.clock, &self.view, &mut self.held);
@@ -486,6 +487,7 @@ pub(crate) mod tests {
     use crate::heap::LINE_WORDS;
     use crate::sclock::ShardedClock;
     use crate::stats::OpCounts;
+    use crate::util::thread_token;
 
     fn heap() -> Heap {
         Heap::new(LINE_WORDS * 16)
@@ -748,8 +750,8 @@ pub(crate) mod tests {
                 let mut t1 = NorecTx::new(&heap, &clock);
                 let mut t2 = NorecTx::new(&heap, &clock);
                 if spans {
-                    t1.enable_spans(live());
-                    t2.enable_spans(live());
+                    t1.enable_spans(live(), thread_token());
+                    t2.enable_spans(live(), thread_token());
                 }
                 t1.begin();
                 let v = t1.read(a, &mut ops).unwrap();

@@ -561,6 +561,7 @@ mod tests {
     use crate::stats::OpCounts;
     use crate::stm::Engine;
     use crate::telemetry::PhaseRecorder;
+    use crate::util::thread_token;
     use std::sync::atomic::AtomicBool;
     #[cfg(feature = "shuttle")]
     use std::sync::Arc;
@@ -640,7 +641,7 @@ mod tests {
     /// round ran (the held pass over no foreign read shard marks nothing).
     fn recorded<'a>(heap: &'a Heap, clock: &'a ShardedClock) -> NorecTx<'a, ShardedClock> {
         let mut t = NorecTx::new(heap, clock);
-        t.enable_spans(PhaseRecorder::enabled(Instant::now()));
+        t.enable_spans(PhaseRecorder::enabled(Instant::now()), thread_token());
         t.begin();
         t
     }

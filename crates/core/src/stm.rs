@@ -272,8 +272,9 @@ impl Stm {
     ) -> Result<T, E> {
         // The one thread-token read of the transaction: everything keyed
         // by the thread — backoff jitter, epoch slot, counter shard, TL2
-        // lock owner, span track — is handed it, and the one shard index
-        // serves as both epoch slot and counter shard.
+        // lock owner, NOrec committer stamp, span track — is handed it,
+        // and the one shard index serves as both epoch slot and counter
+        // shard.
         let token = thread_token();
         let slot = shard_index(token);
         let mut cm = ContentionManager::new(token.wrapping_mul(0x9E37_79B9));
@@ -457,8 +458,9 @@ pub(crate) trait Engine<'a> {
     /// `log` post-validation/pre-write-back and ack only once durable.
     fn enable_wal(&mut self, log: &'a CommitLog);
     /// Turn the flight recorder on for this context: install a live
-    /// phase recorder and enable committer stamping/attribution.
-    fn enable_spans(&mut self, recorder: PhaseRecorder);
+    /// phase recorder and enable committer stamping/attribution under
+    /// `token`, the running thread's token.
+    fn enable_spans(&mut self, recorder: PhaseRecorder, token: u64);
     /// Current phase marks (read back by the span recorder).
     fn phases(&self) -> PhaseRecorder;
     /// Begin (or re-begin after an abort): clear the sets, take a snapshot.
@@ -625,7 +627,6 @@ impl<'a> Tx<'a> {
                 &stm.tl2,
                 token,
                 stm.config.lock_wait_spins,
-                stm.config.stl2_snapshot_extension,
             )),
             _ => unreachable!("baseline() returns a baseline"),
         };
@@ -640,7 +641,7 @@ impl<'a> Tx<'a> {
         // marks inside the algorithms stay behind its `None` check.
         let recorder = stm.telemetry.phase_recorder();
         if recorder.is_enabled() {
-            dispatch!(&mut tx.inner, t => t.enable_spans(recorder));
+            dispatch!(&mut tx.inner, t => t.enable_spans(recorder, token));
         }
         if let Some(log) = &stm.wal {
             dispatch!(&mut tx.inner, t => t.enable_wal(log));

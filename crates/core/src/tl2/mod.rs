@@ -97,10 +97,9 @@ pub struct Tl2Tx<'a> {
     global: &'a Tl2Global,
     owner: u64,
     lock_wait_spins: u32,
-    snapshot_extension: bool,
     start_version: u64,
-    /// Still in phase 1: snapshot extension is on and the read-set is
-    /// empty (kept beside it, so that a `cmp` asks no buffer).
+    /// Still in phase 1: the read-set is empty (kept beside it, so that
+    /// a `cmp` asks no buffer).
     phase1: bool,
     /// The read-set (`orecs`), the compare-set (`entries` — semantic
     /// entries, a separate set, §4.2), the write-set and the commit's
@@ -127,14 +126,12 @@ impl<'a> Tl2Tx<'a> {
         global: &'a Tl2Global,
         owner: u64,
         lock_wait_spins: u32,
-        snapshot_extension: bool,
     ) -> Self {
         Tl2Tx {
             heap,
             global,
             owner,
             lock_wait_spins,
-            snapshot_extension,
             start_version: 0,
             phase1: false,
             scratch: ScratchBox::take(),
@@ -392,7 +389,9 @@ impl<'a> Engine<'a> for Tl2Tx<'a> {
         self.wal = Some(log);
     }
 
-    fn enable_spans(&mut self, recorder: PhaseRecorder) {
+    fn enable_spans(&mut self, recorder: PhaseRecorder, token: u64) {
+        // The committer word TL2 stamps is `owner`, the same token.
+        debug_assert_eq!(token, self.owner);
         self.phases = recorder;
         self.record_committer = recorder.is_enabled();
     }
@@ -411,7 +410,7 @@ impl<'a> Engine<'a> for Tl2Tx<'a> {
         self.scratch.orecs.clear();
         self.scratch.entries.clear();
         self.scratch.clear_writes();
-        self.phase1 = self.snapshot_extension;
+        self.phase1 = true;
         self.phases.reset();
         sched::point(sched::PointKind::Tl2Begin);
         self.start_version = self.global.now();
@@ -579,7 +578,7 @@ mod tests {
     }
 
     fn tx<'a>(heap: &'a Heap, global: &'a Tl2Global) -> Tl2Tx<'a> {
-        let mut t = Tl2Tx::new(heap, global, thread_token(), 64, true);
+        let mut t = Tl2Tx::new(heap, global, thread_token(), 64);
         t.begin();
         t
     }
@@ -633,18 +632,6 @@ mod tests {
         assert!(t1.start_version() > sv0, "snapshot must have been extended");
         assert_eq!(t1.compare_set_len(), 1);
         assert_eq!(t1.read_set_len(), 0);
-    }
-
-    #[test]
-    fn phase1_cmp_without_extension_knob_aborts() {
-        let (heap, global) = setup();
-        let x = heap.alloc(1);
-        heap.store(x, 5);
-        let mut ops = OpCounts::default();
-        let mut t1 = Tl2Tx::new(&heap, &global, thread_token(), 64, false);
-        t1.begin();
-        commit_write(&heap, &global, x, 7);
-        assert_eq!(t1.cmp(x, CmpOp::Gt, 0, &mut ops), Err(Abort::validation()));
     }
 
     #[test]
@@ -784,7 +771,7 @@ mod tests {
         let pre = global.orecs.load(oi);
         assert!(global.orecs.try_lock(oi, pre, 999)); // stuck foreign lock
         let mut ops = OpCounts::default();
-        let mut t1 = Tl2Tx::new(&heap, &global, thread_token(), 16, true);
+        let mut t1 = Tl2Tx::new(&heap, &global, thread_token(), 16);
         t1.begin();
         assert_eq!(t1.cmp(x, CmpOp::Gt, 0, &mut ops), Err(Abort::timeout()));
         global.orecs.store(oi, pre);
@@ -831,13 +818,19 @@ mod tests {
         let a = heap.alloc(1);
         let out = heap.alloc(1);
         let mut ops = OpCounts::default();
-        let mut t1 = Tl2Tx::new(&heap, &global, thread_token(), 64, true);
-        t1.enable_spans(PhaseRecorder::enabled(std::time::Instant::now()));
+        let mut t1 = Tl2Tx::new(&heap, &global, thread_token(), 64);
+        t1.enable_spans(
+            PhaseRecorder::enabled(std::time::Instant::now()),
+            thread_token(),
+        );
         t1.begin();
         let _ = t1.read(a, &mut ops).unwrap();
         // Concurrent commit with the recorder on stamps the committer.
-        let mut t2 = Tl2Tx::new(&heap, &global, thread_token(), 64, true);
-        t2.enable_spans(PhaseRecorder::enabled(std::time::Instant::now()));
+        let mut t2 = Tl2Tx::new(&heap, &global, thread_token(), 64);
+        t2.enable_spans(
+            PhaseRecorder::enabled(std::time::Instant::now()),
+            thread_token(),
+        );
         t2.begin();
         t2.write(a, 3);
         t2.commit().unwrap();
@@ -859,7 +852,7 @@ mod tests {
         let pre = global.orecs.load(oi);
         assert!(global.orecs.try_lock(oi, pre, 999)); // stuck foreign lock
         let mut ops = OpCounts::default();
-        let mut t1 = Tl2Tx::new(&heap, &global, thread_token(), 16, true);
+        let mut t1 = Tl2Tx::new(&heap, &global, thread_token(), 16);
         t1.begin();
         let err = t1.cmp(x, CmpOp::Gt, 0, &mut ops).unwrap_err();
         assert_eq!(err, Abort::timeout());

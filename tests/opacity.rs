@@ -305,7 +305,7 @@ mod scheduled {
             let mut committed_across_first_try = false;
             let mut saw_abort = false;
             let explored = explore_exhaustive(opts(3), |driver| {
-                let stm = check_stm(alg);
+                let stm = check_stm(alg, 1);
                 let x = stm.alloc_cell(5);
                 let y = stm.alloc_cell(5);
                 let out = stm.alloc_cell(0);
@@ -380,7 +380,7 @@ mod scheduled {
         for alg in [Algorithm::SNOrec, Algorithm::STl2] {
             let mut serialised_after_interferer = false;
             explore_exhaustive(opts(3), |driver| {
-                let stm = check_stm(alg);
+                let stm = check_stm(alg, 1);
                 let x = stm.alloc_cell(0);
                 let y = stm.alloc_cell(0);
                 let z = stm.alloc_cell(-1);
@@ -452,7 +452,7 @@ mod scheduled {
     fn algorithm9_never_pairs_old_y_with_new_x() {
         for alg in Algorithm::ALL {
             explore_exhaustive(opts(3), |driver| {
-                let stm = check_stm(alg);
+                let stm = check_stm(alg, 1);
                 let x = stm.alloc_cell(0);
                 let y = stm.alloc_cell(0);
                 let z = stm.alloc_cell(-1);
