@@ -503,7 +503,6 @@ fn a7_policy(sweep: &Sweep) -> AdaptPolicy {
         // commits per second) yields a decidable window per tick.
         min_commits: sweep.pick(8, 16),
         dwell_ticks: 2,
-        ..AdaptPolicy::default()
     }
 }
 

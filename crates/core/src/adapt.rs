@@ -377,51 +377,46 @@ impl ModeMachine {
     }
 }
 
-/// Tuning knobs of the adaptive [`Controller`] — sampling, hysteresis,
-/// and the cost-model weights (see [`Controller::cost`] and DESIGN.md
-/// §10 for the model).
+/// EWMA smoothing factor handed to [`crate::telemetry::Telemetry::rates`]
+/// (weight of the newest window; `1.0` = no smoothing).
+pub(crate) const SAMPLE_ALPHA: f64 = 0.5;
+/// Hysteresis: the best candidate's modeled cost must undercut the
+/// current mode's by this relative margin to justify a switch.
+const MARGIN: f64 = 0.25;
+/// Cost weight of one read-set entry revalidated when the commit clock
+/// moves (NOrec-family validation term).
+const REVALIDATION_WEIGHT: f64 = 1.0;
+/// Cost weight of acquiring one extra clock shard at commit (the
+/// sharded clock's write-side tax — what A5's Bank row shows).
+const SHARD_COMMIT_WEIGHT: f64 = 2.0;
+/// Cost weight of the two orec loads bracketing every TL2 read.
+const TL2_READ_WEIGHT: f64 = 0.01;
+/// Cost weight of locking one orec at TL2 commit.
+const TL2_WRITE_WEIGHT: f64 = 0.5;
+/// Cost weight of TL2's restart exposure under contention: a TL2
+/// conflict discards the whole attempt (`r` reads of wasted work), where
+/// the NOrec family's value-based revalidation and snapshot extension
+/// usually salvage the attempt in place.
+const TL2_CONTENTION_WEIGHT: f64 = 0.5;
+
+/// What a caller tunes of the adaptive [`Controller`]: how much signal
+/// a window needs and how long a switch holds. The sampling factor, the
+/// switch margin and the cost-model weights are fixed (see
+/// [`Controller::cost`] and DESIGN.md §10 for the model).
 #[derive(Clone, Copy, Debug)]
 pub struct AdaptPolicy {
-    /// EWMA smoothing factor handed to [`crate::telemetry::Telemetry::rates`]
-    /// (weight of the newest window; `1.0` = no smoothing).
-    pub sample_alpha: f64,
     /// Ignore windows with fewer commits than this (no signal).
     pub min_commits: u64,
     /// Hysteresis: ticks to dwell in a freshly chosen mode before
     /// another switch may be considered.
     pub dwell_ticks: u32,
-    /// Hysteresis: the best candidate's modeled cost must undercut the
-    /// current mode's by this relative margin to justify a switch.
-    pub margin: f64,
-    /// Cost weight of one read-set entry revalidated when the commit
-    /// clock moves (NOrec-family validation term).
-    pub revalidation_weight: f64,
-    /// Cost weight of acquiring one extra clock shard at commit
-    /// (the sharded clock's write-side tax — what A5's Bank row shows).
-    pub shard_commit_weight: f64,
-    /// Cost weight of the two orec loads bracketing every TL2 read.
-    pub tl2_read_weight: f64,
-    /// Cost weight of locking one orec at TL2 commit.
-    pub tl2_write_weight: f64,
-    /// Cost weight of TL2's restart exposure under contention: a TL2
-    /// conflict discards the whole attempt (`r` reads of wasted work),
-    /// where the NOrec family's value-based revalidation and snapshot
-    /// extension usually salvage the attempt in place.
-    pub tl2_contention_weight: f64,
 }
 
 impl Default for AdaptPolicy {
     fn default() -> AdaptPolicy {
         AdaptPolicy {
-            sample_alpha: 0.5,
             min_commits: 64,
             dwell_ticks: 3,
-            margin: 0.25,
-            revalidation_weight: 1.0,
-            shard_commit_weight: 2.0,
-            tl2_read_weight: 0.01,
-            tl2_write_weight: 0.5,
-            tl2_contention_weight: 0.5,
         }
     }
 }
@@ -441,11 +436,6 @@ impl Controller {
     /// A controller following `policy`.
     pub fn new(policy: AdaptPolicy) -> Controller {
         Controller { policy, dwell: 0 }
-    }
-
-    /// The policy this controller follows.
-    pub fn policy(&self) -> &AdaptPolicy {
-        &self.policy
     }
 
     /// The per-commit overhead the cost model predicts for `mode` under
@@ -469,23 +459,25 @@ impl Controller {
     ///   saves it. TL2 therefore wins exactly the big-read-set,
     ///   low-abort regime (A7's scan phase) and loses it back as aborts
     ///   appear (the hot hashtable).
+    ///
+    /// `REVAL`, `SHARD`, `TL2R`, `TL2W` and `TL2C` are this module's
+    /// fixed `*_WEIGHT` constants.
     pub fn cost(&self, mode: Mode, rates: &RateEwma, clock_shards: usize) -> f64 {
-        let p = &self.policy;
         let r = rates.avg_read_set;
         let w = rates.avg_write_set;
         let p_w = w.min(1.0);
         let contention = (rates.abort_ratio * 8.0).min(4.0);
-        let reval = r * p_w * (0.25 + contention) * p.revalidation_weight;
+        let reval = r * p_w * (0.25 + contention) * REVALIDATION_WEIGHT;
         match (mode.algorithm.baseline(), mode.sharded) {
             (Algorithm::NOrec, false) => 1.0 + reval,
             (Algorithm::NOrec, true) => {
                 let moved = (w / clock_shards.max(1) as f64).min(1.0);
-                1.0 + w * p.shard_commit_weight + reval * moved
+                1.0 + w * SHARD_COMMIT_WEIGHT + reval * moved
             }
             (Algorithm::Tl2, _) => {
-                1.5 + r * p.tl2_read_weight
-                    + w * p.tl2_write_weight
-                    + r * contention * p.tl2_contention_weight
+                1.5 + r * TL2_READ_WEIGHT
+                    + w * TL2_WRITE_WEIGHT
+                    + r * contention * TL2_CONTENTION_WEIGHT
             }
             _ => unreachable!("baseline() returns a baseline"),
         }
@@ -527,7 +519,7 @@ impl Controller {
             .into_iter()
             .map(|m| (m, self.cost(m, rates, clock_shards)))
             .min_by(|a, b| a.1.total_cmp(&b.1))?;
-        if best.0 != current && best.1 < current_cost * (1.0 - self.policy.margin) {
+        if best.0 != current && best.1 < current_cost * (1.0 - MARGIN) {
             Some(best.0)
         } else {
             None

@@ -208,7 +208,7 @@ impl Stm {
     pub fn adapt_tick(&self) -> Option<SwitchReport> {
         let controller = self.controller.as_ref()?;
         let mut ctl = controller.lock().expect("controller poisoned");
-        let rates = self.telemetry.rates(ctl.policy().sample_alpha);
+        let rates = self.telemetry.rates(adapt::SAMPLE_ALPHA);
         let target = ctl.decide(self.mode(), &rates, self.config.clock_shards)?;
         match self.switch_to(target) {
             Ok(report) if report.changed() => {
@@ -1407,7 +1407,6 @@ mod tests {
         let policy = crate::adapt::AdaptPolicy {
             min_commits: 32,
             dwell_ticks: 0,
-            ..crate::adapt::AdaptPolicy::default()
         };
         let stm = Stm::new(
             StmConfig::new(Algorithm::SNOrec)

@@ -17,7 +17,6 @@
 //! provably differ (`No`) — wrapping addition is injective in the
 //! offset, so this holds even if the address arithmetic wrapped.
 
-use super::super::cfg::Cfg;
 use super::super::reaching::Pos;
 use super::regions::Regions;
 use super::{AbsInt, AbsVal, Interval, Sym};
@@ -204,12 +203,7 @@ fn classify(k1: AccessKind, k2: AccessKind) -> Option<bool> {
 
 impl ConflictAnalysis {
     /// Summarise every region of `func` and fold the pairwise matrix.
-    pub fn compute(
-        func: &Function,
-        _cfg: &Cfg,
-        absint: &AbsInt,
-        regions: &Regions,
-    ) -> ConflictAnalysis {
+    pub fn compute(func: &Function, absint: &AbsInt, regions: &Regions) -> ConflictAnalysis {
         let mut summaries: Vec<RegionSummary> = (0..regions.count())
             .map(|region| RegionSummary {
                 region,
@@ -380,7 +374,7 @@ mod tests {
         let cfg = Cfg::new(&f);
         let ai = AbsInt::compute(&f, &cfg);
         let regions = Regions::compute(&f, &cfg);
-        ConflictAnalysis::compute(&f, &cfg, &ai, &regions)
+        ConflictAnalysis::compute(&f, &ai, &regions)
     }
 
     #[test]

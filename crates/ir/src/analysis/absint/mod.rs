@@ -46,7 +46,7 @@ pub use widen::{widen_candidates, WidenCandidate};
 
 use super::cfg::Cfg;
 use super::reaching::Pos;
-use super::solver::{solve, DataflowProblem, Direction};
+use super::solver::{solve, DataflowProblem, Direction, Solution};
 use crate::ir::{BinOp, BlockId, Function, Inst, Operand, Reg};
 use semtm_core::CmpOp;
 use std::cell::RefCell;
@@ -157,32 +157,6 @@ fn operand_value(fact: &Fact, op: Operand) -> AbsVal {
     match op {
         Operand::Imm(v) => AbsVal::constant(v),
         Operand::Reg(r) => fact[r as usize],
-    }
-}
-
-/// The abstract transfer function of one instruction.
-fn transfer_inst(fact: &mut Fact, inst: &Inst, pos: Pos) {
-    let new = match *inst {
-        Inst::Mov { src, .. } => operand_value(fact, src),
-        Inst::Bin { op, a, b, .. } => {
-            let va = operand_value(fact, a);
-            let vb = operand_value(fact, b);
-            bin_value(op, va, vb)
-        }
-        Inst::Cmp { .. } | Inst::Not { .. } | Inst::TmCmpVal { .. } | Inst::TmCmpAddr { .. } => {
-            AbsVal {
-                range: Interval { lo: 0, hi: 1 },
-                sym: Sym::Top,
-            }
-        }
-        Inst::TmLoad { .. } => AbsVal {
-            range: Interval::TOP,
-            sym: Sym::LoadPlus(pos, 0),
-        },
-        _ => return,
-    };
-    if let Some(d) = inst.def() {
-        fact[d as usize] = new;
     }
 }
 
@@ -356,12 +330,32 @@ impl DataflowProblem for AbsIntProblem<'_> {
         }
     }
 
-    fn transfer_block(&self, func: &Function, b: BlockId, fact: &mut Fact) {
+    fn transfer(&self, inst: &Inst, pos: Pos, fact: &mut Fact) {
         if fact.is_empty() {
-            return; // bottom: block not (yet) reachable
+            return; // bottom: position not (yet) reachable
         }
-        for (i, inst) in func.blocks[b].insts.iter().enumerate() {
-            transfer_inst(fact, inst, (b, i));
+        let new = match *inst {
+            Inst::Mov { src, .. } => operand_value(fact, src),
+            Inst::Bin { op, a, b, .. } => {
+                let va = operand_value(fact, a);
+                let vb = operand_value(fact, b);
+                bin_value(op, va, vb)
+            }
+            Inst::Cmp { .. }
+            | Inst::Not { .. }
+            | Inst::TmCmpVal { .. }
+            | Inst::TmCmpAddr { .. } => AbsVal {
+                range: Interval { lo: 0, hi: 1 },
+                sym: Sym::Top,
+            },
+            Inst::TmLoad { .. } => AbsVal {
+                range: Interval::TOP,
+                sym: Sym::LoadPlus(pos, 0),
+            },
+            _ => return,
+        };
+        if let Some(d) = inst.def() {
+            fact[d as usize] = new;
         }
     }
 }
@@ -414,11 +408,9 @@ fn block_guard(func: &Function, b: BlockId) -> Option<EdgeGuard> {
 /// The solved abstract interpretation of one function, with
 /// position-level queries.
 pub struct AbsInt {
-    /// `before[b][i]` = per-register abstract state immediately before
-    /// instruction `(b, i)`; one extra entry per block for the block
-    /// end. An empty inner state means the position was never proven
-    /// reachable (bottom).
-    before: Vec<Vec<Fact>>,
+    /// Per-register abstract state at every position. An empty state
+    /// means the position was never proven reachable (bottom).
+    facts: Solution<Fact>,
 }
 
 impl AbsInt {
@@ -446,29 +438,17 @@ impl AbsInt {
             widen_at,
             join_counts: RefCell::new(vec![0; func.blocks.len()]),
         };
-        let sol = solve(func, cfg, &problem);
-        // Replay each block to recover position-level states.
-        let mut before = Vec::with_capacity(func.blocks.len());
-        for (b, block) in func.blocks.iter().enumerate() {
-            let mut cur = sol.entry[b].clone();
-            let mut per_inst = Vec::with_capacity(block.insts.len() + 1);
-            for (i, inst) in block.insts.iter().enumerate() {
-                per_inst.push(cur.clone());
-                if !cur.is_empty() {
-                    transfer_inst(&mut cur, inst, (b, i));
-                }
-            }
-            per_inst.push(cur);
-            before.push(per_inst);
+        AbsInt {
+            facts: solve(func, cfg, &problem),
         }
-        AbsInt { before }
     }
 
     /// The abstract value of `reg` just before `pos`. Returns
     /// [`AbsVal::TOP`] at positions never proven reachable — callers
     /// that care use [`AbsInt::state_reachable`] first.
     pub fn value(&self, pos: Pos, reg: Reg) -> AbsVal {
-        self.before[pos.0][pos.1]
+        self.facts
+            .at(pos)
             .get(reg as usize)
             .copied()
             .unwrap_or(AbsVal::TOP)
@@ -485,7 +465,7 @@ impl AbsInt {
     /// Was an abstract state ever propagated to `pos`? `false` for
     /// unreachable blocks and for edges the refiner proved infeasible.
     pub fn state_reachable(&self, pos: Pos) -> bool {
-        !self.before[pos.0][pos.1].is_empty()
+        !self.facts.at(pos).is_empty()
     }
 }
 

@@ -11,12 +11,83 @@
 
 use super::super::cfg::Cfg;
 use super::super::reaching::Pos;
-use crate::ir::{Function, Inst};
+use crate::ir::{BlockId, Function, Inst};
+use std::collections::{BTreeMap, HashMap};
+
+/// Atomic-region depth at every position, from one walk of the CFG:
+/// the only statement of the depth rule (`tmbegin` opens a level,
+/// `tmend` closes one). The verifier reports its first balance error;
+/// [`Regions`] reads its depths.
+pub(crate) struct Depths {
+    /// `at[b][i]` = depth before `(b, i)`, `at[b][len]` at the block's
+    /// end; unreachable blocks are depth 0.
+    pub(crate) at: Vec<Vec<u32>>,
+    /// The first balance violation met: block, instruction (none for a
+    /// join that is entered at two depths) and message.
+    pub(crate) error: Option<(BlockId, Option<usize>, String)>,
+}
+
+/// Propagate region depth from the entry along the CFG, depth first.
+/// Every reachable block must be entered at one depth, `tmend` must
+/// not underflow and no `ret` may leave a region open. After a
+/// violation the walk goes on (an underflowing `tmend` stays at depth
+/// 0, a join keeps the depth it was first entered at), so every
+/// position gets a depth even on input the verifier rejects.
+pub(crate) fn region_depths(func: &Function, cfg: &Cfg) -> Depths {
+    let mut at: Vec<Vec<u32>> = func
+        .blocks
+        .iter()
+        .map(|b| vec![0; b.insts.len() + 1])
+        .collect();
+    let mut error = None;
+    let mut fail = |b: BlockId, i: Option<usize>, message: String| {
+        error.get_or_insert((b, i, message));
+    };
+    let mut entered = vec![false; func.blocks.len()];
+    entered[0] = true;
+    let mut work = vec![0usize];
+    while let Some(b) = work.pop() {
+        let mut depth = at[b][0];
+        for (i, inst) in func.blocks[b].insts.iter().enumerate() {
+            match inst {
+                Inst::TmBegin => depth += 1,
+                Inst::TmEnd if depth == 0 => {
+                    fail(b, Some(i), "tmend outside any atomic region".into());
+                }
+                Inst::TmEnd => depth -= 1,
+                Inst::Ret { .. } if depth != 0 => fail(
+                    b,
+                    Some(i),
+                    format!("return while {depth} atomic region(s) are still open"),
+                ),
+                _ => {}
+            }
+            at[b][i + 1] = depth;
+        }
+        for &s in &cfg.succs[b] {
+            if !entered[s] {
+                entered[s] = true;
+                at[s][0] = depth;
+                work.push(s);
+            } else if at[s][0] != depth {
+                let d = at[s][0];
+                fail(
+                    s,
+                    None,
+                    format!(
+                        "inconsistent atomic-region depth at join: \
+                         entered at depth {d} and at depth {depth}"
+                    ),
+                );
+            }
+        }
+    }
+    Depths { at, error }
+}
 
 /// Region membership and depth for every instruction of one function.
 pub struct Regions {
-    /// `depth[b][i]` = region depth before executing `(b, i)`;
-    /// unreachable blocks are depth 0.
+    /// Region depth at every position ([`Depths::at`]).
     depth: Vec<Vec<u32>>,
     /// `region_of[b][i]` = dense region index, for instructions at
     /// depth > 0.
@@ -58,53 +129,53 @@ impl UnionFind {
 impl Regions {
     /// Compute regions for a (verified) function.
     pub fn compute(func: &Function, cfg: &Cfg) -> Regions {
-        let n = func.blocks.len();
+        let depth = region_depths(func, cfg).at;
+        // The instruction that raises the depth from 0 (a `tmbegin`)
+        // opens a transaction; a position at depth 0 is outside every
+        // transaction.
+        let opens = |(b, i): Pos| depth[b][i] == 0 && depth[b][i + 1] > 0;
         let mut uf = UnionFind::new();
-        // One raw region id per depth-raising TmBegin position.
-        let mut begin_ids: std::collections::HashMap<Pos, usize> = std::collections::HashMap::new();
-        // Block-entry state: (depth, innermost-transaction raw id).
-        let mut entry: Vec<Option<(u32, Option<usize>)>> = vec![None; n];
-        entry[0] = Some((0, None));
+        // One raw region id per opening TmBegin position.
+        let mut begin_ids: HashMap<Pos, usize> = HashMap::new();
+        // Block-entry region (the outer `None`: not reached yet), and
+        // the raw region of every position, as of the latest sweep.
+        let mut entry: Vec<Option<Option<usize>>> = vec![None; func.blocks.len()];
+        entry[0] = Some(None);
+        let mut raw: Vec<Vec<Option<usize>>> = func
+            .blocks
+            .iter()
+            .map(|b| vec![None; b.insts.len()])
+            .collect();
 
         // Propagate to a fixpoint; unions can only merge, so this
         // terminates (each pass either changes nothing or shrinks the
-        // number of region classes / fills in an entry state).
+        // number of region classes / fills in an entry state). The
+        // last pass changes nothing, so it leaves `raw` final.
         loop {
             let mut changed = false;
-            for b in cfg.rpo.clone() {
-                let Some((mut depth, mut region)) = entry[b] else {
+            for &b in &cfg.rpo {
+                let Some(region) = entry[b] else {
                     continue;
                 };
-                if let Some(r) = region {
-                    region = Some(uf.find(r));
-                }
-                for (i, inst) in func.blocks[b].insts.iter().enumerate() {
-                    match inst {
-                        Inst::TmBegin => {
-                            if depth == 0 {
-                                let id = *begin_ids.entry((b, i)).or_insert_with(|| uf.make());
-                                region = Some(uf.find(id));
-                            }
-                            depth += 1;
-                        }
-                        Inst::TmEnd => {
-                            depth = depth.saturating_sub(1);
-                            if depth == 0 {
-                                region = None;
-                            }
-                        }
-                        _ => {}
+                let mut region = region.map(|r| uf.find(r));
+                for i in 0..func.blocks[b].insts.len() {
+                    raw[b][i] = if depth[b][i] > 0 { region } else { None };
+                    if opens((b, i)) {
+                        let id = *begin_ids.entry((b, i)).or_insert_with(|| uf.make());
+                        region = Some(uf.find(id));
+                    } else if depth[b][i + 1] == 0 {
+                        region = None;
                     }
                 }
                 for &s in &cfg.succs[b] {
                     match entry[s] {
                         None => {
-                            entry[s] = Some((depth, region));
+                            entry[s] = Some(region);
                             changed = true;
                         }
-                        Some((_, other)) => {
-                            if let (Some(a), Some(bb)) = (region, other) {
-                                changed |= uf.union(a, bb);
+                        Some(other) => {
+                            if let (Some(a), Some(o)) = (region, other) {
+                                changed |= uf.union(a, o);
                             }
                         }
                     }
@@ -117,11 +188,9 @@ impl Regions {
 
         // Dense re-index of the surviving region roots, ordered by
         // their first begin position.
-        let mut root_begins: std::collections::BTreeMap<usize, Vec<Pos>> =
-            std::collections::BTreeMap::new();
-        for (&pos, &raw) in &begin_ids {
-            let root = uf.find(raw);
-            root_begins.entry(root).or_default().push(pos);
+        let mut root_begins: BTreeMap<usize, Vec<Pos>> = BTreeMap::new();
+        for (&pos, &id) in &begin_ids {
+            root_begins.entry(uf.find(id)).or_default().push(pos);
         }
         let mut roots: Vec<(Pos, usize)> = root_begins
             .iter_mut()
@@ -131,7 +200,7 @@ impl Regions {
             })
             .collect();
         roots.sort_unstable();
-        let dense: std::collections::HashMap<usize, usize> = roots
+        let dense: HashMap<usize, usize> = roots
             .iter()
             .enumerate()
             .map(|(d, &(_, root))| (root, d))
@@ -140,42 +209,16 @@ impl Regions {
             .iter()
             .map(|&(_, root)| root_begins[&root].clone())
             .collect();
-
-        // Final sweep: per-instruction depth and dense region index.
-        let mut depth_of = vec![Vec::new(); n];
-        let mut region_of = vec![Vec::new(); n];
-        for b in 0..n {
-            let insts = &func.blocks[b].insts;
-            let (mut depth, mut region) = match entry[b] {
-                Some((d, r)) => (d, r.map(|r| dense[&uf.find(r)])),
-                None => (0, None),
-            };
-            let mut depths = Vec::with_capacity(insts.len());
-            let mut regs = Vec::with_capacity(insts.len());
-            for (i, inst) in insts.iter().enumerate() {
-                depths.push(depth);
-                regs.push(if depth > 0 { region } else { None });
-                match inst {
-                    Inst::TmBegin => {
-                        if depth == 0 {
-                            region = Some(dense[&uf.find(begin_ids[&(b, i)])]);
-                        }
-                        depth += 1;
-                    }
-                    Inst::TmEnd => {
-                        depth = depth.saturating_sub(1);
-                        if depth == 0 {
-                            region = None;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            depth_of[b] = depths;
-            region_of[b] = regs;
-        }
+        let region_of = raw
+            .into_iter()
+            .map(|row| {
+                row.into_iter()
+                    .map(|r| r.map(|r| dense[&uf.find(r)]))
+                    .collect()
+            })
+            .collect();
         Regions {
-            depth: depth_of,
+            depth,
             region_of,
             begins,
         }

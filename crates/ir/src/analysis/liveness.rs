@@ -2,11 +2,13 @@
 //!
 //! This replaces the hand-rolled fixpoint loop the seed's `tm_optimize`
 //! carried inline; the pass now consumes this analysis and the solver
-//! guarantees the same fixpoint.
+//! guarantees the same fixpoint. Lint rule SL005 reads the
+//! per-position form ([`Liveness::live_at`]).
 
 use super::cfg::Cfg;
-use super::solver::{solve, DataflowProblem, Direction};
-use crate::ir::{BlockId, Function};
+use super::reaching::Pos;
+use super::solver::{solve, DataflowProblem, Direction, Solution};
+use crate::ir::{BlockId, Function, Inst};
 
 /// One liveness bit per register.
 pub type LiveSet = Vec<bool>;
@@ -41,43 +43,48 @@ impl DataflowProblem for LiveProblem {
         changed
     }
 
-    fn transfer_block(&self, func: &Function, b: BlockId, fact: &mut LiveSet) {
+    fn transfer(&self, inst: &Inst, _pos: Pos, fact: &mut LiveSet) {
+        if let Some(d) = inst.def() {
+            fact[d as usize] = false;
+        }
         let mut uses = Vec::new();
-        for inst in func.blocks[b].insts.iter().rev() {
-            if let Some(d) = inst.def() {
-                fact[d as usize] = false;
-            }
-            uses.clear();
-            inst.uses(&mut uses);
-            for &r in &uses {
-                fact[r as usize] = true;
-            }
+        inst.uses(&mut uses);
+        for r in uses {
+            fact[r as usize] = true;
         }
     }
 }
 
 /// The solved liveness analysis.
 pub struct Liveness {
-    /// `live_in[b]` = registers live on entry to block `b`.
-    pub live_in: Vec<LiveSet>,
-    /// `live_out[b]` = registers live on exit from block `b`.
-    pub live_out: Vec<LiveSet>,
+    facts: Solution<LiveSet>,
 }
 
 impl Liveness {
     /// Solve liveness for `func`.
     pub fn compute(func: &Function, cfg: &Cfg) -> Liveness {
-        let sol = solve(
-            func,
-            cfg,
-            &LiveProblem {
-                num_regs: func.num_regs as usize,
-            },
-        );
+        let problem = LiveProblem {
+            num_regs: func.num_regs as usize,
+        };
         Liveness {
-            live_in: sol.entry,
-            live_out: sol.exit,
+            facts: solve(func, cfg, &problem),
         }
+    }
+
+    /// Registers live on entry to block `b`.
+    pub fn live_in(&self, b: BlockId) -> &LiveSet {
+        self.facts.entry(b)
+    }
+
+    /// Registers live on exit from block `b`.
+    pub fn live_out(&self, b: BlockId) -> &LiveSet {
+        self.facts.exit(b)
+    }
+
+    /// Registers live just before the instruction at `pos`; the
+    /// registers live after instruction `i` are those at `(b, i + 1)`.
+    pub fn live_at(&self, pos: Pos) -> &LiveSet {
+        self.facts.at(pos)
     }
 }
 
@@ -104,10 +111,10 @@ mod tests {
         let f = fb.build();
         let cfg = Cfg::new(&f);
         let live = Liveness::compute(&f, &cfg);
-        assert!(live.live_out[0][v as usize]);
-        assert!(live.live_in[1][v as usize]);
-        assert!(live.live_in[0][0], "the address argument is live on entry");
-        assert!(!live.live_in[0][v as usize], "v is dead before its def");
+        assert!(live.live_out(0)[v as usize]);
+        assert!(live.live_in(1)[v as usize]);
+        assert!(live.live_in(0)[0], "the address argument is live on entry");
+        assert!(!live.live_in(0)[v as usize], "v is dead before its def");
     }
 
     #[test]
@@ -145,7 +152,7 @@ mod tests {
         let f = fb.build();
         let cfg = Cfg::new(&f);
         let live = Liveness::compute(&f, &cfg);
-        assert!(live.live_in[head][acc as usize], "loop-carried accumulator");
-        assert!(live.live_out[body][acc as usize]);
+        assert!(live.live_in(head)[acc as usize], "loop-carried accumulator");
+        assert!(live.live_out(body)[acc as usize]);
     }
 }

@@ -8,16 +8,20 @@
 //! * [`cfg`](mod@cfg) — successor/predecessor maps, reverse postorder, and
 //!   dominators;
 //! * [`solver`] — a generic worklist solver for forward and backward
-//!   problems;
+//!   problems: a problem states one instruction's transfer, the solver
+//!   derives each block's transfer, and it alone replays blocks into
+//!   the fact at every position, which the analyses below read;
 //! * [`reaching`] — whole-function reaching definitions (forward);
 //! * [`liveness`] — whole-function liveness (backward);
 //! * [`patterns`] — the cross-block `cmp`/`inc` matchers built on
 //!   reaching definitions, with explicit decline reasons;
 //! * [`absint`] — lattice-based abstract interpretation (value ranges
 //!   plus symbolic addresses), feeding range-widened promotion, the
-//!   static conflict matrix, and lint rules SL006–SL011;
+//!   static conflict matrix, and lint rules SL006–SL011; its
+//!   [`Regions`] holds the one region-depth walk;
 //! * [`verify`](mod@verify) — the strict IR verifier (definite assignment, region
-//!   balance, structure) run around every pass.
+//!   balance, structure) run around every pass; its balance errors come
+//!   from that depth walk.
 //!
 //! [`crate::passes`] consumes [`patterns`], [`absint`] and
 //! [`liveness`]; [`crate::lint`] consumes everything.

@@ -8,7 +8,7 @@
 //! cross-block generalisation of the paper's in-block origin tracking.
 
 use super::cfg::Cfg;
-use super::solver::{solve, DataflowProblem, Direction};
+use super::solver::{solve, DataflowProblem, Direction, Solution};
 use crate::ir::{BlockId, Function, Inst, Operand, Reg};
 
 /// Index into [`ReachingDefs::defs`].
@@ -98,12 +98,10 @@ impl DataflowProblem for RdProblem<'_> {
         changed
     }
 
-    fn transfer_block(&self, func: &Function, b: BlockId, fact: &mut Fact) {
-        for (i, inst) in func.blocks[b].insts.iter().enumerate() {
-            if let Some(d) = inst.def() {
-                let id = self.def_at[b][i].expect("defining instruction has a DefId");
-                fact[d as usize] = vec![id];
-            }
+    fn transfer(&self, inst: &Inst, (b, i): Pos, fact: &mut Fact) {
+        if let Some(d) = inst.def() {
+            let id = self.def_at[b][i].expect("defining instruction has a DefId");
+            fact[d as usize] = vec![id];
         }
     }
 }
@@ -113,10 +111,8 @@ impl DataflowProblem for RdProblem<'_> {
 pub struct ReachingDefs {
     /// All definition sites; index with a [`DefId`].
     pub defs: Vec<DefSite>,
-    /// `before[b][i]` = per-register reaching sets immediately before
-    /// executing instruction `(b, i)`; `before[b]` has one extra entry
-    /// for the block end.
-    before: Vec<Vec<Fact>>,
+    /// Per-register reaching sets at every position.
+    facts: Solution<Fact>,
 }
 
 impl ReachingDefs {
@@ -149,29 +145,14 @@ impl ReachingDefs {
             entry_defs: &entry_defs,
             defs: &defs,
         };
-        let sol = solve(func, cfg, &problem);
-
-        // Replay each block to recover position-level facts.
-        let mut before = Vec::with_capacity(func.blocks.len());
-        for (b, block) in func.blocks.iter().enumerate() {
-            let mut cur = sol.entry[b].clone();
-            let mut per_inst = Vec::with_capacity(block.insts.len() + 1);
-            for (i, inst) in block.insts.iter().enumerate() {
-                per_inst.push(cur.clone());
-                if let Some(d) = inst.def() {
-                    cur[d as usize] = vec![def_at[b][i].unwrap()];
-                }
-            }
-            per_inst.push(cur);
-            before.push(per_inst);
-        }
-        ReachingDefs { defs, before }
+        let facts = solve(func, cfg, &problem);
+        ReachingDefs { defs, facts }
     }
 
     /// The definitions of `reg` reaching the point just before
     /// position `pos`.
     pub fn reaching(&self, pos: Pos, reg: Reg) -> &[DefId] {
-        &self.before[pos.0][pos.1][reg as usize]
+        &self.facts.at(pos)[reg as usize]
     }
 
     /// The single definition of `reg` reaching `pos`, if there is

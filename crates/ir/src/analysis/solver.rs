@@ -1,12 +1,15 @@
 //! A generic worklist solver for forward and backward dataflow problems.
 //!
-//! The solver is deliberately block-granular: a problem supplies a
-//! per-block transfer function and a join, and the solver iterates to a
+//! A problem supplies one instruction's transfer and a join; the
+//! solver derives each block's transfer from it (program order for
+//! forward problems, reversed for backward ones), iterates to a
 //! fixpoint over a worklist seeded in reverse postorder (forward) or
-//! postorder (backward). Position-level facts, when a client needs them,
-//! are recovered by replaying the block transfer instruction by
-//! instruction from the solved block-entry fact — see
-//! [`super::ReachingDefs`] and [`super::Liveness`].
+//! postorder (backward), then replays every block once more from its
+//! solved boundary fact and hands back the fact at every position
+//! ([`Solution::at`]). That replay is the only one: reaching
+//! definitions, the abstract interpreter, liveness, the verifier's
+//! definite-assignment check and lint rule SL005 all read its
+//! positions rather than re-walk a block themselves.
 //!
 //! All blocks participate, including unreachable ones: the legacy
 //! liveness loop in `tm_optimize` visited every block, and keeping that
@@ -14,7 +17,8 @@
 //! refactoring.
 
 use super::cfg::Cfg;
-use crate::ir::{BlockId, Function};
+use super::reaching::Pos;
+use crate::ir::{BlockId, Function, Inst};
 
 /// Direction of a dataflow problem.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -45,10 +49,11 @@ pub trait DataflowProblem {
     /// Merge `from` into `into`; return whether `into` changed.
     fn join(&self, into: &mut Self::Fact, from: &Self::Fact) -> bool;
 
-    /// Apply the whole block `b` to `fact`, in the problem's direction
-    /// (first-to-last instruction for forward, last-to-first for
-    /// backward).
-    fn transfer_block(&self, func: &Function, b: BlockId, fact: &mut Self::Fact);
+    /// Apply the instruction `inst` at `pos` to `fact`, in the
+    /// problem's direction: a forward problem turns the fact before the
+    /// instruction into the fact after it, a backward problem the fact
+    /// after it into the fact before it.
+    fn transfer(&self, inst: &Inst, pos: Pos, fact: &mut Self::Fact);
 
     /// Does this problem refine facts on CFG edges? When `false` (the
     /// default) the solver skips the per-edge fact clone entirely, so
@@ -83,18 +88,57 @@ pub trait DataflowProblem {
     }
 }
 
-/// The solved facts, indexed by block. `entry`/`exit` are in *program
-/// order*: `entry[b]` holds at the start of block `b` and `exit[b]` at
-/// its end, for both directions.
+/// The solved facts at every position, in *program order* for both
+/// directions: `at((b, i))` holds just before instruction `i` of block
+/// `b`, and `at((b, len))` at the block's end.
 #[derive(Clone, Debug)]
 pub struct Solution<F> {
-    /// Fact at the start of each block.
-    pub entry: Vec<F>,
-    /// Fact at the end of each block.
-    pub exit: Vec<F>,
+    at: Vec<Vec<F>>,
 }
 
-/// Run `problem` to a fixpoint over `func`.
+impl<F> Solution<F> {
+    /// The fact just before the instruction at `pos` (`pos.1` may be
+    /// the block's length: the fact at its end).
+    pub fn at(&self, pos: Pos) -> &F {
+        &self.at[pos.0][pos.1]
+    }
+
+    /// The fact at the start of block `b`.
+    pub fn entry(&self, b: BlockId) -> &F {
+        &self.at[b][0]
+    }
+
+    /// The fact at the end of block `b`.
+    pub fn exit(&self, b: BlockId) -> &F {
+        self.at[b].last().expect("a block has an end position")
+    }
+}
+
+/// Step `fact` across block `b` in the problem's direction. With a
+/// `trail`, first record the fact each instruction is applied to, in
+/// the order the instructions are visited.
+fn step_block<P: DataflowProblem>(
+    func: &Function,
+    problem: &P,
+    b: BlockId,
+    fact: &mut P::Fact,
+    mut trail: Option<&mut Vec<P::Fact>>,
+) {
+    let insts = &func.blocks[b].insts;
+    let mut step = |i: usize| {
+        if let Some(t) = trail.as_mut() {
+            t.push(fact.clone());
+        }
+        problem.transfer(&insts[i], (b, i), fact);
+    };
+    match problem.direction() {
+        Direction::Forward => (0..insts.len()).for_each(&mut step),
+        Direction::Backward => (0..insts.len()).rev().for_each(&mut step),
+    }
+}
+
+/// Run `problem` to a fixpoint over `func` and replay every block into
+/// per-position facts.
 pub fn solve<P: DataflowProblem>(func: &Function, cfg: &Cfg, problem: &P) -> Solution<P::Fact> {
     let n = func.blocks.len();
     let forward = problem.direction() == Direction::Forward;
@@ -133,7 +177,7 @@ pub fn solve<P: DataflowProblem>(func: &Function, cfg: &Cfg, problem: &P) -> Sol
     while let Some(b) = work.pop_front() {
         on_list[b] = false;
         let mut fact = input[b].clone();
-        problem.transfer_block(func, b, &mut fact);
+        step_block(func, problem, b, &mut fact, None);
         if fact == output[b] {
             continue;
         }
@@ -158,23 +202,30 @@ pub fn solve<P: DataflowProblem>(func: &Function, cfg: &Cfg, problem: &P) -> Sol
         }
     }
 
-    if forward {
-        Solution {
-            entry: input,
-            exit: output,
-        }
-    } else {
-        Solution {
-            entry: output,
-            exit: input,
-        }
-    }
+    // Replay each block from the fact on the side facts arrive from
+    // (its start forward, its end backward), recording every position.
+    let at = input
+        .into_iter()
+        .enumerate()
+        .map(|(b, mut fact)| {
+            let mut trail = Vec::with_capacity(func.blocks[b].insts.len() + 1);
+            step_block(func, problem, b, &mut fact, Some(&mut trail));
+            trail.push(fact);
+            if !forward {
+                trail.reverse();
+            }
+            trail
+        })
+        .collect();
+    Solution { at }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{FunctionBuilder, Inst, Operand};
+    use crate::analysis::{DefSite, Liveness, ReachingDefs};
+    use crate::ir::{FunctionBuilder, Operand};
+    use crate::parser::parse_function;
 
     /// A toy forward problem: "may reach this block" as a bool.
     struct Reachability;
@@ -195,7 +246,7 @@ mod tests {
             *into = new;
             changed
         }
-        fn transfer_block(&self, _f: &Function, _b: BlockId, _fact: &mut bool) {}
+        fn transfer(&self, _inst: &Inst, _pos: Pos, _fact: &mut bool) {}
     }
 
     #[test]
@@ -214,7 +265,86 @@ mod tests {
         let f = fb.build();
         let cfg = Cfg::new(&f);
         let sol = solve(&f, &cfg, &Reachability);
-        assert!(sol.entry[0] && sol.entry[1]);
-        assert!(!sol.entry[2], "dead block never becomes reachable");
+        assert!(*sol.entry(0) && *sol.entry(1));
+        assert!(!*sol.entry(2), "dead block never becomes reachable");
+    }
+
+    /// A loop whose body is a diamond; `r1` is carried around it.
+    const LOOP_DIAMOND: &str = r"
+func f(1) {
+entry:
+  r1 = const 0
+  br head
+head:
+  r2 = cmp.lt r1, r0
+  condbr r2, body, out
+body:
+  condbr r0, left, right
+left:
+  r1 = add r1, 1
+  br join
+right:
+  r1 = add r1, 2
+  br join
+join:
+  br head
+out:
+  ret r1
+}
+";
+
+    /// Every position of the function, block end included.
+    fn positions(f: &Function) -> Vec<Pos> {
+        (0..f.blocks.len())
+            .flat_map(|b| (0..=f.blocks[b].insts.len()).map(move |i| (b, i)))
+            .collect()
+    }
+
+    #[test]
+    fn forward_facts_at_every_position() {
+        let f = parse_function(LOOP_DIAMOND).unwrap();
+        let rd = ReachingDefs::compute(&f, &Cfg::new(&f));
+        // The definitions of r1 reaching each position: the three
+        // that meet at the loop head everywhere in the loop, until the
+        // arm's own add kills them.
+        let loop_defs = vec![
+            DefSite::Inst(0, 0),
+            DefSite::Inst(3, 0),
+            DefSite::Inst(4, 0),
+        ];
+        let expect = |pos: Pos| match pos {
+            (0, 0) => vec![DefSite::Entry(1)],
+            (0, _) => vec![DefSite::Inst(0, 0)],
+            (3, 1..) => vec![DefSite::Inst(3, 0)],
+            (4, 1..) => vec![DefSite::Inst(4, 0)],
+            (5, _) => vec![DefSite::Inst(3, 0), DefSite::Inst(4, 0)],
+            _ => loop_defs.clone(),
+        };
+        for pos in positions(&f) {
+            let got: Vec<DefSite> = rd
+                .reaching(pos, 1)
+                .iter()
+                .map(|&id| rd.defs[id as usize])
+                .collect();
+            assert_eq!(got, expect(pos), "r1 at {pos:?}");
+        }
+    }
+
+    #[test]
+    fn backward_facts_at_every_position() {
+        let f = parse_function(LOOP_DIAMOND).unwrap();
+        let live = Liveness::compute(&f, &Cfg::new(&f));
+        // [r0, r1, r2] live just before each position: the loop keeps
+        // r0 and the carried r1 live on every path back to the head.
+        let expect = |pos: Pos| match pos {
+            (0, 0) => [true, false, false],
+            (1, 1) => [true, true, true],
+            (6, 0) => [false, true, false],
+            (6, 1) => [false, false, false],
+            _ => [true, true, false],
+        };
+        for pos in positions(&f) {
+            assert_eq!(live.live_at(pos)[..], expect(pos), "live set at {pos:?}");
+        }
     }
 }

@@ -10,11 +10,14 @@
 //! * **region consistency** — every block is entered at one well-defined
 //!   atomic-region depth, `tmend` never underflows, and no path returns
 //!   while a region is still open (the interpreter would raise
-//!   `UnbalancedEnd` at runtime; the verifier rejects it statically);
+//!   `UnbalancedEnd` at runtime; the verifier rejects it statically).
+//!   One depth walk, shared with [`super::Regions`], reports these;
 //! * the structural checks themselves (terminator placement, branch
 //!   targets, register bounds) by delegating to `validate`.
 
+use super::absint::regions::region_depths;
 use super::cfg::Cfg;
+use super::reaching::Pos;
 use super::solver::{solve, DataflowProblem, Direction};
 use crate::ir::{BlockId, Function, Inst};
 
@@ -80,11 +83,9 @@ impl DataflowProblem for DefiniteAssign {
         changed
     }
 
-    fn transfer_block(&self, func: &Function, b: BlockId, fact: &mut Vec<bool>) {
-        for inst in &func.blocks[b].insts {
-            if let Some(d) = inst.def() {
-                fact[d as usize] = true;
-            }
+    fn transfer(&self, inst: &Inst, _pos: Pos, fact: &mut Vec<bool>) {
+        if let Some(d) = inst.def() {
+            fact[d as usize] = true;
         }
     }
 }
@@ -101,8 +102,15 @@ pub fn verify(func: &Function) -> Result<(), VerifyError> {
     })?;
     let cfg = Cfg::new(func);
     check_definite_assignment(func, &cfg)?;
-    check_region_balance(func, &cfg)?;
-    Ok(())
+    match region_depths(func, &cfg).error {
+        Some((block, inst, message)) => Err(VerifyError {
+            func: func.name.clone(),
+            block: Some(block),
+            inst,
+            message,
+        }),
+        None => Ok(()),
+    }
 }
 
 fn check_definite_assignment(func: &Function, cfg: &Cfg) -> Result<(), VerifyError> {
@@ -110,86 +118,22 @@ fn check_definite_assignment(func: &Function, cfg: &Cfg) -> Result<(), VerifyErr
         num_regs: func.num_regs as usize,
         num_args: func.num_args as usize,
     };
-    let sol = solve(func, cfg, &problem);
+    let assigned = solve(func, cfg, &problem);
     let mut uses = Vec::new();
     for &b in &cfg.rpo {
-        let mut assigned = sol.entry[b].clone();
         for (i, inst) in func.blocks[b].insts.iter().enumerate() {
             uses.clear();
             inst.uses(&mut uses);
-            for &r in &uses {
-                if !assigned[r as usize] {
-                    return Err(VerifyError {
-                        func: func.name.clone(),
-                        block: Some(b),
-                        inst: Some(i),
-                        message: format!(
-                            "register r{r} may be read before it is written \
-                             (some path from the entry reaches this use without a def)"
-                        ),
-                    });
-                }
-            }
-            if let Some(d) = inst.def() {
-                assigned[d as usize] = true;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Propagate atomic-region depth along the CFG; every reachable block
-/// must be entered at exactly one depth.
-fn check_region_balance(func: &Function, cfg: &Cfg) -> Result<(), VerifyError> {
-    let n = func.blocks.len();
-    let mut depth_in: Vec<Option<u32>> = vec![None; n];
-    depth_in[0] = Some(0);
-    let mut work = vec![0usize];
-    while let Some(b) = work.pop() {
-        let mut depth = depth_in[b].expect("queued blocks have a depth");
-        for (i, inst) in func.blocks[b].insts.iter().enumerate() {
-            match inst {
-                Inst::TmBegin => depth += 1,
-                Inst::TmEnd => {
-                    if depth == 0 {
-                        return Err(VerifyError {
-                            func: func.name.clone(),
-                            block: Some(b),
-                            inst: Some(i),
-                            message: "tmend outside any atomic region".into(),
-                        });
-                    }
-                    depth -= 1;
-                }
-                Inst::Ret { .. } if depth != 0 => {
-                    return Err(VerifyError {
-                        func: func.name.clone(),
-                        block: Some(b),
-                        inst: Some(i),
-                        message: format!("return while {depth} atomic region(s) are still open"),
-                    });
-                }
-                _ => {}
-            }
-        }
-        for &s in &cfg.succs[b] {
-            match depth_in[s] {
-                None => {
-                    depth_in[s] = Some(depth);
-                    work.push(s);
-                }
-                Some(d) if d != depth => {
-                    return Err(VerifyError {
-                        func: func.name.clone(),
-                        block: Some(s),
-                        inst: None,
-                        message: format!(
-                            "inconsistent atomic-region depth at join: \
-                             entered at depth {d} and at depth {depth}"
-                        ),
-                    });
-                }
-                Some(_) => {}
+            if let Some(r) = uses.iter().find(|&&r| !assigned.at((b, i))[r as usize]) {
+                return Err(VerifyError {
+                    func: func.name.clone(),
+                    block: Some(b),
+                    inst: Some(i),
+                    message: format!(
+                        "register r{r} may be read before it is written \
+                         (some path from the entry reaches this use without a def)"
+                    ),
+                });
             }
         }
     }

@@ -138,7 +138,7 @@ fn main() -> ExitCode {
                     let cfg = Cfg::new(&func);
                     let absint = AbsInt::compute(&func, &cfg);
                     let regions = Regions::compute(&func, &cfg);
-                    let ca = ConflictAnalysis::compute(&func, &cfg, &absint, &regions);
+                    let ca = ConflictAnalysis::compute(&func, &absint, &regions);
                     print!("{}", ca.render(&func));
                 }
             }

@@ -189,25 +189,19 @@ fn is_mem_read(inst: &Inst) -> bool {
 /// [`crate::parser::parse_function_spanned`] to get `line:col` spans on
 /// the diagnostics; `None` falls back to block/instruction coordinates.
 pub fn lint_function(func: &Function, map: Option<&SourceMap>) -> Vec<Diagnostic> {
-    let spanned =
-        |pos: Option<Pos>, rule: &'static str, severity: Severity, message: String| Diagnostic {
-            rule,
-            severity,
-            func: func.name.clone(),
-            pos,
-            span: pos.and_then(|(b, i)| map.and_then(|m| m.span(b, i))),
-            message,
-        };
+    let spanned = |pos: Option<Pos>, rule: &'static str, message: String| Diagnostic {
+        rule,
+        severity: severity_of(rule),
+        func: func.name.clone(),
+        pos,
+        span: pos.and_then(|(b, i)| map.and_then(|m| m.span(b, i))),
+        message,
+    };
 
     // SL000: everything below assumes a verified function.
     if let Err(e) = verify(func) {
         let pos = e.block.map(|b| (b, e.inst.unwrap_or(0)));
-        return vec![spanned(
-            pos,
-            "SL000",
-            Severity::Error,
-            format!("verifier: {}", e.message),
-        )];
+        return vec![spanned(pos, "SL000", format!("verifier: {}", e.message))];
     }
 
     let cfg = Cfg::new(func);
@@ -216,23 +210,11 @@ pub fn lint_function(func: &Function, map: Option<&SourceMap>) -> Vec<Diagnostic
     let cx = PatternCtx::new(func, &cfg, &rd);
     let absint = AbsInt::compute(func, &cfg);
     let regions = Regions::compute(func, &cfg);
-    let conflicts = ConflictAnalysis::compute(func, &cfg, &absint, &regions);
+    let conflicts = ConflictAnalysis::compute(func, &absint, &regions);
     let depth = |p: Pos| regions.depth(p);
     let mut out: Vec<Diagnostic> = Vec::new();
 
-    // Block-level may-reachability through at least one edge.
-    let n = func.blocks.len();
-    let mut reach = vec![vec![false; n]; n];
-    for (b, row) in reach.iter_mut().enumerate() {
-        let mut stack = cfg.succs[b].clone();
-        while let Some(s) = stack.pop() {
-            if !row[s] {
-                row[s] = true;
-                stack.extend(cfg.succs[s].iter());
-            }
-        }
-    }
-    let may_follow = |p: Pos, q: Pos| (p.0 == q.0 && q.1 > p.1) || reach[p.0][q.0];
+    let reach = Reach::new(&cfg);
 
     // Every memory access: (position, instruction).
     let accesses: Vec<Pos> = func
@@ -274,13 +256,12 @@ pub fn lint_function(func: &Function, map: Option<&SourceMap>) -> Vec<Diagnostic
             if q != p
                 && is_mem_read(inst_at(q))
                 && depth(q) > 0
-                && may_follow(p, q)
+                && reach.may_follow(p, q)
                 && same_addr(p, q)
             {
                 out.push(spanned(
                     Some(q),
                     "SL001",
-                    Severity::Error,
                     format!(
                         "transactional read of an address incremented by _ITM_SW at \
                          ({}, {}) in the same atomic region; the deferred increment \
@@ -303,7 +284,6 @@ pub fn lint_function(func: &Function, map: Option<&SourceMap>) -> Vec<Diagnostic
             out.push(spanned(
                 Some(q),
                 "SL002",
-                Severity::Warning,
                 format!(
                     "non-transactional access to an address also accessed inside an \
                      atomic region (at ({}, {})); concurrent transactions may race \
@@ -326,7 +306,6 @@ pub fn lint_function(func: &Function, map: Option<&SourceMap>) -> Vec<Diagnostic
                             out.push(spanned(
                                 Some((b, i)),
                                 "SL003",
-                                Severity::Info,
                                 format!(
                                     "comparison not promoted to a semantic builtin: {}",
                                     d.reason()
@@ -341,7 +320,6 @@ pub fn lint_function(func: &Function, map: Option<&SourceMap>) -> Vec<Diagnostic
                             out.push(spanned(
                                 Some((b, i)),
                                 "SL003",
-                                Severity::Info,
                                 format!("store not promoted to _ITM_SW: {}", d.reason()),
                             ));
                         }
@@ -358,7 +336,7 @@ pub fn lint_function(func: &Function, map: Option<&SourceMap>) -> Vec<Diagnostic
     // the pass pipeline provably folds away is only informational; one
     // that *survives* the pipeline is a real extra validation and stays
     // a warning.
-    let dups = duplicate_load_pairs(func, &cfg, &rd, &cx);
+    let dups = duplicate_load_pairs(func, &reach, &rd, &cx);
     if !dups.is_empty() {
         let folded = {
             let mut opt = func.clone();
@@ -366,64 +344,52 @@ pub fn lint_function(func: &Function, map: Option<&SourceMap>) -> Vec<Diagnostic
             let ocfg = Cfg::new(&opt);
             let ord = ReachingDefs::compute(&opt, &ocfg);
             let ocx = PatternCtx::new(&opt, &ocfg, &ord);
-            duplicate_load_pairs(&opt, &ocfg, &ord, &ocx).is_empty()
+            duplicate_load_pairs(&opt, &Reach::new(&ocfg), &ord, &ocx).is_empty()
+        };
+        let verdict = if folded {
+            "the tm_mark/tm_optimize pipeline folds this"
+        } else {
+            "the pass pipeline cannot fold this"
         };
         for (p, q) in dups {
-            let (severity, verdict) = if folded {
-                (
-                    Severity::Info,
-                    "the tm_mark/tm_optimize pipeline folds this",
-                )
-            } else {
-                (Severity::Warning, "the pass pipeline cannot fold this")
-            };
-            out.push(spanned(
+            let mut d = spanned(
                 Some(q),
                 "SL004",
-                severity,
                 format!(
                     "duplicate transactional load of the same address (first \
                      loaded at ({}, {})); {verdict}",
                     p.0, p.1
                 ),
-            ));
+            );
+            if folded {
+                d.severity = Severity::Info;
+            }
+            out.push(d);
         }
     }
 
     // SL005: definitions whose value is never used. Mirrors what
     // tm_optimize removes, but also covers side-effect-free ALU results.
     for (b, blk) in func.blocks.iter().enumerate() {
-        let mut live_after = live.live_out[b].clone();
-        let mut uses = Vec::new();
-        let mut dead: Vec<(usize, u32)> = Vec::new();
-        for (i, inst) in blk.insts.iter().enumerate().rev() {
-            if let Some(d) = inst.def() {
-                let pure = matches!(
-                    inst,
-                    Inst::Mov { .. }
-                        | Inst::Bin { .. }
-                        | Inst::Cmp { .. }
-                        | Inst::Not { .. }
-                        | Inst::TmLoad { .. }
-                );
-                if pure && !live_after[d as usize] {
-                    dead.push((i, d));
+        for (i, inst) in blk.insts.iter().enumerate() {
+            let pure = matches!(
+                inst,
+                Inst::Mov { .. }
+                    | Inst::Bin { .. }
+                    | Inst::Cmp { .. }
+                    | Inst::Not { .. }
+                    | Inst::TmLoad { .. }
+            );
+            match inst.def() {
+                Some(d) if pure && !live.live_at((b, i + 1))[d as usize] => {
+                    out.push(spanned(
+                        Some((b, i)),
+                        "SL005",
+                        format!("result r{d} is never used (dead store)"),
+                    ));
                 }
-                live_after[d as usize] = false;
+                _ => {}
             }
-            uses.clear();
-            inst.uses(&mut uses);
-            for &r in &uses {
-                live_after[r as usize] = true;
-            }
-        }
-        for (i, d) in dead.into_iter().rev() {
-            out.push(spanned(
-                Some((b, i)),
-                "SL005",
-                Severity::Warning,
-                format!("result r{d} is never used (dead store)"),
-            ));
         }
     }
 
@@ -440,7 +406,6 @@ pub fn lint_function(func: &Function, map: Option<&SourceMap>) -> Vec<Diagnostic
                 out.push(spanned(
                     Some(c.witness.1),
                     "SL006",
-                    Severity::Warning,
                     format!(
                         "atomic regions R{i} and R{j} are statically guaranteed \
                          to conflict: this access collides with ({}, {}) on the \
@@ -476,7 +441,6 @@ pub fn lint_function(func: &Function, map: Option<&SourceMap>) -> Vec<Diagnostic
                 out.push(spanned(
                     Some((b, i)),
                     "SL007",
-                    Severity::Warning,
                     format!(
                         "comparison is always {outcome} by value-range analysis \
                          (lhs in {}, rhs in {})",
@@ -505,7 +469,6 @@ pub fn lint_function(func: &Function, map: Option<&SourceMap>) -> Vec<Diagnostic
         out.push(spanned(
             Some(pos),
             "SL008",
-            Severity::Info,
             format!(
                 "range analysis proves this compare of load({}, {})+{c} is \
                  tmcmp-promotable (the right-hand register always holds {k}), \
@@ -522,7 +485,6 @@ pub fn lint_function(func: &Function, map: Option<&SourceMap>) -> Vec<Diagnostic
             out.push(spanned(
                 regions.begins(s.region).first().copied(),
                 "SL009",
-                Severity::Info,
                 format!(
                     "atomic region R{} only reads and compares; eligible for a \
                      read-only fast path",
@@ -548,7 +510,6 @@ pub fn lint_function(func: &Function, map: Option<&SourceMap>) -> Vec<Diagnostic
                 out.push(spanned(
                     Some(q),
                     "SL010",
-                    Severity::Warning,
                     format!(
                         "dereferences an address loaded inside an atomic region \
                          (at ({}, {})) after that region ended; the pointed-to \
@@ -574,7 +535,6 @@ pub fn lint_function(func: &Function, map: Option<&SourceMap>) -> Vec<Diagnostic
             out.push(spanned(
                 Some(q),
                 "SL011",
-                Severity::Error,
                 "semantic builtin outside any atomic region; there is no \
                  transaction to defer the operation into"
                     .to_string(),
@@ -587,26 +547,49 @@ pub fn lint_function(func: &Function, map: Option<&SourceMap>) -> Vec<Diagnostic
     out
 }
 
+/// The rule's severity in [`RULES`].
+fn severity_of(rule: &str) -> Severity {
+    RULES
+        .iter()
+        .find(|r| r.0 == rule)
+        .unwrap_or_else(|| panic!("{rule} is not in RULES"))
+        .1
+}
+
+/// Block-level may-reachability through at least one edge:
+/// `self.0[a][b]` when block `b` can run after block `a`.
+struct Reach(Vec<Vec<bool>>);
+
+impl Reach {
+    fn new(cfg: &Cfg) -> Reach {
+        let n = cfg.succs.len();
+        let mut reach = vec![vec![false; n]; n];
+        for (b, row) in reach.iter_mut().enumerate() {
+            let mut stack = cfg.succs[b].clone();
+            while let Some(s) = stack.pop() {
+                if !row[s] {
+                    row[s] = true;
+                    stack.extend(cfg.succs[s].iter());
+                }
+            }
+        }
+        Reach(reach)
+    }
+
+    /// Can the instruction at `q` run after the one at `p`?
+    fn may_follow(&self, p: Pos, q: Pos) -> bool {
+        (p.0 == q.0 && q.1 > p.1) || self.0[p.0][q.0]
+    }
+}
+
 /// All `(first, second)` pairs of transactional loads of the identical
 /// address with a provably clean path between them (the SL004 shape).
 fn duplicate_load_pairs(
     func: &Function,
-    cfg: &Cfg,
+    reach: &Reach,
     rd: &ReachingDefs,
     cx: &PatternCtx,
 ) -> Vec<(Pos, Pos)> {
-    let n = func.blocks.len();
-    let mut reach = vec![vec![false; n]; n];
-    for (b, row) in reach.iter_mut().enumerate() {
-        let mut stack = cfg.succs[b].clone();
-        while let Some(s) = stack.pop() {
-            if !row[s] {
-                row[s] = true;
-                stack.extend(cfg.succs[s].iter());
-            }
-        }
-    }
-    let may_follow = |p: Pos, q: Pos| (p.0 == q.0 && q.1 > p.1) || reach[p.0][q.0];
     let mut out = Vec::new();
     for (bp, blkp) in func.blocks.iter().enumerate() {
         for (ip, instp) in blkp.insts.iter().enumerate() {
@@ -620,7 +603,7 @@ fn duplicate_load_pairs(
                         continue;
                     };
                     let q = (bq, iq);
-                    if q == p || !may_follow(p, q) || !rd.operand_identical(ap, p, aq, q) {
+                    if q == p || !reach.may_follow(p, q) || !rd.operand_identical(ap, p, aq, q) {
                         continue;
                     }
                     let protect: Vec<_> = ap.reg().into_iter().collect();

@@ -164,7 +164,7 @@ pub fn tm_optimize(func: &mut Function) -> PassReport {
         let live = Liveness::compute(func, &cfg);
         let mut removed_any = false;
         for b in 0..func.blocks.len() {
-            let mut live = live.live_out[b].clone();
+            let mut live = live.live_out(b).clone();
             let mut keep = vec![true; func.blocks[b].insts.len()];
             let mut uses = Vec::new();
             for (ii, inst) in func.blocks[b].insts.iter().enumerate().rev() {

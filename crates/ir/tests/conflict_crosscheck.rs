@@ -20,7 +20,7 @@ fn runtime_hot_addresses_stay_within_static_prediction() {
     let cfg = Cfg::new(&f);
     let ai = AbsInt::compute(&f, &cfg);
     let regions = Regions::compute(&f, &cfg);
-    let ca = ConflictAnalysis::compute(&f, &cfg, &ai, &regions);
+    let ca = ConflictAnalysis::compute(&f, &ai, &regions);
 
     // Statically, the bank region must self-conflict (two instances
     // race on the same accounts) and every access has an exact

@@ -2,19 +2,23 @@
 //!
 //! Each fixture declares the one rule it seeds in an `; expect: SLNNN`
 //! header. The contract is exact: linting the fixture yields exactly
-//! one diagnostic, of exactly that rule — and on the shipping
-//! `programs/*.ir` kernels none of the seeded rules fires at all,
-//! except SL004 in its downgraded (pipeline-folds-this) info form.
+//! one diagnostic, of exactly that rule and of the severity the
+//! catalogue (`lint::RULES`) gives it, and every catalogued rule has
+//! its fixture — and on the shipping `programs/*.ir` kernels none of
+//! the rules fires at all, except SL004 in its downgraded
+//! (pipeline-folds-this) info form.
 
-use semtm_ir::lint::{lint_function, Severity};
+use semtm_ir::lint::{lint_function, Severity, RULES};
 use semtm_ir::parser::parse_function_spanned;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-const SEEDED_RULES: &[&str] = &[
-    "SL000", "SL001", "SL002", "SL003", "SL004", "SL005", "SL006", "SL007", "SL008", "SL009",
-    "SL010", "SL011",
-];
+/// The catalogued rule ids, sorted.
+fn rule_ids() -> Vec<&'static str> {
+    let mut ids: Vec<&str> = RULES.iter().map(|r| r.0).collect();
+    ids.sort_unstable();
+    ids
+}
 
 fn lintcases_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../programs/lintcases")
@@ -45,10 +49,11 @@ fn expected_rule(src: &str) -> &str {
 #[test]
 fn every_seeded_fixture_fires_exactly_its_rule() {
     let fixtures = fixtures();
+    let rules = rule_ids();
     assert_eq!(
         fixtures.len(),
-        SEEDED_RULES.len(),
-        "one fixture per seeded rule"
+        rules.len(),
+        "one fixture per catalogued rule"
     );
     let mut seen: Vec<&str> = Vec::new();
     for (name, src) in &fixtures {
@@ -65,11 +70,19 @@ fn every_seeded_fixture_fires_exactly_its_rule() {
             BTreeMap::from([(expect, 1)]),
             "{name}: expected exactly one {expect} and nothing else, got {diags:?}"
         );
+        let catalogued = RULES
+            .iter()
+            .find(|r| r.0 == expect)
+            .unwrap_or_else(|| panic!("{name}: {expect} is not in RULES"))
+            .1;
+        assert_eq!(
+            diags[0].severity, catalogued,
+            "{name}: {expect} emitted at a severity RULES does not give it"
+        );
         seen.push(diags[0].rule);
     }
-    let mut seen_sorted = seen.clone();
-    seen_sorted.sort_unstable();
-    assert_eq!(seen_sorted, SEEDED_RULES, "all twelve rules are covered");
+    seen.sort_unstable();
+    assert_eq!(seen, rules, "every catalogued rule has its fixture");
 }
 
 #[test]
@@ -90,7 +103,7 @@ fn seeded_rules_never_fire_on_shipping_kernels() {
                 continue;
             }
             assert!(
-                !SEEDED_RULES.contains(&d.rule),
+                !rule_ids().contains(&d.rule),
                 "{path}: seeded rule fired on a shipping kernel: {d:?}"
             );
         }
