@@ -64,9 +64,10 @@ fn main() {
     if pick("table3") {
         let rows = table3::table3(smoke);
         println!("{}", table3::markdown(&rows));
-        std::fs::create_dir_all("results").ok();
-        std::fs::write("results/table3.csv", table3::csv(&rows)).expect("write table3");
-        println!("wrote results/table3.csv");
+        match write_results_file("table3.csv", &table3::csv(&rows)) {
+            Ok(p) => println!("wrote {}", p.display()),
+            Err(e) => eprintln!("csv write failed: {e}"),
+        }
     }
 
     let emit =

@@ -721,8 +721,15 @@ pub fn telemetry_bank(sweep: &Sweep) -> TelemetryReport {
                 .telemetry(TelemetryLevel::Spans)
                 .trace_capacity(sweep.pick(64, 256)),
         );
-        let (r, series) =
-            bank::run_sampled(&stm, cfg, threads, sweep.duration, sample_every, sweep.seed);
+        let (r, series) = bank::run_observed(
+            &stm,
+            cfg,
+            threads,
+            sweep.duration,
+            sample_every,
+            sweep.seed,
+            |_, _| {},
+        );
         let t = stm.telemetry();
         algorithms.push(AlgorithmTelemetry {
             algorithm: alg.name().to_string(),

@@ -445,17 +445,13 @@ pub fn markdown_table(title: &str, rows: &[FigureRow]) -> String {
 /// Write rows (plus header) to `results/<name>.csv`, creating the
 /// directory if needed. Returns the path written.
 pub fn write_csv(name: &str, rows: &[FigureRow]) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.csv"));
     let mut body = String::from(FigureRow::CSV_HEADER);
     body.push('\n');
     for r in rows {
         body.push_str(&r.csv());
         body.push('\n');
     }
-    std::fs::write(&path, body)?;
-    Ok(path)
+    write_results_file(&format!("{name}.csv"), &body)
 }
 
 /// Summarise the semantic-vs-base ratio per thread count: the "who wins

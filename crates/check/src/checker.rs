@@ -1,8 +1,10 @@
 //! History checker: final-state serializability of committed attempts
 //! and zombie-freedom (opacity for aborted attempts).
 //!
-//! Inputs come from [`crate::history::Recorder`] runs under the
-//! deterministic scheduler. Two properties are verified:
+//! Inputs come from executions recorded by
+//! [`crate::history::run_checked`] under the deterministic scheduler,
+//! its only caller outside this module's tests. Two properties are
+//! verified:
 //!
 //! 1. **Serializability**: there is a total order of the committed
 //!    attempts, consistent with real time (an attempt that ended before

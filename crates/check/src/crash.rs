@@ -32,7 +32,7 @@
 //! the group-commit protocol itself is inside the sweep, not mocked.
 
 use crate::schedule::{Decision, Driver, RandomDriver};
-use crate::vthread::run_threads;
+use crate::vthread::{run_threads, Body, STEP_CAP};
 use semtm_core::util::SplitMix64;
 use semtm_core::wal::{read_records, replay, DurabilityMode, SimHandle, SimStorage};
 use semtm_core::{Addr, Algorithm, CommitLog, Stm, StmConfig};
@@ -42,8 +42,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Probability (%) that the random driver preempts a runnable thread.
 const SWITCH_PCT: u32 = 40;
-/// Per-execution scheduling-step cap (livelock backstop).
-const STEP_CAP: usize = 20_000;
 
 /// Which workload kernel the crash scenario runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -297,7 +295,8 @@ fn run_once(cfg: &CrashConfig, driver: &mut dyn Driver) -> Result<ExecutionTrace
         body_seed: cfg.base_seed,
     };
 
-    let worker = |tid: usize, s: &Shared| {
+    let s = &shared;
+    let worker = |tid: usize| {
         let mut rng = SplitMix64::new(s.body_seed ^ (0xA5A5 + tid as u64 * 0x9E37_79B9));
         for _ in 0..s.ops_per_worker {
             s.kernel.run_one(&s.stm, &mut rng);
@@ -308,7 +307,7 @@ fn run_once(cfg: &CrashConfig, driver: &mut dyn Driver) -> Result<ExecutionTrace
     // interleave with committers under the explored schedule. Workers
     // block in `wait_durable` until their batch lands, so the flusher
     // must keep stepping until every worker has finished.
-    let flusher = |_tid: usize, s: &Shared| {
+    let flusher = |_tid: usize| {
         let log = s.stm.wal().unwrap();
         while s.done.load(Ordering::SeqCst) < s.workers {
             log.flush_step()
@@ -318,27 +317,22 @@ fn run_once(cfg: &CrashConfig, driver: &mut dyn Driver) -> Result<ExecutionTrace
         log.flush_step().expect("final flush");
     };
 
-    let mut bodies: Vec<crate::vthread::Body<'_, Shared>> = Vec::new();
+    let mut bodies: Vec<Body<'_>> = Vec::new();
     for _ in 0..cfg.workers {
         bodies.push(&worker);
     }
     bodies.push(&flusher);
 
-    let (samples, outcome) = {
+    let mut samples = {
         let mut obs = CrashObserver {
             inner: driver,
             sim: handle.clone(),
             log: shared.stm.wal().unwrap(),
             samples: Vec::new(),
         };
-        let outcome = run_threads(&shared, &bodies, &mut obs, STEP_CAP);
-        (obs.samples, outcome)
+        run_threads(&bodies, &mut obs, STEP_CAP)?;
+        obs.samples
     };
-    if outcome.capped {
-        return Err(format!(
-            "execution hit the {STEP_CAP}-step cap (likely livelock)"
-        ));
-    }
 
     // The live (uncrashed) run must itself be consistent.
     shared.kernel.verify(&shared.stm)?;
@@ -348,7 +342,6 @@ fn run_once(cfg: &CrashConfig, driver: &mut dyn Driver) -> Result<ExecutionTrace
             "final flush left {written} written vs {durable} durable bytes"
         ));
     }
-    let mut samples = samples;
     samples.push((written, durable, shared.stm.wal().unwrap().acked_count()));
     let acks = shared.stm.wal().unwrap().acked_seqs();
     Ok((samples, acks, handle.bytes()))

@@ -2,21 +2,20 @@
 //! schedules, all four algorithms checked against the serial oracle and
 //! the history checker.
 
-use crate::checker::check_history;
-use crate::history::{atomic_recorded, RecTx, Recorder};
+use crate::history::{run_checked, RecBody, RecThread, RecTx};
 use crate::program::{POp, Program};
 use crate::schedule::RandomDriver;
 use crate::shrink::shrink;
-use crate::vthread::run_threads;
-use semtm_core::chrome::chrome_trace_json;
+use crate::tracedump::span_note;
 use semtm_core::error::Abort;
 use semtm_core::util::SplitMix64;
 use semtm_core::{Addr, Algorithm, Mode, Stm, StmConfig, TelemetryLevel};
 
 /// Probability (%) that the random driver preempts a runnable thread.
 const SWITCH_PCT: u32 = 40;
-/// Per-execution scheduling-step cap (livelock backstop).
-const STEP_CAP: usize = 50_000;
+/// Per-execution scheduling-step cap (livelock backstop): random
+/// programs run longer than the explorers' scenarios.
+const FUZZ_STEP_CAP: usize = 50_000;
 
 /// Number of fuzz programs: `SEMTM_CHECK_ITERS` when set, else `dflt`.
 pub fn iterations(dflt: usize) -> usize {
@@ -119,22 +118,6 @@ pub fn run_program(
     run_program_on(&check_stm(alg, shards), program, alg, sched_seed, hot_swap)
 }
 
-/// Replay [`run_program`] on a flight-recorder-enabled runtime under
-/// the same schedule and return the recorded timeline as Chrome
-/// trace-event JSON (pass/fail of the replay itself is irrelevant — the
-/// spans are the product).
-pub fn trace_program(
-    program: &Program,
-    alg: Algorithm,
-    sched_seed: u64,
-    shards: usize,
-    hot_swap: bool,
-) -> String {
-    let stm = check_stm_traced(alg, shards);
-    let _ = run_program_on(&stm, program, alg, sched_seed, hot_swap);
-    chrome_trace_json(alg, &stm.telemetry().span_events())
-}
-
 fn run_program_on(
     stm: &Stm,
     program: &Program,
@@ -143,16 +126,11 @@ fn run_program_on(
     hot_swap: bool,
 ) -> Result<(), String> {
     let slots = alloc_slots(stm, &program.init);
-    let rec = Recorder::new();
-
-    let shared = (stm, &rec, program, slots.as_slice());
-    type Shared<'a> = (&'a Stm, &'a Recorder, &'a Program, &'a [Addr]);
-    let body = |tid: usize, shared: &Shared<'_>| {
-        let (stm, rec, program, slots) = *shared;
-        for tx in &program.threads[tid] {
-            atomic_recorded(stm, rec, tid, |rtx| {
+    let body = |t: &RecThread<'_>| {
+        for tx in &program.threads[t.index()] {
+            t.atomic(|rtx| {
                 for &op in tx {
-                    exec_op(rtx, op, slots)?;
+                    exec_op(rtx, op, &slots)?;
                 }
                 Ok(())
             });
@@ -162,8 +140,7 @@ fn run_program_on(
     // family and back, so the recorded history spans three engine eras.
     // It touches no program slot — the serial oracle below is the
     // unchanged one.
-    let switcher = |_tid: usize, shared: &Shared<'_>| {
-        let (stm, ..) = *shared;
+    let switcher = |_: &RecThread<'_>| {
         let home = stm.mode();
         let away = flip_family(home);
         stm.switch_to(away)
@@ -171,36 +148,26 @@ fn run_program_on(
         stm.switch_to(home)
             .expect("the starting mode is always available");
     };
-    let mut bodies: Vec<crate::vthread::Body<'_, Shared<'_>>> =
-        program.threads.iter().map(|_| &body as _).collect();
+    let mut threads: Vec<RecBody<'_>> = program.threads.iter().map(|_| &body as _).collect();
     if hot_swap {
-        bodies.push(&switcher);
+        threads.push(&switcher);
     }
 
+    let name = format!("fuzz_{alg}");
     let mut driver = RandomDriver::new(sched_seed, SWITCH_PCT);
-    let outcome = run_threads(&shared, &bodies, &mut driver, STEP_CAP);
-    if outcome.capped {
-        return Err(format!(
-            "{alg}: step cap {STEP_CAP} exceeded (livelock?) after {} steps",
-            outcome.steps
-        ));
-    }
+    run_checked(&name, stm, &slots, &threads, &mut driver, FUZZ_STEP_CAP)?;
 
     let final_mem: Vec<i64> = slots.iter().map(|&a| stm.read_now(a)).collect();
     if !program.serial_outcomes().contains(&final_mem) {
         return Err(format!(
             "{alg}: final state {final_mem:?} is outside the serial oracle set \
-             {:?} (init {:?})",
+             {:?} (init {:?}){}",
             program.serial_outcomes(),
-            program.init
+            program.init,
+            span_note(stm, &name)
         ));
     }
-
-    let pairs = |values: &[i64]| -> Vec<(Addr, i64)> {
-        slots.iter().copied().zip(values.iter().copied()).collect()
-    };
-    check_history(&rec.attempts(), &pairs(&program.init), &pairs(&final_mem))
-        .map_err(|e| format!("{alg}: {e}"))
+    Ok(())
 }
 
 /// Fuzz `programs` random programs, each on every algorithm with
@@ -208,9 +175,11 @@ fn run_program_on(
 /// under independently seeded random schedules derived from
 /// `base_seed`.
 ///
-/// On failure the failing program is minimized with [`shrink`] and the
-/// panic message carries the program, algorithm, program seed, and
-/// schedule seed — everything needed to replay.
+/// On failure the failing program is minimized with [`shrink`] and
+/// replayed on a flight-recorder runtime ([`check_stm_traced`]), whose
+/// failure dumps the timeline; the panic message carries the program,
+/// algorithm, program seed, and schedule seed — everything needed to
+/// replay.
 pub fn run_differential(programs: usize, base_seed: u64, shards: usize, hot_swap: bool) {
     let mut seeder = SplitMix64::new(base_seed);
     for i in 0..programs {
@@ -222,15 +191,16 @@ pub fn run_differential(programs: usize, base_seed: u64, shards: usize, hot_swap
             let run = |p: &Program| run_program(p, alg, sched_seed, shards, hot_swap);
             if let Err(msg) = run(&program) {
                 let minimized = shrink(&program, |p| run(p).is_err());
-                let note = crate::tracedump::dump_note(
-                    &format!("fuzz_{alg}"),
-                    &trace_program(&minimized, alg, sched_seed, shards, hot_swap),
-                );
+                let traced = check_stm_traced(alg, shards);
+                let replay = run_program_on(&traced, &minimized, alg, sched_seed, hot_swap);
+                let note = replay
+                    .err()
+                    .unwrap_or_else(|| "traced replay passed".into());
                 panic!(
                     "differential fuzz failure at program {i}/{programs} on {alg} \
                      (program seed {prog_seed:#x}, schedule seed {sched_seed:#x}, \
                      base seed {base_seed:#x}, clock shards {shards}, \
-                     hot swap {hot_swap}): {msg}\n{note}\n\
+                     hot swap {hot_swap}): {msg}\ntraced replay: {note}\n\
                      minimized program: {minimized:#?}"
                 );
             }
@@ -241,6 +211,7 @@ pub fn run_differential(programs: usize, base_seed: u64, shards: usize, hot_swap
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use semtm_core::chrome::chrome_trace_json;
     use semtm_core::heap::LINE_WORDS;
     use semtm_core::sclock::ShardedClock;
 
@@ -300,13 +271,18 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn trace_program_replays_into_chrome_json() {
+    fn traced_replay_records_spans_for_chrome_json() {
+        // The runtime a failing program is replayed on records the
+        // timeline its failure dumps.
         let mut rng = SplitMix64::new(7);
         let program = Program::generate(&mut rng);
         // (shards, hot swap): the global clock, the sharded clock, and
         // the global clock across a hot swap.
         for (shards, hot_swap) in [(1, false), (4, false), (1, true)] {
-            let json = trace_program(&program, Algorithm::SNOrec, 42, shards, hot_swap);
+            let alg = Algorithm::SNOrec;
+            let stm = check_stm_traced(alg, shards);
+            run_program_on(&stm, &program, alg, 42, hot_swap).unwrap();
+            let json = chrome_trace_json(alg, &stm.telemetry().span_events());
             assert!(json.contains("\"traceEvents\":["), "{shards} {hot_swap}");
             assert!(
                 json.contains("\"ph\":\"X\""),

@@ -1,5 +1,6 @@
 //! History recording: every transactional operation of every attempt,
-//! globally sequence-stamped, for the opacity checker.
+//! globally sequence-stamped, for the opacity checker — and
+//! [`run_checked`], the one way to run a checked execution.
 //!
 //! The recorder rides inside the transaction bodies run under the
 //! deterministic scheduler. Because scheduling is cooperative (exactly
@@ -8,6 +9,10 @@
 //! sequence stamps taken right after `Stm::atomic` returns order the
 //! attempts exactly as their serialisation-relevant intervals occurred.
 
+use crate::checker::check_history;
+use crate::schedule::Driver;
+use crate::tracedump::span_note;
+use crate::vthread::{run_threads, Body};
 use semtm_core::error::Abort;
 use semtm_core::ops::CmpOp;
 use semtm_core::{Addr, Stm, Tx};
@@ -98,26 +103,14 @@ pub struct Attempt {
 
 /// Collects attempts from all virtual threads of one execution.
 #[derive(Default)]
-pub struct Recorder {
+struct Recorder {
     seq: AtomicU64,
     attempts: Mutex<Vec<Attempt>>,
 }
 
 impl Recorder {
-    /// Fresh recorder for one execution.
-    pub fn new() -> Recorder {
-        Recorder::default()
-    }
-
     fn stamp(&self) -> u64 {
         self.seq.fetch_add(1, Ordering::SeqCst)
-    }
-
-    /// All recorded attempts, begin-ordered within each thread.
-    pub fn attempts(&self) -> Vec<Attempt> {
-        let mut a = self.attempts.lock().unwrap().clone();
-        a.sort_by_key(|at| at.begin_seq);
-        a
     }
 }
 
@@ -182,44 +175,100 @@ impl RecTx<'_, '_> {
     }
 }
 
-/// Run one transaction under `stm` while recording every attempt
-/// (including aborted ones) into `rec`.
-///
-/// The body may run multiple times (the runner retries aborted
-/// attempts); each entry of the closure opens a new [`Attempt`].
-pub fn atomic_recorded<T>(
-    stm: &Stm,
-    rec: &Recorder,
+/// One virtual thread of a [`run_checked`] execution: the handle its
+/// body runs recorded transactions through.
+pub struct RecThread<'a> {
+    stm: &'a Stm,
+    rec: &'a Recorder,
     thread: usize,
-    mut body: impl FnMut(&mut RecTx<'_, '_>) -> Result<T, Abort>,
-) -> T {
-    let attempts: RefCell<Vec<Attempt>> = RefCell::new(Vec::new());
-    let ops: RefCell<Vec<OpRec>> = RefCell::new(Vec::new());
-    let result = stm.atomic(|tx| {
-        // A new run of the closure = the previous attempt aborted.
-        {
-            let mut attempts = attempts.borrow_mut();
-            if let Some(prev) = attempts.last_mut() {
-                prev.end_seq = rec.stamp();
-                prev.ops = std::mem::take(&mut *ops.borrow_mut());
-            }
-            attempts.push(Attempt {
-                thread,
-                begin_seq: rec.stamp(),
-                end_seq: 0,
-                committed: false,
-                ops: Vec::new(),
-            });
-        }
-        let mut rtx = RecTx { tx, rec, ops: &ops };
-        body(&mut rtx)
-    });
-    let mut attempts = attempts.into_inner();
-    if let Some(last) = attempts.last_mut() {
-        last.end_seq = rec.stamp();
-        last.committed = true;
-        last.ops = ops.into_inner();
+}
+
+impl RecThread<'_> {
+    /// This thread's index: its position in the execution's thread list.
+    pub fn index(&self) -> usize {
+        self.thread
     }
-    rec.attempts.lock().unwrap().extend(attempts);
-    result
+
+    /// Run one transaction while recording every attempt (including
+    /// aborted ones): each run of `body` opens a new [`Attempt`].
+    pub fn atomic<T>(&self, mut body: impl FnMut(&mut RecTx<'_, '_>) -> Result<T, Abort>) -> T {
+        let rec = self.rec;
+        let attempts: RefCell<Vec<Attempt>> = RefCell::new(Vec::new());
+        let ops: RefCell<Vec<OpRec>> = RefCell::new(Vec::new());
+        let result = self.stm.atomic(|tx| {
+            // A new run of the closure = the previous attempt aborted.
+            {
+                let mut attempts = attempts.borrow_mut();
+                if let Some(prev) = attempts.last_mut() {
+                    prev.end_seq = rec.stamp();
+                    prev.ops = std::mem::take(&mut *ops.borrow_mut());
+                }
+                attempts.push(Attempt {
+                    thread: self.thread,
+                    begin_seq: rec.stamp(),
+                    end_seq: 0,
+                    committed: false,
+                    ops: Vec::new(),
+                });
+            }
+            let mut rtx = RecTx { tx, rec, ops: &ops };
+            body(&mut rtx)
+        });
+        let mut attempts = attempts.into_inner();
+        if let Some(last) = attempts.last_mut() {
+            last.end_seq = rec.stamp();
+            last.committed = true;
+            last.ops = ops.into_inner();
+        }
+        rec.attempts
+            .lock()
+            .expect("no thread panics while appending its attempts")
+            .extend(attempts);
+        result
+    }
+}
+
+/// A virtual thread of a checked execution. A body that never calls
+/// [`RecThread::atomic`] — an engine switcher, say — runs unrecorded.
+pub type RecBody<'b> = &'b (dyn Fn(&RecThread<'_>) + Sync);
+
+/// Run one checked execution of `threads` on `stm` under `driver`.
+///
+/// Reads the tracked `cells`' initial values, runs the threads with
+/// [`run_threads`] (an execution that takes `step_cap` scheduling
+/// decisions is an error), reads the cells' final values and checks the
+/// recorded history with [`check_history`]. Errors are labelled with
+/// `name` and the runtime's starting mode; when `stm` records spans, a
+/// failed check also carries the flight-recorder timeline, dumped as
+/// `results/check/<name>.json`. Returns the recorded attempts,
+/// begin-ordered, for assertions beyond the checker's.
+pub fn run_checked(
+    name: &str,
+    stm: &Stm,
+    cells: &[Addr],
+    threads: &[RecBody<'_>],
+    driver: &mut dyn Driver,
+    step_cap: usize,
+) -> Result<Vec<Attempt>, String> {
+    let label = format!("{name} on {}", stm.mode());
+    let values = || -> Vec<(Addr, i64)> { cells.iter().map(|&a| (a, stm.read_now(a))).collect() };
+    let init = values();
+    let rec = Recorder::default();
+    let body = |thread: usize| {
+        threads[thread](&RecThread {
+            stm,
+            rec: &rec,
+            thread,
+        })
+    };
+    let bodies: Vec<Body<'_>> = threads.iter().map(|_| &body as Body<'_>).collect();
+    run_threads(&bodies, driver, step_cap).map_err(|e| format!("{label}: {e}"))?;
+    let mut attempts = rec
+        .attempts
+        .into_inner()
+        .expect("no thread panics while appending its attempts");
+    attempts.sort_by_key(|at| at.begin_seq);
+    check_history(&attempts, &init, &values())
+        .map_err(|e| format!("{label}: {e}{}", span_note(stm, name)))?;
+    Ok(attempts)
 }

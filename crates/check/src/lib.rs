@@ -10,7 +10,10 @@
 //!   ([`DfsDriver`](schedule::DfsDriver)) and seeded, replayable random
 //!   walks ([`RandomDriver`](schedule::RandomDriver));
 //! * [`history`] — a recorder logging every `begin`/`read`/`cmp`/`inc`/
-//!   `write`/`commit`/`abort` with global sequence stamps;
+//!   `write`/`commit`/`abort` with global sequence stamps, and
+//!   [`run_checked`](history::run_checked), the one way to run a checked
+//!   execution: step cap, history check and, on a span-recording
+//!   runtime, the failing schedule's trace dump;
 //! * [`checker`] — final-state serializability and zombie-freedom over
 //!   recorded histories;
 //! * [`program`] + [`fuzz`] + [`shrink`] — the cross-backend
@@ -25,23 +28,24 @@
 //! ## Quick start
 //!
 //! ```
-//! use semtm_check::schedule::{explore_exhaustive, ExploreOptions};
-//! use semtm_check::vthread::run_threads;
 //! use semtm_check::fuzz::check_stm;
+//! use semtm_check::history::{run_checked, RecThread};
+//! use semtm_check::schedule::{explore_exhaustive, ExploreOptions};
+//! use semtm_check::vthread::STEP_CAP;
 //! use semtm_core::Algorithm;
 //!
 //! // Explore every schedule (≤2 preemptions) of two racing increments,
-//! // on the global commit clock and on four clock shards.
+//! // on the global commit clock and on four clock shards: each execution
+//! // must stay under the step cap, pass the history checker and lose no
+//! // update.
 //! for shards in [1, 4] {
 //!     let explored = explore_exhaustive(
 //!         ExploreOptions { max_preemptions: 2, ..ExploreOptions::default() },
 //!         |driver| {
 //!             let stm = check_stm(Algorithm::SNOrec, shards);
 //!             let x = stm.alloc_cell(0i64);
-//!             let body = |_tid: usize, stm: &semtm_core::Stm| {
-//!                 stm.atomic(|tx| tx.inc(x, 1));
-//!             };
-//!             run_threads(&stm, &[&body, &body], driver, 10_000);
+//!             let inc = |t: &RecThread<'_>| t.atomic(|tx| tx.inc(x, 1));
+//!             run_checked("increments", &stm, &[x], &[&inc, &inc], driver, STEP_CAP)?;
 //!             if stm.read_now(x) == 2 { Ok(()) } else { Err("lost update".into()) }
 //!         },
 //!     );

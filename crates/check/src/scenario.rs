@@ -1,27 +1,21 @@
 //! Shared exploration scenarios used both by the clean-run smoke tests
 //! and the fault-injection regression tests.
 //!
-//! Each function runs one two-thread scenario under the given schedule
-//! driver, records the full history, and checks it. With the algorithms
-//! unmodified every bounded schedule passes; with the corresponding
-//! fault armed (`semtm_core::fault`) some schedule commits a
-//! non-serializable history and the checker reports it.
+//! Each history scenario runs its threads under the given schedule
+//! driver through [`run_checked`], which records the full history and
+//! checks it. With the algorithms unmodified every bounded schedule
+//! passes; with the corresponding fault armed (`semtm_core::fault`)
+//! some schedule commits a non-serializable history and the checker
+//! reports it.
 
-use crate::checker::check_history;
 use crate::fuzz::check_stm_traced;
-use crate::history::{atomic_recorded, Recorder};
+use crate::history::{run_checked, RecThread};
 use crate::schedule::Driver;
-use crate::tracedump::dump_note;
-use crate::vthread::run_threads;
-use semtm_core::chrome::chrome_trace_json;
+use crate::vthread::{run_threads, STEP_CAP};
 use semtm_core::ops::CmpOp;
 use semtm_core::wal::{DurabilityMode, SimStorage};
 use semtm_core::{Addr, Algorithm, Mode, Stm, StmConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-const STEP_CAP: usize = 20_000;
-
-type Shared<'a> = (&'a Stm, &'a Recorder);
 
 /// One cell per value, allocated in order: packed on a one-shard
 /// runtime, a cache line (and clock shard) each on a sharded one.
@@ -37,46 +31,33 @@ fn cells<const N: usize>(stm: &Stm, init: [i64; N]) -> [Addr; N] {
 /// S-NOrec revalidates `x > 0` (now false) and aborts T0's attempt.
 /// Skipping revalidation lets T0 commit having observed both
 /// `x > 0 == true` and `y == 1` — no serial order explains that
-/// (`[T0,T1]` gives `y = 0`; `[T1,T0]` gives `x > 0` false). Runs on
-/// `shards` commit-clock shards.
-pub fn snorec_revalidation(driver: &mut dyn Driver, shards: usize) -> Result<(), String> {
-    let stm = check_stm_traced(Algorithm::SNOrec, shards);
+/// (`[T0,T1]` gives `y = 0`; `[T1,T0]` gives `x > 0` false). Runs `alg`
+/// on `shards` commit-clock shards: at more than one, the `cmp` on `x`
+/// and the read of `y` cover different shards, so T0's validation must
+/// re-check `x` whenever `x`'s shard moved.
+pub fn snorec_revalidation(
+    driver: &mut dyn Driver,
+    alg: Algorithm,
+    shards: usize,
+) -> Result<(), String> {
+    let stm = check_stm_traced(alg, shards);
     let [x, y, out] = cells(&stm, [5, 0, 0]);
-    let rec = Recorder::new();
-    let shared = (&stm, &rec);
-    let t0 = |tid: usize, (stm, rec): &Shared<'_>| {
-        atomic_recorded(stm, rec, tid, |tx| {
+    let t0 = |t: &RecThread<'_>| {
+        t.atomic(|tx| {
             if tx.cmp(x, CmpOp::Gt, 0)? {
                 tx.write(out, 1)?;
             }
             tx.read(y).map(|_| ())
-        });
+        })
     };
-    let t1 = |tid: usize, (stm, rec): &Shared<'_>| {
-        atomic_recorded(stm, rec, tid, |tx| {
+    let t1 = |t: &RecThread<'_>| {
+        t.atomic(|tx| {
             tx.write(x, -5)?;
             tx.write(y, 1)
-        });
+        })
     };
-    let o = run_threads(&shared, &[&t0, &t1], driver, STEP_CAP);
-    if o.capped {
-        return Err("step cap exceeded".into());
-    }
-    check_history(
-        &rec.attempts(),
-        &[(x, 5), (y, 0), (out, 0)],
-        &[
-            (x, stm.read_now(x)),
-            (y, stm.read_now(y)),
-            (out, stm.read_now(out)),
-        ],
-    )
-    .map_err(|e| {
-        // The violating schedule's own flight-recorder timeline, for
-        // post-mortem in Perfetto.
-        let json = chrome_trace_json(Algorithm::SNOrec, &stm.telemetry().span_events());
-        format!("{e}\n{}", dump_note("scenario_snorec_revalidation", &json))
-    })
+    let name = "scenario_snorec_revalidation";
+    run_checked(name, &stm, &[x, y, out], &[&t0, &t1], driver, STEP_CAP).map(drop)
 }
 
 /// Sharded-clock first-touch scenario (the bug: a first read under a
@@ -95,36 +76,20 @@ pub fn snorec_revalidation(driver: &mut dyn Driver, shards: usize) -> Result<(),
 pub fn first_touch_straddle(driver: &mut dyn Driver, alg: Algorithm) -> Result<(), String> {
     let stm = check_stm_traced(alg, 4);
     let [x, y] = cells(&stm, [1, 2]);
-    let rec = Recorder::new();
-    let shared = (&stm, &rec);
-    let t0 = |tid: usize, (stm, rec): &Shared<'_>| {
-        atomic_recorded(stm, rec, tid, |tx| {
+    let t0 = |t: &RecThread<'_>| {
+        t.atomic(|tx| {
             tx.read(x)?;
             tx.read(y).map(|_| ())
-        });
+        })
     };
-    let t1 = |tid: usize, (stm, rec): &Shared<'_>| {
-        atomic_recorded(stm, rec, tid, |tx| {
+    let t1 = |t: &RecThread<'_>| {
+        t.atomic(|tx| {
             tx.write(x, 10)?;
             tx.write(y, 20)
-        });
+        })
     };
-    let o = run_threads(&shared, &[&t0, &t1], driver, STEP_CAP);
-    if o.capped {
-        return Err("step cap exceeded".into());
-    }
-    check_history(
-        &rec.attempts(),
-        &[(x, 1), (y, 2)],
-        &[(x, stm.read_now(x)), (y, stm.read_now(y))],
-    )
-    .map_err(|e| {
-        let json = chrome_trace_json(alg, &stm.telemetry().span_events());
-        format!(
-            "{alg}: {e}\n{}",
-            dump_note("scenario_first_touch_straddle", &json)
-        )
-    })
+    let name = "scenario_first_touch_straddle";
+    run_checked(name, &stm, &[x, y], &[&t0, &t1], driver, STEP_CAP).map(drop)
 }
 
 /// TL2 commit-time read-validation scenario (the bug: skipping
@@ -141,33 +106,20 @@ pub fn first_touch_straddle(driver: &mut dyn Driver, alg: Algorithm) -> Result<(
 pub fn tl2_read_validation(driver: &mut dyn Driver, shards: usize) -> Result<(), String> {
     let stm = check_stm_traced(Algorithm::Tl2, shards);
     let [x, y] = cells(&stm, [5, 0]);
-    let rec = Recorder::new();
-    let shared = (&stm, &rec);
-    let t0 = |tid: usize, (stm, rec): &Shared<'_>| {
-        atomic_recorded(stm, rec, tid, |tx| {
+    let t0 = |t: &RecThread<'_>| {
+        t.atomic(|tx| {
             tx.read(x)?;
             tx.write(y, 2)
-        });
+        })
     };
-    let t1 = |tid: usize, (stm, rec): &Shared<'_>| {
-        atomic_recorded(stm, rec, tid, |tx| {
+    let t1 = |t: &RecThread<'_>| {
+        t.atomic(|tx| {
             tx.write(x, -5)?;
             tx.write(y, 1)
-        });
+        })
     };
-    let o = run_threads(&shared, &[&t0, &t1], driver, STEP_CAP);
-    if o.capped {
-        return Err("step cap exceeded".into());
-    }
-    check_history(
-        &rec.attempts(),
-        &[(x, 5), (y, 0)],
-        &[(x, stm.read_now(x)), (y, stm.read_now(y))],
-    )
-    .map_err(|e| {
-        let json = chrome_trace_json(Algorithm::Tl2, &stm.telemetry().span_events());
-        format!("{e}\n{}", dump_note("scenario_tl2_read_validation", &json))
-    })
+    let name = "scenario_tl2_read_validation";
+    run_checked(name, &stm, &[x, y], &[&t0, &t1], driver, STEP_CAP).map(drop)
 }
 
 /// Engine hot-swap drain scenario (the bug: skipping the drain barrier,
@@ -195,48 +147,35 @@ pub fn tl2_read_validation(driver: &mut dyn Driver, shards: usize) -> Result<(),
 pub fn adaptive_switch_drain(driver: &mut dyn Driver, shards: usize) -> Result<(), String> {
     let stm = check_stm_traced(Algorithm::SNOrec, shards);
     let [x, y, z, out] = cells(&stm, [5, 0, 0, 0]);
-    let rec = Recorder::new();
-    let shared = (&stm, &rec);
-    let t0 = |tid: usize, (stm, rec): &Shared<'_>| {
-        atomic_recorded(stm, rec, tid, |tx| {
+    let t0 = |t: &RecThread<'_>| {
+        t.atomic(|tx| {
             if tx.cmp(x, CmpOp::Gt, 0)? {
                 tx.write(out, 1)?;
             }
             tx.read(z)?;
             tx.read(y).map(|_| ())
-        });
+        })
     };
-    let t1 = |tid: usize, (stm, rec): &Shared<'_>| {
-        atomic_recorded(stm, rec, tid, |tx| {
+    let t1 = |t: &RecThread<'_>| {
+        t.atomic(|tx| {
             tx.write(x, -5)?;
             tx.write(y, 1)
-        });
+        })
     };
-    let t2 = |_tid: usize, (stm, _rec): &Shared<'_>| {
+    let t2 = |_: &RecThread<'_>| {
         stm.switch_to(Mode::new(Algorithm::STl2))
             .expect("unsharded S-TL2 is always available");
     };
-    let o = run_threads(&shared, &[&t0, &t1, &t2], driver, STEP_CAP);
-    if o.capped {
-        return Err("step cap exceeded".into());
-    }
-    check_history(
-        &rec.attempts(),
-        &[(x, 5), (y, 0), (z, 0), (out, 0)],
-        &[
-            (x, stm.read_now(x)),
-            (y, stm.read_now(y)),
-            (z, stm.read_now(z)),
-            (out, stm.read_now(out)),
-        ],
+    let name = "scenario_adaptive_switch_drain";
+    run_checked(
+        name,
+        &stm,
+        &[x, y, z, out],
+        &[&t0, &t1, &t2],
+        driver,
+        STEP_CAP,
     )
-    .map_err(|e| {
-        let json = chrome_trace_json(Algorithm::SNOrec, &stm.telemetry().span_events());
-        format!(
-            "{e}\n{}",
-            dump_note("scenario_adaptive_switch_drain", &json)
-        )
-    })
+    .map(drop)
 }
 
 /// Engine hot-swap racing a WAL group-commit flush: the switch must not
@@ -263,13 +202,11 @@ pub fn adaptive_switch_wal_flush(driver: &mut dyn Driver) -> Result<(), String> 
     stm.wal().unwrap().track_acks(true);
     let x = stm.alloc_cell(0i64);
     let done = AtomicUsize::new(0);
-    let shared = (&stm, &done);
-    type WalShared<'a> = (&'a Stm, &'a AtomicUsize);
-    let t0 = |_tid: usize, (stm, done): &WalShared<'_>| {
+    let t0 = |_tid: usize| {
         stm.atomic(|tx| tx.inc(x, 1));
         done.fetch_add(1, Ordering::SeqCst);
     };
-    let t1 = |_tid: usize, (stm, done): &WalShared<'_>| {
+    let t1 = |_tid: usize| {
         let log = stm.wal().unwrap();
         while done.load(Ordering::SeqCst) < 1 {
             log.flush_step().expect("no I/O faults armed");
@@ -277,7 +214,7 @@ pub fn adaptive_switch_wal_flush(driver: &mut dyn Driver) -> Result<(), String> 
         }
         log.flush_step().expect("final flush");
     };
-    let t2 = |_tid: usize, (stm, _done): &WalShared<'_>| {
+    let t2 = |_tid: usize| {
         // Wait for T0's write-back to become heap-visible: from here on
         // T0 is at worst blocked in `wait_durable` on the flusher.
         while stm.read_now(x) == 0 {
@@ -297,10 +234,7 @@ pub fn adaptive_switch_wal_flush(driver: &mut dyn Driver) -> Result<(), String> 
         );
         assert_eq!(log.acked_seqs(), vec![1]);
     };
-    let o = run_threads(&shared, &[&t0, &t1, &t2], driver, STEP_CAP);
-    if o.capped {
-        return Err("step cap exceeded".into());
-    }
+    run_threads(&[&t0, &t1, &t2], driver, STEP_CAP)?;
     if stm.read_now(x) != 1 {
         return Err(format!("lost durable increment: x = {}", stm.read_now(x)));
     }

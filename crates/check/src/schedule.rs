@@ -196,8 +196,6 @@ pub struct ExploreOptions {
     pub max_preemptions: u32,
     /// Hard cap on the number of executions (0 = unlimited).
     pub max_executions: usize,
-    /// Per-execution scheduling-step cap (livelock backstop).
-    pub step_cap: usize,
 }
 
 impl Default for ExploreOptions {
@@ -205,14 +203,14 @@ impl Default for ExploreOptions {
         ExploreOptions {
             max_preemptions: 3,
             max_executions: 0,
-            step_cap: 20_000,
         }
     }
 }
 
 /// Exhaustively explore schedules: call `execute` once per schedule with
-/// the driver (pass it to [`crate::vthread::run_threads`]), until the
-/// bounded tree is exhausted or a budget trips.
+/// the driver (pass it to [`crate::history::run_checked`], or to
+/// [`crate::vthread::run_threads`] for an execution that records no
+/// history), until the bounded tree is exhausted or a budget trips.
 ///
 /// On `Err` from `execute`, panics with the failing execution index and
 /// the schedule (thread ids in decision order) so the run is replayable.

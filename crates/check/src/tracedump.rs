@@ -1,15 +1,17 @@
 //! Flight-recorder dumps for failing schedules.
 //!
-//! When the differential fuzzer or a fault-injection scenario catches a
-//! violation, the minimized interleaving is replayed once more on an
-//! [`TelemetryLevel::Spans`](semtm_core::TelemetryLevel::Spans)-enabled
-//! runtime and the recorded spans are written out as Chrome trace-event
+//! When a checked execution on a
+//! [`TelemetryLevel::Spans`]-enabled runtime fails — a fault-injection
+//! scenario, or the differential fuzzer's replay of its minimized
+//! program — the recorded spans are written out as Chrome trace-event
 //! JSON under `results/check/` at the workspace root. The panic/error
 //! message names the file, so a red CI run ships a timeline of the
 //! offending schedule (every attempt, its phases, and which
 //! address/transaction each abort was attributed to) as part of the
 //! uploaded `results/` artifact.
 
+use semtm_core::chrome::chrome_trace_json;
+use semtm_core::{Stm, TelemetryLevel};
 use std::path::PathBuf;
 
 /// Best-effort write of a Chrome trace-event document to
@@ -24,11 +26,18 @@ pub fn dump_trace(name: &str, json: &str) -> Option<PathBuf> {
     Some(path)
 }
 
-/// Render `dump_trace`'s outcome for inclusion in a failure message.
-pub fn dump_note(name: &str, json: &str) -> String {
-    match dump_trace(name, json) {
-        Some(path) => format!("flight-recorder trace: {}", path.display()),
-        None => "flight-recorder trace could not be written".to_string(),
+/// Dump `stm`'s retained spans with [`dump_trace`] and render the
+/// outcome as a line to append to a failure message; empty when `stm`
+/// records no spans.
+pub fn span_note(stm: &Stm, name: &str) -> String {
+    let telemetry = stm.telemetry();
+    if telemetry.level() < TelemetryLevel::Spans {
+        return String::new();
+    }
+    let json = chrome_trace_json(stm.algorithm(), &telemetry.span_events());
+    match dump_trace(name, &json) {
+        Some(path) => format!("\nflight-recorder trace: {}", path.display()),
+        None => "\nflight-recorder trace could not be written".to_string(),
     }
 }
 

@@ -16,7 +16,7 @@ use std::sync::{Arc, Condvar, Mutex, Once};
 
 /// Panic payload used to unwind a worker that the coordinator cancelled
 /// (e.g. after another worker failed or the step cap was hit). Filtered
-/// out of the panic-hook output and of `RunOutcome::panic`.
+/// out of the panic-hook output and of the panic `run_threads` re-raises.
 struct Cancelled;
 
 /// Where a worker currently stands, from the coordinator's view.
@@ -131,20 +131,15 @@ fn install_quiet_panic_hook() {
     });
 }
 
-/// What one scheduled execution did.
-#[derive(Debug)]
-pub struct RunOutcome {
-    /// Number of coordinator resume decisions taken.
-    pub steps: usize,
-    /// Whether the execution was cut off by the step cap (livelock guard).
-    pub capped: bool,
-}
+/// Scheduling decisions one explored execution may take before it is
+/// cut off as a livelock (the explorers' cap; the fuzzer names its own).
+pub const STEP_CAP: usize = 20_000;
 
-/// A virtual-thread body: called with `(thread index, shared state)`.
-pub type Body<'b, S> = &'b (dyn Fn(usize, &S) + Sync);
+/// A virtual-thread body, called with its thread index.
+pub type Body<'b> = &'b (dyn Fn(usize) + Sync);
 
-/// Run `bodies` under `driver`'s schedule. `shared` is passed to every
-/// body together with its thread index.
+/// Run `bodies` under `driver`'s schedule, each called with its thread
+/// index.
 ///
 /// Every body runs to completion (or unwinds) before this returns. A
 /// panic in a body (other than coordinator cancellation) cancels the
@@ -152,20 +147,18 @@ pub type Body<'b, S> = &'b (dyn Fn(usize, &S) + Sync);
 /// assertions inside bodies behave as usual.
 ///
 /// `step_cap` bounds the number of scheduling decisions as a livelock
-/// backstop; hitting it cancels all workers and reports `capped: true`.
-pub fn run_threads<S: Sync + ?Sized>(
-    shared: &S,
-    bodies: &[Body<'_, S>],
+/// backstop; hitting it cancels all workers and returns an error naming
+/// the cap and the steps taken.
+pub fn run_threads(
+    bodies: &[Body<'_>],
     driver: &mut dyn Driver,
     step_cap: usize,
-) -> RunOutcome {
+) -> Result<(), String> {
     install_quiet_panic_hook();
     let n = bodies.len();
     let slots: Vec<Arc<Slot>> = (0..n).map(|_| Arc::new(Slot::new())).collect();
-    let mut outcome = RunOutcome {
-        steps: 0,
-        capped: false,
-    };
+    let mut steps = 0usize;
+    let mut capped = false;
     let mut body_panic: Option<Box<dyn std::any::Any + Send>> = None;
 
     std::thread::scope(|scope| {
@@ -175,7 +168,7 @@ pub fn run_threads<S: Sync + ?Sized>(
             handles.push(scope.spawn(move || {
                 let hook: Arc<dyn SchedHook> = Arc::new(WorkerHook { slot: slot.clone() });
                 sched::install_hook(hook);
-                let result = panic::catch_unwind(AssertUnwindSafe(|| body(i, shared)));
+                let result = panic::catch_unwind(AssertUnwindSafe(|| body(i)));
                 sched::clear_hook();
                 slot.finish();
                 match result {
@@ -203,8 +196,8 @@ pub fn run_threads<S: Sync + ?Sized>(
             if alive_ids.is_empty() {
                 break;
             }
-            if outcome.steps >= step_cap {
-                outcome.capped = true;
+            if steps >= step_cap {
+                capped = true;
                 cancel_all(&slots, &alive);
                 break;
             }
@@ -214,7 +207,7 @@ pub fn run_threads<S: Sync + ?Sized>(
                 alive: &alive_ids,
             });
             debug_assert!(alive[chosen], "driver chose a finished worker");
-            outcome.steps += 1;
+            steps += 1;
             let still_alive = slots[chosen].resume_and_wait();
             alive[chosen] = still_alive;
             if still_alive {
@@ -235,7 +228,12 @@ pub fn run_threads<S: Sync + ?Sized>(
     if let Some(p) = body_panic {
         panic::resume_unwind(p);
     }
-    outcome
+    if capped {
+        return Err(format!(
+            "step cap {step_cap} exceeded after {steps} steps (livelock?)"
+        ));
+    }
+    Ok(())
 }
 
 /// Cancel every still-parked worker so the scope can join them.

@@ -30,7 +30,6 @@ fn switch_racing_commits_and_aborts_serializes() {
                 ExploreOptions {
                     max_preemptions: bound,
                     max_executions: cap,
-                    step_cap: 20_000,
                 },
                 |driver| scenario::adaptive_switch_drain(driver, shards),
             );
@@ -46,7 +45,6 @@ fn switch_racing_wal_group_commit_flush_keeps_acks_durable() {
             ExploreOptions {
                 max_preemptions: bound,
                 max_executions: cap,
-                step_cap: 20_000,
             },
             |driver| scenario::adaptive_switch_wal_flush(driver),
         );

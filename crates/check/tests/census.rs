@@ -33,14 +33,13 @@
 
 use semtm_check::fuzz::check_stm;
 use semtm_check::schedule::{explore_exhaustive, ExploreOptions};
-use semtm_check::vthread::run_threads;
+use semtm_check::vthread::{run_threads, STEP_CAP};
 use semtm_core::util::hash_u32;
-use semtm_core::{Abort, Algorithm, Stm};
+use semtm_core::{Abort, Algorithm};
 use semtm_workloads::hashtable::{Hashtable, HashtableConfig};
 use std::sync::Mutex;
 
 const CAPACITY: usize = 8;
-const STEP_CAP: usize = 20_000;
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Script {
@@ -62,8 +61,7 @@ fn census(alg: Algorithm, script: Script) -> (usize, u64) {
     let mut aborts = 0;
     let opts = ExploreOptions {
         max_preemptions: 2,
-        max_executions: 0,
-        step_cap: STEP_CAP,
+        ..ExploreOptions::default()
     };
     let schedules = explore_exhaustive(opts, |driver| {
         let stm = check_stm(alg, 1);
@@ -83,24 +81,15 @@ fn census(alg: Algorithm, script: Script) -> (usize, u64) {
         let before = stm.stats();
 
         let probed: Mutex<Option<Result<bool, Abort>>> = Mutex::new(None);
-        let shared = (&stm, &table, &probed);
-        type Shared<'a> = (
-            &'a Stm,
-            &'a Hashtable,
-            &'a Mutex<Option<Result<bool, Abort>>>,
-        );
-        let prober = |_tid: usize, (stm, table, probed): &Shared<'_>| {
+        let prober = |_tid: usize| {
             let found = stm.try_atomic(|tx| table.contains(tx, k));
             *probed.lock().unwrap() = Some(found);
         };
-        let writer = |_tid: usize, (stm, table, _): &Shared<'_>| match script {
+        let writer = |_tid: usize| match script {
             Script::Reuse => assert!(stm.atomic(|tx| table.insert(tx, k2))),
             Script::Control => assert!(stm.atomic(|tx| table.remove(tx, k))),
         };
-        let out = run_threads(&shared, &[&prober, &writer], driver, STEP_CAP);
-        if out.capped {
-            return Err("step cap exceeded".into());
-        }
+        run_threads(&[&prober, &writer], driver, STEP_CAP)?;
         table.verify(&stm).map_err(|e| format!("{alg}: {e}"))?;
 
         // `k` is live throughout *reuse*, so a committed probe finds it.

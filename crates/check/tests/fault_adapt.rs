@@ -25,8 +25,7 @@ fn skipped_switch_drain_is_caught_by_the_checker() {
     explore_exhaustive(
         ExploreOptions {
             max_preemptions: 3,
-            max_executions: 0,
-            step_cap: 20_000,
+            ..ExploreOptions::default()
         },
         |driver| scenario::adaptive_switch_drain(driver, 1),
     );

@@ -21,8 +21,7 @@ fn forgotten_first_touch_is_caught_by_the_checker() {
     explore_exhaustive(
         ExploreOptions {
             max_preemptions: 2,
-            max_executions: 0,
-            step_cap: 20_000,
+            ..ExploreOptions::default()
         },
         |driver| scenario::first_touch_straddle(driver, Algorithm::SNOrec),
     );

@@ -11,7 +11,7 @@
 
 use semtm_check::scenario;
 use semtm_check::schedule::{explore_exhaustive, ExploreOptions};
-use semtm_core::fault;
+use semtm_core::{fault, Algorithm};
 use std::panic::catch_unwind;
 
 #[test]
@@ -22,10 +22,9 @@ fn skipped_snorec_revalidation_is_caught_by_the_checker() {
             explore_exhaustive(
                 ExploreOptions {
                     max_preemptions: 3,
-                    max_executions: 0,
-                    step_cap: 20_000,
+                    ..ExploreOptions::default()
                 },
-                |driver| scenario::snorec_revalidation(driver, shards),
+                |driver| scenario::snorec_revalidation(driver, Algorithm::SNOrec, shards),
             )
         });
         let msg = *explored

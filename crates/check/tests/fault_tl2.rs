@@ -22,8 +22,7 @@ fn skipped_tl2_read_validation_is_caught_by_the_checker() {
             explore_exhaustive(
                 ExploreOptions {
                     max_preemptions: 3,
-                    max_executions: 0,
-                    step_cap: 20_000,
+                    ..ExploreOptions::default()
                 },
                 |driver| scenario::tl2_read_validation(driver, shards),
             )

@@ -11,12 +11,10 @@
 
 use semtm_check::fuzz::check_stm;
 use semtm_check::schedule::{explore_exhaustive, ExploreOptions};
-use semtm_check::vthread::run_threads;
-use semtm_core::{Algorithm, Stm};
+use semtm_check::vthread::{run_threads, STEP_CAP};
+use semtm_core::Algorithm;
 use semtm_ir::{lower, programs, run_tm_passes, ExecError, Function, Interp, LoweredFunction};
 use std::sync::atomic::{AtomicI64, Ordering};
-
-const STEP_CAP: usize = 20_000;
 
 /// Commit-clock shard counts every test runs at.
 const SHARDS: [usize; 2] = [1, 4];
@@ -25,7 +23,6 @@ fn opts() -> ExploreOptions {
     ExploreOptions {
         max_preemptions: 2,
         max_executions: 2_000,
-        step_cap: STEP_CAP,
     }
 }
 
@@ -77,25 +74,20 @@ fn range_gate_serializes_against_a_bucket_drain_on_every_schedule() {
                     let tokens = stm.alloc_cell(60i64);
                     let grants = stm.alloc_cell(0i64);
                     let ret = AtomicI64::new(-1);
-                    let shared = (&stm, &ret);
-                    type Shared<'a> = (&'a Stm, &'a AtomicI64);
-                    let gate = |_tid: usize, (stm, ret): &Shared<'_>| {
+                    let gate = |_tid: usize| {
                         let r = f
                             .execute(
-                                &Interp::new(stm),
+                                &Interp::new(&stm),
                                 &[tokens.index() as i64, grants.index() as i64],
                             )
                             .expect("kernel executes")
                             .expect("kernel returns a value");
                         ret.store(r, Ordering::Relaxed);
                     };
-                    let drain = |_tid: usize, (stm, _): &Shared<'_>| {
+                    let drain = |_tid: usize| {
                         stm.atomic(|tx| tx.inc(tokens, -20));
                     };
-                    let out = run_threads(&shared, &[&gate, &drain], driver, STEP_CAP);
-                    if out.capped {
-                        return Err("step cap exceeded".into());
-                    }
+                    run_threads(&[&gate, &drain], driver, STEP_CAP)?;
                     let (t, g, r) = (
                         stm.read_now(tokens),
                         stm.read_now(grants),
@@ -134,22 +126,17 @@ fn cross_block_guard_is_mutually_exclusive_on_every_schedule() {
                     let lock = stm.alloc_cell(0i64);
                     let count = stm.alloc_cell(0i64);
                     let rets = [AtomicI64::new(-1), AtomicI64::new(-1)];
-                    let shared = (&stm, &rets);
-                    type Shared<'a> = (&'a Stm, &'a [AtomicI64; 2]);
-                    let body = |tid: usize, (stm, rets): &Shared<'_>| {
+                    let body = |tid: usize| {
                         let r = f
                             .execute(
-                                &Interp::new(stm),
+                                &Interp::new(&stm),
                                 &[lock.index() as i64, count.index() as i64],
                             )
                             .expect("kernel executes")
                             .expect("kernel returns a value");
                         rets[tid].store(r, Ordering::Relaxed);
                     };
-                    let out = run_threads(&shared, &[&body, &body], driver, STEP_CAP);
-                    if out.capped {
-                        return Err("step cap exceeded".into());
-                    }
+                    run_threads(&[&body, &body], driver, STEP_CAP)?;
                     let (l, c) = (stm.read_now(lock), stm.read_now(count));
                     let acquired =
                         rets[0].load(Ordering::Relaxed) + rets[1].load(Ordering::Relaxed);

@@ -8,15 +8,13 @@
 //! and the sharded clock at 4 shards, where padded allocation gives each
 //! cell a shard of its own.
 
-use semtm_check::checker::check_history;
 use semtm_check::fuzz::check_stm;
-use semtm_check::history::{atomic_recorded, Recorder};
-use semtm_check::schedule::{explore_exhaustive, explore_random, ExploreOptions};
-use semtm_check::vthread::run_threads;
+use semtm_check::history::{run_checked, RecThread};
+use semtm_check::scenario;
+use semtm_check::schedule::{explore_exhaustive, explore_random, ExploreOptions, RandomDriver};
+use semtm_check::vthread::{run_threads, STEP_CAP};
 use semtm_core::ops::CmpOp;
-use semtm_core::{Algorithm, Stm};
-
-const STEP_CAP: usize = 20_000;
+use semtm_core::Algorithm;
 
 /// Commit-clock shard counts every test runs at.
 const SHARDS: [usize; 2] = [1, 4];
@@ -24,8 +22,7 @@ const SHARDS: [usize; 2] = [1, 4];
 fn opts(max_preemptions: u32) -> ExploreOptions {
     ExploreOptions {
         max_preemptions,
-        max_executions: 0,
-        step_cap: STEP_CAP,
+        ..ExploreOptions::default()
     }
 }
 
@@ -36,13 +33,10 @@ fn exhaustive_two_increments_never_lose_updates() {
             let explored = explore_exhaustive(opts(2), |driver| {
                 let stm = check_stm(alg, shards);
                 let x = stm.alloc_cell(0i64);
-                let body = |_tid: usize, stm: &Stm| {
+                let body = |_tid: usize| {
                     stm.atomic(|tx| tx.inc(x, 1));
                 };
-                let out = run_threads(&stm, &[&body, &body], driver, STEP_CAP);
-                if out.capped {
-                    return Err("step cap exceeded".into());
-                }
+                run_threads(&[&body, &body], driver, STEP_CAP)?;
                 let v = stm.read_now(x);
                 if v == 2 {
                     Ok(())
@@ -59,34 +53,23 @@ fn exhaustive_two_increments_never_lose_updates() {
 fn exhaustive_histories_are_opaque_for_racing_writers() {
     // T0: read x, write y = x + 1; T1: write x = 7. Every schedule's
     // full history (including aborted attempts) must pass the checker.
+    // At 4 shards, x and y sit under different shards: a reader whose
+    // snapshot straddles them must never commit an inconsistent pair.
     for shards in SHARDS {
         for alg in Algorithm::ALL {
             explore_exhaustive(opts(2), |driver| {
                 let stm = check_stm(alg, shards);
                 let x = stm.alloc_cell(1i64);
                 let y = stm.alloc_cell(0i64);
-                let rec = Recorder::new();
-                let shared = (&stm, &rec);
-                type Shared<'a> = (&'a Stm, &'a Recorder);
-                let t0 = |tid: usize, (stm, rec): &Shared<'_>| {
-                    atomic_recorded(stm, rec, tid, |tx| {
+                let t0 = |t: &RecThread<'_>| {
+                    t.atomic(|tx| {
                         let v = tx.read(x)?;
                         tx.write(y, v + 1)
-                    });
+                    })
                 };
-                let t1 = |tid: usize, (stm, rec): &Shared<'_>| {
-                    atomic_recorded(stm, rec, tid, |tx| tx.write(x, 7));
-                };
-                let out = run_threads(&shared, &[&t0, &t1], driver, STEP_CAP);
-                if out.capped {
-                    return Err("step cap exceeded".into());
-                }
-                check_history(
-                    &rec.attempts(),
-                    &[(x, 1), (y, 0)],
-                    &[(x, stm.read_now(x)), (y, stm.read_now(y))],
-                )
-                .map_err(|e| format!("{alg}/{shards}: {e}"))
+                let t1 = |t: &RecThread<'_>| t.atomic(|tx| tx.write(x, 7));
+                let name = format!("racing_writers_{shards}_shards");
+                run_checked(&name, &stm, &[x, y], &[&t0, &t1], driver, STEP_CAP).map(drop)
             });
         }
     }
@@ -95,29 +78,34 @@ fn exhaustive_histories_are_opaque_for_racing_writers() {
 #[test]
 fn random_walks_are_deterministic_per_seed() {
     let run = |seed: u64, shards: usize| {
-        let mut driver = semtm_check::schedule::RandomDriver::new(seed, 40);
+        let mut driver = RandomDriver::new(seed, 40);
         let stm = check_stm(Algorithm::SNOrec, shards);
         let x = stm.alloc_cell(0i64);
         let y = stm.alloc_cell(0i64);
-        let rec = Recorder::new();
-        let shared = (&stm, &rec);
-        type Shared<'a> = (&'a Stm, &'a Recorder);
-        let t0 = |tid: usize, (stm, rec): &Shared<'_>| {
-            atomic_recorded(stm, rec, tid, |tx| {
+        let t0 = |t: &RecThread<'_>| {
+            t.atomic(|tx| {
                 if tx.cmp(x, CmpOp::Gte, 0)? {
                     tx.inc(y, 1)?;
                 }
                 tx.write(x, 3)
-            });
+            })
         };
-        let t1 = |tid: usize, (stm, rec): &Shared<'_>| {
-            atomic_recorded(stm, rec, tid, |tx| {
+        let t1 = |t: &RecThread<'_>| {
+            t.atomic(|tx| {
                 tx.inc(x, -2)?;
                 tx.write(y, 5)
-            });
+            })
         };
-        run_threads(&shared, &[&t0, &t1], &mut driver, STEP_CAP);
-        format!("{:?}", rec.attempts())
+        let threads = [&t0 as _, &t1 as _];
+        let attempts = run_checked(
+            "random_walk",
+            &stm,
+            &[x, y],
+            &threads,
+            &mut driver,
+            STEP_CAP,
+        );
+        format!("{:?}", attempts.unwrap())
     };
     for shards in SHARDS {
         assert_eq!(
@@ -136,33 +124,22 @@ fn random_exploration_checks_many_seeds() {
                 let stm = check_stm(alg, shards);
                 let x = stm.alloc_cell(5i64);
                 let y = stm.alloc_cell(0i64);
-                let rec = Recorder::new();
-                let shared = (&stm, &rec);
-                type Shared<'a> = (&'a Stm, &'a Recorder);
-                let t0 = |tid: usize, (stm, rec): &Shared<'_>| {
-                    atomic_recorded(stm, rec, tid, |tx| {
+                let t0 = |t: &RecThread<'_>| {
+                    t.atomic(|tx| {
                         if tx.cmp(x, CmpOp::Gt, 0)? {
                             tx.write(y, 1)?;
                         }
                         tx.read(y).map(|_| ())
-                    });
+                    })
                 };
-                let t1 = |tid: usize, (stm, rec): &Shared<'_>| {
-                    atomic_recorded(stm, rec, tid, |tx| {
+                let t1 = |t: &RecThread<'_>| {
+                    t.atomic(|tx| {
                         tx.write(x, -5)?;
                         tx.write(y, 2)
-                    });
+                    })
                 };
-                let out = run_threads(&shared, &[&t0, &t1], driver, STEP_CAP);
-                if out.capped {
-                    return Err("step cap exceeded".into());
-                }
-                check_history(
-                    &rec.attempts(),
-                    &[(x, 5), (y, 0)],
-                    &[(x, stm.read_now(x)), (y, stm.read_now(y))],
-                )
-                .map_err(|e| format!("{alg}/{shards}: {e}"))
+                let name = format!("guarded_writers_{shards}_shards");
+                run_checked(&name, &stm, &[x, y], &[&t0, &t1], driver, STEP_CAP).map(drop)
             });
         }
     }
@@ -175,13 +152,20 @@ fn random_exploration_checks_many_seeds() {
 
 #[test]
 fn snorec_fault_scenario_is_clean_without_the_fault() {
-    for shards in SHARDS {
+    // `(algorithm, clock shards)`: the faulted S-NOrec rows, and NOrec
+    // at 4 shards, whose validation must re-check `x`'s shard when the
+    // read of `y` touches another.
+    for (alg, shards) in [
+        (Algorithm::SNOrec, 1),
+        (Algorithm::SNOrec, 4),
+        (Algorithm::NOrec, 4),
+    ] {
         let explored = explore_exhaustive(opts(3), |driver| {
-            semtm_check::scenario::snorec_revalidation(driver, shards)
+            scenario::snorec_revalidation(driver, alg, shards)
         });
         assert!(
             explored > 10,
-            "{shards}: scenario must branch: {explored} schedules"
+            "{alg}/{shards}: scenario must branch: {explored} schedules"
         );
     }
 }
@@ -190,7 +174,7 @@ fn snorec_fault_scenario_is_clean_without_the_fault() {
 fn tl2_fault_scenario_is_clean_without_the_fault() {
     for shards in SHARDS {
         let explored = explore_exhaustive(opts(3), |driver| {
-            semtm_check::scenario::tl2_read_validation(driver, shards)
+            scenario::tl2_read_validation(driver, shards)
         });
         assert!(
             explored > 10,

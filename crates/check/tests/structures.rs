@@ -12,13 +12,11 @@
 
 use semtm_check::fuzz::check_stm;
 use semtm_check::schedule::{explore_exhaustive, ExploreOptions};
-use semtm_check::vthread::run_threads;
-use semtm_core::{Algorithm, Stm};
+use semtm_check::vthread::{run_threads, STEP_CAP};
+use semtm_core::Algorithm;
 use semtm_workloads::queue::TQueue;
 use semtm_workloads::stamp::tmap::TMap;
 use std::sync::atomic::{AtomicI64, Ordering};
-
-const STEP_CAP: usize = 20_000;
 
 /// Commit-clock shard counts every test runs at.
 const SHARDS: [usize; 3] = [1, 4, 16];
@@ -27,7 +25,6 @@ fn opts(max_preemptions: u32, max_executions: usize) -> ExploreOptions {
     ExploreOptions {
         max_preemptions,
         max_executions,
-        step_cap: STEP_CAP,
     }
 }
 
@@ -40,17 +37,15 @@ fn queue_producer_consumer_all_schedules_two_threads() {
                 let q = TQueue::new(&stm, 4);
                 let consumed = AtomicI64::new(0);
                 let got_none = AtomicI64::new(0);
-                let shared = (&stm, &q, &consumed, &got_none);
-                type Shared<'a> = (&'a Stm, &'a TQueue, &'a AtomicI64, &'a AtomicI64);
                 // Producer: enqueue 1 then 2 (capacity 4: never full).
-                let producer = |_tid: usize, (stm, q, _, _): &Shared<'_>| {
+                let producer = |_tid: usize| {
                     for item in 1..=2i64 {
                         let ok = stm.atomic(|tx| q.enqueue(tx, item));
                         assert!(ok, "queue of capacity 4 can never be full here");
                     }
                 };
                 // Consumer: exactly 3 dequeue attempts, counting outcomes.
-                let consumer = |_tid: usize, (stm, q, consumed, got_none): &Shared<'_>| {
+                let consumer = |_tid: usize| {
                     for _ in 0..3 {
                         match stm.atomic(|tx| q.dequeue(tx)) {
                             Some(v) => {
@@ -62,10 +57,7 @@ fn queue_producer_consumer_all_schedules_two_threads() {
                         }
                     }
                 };
-                let out = run_threads(&shared, &[&producer, &consumer], driver, STEP_CAP);
-                if out.capped {
-                    return Err("step cap exceeded".into());
-                }
+                run_threads(&[&producer, &consumer], driver, STEP_CAP)?;
                 // Conservation: everything produced is either consumed or
                 // still queued, in FIFO order.
                 let mut remaining = Vec::new();
@@ -107,25 +99,20 @@ fn queue_three_threads_bounded_exploration() {
                 let stm = check_stm(alg, shards);
                 let q = TQueue::new(&stm, 4);
                 let consumed = AtomicI64::new(0);
-                let shared = (&stm, &q, &consumed);
-                type Shared<'a> = (&'a Stm, &'a TQueue, &'a AtomicI64);
-                let p0 = |_tid: usize, (stm, q, _): &Shared<'_>| {
+                let p0 = |_tid: usize| {
                     assert!(stm.atomic(|tx| q.enqueue(tx, 10)));
                 };
-                let p1 = |_tid: usize, (stm, q, _): &Shared<'_>| {
+                let p1 = |_tid: usize| {
                     assert!(stm.atomic(|tx| q.enqueue(tx, 20)));
                 };
-                let consumer = |_tid: usize, (stm, q, consumed): &Shared<'_>| {
+                let consumer = |_tid: usize| {
                     for _ in 0..2 {
                         if let Some(v) = stm.atomic(|tx| q.dequeue(tx)) {
                             consumed.fetch_add(v, Ordering::SeqCst);
                         }
                     }
                 };
-                let out = run_threads(&shared, &[&p0, &p1, &consumer], driver, STEP_CAP);
-                if out.capped {
-                    return Err("step cap exceeded".into());
-                }
+                run_threads(&[&p0, &p1, &consumer], driver, STEP_CAP)?;
                 let mut left = 0i64;
                 while let Some(v) = stm.atomic(|tx| q.dequeue(tx)) {
                     left += v;
@@ -152,19 +139,14 @@ fn tmap_overlapping_inserts_all_schedules() {
             let explored = explore_exhaustive(opts(2, 0), |driver| {
                 let stm = check_stm(alg, shards);
                 let m = TMap::new(&stm);
-                let shared = (&stm, &m);
-                type Shared<'a> = (&'a Stm, &'a TMap);
-                let t0 = |_tid: usize, (stm, m): &Shared<'_>| {
-                    stm.atomic(|tx| m.insert(stm, tx, 1, 10));
-                    stm.atomic(|tx| m.insert(stm, tx, 2, 20));
+                let t0 = |_tid: usize| {
+                    stm.atomic(|tx| m.insert(&stm, tx, 1, 10));
+                    stm.atomic(|tx| m.insert(&stm, tx, 2, 20));
                 };
-                let t1 = |_tid: usize, (stm, m): &Shared<'_>| {
-                    stm.atomic(|tx| m.insert(stm, tx, 1, 11));
+                let t1 = |_tid: usize| {
+                    stm.atomic(|tx| m.insert(&stm, tx, 1, 11));
                 };
-                let out = run_threads(&shared, &[&t0, &t1], driver, STEP_CAP);
-                if out.capped {
-                    return Err("step cap exceeded".into());
-                }
+                run_threads(&[&t0, &t1], driver, STEP_CAP)?;
                 m.verify(&stm).map_err(|e| format!("{alg}/{shards}: {e}"))?;
                 let mut entries = Vec::new();
                 m.for_each_now(&stm, |k, v| entries.push((k, v)));
@@ -196,19 +178,14 @@ fn tmap_insert_vs_remove_all_schedules() {
                 let m = TMap::new(&stm);
                 // Pre-populate outside the explored window.
                 stm.atomic(|tx| m.insert(&stm, tx, 5, 50));
-                let shared = (&stm, &m);
-                type Shared<'a> = (&'a Stm, &'a TMap);
-                let t0 = |_tid: usize, (stm, m): &Shared<'_>| {
-                    stm.atomic(|tx| m.insert(stm, tx, 3, 30));
+                let t0 = |_tid: usize| {
+                    stm.atomic(|tx| m.insert(&stm, tx, 3, 30));
                 };
-                let t1 = |_tid: usize, (stm, m): &Shared<'_>| {
+                let t1 = |_tid: usize| {
                     let removed = stm.atomic(|tx| m.remove(tx, 5));
                     assert_eq!(removed, Some(50), "pre-inserted key must be removable");
                 };
-                let out = run_threads(&shared, &[&t0, &t1], driver, STEP_CAP);
-                if out.capped {
-                    return Err("step cap exceeded".into());
-                }
+                run_threads(&[&t0, &t1], driver, STEP_CAP)?;
                 m.verify(&stm).map_err(|e| format!("{alg}/{shards}: {e}"))?;
                 let mut entries = Vec::new();
                 m.for_each_now(&stm, |k, v| entries.push((k, v)));

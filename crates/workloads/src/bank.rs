@@ -12,10 +12,7 @@
 //!
 //! Invariant: total money is conserved.
 
-use crate::driver::{
-    run_fixed_work, run_for_duration, run_for_duration_observed, run_for_duration_sampled,
-    RunResult,
-};
+use crate::driver::{run_fixed_work, run_for_duration, run_for_duration_observed, RunResult};
 use semtm_core::util::SplitMix64;
 use semtm_core::{Abort, Addr, SamplePoint, Stm, TArray, Tx};
 use std::time::Duration;
@@ -211,24 +208,6 @@ pub fn run_fixed(
     });
     bank.verify(stm).expect("bank invariant violated");
     r
-}
-
-/// Like [`run`], but additionally samples throughput/abort-rate every
-/// `sample_every` (the telemetry time-series export).
-pub fn run_sampled(
-    stm: &Stm,
-    config: BankConfig,
-    threads: usize,
-    duration: Duration,
-    sample_every: Duration,
-    seed: u64,
-) -> (RunResult, Vec<SamplePoint>) {
-    let bank = Bank::new(stm, config);
-    let out = run_for_duration_sampled(stm, threads, duration, sample_every, seed, |_tid, rng| {
-        bank.transfer_tx(stm, rng);
-    });
-    bank.verify(stm).expect("bank invariant violated");
-    out
 }
 
 /// Like [`run`], but hands every sample to `observe` while the run is in

@@ -62,31 +62,19 @@ pub fn run_for_duration(
     work: impl Fn(usize, &mut SplitMix64) + Sync,
 ) -> RunResult {
     // One tick spanning the whole run: the timer sleeps through it.
-    run_for_duration_sampled(stm, threads, duration, duration, seed, work).0
+    run_for_duration_observed(stm, threads, duration, duration, seed, work, |_, _| {}).0
 }
 
 /// Like [`run_for_duration`], but the timer thread additionally samples
 /// the runtime's statistics every `sample_every`, producing the
 /// throughput/abort-rate time series of the paper's figure style (and of
-/// any production dashboard). The final partial interval is included, so
-/// the series' commit counts sum to the run's commits.
-pub fn run_for_duration_sampled(
-    stm: &Stm,
-    threads: usize,
-    duration: Duration,
-    sample_every: Duration,
-    seed: u64,
-    work: impl Fn(usize, &mut SplitMix64) + Sync,
-) -> (RunResult, Vec<SamplePoint>) {
-    run_for_duration_observed(stm, threads, duration, sample_every, seed, work, |_, _| {})
-}
-
-/// Like [`run_for_duration_sampled`], but each sample is additionally
-/// handed to `observe` *while the run is in flight* — the hook behind
-/// live dashboards, which can also read `stm`'s telemetry (hot
-/// addresses, span counts) from inside the callback. The observer runs
-/// on the timer thread, so a slow observer stretches the tick, not the
-/// workers.
+/// any production dashboard), and hands each sample to `observe` *while
+/// the run is in flight* — the hook behind live dashboards, which can
+/// also read `stm`'s telemetry (hot addresses, span counts) from inside
+/// the callback. The observer runs on the timer thread, so a slow
+/// observer stretches the tick, not the workers. The final partial
+/// interval is included, so the series' commit counts sum to the run's
+/// commits.
 #[allow(clippy::too_many_arguments)]
 pub fn run_for_duration_observed(
     stm: &Stm,
@@ -202,34 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_run_series_sums_to_totals() {
-        let stm = Stm::new(StmConfig::new(Algorithm::SNOrec).heap_words(1 << 10));
-        let a = stm.alloc_cell(0i64);
-        let (r, series) = run_for_duration_sampled(
-            &stm,
-            2,
-            Duration::from_millis(80),
-            Duration::from_millis(10),
-            7,
-            |_tid, _rng| {
-                stm.atomic(|tx| tx.inc(a, 1));
-            },
-        );
-        assert!(!series.is_empty());
-        assert!(
-            series.len() >= 4,
-            "80ms / 10ms should yield several samples"
-        );
-        let sum: u64 = series.iter().map(|p| p.commits).sum();
-        assert_eq!(sum, r.stats.commits, "series must cover the whole run");
-        let aborts: u64 = series.iter().map(|p| p.conflict_aborts).sum();
-        assert_eq!(aborts, r.stats.conflict_aborts());
-        for w in series.windows(2) {
-            assert!(w[0].t_secs < w[1].t_secs, "timestamps strictly increase");
-        }
-    }
-
-    #[test]
     fn observed_run_invokes_callback_per_sample() {
         let stm = Stm::new(StmConfig::new(Algorithm::SNOrec).heap_words(1 << 10));
         let a = stm.alloc_cell(0i64);
@@ -252,7 +212,12 @@ mod tests {
         assert_eq!(ticks, series.len(), "one callback per sample");
         assert!(ticks >= 3, "60ms / 10ms should tick several times");
         let sum: u64 = series.iter().map(|p| p.commits).sum();
-        assert_eq!(sum, r.stats.commits);
+        assert_eq!(sum, r.stats.commits, "series must cover the whole run");
+        let aborts: u64 = series.iter().map(|p| p.conflict_aborts).sum();
+        assert_eq!(aborts, r.stats.conflict_aborts());
+        for w in series.windows(2) {
+            assert!(w[0].t_secs < w[1].t_secs, "timestamps strictly increase");
+        }
     }
 
     #[test]

@@ -278,20 +278,27 @@ fn invariant_pair_semantic_view_consistent() {
 
 mod scheduled {
     use semtm::{Algorithm, CmpOp};
-    use semtm_check::checker::check_history;
     use semtm_check::fuzz::check_stm;
-    use semtm_check::history::{atomic_recorded, OpRec, Recorder};
+    use semtm_check::history::{run_checked, Attempt, OpRec, RecThread};
     use semtm_check::schedule::{explore_exhaustive, ExploreOptions};
-    use semtm_check::vthread::run_threads;
-
-    const STEP_CAP: usize = 20_000;
+    use semtm_check::vthread::STEP_CAP;
 
     fn opts(max_preemptions: u32) -> ExploreOptions {
         ExploreOptions {
             max_preemptions,
-            max_executions: 0,
-            step_cap: STEP_CAP,
+            ..ExploreOptions::default()
         }
+    }
+
+    /// T0's one attempt, if T0 committed first-try and some committed
+    /// T1 attempt ended inside that attempt's window.
+    fn t0_committed_first_try_across_t1(attempts: &[Attempt]) -> Option<&Attempt> {
+        let t0: Vec<_> = attempts.iter().filter(|a| a.thread == 0).collect();
+        let first = *t0.first()?;
+        let across = attempts.iter().any(|a| {
+            a.thread == 1 && a.committed && first.begin_seq < a.end_seq && a.end_seq < first.end_seq
+        });
+        (t0.len() == 1 && first.committed && across).then_some(first)
     }
 
     /// Paper Algorithm 1 under the scheduler: T0 checks `x > 0 || y > 0`
@@ -309,47 +316,24 @@ mod scheduled {
                 let x = stm.alloc_cell(5);
                 let y = stm.alloc_cell(5);
                 let out = stm.alloc_cell(0);
-                let rec = Recorder::new();
-                let shared = (&stm, &rec);
-                type Shared<'a> = (&'a semtm::Stm, &'a Recorder);
-                let t0 = move |tid: usize, (stm, rec): &Shared<'_>| {
-                    atomic_recorded(stm, rec, tid, |tx| {
+                let t0 = |t: &RecThread<'_>| {
+                    t.atomic(|tx| {
                         let cond = tx.cmp(x, CmpOp::Gt, 0)? || tx.cmp(y, CmpOp::Gt, 0)?;
                         assert!(cond, "x stays > 0 in every schedule");
                         tx.write(out, 1)
-                    });
+                    })
                 };
-                let t1 = move |tid: usize, (stm, rec): &Shared<'_>| {
-                    atomic_recorded(stm, rec, tid, |tx| {
+                let t1 = |t: &RecThread<'_>| {
+                    t.atomic(|tx| {
                         tx.inc(x, 1)?;
                         tx.inc(y, -1)
-                    });
+                    })
                 };
-                let run = run_threads(&shared, &[&t0, &t1], driver, STEP_CAP);
-                if run.capped {
-                    return Err("step cap exceeded".into());
-                }
-                let attempts = rec.attempts();
-                check_history(
-                    &attempts,
-                    &[(x, 5), (y, 5), (out, 0)],
-                    &[
-                        (x, stm.read_now(x)),
-                        (y, stm.read_now(y)),
-                        (out, stm.read_now(out)),
-                    ],
-                )
-                .map_err(|e| format!("{alg}: {e}"))?;
-                let t0_attempts: Vec<_> = attempts.iter().filter(|a| a.thread == 0).collect();
-                saw_abort |= t0_attempts.iter().any(|a| !a.committed);
-                committed_across_first_try |= t0_attempts.len() == 1
-                    && t0_attempts[0].committed
-                    && attempts.iter().any(|a| {
-                        a.thread == 1
-                            && a.committed
-                            && t0_attempts[0].begin_seq < a.end_seq
-                            && a.end_seq < t0_attempts[0].end_seq
-                    });
+                let threads = [&t0 as _, &t1 as _];
+                let attempts =
+                    run_checked("algorithm1", &stm, &[x, y, out], &threads, driver, STEP_CAP)?;
+                saw_abort |= attempts.iter().any(|a| a.thread == 0 && !a.committed);
+                committed_across_first_try |= t0_committed_first_try_across_t1(&attempts).is_some();
                 Ok(())
             });
             assert!(
@@ -384,49 +368,28 @@ mod scheduled {
                 let x = stm.alloc_cell(0);
                 let y = stm.alloc_cell(0);
                 let z = stm.alloc_cell(-1);
-                let rec = Recorder::new();
-                let shared = (&stm, &rec);
-                type Shared<'a> = (&'a semtm::Stm, &'a Recorder);
-                let t0 = move |tid: usize, (stm, rec): &Shared<'_>| {
-                    atomic_recorded(stm, rec, tid, |tx| {
+                let t0 = |t: &RecThread<'_>| {
+                    t.atomic(|tx| {
                         assert!(tx.cmp(x, CmpOp::Gte, 0)?, "x only ever grows");
                         let vy = tx.read(y)?;
                         tx.write(z, vy)
-                    });
+                    })
                 };
-                let t1 = move |tid: usize, (stm, rec): &Shared<'_>| {
-                    atomic_recorded(stm, rec, tid, |tx| {
+                let t1 = |t: &RecThread<'_>| {
+                    t.atomic(|tx| {
                         tx.write(x, 1)?;
                         tx.write(y, 1)
-                    });
+                    })
                 };
-                let run = run_threads(&shared, &[&t0, &t1], driver, STEP_CAP);
-                if run.capped {
-                    return Err("step cap exceeded".into());
-                }
-                let attempts = rec.attempts();
-                check_history(
-                    &attempts,
-                    &[(x, 0), (y, 0), (z, -1)],
-                    &[
-                        (x, stm.read_now(x)),
-                        (y, stm.read_now(y)),
-                        (z, stm.read_now(z)),
-                    ],
-                )
-                .map_err(|e| format!("{alg}: {e}"))?;
-                let t0_attempts: Vec<_> = attempts.iter().filter(|a| a.thread == 0).collect();
-                serialised_after_interferer |= t0_attempts.len() == 1
-                    && t0_attempts[0].committed
-                    && t0_attempts[0]
-                        .ops
-                        .iter()
-                        .any(|op| matches!(op, OpRec::Read { addr, val: 1, .. } if *addr == y))
-                    && attempts.iter().any(|a| {
-                        a.thread == 1
-                            && a.committed
-                            && t0_attempts[0].begin_seq < a.end_seq
-                            && a.end_seq < t0_attempts[0].end_seq
+                let threads = [&t0 as _, &t1 as _];
+                let attempts =
+                    run_checked("algorithm8", &stm, &[x, y, z], &threads, driver, STEP_CAP)?;
+                serialised_after_interferer |= t0_committed_first_try_across_t1(&attempts)
+                    .is_some_and(|first| {
+                        first
+                            .ops
+                            .iter()
+                            .any(|op| matches!(op, OpRec::Read { addr, val: 1, .. } if *addr == y))
                     });
                 Ok(())
             });
@@ -456,30 +419,25 @@ mod scheduled {
                 let x = stm.alloc_cell(0);
                 let y = stm.alloc_cell(0);
                 let z = stm.alloc_cell(-1);
-                let rec = Recorder::new();
-                let shared = (&stm, &rec);
-                type Shared<'a> = (&'a semtm::Stm, &'a Recorder);
-                let t0 = move |tid: usize, (stm, rec): &Shared<'_>| {
-                    atomic_recorded(stm, rec, tid, |tx| {
+                let t0 = |t: &RecThread<'_>| {
+                    t.atomic(|tx| {
                         let vy = tx.read(y)?;
                         tx.write(z, vy)?;
                         if tx.cmp(x, CmpOp::Gte, 1)? {
                             tx.write(z, 1)?;
                         }
                         Ok(())
-                    });
+                    })
                 };
-                let t1 = move |tid: usize, (stm, rec): &Shared<'_>| {
-                    atomic_recorded(stm, rec, tid, |tx| {
+                let t1 = |t: &RecThread<'_>| {
+                    t.atomic(|tx| {
                         tx.write(x, 1)?;
                         tx.write(y, 1)
-                    });
+                    })
                 };
-                let run = run_threads(&shared, &[&t0, &t1], driver, STEP_CAP);
-                if run.capped {
-                    return Err("step cap exceeded".into());
-                }
-                let attempts = rec.attempts();
+                let threads = [&t0 as _, &t1 as _];
+                let attempts =
+                    run_checked("algorithm9", &stm, &[x, y, z], &threads, driver, STEP_CAP)?;
                 for at in attempts.iter().filter(|a| a.thread == 0 && a.committed) {
                     let old_y = at
                         .ops
@@ -493,16 +451,7 @@ mod scheduled {
                         return Err(format!("{alg}: committed attempt paired old y with new x"));
                     }
                 }
-                check_history(
-                    &attempts,
-                    &[(x, 0), (y, 0), (z, -1)],
-                    &[
-                        (x, stm.read_now(x)),
-                        (y, stm.read_now(y)),
-                        (z, stm.read_now(z)),
-                    ],
-                )
-                .map_err(|e| format!("{alg}: {e}"))
+                Ok(())
             });
         }
     }
