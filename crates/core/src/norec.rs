@@ -26,7 +26,7 @@
 
 use crate::error::{Abort, AbortReason};
 use crate::fault;
-use crate::heap::{Addr, Heap};
+use crate::heap::{Addr, Heap, LINE_BYTES};
 use crate::ops::CmpOp;
 use crate::sched::{self, PointKind};
 use crate::sets::{ReadEntry, Scratch, ScratchBox, WriteSet};
@@ -133,6 +133,12 @@ pub(crate) trait CommitClock {
 /// The single global timestamped lock (even = free, odd = a writer is
 /// committing). All global-clock transactions of one [`crate::Stm`]
 /// serialise their write-backs through this word.
+///
+/// Every writer CASes the lock, so it sits in a 128-byte block of its
+/// own ([`LINE_BYTES`], the adjacent-line pair): a commit then moves no
+/// line that another thread's barrier reads for anything else (the heap
+/// and orec bases, the mode word), only the lock itself.
+#[repr(align(128))]
 #[derive(Default)]
 pub struct GlobalClock {
     lock: AtomicU64,
@@ -146,6 +152,11 @@ pub struct GlobalClock {
     /// case.
     committer: AtomicU64,
 }
+
+const _: () = assert!(
+    std::mem::align_of::<GlobalClock>() == LINE_BYTES
+        && std::mem::size_of::<GlobalClock>() == LINE_BYTES
+);
 
 impl GlobalClock {
     /// Current timestamp (for diagnostics/tests).

@@ -31,7 +31,7 @@ pub mod orec;
 
 use crate::error::Abort;
 use crate::fault;
-use crate::heap::{Addr, Heap};
+use crate::heap::{Addr, Heap, LINE_BYTES};
 use crate::ops::CmpOp;
 use crate::sched;
 use crate::sets::{ReadEntry, Scratch, ScratchBox};
@@ -45,8 +45,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Global state shared by all TL2-family transactions of one
 /// [`crate::Stm`]: the version clock and the orec table.
 pub struct Tl2Global {
-    timestamp: AtomicU64,
+    clock: VersionClock,
     orecs: OrecTable,
+}
+
+/// The TL2 version clock with its attribution stamp, in a 128-byte
+/// block of its own ([`LINE_BYTES`], the adjacent-line pair): every
+/// S-TL2 writer CASes `timestamp`, and every barrier reads the orec
+/// table's base and mask and the heap's, which must not ride on the
+/// line a foreign commit just took.
+#[repr(align(128))]
+struct VersionClock {
+    timestamp: AtomicU64,
     /// Thread token of the most recent committed writer, stamped while
     /// its commit locks are still held — but only when the flight
     /// recorder ([`crate::TelemetryLevel::Spans`]) is on. Validation
@@ -55,24 +65,32 @@ pub struct Tl2Global {
     committer: AtomicU64,
 }
 
+const _: () = assert!(
+    std::mem::align_of::<VersionClock>() == LINE_BYTES
+        && std::mem::size_of::<VersionClock>() == LINE_BYTES
+);
+
 impl Tl2Global {
     /// Create global TL2 state with (at least) `orec_count` orecs.
     pub fn new(orec_count: usize) -> Tl2Global {
         Tl2Global {
-            timestamp: AtomicU64::new(0),
+            clock: VersionClock {
+                timestamp: AtomicU64::new(0),
+                committer: AtomicU64::new(0),
+            },
             orecs: OrecTable::new(orec_count),
-            committer: AtomicU64::new(0),
         }
     }
 
     #[inline]
     fn now(&self) -> u64 {
-        self.timestamp.load(Ordering::SeqCst)
+        self.clock.timestamp.load(Ordering::SeqCst)
     }
 
     #[inline]
     fn try_advance(&self, from: u64) -> bool {
-        self.timestamp
+        self.clock
+            .timestamp
             .compare_exchange(from, from + 1, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
     }
@@ -87,7 +105,7 @@ impl Tl2Global {
     /// quiescent runtime (no orec locked), so transactions of the new
     /// era start with `rv` strictly newer than all pre-switch versions.
     pub(crate) fn reseed(&self) {
-        self.timestamp.fetch_add(1, Ordering::SeqCst);
+        self.clock.timestamp.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -172,7 +190,7 @@ impl<'a> Tl2Tx<'a> {
     fn validation_at(&self, oi: usize) -> Abort {
         let mut abort = Abort::validation().at_orec(oi);
         if self.record_committer {
-            abort = abort.by(self.global.committer.load(Ordering::Relaxed));
+            abort = abort.by(self.global.clock.committer.load(Ordering::Relaxed));
         }
         abort
     }
@@ -533,7 +551,7 @@ impl<'a> Engine<'a> for Tl2Tx<'a> {
                     // Still under our commit locks: a reader whose
                     // validation fails against `write_version` also
                     // observes this token.
-                    global.committer.store(owner, Ordering::Relaxed);
+                    global.clock.committer.store(owner, Ordering::Relaxed);
                 }
                 for (oi, old) in locked.drain(..) {
                     let word = if committed {

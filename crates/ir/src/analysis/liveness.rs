@@ -5,13 +5,14 @@
 //! guarantees the same fixpoint. Lint rule SL005 reads the
 //! per-position form ([`Liveness::live_at`]).
 
+use super::bitset::BitSet;
 use super::cfg::Cfg;
 use super::reaching::Pos;
 use super::solver::{solve, DataflowProblem, Direction, Solution};
 use crate::ir::{BlockId, Function, Inst};
 
-/// One liveness bit per register.
-pub type LiveSet = Vec<bool>;
+/// The registers live at a position.
+pub type LiveSet = BitSet;
 
 struct LiveProblem {
     num_regs: usize,
@@ -25,32 +26,23 @@ impl DataflowProblem for LiveProblem {
     }
 
     fn boundary_fact(&self) -> LiveSet {
-        vec![false; self.num_regs]
+        BitSet::empty(self.num_regs)
     }
 
     fn init_fact(&self) -> LiveSet {
-        vec![false; self.num_regs]
+        BitSet::empty(self.num_regs)
     }
 
     fn join(&self, into: &mut LiveSet, from: &LiveSet) -> bool {
-        let mut changed = false;
-        for (i, f) in into.iter_mut().zip(from) {
-            if *f && !*i {
-                *i = true;
-                changed = true;
-            }
-        }
-        changed
+        into.union_with(from)
     }
 
     fn transfer(&self, inst: &Inst, _pos: Pos, fact: &mut LiveSet) {
         if let Some(d) = inst.def() {
-            fact[d as usize] = false;
+            fact.remove(d as usize);
         }
-        let mut uses = Vec::new();
-        inst.uses(&mut uses);
-        for r in uses {
-            fact[r as usize] = true;
+        for r in inst.uses() {
+            fact.insert(r as usize);
         }
     }
 }
@@ -111,10 +103,16 @@ mod tests {
         let f = fb.build();
         let cfg = Cfg::new(&f);
         let live = Liveness::compute(&f, &cfg);
-        assert!(live.live_out(0)[v as usize]);
-        assert!(live.live_in(1)[v as usize]);
-        assert!(live.live_in(0)[0], "the address argument is live on entry");
-        assert!(!live.live_in(0)[v as usize], "v is dead before its def");
+        assert!(live.live_out(0).contains(v as usize));
+        assert!(live.live_in(1).contains(v as usize));
+        assert!(
+            live.live_in(0).contains(0),
+            "the address argument is live on entry"
+        );
+        assert!(
+            !live.live_in(0).contains(v as usize),
+            "v is dead before its def"
+        );
     }
 
     #[test]
@@ -152,7 +150,10 @@ mod tests {
         let f = fb.build();
         let cfg = Cfg::new(&f);
         let live = Liveness::compute(&f, &cfg);
-        assert!(live.live_in(head)[acc as usize], "loop-carried accumulator");
-        assert!(live.live_out(body)[acc as usize]);
+        assert!(
+            live.live_in(head).contains(acc as usize),
+            "loop-carried accumulator"
+        );
+        assert!(live.live_out(body).contains(acc as usize));
     }
 }

@@ -11,6 +11,9 @@
 //!   problems: a problem states one instruction's transfer, the solver
 //!   derives each block's transfer, and it alone replays blocks into
 //!   the fact at every position, which the analyses below read;
+//! * [`bitset`] — the one fact type of the set-valued problems
+//!   (reaching definitions, liveness, definite assignment), inline up
+//!   to 128 elements;
 //! * [`reaching`] — whole-function reaching definitions (forward);
 //! * [`liveness`] — whole-function liveness (backward);
 //! * [`patterns`] — the cross-block `cmp`/`inc` matchers built on
@@ -27,6 +30,7 @@
 //! [`liveness`]; [`crate::lint`] consumes everything.
 
 pub mod absint;
+pub mod bitset;
 pub mod cfg;
 pub mod liveness;
 pub mod patterns;
@@ -35,6 +39,7 @@ pub mod solver;
 pub mod verify;
 
 pub use absint::{AbsInt, AbsVal, ConflictAnalysis, Interval, Regions, Sym};
+pub use bitset::BitSet;
 pub use cfg::Cfg;
 pub use liveness::Liveness;
 pub use patterns::{CmpMatch, Decline, IncMatch, LoadOrigin, PatternCtx};

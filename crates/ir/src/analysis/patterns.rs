@@ -228,22 +228,21 @@ impl<'a> PatternCtx<'a> {
         let Some(r) = operand.reg() else {
             return Err(Decline::NotALoad);
         };
-        let reaching = self.rd.reaching(use_pos, r);
-        let is_load = |id: &u32| {
+        let is_load = |id: u32| {
             matches!(
-                self.rd.defs[*id as usize],
+                self.rd.defs[id as usize],
                 DefSite::Inst(b, i)
                     if matches!(self.func.blocks[b].insts[i], Inst::TmLoad { .. })
             )
         };
-        let [single] = reaching else {
-            return if reaching.iter().any(is_load) {
+        let Some(single) = self.rd.unique_def(use_pos, r) else {
+            return if self.rd.reaching(use_pos, r).any(is_load) {
                 Err(Decline::AmbiguousLoad)
             } else {
                 Err(Decline::NotALoad)
             };
         };
-        let DefSite::Inst(db, di) = self.rd.defs[*single as usize] else {
+        let DefSite::Inst(db, di) = single else {
             return Err(Decline::NotALoad);
         };
         let Inst::TmLoad { dst, addr } = self.func.blocks[db].insts[di] else {

@@ -7,6 +7,7 @@
 //! exactly when its single reaching definition is a `TmLoad` — the
 //! cross-block generalisation of the paper's in-block origin tracking.
 
+use super::bitset::BitSet;
 use super::cfg::Cfg;
 use super::solver::{solve, DataflowProblem, Direction, Solution};
 use crate::ir::{BlockId, Function, Inst, Operand, Reg};
@@ -43,27 +44,19 @@ pub enum ValueOrigin {
     Unknown,
 }
 
-/// Per-register sets of reaching definitions: `facts[r]` is a sorted
-/// `Vec<DefId>`.
-type Fact = Vec<Vec<DefId>>;
+/// The reaching definitions: a set over [`DefId`]s.
+type Fact = BitSet;
 
 struct RdProblem<'a> {
+    num_defs: usize,
     num_regs: usize,
-    /// `def_at[b][i]` = the `DefId` of the definition made by
-    /// instruction `(b, i)`, if any.
-    def_at: &'a [Vec<Option<DefId>>],
-    entry_defs: &'a [DefId],
-    defs: &'a [DefSite],
-}
-
-fn insert_sorted(v: &mut Vec<DefId>, id: DefId) -> bool {
-    match v.binary_search(&id) {
-        Ok(_) => false,
-        Err(i) => {
-            v.insert(i, id);
-            true
-        }
-    }
+    /// `def_at[first_pos[b] + i]` = the `DefId` of the definition made
+    /// by instruction `(b, i)`, if any.
+    def_at: &'a [Option<DefId>],
+    first_pos: &'a [usize],
+    /// `defs_of[r]` = every definition of register `r`: what a new
+    /// definition of `r` kills.
+    defs_of: &'a [BitSet],
 }
 
 impl DataflowProblem for RdProblem<'_> {
@@ -73,35 +66,26 @@ impl DataflowProblem for RdProblem<'_> {
         Direction::Forward
     }
 
+    /// The entry pseudo-definitions, `DefId`s `0..num_regs`.
     fn boundary_fact(&self) -> Fact {
-        let mut f = vec![Vec::new(); self.num_regs];
-        for &id in self.entry_defs {
-            let DefSite::Entry(r) = self.defs[id as usize] else {
-                unreachable!("entry_defs holds Entry sites only");
-            };
-            f[r as usize].push(id);
-        }
+        let mut f = BitSet::empty(self.num_defs);
+        f.insert_range(self.num_regs);
         f
     }
 
     fn init_fact(&self) -> Fact {
-        vec![Vec::new(); self.num_regs]
+        BitSet::empty(self.num_defs)
     }
 
     fn join(&self, into: &mut Fact, from: &Fact) -> bool {
-        let mut changed = false;
-        for (into_r, from_r) in into.iter_mut().zip(from) {
-            for &id in from_r {
-                changed |= insert_sorted(into_r, id);
-            }
-        }
-        changed
+        into.union_with(from)
     }
 
     fn transfer(&self, inst: &Inst, (b, i): Pos, fact: &mut Fact) {
         if let Some(d) = inst.def() {
-            let id = self.def_at[b][i].expect("defining instruction has a DefId");
-            fact[d as usize] = vec![id];
+            let id = self.def_at[self.first_pos[b] + i].expect("defining instruction has a DefId");
+            fact.subtract(&self.defs_of[d as usize]);
+            fact.insert(id as usize);
         }
     }
 }
@@ -109,9 +93,12 @@ impl DataflowProblem for RdProblem<'_> {
 /// The solved reaching-definitions analysis, with position-level
 /// queries.
 pub struct ReachingDefs {
-    /// All definition sites; index with a [`DefId`].
+    /// All definition sites; index with a [`DefId`]. The entry
+    /// pseudo-definition of register `r` is `DefId` `r`.
     pub defs: Vec<DefSite>,
-    /// Per-register reaching sets at every position.
+    /// `defs_of[r]` = every definition of register `r`.
+    defs_of: Vec<BitSet>,
+    /// The reaching set at every position.
     facts: Solution<Fact>,
 }
 
@@ -119,47 +106,58 @@ impl ReachingDefs {
     /// Solve reaching definitions for `func`.
     pub fn compute(func: &Function, cfg: &Cfg) -> ReachingDefs {
         let num_regs = func.num_regs as usize;
-        let mut defs: Vec<DefSite> = Vec::new();
-        let mut entry_defs: Vec<DefId> = Vec::new();
-        for r in 0..func.num_regs {
-            entry_defs.push(defs.len() as DefId);
-            defs.push(DefSite::Entry(r));
+        let insts = || func.blocks.iter().flat_map(|block| &block.insts);
+        let num_defs = num_regs + insts().filter(|inst| inst.def().is_some()).count();
+        let mut defs: Vec<DefSite> = Vec::with_capacity(num_defs);
+        defs.extend((0..func.num_regs).map(DefSite::Entry));
+        let mut defs_of = vec![BitSet::empty(num_defs); num_regs];
+        for (r, kill) in defs_of.iter_mut().enumerate() {
+            kill.insert(r);
         }
-        let mut def_at: Vec<Vec<Option<DefId>>> = Vec::with_capacity(func.blocks.len());
+        let mut first_pos = Vec::with_capacity(func.blocks.len());
+        let mut def_at = Vec::with_capacity(insts().count());
         for (b, block) in func.blocks.iter().enumerate() {
-            let mut ids = Vec::with_capacity(block.insts.len());
+            first_pos.push(def_at.len());
             for (i, inst) in block.insts.iter().enumerate() {
-                if inst.def().is_some() {
-                    ids.push(Some(defs.len() as DefId));
+                def_at.push(inst.def().map(|r| {
+                    let id = defs.len();
                     defs.push(DefSite::Inst(b, i));
-                } else {
-                    ids.push(None);
-                }
+                    defs_of[r as usize].insert(id);
+                    id as DefId
+                }));
             }
-            def_at.push(ids);
         }
 
         let problem = RdProblem {
+            num_defs,
             num_regs,
             def_at: &def_at,
-            entry_defs: &entry_defs,
-            defs: &defs,
+            first_pos: &first_pos,
+            defs_of: &defs_of,
         };
         let facts = solve(func, cfg, &problem);
-        ReachingDefs { defs, facts }
+        ReachingDefs {
+            defs,
+            defs_of,
+            facts,
+        }
     }
 
     /// The definitions of `reg` reaching the point just before
-    /// position `pos`.
-    pub fn reaching(&self, pos: Pos, reg: Reg) -> &[DefId] {
-        &self.facts.at(pos)[reg as usize]
+    /// position `pos`, ascending.
+    pub fn reaching(&self, pos: Pos, reg: Reg) -> impl Iterator<Item = DefId> + '_ {
+        self.facts
+            .at(pos)
+            .iter_and(&self.defs_of[reg as usize])
+            .map(|id| id as DefId)
     }
 
     /// The single definition of `reg` reaching `pos`, if there is
     /// exactly one.
     pub fn unique_def(&self, pos: Pos, reg: Reg) -> Option<DefSite> {
-        match self.reaching(pos, reg) {
-            [one] => Some(self.defs[*one as usize]),
+        let mut reaching = self.reaching(pos, reg);
+        match (reaching.next(), reaching.next()) {
+            (Some(one), None) => Some(self.defs[one as usize]),
             _ => None,
         }
     }
@@ -179,9 +177,9 @@ impl ReachingDefs {
         match (a, b) {
             (Operand::Imm(x), Operand::Imm(y)) => x == y,
             (Operand::Reg(x), Operand::Reg(y)) => {
-                x == y && !self.reaching(pa, x).is_empty() && {
-                    self.reaching(pa, x) == self.reaching(pb, y)
-                }
+                x == y
+                    && self.reaching(pa, x).next().is_some()
+                    && self.reaching(pa, x).eq(self.reaching(pb, y))
             }
             _ => false,
         }
@@ -278,7 +276,7 @@ mod tests {
         let f = fb.build();
         let cfg = Cfg::new(&f);
         let rd = ReachingDefs::compute(&f, &cfg);
-        assert_eq!(rd.reaching((3, 0), r).len(), 2);
+        assert_eq!(rd.reaching((3, 0), r).count(), 2);
         assert_eq!(rd.unique_def((3, 0), r), None);
         assert_eq!(rd.unique_def((1, 1), r), Some(DefSite::Inst(1, 0)));
     }

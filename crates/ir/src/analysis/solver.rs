@@ -19,6 +19,7 @@
 use super::cfg::Cfg;
 use super::reaching::Pos;
 use crate::ir::{BlockId, Function, Inst};
+use std::collections::VecDeque;
 
 /// Direction of a dataflow problem.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -93,24 +94,33 @@ pub trait DataflowProblem {
 /// `b`, and `at((b, len))` at the block's end.
 #[derive(Clone, Debug)]
 pub struct Solution<F> {
-    at: Vec<Vec<F>>,
+    /// Every position's fact, block after block.
+    at: Vec<F>,
+    /// `start[b]` is the index in `at` of block `b`'s first position;
+    /// `start[n]` is `at.len()`.
+    start: Vec<usize>,
 }
 
 impl<F> Solution<F> {
+    /// The facts of block `b`'s positions, its end included.
+    fn block(&self, b: BlockId) -> &[F] {
+        &self.at[self.start[b]..self.start[b + 1]]
+    }
+
     /// The fact just before the instruction at `pos` (`pos.1` may be
     /// the block's length: the fact at its end).
     pub fn at(&self, pos: Pos) -> &F {
-        &self.at[pos.0][pos.1]
+        &self.block(pos.0)[pos.1]
     }
 
     /// The fact at the start of block `b`.
     pub fn entry(&self, b: BlockId) -> &F {
-        &self.at[b][0]
+        &self.block(b)[0]
     }
 
     /// The fact at the end of block `b`.
     pub fn exit(&self, b: BlockId) -> &F {
-        self.at[b].last().expect("a block has an end position")
+        self.block(b).last().expect("a block has an end position")
     }
 }
 
@@ -151,9 +161,10 @@ pub fn solve<P: DataflowProblem>(func: &Function, cfg: &Cfg, problem: &P) -> Sol
         problem.join(&mut input[0], &problem.boundary_fact());
     } else {
         // Backward boundary: blocks ending in `Ret` (no successors).
-        for (b, block) in func.blocks.iter().enumerate() {
-            if block.successors().is_empty() {
-                problem.join(&mut input[b], &problem.boundary_fact());
+        let boundary = problem.boundary_fact();
+        for (b, succs) in cfg.succs.iter().enumerate() {
+            if succs.is_empty() {
+                problem.join(&mut input[b], &boundary);
             }
         }
     }
@@ -173,15 +184,20 @@ pub fn solve<P: DataflowProblem>(func: &Function, cfg: &Cfg, problem: &P) -> Sol
     }
 
     let mut on_list = vec![true; n];
-    let mut work: std::collections::VecDeque<BlockId> = order.into_iter().collect();
+    let mut work = VecDeque::from(order);
+    // Two buffers for the whole fixpoint: a block step works in `step`
+    // and, when the block's output changed, swaps it in; a refined edge
+    // fact is built in `edge`. `clone_from` reuses their storage.
+    let mut step = problem.init_fact();
+    let mut edge = problem.init_fact();
     while let Some(b) = work.pop_front() {
         on_list[b] = false;
-        let mut fact = input[b].clone();
-        step_block(func, problem, b, &mut fact, None);
-        if fact == output[b] {
+        step.clone_from(&input[b]);
+        step_block(func, problem, b, &mut step, None);
+        if step == output[b] {
             continue;
         }
-        output[b] = fact;
+        std::mem::swap(&mut output[b], &mut step);
         let dependents: &[BlockId] = if forward {
             &cfg.succs[b]
         } else {
@@ -189,9 +205,9 @@ pub fn solve<P: DataflowProblem>(func: &Function, cfg: &Cfg, problem: &P) -> Sol
         };
         for &d in dependents {
             let changed = if forward && problem.has_edge_transfer() {
-                let mut edge_fact = output[b].clone();
-                problem.transfer_edge(func, b, d, &mut edge_fact);
-                problem.join_at(d, &mut input[d], &edge_fact)
+                edge.clone_from(&output[b]);
+                problem.transfer_edge(func, b, d, &mut edge);
+                problem.join_at(d, &mut input[d], &edge)
             } else {
                 problem.join_at(d, &mut input[d], &output[b])
             };
@@ -204,20 +220,19 @@ pub fn solve<P: DataflowProblem>(func: &Function, cfg: &Cfg, problem: &P) -> Sol
 
     // Replay each block from the fact on the side facts arrive from
     // (its start forward, its end backward), recording every position.
-    let at = input
-        .into_iter()
-        .enumerate()
-        .map(|(b, mut fact)| {
-            let mut trail = Vec::with_capacity(func.blocks[b].insts.len() + 1);
-            step_block(func, problem, b, &mut fact, Some(&mut trail));
-            trail.push(fact);
-            if !forward {
-                trail.reverse();
-            }
-            trail
-        })
-        .collect();
-    Solution { at }
+    let positions = func.blocks.iter().map(|block| block.insts.len() + 1).sum();
+    let mut at = Vec::with_capacity(positions);
+    let mut start = Vec::with_capacity(n + 1);
+    for (b, mut fact) in input.into_iter().enumerate() {
+        start.push(at.len());
+        step_block(func, problem, b, &mut fact, Some(&mut at));
+        at.push(fact);
+        if !forward {
+            at[start[b]..].reverse();
+        }
+    }
+    start.push(at.len());
+    Solution { at, start }
 }
 
 #[cfg(test)]
@@ -321,11 +336,7 @@ out:
             _ => loop_defs.clone(),
         };
         for pos in positions(&f) {
-            let got: Vec<DefSite> = rd
-                .reaching(pos, 1)
-                .iter()
-                .map(|&id| rd.defs[id as usize])
-                .collect();
+            let got: Vec<DefSite> = rd.reaching(pos, 1).map(|id| rd.defs[id as usize]).collect();
             assert_eq!(got, expect(pos), "r1 at {pos:?}");
         }
     }
@@ -344,7 +355,8 @@ out:
             _ => [true, true, false],
         };
         for pos in positions(&f) {
-            assert_eq!(live.live_at(pos)[..], expect(pos), "live set at {pos:?}");
+            let got: Vec<bool> = (0..3).map(|r| live.live_at(pos).contains(r)).collect();
+            assert_eq!(got, expect(pos), "live set at {pos:?}");
         }
     }
 }

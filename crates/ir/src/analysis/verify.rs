@@ -16,6 +16,7 @@
 //!   targets, register bounds) by delegating to `validate`.
 
 use super::absint::regions::region_depths;
+use super::bitset::BitSet;
 use super::cfg::Cfg;
 use super::reaching::Pos;
 use super::solver::{solve, DataflowProblem, Direction};
@@ -58,34 +59,29 @@ struct DefiniteAssign {
 }
 
 impl DataflowProblem for DefiniteAssign {
-    type Fact = Vec<bool>;
+    type Fact = BitSet;
 
     fn direction(&self) -> Direction {
         Direction::Forward
     }
 
-    fn boundary_fact(&self) -> Vec<bool> {
-        (0..self.num_regs).map(|r| r < self.num_args).collect()
+    fn boundary_fact(&self) -> BitSet {
+        let mut args = BitSet::empty(self.num_regs);
+        args.insert_range(self.num_args);
+        args
     }
 
-    fn init_fact(&self) -> Vec<bool> {
-        vec![true; self.num_regs]
+    fn init_fact(&self) -> BitSet {
+        BitSet::full(self.num_regs)
     }
 
-    fn join(&self, into: &mut Vec<bool>, from: &Vec<bool>) -> bool {
-        let mut changed = false;
-        for (i, f) in into.iter_mut().zip(from) {
-            if *i && !*f {
-                *i = false;
-                changed = true;
-            }
-        }
-        changed
+    fn join(&self, into: &mut BitSet, from: &BitSet) -> bool {
+        into.intersect_with(from)
     }
 
-    fn transfer(&self, inst: &Inst, _pos: Pos, fact: &mut Vec<bool>) {
+    fn transfer(&self, inst: &Inst, _pos: Pos, fact: &mut BitSet) {
         if let Some(d) = inst.def() {
-            fact[d as usize] = true;
+            fact.insert(d as usize);
         }
     }
 }
@@ -119,12 +115,12 @@ fn check_definite_assignment(func: &Function, cfg: &Cfg) -> Result<(), VerifyErr
         num_args: func.num_args as usize,
     };
     let assigned = solve(func, cfg, &problem);
-    let mut uses = Vec::new();
     for &b in &cfg.rpo {
         for (i, inst) in func.blocks[b].insts.iter().enumerate() {
-            uses.clear();
-            inst.uses(&mut uses);
-            if let Some(r) = uses.iter().find(|&&r| !assigned.at((b, i))[r as usize]) {
+            if let Some(r) = inst
+                .uses()
+                .find(|&r| !assigned.at((b, i)).contains(r as usize))
+            {
                 return Err(VerifyError {
                     func: func.name.clone(),
                     block: Some(b),

@@ -220,40 +220,23 @@ impl Inst {
         }
     }
 
-    /// Registers this instruction uses.
-    pub fn uses(&self, out: &mut Vec<Reg>) {
-        let push = |o: Operand, out: &mut Vec<Reg>| {
-            if let Operand::Reg(r) = o {
-                out.push(r);
+    /// Registers this instruction uses, in operand order.
+    pub fn uses(&self) -> impl Iterator<Item = Reg> {
+        let (a, b) = match *self {
+            Inst::Mov { src, .. } | Inst::Not { src, .. } => (Some(src), None),
+            Inst::Bin { a, b, .. } | Inst::Cmp { a, b, .. } | Inst::TmCmpAddr { a, b, .. } => {
+                (Some(a), Some(b))
             }
+            Inst::TmLoad { addr, .. } => (Some(addr), None),
+            Inst::TmStore { addr, val } | Inst::TmCmpVal { addr, val, .. } => {
+                (Some(addr), Some(val))
+            }
+            Inst::TmInc { addr, delta, .. } => (Some(addr), Some(delta)),
+            Inst::CondBr { cond, .. } => (Some(cond), None),
+            Inst::Ret { val } => (val, None),
+            Inst::Br { .. } | Inst::TmBegin | Inst::TmEnd => (None, None),
         };
-        match *self {
-            Inst::Mov { src, .. } | Inst::Not { src, .. } => push(src, out),
-            Inst::Bin { a, b, .. } | Inst::Cmp { a, b, .. } => {
-                push(a, out);
-                push(b, out);
-            }
-            Inst::TmLoad { addr, .. } => push(addr, out),
-            Inst::TmStore { addr, val } => {
-                push(addr, out);
-                push(val, out);
-            }
-            Inst::TmCmpVal { addr, val, .. } => {
-                push(addr, out);
-                push(val, out);
-            }
-            Inst::TmCmpAddr { a, b, .. } => {
-                push(a, out);
-                push(b, out);
-            }
-            Inst::TmInc { addr, delta, .. } => {
-                push(addr, out);
-                push(delta, out);
-            }
-            Inst::CondBr { cond, .. } => push(cond, out),
-            Inst::Ret { val: Some(v) } => push(v, out),
-            Inst::Br { .. } | Inst::Ret { val: None } | Inst::TmBegin | Inst::TmEnd => {}
-        }
+        [a, b].into_iter().flatten().filter_map(Operand::reg)
     }
 
     /// Whether this instruction ends a basic block.
@@ -275,15 +258,17 @@ pub struct Block {
 }
 
 impl Block {
-    /// Successor block ids of this block's terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self.insts.last() {
-            Some(Inst::Br { target }) => vec![*target],
-            Some(Inst::CondBr {
+    /// Successor block ids of this block's terminator, in branch
+    /// order.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let (a, b) = match self.insts.last() {
+            Some(&Inst::Br { target }) => (Some(target), None),
+            Some(&Inst::CondBr {
                 then_to, else_to, ..
-            }) => vec![*then_to, *else_to],
-            _ => vec![],
-        }
+            }) => (Some(then_to), Some(else_to)),
+            _ => (None, None),
+        };
+        [a, b].into_iter().flatten()
     }
 }
 
@@ -334,9 +319,7 @@ impl Function {
                         return Err(format!("{}: register r{d} out of bounds", self.name));
                     }
                 }
-                let mut used = Vec::new();
-                inst.uses(&mut used);
-                for r in used {
+                for r in inst.uses() {
                     if r >= self.num_regs {
                         return Err(format!("{}: register r{r} out of bounds", self.name));
                     }
@@ -559,9 +542,7 @@ mod tests {
             b: Operand::Imm(4),
         };
         assert_eq!(i.def(), Some(3));
-        let mut u = Vec::new();
-        i.uses(&mut u);
-        assert_eq!(u, vec![1]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

@@ -381,7 +381,7 @@ pub fn lint_function(func: &Function, map: Option<&SourceMap>) -> Vec<Diagnostic
                     | Inst::TmLoad { .. }
             );
             match inst.def() {
-                Some(d) if pure && !live.live_at((b, i + 1))[d as usize] => {
+                Some(d) if pure && !live.live_at((b, i + 1)).contains(d as usize) => {
                     out.push(spanned(
                         Some((b, i)),
                         "SL005",

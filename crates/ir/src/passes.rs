@@ -31,7 +31,9 @@
 //! instead of silent miscompilation.
 
 use crate::analysis::absint::{widen_candidates, AbsInt, Regions, WidenCandidate};
-use crate::analysis::{verify, Cfg, CmpMatch, Liveness, PatternCtx, ReachingDefs, VerifyError};
+use crate::analysis::{
+    verify, BitSet, Cfg, CmpMatch, Liveness, PatternCtx, ReachingDefs, VerifyError,
+};
 use crate::ir::{Function, Inst, Operand};
 
 /// Statistics reported by a pass run (used by the Figure-2 harness to
@@ -60,14 +62,19 @@ pub struct PassReport {
 /// interval refinement are still plain `Cmp`s; the `c == 0` cases are
 /// deliberately left to the syntactic matcher.
 pub fn tm_widen(func: &mut Function) -> PassReport {
-    let mut report = PassReport::default();
     let cfg = Cfg::new(func);
     let rd = ReachingDefs::compute(func, &cfg);
-    let absint = AbsInt::compute(func, &cfg);
-    let regions = Regions::compute(func, &cfg);
+    widen(func, &cfg, &rd)
+}
+
+/// [`tm_widen`] over the function's CFG and reaching definitions.
+fn widen(func: &mut Function, cfg: &Cfg, rd: &ReachingDefs) -> PassReport {
+    let mut report = PassReport::default();
+    let absint = AbsInt::compute(func, cfg);
+    let regions = Regions::compute(func, cfg);
     // Like tm_mark: a rewritten Cmp defines the same register at the
     // same position, so collecting first keeps the analyses valid.
-    let cands = widen_candidates(func, &cfg, &rd, &absint, &regions);
+    let cands = widen_candidates(func, cfg, rd, &absint, &regions);
     for cand in cands {
         if let WidenCandidate::Promote {
             pos,
@@ -94,14 +101,19 @@ pub fn tm_widen(func: &mut Function) -> PassReport {
 /// `inc` patterns across basic blocks. Leaves the feeding loads in
 /// place — [`tm_optimize`] removes the ones that became dead.
 pub fn tm_mark(func: &mut Function) -> PassReport {
+    let cfg = Cfg::new(func);
+    let rd = ReachingDefs::compute(func, &cfg);
+    mark(func, &cfg, &rd)
+}
+
+/// [`tm_mark`] over the function's CFG and reaching definitions.
+fn mark(func: &mut Function, cfg: &Cfg, rd: &ReachingDefs) -> PassReport {
     let mut report = PassReport::default();
     // Rewrites neither add nor remove definitions (a promoted `Cmp`
     // defines the same register at the same position; a promoted
     // `TmStore` still defines nothing), so the analyses stay valid
     // while we collect rewrites; they are applied afterwards.
-    let cfg = Cfg::new(func);
-    let rd = ReachingDefs::compute(func, &cfg);
-    let cx = PatternCtx::new(func, &cfg, &rd);
+    let cx = PatternCtx::new(func, cfg, rd);
     let mut rewrites: Vec<((usize, usize), Inst)> = Vec::new();
     for (b, block) in func.blocks.iter().enumerate() {
         for (i, inst) in block.insts.iter().enumerate() {
@@ -158,17 +170,25 @@ fn removable(inst: &Inst) -> (bool, bool) {
 /// The `tm_optimize` pass: iteratively remove never-live transactional
 /// loads and the pure instructions orphaned by removal, to a fixpoint.
 pub fn tm_optimize(func: &mut Function) -> PassReport {
+    let cfg = Cfg::new(func);
+    optimize(func, &cfg)
+}
+
+/// [`tm_optimize`] over the function's CFG. Removal never touches a
+/// terminator, so the CFG holds for every round.
+fn optimize(func: &mut Function, cfg: &Cfg) -> PassReport {
     let mut report = PassReport::default();
+    let mut live = BitSet::empty(func.num_regs as usize);
+    let mut keep = Vec::new();
     loop {
-        let cfg = Cfg::new(func);
-        let live = Liveness::compute(func, &cfg);
+        let liveness = Liveness::compute(func, cfg);
         let mut removed_any = false;
         for b in 0..func.blocks.len() {
-            let mut live = live.live_out(b).clone();
-            let mut keep = vec![true; func.blocks[b].insts.len()];
-            let mut uses = Vec::new();
+            live.clone_from(liveness.live_out(b));
+            keep.clear();
+            keep.resize(func.blocks[b].insts.len(), true);
             for (ii, inst) in func.blocks[b].insts.iter().enumerate().rev() {
-                let dead_def = inst.def().map(|d| !live[d as usize]).unwrap_or(false);
+                let dead_def = inst.def().is_some_and(|d| !live.contains(d as usize));
                 let (is_load, is_pure) = removable(inst);
                 if dead_def && (is_load || is_pure) {
                     keep[ii] = false;
@@ -183,15 +203,13 @@ pub fn tm_optimize(func: &mut Function) -> PassReport {
                     continue;
                 }
                 if let Some(d) = inst.def() {
-                    live[d as usize] = false;
+                    live.remove(d as usize);
                 }
-                uses.clear();
-                inst.uses(&mut uses);
-                for &r in &uses {
-                    live[r as usize] = true;
+                for r in inst.uses() {
+                    live.insert(r as usize);
                 }
             }
-            if keep.iter().any(|k| !k) {
+            if keep.contains(&false) {
                 let mut idx = 0;
                 func.blocks[b].insts.retain(|_| {
                     let k = keep[idx];
@@ -212,11 +230,16 @@ pub fn tm_optimize(func: &mut Function) -> PassReport {
 /// reports.
 pub fn run_tm_passes_checked(func: &mut Function) -> Result<PassReport, VerifyError> {
     verify(func)?;
-    let w = tm_widen(func);
+    // No pass moves an edge, and neither tm_widen nor tm_mark moves a
+    // definition (see `mark`), so one CFG serves the pipeline and one
+    // reaching-definitions solution serves both rewriting passes.
+    let cfg = Cfg::new(func);
+    let rd = ReachingDefs::compute(func, &cfg);
+    let w = widen(func, &cfg, &rd);
     verify(func)?;
-    let mut r = tm_mark(func);
+    let mut r = mark(func, &cfg, &rd);
     verify(func)?;
-    let o = tm_optimize(func);
+    let o = optimize(func, &cfg);
     verify(func)?;
     r.widened = w.widened;
     r.loads_removed = o.loads_removed;

@@ -20,6 +20,19 @@ for f in crates/check/tests/fault_*.rs; do
   fi
 done
 
+echo "==> the root package links semtm-core without the schedule hooks"
+# `semtm-check` turns on `semtm-core/{shuttle,fault-injection}`; as a
+# dependency of the root package it would compile the hooks into every
+# example and test there, including the release-mode steps below that
+# stand for the shipped code shape. Its users live in crates/check.
+hooks="$(cargo tree --offline -p semtm -e features -i semtm-core \
+  | grep -E 'feature "(shuttle|fault-injection)"' || true)"
+if [ -n "$hooks" ]; then
+  echo "tier1: the root package builds semtm-core with the schedule hooks:" >&2
+  echo "$hooks" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
