@@ -32,8 +32,9 @@
 //! for every slot to reach zero — at which point *no* transaction is
 //! in flight: no commit lock is held, no write-back is partial, and every
 //! durable commit has been acked (the WAL `wait_durable` happens inside
-//! commit, before the attempt exits) — reseeds the engine metadata, and
-//! publishes `Running(next, epoch+1)`. The epoch in the packed word makes
+//! commit, before the attempt exits) — reseeds the engine metadata
+//! (building the target engine's first, if no earlier mode needed it),
+//! and publishes `Running(next, epoch+1)`. The epoch in the packed word makes
 //! the enter re-check ABA-safe: even if a full switch cycle lands between
 //! an attempt's first load and its re-check, the word differs.
 //!

@@ -74,7 +74,10 @@ pub struct StmConfig {
     /// [`crate::heap`]).
     pub heap_words: usize,
     /// Number of ownership records (TL2 family). Rounded up to a power of
-    /// two; addresses map to orecs by masking.
+    /// two; addresses map to orecs by masking. The table is built only
+    /// when a TL2 mode can run: at construction for a TL2-family
+    /// `algorithm`, otherwise by the first [`crate::Stm::switch_to`]
+    /// into a TL2 mode.
     pub orec_count: usize,
     /// Spins to wait on a locked orec before aborting with `Timeout`
     /// (the paper's starvation-avoidance timeout, §4.2). TL2 family only:
@@ -126,8 +129,7 @@ pub struct StmConfig {
     /// Memory cost: there are 64 ring shards (one per telemetry counter
     /// shard) and each span is 128 bytes, so a capacity of `c` costs
     /// about `64 × 128 × c` bytes at both tiers (8 MiB at the default
-    /// 1024). Below `Trace` the rings collapse to capacity 1 and cost a
-    /// few kilobytes total.
+    /// 1024). Below `Trace` there are no rings.
     pub trace_capacity: usize,
 }
 

@@ -28,10 +28,13 @@
 //! heap of that size is recycled arena memory that `calloc` clears page
 //! by page.) Smaller arrays keep their exact size: clearing one costs
 //! little, and a debug build, where the zeroed allocation is not folded
-//! (see [`Heap::new`]), writes every reserved word, so a floor on every
+//! (see `zeroed_words`), writes every reserved word, so a floor on every
 //! small test heap would make debug test binaries many times slower.
 //! Words past the logical length stay out of reach: every access
-//! bounds-checks against it, not against the reservation.
+//! bounds-checks against it, not against the reservation. The TL2 orec
+//! table (`tl2::orec`) is reserved by the same rule: a table above
+//! 128 KiB costs one mapping to build, and only the orecs of touched
+//! words become resident.
 //!
 //! # Cache-line discipline
 //!
@@ -128,13 +131,10 @@ impl Heap {
     /// word 0 cache-line-aligned.
     ///
     /// The array (`capacity + LINE_WORDS - 1` words) is reserved as one
-    /// zeroed block: at its exact size up to 128 KiB, and otherwise at
-    /// least 32 MiB + 1 word, which the allocator always serves with a
-    /// fresh mapping (module docs). Only the words a program touches
-    /// become resident. In an optimised build the `with_capacity` +
-    /// `resize_with` pair below compiles to one `__rust_alloc_zeroed`
-    /// (glibc `calloc`, which does not clear a fresh mapping); a debug
-    /// build writes every reserved word.
+    /// zeroed block by `zeroed_words`: at its exact size up to 128 KiB,
+    /// and otherwise at least 32 MiB + 1 word, which the allocator always
+    /// serves with a fresh mapping (module docs). Only the words a program
+    /// touches become resident.
     ///
     /// # Panics
     /// Panics if `capacity` exceeds the 32-bit [`Addr`] space (checked
@@ -144,17 +144,7 @@ impl Heap {
             capacity <= u32::MAX as usize + 1,
             "heap capacity {capacity} words exceeds the 32-bit address space"
         );
-        let len = capacity + LINE_WORDS - 1;
-        let reserve = if len > EXACT_MAX_WORDS {
-            len.max(FRESH_MAPPING_WORDS)
-        } else {
-            len
-        };
-        let mut words = Vec::with_capacity(reserve);
-        words.resize_with(reserve, || AtomicU64::new(0));
-        // Indexing checks the length, so the tail past `len` is
-        // reserved, never reachable.
-        words.truncate(len);
+        let words = zeroed_words(capacity + LINE_WORDS - 1);
         // `as usize` on a pointer is safe (no deref); AtomicU64 is 8-byte
         // aligned, so the distance to the next 128-byte boundary is a
         // whole number of words.
@@ -257,6 +247,23 @@ impl Heap {
         self.words[self.base + a.0 as usize].store(v as u64, Ordering::SeqCst);
     }
 
+    /// Initialise `count` words of a freshly allocated block, `stride`
+    /// words apart from `start`, to `v` (non-transactionally).
+    ///
+    /// `Release`, not [`Heap::store`]'s `SeqCst` (an `xchg` per word on
+    /// x86): the block was just reserved and no other thread holds its
+    /// address yet. Whatever hands the address over — a transaction's
+    /// write-back ([`Heap::tm_store`], a release), a `SeqCst`
+    /// [`Heap::store`], a thread spawn — is ordered after these stores,
+    /// so a thread that learns the address through it also sees the
+    /// initial values (DESIGN.md §8.5).
+    pub(crate) fn init_block(&self, start: Addr, count: usize, stride: usize, v: i64) {
+        let first = self.base + start.index();
+        for i in 0..count {
+            self.words[first + i * stride].store(v as u64, Ordering::Release);
+        }
+    }
+
     /// Word load used by the STM algorithms themselves. `SeqCst` (so at
     /// least `Acquire`): it pairs with [`Heap::tm_store`].
     #[inline]
@@ -279,6 +286,28 @@ impl Heap {
     pub(crate) fn tm_store(&self, a: Addr, v: i64) {
         self.words[self.base + a.0 as usize].store(v as u64, Ordering::Release);
     }
+}
+
+/// `len` zeroed atomic words, reserved as one block: at its exact size
+/// up to 128 KiB, and otherwise at least 32 MiB + 1 word, which the
+/// allocator always serves with a fresh mapping (module docs), so only
+/// the words a program touches become resident. The heap's array and
+/// the TL2 orec table are both reserved this way. In an optimised build
+/// the `with_capacity` + `resize_with` pair below compiles to one
+/// `__rust_alloc_zeroed` (glibc `calloc`, which does not clear a fresh
+/// mapping); a debug build writes every reserved word.
+pub(crate) fn zeroed_words(len: usize) -> Vec<AtomicU64> {
+    let reserve = if len > EXACT_MAX_WORDS {
+        len.max(FRESH_MAPPING_WORDS)
+    } else {
+        len
+    };
+    let mut words = Vec::with_capacity(reserve);
+    words.resize_with(reserve, || AtomicU64::new(0));
+    // Indexing checks the length, so the tail past `len` is reserved,
+    // never reachable.
+    words.truncate(len);
+    words
 }
 
 impl std::fmt::Debug for Heap {

@@ -27,7 +27,7 @@ use crate::util::thread_token;
 use crate::value::Word;
 use crate::wal::{CommitLog, LogStorage};
 use std::convert::Infallible;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// A shared software-transactional-memory instance.
@@ -40,7 +40,11 @@ pub struct Stm {
     heap: Heap,
     norec: GlobalClock,
     sclock: ShardedClock,
-    tl2: Tl2Global,
+    /// The TL2 version clock and orec table, built only once a TL2 mode
+    /// can run: at construction when the initial mode is TL2, otherwise
+    /// inside the drain window of the first switch that publishes one.
+    /// An attempt only reads it.
+    tl2: OnceLock<Tl2Global>,
     telemetry: Telemetry,
     wal: Option<CommitLog>,
     /// The adaptive mode word + epoch slots ([`crate::adapt`]): which
@@ -55,16 +59,29 @@ pub struct Stm {
 impl Stm {
     /// Create a runtime from a configuration.
     pub fn new(config: StmConfig) -> Stm {
-        Stm {
+        let initial = Mode::initial(&config);
+        let stm = Stm {
             heap: Heap::new(config.heap_words),
             norec: GlobalClock::default(),
             sclock: ShardedClock::new(config.clock_shards),
-            tl2: Tl2Global::new(config.orec_count),
+            tl2: OnceLock::new(),
             telemetry: Telemetry::new(config.telemetry, config.trace_capacity),
             wal: None,
-            machine: ModeMachine::new(Mode::initial(&config)),
+            machine: ModeMachine::new(initial),
             controller: config.adaptive.map(|p| Mutex::new(Controller::new(p))),
             config,
+        };
+        stm.build_engine(initial);
+        stm
+    }
+
+    /// Build the engine globals `mode` runs on if they do not exist yet
+    /// (only TL2's are built lazily). Called before `mode` is published:
+    /// at construction, and inside a switch's drain window.
+    fn build_engine(&self, mode: Mode) {
+        if mode.algorithm.baseline() == Algorithm::Tl2 {
+            self.tl2
+                .get_or_init(|| Tl2Global::new(self.config.orec_count));
         }
     }
 
@@ -119,17 +136,13 @@ impl Stm {
 
     /// Allocate one word holding `init` (non-transactionally).
     pub fn alloc_cell<T: Word>(&self, init: T) -> Addr {
-        let a = self.alloc(1);
-        self.heap.store(a, init.to_word());
-        a
+        self.alloc_array(1, init)
     }
 
     /// Allocate an array of `n` words, all holding `init`.
     pub fn alloc_array<T: Word>(&self, n: usize, init: T) -> Addr {
         let a = self.alloc(n);
-        for i in 0..n {
-            self.heap.store(a.offset(i), init.to_word());
-        }
+        self.heap.init_block(a, n, 1, init.to_word());
         a
     }
 
@@ -169,10 +182,11 @@ impl Stm {
     /// Hot-swap the runtime to `target`: publish `Draining`, wait for
     /// in-flight attempts to retire (at most one quiesce epoch — an
     /// attempt, including its WAL durability ack), reseed the engine
-    /// metadata clocks, publish the new mode. Concurrent transactions
-    /// keep running: attempts that began before the switch complete
-    /// under the old mode; attempts that begin during the drain wait for
-    /// the handoff and run the new one.
+    /// metadata clocks, build `target`'s engine globals if this is the
+    /// first switch to need them, publish the new mode. Concurrent
+    /// transactions keep running: attempts that began before the switch
+    /// complete under the old mode; attempts that begin during the drain
+    /// wait for the handoff and run the new one.
     ///
     /// Returns the drain/latency report (a no-op report when `target`
     /// is already running). Must not be called from inside a transaction
@@ -192,10 +206,16 @@ impl Stm {
             // Bump every engine's clock one era forward (never rewound)
             // so no snapshot taken before the switch can validate as
             // current after it — the new engine starts from a heap that
-            // is just initial state to it. See DESIGN.md §10.
+            // is just initial state to it. An engine never built has no
+            // snapshot to outdate: it is skipped, and built fresh here
+            // if `target` is the first mode to run on it. See DESIGN.md
+            // §10.
             self.norec.reseed();
             self.sclock.reseed();
-            self.tl2.reseed();
+            if let Some(tl2) = self.tl2.get() {
+                tl2.reseed();
+            }
+            self.build_engine(target);
         }))
     }
 
@@ -616,15 +636,18 @@ impl<'a> Tx<'a> {
     /// A context on `mode`'s engine for the thread whose token is `token`.
     fn new(stm: &'a Stm, mode: Mode, token: u64) -> Tx<'a> {
         // Dispatch on the *mode*, not the construction-time algorithm:
-        // all engine globals coexist in the Stm, so an adaptive switch
-        // is just a different arm here on the next attempt.
+        // a mode is published only after its engine globals are built
+        // (`Stm::build_engine`), so an adaptive switch is just a
+        // different arm here on the next attempt.
         // (`Mode::initial` maps `clock_shards > 1` to the sharded clock.)
         let inner = match (mode.algorithm.baseline(), mode.sharded) {
             (Algorithm::NOrec, true) => TxInner::Sharded(NorecTx::new(&stm.heap, &stm.sclock)),
             (Algorithm::NOrec, false) => TxInner::Global(NorecTx::new(&stm.heap, &stm.norec)),
             (Algorithm::Tl2, _) => TxInner::Tl2(Tl2Tx::new(
                 &stm.heap,
-                &stm.tl2,
+                stm.tl2
+                    .get()
+                    .expect("a TL2 mode is published after its globals are built"),
                 token,
                 stm.config.lock_wait_spins,
             )),
@@ -1378,6 +1401,79 @@ mod tests {
         assert_eq!(stm.read_now(b), threads * per / 2);
         assert_eq!(stm.stats().commits, (threads * per) as u64);
         assert_eq!(stm.switch_count(), 18);
+    }
+
+    #[test]
+    fn tl2_globals_are_built_once_by_the_first_switch_into_tl2() {
+        // An S-NOrec runtime has no TL2 globals. A switch between NOrec
+        // modes leaves them unbuilt (and so unreseeded); the first
+        // switch into S-TL2 builds them after the reseeds, so its clock
+        // starts at 0; switching away and back reuses the same table.
+        // Transfers run throughout and the bank's total never moves.
+        const ACCOUNTS: usize = 8;
+        const TOTAL: i64 = ACCOUNTS as i64 * 100;
+        let stm = std::sync::Arc::new(Stm::new(
+            StmConfig::new(Algorithm::SNOrec)
+                .heap_words(64)
+                .orec_count(64),
+        ));
+        let accounts = stm.alloc_array(ACCOUNTS, 100i64);
+        let audit = |stm: &Stm| {
+            stm.atomic(|tx| {
+                (0..ACCOUNTS).try_fold(0, |sum, i| Ok(sum + tx.read(accounts.offset(i))?))
+            })
+        };
+        assert!(stm.tl2.get().is_none(), "S-NOrec builds no TL2 globals");
+        stm.switch_to(Mode::new(Algorithm::NOrec)).unwrap();
+        assert!(stm.tl2.get().is_none(), "a NOrec-family switch builds none");
+        stm.switch_to(Mode::new(Algorithm::STl2)).unwrap();
+        let tl2: *const Tl2Global = stm.tl2.get().expect("built by the switch into TL2");
+        assert_eq!(
+            stm.tl2.get().unwrap().time(),
+            0,
+            "built after the reseeds, none reached it"
+        );
+
+        let threads = 2;
+        let per = 400;
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let stm = stm.clone();
+                std::thread::spawn(move || {
+                    for i in 0..per {
+                        let from = accounts.offset((t + i) % ACCOUNTS);
+                        let to = accounts.offset((t + 3 * i + 1) % ACCOUNTS);
+                        stm.atomic(|tx| {
+                            if tx.cmp(from, CmpOp::Gte, 5)? {
+                                tx.inc(from, -5)?;
+                                tx.inc(to, 5)?;
+                            }
+                            Ok(())
+                        });
+                    }
+                })
+            })
+            .collect();
+        for target in [
+            Algorithm::SNOrec,
+            Algorithm::STl2,
+            Algorithm::SNOrec,
+            Algorithm::STl2,
+        ] {
+            assert_eq!(audit(&stm), TOTAL);
+            stm.switch_to(Mode::new(target)).unwrap();
+            assert!(
+                std::ptr::eq(stm.tl2.get().unwrap(), tl2),
+                "the table is built once"
+            );
+            assert_eq!(audit(&stm), TOTAL);
+            std::thread::yield_now();
+        }
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert_eq!(audit(&stm), TOTAL);
+        assert_eq!(stm.switch_count(), 6);
     }
 
     #[test]

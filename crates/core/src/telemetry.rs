@@ -494,23 +494,39 @@ impl Sampler {
 // --- the front object -----------------------------------------------------
 
 /// All telemetry state of one [`crate::Stm`] instance.
+///
+/// Each tier allocates only at its own level: the stat shards always,
+/// the five histograms at [`TelemetryLevel::Histograms`] and above, the
+/// per-thread span rings at [`TelemetryLevel::Trace`] and above. Below
+/// its level a tier's recorders do nothing and its readers return empty
+/// snapshots.
 pub struct Telemetry {
     level: TelemetryLevel,
     started: Instant,
     shards: Box<[StatShard]>,
+    /// `Some` at `Histograms` and above.
+    histograms: Option<Histograms>,
+    /// One ring per shard at `Trace` and above; empty below.
+    spans: Box<[Mutex<EventRing<SpanEvent>>]>,
+    rates: Mutex<RateState>,
+}
+
+/// The histogram tier's five recorders.
+#[derive(Default)]
+struct Histograms {
     commit_latency_ns: Histogram,
     attempts_per_commit: Histogram,
     commit_read_set: Histogram,
     commit_compare_set: Histogram,
     backoff_spins: Histogram,
-    spans: Box<[Mutex<EventRing<SpanEvent>>]>,
-    rates: Mutex<RateState>,
 }
 
 // Every allocation `Telemetry::new` makes holds `SHARDS` or
 // `HISTOGRAM_BUCKETS` elements (a ring, `trace_capacity` events) of one
 // of these types, so their sizes pin its footprint; `StatShard`'s is
 // pinned in `stats.rs`. `Mutex` and `usize` sizes vary by platform.
+// The histogram tier's `Option` costs no space: its boxed buckets give
+// `None` a niche.
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 const _: () = {
     use std::mem::size_of;
@@ -571,24 +587,18 @@ impl Telemetry {
     pub fn new(level: TelemetryLevel, trace_capacity: usize) -> Telemetry {
         let mut shards = Vec::with_capacity(SHARDS);
         shards.resize_with(SHARDS, StatShard::default);
-        // Below `Trace` no span is recorded; size the rings to 1 so a
-        // disabled trace costs a few words, not megabytes.
-        let capacity = if level >= TelemetryLevel::Trace {
-            trace_capacity
+        let rings = if level >= TelemetryLevel::Trace {
+            SHARDS
         } else {
-            1
+            0
         };
-        let mut spans = Vec::with_capacity(SHARDS);
-        spans.resize_with(SHARDS, || Mutex::new(EventRing::new(capacity)));
+        let mut spans = Vec::with_capacity(rings);
+        spans.resize_with(rings, || Mutex::new(EventRing::new(trace_capacity)));
         Telemetry {
             level,
             started: Instant::now(),
             shards: shards.into_boxed_slice(),
-            commit_latency_ns: Histogram::default(),
-            attempts_per_commit: Histogram::default(),
-            commit_read_set: Histogram::default(),
-            commit_compare_set: Histogram::default(),
-            backoff_spins: Histogram::default(),
+            histograms: (level >= TelemetryLevel::Histograms).then(Histograms::default),
             spans: spans.into_boxed_slice(),
             rates: Mutex::new(RateState::default()),
         }
@@ -674,7 +684,8 @@ impl Telemetry {
         smoothed
     }
 
-    /// Record the profile of a committed transaction (histogram level).
+    /// Record the profile of a committed transaction (histogram level;
+    /// a no-op below it).
     #[inline]
     pub fn record_commit_profile(
         &self,
@@ -683,17 +694,22 @@ impl Telemetry {
         read_set: usize,
         compare_set: usize,
     ) {
-        self.commit_latency_ns.record(latency_ns);
-        self.attempts_per_commit.record(attempts);
-        self.commit_read_set.record(read_set as u64);
-        self.commit_compare_set.record(compare_set as u64);
+        if let Some(h) = &self.histograms {
+            h.commit_latency_ns.record(latency_ns);
+            h.attempts_per_commit.record(attempts);
+            h.commit_read_set.record(read_set as u64);
+            h.commit_compare_set.record(compare_set as u64);
+        }
     }
 
-    /// Record a contention-manager pause (histogram level; spin counts
-    /// of zero still count a sample so yield-only policies show up).
+    /// Record a contention-manager pause (histogram level, a no-op below
+    /// it; spin counts of zero still count a sample so yield-only
+    /// policies show up).
     #[inline]
     pub fn record_backoff(&self, spins: u64) {
-        self.backoff_spins.record(spins);
+        if let Some(h) = &self.histograms {
+            h.backoff_spins.record(spins);
+        }
     }
 
     /// A [`PhaseRecorder`] appropriate for this telemetry level: live
@@ -708,33 +724,42 @@ impl Telemetry {
     }
 
     /// Append a span to the ring of its thread's shard (every attempt at
-    /// `Spans`, aborted attempts at `Trace`).
+    /// `Spans`, aborted attempts at `Trace`; a no-op below `Trace`,
+    /// which has no rings).
     pub fn record_span(&self, event: SpanEvent) {
-        if let Ok(mut ring) = self.spans[shard_index(event.thread)].lock() {
+        if let Some(Ok(mut ring)) = self.spans.get(shard_index(event.thread)).map(Mutex::lock) {
             ring.push(event);
         }
     }
 
+    /// Snapshot of the histogram `pick` selects; empty below
+    /// `Histograms`.
+    fn histogram(&self, pick: impl Fn(&Histograms) -> &Histogram) -> HistogramSnapshot {
+        self.histograms
+            .as_ref()
+            .map_or_else(HistogramSnapshot::default, |h| pick(h).snapshot())
+    }
+
     /// End-to-end commit latency in nanoseconds (histogram level).
     pub fn commit_latency_ns(&self) -> HistogramSnapshot {
-        self.commit_latency_ns.snapshot()
+        self.histogram(|h| &h.commit_latency_ns)
     }
     /// Attempts needed per committed transaction (histogram level).
     pub fn attempts_per_commit(&self) -> HistogramSnapshot {
-        self.attempts_per_commit.snapshot()
+        self.histogram(|h| &h.attempts_per_commit)
     }
     /// Read-set size at commit (histogram level).
     pub fn commit_read_set(&self) -> HistogramSnapshot {
-        self.commit_read_set.snapshot()
+        self.histogram(|h| &h.commit_read_set)
     }
     /// Compare-set size at commit (histogram level; all-zero for the
     /// NOrec family and the delegating baselines).
     pub fn commit_compare_set(&self) -> HistogramSnapshot {
-        self.commit_compare_set.snapshot()
+        self.histogram(|h| &h.commit_compare_set)
     }
     /// Contention-manager spins per pause (histogram level).
     pub fn backoff_spins(&self) -> HistogramSnapshot {
-        self.backoff_spins.snapshot()
+        self.histogram(|h| &h.backoff_spins)
     }
 
     /// All retained spans, merged across threads and sorted by start
@@ -1022,6 +1047,45 @@ mod tests {
         assert_eq!(p2.commits, 10);
         assert_eq!(p2.conflict_aborts, 0);
         assert!((p2.dt_secs - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn each_tier_allocates_and_records_only_at_its_level() {
+        use TelemetryLevel::*;
+        for level in [Counters, Histograms, Trace, Spans] {
+            let t = Telemetry::new(level, 8);
+            let histograms = level >= Histograms;
+            let trace = level >= Trace;
+            assert_eq!(t.histograms.is_some(), histograms, "{level:?}");
+            assert_eq!(t.spans.len(), if trace { SHARDS } else { 0 }, "{level:?}");
+            // The public recorders are callable at every level; below
+            // their tier they do nothing.
+            t.record_commit_profile(100, 2, 3, 1);
+            t.record_backoff(7);
+            t.record_span(aborted_span(1, at_addr(5)));
+            let readers = [
+                t.commit_latency_ns(),
+                t.attempts_per_commit(),
+                t.commit_read_set(),
+                t.commit_compare_set(),
+                t.backoff_spins(),
+            ];
+            for h in &readers {
+                assert_eq!(h.count(), u64::from(histograms), "{level:?}");
+                assert_eq!(h.nonzero_buckets().count(), usize::from(histograms));
+            }
+            if !histograms {
+                assert_eq!(
+                    readers[0],
+                    HistogramSnapshot::default(),
+                    "empty below the tier"
+                );
+            }
+            assert_eq!(t.span_events().len(), usize::from(trace), "{level:?}");
+            assert_eq!(t.trace_events().len(), usize::from(trace));
+            assert_eq!(t.hot_addresses().len(), usize::from(trace));
+            assert_eq!(t.spans_evicted(), 0);
+        }
     }
 
     #[test]

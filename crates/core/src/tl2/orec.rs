@@ -18,7 +18,7 @@
 //! this keeps the orecs of unrelated padded nodes [`LINE_WORDS`] indices —
 //! a full line — apart instead of packed into the same one.
 
-use crate::heap::{LINE_BYTES, LINE_WORDS};
+use crate::heap::{zeroed_words, LINE_BYTES, LINE_WORDS};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An orec word value (snapshot of the atomic).
@@ -68,8 +68,10 @@ impl OrecWord {
 /// The shared orec table.
 pub struct OrecTable {
     /// Backing store, over-allocated by `LINE_WORDS - 1`; orec `i` lives
-    /// at `orecs[base + i]`.
-    orecs: Box<[AtomicU64]>,
+    /// at `orecs[base + i]`. Reserved like the heap's array
+    /// ([`zeroed_words`]): a table above 128 KiB is a fresh mapping, and
+    /// only the orecs of touched words become resident.
+    orecs: Vec<AtomicU64>,
     /// Offset of orec 0, chosen so it starts a 128-byte line.
     base: usize,
     mask: usize,
@@ -80,9 +82,7 @@ impl OrecTable {
     /// of two), orec 0 cache-line-aligned.
     pub fn new(count: usize) -> OrecTable {
         let n = count.max(2).next_power_of_two();
-        let mut v = Vec::with_capacity(n + LINE_WORDS - 1);
-        v.resize_with(n + LINE_WORDS - 1, || AtomicU64::new(0));
-        let orecs = v.into_boxed_slice();
+        let orecs = zeroed_words(n + LINE_WORDS - 1);
         let addr = orecs.as_ptr() as usize;
         let base = (LINE_BYTES - (addr % LINE_BYTES)) % LINE_BYTES / 8;
         OrecTable {

@@ -134,16 +134,13 @@ impl<T: Word> TArray<T> {
     pub fn new_striped(stm: &Stm, len: usize, init: T) -> TArray<T> {
         let stride = crate::heap::LINE_WORDS;
         let base = stm.alloc_padded(len.max(1) * stride);
-        let arr = TArray {
+        stm.heap().init_block(base, len, stride, init.to_word());
+        TArray {
             base,
             len,
             stride,
             _t: PhantomData,
-        };
-        for i in 0..len {
-            stm.write_now(arr.addr(i), init.to_word());
         }
-        arr
     }
 
     /// Word distance between consecutive elements.

@@ -74,6 +74,18 @@ impl Cfg {
         }
     }
 
+    /// Whether this is still the CFG of `func`: same blocks, and each
+    /// block's terminator names the same successors in the same order
+    /// (everything else in a CFG follows from those). O(blocks).
+    pub(crate) fn describes(&self, func: &Function) -> bool {
+        self.succs.len() == func.blocks.len()
+            && func
+                .blocks
+                .iter()
+                .zip(&self.succs)
+                .all(|(block, succs)| block.successors().eq(succs.iter().copied()))
+    }
+
     /// Whether `b` is reachable from the entry block.
     pub fn reachable(&self, b: BlockId) -> bool {
         self.rpo_index[b].is_some()

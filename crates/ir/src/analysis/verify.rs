@@ -89,16 +89,39 @@ impl DataflowProblem for DefiniteAssign {
 /// Verify `func`; `Ok(())` means the passes and the interpreter can
 /// rely on all invariants above.
 pub fn verify(func: &Function) -> Result<(), VerifyError> {
-    // Structural layer first (terminators, branch targets, bounds).
+    check_structure(func)?;
+    check_flow(func, &Cfg::new(func))
+}
+
+/// [`verify`] given `cfg`, a CFG built for `func` before a pass rewrote
+/// it. A CFG is a function of the block terminators alone, so `cfg` is
+/// reused when every terminator is as it was and rebuilt otherwise: a
+/// pass that breaks an edge is checked on the edges it left.
+pub(crate) fn verify_with(func: &Function, cfg: &Cfg) -> Result<(), VerifyError> {
+    check_structure(func)?;
+    if cfg.describes(func) {
+        check_flow(func, cfg)
+    } else {
+        check_flow(func, &Cfg::new(func))
+    }
+}
+
+/// The structural layer (terminators, branch targets, bounds): what a
+/// [`Cfg`] needs of `func` to be built.
+pub(crate) fn check_structure(func: &Function) -> Result<(), VerifyError> {
     func.validate().map_err(|message| VerifyError {
         func: func.name.clone(),
         block: None,
         inst: None,
         message,
-    })?;
-    let cfg = Cfg::new(func);
-    check_definite_assignment(func, &cfg)?;
-    match region_depths(func, &cfg).error {
+    })
+}
+
+/// Definite assignment and region consistency over `cfg`, which must
+/// be `func`'s.
+fn check_flow(func: &Function, cfg: &Cfg) -> Result<(), VerifyError> {
+    check_definite_assignment(func, cfg)?;
+    match region_depths(func, cfg).error {
         Some((block, inst, message)) => Err(VerifyError {
             func: func.name.clone(),
             block: Some(block),
@@ -143,6 +166,45 @@ mod tests {
 
     fn verify_src(src: &str) -> Result<(), VerifyError> {
         verify(&parse_function(src).unwrap())
+    }
+
+    #[test]
+    fn a_rewritten_terminator_is_checked_on_a_fresh_cfg() {
+        // A pass that retargets `entry`'s branch past `set` leaves `r1`
+        // unwritten on the path to its use. The CFG built before that
+        // pass still shows the old edge, on which the function is fine:
+        // `verify_with` must notice the terminator moved and check the
+        // new edges instead.
+        let mut f = parse_function(
+            r"
+func f(1) {
+entry:
+  br set
+set:
+  r1 = const 1
+  br use
+use:
+  ret r1
+}
+",
+        )
+        .unwrap();
+        let before = Cfg::new(&f);
+        verify_with(&f, &before).unwrap();
+        let use_block = f.blocks.len() - 1;
+        *f.blocks[0].insts.last_mut().unwrap() = Inst::Br { target: use_block };
+        assert!(!before.describes(&f), "the retarget is seen");
+        assert!(
+            check_flow(&f, &before).is_ok(),
+            "the stale CFG would have passed the broken function"
+        );
+        let e = verify_with(&f, &before).unwrap_err();
+        assert!(e.message.contains("r1"), "{e}");
+        assert_eq!(
+            e,
+            verify(&f).unwrap_err(),
+            "the same verdict as a fresh verify"
+        );
     }
 
     #[test]

@@ -31,9 +31,8 @@
 //! instead of silent miscompilation.
 
 use crate::analysis::absint::{widen_candidates, AbsInt, Regions, WidenCandidate};
-use crate::analysis::{
-    verify, BitSet, Cfg, CmpMatch, Liveness, PatternCtx, ReachingDefs, VerifyError,
-};
+use crate::analysis::verify::{check_structure, verify_with};
+use crate::analysis::{BitSet, Cfg, CmpMatch, Liveness, PatternCtx, ReachingDefs, VerifyError};
 use crate::ir::{Function, Inst, Operand};
 
 /// Statistics reported by a pass run (used by the Figure-2 harness to
@@ -229,18 +228,21 @@ fn optimize(func: &mut Function, cfg: &Cfg) -> PassReport {
 /// verifier before, between, and after every pass, and merge the
 /// reports.
 pub fn run_tm_passes_checked(func: &mut Function) -> Result<PassReport, VerifyError> {
-    verify(func)?;
     // No pass moves an edge, and neither tm_widen nor tm_mark moves a
-    // definition (see `mark`), so one CFG serves the pipeline and one
-    // reaching-definitions solution serves both rewriting passes.
+    // definition (see `mark`), so one CFG serves the pipeline and its
+    // verifier runs, and one reaching-definitions solution serves both
+    // rewriting passes. Should a pass rewrite a terminator, `verify_with`
+    // checks the function on a CFG of its own.
+    check_structure(func)?;
     let cfg = Cfg::new(func);
+    verify_with(func, &cfg)?;
     let rd = ReachingDefs::compute(func, &cfg);
     let w = widen(func, &cfg, &rd);
-    verify(func)?;
+    verify_with(func, &cfg)?;
     let mut r = mark(func, &cfg, &rd);
-    verify(func)?;
+    verify_with(func, &cfg)?;
     let o = optimize(func, &cfg);
-    verify(func)?;
+    verify_with(func, &cfg)?;
     r.widened = w.widened;
     r.loads_removed = o.loads_removed;
     r.pure_removed = o.pure_removed;

@@ -1,9 +1,10 @@
 //! The allocator calls of the TM pass pipeline, pinned per kernel.
 //!
-//! `run_tm_passes` runs the verifier four times and builds the CFG,
-//! reaching definitions, the abstract interpreter, the region walk and
-//! one liveness solution per `tm_optimize` round; most of its cost is
-//! the facts those analyses clone. Wall-clock on a shared host moves by
+//! `run_tm_passes` builds the CFG once (the verifier, run four times,
+//! reuses it while no pass has rewritten a terminator), reaching
+//! definitions, the abstract interpreter, the region walk and one
+//! liveness solution per `tm_optimize` round; most of its cost is the
+//! facts those analyses clone. Wall-clock on a shared host moves by
 //! tens of percent between runs, an allocation count does not: a
 //! `#[global_allocator]` bumps a per-thread counter on every `alloc` /
 //! `alloc_zeroed` / `realloc` (as in the root package's
@@ -65,11 +66,11 @@ fn allocations(f: impl FnOnce()) -> u64 {
 
 /// Allocator calls of one `run_tm_passes` per shipped kernel.
 const EXPECTED: &[(&str, u64)] = &[
-    ("bank_transfer.ir", 195),
-    ("cross_block_guard.ir", 219),
-    ("ht_op.ir", 314),
-    ("range_gate.ir", 223),
-    ("vac_reserve.ir", 334),
+    ("bank_transfer.ir", 147),
+    ("cross_block_guard.ir", 159),
+    ("ht_op.ir", 218),
+    ("range_gate.ir", 167),
+    ("vac_reserve.ir", 234),
 ];
 
 #[test]
