@@ -13,7 +13,8 @@ use semtm_check::fuzz::check_stm;
 use semtm_check::schedule::{explore_exhaustive, ExploreOptions};
 use semtm_check::vthread::{run_threads, STEP_CAP};
 use semtm_core::Algorithm;
-use semtm_ir::{lower, programs, run_tm_passes, ExecError, Function, Interp, LoweredFunction};
+use semtm_ir::programs::{self, Scenario};
+use semtm_ir::{forms, Forms, Interp};
 use std::sync::atomic::{AtomicI64, Ordering};
 
 /// Commit-clock shard counts every test runs at.
@@ -26,35 +27,16 @@ fn opts() -> ExploreOptions {
     }
 }
 
-/// A kernel in one of the two forms the interpreter runs.
-enum Form {
-    Tree(Function),
-    Lowered(LoweredFunction),
-}
-
-impl Form {
-    fn execute(&self, interp: &Interp<'_>, args: &[i64]) -> Result<Option<i64>, ExecError> {
-        match self {
-            Form::Tree(f) => interp.execute(f, args),
-            Form::Lowered(l) => interp.execute_lowered(l, args),
-        }
-    }
-}
-
 /// The kernel as checked in, and after the full pass pipeline (which
 /// promotes its guard to a semantic builtin — `tm_widen` proves the
 /// range-shifted compare in `range_gate`, `tm_mark` the cross-block
 /// compare in `cross_block_guard`), each tree-walked and lowered.
-fn variants(f: Function) -> [(&'static str, Form); 4] {
-    let mut passed = f.clone();
-    run_tm_passes(&mut passed);
-    let lowered = |f: &Function| Form::Lowered(lower(f).expect("shipped kernel lowers"));
-    [
-        ("original/lowered", lowered(&f)),
-        ("passed/lowered", lowered(&passed)),
-        ("original/tree", Form::Tree(f)),
-        ("passed/tree", Form::Tree(passed)),
-    ]
+/// The shipped kernel `name`'s scenario, whose image and first call
+/// each test starts from, and its four forms.
+fn kernel(name: &str) -> (Scenario, Forms) {
+    let kernel = programs::kernel(name).expect("a shipped kernel");
+    let (_, forms) = forms(&kernel.function()).expect("shipped kernel verifies");
+    (kernel.scenario, forms)
 }
 
 /// `range_gate(tokens, grants)` admits when `*tokens > 50` (written as
@@ -66,20 +48,20 @@ fn variants(f: Function) -> [(&'static str, Form); 4] {
 /// grant), never a zombie mix.
 #[test]
 fn range_gate_serializes_against_a_bucket_drain_on_every_schedule() {
+    // The row's image holds 60 tokens and no grants.
+    let (scenario, variants) = kernel("range_gate");
     for shards in SHARDS {
         for alg in Algorithm::ALL {
-            for (name, f) in variants(programs::range_gate()) {
+            for (name, f) in &variants {
                 let explored = explore_exhaustive(opts(), |driver| {
                     let stm = check_stm(alg, shards);
-                    let tokens = stm.alloc_cell(60i64);
-                    let grants = stm.alloc_cell(0i64);
+                    let cells = scenario.place(&stm);
+                    let (tokens, grants) = (cells[0], cells[1]);
+                    let args = scenario.calls[0].args(&cells);
                     let ret = AtomicI64::new(-1);
                     let gate = |_tid: usize| {
                         let r = f
-                            .execute(
-                                &Interp::new(&stm),
-                                &[tokens.index() as i64, grants.index() as i64],
-                            )
+                            .execute(&Interp::new(&stm), &args)
                             .expect("kernel executes")
                             .expect("kernel returns a value");
                         ret.store(r, Ordering::Relaxed);
@@ -118,20 +100,20 @@ fn range_gate_serializes_against_a_bucket_drain_on_every_schedule() {
 /// load+cmp pair or the promoted `_ITM_S1R` value-compare.
 #[test]
 fn cross_block_guard_is_mutually_exclusive_on_every_schedule() {
+    // The row's image: the lock free, the counter at 0.
+    let (scenario, variants) = kernel("cross_block_guard");
     for shards in SHARDS {
         for alg in Algorithm::ALL {
-            for (name, f) in variants(programs::cross_block_guard()) {
+            for (name, f) in &variants {
                 let explored = explore_exhaustive(opts(), |driver| {
                     let stm = check_stm(alg, shards);
-                    let lock = stm.alloc_cell(0i64);
-                    let count = stm.alloc_cell(0i64);
+                    let cells = scenario.place(&stm);
+                    let (lock, count) = (cells[0], cells[1]);
+                    let args = scenario.calls[0].args(&cells);
                     let rets = [AtomicI64::new(-1), AtomicI64::new(-1)];
                     let body = |tid: usize| {
                         let r = f
-                            .execute(
-                                &Interp::new(&stm),
-                                &[lock.index() as i64, count.index() as i64],
-                            )
+                            .execute(&Interp::new(&stm), &args)
                             .expect("kernel executes")
                             .expect("kernel returns a value");
                         rets[tid].store(r, Ordering::Relaxed);

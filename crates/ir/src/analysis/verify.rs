@@ -119,7 +119,7 @@ pub(crate) fn check_structure(func: &Function) -> Result<(), VerifyError> {
 
 /// Definite assignment and region consistency over `cfg`, which must
 /// be `func`'s.
-fn check_flow(func: &Function, cfg: &Cfg) -> Result<(), VerifyError> {
+pub(crate) fn check_flow(func: &Function, cfg: &Cfg) -> Result<(), VerifyError> {
     check_definite_assignment(func, cfg)?;
     match region_depths(func, cfg).error {
         Some((block, inst, message)) => Err(VerifyError {

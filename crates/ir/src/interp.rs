@@ -741,6 +741,7 @@ impl<'a> Interp<'a> {
 mod tests {
     use super::*;
     use crate::ir::{BinOp, FunctionBuilder, Inst, Operand};
+    use crate::oracle::Form;
     use crate::passes::run_tm_passes;
     use semtm_core::{AbortReason, Algorithm, CmpOp, StmConfig};
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -868,52 +869,52 @@ mod tests {
     fn step_limit_catches_infinite_loops() {
         let mut fb = FunctionBuilder::new("spin", 0);
         fb.push(Inst::Br { target: 0 });
-        let f = fb.build();
-        let s = stm(Algorithm::NOrec);
-        let mut interp = Interp::new(&s);
-        interp.step_limit = 1000;
-        assert_eq!(interp.execute(&f, &[]), Err(ExecError::StepLimit));
+        for (label, form) in Form::both(fb.build()) {
+            let s = stm(Algorithm::NOrec);
+            let mut interp = Interp::new(&s);
+            interp.step_limit = 1000;
+            assert_eq!(
+                form.execute(&interp, &[]),
+                Err(ExecError::StepLimit),
+                "{label}"
+            );
+        }
     }
 
-    type Form = Box<dyn Fn(&Interp<'_>, &[i64]) -> Result<Option<i64>, ExecError>>;
+    /// The bank kernel's row scenario placed on `s`: its image, its
+    /// cells, and its first call's arguments (source, destination,
+    /// amount).
+    fn bank_call(s: &Stm) -> (Vec<i64>, Vec<semtm_core::Addr>, Vec<i64>) {
+        let scenario = crate::programs::kernel("bank_transfer").unwrap().scenario;
+        let cells = scenario.place(s);
+        let args = scenario.calls[0].args(&cells);
+        (scenario.image, cells, args)
+    }
 
-    /// `func` run tree-walking and lowered, as closures over an interpreter.
-    fn both_forms(func: crate::ir::Function) -> [(&'static str, Form); 2] {
-        let lowered = crate::lower::lower(&func).unwrap();
-        [
-            ("tree", Box::new(move |i, args| i.execute(&func, args))),
-            (
-                "lowered",
-                Box::new(move |i, args| i.execute_lowered(&lowered, args)),
-            ),
-        ]
+    fn read(s: &Stm, cells: &[semtm_core::Addr]) -> Vec<i64> {
+        cells.iter().map(|&c| s.read_now(c)).collect()
     }
 
     #[test]
     fn bad_address_inside_a_region_is_reported_after_one_attempt() {
         // The bad address is the region's first barrier (source account),
         // or its fourth (destination, after load + load + store).
-        for (bad_dst, barriers) in [(false, 0), (true, 3)] {
-            for (form, run) in both_forms(crate::programs::bank_transfer()) {
+        for (bad, barriers) in [(0, 0), (1, 3)] {
+            for (label, form) in Form::both(crate::programs::bank_transfer()) {
                 let s = stm(Algorithm::SNOrec);
-                let b = s.alloc_cell(10i64);
+                let (image, cells, mut args) = bank_call(&s);
+                args[bad] = -5;
                 let mut interp = Interp::new(&s);
                 interp.step_limit = 10_000;
-                let good = b.index() as i64;
-                let args = if bad_dst {
-                    [good, -5, 1]
-                } else {
-                    [-5, good, 1]
-                };
                 assert_eq!(
-                    run(&interp, &args),
+                    form.execute(&interp, &args),
                     Err(ExecError::BadAddress(-5)),
-                    "{form}"
+                    "{label}"
                 );
-                assert_eq!(interp.counters.region_attempts(), 1, "{form}");
-                assert_eq!(interp.counters.tm_calls(), barriers, "{form}");
-                assert_eq!(s.read_now(b), 10, "{form}: nothing commits");
-                assert_eq!(s.stats().aborts(AbortReason::Explicit), 1, "{form}");
+                assert_eq!(interp.counters.region_attempts(), 1, "{label}");
+                assert_eq!(interp.counters.tm_calls(), barriers, "{label}");
+                assert_eq!(read(&s, &cells), image, "{label}: nothing commits");
+                assert_eq!(s.stats().aborts(AbortReason::Explicit), 1, "{label}");
             }
         }
     }
@@ -946,24 +947,28 @@ mod tests {
                 let source = format!("func f(2) {{\n entry:\n {body}\n }}");
                 let f = crate::parser::parse_function(&source).unwrap();
                 for alg in Algorithm::ALL {
-                    for (form, run) in both_forms(f.clone()) {
+                    for (label, form) in Form::both(f.clone()) {
                         let s = stm(alg);
                         let cell = s.alloc_cell(5i64);
                         let capacity = s.heap().capacity() as i64;
                         let interp = Interp::new(&s);
                         for bad in [capacity, capacity + 15, 1 << 33] {
                             assert_eq!(
-                                run(&interp, &[bad, cell.index() as i64]),
+                                form.execute(&interp, &[bad, cell.index() as i64]),
                                 Err(ExecError::BadAddress(bad)),
-                                "{alg} {form} {barrier:?} inside={inside}"
+                                "{alg} {label} {barrier:?} inside={inside}"
                             );
                         }
                         assert_eq!(interp.counters.region_attempts(), 3 * inside as u64);
-                        assert_eq!(s.read_now(cell), 5, "{alg} {form} {barrier:?}");
+                        assert_eq!(s.read_now(cell), 5, "{alg} {label} {barrier:?}");
                         // The heap's last word is in range.
                         let args = [capacity - 1, cell.index() as i64];
-                        assert_eq!(run(&interp, &args), Ok(None), "{alg} {form} {barrier:?}");
-                        assert_eq!(s.read_now(cell), 9, "{alg} {form} {barrier:?}");
+                        assert_eq!(
+                            form.execute(&interp, &args),
+                            Ok(None),
+                            "{alg} {label} {barrier:?}"
+                        );
+                        assert_eq!(s.read_now(cell), 9, "{alg} {label} {barrier:?}");
                     }
                 }
             }
@@ -984,46 +989,49 @@ mod tests {
             val: Operand::Imm(7),
         });
         fb.push(Inst::Br { target: body });
-        for (form, run) in both_forms(fb.build()) {
+        for (label, form) in Form::both(fb.build()) {
             let s = stm(Algorithm::STl2);
             let x = s.alloc_cell(1i64);
             let mut interp = Interp::new(&s);
             interp.step_limit = 1000;
             assert_eq!(
-                run(&interp, &[x.index() as i64]),
+                form.execute(&interp, &[x.index() as i64]),
                 Err(ExecError::StepLimit),
-                "{form}"
+                "{label}"
             );
-            assert_eq!(interp.counters.region_attempts(), 1, "{form}");
+            assert_eq!(interp.counters.region_attempts(), 1, "{label}");
             // Steps 1 and 2 are `tmbegin` and `br`; every odd step from 3
             // to 999 is a store, and step 1001 would have been the next.
-            assert_eq!(interp.counters.tm_calls(), 499, "{form}");
-            assert_eq!(s.read_now(x), 1, "{form}: nothing commits");
+            assert_eq!(interp.counters.tm_calls(), 499, "{label}");
+            assert_eq!(s.read_now(x), 1, "{label}: nothing commits");
         }
     }
 
     #[test]
     fn wrong_argument_count_is_an_error_before_anything_runs() {
-        for (form, run) in both_forms(crate::programs::bank_transfer()) {
+        for (label, form) in Form::both(crate::programs::bank_transfer()) {
             let s = stm(Algorithm::SNOrec);
-            let accounts = s.alloc_array(2, 10i64);
+            let (image, cells, args) = bank_call(&s);
             let interp = Interp::new(&s);
-            let (a, b) = (accounts.index() as i64, accounts.offset(1).index() as i64);
-            for args in [&[a, b][..], &[a, b, 1, 1], &[]] {
+            for args in [&args[..2], &[&args[..], &[1]].concat(), &[]] {
                 assert_eq!(
-                    run(&interp, args),
+                    form.execute(&interp, args),
                     Err(ExecError::Arity {
                         expected: 3,
                         got: args.len()
                     }),
-                    "{form}"
+                    "{label}"
                 );
             }
-            assert_eq!(interp.counters.region_attempts(), 0, "{form}");
+            assert_eq!(interp.counters.region_attempts(), 0, "{label}");
             let st = s.stats();
-            assert_eq!(st.commits + st.aborts(AbortReason::Explicit), 0, "{form}");
-            assert_eq!(s.read_now(accounts), 10, "{form}: heap untouched");
-            assert_eq!(run(&interp, &[a, b, 1]), Ok(Some(1)), "{form}: then runs");
+            assert_eq!(st.commits + st.aborts(AbortReason::Explicit), 0, "{label}");
+            assert_eq!(read(&s, &cells), image, "{label}: heap untouched");
+            assert_eq!(
+                form.execute(&interp, &args),
+                Ok(Some(1)),
+                "{label}: then runs"
+            );
         }
     }
 
@@ -1048,16 +1056,19 @@ mod tests {
             if passes {
                 assert_eq!(run_tm_passes(&mut f).sw, 1);
             }
-            for (form, run) in both_forms(f) {
+            for (label, form) in Form::both(f) {
                 for alg in Algorithm::ALL {
                     let s = stm(alg);
                     let x = s.alloc_cell(5i64);
                     let interp = Interp::new(&s);
-                    assert_eq!(run(&interp, &[x.index() as i64, i64::MIN]), Ok(None));
+                    assert_eq!(
+                        form.execute(&interp, &[x.index() as i64, i64::MIN]),
+                        Ok(None)
+                    );
                     assert_eq!(
                         s.read_now(x),
                         5i64.wrapping_sub(i64::MIN),
-                        "{alg} {form} passes={passes}"
+                        "{alg} {label} passes={passes}"
                     );
                 }
             }
@@ -1080,34 +1091,32 @@ mod tests {
                 .downcast::<String>()
                 .expect("panic message")
         };
-        for (form, run) in both_forms(crate::programs::bank_transfer()) {
+        for (label, form) in Form::both(crate::programs::bank_transfer()) {
             let config = StmConfig::new(Algorithm::SNOrec)
                 .heap_words(1 << 8)
                 .durability(semtm_core::DurabilityMode::Sync);
             let s = Stm::with_wal(config, Box::new(Broken));
-            let accounts = s.alloc_array(2, 10i64);
+            let (image, cells, args) = bank_call(&s);
             // The first writer finds out the hard way and poisons the log.
-            let first = catch_unwind(AssertUnwindSafe(|| s.atomic(|tx| tx.write(accounts, 11))));
-            assert!(panic_of(first).contains("cannot be made durable"), "{form}");
+            let first = catch_unwind(AssertUnwindSafe(|| s.atomic(|tx| tx.write(cells[1], 11))));
+            assert!(
+                panic_of(first).contains("cannot be made durable"),
+                "{label}"
+            );
             assert!(s.wal().unwrap().is_poisoned());
 
-            let later = catch_unwind(AssertUnwindSafe(|| s.atomic(|tx| tx.write(accounts, 12))));
+            let later = catch_unwind(AssertUnwindSafe(|| s.atomic(|tx| tx.write(cells[1], 12))));
             let fail_stop = panic_of(later);
             assert!(fail_stop.contains("commit log I/O failure"), "{fail_stop}");
 
             let mut interp = Interp::new(&s);
             interp.step_limit = 1_000_000;
-            let args = [
-                accounts.index() as i64,
-                accounts.offset(1).index() as i64,
-                1,
-            ];
             let region = catch_unwind(AssertUnwindSafe(|| {
-                run(&interp, &args).ok();
+                form.execute(&interp, &args).ok();
             }));
-            assert_eq!(panic_of(region), fail_stop, "{form}");
-            assert_eq!(interp.counters.region_attempts(), 1, "{form}");
-            assert_eq!(s.read_now(accounts.offset(1)), 10, "{form}: rolled back");
+            assert_eq!(panic_of(region), fail_stop, "{label}");
+            assert_eq!(interp.counters.region_attempts(), 1, "{label}");
+            assert_eq!(s.read_now(cells[0]), image[0], "{label}: rolled back");
         }
     }
 
@@ -1116,133 +1125,43 @@ mod tests {
         let mut fb = FunctionBuilder::new("bad", 0);
         fb.push(Inst::TmEnd);
         fb.push(Inst::Ret { val: None });
-        let f = fb.build();
-        let s = stm(Algorithm::NOrec);
-        let interp = Interp::new(&s);
-        assert_eq!(interp.execute(&f, &[]), Err(ExecError::UnbalancedEnd));
-    }
-
-    #[test]
-    fn lowered_execution_matches_tree_walker() {
-        for alg in Algorithm::ALL {
-            for passes in [false, true] {
-                let mut f = inc_if_positive();
-                if passes {
-                    run_tm_passes(&mut f);
-                }
-                let lowered = crate::lower::lower(&f).unwrap();
-
-                let s_tree = stm(alg);
-                let x_tree = s_tree.alloc_cell(5i64);
-                let tree = Interp::new(&s_tree);
-                let tree_out = tree.execute(&f, &[x_tree.index() as i64]).unwrap();
-
-                let s_flat = stm(alg);
-                let x_flat = s_flat.alloc_cell(5i64);
-                let flat = Interp::new(&s_flat);
-                let flat_out = flat
-                    .execute_lowered(&lowered, &[x_flat.index() as i64])
-                    .unwrap();
-
-                assert_eq!(tree_out, flat_out, "{alg} passes={passes}");
-                assert_eq!(
-                    s_tree.read_now(x_tree),
-                    s_flat.read_now(x_flat),
-                    "{alg} passes={passes}"
-                );
-                // Dispatch accounting must be identical too: lowering
-                // changes how ops are fetched, never how many barriers
-                // are issued.
-                assert_eq!(
-                    tree.counters.tm_calls(),
-                    flat.counters.tm_calls(),
-                    "{alg} passes={passes}"
-                );
-                assert_eq!(
-                    tree.counters.region_attempts(),
-                    flat.counters.region_attempts(),
-                    "{alg} passes={passes}"
-                );
-            }
+        for (label, form) in Form::both(fb.build()) {
+            let s = stm(Algorithm::NOrec);
+            let interp = Interp::new(&s);
+            assert_eq!(
+                form.execute(&interp, &[]),
+                Err(ExecError::UnbalancedEnd),
+                "{label}"
+            );
         }
     }
 
     #[test]
-    fn lowered_step_limit_catches_infinite_loops() {
-        let mut fb = FunctionBuilder::new("spin", 0);
-        fb.push(Inst::Br { target: 0 });
-        let lowered = crate::lower::lower(&fb.build()).unwrap();
-        let s = stm(Algorithm::NOrec);
-        let mut interp = Interp::new(&s);
-        interp.step_limit = 1000;
-        assert_eq!(
-            interp.execute_lowered(&lowered, &[]),
-            Err(ExecError::StepLimit)
-        );
-    }
-
-    #[test]
-    fn lowered_unbalanced_tmend_reports_error() {
-        let mut fb = FunctionBuilder::new("bad", 0);
-        fb.push(Inst::TmEnd);
-        fb.push(Inst::Ret { val: None });
-        let lowered = crate::lower::lower(&fb.build()).unwrap();
-        let s = stm(Algorithm::NOrec);
-        let interp = Interp::new(&s);
-        assert_eq!(
-            interp.execute_lowered(&lowered, &[]),
-            Err(ExecError::UnbalancedEnd)
-        );
-    }
-
-    #[test]
-    fn lowered_concurrent_increments_are_atomic() {
-        let s = stm(Algorithm::SNOrec);
-        let x = s.alloc_cell(1i64);
-        let mut f = inc_if_positive();
-        run_tm_passes(&mut f);
-        let lowered = crate::lower::lower(&f).unwrap();
-        // One interpreter shared by all threads: each attempt adds its
-        // barrier calls in one piece.
-        let interp = Interp::new(&s);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..100 {
-                        interp
-                            .execute_lowered(&lowered, &[x.index() as i64])
-                            .unwrap();
-                    }
-                });
-            }
-        });
-        assert_eq!(s.read_now(x), 1 + 400);
-        // Every attempt, committed or not, issues the guard's `_ITM_S1R`
-        // and the increment's `_ITM_SW` (neither can abort on S-NOrec
-        // with an empty read-set; the commit can).
-        let attempts = interp.counters.region_attempts();
-        assert!(attempts >= 400);
-        assert_eq!(interp.counters.tm_calls(), attempts * 2);
-    }
-
-    #[test]
     fn concurrent_ir_increments_are_atomic() {
-        let s = stm(Algorithm::SNOrec);
-        let x = s.alloc_cell(1i64); // positive so every guard passes
         let mut f = inc_if_positive();
         run_tm_passes(&mut f);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let s = &s;
-                let f = &f;
-                scope.spawn(move || {
-                    let interp = Interp::new(s);
-                    for _ in 0..100 {
-                        interp.execute(f, &[x.index() as i64]).unwrap();
-                    }
-                });
-            }
-        });
-        assert_eq!(s.read_now(x), 1 + 400);
+        for (label, form) in Form::both(f) {
+            let s = stm(Algorithm::SNOrec);
+            let x = s.alloc_cell(1i64); // positive so every guard passes
+                                        // One interpreter shared by all threads: each attempt adds its
+                                        // barrier calls in one piece.
+            let interp = Interp::new(&s);
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    scope.spawn(|| {
+                        for _ in 0..100 {
+                            form.execute(&interp, &[x.index() as i64]).unwrap();
+                        }
+                    });
+                }
+            });
+            assert_eq!(s.read_now(x), 1 + 400, "{label}");
+            // Every attempt, committed or not, issues the guard's `_ITM_S1R`
+            // and the increment's `_ITM_SW` (neither can abort on S-NOrec
+            // with an empty read-set; the commit can).
+            let attempts = interp.counters.region_attempts();
+            assert!(attempts >= 400, "{label}");
+            assert_eq!(interp.counters.tm_calls(), attempts * 2, "{label}");
+        }
     }
 }

@@ -20,8 +20,9 @@
 //!   functions become pc-indexed op arrays so the Figure-2 "GCC mode"
 //!   experiments stop paying tree-walking overhead per instruction;
 //! * [`programs`] — the Figure-2 kernels (hashtable, vacation, bank,
-//!   cross-block guard) written in classical TM style for the passes to
-//!   transform, checked in as `programs/*.ir`;
+//!   cross-block guard, range gate) written in classical TM style for
+//!   the passes to transform, checked in as `programs/*.ir`, each with
+//!   one row: its scenario, expected outcome and pass counts;
 //! * [`analysis`] — the whole-function dataflow framework (CFG +
 //!   dominators, worklist solver, reaching definitions, liveness,
 //!   cross-block pattern matching, strict IR verifier) the passes and
@@ -30,8 +31,9 @@
 //!   `SL000`–`SL011`), also available as the `semlint` binary;
 //! * [`sarif`] — a SARIF 2.1.0 exporter for the lint findings
 //!   (`semlint --format sarif`);
-//! * [`oracle`] — the differential-testing oracle asserting the passes
-//!   preserve observable behaviour on every backend.
+//! * [`oracle`] — the differential-testing oracle checking every form of
+//!   every builtin kernel, on every backend, against the outcome its
+//!   [`programs`] row pins.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,6 +55,9 @@ pub use interp::{ExecError, Interp};
 pub use ir::{Block, BlockId, Function, FunctionBuilder, Inst, Operand, Reg};
 pub use lint::{lint_function, Diagnostic, Severity};
 pub use lower::{lower, LoweredFunction, Op};
-pub use oracle::{run_differential_oracle, DiffReport, OracleError};
+pub use oracle::{
+    check_scenario, forms, observe, run_differential_oracle, DiffReport, Form, Forms, Observation,
+    OracleError,
+};
 pub use parser::{parse_function, parse_function_spanned, ParseError, SourceMap, Span};
 pub use passes::{run_tm_passes, run_tm_passes_checked, tm_mark, tm_optimize, PassReport};

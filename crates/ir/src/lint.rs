@@ -35,8 +35,9 @@
 
 use crate::analysis::absint::Overlap;
 use crate::analysis::absint::{widen_candidates, WidenCandidate};
+use crate::analysis::verify::{check_flow, check_structure};
 use crate::analysis::{
-    verify, AbsInt, Cfg, CmpMatch, ConflictAnalysis, Decline, Interval, Liveness, PatternCtx, Pos,
+    AbsInt, Cfg, CmpMatch, ConflictAnalysis, Decline, Interval, Liveness, PatternCtx, Pos,
     ReachingDefs, Regions, ValueOrigin,
 };
 use crate::ir::{Function, Inst, Operand};
@@ -198,13 +199,19 @@ pub fn lint_function(func: &Function, map: Option<&SourceMap>) -> Vec<Diagnostic
         message,
     };
 
-    // SL000: everything below assumes a verified function.
-    if let Err(e) = verify(func) {
-        let pos = e.block.map(|b| (b, e.inst.unwrap_or(0)));
-        return vec![spanned(pos, "SL000", format!("verifier: {}", e.message))];
-    }
-
-    let cfg = Cfg::new(func);
+    // SL000: everything below assumes a verified function. One CFG
+    // serves the verifier's flow checks and every analysis below.
+    let verified = check_structure(func).and_then(|()| {
+        let cfg = Cfg::new(func);
+        check_flow(func, &cfg).map(|()| cfg)
+    });
+    let cfg = match verified {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            let pos = e.block.map(|b| (b, e.inst.unwrap_or(0)));
+            return vec![spanned(pos, "SL000", format!("verifier: {}", e.message))];
+        }
+    };
     let rd = ReachingDefs::compute(func, &cfg);
     let live = Liveness::compute(func, &cfg);
     let cx = PatternCtx::new(func, &cfg, &rd);

@@ -10,88 +10,53 @@
 //! alone — this runs both forms under **every** step budget from 0 up to
 //! the steps the call needs and demands the same `Result`, the same heap,
 //! the same `tm_calls` and the same `region_attempts` — including the
-//! budgets that run out inside a fused op.
+//! budgets that run out inside a fused op. The shipped programs run the
+//! scenarios of their [`programs`] rows, every call under each budget,
+//! and must end as the row pins; each hand-written shape is a one-call
+//! scenario with its own pinned outcome.
 
-use semtm_core::{Algorithm, Stm, StmConfig};
-use semtm_ir::{lower, parse_function, programs, run_tm_passes};
-use semtm_ir::{ExecError, Function, Interp, LoweredFunction, Op};
+use semtm_core::Algorithm;
+use semtm_ir::programs::{self, Call, Scenario, Value::Cell, Value::Int};
+use semtm_ir::{check_scenario, lower, observe, parse_function, run_tm_passes};
+use semtm_ir::{ExecError, Form, Function, LoweredFunction, Observation, Op};
 
-/// An argument of a scripted call: the address of a heap cell, or a value.
-#[derive(Clone, Copy)]
-enum Arg {
-    Cell(usize),
-    Val(i64),
-}
-use Arg::{Cell, Val};
-
-struct Case {
-    func: Function,
-    /// Initial contents of the heap cells the call may touch.
-    heap: Vec<i64>,
-    args: Vec<Arg>,
-}
-
-/// Everything a call lets an observer see.
-#[derive(Debug, PartialEq)]
-struct Observed {
-    result: Result<Option<i64>, ExecError>,
-    heap: Vec<i64>,
-    tm_calls: u64,
-    region_attempts: u64,
-}
-
-fn observe(case: &Case, lowered: Option<&LoweredFunction>, step_limit: u64) -> Observed {
-    let stm = Stm::new(StmConfig::new(Algorithm::SNOrec).heap_words(1 << 8));
-    let base = stm.alloc(case.heap.len());
-    for (i, &v) in case.heap.iter().enumerate() {
-        stm.write_now(base.offset(i), v);
-    }
-    let args: Vec<i64> = case
-        .args
-        .iter()
-        .map(|&a| match a {
-            Cell(i) => base.offset(i).index() as i64,
-            Val(v) => v,
-        })
-        .collect();
-    let mut interp = Interp::new(&stm);
-    interp.step_limit = step_limit;
-    let result = match lowered {
-        None => interp.execute(&case.func, &args),
-        Some(l) => interp.execute_lowered(l, &args),
+/// A hand-written shape: `src`, whose one call takes the address of
+/// every cell of `image` and must return `ret` and leave `heap`.
+fn shape(src: &str, image: &[i64], ret: i64, heap: &[i64]) -> (Function, Scenario) {
+    let call = Call::new((0..image.len()).map(Cell).collect(), Int(ret));
+    let scenario = Scenario {
+        image: image.to_vec(),
+        calls: vec![call],
+        heap: heap.to_vec(),
     };
-    Observed {
-        result,
-        heap: (0..case.heap.len())
-            .map(|i| stm.read_now(base.offset(i)))
-            .collect(),
-        tm_calls: interp.counters.tm_calls(),
-        region_attempts: interp.counters.region_attempts(),
-    }
+    (parse_function(src).expect("shape parses"), scenario)
 }
 
-/// Both forms under every budget up to the one that suffices; returns
-/// what the completed call observed and the steps it took.
-fn sweep(case: &Case) -> (Observed, u64) {
-    let name = &case.func.name;
-    let lowered = lower(&case.func).expect("lowers");
+/// Both forms of `func` on `scenario` under every budget up to the one
+/// that suffices: the same observation at each, and at that one what
+/// the scenario pins. Returns that observation and the budget.
+fn sweep(func: &Function, scenario: &Scenario) -> (Observation, u64) {
+    let name = &func.name;
+    let insts = func.blocks.iter().map(|b| b.insts.len()).sum::<usize>();
     assert_eq!(
-        lowered.len(),
-        case.func
-            .blocks
-            .iter()
-            .map(|b| b.insts.len())
-            .sum::<usize>(),
+        lower(func).unwrap().len(),
+        insts,
         "{name}: one op per instruction"
     );
+    let [(_, tree), (_, flat)] = Form::both(func.clone());
     for limit in 0..10_000 {
-        let tree = observe(case, None, limit);
-        let flat = observe(case, Some(&lowered), limit);
-        assert_eq!(tree, flat, "{name}: tree vs lowered at step_limit {limit}");
-        match tree.result {
-            Ok(_) => return (tree, limit),
-            Err(ref e) => assert_eq!(*e, ExecError::StepLimit, "{name} at {limit}"),
+        let seen = observe(&tree, scenario, Algorithm::SNOrec, Some(limit));
+        let lowered = observe(&flat, scenario, Algorithm::SNOrec, Some(limit));
+        assert_eq!(
+            seen, lowered,
+            "{name}: tree vs lowered at step_limit {limit}"
+        );
+        if seen.results.iter().all(Result::is_ok) {
+            assert_eq!(seen.departure(scenario), None, "{name}");
+            return (seen, limit);
         }
+        let ran_out = |r: &Result<_, _>| matches!(r, Ok(_) | Err(ExecError::StepLimit));
+        assert!(seen.results.iter().all(ran_out), "{name} at {limit}");
     }
     panic!("{name}: never completes");
 }
@@ -116,99 +81,62 @@ fn fused(l: &LoweredFunction) -> [usize; 4] {
 }
 
 /// The call stopped at `limit` steps, having issued `tm_calls` barriers.
-fn stops_at(case: &Case, limit: u64, tm_calls: u64) {
-    let name = &case.func.name;
-    let lowered = lower(&case.func).expect("lowers");
-    let seen = observe(case, Some(&lowered), limit);
-    assert_eq!(seen.result, Err(ExecError::StepLimit), "{name} at {limit}");
+fn stops_at(func: &Function, scenario: &Scenario, limit: u64, tm_calls: u64) {
+    let name = &func.name;
+    let seen = observe(
+        &Form::lowered(func.clone()),
+        scenario,
+        Algorithm::SNOrec,
+        Some(limit),
+    );
+    assert_eq!(
+        seen.results,
+        [Err(ExecError::StepLimit)],
+        "{name} at {limit}"
+    );
     assert_eq!(seen.tm_calls, tm_calls, "{name} at {limit}");
 }
 
 #[test]
 fn shipped_programs_account_alike_under_every_step_budget() {
-    let offers: Vec<i64> = [(2, 100), (0, 900), (1, 300), (3, 300)]
-        .iter()
-        .enumerate()
-        .flat_map(|(id, &(free, price))| [id as i64, 0, free, free, price])
-        .collect();
-    let mut table = vec![0i64; 32];
-    (table[7], table[16 + 7]) = (1, 23); // key 7's home bucket holds 23
-    table[8] = 2; // and the next one is a tombstone
-                  // With the fusions each program's lowered form holds after the
-                  // passes (see `fused`): a lost fusion fails here, not just slows down.
-    let setups = [
-        (
-            "ht_op",
-            table,
-            vec![Cell(0), Cell(16), Val(15), Val(7), Val(1)],
-            [3, 2, 2, 0],
-        ),
-        ("vac_reserve", offers, vec![Cell(0), Val(4)], [4, 2, 1, 1]),
-        (
-            "bank_transfer",
-            vec![10, 10],
-            vec![Cell(0), Cell(1), Val(3)],
-            [1, 0, 0, 0],
-        ),
-        (
-            "cross_block_guard",
-            vec![0, 0],
-            vec![Cell(0), Cell(1)],
-            [1, 0, 0, 0],
-        ),
-        (
-            "range_gate",
-            vec![60, 0],
-            vec![Cell(0), Cell(1)],
-            [2, 0, 0, 0],
-        ),
+    // The fusions each kernel's lowered form holds after the passes (see
+    // `fused`): a lost fusion fails here, not just slows down.
+    let pinned = [
+        ("ht_op", [3, 2, 2, 0]),
+        ("vac_reserve", [4, 2, 1, 1]),
+        ("bank_transfer", [1, 0, 0, 0]),
+        ("cross_block_guard", [1, 0, 0, 0]),
+        ("range_gate", [2, 0, 0, 0]),
     ];
-    let shipped = programs::all();
-    assert_eq!(shipped.len(), setups.len(), "a setup for every program");
-    for (_, func) in shipped {
-        let (_, heap, args, pinned) = setups
-            .iter()
-            .find(|(name, ..)| *name == func.name)
-            .unwrap_or_else(|| panic!("{}: no setup", func.name));
-        let mut before = None;
+    let kernels = programs::kernels();
+    assert_eq!(
+        kernels.len(),
+        pinned.len(),
+        "fusions pinned for every kernel"
+    );
+    for (kernel, (name, fusions)) in kernels.iter().zip(pinned) {
+        assert_eq!(kernel.name, name);
+        let mut func = kernel.function();
         for passes in [false, true] {
-            let mut func = func.clone();
             if passes {
                 run_tm_passes(&mut func);
-            }
-            let case = Case {
-                func,
-                heap: heap.clone(),
-                args: args.clone(),
-            };
-            let forms = fused(&lower(&case.func).unwrap());
-            if passes {
-                assert_eq!(forms, *pinned, "{}", case.func.name);
+                assert_eq!(fused(&lower(&func).unwrap()), fusions, "{name}");
             } else {
-                assert!(forms[0] > 0, "{}", case.func.name);
+                assert!(fused(&lower(&func).unwrap())[0] > 0, "{name}");
             }
-            let (done, steps) = sweep(&case);
-            assert_ne!(done.heap, case.heap, "{}: the call writes", case.func.name);
-            assert_eq!(done.region_attempts, 1);
-            // The passes change how the region is executed, not what it does.
-            let after = (done.result, done.heap);
-            assert_eq!(*before.get_or_insert(after.clone()), after);
-            assert!(steps >= 5, "{}: {steps} budgets swept", case.func.name);
+            let (done, steps) = sweep(&func, &kernel.scenario);
+            let calls = kernel.scenario.calls.len() as u64;
+            assert_eq!(done.region_attempts, calls, "{name}: one attempt per call");
+            assert!(steps >= 5, "{name}: {steps} budgets swept");
         }
     }
 }
 
 #[test]
 fn every_lowering_shape_accounts_alike_under_every_step_budget() {
-    let shape = |src: &str, heap: &[i64]| Case {
-        func: parse_function(src).expect("shape parses"),
-        heap: heap.to_vec(),
-        args: (0..heap.len()).map(Cell).collect(),
-    };
-
     // `Cmp` + `JumpIf`, fused, in a loop whose latch (`add` + `br`) is a
     // jump fold landing on it: the latch runs it in its own dispatch.
-    let cmp_jump = shape(
+    let (cmp_jump, cmp_jump_s) = shape(
         "func cmp_jump(1) {
          entry:
            tmbegin
@@ -228,15 +156,16 @@ fn every_lowering_shape_accounts_alike_under_every_step_budget() {
            ret r1
          }",
         &[5],
+        3,
+        &[8],
     );
-    assert_eq!(fused(&lower(&cmp_jump.func).unwrap()), [1, 0, 1, 1]);
-    let (done, steps) = sweep(&cmp_jump);
-    assert_eq!((done.result, &done.heap[..]), (Ok(Some(3)), &[8][..]));
+    assert_eq!(fused(&lower(&cmp_jump).unwrap()), [1, 0, 1, 1]);
+    let (done, steps) = sweep(&cmp_jump, &cmp_jump_s);
     assert_eq!((done.tm_calls, steps), (6, 3 + 3 * 7 + 2 + 2));
 
     // `TmCmpVal` + `JumpIf`, fused; the compare's result read again after
     // the branch.
-    let tmcmp_jump = shape(
+    let (tmcmp_jump, tmcmp_jump_s) = shape(
         "func tmcmp_jump(2) {
          entry:
            tmbegin
@@ -252,15 +181,16 @@ fn every_lowering_shape_accounts_alike_under_every_step_budget() {
            ret r2
          }",
         &[5, 0],
+        1,
+        &[4, 11],
     );
-    assert_eq!(fused(&lower(&tmcmp_jump.func).unwrap()), [1, 0, 0, 0]);
-    let (done, _) = sweep(&tmcmp_jump);
-    assert_eq!((done.result, &done.heap[..]), (Ok(Some(1)), &[4, 11][..]));
+    assert_eq!(fused(&lower(&tmcmp_jump).unwrap()), [1, 0, 0, 0]);
+    let (done, _) = sweep(&tmcmp_jump, &tmcmp_jump_s);
     assert_eq!(done.tm_calls, 3);
 
     // Compares that must not fuse: the branch tests another register
     // than the compare before it defines; `_ITM_S2R`.
-    let unfused = shape(
+    let (unfused, unfused_s) = shape(
         "func unfused(2) {
          entry:
            tmbegin
@@ -282,16 +212,17 @@ fn every_lowering_shape_accounts_alike_under_every_step_budget() {
            ret r4
          }",
         &[5, 0],
+        0,
+        &[5, 8],
     );
-    assert_eq!(fused(&lower(&unfused.func).unwrap()), [0; 4]);
-    let (done, _) = sweep(&unfused);
-    assert_eq!((done.result, &done.heap[..]), (Ok(Some(0)), &[5, 8][..]));
+    assert_eq!(fused(&lower(&unfused).unwrap()), [0; 4]);
+    let (done, _) = sweep(&unfused, &unfused_s);
     assert_eq!(done.tm_calls, 4);
 
     // One immediate used twice (one pool slot), a `JumpIf` that opens its
     // block (the compare before it ends the previous one), and a branch
     // on an immediate.
-    let pool = shape(
+    let (pool, pool_s) = shape(
         "func pool(2) {
          entry:
            tmbegin
@@ -310,15 +241,16 @@ fn every_lowering_shape_accounts_alike_under_every_step_budget() {
            ret r4
          }",
         &[5, 0],
+        19,
+        &[5, 19],
     );
-    let lowered = lower(&pool.func).unwrap();
+    let lowered = lower(&pool).unwrap();
     assert_eq!((fused(&lowered), lowered.consts()), ([0; 4], &[7, 19][..]));
-    let (done, _) = sweep(&pool);
-    assert_eq!((done.result, &done.heap[..]), (Ok(Some(19)), &[5, 19][..]));
+    sweep(&pool, &pool_s);
 
     // Outside any region: a fused compare whose barrier is a plain heap
     // read, and no dispatch counted.
-    let outside = shape(
+    let (outside, outside_s) = shape(
         "func outside(1) {
          entry:
            r1 = tmcmp.lt r0, 8
@@ -330,16 +262,17 @@ fn every_lowering_shape_accounts_alike_under_every_step_budget() {
            ret r1
          }",
         &[5],
+        0,
+        &[8],
     );
-    assert_eq!(fused(&lower(&outside.func).unwrap()), [1, 0, 0, 0]);
-    let (done, steps) = sweep(&outside);
-    assert_eq!((done.result, &done.heap[..]), (Ok(Some(0)), &[8][..]));
+    assert_eq!(fused(&lower(&outside).unwrap()), [1, 0, 0, 0]);
+    let (done, steps) = sweep(&outside, &outside_s);
     assert_eq!((done.tm_calls, done.region_attempts, steps), (0, 0, 15));
 
     // Address fold: the `add` whose sum the compare-and-branch after it
     // reads as its address, in a loop over the four cells (`r0` is the
     // first); the sum is read again after it.
-    let addr_fold = shape(
+    let (addr_fold, addr_fold_s) = shape(
         "func addr_fold(4) {
          entry:
            tmbegin
@@ -362,22 +295,20 @@ fn every_lowering_shape_accounts_alike_under_every_step_budget() {
            ret r8
          }",
         &[3, 0, 5, 0],
+        3,
+        &[2, 0, 4, 0],
     );
-    assert_eq!(fused(&lower(&addr_fold.func).unwrap()), [2, 1, 0, 0]);
-    let (done, steps) = sweep(&addr_fold);
-    assert_eq!(
-        (done.result, &done.heap[..]),
-        (Ok(Some(3)), &[2, 0, 4, 0][..])
-    );
+    assert_eq!(fused(&lower(&addr_fold).unwrap()), [2, 1, 0, 0]);
+    let (done, steps) = sweep(&addr_fold, &addr_fold_s);
     assert_eq!((done.tm_calls, steps), (6, 3 + 4 * 6 + 2 * 2 + 3));
     // The budget runs out inside the fused op: after its `add` (step 4),
     // and after its barrier (step 5) but before its branch.
-    stops_at(&addr_fold, 4, 0);
-    stops_at(&addr_fold, 5, 1);
+    stops_at(&addr_fold, &addr_fold_s, 4, 0);
+    stops_at(&addr_fold, &addr_fold_s, 5, 1);
 
     // Near misses of the address fold: an `add` whose sum is not the
     // address; a `sub`; an `add` before a compare that does not branch.
-    let addr_misses = shape(
+    let (addr_misses, addr_misses_s) = shape(
         "func addr_misses(2) {
          entry:
            tmbegin
@@ -399,17 +330,18 @@ fn every_lowering_shape_accounts_alike_under_every_step_budget() {
            ret r8
          }",
         &[5, 0],
+        2,
+        &[5, 3],
     );
-    assert_eq!(fused(&lower(&addr_misses.func).unwrap()), [2, 0, 0, 0]);
-    let (done, _) = sweep(&addr_misses);
-    assert_eq!((done.result, &done.heap[..]), (Ok(Some(2)), &[5, 3][..]));
+    assert_eq!(fused(&lower(&addr_misses).unwrap()), [2, 0, 0, 0]);
+    let (done, _) = sweep(&addr_misses, &addr_misses_s);
     assert_eq!(done.tm_calls, 4);
 
     // Jump folds that land on something other than a `CmpJump` — a
     // barrier compare-and-branch, a compare that does not branch — so
     // they charge two steps and dispatch their target; and near misses:
     // a `mov` before a `br`, a `Bin` before a `condbr`.
-    let jump_folds = shape(
+    let (jump_folds, jump_folds_s) = shape(
         "func jump_folds(1) {
          entry:
            tmbegin
@@ -435,9 +367,42 @@ fn every_lowering_shape_accounts_alike_under_every_step_budget() {
            ret r4
          }",
         &[0],
+        6,
+        &[3],
     );
-    assert_eq!(fused(&lower(&jump_folds.func).unwrap()), [1, 0, 2, 0]);
-    let (done, steps) = sweep(&jump_folds);
-    assert_eq!((done.result, &done.heap[..]), (Ok(Some(6)), &[3][..]));
+    assert_eq!(fused(&lower(&jump_folds).unwrap()), [1, 0, 2, 0]);
+    let (done, steps) = sweep(&jump_folds, &jump_folds_s);
     assert_eq!((done.tm_calls, steps), (7, 4 + 3 * 5 + 2 + 2 + 3 + 2));
+
+    // A region, then a barrier outside it, with the passes off and on:
+    // every form returns the same on every algorithm, and the guard and
+    // the bump become `_ITM_S1R` and `_ITM_SW`.
+    let (guarded, guarded_s) = shape(
+        "func inc_if_positive(1) {
+         entry:
+           tmbegin
+           r1 = tmload r0
+           r2 = cmp.gt r1, 0
+           condbr r2, bump, join
+         bump:
+           r3 = tmload r0
+           r4 = add r3, 1
+           tmstore r0, r4
+           br join
+         join:
+           tmend
+           r5 = tmload r0
+           ret r5
+         }",
+        &[5],
+        6,
+        &[6],
+    );
+    let (report, [_, _, (_, passed), _]) =
+        check_scenario(&guarded, &guarded_s).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!((report.s1r, report.sw), (1, 1));
+    let (done, _) = sweep(&guarded, &guarded_s);
+    assert_eq!(done.tm_calls, 3);
+    let (done, _) = sweep(&passed.func, &guarded_s);
+    assert_eq!(done.tm_calls, 2);
 }

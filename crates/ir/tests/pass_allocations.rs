@@ -1,4 +1,5 @@
-//! The allocator calls of the TM pass pipeline, pinned per kernel.
+//! The allocator calls of the TM pass pipeline and of the linter,
+//! pinned per kernel.
 //!
 //! `run_tm_passes` builds the CFG once (the verifier, run four times,
 //! reuses it while no pass has rewritten a terminator), reaching
@@ -11,9 +12,10 @@
 //! `tests/alloc_free.rs`), and the count for each shipped
 //! `programs/*.ir` kernel is an exact integer. A change that makes a
 //! solver clone a fact per step again, or an analysis run twice, moves
-//! a row here.
+//! a row here. `lint_function` is pinned the same way: it builds the
+//! CFG once too, for the verifier and for its own analyses.
 
-use semtm_ir::{parse_function, run_tm_passes};
+use semtm_ir::{lint_function, parse_function, run_tm_passes};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -64,14 +66,22 @@ fn allocations(f: impl FnOnce()) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
-/// Allocator calls of one `run_tm_passes` per shipped kernel.
-const EXPECTED: &[(&str, u64)] = &[
-    ("bank_transfer.ir", 147),
-    ("cross_block_guard.ir", 159),
-    ("ht_op.ir", 218),
-    ("range_gate.ir", 167),
-    ("vac_reserve.ir", 234),
+/// Allocator calls of one `run_tm_passes` and of one `lint_function`
+/// per shipped kernel.
+const EXPECTED: &[(&str, u64, u64)] = &[
+    ("bank_transfer.ir", 147, 309),
+    ("cross_block_guard.ir", 159, 127),
+    ("ht_op.ir", 218, 500),
+    ("range_gate.ir", 167, 126),
+    ("vac_reserve.ir", 234, 538),
 ];
+
+/// The calls `f` makes, checked to repeat.
+fn repeated(name: &str, f: impl Fn() -> u64) -> u64 {
+    let first = f();
+    assert_eq!(f(), first, "{name}: the count repeats");
+    first
+}
 
 #[test]
 fn pass_pipeline_allocations_are_pinned() {
@@ -82,28 +92,32 @@ fn pass_pipeline_allocations_are_pinned() {
         .filter(|p| p.extension().is_some_and(|x| x == "ir"))
         .collect();
     kernels.sort();
-    let mut got: Vec<(String, u64)> = Vec::new();
+    let mut got: Vec<(String, u64, u64)> = Vec::new();
     for path in kernels {
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         let src = std::fs::read_to_string(&path).expect("readable kernel");
         let parsed = parse_function(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let runs: Vec<u64> = (0..2)
-            .map(|_| {
-                let mut f = parsed.clone();
-                allocations(|| {
-                    run_tm_passes(&mut f);
-                })
+        let passes = repeated(&name, || {
+            let mut f = parsed.clone();
+            allocations(|| {
+                run_tm_passes(&mut f);
             })
-            .collect();
-        assert_eq!(runs[0], runs[1], "{name}: the count repeats");
-        println!("{name:24} {:6}", runs[0]);
-        got.push((name, runs[0]));
+        });
+        let lint = repeated(&name, || {
+            allocations(|| {
+                lint_function(&parsed, None);
+            })
+        });
+        println!("{name:24} {passes:6} {lint:6}");
+        got.push((name, passes, lint));
     }
-    let expected: Vec<(String, u64)> = EXPECTED.iter().map(|&(n, c)| (n.into(), c)).collect();
+    let expected: Vec<(String, u64, u64)> =
+        EXPECTED.iter().map(|&(n, p, l)| (n.into(), p, l)).collect();
     assert_eq!(
         got, expected,
-        "allocator calls of run_tm_passes moved. If the change means it, \
-         re-derive the table from this run (`cargo test -p semtm-ir --test \
-         pass_allocations -- --nocapture` prints it) and explain every row"
+        "allocator calls of run_tm_passes or lint_function moved. If the \
+         change means it, re-derive the table from this run (`cargo test -p \
+         semtm-ir --test pass_allocations -- --nocapture` prints it) and \
+         explain every row"
     );
 }

@@ -144,9 +144,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> semlint (checked-in IR programs + differential oracle)"
 # The shipping kernels must be warning-clean (duplicate loads the
-# passes fold are downgraded to info), and the oracle must agree on
-# every backend.
-cargo run --release -q -p semtm-ir --bin semlint -- --deny warnings --oracle programs/*.ir
+# passes fold are downgraded to info), and every form of every kernel
+# must end as its row in crates/ir/src/programs.rs pins, on every
+# backend. The oracle's lines (barrier counts, pass report and calls per
+# kernel) must match the checked-in results/oracle.txt byte for byte: a
+# change that moves one commits the regenerated file with it.
+mkdir -p results
+semlint_out="$(cargo run --release -q -p semtm-ir --bin semlint -- \
+  --deny warnings --oracle programs/*.ir)"
+printf '%s\n' "$semlint_out"
+printf '%s\n' "$semlint_out" | grep '^oracle:' > results/oracle.txt
+git diff --exit-code -- results/oracle.txt
 
 echo "==> semlint seeded-defect fixtures + SARIF artifact"
 # Each programs/lintcases/*.ir seeds exactly one SL rule (exact
@@ -156,7 +164,6 @@ echo "==> semlint seeded-defect fixtures + SARIF artifact"
 # checked-in copy byte for byte: a change to any rule's findings,
 # message, severity or span shows up here and is committed with the
 # change that makes it.
-mkdir -p results
 if cargo run --release -q -p semtm-ir --bin semlint -- \
     --format sarif --output results/semlint.sarif \
     programs/*.ir programs/lintcases/*.ir; then

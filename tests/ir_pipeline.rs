@@ -1,17 +1,15 @@
 //! End-to-end tests of the compiler substrate: parse → passes →
 //! transactional execution, plus property tests that the passes are
 //! semantics-preserving on arbitrary straight-line transactional
-//! programs. The property tier runs deterministically (seeded
-//! `SplitMix64`).
+//! programs. Each program runs through the differential oracle's
+//! [`check_scenario`]: as written and passed, tree-walked and lowered,
+//! on every algorithm, against its expected outcome. The property tier
+//! runs deterministically (seeded `SplitMix64`).
 
 use semtm::core::util::SplitMix64;
 use semtm::ir::ir::{BinOp, Block, Function, Inst, Operand};
-use semtm::ir::{parse_function, run_tm_passes, Interp};
-use semtm::{Algorithm, Stm, StmConfig};
-
-fn stm(alg: Algorithm) -> Stm {
-    Stm::new(StmConfig::new(alg).heap_words(1 << 10).orec_count(256))
-}
+use semtm::ir::programs::{Call, Scenario, Value::Cell, Value::Int};
+use semtm::ir::{check_scenario, parse_function, run_tm_passes};
 
 #[test]
 fn parse_pass_execute_roundtrip() {
@@ -41,30 +39,17 @@ empty:
   ret -1
 }
 ";
-    let mut f = parse_function(src).unwrap();
-    let report = run_tm_passes(&mut f);
+    let f = parse_function(src).unwrap();
+    // Head at 0, tail at 2, a four-slot buffer holding 70 and 71.
+    let call = |ret| Call::new(vec![Cell(0), Cell(1), Cell(2), Int(3)], Int(ret));
+    let scenario = Scenario {
+        image: vec![0, 2, 70, 71, 0, 0],
+        calls: vec![call(70), call(71), call(-1)],
+        heap: vec![2, 2, 70, 71, 0, 0],
+    };
+    let (report, _) = check_scenario(&f, &scenario).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(report.s2r, 1, "head/tail emptiness check becomes _ITM_S2R");
     assert_eq!(report.sw, 1, "cursor bump becomes _ITM_SW");
-
-    for alg in Algorithm::ALL {
-        let s = stm(alg);
-        let head = s.alloc_cell(0i64);
-        let tail = s.alloc_cell(2i64);
-        let buf = s.alloc_array(4, 0i64);
-        s.write_now(buf.offset(0), 70);
-        s.write_now(buf.offset(1), 71);
-        let interp = Interp::new(&s);
-        let args = vec![
-            head.index() as i64,
-            tail.index() as i64,
-            buf.index() as i64,
-            3,
-        ];
-        assert_eq!(interp.execute(&f, &args).unwrap(), Some(70), "{alg}");
-        assert_eq!(interp.execute(&f, &args).unwrap(), Some(71), "{alg}");
-        assert_eq!(interp.execute(&f, &args).unwrap(), Some(-1), "{alg}: empty");
-        assert_eq!(s.read_now(head), 2, "{alg}");
-    }
 }
 
 /// Build a straight-line transactional function from a random op list:
@@ -208,19 +193,27 @@ fn build_function(ops: &[SOp]) -> Function {
     f
 }
 
-fn run_program(f: &Function, init: [i64; CELLS], alg: Algorithm) -> (Option<i64>, Vec<i64>) {
-    let s = stm(alg);
-    let cells: Vec<_> = init.iter().map(|&v| s.alloc_cell(v)).collect();
-    let args: Vec<i64> = cells.iter().map(|a| a.index() as i64).collect();
-    let interp = Interp::new(&s);
-    let ret = interp.execute(f, &args).expect("program executes");
-    let finals = cells.iter().map(|a| s.read_now(*a)).collect();
-    (ret, finals)
+/// What `ops` compute from `cells`: the sum `build_function` returns,
+/// and the final cells.
+fn model(ops: &[SOp], mut cells: [i64; CELLS]) -> (i64, [i64; CELLS]) {
+    let mut acc = 0;
+    for op in ops {
+        match *op {
+            SOp::Load(c) => acc += cells[c],
+            SOp::StoreImm(c, k) => cells[c] = k,
+            SOp::StoreLoadPlus(c, k) => cells[c] += k,
+            SOp::StoreLoadMinus(c, k) => cells[c] -= k,
+            SOp::StoreCrossPlus(a, b, k) => cells[a] = cells[b] + k,
+            SOp::CmpImm(c, k) => acc += i64::from(cells[c] > k),
+        }
+    }
+    (acc, cells)
 }
 
-/// tm_mark + tm_optimize never change observable behaviour: same
-/// return value, same final memory, on both the delegating and the
-/// semantic algorithm.
+/// tm_mark + tm_optimize never change observable behaviour: the program
+/// as written and passed, tree-walked and lowered, returns what the
+/// model computes and leaves the cells it computes, on every algorithm,
+/// and its tree and lowered forms issue the same barrier calls.
 #[test]
 fn passes_preserve_semantics_deterministic() {
     let mut rng = SplitMix64::new(0x1AC5);
@@ -229,14 +222,13 @@ fn passes_preserve_semantics_deterministic() {
         let ops: Vec<SOp> = (0..1 + rng.index(24))
             .map(|_| random_sop(&mut rng))
             .collect();
-        let plain = build_function(&ops);
-        let mut passed = plain.clone();
-        run_tm_passes(&mut passed);
-        let baseline = run_program(&plain, init, Algorithm::NOrec);
-        for alg in Algorithm::ALL {
-            assert_eq!(run_program(&plain, init, alg), baseline, "{alg}: plain");
-            assert_eq!(run_program(&passed, init, alg), baseline, "{alg}: passed");
-        }
+        let (ret, heap) = model(&ops, init);
+        let scenario = Scenario {
+            image: init.to_vec(),
+            calls: vec![Call::new((0..CELLS).map(Cell).collect(), Int(ret))],
+            heap: heap.to_vec(),
+        };
+        check_scenario(&build_function(&ops), &scenario).unwrap_or_else(|e| panic!("{ops:?}: {e}"));
     }
 }
 
