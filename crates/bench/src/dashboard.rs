@@ -6,7 +6,9 @@
 //! The rendering is a pure function of a [`DashboardFrame`] so tests can
 //! assert on the output without a terminal.
 
-use semtm_core::{Algorithm, ConflictEdge, Stm, StmConfig, TelemetryLevel};
+use crate::trace::skewed_bank;
+use crate::Sweep;
+use semtm_core::{Algorithm, ConflictEdge, Stm};
 use semtm_workloads::bank;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -123,43 +125,30 @@ pub fn frame_from(
     }
 }
 
-/// Drive the skewed Bank for `duration`, repainting the dashboard every
-/// `refresh` on stdout. Returns the final frame (also painted).
+/// Drive the [`skewed_bank`] for `sweep`'s dashboard interval and hand
+/// `paint` every 100 ms tick's frame and its rendering. Returns the
+/// final frame.
 pub fn run_bank_dashboard(
-    algorithm: Algorithm,
-    threads: usize,
-    duration: Duration,
-    refresh: Duration,
-    seed: u64,
+    sweep: &Sweep,
+    mut paint: impl FnMut(&DashboardFrame, &str),
 ) -> DashboardFrame {
-    let cfg = bank::BankConfig {
-        accounts: 64,
-        skew_accounts: 4,
-        ..bank::BankConfig::default()
-    };
-    let stm = Stm::new(
-        StmConfig::new(algorithm)
-            .heap_words(1 << 12)
-            .orec_count(1 << 10)
-            .telemetry(TelemetryLevel::Spans),
-    );
+    let (stm, cfg, threads) = skewed_bank(sweep);
+    let duration = sweep.pick(Duration::from_millis(600), Duration::from_secs(5));
+    let refresh = Duration::from_millis(100);
     let mut history = Vec::new();
     let mut last = DashboardFrame::default();
-    // Clear once, then repaint from the home position each tick.
-    print!("\x1b[2J");
     bank::run_observed(
         &stm,
         cfg,
         threads,
         duration,
         refresh,
-        seed,
+        sweep.seed,
         |elapsed, point| {
             history.push(point.throughput);
             let keep = history.len().saturating_sub(40);
-            let frame = frame_from(&stm, elapsed, point, &history[keep..]);
-            print!("\x1b[H\x1b[J{}", render(algorithm, threads, &frame));
-            last = frame;
+            last = frame_from(&stm, elapsed, point, &history[keep..]);
+            paint(&last, &render(stm.algorithm(), threads, &last));
         },
     );
     last
@@ -206,36 +195,14 @@ mod tests {
 
     #[test]
     fn frames_populate_from_a_live_run() {
-        // Headless end-to-end: observe a short skewed run without
-        // painting, then check the telemetry made it into the frame.
-        let cfg = bank::BankConfig {
-            accounts: 64,
-            skew_accounts: 4,
-            ..bank::BankConfig::default()
-        };
-        let stm = Stm::new(
-            StmConfig::new(Algorithm::SNOrec)
-                .heap_words(1 << 12)
-                .telemetry(TelemetryLevel::Spans),
-        );
-        let mut frames = Vec::new();
-        let mut history = Vec::new();
-        bank::run_observed(
-            &stm,
-            cfg,
-            4,
-            Duration::from_millis(80),
-            Duration::from_millis(10),
-            5,
-            |elapsed, point| {
-                history.push(point.throughput);
-                frames.push(frame_from(&stm, elapsed, point, &history));
-            },
-        );
-        assert!(frames.len() >= 3);
-        let last = frames.last().unwrap();
+        // Headless end-to-end: a smoke-scale run whose painter prints
+        // nothing; the telemetry must make it into the frames.
+        let mut frames = 0;
+        let last = run_bank_dashboard(&Sweep::tiny(), |_, text| {
+            assert!(text.contains("semtm flight recorder"));
+            frames += 1;
+        });
+        assert!(frames >= 3);
         assert!(last.spans > 0, "flight recorder must have spans");
-        let text = render(Algorithm::SNOrec, 4, last);
-        assert!(text.contains("semtm flight recorder"));
     }
 }

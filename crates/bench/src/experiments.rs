@@ -2,8 +2,8 @@
 //! of §7.1 — micro-benchmarks and STAMP applications under NOrec,
 //! S-NOrec, TL2 and S-TL2.
 
-use crate::report::{AlgorithmTelemetry, FigureRow, OverheadRow, TelemetryReport};
-use semtm_core::{AdaptPolicy, Algorithm, Stm, StmConfig, TelemetryLevel};
+use crate::report::{AlgorithmTelemetry, FigureRow, Metric, OverheadRow, TelemetryReport};
+use semtm_core::{AdaptPolicy, Algorithm, Stm, StmConfig, SwitchReport, TelemetryLevel};
 use semtm_workloads::driver::{run_for_duration, RunResult};
 use semtm_workloads::stamp::{kmeans, labyrinth, vacation, yada};
 use semtm_workloads::{bank, hashtable, lru, scan};
@@ -60,35 +60,56 @@ impl Sweep {
             Scale::Paper => paper,
         }
     }
+
+    /// One row per entry of `series` (legend label, what `run` needs) at
+    /// each thread count, the row measured from `run(entry, threads)`.
+    pub(crate) fn rows<S>(
+        &self,
+        figure: &'static str,
+        benchmark: &'static str,
+        metric: Metric,
+        series: impl IntoIterator<Item = (&'static str, S)>,
+        run: impl Fn(&S, usize) -> RunResult,
+    ) -> Vec<FigureRow> {
+        let mut rows = Vec::new();
+        for (label, entry) in series {
+            for &t in &self.threads {
+                let r = run(&entry, t);
+                rows.push(FigureRow::measured(figure, benchmark, label, metric, &r));
+            }
+        }
+        rows
+    }
+
+    /// A smoke-scale sweep at one thread count, for unit tests.
+    #[cfg(test)]
+    pub(crate) fn tiny() -> Sweep {
+        Sweep {
+            threads: vec![2],
+            duration: Duration::from_millis(30),
+            scale: Scale::Smoke,
+            seed: 1,
+        }
+    }
 }
 
-fn stm_for(alg: Algorithm, heap_words: usize) -> Stm {
-    Stm::new(
-        StmConfig::new(alg)
-            .heap_words(heap_words)
-            .orec_count(1 << 14),
-    )
-}
-
-fn row(
+/// The Figure-1 sweep: `run(stm, threads)` on a fresh `heap_words`
+/// runtime for every algorithm at every thread count of `sweep`.
+fn alg_sweep(
+    sweep: &Sweep,
     figure: &'static str,
     benchmark: &'static str,
-    alg: Algorithm,
-    metric: &'static str,
-    value: f64,
-    r: &RunResult,
-) -> FigureRow {
-    FigureRow {
-        figure,
-        benchmark,
-        algorithm: alg.name().to_string(),
-        threads: r.threads,
-        metric,
-        value,
-        abort_pct: r.abort_pct(),
-        commits: r.stats.commits,
-        aborts: r.stats.conflict_aborts(),
-    }
+    heap_words: usize,
+    metric: Metric,
+    run: impl Fn(&Stm, usize) -> RunResult,
+) -> Vec<FigureRow> {
+    let algorithms = Algorithm::ALL.map(|alg| (alg.name(), alg));
+    sweep.rows(figure, benchmark, metric, algorithms, |&alg, t| {
+        let config = StmConfig::new(alg)
+            .heap_words(heap_words)
+            .orec_count(1 << 14);
+        run(&Stm::new(config), t)
+    })
 }
 
 /// Figures 1a/1b: Hashtable throughput and abort rate.
@@ -97,22 +118,14 @@ pub fn fig1_hashtable(sweep: &Sweep) -> Vec<FigureRow> {
         capacity: sweep.pick(1 << 9, 1 << 12),
         ..hashtable::HashtableConfig::default()
     };
-    let mut rows = Vec::new();
-    for alg in Algorithm::ALL {
-        for &t in &sweep.threads {
-            let stm = stm_for(alg, 1 << 16);
-            let r = hashtable::run(&stm, cfg, t, sweep.duration, sweep.seed);
-            rows.push(row(
-                "1a/1b",
-                "hashtable",
-                alg,
-                "throughput_ktps",
-                r.throughput_ktps(),
-                &r,
-            ));
-        }
-    }
-    rows
+    alg_sweep(
+        sweep,
+        "1a/1b",
+        "hashtable",
+        1 << 16,
+        Metric::Throughput,
+        |stm, t| hashtable::run(stm, cfg, t, sweep.duration, sweep.seed),
+    )
 }
 
 /// Figures 1c/1d: Bank throughput and abort rate.
@@ -121,22 +134,14 @@ pub fn fig1_bank(sweep: &Sweep) -> Vec<FigureRow> {
         accounts: sweep.pick(32, 64),
         ..bank::BankConfig::default()
     };
-    let mut rows = Vec::new();
-    for alg in Algorithm::ALL {
-        for &t in &sweep.threads {
-            let stm = stm_for(alg, 1 << 12);
-            let r = bank::run(&stm, cfg, t, sweep.duration, sweep.seed);
-            rows.push(row(
-                "1c/1d",
-                "bank",
-                alg,
-                "throughput_ktps",
-                r.throughput_ktps(),
-                &r,
-            ));
-        }
-    }
-    rows
+    alg_sweep(
+        sweep,
+        "1c/1d",
+        "bank",
+        1 << 12,
+        Metric::Throughput,
+        |stm, t| bank::run(stm, cfg, t, sweep.duration, sweep.seed),
+    )
 }
 
 /// Figures 1e/1f: LRU-cache throughput and abort rate.
@@ -145,22 +150,14 @@ pub fn fig1_lru(sweep: &Sweep) -> Vec<FigureRow> {
         lines: sweep.pick(64, 256),
         ..lru::LruConfig::default()
     };
-    let mut rows = Vec::new();
-    for alg in Algorithm::ALL {
-        for &t in &sweep.threads {
-            let stm = stm_for(alg, 1 << 16);
-            let r = lru::run(&stm, cfg, t, sweep.duration, sweep.seed);
-            rows.push(row(
-                "1e/1f",
-                "lru",
-                alg,
-                "throughput_ktps",
-                r.throughput_ktps(),
-                &r,
-            ));
-        }
-    }
-    rows
+    alg_sweep(
+        sweep,
+        "1e/1f",
+        "lru",
+        1 << 16,
+        Metric::Throughput,
+        |stm, t| lru::run(stm, cfg, t, sweep.duration, sweep.seed),
+    )
 }
 
 /// Figures 1g/1h: Kmeans execution time and abort rate.
@@ -172,22 +169,9 @@ pub fn fig1_kmeans(sweep: &Sweep) -> Vec<FigureRow> {
         max_iterations: sweep.pick(3, 8),
         ..kmeans::KmeansConfig::default()
     };
-    let mut rows = Vec::new();
-    for alg in Algorithm::ALL {
-        for &t in &sweep.threads {
-            let stm = stm_for(alg, 1 << 14);
-            let r = kmeans::run(&stm, cfg, t, sweep.seed);
-            rows.push(row(
-                "1g/1h",
-                "kmeans",
-                alg,
-                "time_s",
-                r.elapsed.as_secs_f64(),
-                &r,
-            ));
-        }
-    }
-    rows
+    alg_sweep(sweep, "1g/1h", "kmeans", 1 << 14, Metric::Time, |stm, t| {
+        kmeans::run(stm, cfg, t, sweep.seed)
+    })
 }
 
 /// Figures 1i/1j: Vacation execution time and abort rate.
@@ -196,23 +180,15 @@ pub fn fig1_vacation(sweep: &Sweep) -> Vec<FigureRow> {
         relations: sweep.pick(64, 256),
         ..vacation::VacationConfig::default()
     };
-    let sessions = sweep.pick(400, 4000) as u64;
-    let mut rows = Vec::new();
-    for alg in Algorithm::ALL {
-        for &t in &sweep.threads {
-            let stm = stm_for(alg, 1 << 22);
-            let r = vacation::run(&stm, cfg, t, sessions, sweep.seed);
-            rows.push(row(
-                "1i/1j",
-                "vacation",
-                alg,
-                "time_s",
-                r.elapsed.as_secs_f64(),
-                &r,
-            ));
-        }
-    }
-    rows
+    let sessions = sweep.pick(400, 4000);
+    alg_sweep(
+        sweep,
+        "1i/1j",
+        "vacation",
+        1 << 22,
+        Metric::Time,
+        |stm, t| vacation::run(stm, cfg, t, sessions, sweep.seed),
+    )
 }
 
 /// Figures 1k/1l ("Labyrinth 1") or 1m/1n ("Labyrinth 2").
@@ -225,26 +201,13 @@ pub fn fig1_labyrinth(sweep: &Sweep, variant: labyrinth::Variant) -> Vec<FigureR
         wall_pct: 10,
         variant,
     };
-    let (figure, benchmark): (&'static str, &'static str) = match variant {
+    let (figure, benchmark) = match variant {
         labyrinth::Variant::CopyInsideTx => ("1k/1l", "labyrinth1"),
         labyrinth::Variant::CopyOutsideTx => ("1m/1n", "labyrinth2"),
     };
-    let mut rows = Vec::new();
-    for alg in Algorithm::ALL {
-        for &t in &sweep.threads {
-            let stm = stm_for(alg, 1 << 14);
-            let r = labyrinth::run(&stm, cfg, t, sweep.seed);
-            rows.push(row(
-                figure,
-                benchmark,
-                alg,
-                "time_s",
-                r.elapsed.as_secs_f64(),
-                &r,
-            ));
-        }
-    }
-    rows
+    alg_sweep(sweep, figure, benchmark, 1 << 14, Metric::Time, |stm, t| {
+        labyrinth::run(stm, cfg, t, sweep.seed)
+    })
 }
 
 /// Figures 1o/1p: Yada execution time and abort rate.
@@ -253,22 +216,9 @@ pub fn fig1_yada(sweep: &Sweep) -> Vec<FigureRow> {
         elements: sweep.pick(128, 512),
         ..yada::YadaConfig::default()
     };
-    let mut rows = Vec::new();
-    for alg in Algorithm::ALL {
-        for &t in &sweep.threads {
-            let stm = stm_for(alg, 1 << 22);
-            let r = yada::run(&stm, cfg, t, sweep.seed);
-            rows.push(row(
-                "1o/1p",
-                "yada",
-                alg,
-                "time_s",
-                r.elapsed.as_secs_f64(),
-                &r,
-            ));
-        }
-    }
-    rows
+    alg_sweep(sweep, "1o/1p", "yada", 1 << 22, Metric::Time, |stm, t| {
+        yada::run(stm, cfg, t, sweep.seed)
+    })
 }
 
 /// Supplementary experiment C1: a deliberately *hot* hashtable (tiny
@@ -290,25 +240,14 @@ pub fn contention_sweep(sweep: &Sweep) -> Vec<FigureRow> {
         key_space: 1 << 12,
         padded: false,
     };
-    let mut rows = Vec::new();
-    for alg in Algorithm::ALL {
-        for &t in &sweep.threads {
-            let stm = stm_for(alg, 1 << 14);
-            let r = hashtable::run(&stm, cfg, t * 2, sweep.duration, sweep.seed);
-            rows.push(FigureRow {
-                figure: "C1",
-                benchmark: "hashtable-hot",
-                algorithm: alg.name().to_string(),
-                threads: r.threads,
-                metric: "throughput_ktps",
-                value: r.throughput_ktps(),
-                abort_pct: r.abort_pct(),
-                commits: r.stats.commits,
-                aborts: r.stats.conflict_aborts(),
-            });
-        }
-    }
-    rows
+    alg_sweep(
+        sweep,
+        "C1",
+        "hashtable-hot",
+        1 << 14,
+        Metric::Throughput,
+        |stm, t| hashtable::run(stm, cfg, t * 2, sweep.duration, sweep.seed),
+    )
 }
 
 /// Ablation A5: memory layout × commit clock on S-NOrec, over Bank and
@@ -355,6 +294,7 @@ pub fn ablation_layout_clock(sweep: &Sweep) -> Vec<FigureRow> {
     };
     let mut rows = Vec::new();
     for (label, shards, padded) in variants {
+        let algorithm = format!("S-NOrec/{label}");
         let stm_with = |heap_words: usize| {
             Stm::new(
                 StmConfig::new(Algorithm::SNOrec)
@@ -367,17 +307,13 @@ pub fn ablation_layout_clock(sweep: &Sweep) -> Vec<FigureRow> {
             let stm = stm_with(bank_cfg.accounts * LINE_WORDS + 4 * LINE_WORDS);
             let cfg = bank::BankConfig { padded, ..bank_cfg };
             let r = bank::run(&stm, cfg, t, sweep.duration, sweep.seed);
-            rows.push(FigureRow {
-                figure: "A5",
-                benchmark: "bank",
-                algorithm: format!("S-NOrec/{label}"),
-                threads: r.threads,
-                metric: "throughput_ktps",
-                value: r.throughput_ktps(),
-                abort_pct: r.abort_pct(),
-                commits: r.stats.commits,
-                aborts: r.stats.conflict_aborts(),
-            });
+            rows.push(FigureRow::measured(
+                "A5",
+                "bank",
+                &algorithm,
+                Metric::Throughput,
+                &r,
+            ));
         }
         for &t in &sweep.threads {
             // Striping costs LINE_WORDS× per array; size the heap for
@@ -385,17 +321,13 @@ pub fn ablation_layout_clock(sweep: &Sweep) -> Vec<FigureRow> {
             let stm = stm_with(ht_cap * LINE_WORDS * 2 + 4 * LINE_WORDS);
             let cfg = hashtable::HashtableConfig { padded, ..ht_cfg };
             let r = hashtable::run(&stm, cfg, t, sweep.duration, sweep.seed);
-            rows.push(FigureRow {
-                figure: "A5",
-                benchmark: "hashtable",
-                algorithm: format!("S-NOrec/{label}"),
-                threads: r.threads,
-                metric: "throughput_ktps",
-                value: r.throughput_ktps(),
-                abort_pct: r.abort_pct(),
-                commits: r.stats.commits,
-                aborts: r.stats.conflict_aborts(),
-            });
+            rows.push(FigureRow::measured(
+                "A5",
+                "hashtable",
+                &algorithm,
+                Metric::Throughput,
+                &r,
+            ));
         }
     }
     rows
@@ -453,17 +385,14 @@ pub fn ablation_durability(sweep: &Sweep) -> Vec<FigureRow> {
             if mode.is_some() {
                 let _ = std::fs::remove_file(&path);
             }
-            rows.push(FigureRow {
-                figure: "A6",
-                benchmark: "bank",
-                algorithm: format!("S-NOrec/{label}"),
-                threads: r.threads,
-                metric: "throughput_ktps",
-                value: r.throughput_ktps(),
-                abort_pct: r.abort_pct(),
-                commits: r.stats.commits,
-                aborts: r.stats.conflict_aborts(),
-            });
+            let algorithm = format!("S-NOrec/{label}");
+            rows.push(FigureRow::measured(
+                "A6",
+                "bank",
+                algorithm,
+                Metric::Throughput,
+                &r,
+            ));
         }
     }
 
@@ -492,6 +421,35 @@ pub fn ablation_durability(sweep: &Sweep) -> Vec<FigureRow> {
         });
     }
     rows
+}
+
+/// Run `body` while a ticker thread calls [`Stm::adapt_tick`] every
+/// `every` — the control loop an embedding application runs — and
+/// return its result with the switches the ticks made. A panic in
+/// `body` stops the ticker before it unwinds, so the scope can join.
+fn with_adapt_ticker<R>(
+    stm: &Stm,
+    every: Duration,
+    body: impl FnOnce() -> R,
+) -> (R, Vec<SwitchReport>) {
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let ticker = s.spawn(|| {
+            let mut reports = Vec::new();
+            while !stop.load(Ordering::Relaxed) {
+                reports.extend(stm.adapt_tick());
+                std::thread::sleep(every);
+            }
+            reports
+        });
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+        stop.store(true, Ordering::Relaxed);
+        let reports = ticker.join().expect("ticker thread panicked");
+        (
+            out.unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            reports,
+        )
+    })
 }
 
 /// The A7 ticker cadence and controller tuning: sampled fast enough to
@@ -580,49 +538,34 @@ pub fn ablation_adaptive(sweep: &Sweep) -> Vec<FigureRow> {
         let table = hashtable::Hashtable::new(&stm, ht_cfg);
         let scan_state = scan::Scan::new(&stm, scan_cfg);
         let incs = AtomicU64::new(0);
-        let stop = AtomicBool::new(false);
-
-        let mut phases: Vec<(&'static str, RunResult)> = Vec::new();
-        let mut switch_reports = Vec::new();
-        std::thread::scope(|s| {
-            // The embedding application's control loop: poll the
-            // controller at a fixed cadence for the whole gauntlet.
-            let ticker = policy.map(|_| {
-                s.spawn(|| {
-                    let mut reports = Vec::new();
-                    while !stop.load(Ordering::Relaxed) {
-                        if let Some(r) = stm.adapt_tick() {
-                            reports.push(r);
-                        }
-                        std::thread::sleep(tick);
-                    }
-                    reports
-                })
-            });
+        let (d, seed) = (sweep.duration, sweep.seed);
+        let gauntlet = || {
             let stm = &stm;
-            phases.push((
-                "bank",
-                run_for_duration(stm, threads, sweep.duration, sweep.seed, |_tid, rng| {
-                    bank_state.transfer_tx(stm, rng);
-                }),
-            ));
-            phases.push((
-                "hashtable-hot",
-                run_for_duration(stm, threads, sweep.duration, sweep.seed, |_tid, rng| {
-                    table.workload_tx(stm, rng);
-                }),
-            ));
-            phases.push((
-                "scan",
-                run_for_duration(stm, threads, sweep.duration, sweep.seed, |_tid, rng| {
-                    incs.fetch_add(scan_state.scan_tx(stm, rng), Ordering::Relaxed);
-                }),
-            ));
-            stop.store(true, Ordering::Relaxed);
-            if let Some(h) = ticker {
-                switch_reports = h.join().expect("ticker thread panicked");
-            }
-        });
+            [
+                (
+                    "bank",
+                    run_for_duration(stm, threads, d, seed, |_tid, rng| {
+                        bank_state.transfer_tx(stm, rng);
+                    }),
+                ),
+                (
+                    "hashtable-hot",
+                    run_for_duration(stm, threads, d, seed, |_tid, rng| {
+                        table.workload_tx(stm, rng);
+                    }),
+                ),
+                (
+                    "scan",
+                    run_for_duration(stm, threads, d, seed, |_tid, rng| {
+                        incs.fetch_add(scan_state.scan_tx(stm, rng), Ordering::Relaxed);
+                    }),
+                ),
+            ]
+        };
+        let (phases, switch_reports) = match policy {
+            Some(_) => with_adapt_ticker(&stm, tick, gauntlet),
+            None => (gauntlet(), Vec::new()),
+        };
         // Every phase's invariants must hold across however many
         // hot-swaps happened mid-run.
         bank_state.verify(&stm).expect("bank invariants violated");
@@ -642,17 +585,13 @@ pub fn ablation_adaptive(sweep: &Sweep) -> Vec<FigureRow> {
             commits += r.stats.commits;
             aborts += r.stats.conflict_aborts();
             attempts += r.stats.attempts();
-            rows.push(FigureRow {
-                figure: "A7",
-                benchmark: phase,
-                algorithm: label.to_string(),
-                threads,
-                metric: "throughput_ktps",
-                value: r.throughput_ktps(),
-                abort_pct: r.abort_pct(),
-                commits: r.stats.commits,
-                aborts: r.stats.conflict_aborts(),
-            });
+            rows.push(FigureRow::measured(
+                "A7",
+                phase,
+                label,
+                Metric::Throughput,
+                r,
+            ));
         }
         rows.push(FigureRow {
             figure: "A7",
@@ -730,27 +669,12 @@ pub fn telemetry_bank(sweep: &Sweep) -> TelemetryReport {
             sweep.seed,
             |_, _| {},
         );
-        let t = stm.telemetry();
-        algorithms.push(AlgorithmTelemetry {
-            algorithm: alg.name().to_string(),
-            throughput_ktps: r.throughput_ktps(),
-            stats: r.stats,
-            commit_latency_ns: t.commit_latency_ns(),
-            attempts_per_commit: t.attempts_per_commit(),
-            commit_read_set: t.commit_read_set(),
-            commit_compare_set: t.commit_compare_set(),
-            backoff_spins: t.backoff_spins(),
-            trace: t.trace_events(),
-            spans_retained: t.span_events().len() as u64,
-            spans_evicted: t.spans_evicted(),
+        algorithms.push(AlgorithmTelemetry::capture(
+            &stm,
+            r.throughput_ktps(),
+            r.stats,
             series,
-            hot_addresses: t
-                .hot_addresses()
-                .into_iter()
-                .map(|(a, n)| (a.index() as u64, n))
-                .collect(),
-            conflict_edges: t.conflict_edges(),
-        });
+        ));
     }
     // Overhead ablation: the same S-NOrec run at Counters vs Spans. The
     // Counters hot path is required to be untouched by the flight
@@ -783,28 +707,10 @@ pub fn telemetry_bank(sweep: &Sweep) -> TelemetryReport {
                 .telemetry(TelemetryLevel::Counters)
                 .adaptive(AdaptPolicy::default()),
         );
-        let stop = AtomicBool::new(false);
-        let mut r = None;
-        std::thread::scope(|s| {
-            let ticker = s.spawn(|| {
-                let mut switched = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    if stm.adapt_tick().is_some() {
-                        switched += 1;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                switched
-            });
-            r = Some(bank::run(&stm, cfg, threads, sweep.duration, sweep.seed));
-            stop.store(true, Ordering::Relaxed);
-            assert_eq!(
-                ticker.join().expect("ticker thread panicked"),
-                0,
-                "steady Bank must not trigger a switch"
-            );
+        let (r, switches) = with_adapt_ticker(&stm, Duration::from_millis(5), || {
+            bank::run(&stm, cfg, threads, sweep.duration, sweep.seed)
         });
-        let r = r.expect("bank run completed");
+        assert_eq!(switches.len(), 0, "steady Bank must not trigger a switch");
         overhead.push(OverheadRow {
             level: "counters+adaptive-idle".to_string(),
             throughput_ktps: r.throughput_ktps(),
@@ -824,18 +730,9 @@ pub fn telemetry_bank(sweep: &Sweep) -> TelemetryReport {
 mod tests {
     use super::*;
 
-    fn tiny() -> Sweep {
-        Sweep {
-            threads: vec![2],
-            duration: Duration::from_millis(30),
-            scale: Scale::Smoke,
-            seed: 1,
-        }
-    }
-
     #[test]
     fn fig1_hashtable_produces_all_series() {
-        let rows = fig1_hashtable(&tiny());
+        let rows = fig1_hashtable(&Sweep::tiny());
         assert_eq!(rows.len(), 4, "one row per algorithm");
         for alg in Algorithm::ALL {
             assert!(rows.iter().any(|r| r.algorithm == alg.name()));
@@ -845,21 +742,21 @@ mod tests {
 
     #[test]
     fn fig1_kmeans_reports_time() {
-        let rows = fig1_kmeans(&tiny());
+        let rows = fig1_kmeans(&Sweep::tiny());
         assert_eq!(rows[0].metric, "time_s");
         assert!(rows.iter().all(|r| r.value > 0.0));
     }
 
     #[test]
     fn contention_sweep_reaches_real_abort_rates() {
-        let rows = contention_sweep(&tiny());
+        let rows = contention_sweep(&Sweep::tiny());
         assert_eq!(rows.len(), 4);
         assert!(rows.iter().all(|r| r.commits > 0));
     }
 
     #[test]
     fn layout_clock_ablation_covers_all_cells() {
-        let rows = ablation_layout_clock(&tiny());
+        let rows = ablation_layout_clock(&Sweep::tiny());
         // 4 variants × 1 thread count × 2 benchmarks.
         assert_eq!(rows.len(), 8);
         for label in [
@@ -880,7 +777,7 @@ mod tests {
 
     #[test]
     fn adaptive_ablation_covers_all_engines_and_phases() {
-        let rows = ablation_adaptive(&tiny());
+        let rows = ablation_adaptive(&Sweep::tiny());
         for engine in ["S-NOrec", "S-NOrec/sharded", "S-TL2", "adaptive"] {
             for bench in ["bank", "hashtable-hot", "scan", "full"] {
                 assert!(
@@ -903,7 +800,7 @@ mod tests {
 
     #[test]
     fn telemetry_bank_report_is_complete_and_consistent() {
-        let report = telemetry_bank(&tiny());
+        let report = telemetry_bank(&Sweep::tiny());
         assert_eq!(report.benchmark, "bank");
         assert_eq!(report.algorithms.len(), Algorithm::ALL.len());
         for a in &report.algorithms {

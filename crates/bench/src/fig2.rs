@@ -18,13 +18,13 @@
 //! overhead. The differential oracle pins both execution modes to
 //! identical observable behaviour.
 
-use crate::report::FigureRow;
+use crate::report::{FigureRow, Metric};
+use crate::Sweep;
 use semtm_core::util::SplitMix64;
 use semtm_core::{Algorithm, Stm, StmConfig};
 use semtm_ir::programs;
 use semtm_ir::{lower, run_tm_passes, Function, Interp, LoweredFunction};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use semtm_workloads::driver::{run_fixed_work, run_for_duration};
 
 /// The three Figure-2 configurations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -67,118 +67,81 @@ impl GccConfig {
         }
     }
 
-    fn prepare(self, mut f: Function) -> LoweredFunction {
-        if self.passes() {
-            run_tm_passes(&mut f);
-        }
-        lower(&f).expect("builtin kernel lowers")
+    /// Each configuration's legend label, algorithm and `kernel` as it
+    /// runs there: lowered, after the passes where they are on.
+    fn prepared(kernel: Function) -> [(&'static str, (Algorithm, LoweredFunction)); 3] {
+        GccConfig::ALL.map(|cfg| {
+            let mut f = kernel.clone();
+            if cfg.passes() {
+                run_tm_passes(&mut f);
+            }
+            let lowered = lower(&f).expect("builtin kernel lowers");
+            (cfg.label(), (cfg.algorithm(), lowered))
+        })
     }
 }
 
 /// Throughput of the hashtable kernel (Figures 2a/2b): threads hammer
-/// get/insert IR transactions for `duration`.
-pub fn fig2_hashtable(
-    threads_list: &[usize],
-    duration: Duration,
-    capacity_pow2: u32,
-    seed: u64,
-) -> Vec<FigureRow> {
-    let mut rows = Vec::new();
+/// get/insert IR transactions for the sweep's duration.
+pub fn fig2_hashtable(sweep: &Sweep) -> Vec<FigureRow> {
+    let capacity_pow2: u32 = sweep.pick(7, 10);
     let mask = (1i64 << capacity_pow2) - 1;
     // Distinct keys are capped at half the capacity so the open-addressed
     // table can never saturate (the IR kernel's probe loop has no
     // full-table bailout, matching Algorithm 2).
     let key_universe = (1u64 << capacity_pow2) / 2;
-    for cfg in GccConfig::ALL {
-        let func = cfg.prepare(programs::hashtable_op());
-        for &threads in threads_list {
+    let configs = GccConfig::prepared(programs::hashtable_op());
+    sweep.rows(
+        "2a/2b",
+        "hashtable-gcc",
+        Metric::Throughput,
+        configs,
+        |(alg, func), threads| {
             let stm = Stm::new(
-                StmConfig::new(cfg.algorithm())
+                StmConfig::new(*alg)
                     .heap_words(1 << (capacity_pow2 + 2))
                     .orec_count(1 << 12),
             );
             let states = stm.alloc_array(1 << capacity_pow2, 0i64);
             let keys = stm.alloc_array(1 << capacity_pow2, 0i64);
+            let (states, keys) = (states.index() as i64, keys.index() as i64);
             // Pre-fill half the table so probes have work to do.
-            let mut rng = SplitMix64::new(seed);
-            {
-                let interp = Interp::new(&stm);
-                for _ in 0..(1 << capacity_pow2) / 4 {
-                    let key = 1 + rng.below(key_universe) as i64;
-                    let _ = interp.execute_lowered(
-                        &func,
-                        &[states.index() as i64, keys.index() as i64, mask, key, 1],
-                    );
-                }
+            let mut rng = SplitMix64::new(sweep.seed);
+            let interp = Interp::new(&stm);
+            for _ in 0..(1 << capacity_pow2) / 4 {
+                let key = 1 + rng.below(key_universe) as i64;
+                let _ = interp.execute_lowered(func, &[states, keys, mask, key, 1]);
             }
-            let before = stm.stats();
-            let stop = AtomicBool::new(false);
-            let ops = AtomicU64::new(0);
-            let start = Instant::now();
-            std::thread::scope(|s| {
-                for t in 0..threads {
-                    let stm = &stm;
-                    let func = &func;
-                    let stop = &stop;
-                    let ops = &ops;
-                    s.spawn(move || {
-                        let interp = Interp::new(stm);
-                        let mut rng = SplitMix64::new(seed ^ ((t as u64 + 1) * 77));
-                        let mut local = 0u64;
-                        while !stop.load(Ordering::Relaxed) {
-                            let key = 1 + rng.below(key_universe) as i64;
-                            let op = i64::from(rng.below(100) < 20); // 20% inserts
-                            interp
-                                .execute_lowered(
-                                    func,
-                                    &[states.index() as i64, keys.index() as i64, mask, key, op],
-                                )
-                                .expect("kernel executes");
-                            local += 1;
-                        }
-                        ops.fetch_add(local, Ordering::Relaxed);
-                    });
-                }
-                std::thread::sleep(duration);
-                stop.store(true, Ordering::Relaxed);
-            });
-            let elapsed = start.elapsed();
-            let stats = stm.stats().since(&before);
-            rows.push(FigureRow {
-                figure: "2a/2b",
-                benchmark: "hashtable-gcc",
-                algorithm: cfg.label().to_string(),
-                threads,
-                metric: "throughput_ktps",
-                value: ops.load(Ordering::Relaxed) as f64 / elapsed.as_secs_f64() / 1000.0,
-                abort_pct: stats.abort_pct(),
-                commits: stats.commits,
-                aborts: stats.conflict_aborts(),
-            });
-        }
-    }
-    rows
+            run_for_duration(&stm, threads, sweep.duration, sweep.seed, |_tid, rng| {
+                let key = 1 + rng.below(key_universe) as i64;
+                let op = i64::from(rng.below(100) < 20); // 20% inserts
+                Interp::new(&stm)
+                    .execute_lowered(func, &[states, keys, mask, key, op])
+                    .expect("kernel executes");
+            })
+        },
+    )
 }
 
 /// Execution time of the vacation reservation kernel (Figures 2c/2d):
 /// a fixed number of reservation transactions split across threads.
-pub fn fig2_vacation(
-    threads_list: &[usize],
-    offers: usize,
-    reservations: u64,
-    seed: u64,
-) -> Vec<FigureRow> {
-    let mut rows = Vec::new();
-    for cfg in GccConfig::ALL {
-        let func = cfg.prepare(programs::vacation_reserve());
-        for &threads in threads_list {
+pub fn fig2_vacation(sweep: &Sweep) -> Vec<FigureRow> {
+    let offers: usize = sweep.pick(32, 128);
+    let reservations = sweep.pick(400, 3000);
+    let configs = GccConfig::prepared(programs::vacation_reserve());
+    sweep.rows(
+        "2c/2d",
+        "vacation-gcc",
+        Metric::Time,
+        configs,
+        |(alg, func), threads| {
             let stm = Stm::new(
-                StmConfig::new(cfg.algorithm())
+                StmConfig::new(*alg)
                     .heap_words(offers * 5 + 64)
                     .orec_count(1 << 10),
             );
             let base = stm.alloc(offers * 5);
-            let mut rng = SplitMix64::new(seed);
+            let mut rng = SplitMix64::new(sweep.seed);
             for i in 0..offers {
                 stm.write_now(base.offset(i * 5), i as i64);
                 stm.write_now(base.offset(i * 5 + 1), 0);
@@ -187,26 +150,12 @@ pub fn fig2_vacation(
                 stm.write_now(base.offset(i * 5 + 3), cap);
                 stm.write_now(base.offset(i * 5 + 4), 100 + rng.below(400) as i64);
             }
-            let before = stm.stats();
-            let start = Instant::now();
-            std::thread::scope(|s| {
-                for t in 0..threads {
-                    let stm = &stm;
-                    let func = &func;
-                    s.spawn(move || {
-                        let interp = Interp::new(stm);
-                        let mut i = t as u64;
-                        while i < reservations {
-                            interp
-                                .execute_lowered(func, &[base.index() as i64, offers as i64])
-                                .expect("kernel executes");
-                            i += threads as u64;
-                        }
-                    });
-                }
+            let args = [base.index() as i64, offers as i64];
+            let r = run_fixed_work(&stm, threads, reservations, sweep.seed, |_tid, _i, _rng| {
+                Interp::new(&stm)
+                    .execute_lowered(func, &args)
+                    .expect("kernel executes");
             });
-            let elapsed = start.elapsed();
-            let stats = stm.stats().since(&before);
             // Invariant: free + used == total on every offer.
             for i in 0..offers {
                 let used = stm.read_now(base.offset(i * 5 + 1));
@@ -215,20 +164,9 @@ pub fn fig2_vacation(
                 assert_eq!(free + used, total, "offer {i} corrupted");
                 assert!(free >= 0, "offer {i} oversold");
             }
-            rows.push(FigureRow {
-                figure: "2c/2d",
-                benchmark: "vacation-gcc",
-                algorithm: cfg.label().to_string(),
-                threads,
-                metric: "time_s",
-                value: elapsed.as_secs_f64(),
-                abort_pct: stats.abort_pct(),
-                commits: stats.commits,
-                aborts: stats.conflict_aborts(),
-            });
-        }
-    }
-    rows
+            r
+        },
+    )
 }
 
 #[cfg(test)]
@@ -245,7 +183,10 @@ mod tests {
 
     #[test]
     fn fig2_hashtable_runs_all_configs() {
-        let rows = fig2_hashtable(&[2], Duration::from_millis(30), 7, 3);
+        let rows = fig2_hashtable(&Sweep {
+            seed: 3,
+            ..Sweep::tiny()
+        });
         assert_eq!(rows.len(), 3);
         for cfg in GccConfig::ALL {
             let r = rows.iter().find(|r| r.algorithm == cfg.label()).unwrap();
@@ -255,7 +196,10 @@ mod tests {
 
     #[test]
     fn fig2_vacation_preserves_offer_invariants() {
-        let rows = fig2_vacation(&[2], 16, 200, 5);
+        let rows = fig2_vacation(&Sweep {
+            seed: 5,
+            ..Sweep::tiny()
+        });
         assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(|r| r.value > 0.0));
     }

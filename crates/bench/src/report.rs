@@ -6,8 +6,9 @@
 //! report schema documented in EXPERIMENTS.md.
 
 use semtm_core::{
-    AbortReason, ConflictEdge, HistogramSnapshot, SamplePoint, SpanEvent, StatsSnapshot,
+    AbortReason, ConflictEdge, HistogramSnapshot, SamplePoint, SpanEvent, StatsSnapshot, Stm,
 };
+use semtm_workloads::driver::RunResult;
 
 /// A JSON value for the hand-rolled writer.
 #[derive(Clone, Debug)]
@@ -226,6 +227,39 @@ pub struct AlgorithmTelemetry {
     pub conflict_edges: Vec<ConflictEdge>,
 }
 
+impl AlgorithmTelemetry {
+    /// What `stm`'s telemetry recorded, under its algorithm's name, with
+    /// the measured throughput, interval statistics and time series.
+    pub fn capture(
+        stm: &Stm,
+        throughput_ktps: f64,
+        stats: StatsSnapshot,
+        series: Vec<SamplePoint>,
+    ) -> AlgorithmTelemetry {
+        let t = stm.telemetry();
+        AlgorithmTelemetry {
+            algorithm: stm.algorithm().name().to_string(),
+            throughput_ktps,
+            stats,
+            commit_latency_ns: t.commit_latency_ns(),
+            attempts_per_commit: t.attempts_per_commit(),
+            commit_read_set: t.commit_read_set(),
+            commit_compare_set: t.commit_compare_set(),
+            backoff_spins: t.backoff_spins(),
+            trace: t.trace_events(),
+            spans_retained: t.span_events().len() as u64,
+            spans_evicted: t.spans_evicted(),
+            series,
+            hot_addresses: t
+                .hot_addresses()
+                .into_iter()
+                .map(|(a, n)| (a.index() as u64, n))
+                .collect(),
+            conflict_edges: t.conflict_edges(),
+        }
+    }
+}
+
 /// One row of the flight-recorder overhead ablation: the same workload
 /// run at a given telemetry level.
 #[derive(Clone, Debug)]
@@ -383,7 +417,42 @@ pub struct FigureRow {
     pub aborts: u64,
 }
 
+/// The left-column metric of a row measured from one run.
+#[derive(Clone, Copy, Debug)]
+pub enum Metric {
+    /// Throughput, `throughput_ktps` (Figures 1a–1f, 2a).
+    Throughput,
+    /// Execution time, `time_s` (Figures 1g–1p, 2c).
+    Time,
+}
+
 impl FigureRow {
+    /// The row of one measured run: `metric`'s value, abort rate,
+    /// commits and conflict aborts of `r`, at `r`'s thread count.
+    pub fn measured(
+        figure: &'static str,
+        benchmark: &'static str,
+        algorithm: impl Into<String>,
+        metric: Metric,
+        r: &RunResult,
+    ) -> FigureRow {
+        let (metric, value) = match metric {
+            Metric::Throughput => ("throughput_ktps", r.throughput_ktps()),
+            Metric::Time => ("time_s", r.elapsed.as_secs_f64()),
+        };
+        FigureRow {
+            figure,
+            benchmark,
+            algorithm: algorithm.into(),
+            threads: r.threads,
+            metric,
+            value,
+            abort_pct: r.abort_pct(),
+            commits: r.stats.commits,
+            aborts: r.stats.conflict_aborts(),
+        }
+    }
+
     /// CSV header matching [`FigureRow::csv`].
     pub const CSV_HEADER: &'static str =
         "figure,benchmark,algorithm,threads,metric,value,abort_pct,commits,aborts";
@@ -442,16 +511,15 @@ pub fn markdown_table(title: &str, rows: &[FigureRow]) -> String {
     out
 }
 
-/// Write rows (plus header) to `results/<name>.csv`, creating the
-/// directory if needed. Returns the path written.
-pub fn write_csv(name: &str, rows: &[FigureRow]) -> std::io::Result<std::path::PathBuf> {
+/// The CSV body of a figure: the header, then one line per row.
+pub fn figure_csv(rows: &[FigureRow]) -> String {
     let mut body = String::from(FigureRow::CSV_HEADER);
     body.push('\n');
     for r in rows {
         body.push_str(&r.csv());
         body.push('\n');
     }
-    write_results_file(&format!("{name}.csv"), &body)
+    body
 }
 
 /// Summarise the semantic-vs-base ratio per thread count: the "who wins
@@ -585,7 +653,7 @@ mod tests {
 
     #[test]
     fn telemetry_report_json_has_required_sections() {
-        use semtm_core::{Algorithm, Stm, StmConfig, TelemetryLevel};
+        use semtm_core::{Algorithm, StmConfig, TelemetryLevel};
         let stm = Stm::new(
             StmConfig::new(Algorithm::STl2)
                 .heap_words(1 << 8)
@@ -595,30 +663,18 @@ mod tests {
         for _ in 0..32 {
             stm.atomic(|tx| tx.inc(a, 1));
         }
-        let t = stm.telemetry();
         let report = TelemetryReport {
             benchmark: "bank".to_string(),
             threads: 1,
             duration_secs: 0.1,
             algorithms: vec![AlgorithmTelemetry {
-                algorithm: "S-TL2".to_string(),
-                throughput_ktps: 320.0,
-                stats: stm.stats(),
-                commit_latency_ns: t.commit_latency_ns(),
-                attempts_per_commit: t.attempts_per_commit(),
-                commit_read_set: t.commit_read_set(),
-                commit_compare_set: t.commit_compare_set(),
-                backoff_spins: t.backoff_spins(),
-                trace: t.trace_events(),
-                spans_retained: t.span_events().len() as u64,
-                spans_evicted: t.spans_evicted(),
-                series: vec![],
                 hot_addresses: vec![(17, 5)],
                 conflict_edges: vec![ConflictEdge {
                     victim: 2,
                     by: 3,
                     count: 4,
                 }],
+                ..AlgorithmTelemetry::capture(&stm, 320.0, stm.stats(), vec![])
             }],
             overhead: vec![OverheadRow {
                 level: "spans".to_string(),
@@ -655,6 +711,8 @@ mod tests {
     #[test]
     fn abort_breakdown_has_one_key_per_reason_summing_to_aborts() {
         use crate::jsonin::{parse, JValue};
+        use semtm_core::{Algorithm, StmConfig};
+        let stm = Stm::new(StmConfig::new(Algorithm::SNOrec));
         let stats = AbortReason::ALL
             .iter()
             .fold(StatsSnapshot::default(), |s, &r| s.with_aborts(r, 1));
@@ -662,22 +720,7 @@ mod tests {
             benchmark: "bank".to_string(),
             threads: 1,
             duration_secs: 0.1,
-            algorithms: vec![AlgorithmTelemetry {
-                algorithm: "S-NOrec".to_string(),
-                throughput_ktps: 0.0,
-                stats,
-                commit_latency_ns: HistogramSnapshot::default(),
-                attempts_per_commit: HistogramSnapshot::default(),
-                commit_read_set: HistogramSnapshot::default(),
-                commit_compare_set: HistogramSnapshot::default(),
-                backoff_spins: HistogramSnapshot::default(),
-                trace: vec![],
-                spans_retained: 0,
-                spans_evicted: 0,
-                series: vec![],
-                hot_addresses: vec![],
-                conflict_edges: vec![],
-            }],
+            algorithms: vec![AlgorithmTelemetry::capture(&stm, 0.0, stats, vec![])],
             overhead: vec![],
         };
         let json = parse(&report.to_json().render()).expect("valid JSON");

@@ -6,7 +6,9 @@
 //! ("base": semantic calls delegate, so they surface as reads/writes)
 //! and once under S-NOrec ("semantic").
 
+use crate::Sweep;
 use semtm_core::{Algorithm, StatsSnapshot, Stm, StmConfig};
+use semtm_workloads::driver::RunResult;
 use semtm_workloads::stamp::{genome, intruder, kmeans, labyrinth, ssca2, vacation, yada};
 use semtm_workloads::{bank, hashtable, lru};
 use std::time::Duration;
@@ -44,114 +46,88 @@ impl ProfileRow {
     }
 }
 
-fn stm(alg: Algorithm, heap_pow2: u32) -> Stm {
-    Stm::new(
-        StmConfig::new(alg)
-            .heap_words(1 << heap_pow2)
-            .orec_count(1 << 12),
-    )
-}
-
-/// Build the full Table 3 (10 workloads × 2 modes). `quick` shrinks the
-/// run lengths for smoke testing.
-pub fn table3(quick: bool) -> Vec<ProfileRow> {
-    let dur = Duration::from_millis(if quick { 40 } else { 250 });
-    let mut rows = Vec::new();
-    for (mode, alg) in [("base", Algorithm::NOrec), ("semantic", Algorithm::SNOrec)] {
-        // Hashtable
-        {
-            let s = stm(alg, 16);
+/// Build the full Table 3 (10 workloads × 2 modes) at `sweep`'s scale.
+pub fn table3(sweep: &Sweep) -> Vec<ProfileRow> {
+    let dur = sweep.pick(Duration::from_millis(40), Duration::from_millis(250));
+    type Run<'a> = &'a dyn Fn(&Stm) -> RunResult;
+    // (workload, log2 heap words, one single-threaded run, seed 7).
+    let workloads: [(&str, u32, Run); 10] = [
+        ("Hashtable", 16, &|s| {
             let cfg = hashtable::HashtableConfig {
-                capacity: if quick { 1 << 9 } else { 1 << 12 },
+                capacity: sweep.pick(1 << 9, 1 << 12),
                 ..hashtable::HashtableConfig::default()
             };
-            hashtable::run(&s, cfg, 1, dur, 7);
-            rows.push(ProfileRow::from_stats("Hashtable", mode, &s.stats()));
-        }
-        // Bank
-        {
-            let s = stm(alg, 12);
-            bank::run(&s, bank::BankConfig::default(), 1, dur, 7);
-            rows.push(ProfileRow::from_stats("Bank", mode, &s.stats()));
-        }
-        // LRU
-        {
-            let s = stm(alg, 16);
-            lru::run(&s, lru::LruConfig::default(), 1, dur, 7);
-            rows.push(ProfileRow::from_stats("LRU", mode, &s.stats()));
-        }
-        // Vacation
-        {
-            let s = stm(alg, 22);
+            hashtable::run(s, cfg, 1, dur, 7)
+        }),
+        ("Bank", 12, &|s| {
+            bank::run(s, bank::BankConfig::default(), 1, dur, 7)
+        }),
+        ("LRU", 16, &|s| {
+            lru::run(s, lru::LruConfig::default(), 1, dur, 7)
+        }),
+        ("Vacation", 22, &|s| {
             let cfg = vacation::VacationConfig::default();
-            vacation::run(&s, cfg, 1, if quick { 200 } else { 2000 }, 7);
-            rows.push(ProfileRow::from_stats("Vacation", mode, &s.stats()));
-        }
-        // Kmeans
-        {
-            let s = stm(alg, 14);
+            vacation::run(s, cfg, 1, sweep.pick(200, 2000), 7)
+        }),
+        ("Kmeans", 14, &|s| {
             let cfg = kmeans::KmeansConfig {
-                points: if quick { 256 } else { 2048 },
+                points: sweep.pick(256, 2048),
                 features: 24,
                 max_iterations: 3,
                 ..kmeans::KmeansConfig::default()
             };
-            kmeans::run(&s, cfg, 1, 7);
-            rows.push(ProfileRow::from_stats("Kmeans", mode, &s.stats()));
-        }
-        // Labyrinth
-        {
-            let s = stm(alg, 14);
+            kmeans::run(s, cfg, 1, 7)
+        }),
+        ("Labyrinth", 14, &|s| {
             let cfg = labyrinth::LabyrinthConfig {
                 x: 24,
                 y: 24,
                 z: 3,
-                pairs: if quick { 12 } else { 40 },
+                pairs: sweep.pick(12, 40),
                 wall_pct: 10,
                 variant: labyrinth::Variant::CopyOutsideTx,
             };
-            labyrinth::run(&s, cfg, 1, 7);
-            rows.push(ProfileRow::from_stats("Labyrinth", mode, &s.stats()));
-        }
-        // Yada
-        {
-            let s = stm(alg, 22);
+            labyrinth::run(s, cfg, 1, 7)
+        }),
+        ("Yada", 22, &|s| {
             let cfg = yada::YadaConfig {
-                elements: if quick { 128 } else { 512 },
+                elements: sweep.pick(128, 512),
                 ..yada::YadaConfig::default()
             };
-            yada::run(&s, cfg, 1, 7);
-            rows.push(ProfileRow::from_stats("Yada", mode, &s.stats()));
-        }
-        // SSCA2
-        {
-            let s = stm(alg, 18);
+            yada::run(s, cfg, 1, 7)
+        }),
+        ("SSCA2", 18, &|s| {
             let cfg = ssca2::Ssca2Config {
-                edges: if quick { 512 } else { 4096 },
+                edges: sweep.pick(512, 4096),
                 ..ssca2::Ssca2Config::default()
             };
-            ssca2::run(&s, cfg, 1, 7);
-            rows.push(ProfileRow::from_stats("SSCA2", mode, &s.stats()));
-        }
-        // Genome
-        {
-            let s = stm(alg, 18);
+            ssca2::run(s, cfg, 1, 7)
+        }),
+        ("Genome", 18, &|s| {
             let cfg = genome::GenomeConfig {
-                segments: if quick { 512 } else { 4096 },
+                segments: sweep.pick(512, 4096),
                 ..genome::GenomeConfig::default()
             };
-            genome::run(&s, cfg, 1, 7);
-            rows.push(ProfileRow::from_stats("Genome", mode, &s.stats()));
-        }
-        // Intruder
-        {
-            let s = stm(alg, 18);
+            genome::run(s, cfg, 1, 7)
+        }),
+        ("Intruder", 18, &|s| {
             let cfg = intruder::IntruderConfig {
-                flows: if quick { 64 } else { 256 },
+                flows: sweep.pick(64, 256),
                 ..intruder::IntruderConfig::default()
             };
-            intruder::run(&s, cfg, 1, 7);
-            rows.push(ProfileRow::from_stats("Intruder", mode, &s.stats()));
+            intruder::run(s, cfg, 1, 7)
+        }),
+    ];
+    let mut rows = Vec::new();
+    for (mode, alg) in [("base", Algorithm::NOrec), ("semantic", Algorithm::SNOrec)] {
+        for (benchmark, heap_pow2, run) in workloads {
+            let s = Stm::new(
+                StmConfig::new(alg)
+                    .heap_words(1 << heap_pow2)
+                    .orec_count(1 << 12),
+            );
+            run(&s);
+            rows.push(ProfileRow::from_stats(benchmark, mode, &s.stats()));
         }
     }
     rows
@@ -222,7 +198,7 @@ mod tests {
 
     #[test]
     fn table3_has_twenty_rows_and_expected_shape() {
-        let rows = table3(true);
+        let rows = table3(&Sweep::tiny());
         assert_eq!(rows.len(), 20, "10 workloads x 2 modes");
 
         let find = |b: &str, m: &str| {

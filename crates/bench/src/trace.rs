@@ -11,6 +11,7 @@
 //! and `args.reason`/`args.addr` on every abort span.
 
 use crate::jsonin::{parse, JValue};
+use crate::Sweep;
 use semtm_core::chrome::chrome_trace_json;
 use semtm_core::{Algorithm, Stm, StmConfig, TelemetryLevel};
 use semtm_workloads::bank;
@@ -29,28 +30,33 @@ pub struct TraceSummary {
     pub attributed_aborts: usize,
 }
 
-/// Run the skewed Bank under the flight recorder and return the Chrome
-/// trace JSON plus the worker-thread count it must validate against.
-/// The skew concentrates conflicts so the timeline reliably contains
-/// abort spans with attributed addresses.
-pub fn record_bank_trace(
-    algorithm: Algorithm,
-    threads: usize,
-    duration: Duration,
-    seed: u64,
-) -> (String, Vec<(u64, u64)>) {
+/// The skewed Bank that `trace` and `dash` drive under the flight
+/// recorder, on S-NOrec: 64 accounts with transfers concentrated on 4 of
+/// them, so the timeline reliably holds abort spans with attributed
+/// addresses. Returns the runtime, the workload and its worker threads
+/// at `sweep`'s scale.
+pub fn skewed_bank(sweep: &Sweep) -> (Stm, bank::BankConfig, usize) {
     let cfg = bank::BankConfig {
         accounts: 64,
         skew_accounts: 4,
         ..bank::BankConfig::default()
     };
     let stm = Stm::new(
-        StmConfig::new(algorithm)
+        StmConfig::new(Algorithm::SNOrec)
             .heap_words(1 << 12)
             .orec_count(1 << 10)
             .telemetry(TelemetryLevel::Spans),
     );
-    bank::run(&stm, cfg, threads, duration, seed);
+    (stm, cfg, sweep.pick(2, 4))
+}
+
+/// Run the [`skewed_bank`] for `sweep`'s trace interval and return its
+/// worker threads (which the trace must validate against), the Chrome
+/// trace JSON and the hottest conflict addresses.
+pub fn record_bank_trace(sweep: &Sweep) -> (usize, String, Vec<(u64, u64)>) {
+    let (stm, cfg, threads) = skewed_bank(sweep);
+    let duration = sweep.pick(Duration::from_millis(120), Duration::from_millis(400));
+    bank::run(&stm, cfg, threads, duration, sweep.seed);
     let spans = stm.telemetry().span_events();
     let hot = stm
         .telemetry()
@@ -58,7 +64,7 @@ pub fn record_bank_trace(
         .into_iter()
         .map(|(a, n)| (a.index() as u64, n))
         .collect();
-    (chrome_trace_json(algorithm, &spans), hot)
+    (threads, chrome_trace_json(stm.algorithm(), &spans), hot)
 }
 
 fn field<'a>(e: &'a JValue, key: &str, ctx: &str) -> Result<&'a JValue, String> {
@@ -174,13 +180,14 @@ mod tests {
 
     #[test]
     fn recorded_bank_trace_passes_schema_validation() {
-        let threads = 4;
-        let (json, hot) = record_bank_trace(
-            Algorithm::SNOrec,
-            threads,
-            Duration::from_millis(120),
-            0xB0C4,
-        );
+        // Paper scale: four workers, enough contention for the abort
+        // assertions (two workers sharing the host with other tests
+        // sometimes commit every attempt).
+        let (threads, json, hot) = record_bank_trace(&Sweep {
+            scale: crate::Scale::Paper,
+            seed: 0xB0C4,
+            ..Sweep::tiny()
+        });
         let summary = validate_chrome_trace(&json, threads).expect("schema");
         assert!(summary.threads >= threads);
         assert!(summary.commit_spans >= threads);

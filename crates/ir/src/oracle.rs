@@ -59,7 +59,7 @@ impl std::fmt::Display for DiffReport {
         write!(
             f,
             "{}: {} -> {} barriers (widened {}, s1r {}, s2r {}, sw {}, loads removed {}), \
-             {} calls identical on all {} backend/dispatch configs",
+             {} calls match the pinned results in all {} form/algorithm configs",
             self.name,
             self.barriers_before,
             self.barriers_after,
@@ -69,7 +69,7 @@ impl std::fmt::Display for DiffReport {
             self.passes.sw,
             self.passes.loads_removed,
             self.calls,
-            Algorithm::ALL.len() * 2
+            FORM_COUNT * Algorithm::ALL.len()
         )
     }
 }
@@ -162,8 +162,11 @@ impl Form {
     }
 }
 
+/// How many forms [`forms`] gives a function.
+const FORM_COUNT: usize = 4;
+
 /// A function's four forms, labelled (see [`forms`]).
-pub type Forms = [(&'static str, Form); 4];
+pub type Forms = [(&'static str, Form); FORM_COUNT];
 
 /// The four forms `func` runs in — as written and after
 /// [`run_tm_passes_checked`], each walked and lowered — labelled

@@ -67,50 +67,30 @@ timeout 300 cargo test --release -q --test heap_footprint
 # too.
 timeout 300 cargo test --release -q --test opacity --test concurrency_stress
 
-echo "==> trace-export smoke (figures -- trace)"
-# Tiny skewed-Bank sweep under the flight recorder; the harness
-# schema-validates its own Chrome trace JSON (one track and at least one
-# complete span per worker) and exits non-zero on any violation.
-cargo run --release -q -p semtm-bench --bin figures -- --smoke trace
-
-echo "==> layout/clock ablation smoke (figures -- ablation-layout)"
-# Smoke-scale A5 sweep (all four {clock}x{layout} variants on Bank +
-# contended hashtable). Runs in a scratch dir so the checked-in
-# paper-scale results/ablation_layout.csv is never clobbered; the
-# smoke CSV lands under results/check/ (gitignored, uploaded by CI).
+echo "==> figures smokes: trace export, ablations A5, A6, A7"
+# One smoke-scale run in a scratch dir, so the checked-in paper-scale
+# results/ are never rewritten; each artifact lands under results/check/
+# (gitignored, uploaded by CI) as *_smoke.*. `trace` schema-validates its
+# own Chrome trace JSON (one track and at least one complete span per
+# worker) and exits non-zero on any violation. A5 runs the four
+# {clock}x{layout} variants on Bank + contended hashtable; A6 {no-wal,
+# per-commit fsync, group commit} on Bank plus recovery-replay
+# throughput; A7 the Bank -> hot Hashtable -> Scan gauntlet under the
+# three fixed engines and the adaptive runtime, invariants verified
+# across every hot-swap.
 root="$PWD"
 tmp="$(mktemp -d)"
-(cd "$tmp" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
-  -p semtm-bench --bin figures -- --smoke ablation-layout)
+(cd "$tmp" && cargo run --release -q --manifest-path "$root/Cargo.toml" -p semtm-bench \
+  --bin figures -- --smoke trace ablation-layout ablation-durability ablation-adaptive)
 mkdir -p results/check
-cp "$tmp/results/ablation_layout.csv" results/check/ablation_layout_smoke.csv
+cp "$tmp/results/trace_bank.json" results/check/trace_bank_smoke.json
+for f in ablation_layout ablation_durability ablation_adaptive; do
+  cp "$tmp/results/$f.csv" "results/check/${f}_smoke.csv"
+done
 rm -rf "$tmp"
 grep -q "sharded+padded" results/check/ablation_layout_smoke.csv
-
-echo "==> durability ablation smoke (figures -- ablation-durability)"
-# Smoke-scale A6 sweep ({no-wal, per-commit fsync, group commit} on
-# Bank, plus recovery-replay throughput). Same scratch-dir pattern as
-# A5; the smoke CSV lands under results/check/ for CI upload.
-tmp="$(mktemp -d)"
-(cd "$tmp" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
-  -p semtm-bench --bin figures -- --smoke ablation-durability)
-cp "$tmp/results/ablation_durability.csv" results/check/ablation_durability_smoke.csv
-rm -rf "$tmp"
 grep -q "wal-group" results/check/ablation_durability_smoke.csv
 grep -q "recovery" results/check/ablation_durability_smoke.csv
-
-echo "==> adaptive ablation smoke (figures -- ablation-adaptive)"
-# Smoke-scale A7 gauntlet (Bank -> hot Hashtable -> Scan under the
-# three fixed engines plus the adaptive runtime, invariants verified
-# across every hot-swap). Scratch-dir pattern as above; the smoke CSV
-# lands under results/check/ for CI upload, the checked-in paper-scale
-# results/ablation_adaptive.csv is regenerated by
-# `figures -- ablation-adaptive`.
-tmp="$(mktemp -d)"
-(cd "$tmp" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
-  -p semtm-bench --bin figures -- --smoke ablation-adaptive)
-cp "$tmp/results/ablation_adaptive.csv" results/check/ablation_adaptive_smoke.csv
-rm -rf "$tmp"
 grep -q "adaptive" results/check/ablation_adaptive_smoke.csv
 grep -q "switches" results/check/ablation_adaptive_smoke.csv
 
