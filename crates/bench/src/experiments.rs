@@ -578,13 +578,11 @@ pub fn ablation_adaptive(sweep: &Sweep) -> Vec<FigureRow> {
         let mut total_secs = 0.0f64;
         let mut commits = 0u64;
         let mut aborts = 0u64;
-        let mut attempts = 0u64;
         for (phase, r) in &phases {
             total_ops += r.total_ops;
             total_secs += r.elapsed.as_secs_f64();
             commits += r.stats.commits;
             aborts += r.stats.conflict_aborts();
-            attempts += r.stats.attempts();
             rows.push(FigureRow::measured(
                 "A7",
                 phase,
@@ -600,7 +598,9 @@ pub fn ablation_adaptive(sweep: &Sweep) -> Vec<FigureRow> {
             threads,
             metric: "throughput_ktps",
             value: total_ops as f64 / total_secs.max(1e-9) / 1000.0,
-            abort_pct: 100.0 * aborts as f64 / attempts.max(1) as f64,
+            // `StatsSnapshot::abort_pct` over the three phases:
+            // conflicts / (commits + conflicts), as every other row.
+            abort_pct: 100.0 * aborts as f64 / (commits + aborts).max(1) as f64,
             commits,
             aborts,
         });

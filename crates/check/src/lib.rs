@@ -22,8 +22,11 @@
 //!   oracle, with failing programs minimized before reporting.
 //!
 //! The instrumentation side lives in `semtm-core` behind the `shuttle`
-//! feature (`sched::point()` / `sched::spin()`), which this crate always
-//! enables; normal builds of the core compile the points away.
+//! feature (`sched::point()` / `sched::spin()`, and `sched::fault()` for
+//! the mutants a run names in
+//! [`ExploreOptions::fault`](schedule::ExploreOptions::fault)), which
+//! this crate always enables; normal builds of the core compile the
+//! points and the fault gates away.
 //!
 //! ## Quick start
 //!

@@ -1,21 +1,23 @@
-//! Shared exploration scenarios used both by the clean-run smoke tests
-//! and the fault-injection regression tests.
+//! Shared exploration scenarios used both by the clean-run tests and the
+//! mutation table (`tests/mutations.rs`).
 //!
 //! Each history scenario runs its threads under the given schedule
 //! driver through [`run_checked`], which records the full history and
 //! checks it. With the algorithms unmodified every bounded schedule
-//! passes; with the corresponding fault armed (`semtm_core::fault`)
+//! passes; with the corresponding [`Fault`](semtm_core::sched::Fault)
+//! named in the run's [`ExploreOptions`](crate::schedule::ExploreOptions)
 //! some schedule commits a non-serializable history and the checker
 //! reports it.
 
-use crate::fuzz::check_stm_traced;
+use crate::fuzz::{check_stm, check_stm_traced};
 use crate::history::{run_checked, RecThread};
 use crate::schedule::Driver;
 use crate::vthread::{run_threads, STEP_CAP};
 use semtm_core::ops::CmpOp;
 use semtm_core::wal::{DurabilityMode, SimStorage};
 use semtm_core::{Addr, Algorithm, Mode, Stm, StmConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use semtm_ir::{programs, Form, Interp};
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 
 /// One cell per value, allocated in order: packed on a one-shard
 /// runtime, a cache line (and clock shard) each on a sharded one.
@@ -130,7 +132,7 @@ pub fn tl2_read_validation(driver: &mut dyn Driver, shards: usize) -> Result<(),
 /// `T0: if x > 0 { out = 1 }; read z; read y` vs `T1: x = -5; y = 1`
 /// (one tx) with `T2: switch_to(S-TL2)`. Correctly drained, T0 retires
 /// before the mode changes and every interleaving serializes. With
-/// `ADAPT_SKIP_DRAIN` armed there is a schedule where (1) T0 passes its
+/// `Fault::AdaptSkipDrain` there is a schedule where (1) T0 passes its
 /// cmp under S-NOrec, (2) the switch reseeds (NOrec clock bump) and
 /// publishes S-TL2 without waiting, (3) T0's read of `z` revalidates
 /// against the bumped clock — `x` is still 5, so the snapshot extends —
@@ -140,8 +142,8 @@ pub fn tl2_read_validation(driver: &mut dyn Driver, shards: usize) -> Result<(),
 /// explains (`[T0,T1]` gives `y = 0` at T0's read; `[T1,T0]` makes the
 /// cmp false).
 ///
-/// Runs on `shards` commit-clock shards. The faulted regression
-/// (`tests/fault_adapt.rs`) runs it at one: the violating schedule above
+/// Runs on `shards` commit-clock shards. The faulted row of
+/// `tests/mutations.rs` runs it at one: the violating schedule above
 /// is a *global-clock* interleaving (step 3 relies on whole-read-set
 /// revalidation against the single NOrec sequence word).
 pub fn adaptive_switch_drain(driver: &mut dyn Driver, shards: usize) -> Result<(), String> {
@@ -245,6 +247,44 @@ pub fn adaptive_switch_wal_flush(driver: &mut dyn Driver) -> Result<(), String> 
         ));
     }
     Ok(())
+}
+
+/// Two racing calls of the shipped IR kernel
+/// `cross_block_guard(lock, count)` in `form` (labelled `name`), from
+/// its row's image (the lock free, the counter at 0): exactly one caller
+/// acquires and the counter is bumped once, whether the guard is the
+/// original load+cmp pair or the promoted `_ITM_S1R` value-compare,
+/// which S-TL2 revalidates at commit (the compare-set check).
+pub fn cross_block_guard(
+    driver: &mut dyn Driver,
+    alg: Algorithm,
+    shards: usize,
+    (name, form): &(&str, Form),
+) -> Result<(), String> {
+    let kernel = programs::kernel("cross_block_guard").expect("a shipped kernel");
+    let stm = check_stm(alg, shards);
+    let cells = kernel.scenario.place(&stm);
+    let (lock, count) = (cells[0], cells[1]);
+    let args = kernel.scenario.calls[0].args(&cells);
+    let rets = [AtomicI64::new(-1), AtomicI64::new(-1)];
+    let body = |tid: usize| {
+        let r = form
+            .execute(&Interp::new(&stm), &args)
+            .expect("kernel executes")
+            .expect("kernel returns a value");
+        rets[tid].store(r, Ordering::Relaxed);
+    };
+    run_threads(&[&body, &body], driver, STEP_CAP)?;
+    let (l, c) = (stm.read_now(lock), stm.read_now(count));
+    let acquired = rets[0].load(Ordering::Relaxed) + rets[1].load(Ordering::Relaxed);
+    if l == 1 && c == 1 && acquired == 1 {
+        Ok(())
+    } else {
+        Err(format!(
+            "{alg}/{name}/{shards}: mutual exclusion broken: lock={l} \
+             count={c} acquisitions={acquired}"
+        ))
+    }
 }
 
 #[cfg(test)]

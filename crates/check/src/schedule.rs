@@ -11,6 +11,7 @@
 //! * [`RandomDriver`] — a seeded random walk (SplitMix64), fully
 //!   replayable from the printed seed.
 
+use semtm_core::sched::Fault;
 use semtm_core::util::SplitMix64;
 
 /// One scheduling decision's context, handed to the driver.
@@ -30,6 +31,12 @@ pub struct Decision<'a> {
 pub trait Driver {
     /// Return the id of the thread to run; must be in `d.alive`.
     fn choose(&mut self, d: Decision<'_>) -> usize;
+
+    /// The guard every thread of the execution skips
+    /// ([`ExploreOptions::fault`]); none by default.
+    fn fault(&self) -> Option<Fault> {
+        None
+    }
 }
 
 /// Candidate threads for a decision, and whether picking any candidate
@@ -83,6 +90,7 @@ pub struct DfsDriver {
     /// Decisions taken so far in the current execution.
     trace: Vec<Node>,
     preemptions: u32,
+    fault: Option<Fault>,
 }
 
 impl DfsDriver {
@@ -94,6 +102,7 @@ impl DfsDriver {
             prefix: Vec::new(),
             trace: Vec::new(),
             preemptions: 0,
+            fault: None,
         }
     }
 
@@ -152,6 +161,10 @@ impl Driver for DfsDriver {
         }
         chosen
     }
+
+    fn fault(&self) -> Option<Fault> {
+        self.fault
+    }
 }
 
 /// Seeded random-walk driver: switches away from a runnable current
@@ -196,6 +209,9 @@ pub struct ExploreOptions {
     pub max_preemptions: u32,
     /// Hard cap on the number of executions (0 = unlimited).
     pub max_executions: usize,
+    /// The guard every execution's threads skip (a mutant the checker
+    /// must catch), or `None` for the engines as they ship.
+    pub fault: Option<Fault>,
 }
 
 impl Default for ExploreOptions {
@@ -203,6 +219,7 @@ impl Default for ExploreOptions {
         ExploreOptions {
             max_preemptions: 3,
             max_executions: 0,
+            fault: None,
         }
     }
 }
@@ -219,7 +236,10 @@ pub fn explore_exhaustive(
     opts: ExploreOptions,
     mut execute: impl FnMut(&mut DfsDriver) -> Result<(), String>,
 ) -> usize {
-    let mut driver = DfsDriver::new(opts.max_preemptions);
+    let mut driver = DfsDriver {
+        fault: opts.fault,
+        ..DfsDriver::new(opts.max_preemptions)
+    };
     let mut executions = 0usize;
     loop {
         executions += 1;

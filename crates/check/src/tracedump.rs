@@ -1,8 +1,8 @@
 //! Flight-recorder dumps for failing schedules.
 //!
 //! When a checked execution on a
-//! [`TelemetryLevel::Spans`]-enabled runtime fails — a fault-injection
-//! scenario, or the differential fuzzer's replay of its minimized
+//! [`TelemetryLevel::Spans`]-enabled runtime fails — a faulted mutation
+//! row, or the differential fuzzer's replay of its minimized
 //! program — the recorded spans are written out as Chrome trace-event
 //! JSON under `results/check/` at the workspace root. The panic/error
 //! message names the file, so a red CI run ships a timeline of the

@@ -10,7 +10,7 @@
 //! enumerates, or randomises.
 
 use crate::schedule::{Decision, Driver};
-use semtm_core::sched::{self, PointKind, SchedHook};
+use semtm_core::sched::{self, Fault, PointKind, SchedHook};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, Once};
 
@@ -106,6 +106,8 @@ impl Slot {
 /// The per-worker [`SchedHook`] installed for the body's thread.
 struct WorkerHook {
     slot: Arc<Slot>,
+    /// The driver's [`Driver::fault`], the one guard this thread skips.
+    fault: Option<Fault>,
 }
 
 impl SchedHook for WorkerHook {
@@ -114,6 +116,9 @@ impl SchedHook for WorkerHook {
     }
     fn spin(&self) {
         self.slot.park(true);
+    }
+    fn fault(&self, fault: Fault) -> bool {
+        self.fault == Some(fault)
     }
 }
 
@@ -139,7 +144,7 @@ pub const STEP_CAP: usize = 20_000;
 pub type Body<'b> = &'b (dyn Fn(usize) + Sync);
 
 /// Run `bodies` under `driver`'s schedule, each called with its thread
-/// index.
+/// index, skipping the guard [`Driver::fault`] names.
 ///
 /// Every body runs to completion (or unwinds) before this returns. A
 /// panic in a body (other than coordinator cancellation) cancels the
@@ -156,6 +161,7 @@ pub fn run_threads(
 ) -> Result<(), String> {
     install_quiet_panic_hook();
     let n = bodies.len();
+    let fault = driver.fault();
     let slots: Vec<Arc<Slot>> = (0..n).map(|_| Arc::new(Slot::new())).collect();
     let mut steps = 0usize;
     let mut capped = false;
@@ -166,7 +172,10 @@ pub fn run_threads(
         for (i, body) in bodies.iter().enumerate() {
             let slot = slots[i].clone();
             handles.push(scope.spawn(move || {
-                let hook: Arc<dyn SchedHook> = Arc::new(WorkerHook { slot: slot.clone() });
+                let hook: Arc<dyn SchedHook> = Arc::new(WorkerHook {
+                    slot: slot.clone(),
+                    fault,
+                });
                 sched::install_hook(hook);
                 let result = panic::catch_unwind(AssertUnwindSafe(|| body(i)));
                 sched::clear_hook();

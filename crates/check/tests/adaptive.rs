@@ -4,14 +4,14 @@
 //! acked-but-not-fsynced commit crossing the switch epoch.
 //!
 //! The same drain scenario runs *faulted* (drain barrier skipped) in
-//! `tests/fault_adapt.rs`, proving the checker would catch the bug
-//! these schedules are gating against.
+//! the mutation table (`tests/mutations.rs`), proving the checker would
+//! catch the bug these schedules are gating against.
 //!
 //! The spin waits in the drain/flusher loops branch freely in the DFS
 //! (spin switches cost no preemption), so the full bounded trees are
 //! far too large to exhaust; each bound instead runs a deterministic
 //! DFS *prefix* of a few hundred executions. Calibration: with the
-//! drain fault armed, the violating schedule sits at execution 145 of
+//! drain skipped, the violating schedule sits at execution 145 of
 //! the bound-2 DFS order (649 at bound 3) — the prefixes below cover
 //! that neighbourhood several times over.
 
@@ -30,6 +30,7 @@ fn switch_racing_commits_and_aborts_serializes() {
                 ExploreOptions {
                     max_preemptions: bound,
                     max_executions: cap,
+                    fault: None,
                 },
                 |driver| scenario::adaptive_switch_drain(driver, shards),
             );
@@ -45,6 +46,7 @@ fn switch_racing_wal_group_commit_flush_keeps_acks_durable() {
             ExploreOptions {
                 max_preemptions: bound,
                 max_executions: cap,
+                fault: None,
             },
             |driver| scenario::adaptive_switch_wal_flush(driver),
         );

@@ -10,6 +10,7 @@
 //! runs on the global commit clock and on 4 clock shards ([`SHARDS`]).
 
 use semtm_check::fuzz::check_stm;
+use semtm_check::scenario;
 use semtm_check::schedule::{explore_exhaustive, ExploreOptions};
 use semtm_check::vthread::{run_threads, STEP_CAP};
 use semtm_core::Algorithm;
@@ -24,6 +25,7 @@ fn opts() -> ExploreOptions {
     ExploreOptions {
         max_preemptions: 2,
         max_executions: 2_000,
+        fault: None,
     }
 }
 
@@ -94,43 +96,19 @@ fn range_gate_serializes_against_a_bucket_drain_on_every_schedule() {
     }
 }
 
-/// Two racing `cross_block_guard(lock, count)` calls: mutual exclusion
-/// must hold on every schedule — exactly one caller acquires, the
-/// counter is bumped exactly once — whether the guard is the original
-/// load+cmp pair or the promoted `_ITM_S1R` value-compare.
+/// Two racing `cross_block_guard(lock, count)` calls
+/// ([`scenario::cross_block_guard`]) keep mutual exclusion on every
+/// schedule, in every form.
 #[test]
 fn cross_block_guard_is_mutually_exclusive_on_every_schedule() {
-    // The row's image: the lock free, the counter at 0.
-    let (scenario, variants) = kernel("cross_block_guard");
+    let (_, variants) = kernel("cross_block_guard");
     for shards in SHARDS {
         for alg in Algorithm::ALL {
-            for (name, f) in &variants {
+            for form in &variants {
                 let explored = explore_exhaustive(opts(), |driver| {
-                    let stm = check_stm(alg, shards);
-                    let cells = scenario.place(&stm);
-                    let (lock, count) = (cells[0], cells[1]);
-                    let args = scenario.calls[0].args(&cells);
-                    let rets = [AtomicI64::new(-1), AtomicI64::new(-1)];
-                    let body = |tid: usize| {
-                        let r = f
-                            .execute(&Interp::new(&stm), &args)
-                            .expect("kernel executes")
-                            .expect("kernel returns a value");
-                        rets[tid].store(r, Ordering::Relaxed);
-                    };
-                    run_threads(&[&body, &body], driver, STEP_CAP)?;
-                    let (l, c) = (stm.read_now(lock), stm.read_now(count));
-                    let acquired =
-                        rets[0].load(Ordering::Relaxed) + rets[1].load(Ordering::Relaxed);
-                    if l == 1 && c == 1 && acquired == 1 {
-                        Ok(())
-                    } else {
-                        Err(format!(
-                            "{alg}/{name}/{shards}: mutual exclusion broken: lock={l} \
-                         count={c} acquisitions={acquired}"
-                        ))
-                    }
+                    scenario::cross_block_guard(driver, alg, shards, form)
                 });
+                let name = form.0;
                 assert!(
                     explored > 10,
                     "{alg}/{name}/{shards}: only {explored} schedules"

@@ -1,8 +1,7 @@
 //! Scheduler smoke tests: the exhaustive and random explorers drive
-//! real STM transactions through every bounded schedule, histories
-//! check out on every execution, and — crucially for the fault-
-//! injection regression tests — the exact scenarios those tests arm
-//! faults for are clean when the algorithms are unmodified.
+//! real STM transactions through every bounded schedule, and histories
+//! check out on every execution. The scenarios the mutation table
+//! (`tests/mutations.rs`) faults run clean there too.
 //!
 //! Every test runs once per row of [`SHARDS`]: the global commit clock
 //! and the sharded clock at 4 shards, where padded allocation gives each
@@ -10,7 +9,6 @@
 
 use semtm_check::fuzz::check_stm;
 use semtm_check::history::{run_checked, RecThread};
-use semtm_check::scenario;
 use semtm_check::schedule::{explore_exhaustive, explore_random, ExploreOptions, RandomDriver};
 use semtm_check::vthread::{run_threads, STEP_CAP};
 use semtm_core::ops::CmpOp;
@@ -142,43 +140,5 @@ fn random_exploration_checks_many_seeds() {
                 run_checked(&name, &stm, &[x, y], &[&t0, &t1], driver, STEP_CAP).map(drop)
             });
         }
-    }
-}
-
-// The two scenarios below are byte-for-byte the ones the fault-injection
-// regression tests (tests/fault_snorec.rs, tests/fault_tl2.rs) arm
-// faults against. Unfaulted they must survive *every* bounded schedule —
-// so a fault-test panic can only come from the armed fault.
-
-#[test]
-fn snorec_fault_scenario_is_clean_without_the_fault() {
-    // `(algorithm, clock shards)`: the faulted S-NOrec rows, and NOrec
-    // at 4 shards, whose validation must re-check `x`'s shard when the
-    // read of `y` touches another.
-    for (alg, shards) in [
-        (Algorithm::SNOrec, 1),
-        (Algorithm::SNOrec, 4),
-        (Algorithm::NOrec, 4),
-    ] {
-        let explored = explore_exhaustive(opts(3), |driver| {
-            scenario::snorec_revalidation(driver, alg, shards)
-        });
-        assert!(
-            explored > 10,
-            "{alg}/{shards}: scenario must branch: {explored} schedules"
-        );
-    }
-}
-
-#[test]
-fn tl2_fault_scenario_is_clean_without_the_fault() {
-    for shards in SHARDS {
-        let explored = explore_exhaustive(opts(3), |driver| {
-            scenario::tl2_read_validation(driver, shards)
-        });
-        assert!(
-            explored > 10,
-            "{shards}: scenario must branch: {explored} schedules"
-        );
     }
 }

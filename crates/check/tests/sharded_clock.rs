@@ -7,14 +7,14 @@
 //! snapshot and blind) all run for real. Exhaustive bounded-preemption
 //! DFS covers the targeted scenarios. The other check files run their
 //! own scenarios at 4 shards (and the multi-cell ones at 16) as rows of
-//! their own: the racing-writers history and the S-NOrec revalidation
-//! scenario (NOrec and S-NOrec) in `scheduler_smoke.rs`, and the
-//! differential fuzzer's 4-shard rows, with and without the hot-swap
+//! their own: the racing-writers history in `scheduler_smoke.rs`, the
+//! S-NOrec revalidation scenario (NOrec and S-NOrec) and the first
+//! touch straddling a commit (every algorithm) in `mutations.rs`, and
+//! the differential fuzzer's 4-shard rows, with and without the hot-swap
 //! switcher, in `fuzz_differential.rs`.
 
 use semtm_check::fuzz::check_stm;
 use semtm_check::history::{run_checked, RecBody, RecThread};
-use semtm_check::scenario;
 use semtm_check::schedule::{explore_exhaustive, Driver, ExploreOptions};
 use semtm_check::vthread::{run_threads, STEP_CAP};
 use semtm_core::{AbortReason, Algorithm};
@@ -160,21 +160,6 @@ fn exhaustive_crossed_readers_writers_terminate_without_timeout() {
                 Ok(())
             });
         }
-    }
-}
-
-#[test]
-fn exhaustive_first_touch_straddling_a_commit_is_opaque() {
-    // T0 reads x under shard A, then y under shard B — sampled only at
-    // that first touch; T1 writes both in one transaction. No attempt of
-    // T0, committed or aborted, may observe the old x with the new y.
-    // `tests/fault_sclock.rs` runs the same scenario with the first
-    // touch broken and expects the checker to object.
-    for alg in Algorithm::ALL {
-        let explored = explore_exhaustive(opts(2), |driver| {
-            scenario::first_touch_straddle(driver, alg)
-        });
-        assert!(explored > 1, "{alg}: expected multiple schedules");
     }
 }
 

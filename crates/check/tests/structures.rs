@@ -25,6 +25,7 @@ fn opts(max_preemptions: u32, max_executions: usize) -> ExploreOptions {
     ExploreOptions {
         max_preemptions,
         max_executions,
+        fault: None,
     }
 }
 

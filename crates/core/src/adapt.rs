@@ -50,11 +50,11 @@
 //! (`AdaptEnter` / `AdaptEnterRecheck` / `AdaptAcquire` / `AdaptDrain` /
 //! `AdaptReseed` / `AdaptPublish`), so `semtm-check` DFS explores
 //! switches interleaved with commits, aborts, and WAL group-commit
-//! flushes; the [`crate::fault::ADAPT_SKIP_DRAIN`] injection proves the
+//! flushes; the [`Fault::AdaptSkipDrain`] mutant proves the
 //! checker catches a switch that skips the drain barrier.
 
 use crate::config::{Algorithm, StmConfig};
-use crate::sched;
+use crate::sched::{self, Fault};
 use crate::telemetry::{RateEwma, SHARDS};
 use crate::util::SpinWait;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -351,10 +351,10 @@ impl ModeMachine {
         // Drain: every slot at zero ⇒ no attempt is in flight ⇒ no
         // commit lock held, no partial write-back, all durable commits
         // acked. New attempts see `Draining` and wait, so the count
-        // cannot rise again. ADAPT_SKIP_DRAIN reintroduces the obvious
-        // bug for the checker regression.
+        // cannot rise again. `Fault::AdaptSkipDrain` reintroduces the
+        // obvious bug for the checker's mutation table.
         let mut drain_rounds = 0u64;
-        if !crate::fault::active(crate::fault::ADAPT_SKIP_DRAIN) {
+        if !sched::fault(Fault::AdaptSkipDrain) {
             sched::point(sched::PointKind::AdaptDrain);
             while self.active_total() != 0 {
                 drain_rounds += 1;

@@ -75,7 +75,6 @@ pub mod chrome;
 pub mod cm;
 pub mod config;
 pub mod error;
-pub mod fault;
 pub mod heap;
 pub mod norec;
 pub mod ops;

@@ -25,10 +25,9 @@
 //! mirroring how unmodified libitm delegates the new ABI calls.
 
 use crate::error::{Abort, AbortReason};
-use crate::fault;
 use crate::heap::{Addr, Heap, LINE_BYTES};
 use crate::ops::CmpOp;
-use crate::sched::{self, PointKind};
+use crate::sched::{self, Fault, PointKind};
 use crate::sets::{ReadEntry, Scratch, ScratchBox, WriteSet};
 use crate::stm::Engine;
 use crate::telemetry::PhaseRecorder;
@@ -49,7 +48,7 @@ impl Reads<'_> {
     /// Semantically re-check every entry `moved` selects (Algorithm 6
     /// `Validate`, line 5); the failing entry's address is attributed.
     pub(crate) fn recheck(&self, moved: impl Fn(&ReadEntry) -> bool) -> Result<(), Abort> {
-        if fault::active(fault::SNOREC_SKIP_REVALIDATION) {
+        if sched::fault(Fault::SnorecSkipRevalidation) {
             return Ok(());
         }
         match self

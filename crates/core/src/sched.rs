@@ -15,6 +15,11 @@
 //! interleavings exhaustively (bounded-preemption DFS) or replayably
 //! (seeded random walks).
 //!
+//! The same hook decides [`fault`]s: a checker run that names a
+//! [`Fault`] makes the engines skip that one guard on its threads, so
+//! the explorer can show the checker catches the guard's removal.
+//! Without a hook, and always without `shuttle`, no fault fires.
+//!
 //! Placement invariant relied on by the history checker: **no schedule
 //! point sits between a commit's first data write-back and its lock
 //! release**. Write-back plus release is one atomic step of the virtual
@@ -104,12 +109,56 @@ pub enum PointKind {
     AdaptPublish,
 }
 
+/// A guard an engine skips when the running thread's hook asks for it
+/// ([`fault`]): a deliberately reintroduced bug the `semtm-check`
+/// mutation table shows the checker catches. Not `#[non_exhaustive]`,
+/// so a `match` over it names every fault.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Fault {
+    /// S-NOrec: skip the per-entry semantic revalidation of the
+    /// read/compare set during [`validate`](crate::norec), committing on
+    /// a stale snapshot.
+    SnorecSkipRevalidation,
+    /// TL2/S-TL2: skip commit-time read-set validation when the commit
+    /// timestamp moved past the start version, publishing writes that
+    /// were derived from since-overwritten reads.
+    Tl2SkipReadValidation,
+    /// S-TL2: skip the compare-set revalidation of the commit-time clock
+    /// advance (Algorithm 7 lines 68–72) when the clock moved past the
+    /// start version, so a compare a concurrent commit flipped after the
+    /// attempt's last extension still commits.
+    Stl2SkipCompareSet,
+    /// Adaptive switching: skip the drain barrier of
+    /// [`crate::Stm::switch_to`] — the switch publishes the new mode
+    /// while old-mode attempts are still in flight, so a new-mode
+    /// transaction can commit without the old mode's clock ever noticing
+    /// (the cross-engine torn-validation bug the mode word's quiesce
+    /// protocol exists to prevent).
+    AdaptSkipDrain,
+    /// Sharded-clock NOrec: the first read under a shard records its
+    /// word but leaves the shard out of the set the attempt has read
+    /// under ([`crate::sclock`]), so no later validation looks at it and
+    /// a commit under it goes unnoticed.
+    ScnorecForgetTouch,
+}
+
+impl Fault {
+    /// Every fault, in declaration order.
+    pub const ALL: [Fault; 5] = [
+        Fault::SnorecSkipRevalidation,
+        Fault::Tl2SkipReadValidation,
+        Fault::Stl2SkipCompareSet,
+        Fault::AdaptSkipDrain,
+        Fault::ScnorecForgetTouch,
+    ];
+}
+
 #[cfg(feature = "shuttle")]
-pub use active::{clear_hook, install_hook, point, spin, SchedHook};
+pub use active::{clear_hook, fault, install_hook, point, spin, SchedHook};
 
 #[cfg(feature = "shuttle")]
 mod active {
-    use super::PointKind;
+    use super::{Fault, PointKind};
     use std::cell::RefCell;
     use std::sync::Arc;
 
@@ -126,6 +175,11 @@ mod active {
         /// are side-effect free, so branching on them would make the
         /// schedule tree infinite.
         fn spin(&self);
+        /// Whether the calling thread skips the guard `fault` names. Not
+        /// a schedule point: answering must not park the thread.
+        fn fault(&self, _fault: Fault) -> bool {
+            false
+        }
     }
 
     thread_local! {
@@ -170,6 +224,13 @@ mod active {
             hook.spin();
         }
     }
+
+    /// Whether the guard `fault` names is skipped: the installed hook's
+    /// answer, `false` without a hook.
+    #[inline]
+    pub fn fault(fault: Fault) -> bool {
+        hook().is_some_and(|hook| hook.fault(fault))
+    }
 }
 
 /// A schedule point (no-op in this build; see the module docs).
@@ -182,12 +243,20 @@ pub fn point(_kind: PointKind) {}
 #[inline(always)]
 pub fn spin() {}
 
+/// Whether a guard is skipped (never in this build; see the module docs).
+#[cfg(not(feature = "shuttle"))]
+#[inline(always)]
+pub fn fault(_fault: Fault) -> bool {
+    false
+}
+
 #[cfg(all(test, feature = "shuttle"))]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
+    /// Counts points and spins, and skips the one guard it names.
     struct Counter(AtomicUsize, AtomicUsize);
     impl SchedHook for Counter {
         fn point(&self, _k: PointKind) {
@@ -196,18 +265,26 @@ mod tests {
         fn spin(&self) {
             self.1.fetch_add(1, Ordering::SeqCst);
         }
+        fn fault(&self, f: Fault) -> bool {
+            f == Fault::AdaptSkipDrain
+        }
     }
 
     #[test]
     fn hook_sees_points_only_while_installed() {
         point(PointKind::NorecBegin); // no hook: free
+        assert!(Fault::ALL.iter().all(|&f| !fault(f)), "no hook: no fault");
         let c = Arc::new(Counter(AtomicUsize::new(0), AtomicUsize::new(0)));
         install_hook(c.clone());
         point(PointKind::NorecBegin);
         point(PointKind::Tl2Read);
         spin();
+        for f in Fault::ALL {
+            assert_eq!(fault(f), f == Fault::AdaptSkipDrain, "{f:?}");
+        }
         clear_hook();
         point(PointKind::NorecBegin);
+        assert!(!fault(Fault::AdaptSkipDrain));
         assert_eq!(c.0.load(Ordering::SeqCst), 2);
         assert_eq!(c.1.load(Ordering::SeqCst), 1);
     }
@@ -217,7 +294,9 @@ mod tests {
         let c = Arc::new(Counter(AtomicUsize::new(0), AtomicUsize::new(0)));
         install_hook(c.clone());
         std::thread::scope(|s| {
-            s.spawn(|| point(PointKind::NorecBegin)); // other thread: no hook
+            // Other thread: no hook, so no point and no fault.
+            s.spawn(|| point(PointKind::NorecBegin));
+            s.spawn(|| assert!(!fault(Fault::AdaptSkipDrain)));
         });
         assert_eq!(c.0.load(Ordering::SeqCst), 0);
         clear_hook();

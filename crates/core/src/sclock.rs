@@ -63,10 +63,9 @@
 //! data write-back.
 
 use crate::error::Abort;
-use crate::fault;
 use crate::heap::{Addr, LINE_WORDS};
 use crate::norec::{CommitClock, Reads};
-use crate::sched::{self, PointKind};
+use crate::sched::{self, Fault, PointKind};
 use crate::sets::{ReadEntry, Scratch, WriteSet};
 use crate::util::SpinWait;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -249,7 +248,7 @@ impl ShardedClock {
             let word = self.load(s);
             if word & 1 == 0 {
                 v.snapshot[s] = word;
-                if !fault::active(fault::SCNOREC_FORGET_TOUCH) {
+                if !sched::fault(Fault::ScnorecForgetTouch) {
                     v.known |= 1 << s;
                 }
                 return;

@@ -30,10 +30,9 @@
 pub mod orec;
 
 use crate::error::Abort;
-use crate::fault;
 use crate::heap::{Addr, Heap, LINE_BYTES};
 use crate::ops::CmpOp;
-use crate::sched;
+use crate::sched::{self, Fault};
 use crate::sets::{ReadEntry, Scratch, ScratchBox};
 use crate::stm::Engine;
 use crate::telemetry::PhaseRecorder;
@@ -509,7 +508,7 @@ impl<'a> Engine<'a> for Tl2Tx<'a> {
         let time = loop {
             sched::point(sched::PointKind::Tl2CommitCas);
             let time = self.global.now();
-            if time != self.start_version {
+            if time != self.start_version && !sched::fault(Fault::Stl2SkipCompareSet) {
                 if let Err(e) = self.validate_compare_set() {
                     self.release_locks_rollback();
                     return Err(e);
@@ -521,7 +520,7 @@ impl<'a> Engine<'a> for Tl2Tx<'a> {
         };
         let write_version = time + 1;
 
-        if time != self.start_version && !fault::active(fault::TL2_SKIP_READ_VALIDATION) {
+        if time != self.start_version && !sched::fault(Fault::Tl2SkipReadValidation) {
             if let Err(e) = self.validate_read_set() {
                 self.release_locks_rollback();
                 return Err(e);

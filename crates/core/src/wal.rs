@@ -42,7 +42,6 @@
 //! cannot make durable (retrying would double-apply increments).
 
 use crate::error::Abort;
-use crate::fault;
 use crate::heap::{Addr, Heap};
 use crate::sched;
 use std::io::{self, Write as _};
@@ -295,9 +294,12 @@ impl LogStorage for FileStorage {
     }
 }
 
+#[derive(Default)]
 struct SimState {
     bytes: Vec<u8>,
     durable: usize,
+    fail_appends: bool,
+    fail_syncs: bool,
 }
 
 /// In-memory storage that models the two crash-relevant watermarks:
@@ -305,10 +307,8 @@ struct SimState {
 /// A process kill preserves everything written; a power loss preserves
 /// only the durable prefix, with the written-but-unsynced tail possibly
 /// torn. The crash harness reconstructs both images from one run.
-///
-/// Honours the [`fault::WAL_APPEND_IO_ERROR`] /
-/// [`fault::WAL_FSYNC_IO_ERROR`] bits when the `fault-injection`
-/// feature is compiled in.
+/// Its handle can make it fail appends or syncs, whichever thread
+/// flushes.
 pub struct SimStorage {
     state: Arc<Mutex<SimState>>,
 }
@@ -323,10 +323,7 @@ pub struct SimHandle {
 impl SimStorage {
     /// A fresh empty simulated log plus its observer handle.
     pub fn new() -> (SimStorage, SimHandle) {
-        let state = Arc::new(Mutex::new(SimState {
-            bytes: Vec::new(),
-            durable: 0,
-        }));
+        let state = Arc::new(Mutex::new(SimState::default()));
         (
             SimStorage {
                 state: state.clone(),
@@ -338,17 +335,18 @@ impl SimStorage {
 
 impl LogStorage for SimStorage {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        if fault::active(fault::WAL_APPEND_IO_ERROR) {
+        let mut st = self.state.lock().unwrap();
+        if st.fail_appends {
             return Err(io::Error::other("injected WAL append failure"));
         }
-        self.state.lock().unwrap().bytes.extend_from_slice(bytes);
+        st.bytes.extend_from_slice(bytes);
         Ok(())
     }
     fn sync(&mut self) -> io::Result<()> {
-        if fault::active(fault::WAL_FSYNC_IO_ERROR) {
+        let mut st = self.state.lock().unwrap();
+        if st.fail_syncs {
             return Err(io::Error::other("injected WAL fsync failure"));
         }
-        let mut st = self.state.lock().unwrap();
         st.durable = st.bytes.len();
         Ok(())
     }
@@ -364,6 +362,18 @@ impl SimHandle {
     /// A copy of the full written byte stream.
     pub fn bytes(&self) -> Vec<u8> {
         self.state.lock().unwrap().bytes.clone()
+    }
+
+    /// Whether appends fail with an I/O error from now on, exercising
+    /// the clean pre-write-back abort path.
+    pub fn fail_appends(&self, fail: bool) {
+        self.state.lock().unwrap().fail_appends = fail;
+    }
+
+    /// Whether syncs fail with an I/O error from now on, exercising the
+    /// fail-stop path in [`CommitLog::wait_durable`].
+    pub fn fail_syncs(&self, fail: bool) {
+        self.state.lock().unwrap().fail_syncs = fail;
     }
 }
 

@@ -8,25 +8,14 @@ cd "$(dirname "$0")/.."
 # and the benchmark gate run under `timeout`, at least 3x the step's wall
 # time from a cold build on the 2-vCPU reference host.
 
-echo "==> fault tests: one test per binary"
-# Faults are process-global (`semtm_core::fault`): each fault test arms
-# its bit for the whole process, so every crates/check/tests/fault_*.rs
-# must hold exactly one test and run in its own test binary.
-for f in crates/check/tests/fault_*.rs; do
-  n="$(grep -c '#\[test\]' "$f" || true)"
-  if [ "$n" -ne 1 ]; then
-    echo "tier1: $f holds $n tests; a fault test file holds exactly one" >&2
-    exit 1
-  fi
-done
-
 echo "==> the root package links semtm-core without the schedule hooks"
-# `semtm-check` turns on `semtm-core/{shuttle,fault-injection}`; as a
-# dependency of the root package it would compile the hooks into every
-# example and test there, including the release-mode steps below that
-# stand for the shipped code shape. Its users live in crates/check.
+# `semtm-check` turns on `semtm-core/shuttle`; as a dependency of the
+# root package it would compile the hooks (and the fault gates they
+# answer) into every example and test there, including the release-mode
+# steps below that stand for the shipped code shape. Its users live in
+# crates/check.
 hooks="$(cargo tree --offline -p semtm -e features -i semtm-core \
-  | grep -E 'feature "(shuttle|fault-injection)"' || true)"
+  | grep -F 'feature "shuttle"' || true)"
 if [ -n "$hooks" ]; then
   echo "tier1: the root package builds semtm-core with the schedule hooks:" >&2
   echo "$hooks" >&2
