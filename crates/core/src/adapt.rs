@@ -19,17 +19,24 @@
 //! ```text
 //! enter:  loop {
 //!           w := word;            if draining(w) { wait; retry }
-//!           slot[tid % 64] += 1;                       // publish presence
-//!           if word == w { return w }                  // still that epoch
-//!           slot[tid % 64] -= 1; retry                 // raced a switch
+//!           record[lease].active += 1;         // publish presence (locked)
+//!           if word == w { return w }          // still that epoch
+//!           record[lease].active -= 1; retry   // raced a switch
 //!         }
-//! exit:   slot[tid % 64] -= 1
+//! exit:   record[lease].active -= 1            // a `Release` store
 //! ```
 //!
-//! The slots are 64 cache-line-padded **counters** (not flags): beyond 64
-//! threads, slots are shared and the count still sums correctly. A switch
+//! The presence counts live in the runtime's attempt records
+//! ([`crate::stats`]), one per [lease](crate::util::LEASES), which only
+//! the thread holding it writes, plus one overflow record that every
+//! thread without a lease shares. They are **counters**, not flags: a
+//! thread nests transactions, and the overflow count sums several
+//! threads. The increment in `enter` is a `SeqCst` `fetch_add`, one half
+//! of the runtime's one store→load pair (DESIGN.md §8.5); a leased
+//! record's decrements are a load and a `Release` store, the overflow
+//! record's a `fetch_sub`. A switch
 //! CAS-publishes `Draining` (winning switcher takes the word), waits
-//! for every slot to reach zero — at which point *no* transaction is
+//! for every count to reach zero — at which point *no* transaction is
 //! in flight: no commit lock is held, no write-back is partial, and every
 //! durable commit has been acked (the WAL `wait_durable` happens inside
 //! commit, before the attempt exits) — reseeds the engine metadata
@@ -55,7 +62,8 @@
 
 use crate::config::{Algorithm, StmConfig};
 use crate::sched::{self, Fault};
-use crate::telemetry::{RateEwma, SHARDS};
+use crate::stats::ThreadRecord;
+use crate::telemetry::RateEwma;
 use crate::util::SpinWait;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -180,16 +188,6 @@ fn unpack_epoch(word: u64) -> u64 {
     word >> EPOCH_SHIFT
 }
 
-/// One padded epoch-slot counter (own line pair, like the stat shards).
-/// There is one slot per telemetry shard, and a thread's slot is its
-/// [`shard_index`](crate::telemetry::shard_index): a transaction
-/// computes it once, and `enter` and `exit` must be handed the same one.
-#[repr(align(128))]
-#[derive(Default)]
-struct Slot {
-    active: AtomicU64,
-}
-
 /// Why a [`crate::Stm::switch_to`] request was refused.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SwitchError {
@@ -235,21 +233,18 @@ impl SwitchReport {
     }
 }
 
-/// The mode word + epoch slots: the switch protocol's shared state.
-/// Owned by [`crate::Stm`]; not constructible elsewhere.
+/// The mode word: the switch protocol's shared state. The presence
+/// counts it drains are the attempt records' (the runtime's telemetry
+/// owns them). Owned by [`crate::Stm`]; not constructible elsewhere.
 pub(crate) struct ModeMachine {
     word: AtomicU64,
-    slots: Box<[Slot]>,
     switches: AtomicU64,
 }
 
 impl ModeMachine {
     pub(crate) fn new(initial: Mode) -> ModeMachine {
-        let mut slots = Vec::with_capacity(SHARDS);
-        slots.resize_with(SHARDS, Slot::default);
         ModeMachine {
             word: AtomicU64::new(pack_running(initial, 0)),
-            slots: slots.into_boxed_slice(),
             switches: AtomicU64::new(0),
         }
     }
@@ -266,9 +261,9 @@ impl ModeMachine {
     }
 
     /// Enter the current epoch: publish this thread's presence in its
-    /// `slot` and return the packed word the attempt runs under. Waits
+    /// `record` and return the packed word the attempt runs under. Waits
     /// out any in-flight drain (bounded by one quiesce epoch).
-    pub(crate) fn enter(&self, slot: usize) -> u64 {
+    pub(crate) fn enter(&self, record: &ThreadRecord) -> u64 {
         let mut wait = SpinWait::new();
         loop {
             sched::point(sched::PointKind::AdaptEnter);
@@ -278,42 +273,68 @@ impl ModeMachine {
                 wait.spin();
                 continue;
             }
-            let slot = &self.slots[slot].active;
-            slot.fetch_add(1, Ordering::SeqCst);
+            // Locked even on a leased record: the increment and the
+            // re-check below are the store→load half of the pair with
+            // `switch`'s CAS and drain loads (DESIGN.md §10.1).
+            record.active.fetch_add(1, Ordering::SeqCst);
             sched::point(sched::PointKind::AdaptEnterRecheck);
             // Re-check *the full word*: a switch published `Draining`
             // (or even completed, bumping the epoch) between the load
-            // and the slot increment. The epoch bits make a complete
-            // switch cycle distinguishable from "nothing happened".
+            // and the increment. The epoch bits make a complete switch
+            // cycle distinguishable from "nothing happened".
             if self.word.load(Ordering::SeqCst) == w {
                 return w;
             }
-            slot.fetch_sub(1, Ordering::SeqCst);
+            self.exit(record);
             sched::spin();
             wait.spin();
         }
     }
 
     /// Retire the attempt entered by the matching [`ModeMachine::enter`]
-    /// on the same `slot`.
-    pub(crate) fn exit(&self, slot: usize) {
-        self.slots[slot].active.fetch_sub(1, Ordering::SeqCst);
+    /// on the same `record`: lower its presence count by one.
+    #[inline]
+    pub(crate) fn exit(&self, record: &ThreadRecord) {
+        if record.is_shared() {
+            Self::exit_shared(record);
+        } else {
+            // The lease holder is the count's only writer, so the load
+            // returns its own last store. `Release`: a switcher whose
+            // drain load reads the lowered count sees everything the
+            // attempt did before it, its write-back included.
+            let active = record.active.load(Ordering::Relaxed);
+            record.active.store(active - 1, Ordering::Release);
+        }
     }
 
-    fn active_total(&self) -> u64 {
-        self.slots
+    /// [`ModeMachine::exit`] on the overflow record, which several
+    /// threads write: a locked decrement, out of line.
+    #[cold]
+    #[inline(never)]
+    fn exit_shared(record: &ThreadRecord) {
+        record.active.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    fn active_total(records: &[ThreadRecord]) -> u64 {
+        records
             .iter()
-            .map(|s| s.active.load(Ordering::SeqCst))
+            .map(|r| r.active.load(Ordering::SeqCst))
             .sum()
     }
 
     /// The switch protocol: acquire the word (`Running → Draining`),
-    /// wait for in-flight attempts to retire, run `reseed` on the
-    /// quiescent runtime, publish `Running(target, epoch+1)`.
+    /// wait for the attempts in flight on `records` to retire, run
+    /// `reseed` on the quiescent runtime, publish
+    /// `Running(target, epoch+1)`.
     ///
     /// Must not be called from inside a transaction body on the same
     /// runtime — the drain would wait for the caller's own attempt.
-    pub(crate) fn switch(&self, target: Mode, reseed: impl FnOnce()) -> SwitchReport {
+    pub(crate) fn switch(
+        &self,
+        records: &[ThreadRecord],
+        target: Mode,
+        reseed: impl FnOnce(),
+    ) -> SwitchReport {
         let started = Instant::now();
         let mut wait = SpinWait::new();
         // Acquire: CAS Running(cur, e) → Draining(cur, e).
@@ -348,7 +369,7 @@ impl ModeMachine {
             }
             sched::spin();
         };
-        // Drain: every slot at zero ⇒ no attempt is in flight ⇒ no
+        // Drain: every count at zero ⇒ no attempt is in flight ⇒ no
         // commit lock held, no partial write-back, all durable commits
         // acked. New attempts see `Draining` and wait, so the count
         // cannot rise again. `Fault::AdaptSkipDrain` reintroduces the
@@ -356,7 +377,7 @@ impl ModeMachine {
         let mut drain_rounds = 0u64;
         if !sched::fault(Fault::AdaptSkipDrain) {
             sched::point(sched::PointKind::AdaptDrain);
-            while self.active_total() != 0 {
+            while Self::active_total(records) != 0 {
                 drain_rounds += 1;
                 sched::spin();
                 wait.spin();
@@ -583,45 +604,60 @@ mod tests {
         assert!(!Mode::sharded(Algorithm::STl2).available_under(&multi));
     }
 
+    /// A leased record and the overflow record.
+    fn records() -> [ThreadRecord; 2] {
+        [ThreadRecord::default(), ThreadRecord::overflow()]
+    }
+
     #[test]
     fn machine_switch_drains_and_bumps_epoch() {
         let m = ModeMachine::new(Mode::new(Algorithm::SNOrec));
-        let w = m.enter(5);
-        assert_eq!(unpack_mode(w), Mode::new(Algorithm::SNOrec));
-        m.exit(5);
+        let records = records();
+        for record in &records {
+            // Nested attempts count up and retire one by one.
+            let w = m.enter(record);
+            assert_eq!(unpack_mode(w), Mode::new(Algorithm::SNOrec));
+            assert_eq!(m.enter(record), w);
+            m.exit(record);
+            assert_eq!(ModeMachine::active_total(&records), 1);
+            m.exit(record);
+        }
         let mut reseeded = false;
-        let r = m.switch(Mode::new(Algorithm::STl2), || reseeded = true);
+        let r = m.switch(&records, Mode::new(Algorithm::STl2), || reseeded = true);
         assert!(reseeded);
         assert!(r.changed());
         assert_eq!(r.epoch, 1);
         assert_eq!(m.mode(), Mode::new(Algorithm::STl2));
         assert_eq!(m.switch_count(), 1);
         // No-op switch: no drain, no epoch bump, no reseed.
-        let r2 = m.switch(Mode::new(Algorithm::STl2), || panic!("no reseed"));
+        let r2 = m.switch(&records, Mode::new(Algorithm::STl2), || panic!("no reseed"));
         assert!(!r2.changed());
         assert_eq!(m.switch_count(), 1);
     }
 
     #[test]
     fn machine_drain_waits_for_inflight_attempts() {
-        use std::sync::Arc;
-        let m = Arc::new(ModeMachine::new(Mode::new(Algorithm::NOrec)));
-        let slot = crate::telemetry::shard_index(crate::util::thread_token());
-        let entered = m.enter(slot);
-        let m2 = m.clone();
-        let switcher = std::thread::spawn(move || m2.switch(Mode::new(Algorithm::Tl2), || ()));
-        // The switcher cannot finish while we are in flight. Give it a
-        // moment to reach the drain loop, then retire; it must complete.
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(unpack_mode(entered).algorithm, Algorithm::NOrec);
-        m.exit(slot);
-        let report = switcher.join().unwrap();
-        assert!(report.changed());
-        assert_eq!(m.mode(), Mode::new(Algorithm::Tl2));
-        // Post-switch attempts run the new mode.
-        let w = m.enter(slot);
-        assert_eq!(unpack_mode(w), Mode::new(Algorithm::Tl2));
-        m.exit(slot);
+        let records = records();
+        for record in &records {
+            let m = ModeMachine::new(Mode::new(Algorithm::NOrec));
+            let entered = m.enter(record);
+            std::thread::scope(|s| {
+                let switcher = s.spawn(|| m.switch(&records, Mode::new(Algorithm::Tl2), || ()));
+                // The switcher cannot finish while we are in flight. Give
+                // it a moment to reach the drain loop, then retire; it
+                // must complete.
+                std::thread::sleep(Duration::from_millis(20));
+                assert_eq!(unpack_mode(entered).algorithm, Algorithm::NOrec);
+                m.exit(record);
+                let report = switcher.join().unwrap();
+                assert!(report.changed());
+            });
+            assert_eq!(m.mode(), Mode::new(Algorithm::Tl2));
+            // Post-switch attempts run the new mode.
+            let w = m.enter(record);
+            assert_eq!(unpack_mode(w), Mode::new(Algorithm::Tl2));
+            m.exit(record);
+        }
     }
 
     fn window(r: f64, w: f64, abort_ratio: f64, commits: u64) -> RateEwma {

@@ -49,7 +49,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Bytes per padding unit: two 64-byte cache lines, matching the
-/// `#[repr(align(128))]` stat shards in [`crate::telemetry`] (adjacent-line
+/// `#[repr(align(128))]` attempt records in [`crate::stats`] (adjacent-line
 /// prefetchers pull line pairs, so 128 is the safe stride).
 pub const LINE_BYTES: usize = 128;
 

@@ -92,14 +92,14 @@ pub enum PointKind {
     /// Adaptive switching: before an attempt's load of the mode word
     /// ([`crate::adapt`] enter protocol).
     AdaptEnter,
-    /// Adaptive switching: epoch slot incremented, before the confirming
+    /// Adaptive switching: presence count incremented, before the confirming
     /// re-load of the mode word (the enter race window).
     AdaptEnterRecheck,
     /// Adaptive switching: before a switcher's acquire CAS on the mode
     /// word (`Running → Draining`).
     AdaptAcquire,
     /// Adaptive switching: `Draining` published, before the first scan
-    /// of the epoch slots (drain-loop rounds are reported as spins).
+    /// of the presence counts (drain-loop rounds are reported as spins).
     AdaptDrain,
     /// Adaptive switching: drain complete (no attempt in flight), before
     /// reseeding the engine metadata clocks.

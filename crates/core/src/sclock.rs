@@ -6,7 +6,7 @@
 //! clock — the `CommitClock` selected by
 //! [`clock_shards`](crate::StmConfig::clock_shards) above one — splits
 //! the single word into `2^k` per-shard sequence locks (each on its own
-//! 128-byte line, like the telemetry stat shards), with heap addresses
+//! 128-byte line, like the attempt records of [`crate::stats`]), with heap addresses
 //! mapped to shards at cache-line granularity:
 //!
 //! ```text

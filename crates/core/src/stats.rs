@@ -1,4 +1,4 @@
-//! Runtime statistics: the per-thread counter shard the hot path flushes
+//! Runtime statistics: the per-thread attempt record the hot path flushes
 //! into, and the point-in-time [`StatsSnapshot`] every reporting layer
 //! consumes.
 //!
@@ -8,18 +8,18 @@
 //!
 //! Two types are the only lists of what the runtime counts: [`OpCounts`]
 //! names the six operation kinds and [`AbortReason`] the six abort
-//! reasons. A [`StatShard`] and a [`StatsSnapshot`] hold the same
+//! reasons. A `ThreadRecord` and a [`StatsSnapshot`] hold the same
 //! counter set — commits, one count per reason, and an `OpCounts` block
 //! each for committed and for aborted attempts — and recording, merging
 //! and [`StatsSnapshot::since`] are written over those two lists.
 //!
 //! Transactions accumulate operation counts locally in [`OpCounts`];
-//! counts are flushed into the calling thread's [`StatShard`] when the
+//! counts are flushed into the calling thread's `ThreadRecord` when the
 //! attempt ends — into the committed block on commit (so the
 //! per-transaction averages are per *committed* transaction, as in the
 //! paper's Table 3) and into the aborted block on abort, which is what
 //! makes wasted work visible. [`crate::telemetry::Telemetry`] owns the
-//! shards and merges them on demand.
+//! records and merges them on demand.
 
 use crate::error::AbortReason;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,7 +51,7 @@ pub struct OpCounts {
 }
 
 impl OpCounts {
-    /// The counts in field order, which is the order of a shard's blocks.
+    /// The counts in field order, which is the order of a record's blocks.
     #[inline(always)]
     fn to_array(self) -> [u64; KINDS] {
         [
@@ -101,60 +101,119 @@ impl std::ops::Add for OpCounts {
     }
 }
 
-/// One thread's counters. 128-byte aligned so neighbouring shards can
-/// never share a line (and to respect the 2-line prefetcher granularity
-/// on x86): 19 words round up to two line pairs.
+/// One thread's attempt record in one runtime: how many of its attempts
+/// are in flight (the mode machine's presence count,
+/// [`crate::adapt`]) and its counters. 128-byte aligned so neighbouring
+/// records can never share a line (and to respect the 2-line prefetcher
+/// granularity on x86): 20 words and a flag round up to two line pairs.
+///
+/// A record is written by the one thread whose [lease](crate::util::LEASES)
+/// selects it, so a count is a plain load and store; only the overflow
+/// record, which threads without a lease share, is written with locked
+/// adds. Readers ([`Telemetry::snapshot`](crate::telemetry::Telemetry::snapshot),
+/// a switch's drain) only load.
 #[repr(align(128))]
 #[derive(Default)]
-pub struct StatShard {
+pub(crate) struct ThreadRecord {
+    /// Attempts of the writing thread(s) between `enter` and `exit`.
+    pub(crate) active: AtomicU64,
     commits: AtomicU64,
     aborts: [AtomicU64; REASONS],
     committed: [AtomicU64; KINDS],
     aborted: [AtomicU64; KINDS],
+    /// Whether any thread may write this record (the overflow record)
+    /// rather than its lease holder alone.
+    shared: bool,
 }
 
-const _: () = assert!(std::mem::size_of::<StatShard>() == 256);
+const _: () = assert!(std::mem::size_of::<ThreadRecord>() == 256);
 
-impl StatShard {
+impl ThreadRecord {
+    /// The record every thread without a lease writes.
+    pub(crate) fn overflow() -> ThreadRecord {
+        ThreadRecord {
+            shared: true,
+            ..ThreadRecord::default()
+        }
+    }
+
+    /// Whether more than one thread may write this record.
+    #[inline(always)]
+    pub(crate) fn is_shared(&self) -> bool {
+        self.shared
+    }
+
     /// Record a committed transaction together with its operation counts.
     #[inline]
-    pub fn record_commit(&self, ops: &OpCounts) {
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        add_all(&self.committed, ops);
+    pub(crate) fn record_commit(&self, ops: &OpCounts) {
+        self.count(&self.commits, &self.committed, ops);
     }
 
     /// Record an aborted attempt, flushing its operation counts into the
     /// aborted block (an aborted attempt's work is real work the machine
     /// did and threw away; hiding it flatters abort-heavy runs).
     #[inline]
-    pub fn record_abort(&self, reason: AbortReason, ops: &OpCounts) {
-        self.aborts[reason as usize].fetch_add(1, Ordering::Relaxed);
-        add_all(&self.aborted, ops);
+    pub(crate) fn record_abort(&self, reason: AbortReason, ops: &OpCounts) {
+        self.count(&self.aborts[reason as usize], &self.aborted, ops);
     }
 
-    /// Add this shard's counts to `sum`.
+    /// Count one attempt: one more `outcome` (the commit, or the abort's
+    /// reason) and `ops` into `block`. The lease holder, the record's
+    /// only writer, adds with a plain load and store: the load returns
+    /// its own last store. `Relaxed` either way: a count publishes
+    /// nothing, and the readers that must see every count are ordered
+    /// after the writer by a thread join or by the lease hand-over
+    /// (DESIGN.md §8.5).
+    #[inline(always)]
+    fn count(&self, outcome: &AtomicU64, block: &[AtomicU64; KINDS], ops: &OpCounts) {
+        if self.shared {
+            count_shared(outcome, block, ops);
+        } else {
+            flush(outcome, block, ops, |c, n| {
+                c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed)
+            });
+        }
+    }
+
+    /// Add this record's counts to `sum`.
     pub(crate) fn merge_into(&self, sum: &mut StatsSnapshot) {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let ops = |block: &[AtomicU64; KINDS]| OpCounts::from_array(block.each_ref().map(load));
-        let shard = StatsSnapshot {
+        let record = StatsSnapshot {
             commits: load(&self.commits),
             aborts: self.aborts.each_ref().map(load),
             committed: ops(&self.committed),
             aborted: ops(&self.aborted),
         };
-        *sum = sum.zip(&shard, |a, b| a + b);
+        *sum = sum.zip(&record, |a, b| a + b);
     }
 }
 
-/// Add each count of `ops` to its counter in `block`, skipping the locked
-/// add where the count is zero (most transactions leave most operation
-/// kinds at zero; a Bank commit flushes 3 counters instead of 7). The
-/// sums are the same either way.
+/// [`ThreadRecord::count`] on the overflow record, which several threads
+/// write: locked adds. Out of line, so the leased path carries none.
+#[cold]
+#[inline(never)]
+fn count_shared(outcome: &AtomicU64, block: &[AtomicU64; KINDS], ops: &OpCounts) {
+    flush(outcome, block, ops, |c, n| {
+        c.fetch_add(n, Ordering::Relaxed);
+    });
+}
+
+/// Add 1 to `outcome` and each count of `ops` to its counter in `block`
+/// with `add`, skipping the add where the count is zero (most
+/// transactions leave most operation kinds at zero; a Bank commit
+/// flushes 3 counters instead of 7). The sums are the same either way.
 #[inline(always)]
-fn add_all(block: &[AtomicU64; KINDS], ops: &OpCounts) {
+fn flush(
+    outcome: &AtomicU64,
+    block: &[AtomicU64; KINDS],
+    ops: &OpCounts,
+    add: impl Fn(&AtomicU64, u64),
+) {
+    add(outcome, 1);
     for (ctr, n) in block.iter().zip(ops.to_array()) {
         if n != 0 {
-            ctr.fetch_add(n, Ordering::Relaxed);
+            add(ctr, n);
         }
     }
 }

@@ -20,10 +20,10 @@ use crate::norec::{CommitClock, GlobalClock, NorecTx};
 use crate::ops::CmpOp;
 use crate::sclock::ShardedClock;
 use crate::sets::{ScratchBox, WriteEntry, WriteKind};
-use crate::stats::{OpCounts, StatShard, StatsSnapshot};
-use crate::telemetry::{shard_index, PhaseRecorder, SpanEvent, Telemetry, TelemetryLevel};
+use crate::stats::{OpCounts, StatsSnapshot, ThreadRecord};
+use crate::telemetry::{PhaseRecorder, SpanEvent, Telemetry, TelemetryLevel};
 use crate::tl2::{Tl2Global, Tl2Tx};
-use crate::util::thread_token;
+use crate::util::{thread_lease, thread_token};
 use crate::value::Word;
 use crate::wal::{CommitLog, LogStorage};
 use std::convert::Infallible;
@@ -47,9 +47,10 @@ pub struct Stm {
     tl2: OnceLock<Tl2Global>,
     telemetry: Telemetry,
     wal: Option<CommitLog>,
-    /// The adaptive mode word + epoch slots ([`crate::adapt`]): which
-    /// engine attempts dispatch on, and the quiesce protocol that lets
-    /// [`Stm::switch_to`] change it on a live runtime.
+    /// The adaptive mode word ([`crate::adapt`]): which engine attempts
+    /// dispatch on, and the quiesce protocol that lets [`Stm::switch_to`]
+    /// change it on a live runtime. The presence counts it drains are
+    /// the telemetry's attempt records.
     machine: ModeMachine,
     /// The telemetry-driven controller, when [`StmConfig::adaptive`]
     /// attached one. Locked only inside [`Stm::adapt_tick`].
@@ -156,12 +157,12 @@ impl Stm {
         self.heap.store(a, v);
     }
 
-    /// Statistics snapshot (merged across all telemetry shards).
+    /// Statistics snapshot (merged across all attempt records).
     pub fn stats(&self) -> StatsSnapshot {
         self.telemetry.snapshot()
     }
 
-    /// The full telemetry state: histograms, spans, shard access.
+    /// The full telemetry state: counters, histograms, spans.
     #[inline]
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
@@ -201,7 +202,7 @@ impl Stm {
         if !target.available_under(&self.config) {
             return Err(SwitchError::Unavailable(target));
         }
-        Ok(self.machine.switch(target, || {
+        Ok(self.machine.switch(self.telemetry.records(), target, || {
             // Quiescent: no commit lock held, no write-back in flight.
             // Bump every engine's clock one era forward (never rewound)
             // so no snapshot taken before the switch can validate as
@@ -291,34 +292,32 @@ impl Stm {
         ends: impl Fn(Abort) -> Option<E>,
     ) -> Result<T, E> {
         // The one thread-token read of the transaction: everything keyed
-        // by the thread — backoff jitter, epoch slot, counter shard, TL2
-        // lock owner, NOrec committer stamp, span track — is handed it,
-        // and the one shard index serves as both epoch slot and counter
-        // shard.
+        // by the unique thread — backoff jitter, TL2 lock owner, NOrec
+        // committer stamp, span track — is handed it. The one lease read
+        // selects the attempt record, which holds both the presence count
+        // the epoch protocol drains and the counters; looked up once per
+        // transaction, it stays hot in a register across retries.
         let token = thread_token();
-        let slot = shard_index(token);
+        let record = self.telemetry.record(thread_lease());
         let mut cm = ContentionManager::new(token.wrapping_mul(0x9E37_79B9));
         // Enter the adaptive epoch before building the attempt context:
         // the entered word pins the engine this attempt dispatches on,
-        // and retiring the slot (the `Attempt` guard) is what a switch's
-        // drain barrier waits for. The common case — no switch between
-        // attempts — keeps one Tx alive across the whole retry loop; its
-        // engine runs on the calling thread's attempt scratch, so
-        // building it allocates nothing once the thread is warm. Nothing
-        // between an `enter` and the guard that adopts its slot can
+        // and retiring from the record (the `Attempt` guard) is what a
+        // switch's drain barrier waits for. The common case — no switch
+        // between attempts — keeps one Tx alive across the whole retry
+        // loop; its engine runs on the calling thread's attempt scratch,
+        // so building it allocates nothing once the thread is warm.
+        // Nothing between an `enter` and the guard that retires it can
         // unwind.
-        let mut entered = self.machine.enter(slot);
+        let mut entered = self.machine.enter(record);
         let mut mode = adapt::word_mode(entered);
         let mut tx = Tx::new(self, mode, token);
-        // Looked up once per transaction, not per event: the shard
-        // reference stays hot in a register across retries.
-        let shard = self.telemetry.shard(slot);
         let histograms = self.telemetry.level() >= TelemetryLevel::Histograms;
         let started = histograms.then(Instant::now);
         let mut conflicts: u32 = 0;
         let mut nth: u64 = 1;
         loop {
-            let abort = match self.attempt(&mut tx, slot, shard, started, nth, &mut body) {
+            let abort = match self.attempt(&mut tx, record, started, nth, &mut body) {
                 Ok(done) => return done,
                 Err(abort) => abort,
             };
@@ -352,7 +351,7 @@ impl Stm {
             // were out (backoff): rebuild the attempt context only when
             // the engine actually changed — an epoch bump alone keeps
             // the hot buffers.
-            let word = self.machine.enter(slot);
+            let word = self.machine.enter(record);
             if word != entered {
                 let next = adapt::word_mode(word);
                 if next != mode {
@@ -368,8 +367,8 @@ impl Stm {
         }
     }
 
-    /// One attempt, the `nth` of its transaction, on the epoch `slot` the
-    /// caller entered: begin, body, commit, retire the slot, record.
+    /// One attempt, the `nth` of its transaction, on the `record` the
+    /// caller entered: begin, body, commit, retire from the epoch, record.
     /// Every statistic an attempt leaves — counters, commit profile,
     /// span (which carries the abort's attribution) — is written here
     /// and nowhere else, so all entry points are observed alike.
@@ -377,8 +376,7 @@ impl Stm {
     fn attempt<T, E>(
         &self,
         tx: &mut Tx<'_>,
-        slot: usize,
-        shard: &StatShard,
+        record: &ThreadRecord,
         started: Option<Instant>,
         nth: u64,
         body: impl FnOnce(&mut Tx<'_>) -> Result<Result<T, E>, Abort>,
@@ -389,7 +387,7 @@ impl Stm {
         let attempt_start = spans.then(|| self.telemetry.elapsed_ns());
         let guard = Attempt {
             machine: &self.machine,
-            slot,
+            record,
             tx: &mut *tx,
         };
         guard.tx.begin();
@@ -409,7 +407,7 @@ impl Stm {
         };
         let record_span = match abort {
             None => {
-                shard.record_commit(&tx.ops);
+                record.record_commit(&tx.ops);
                 if let Some(t0) = started {
                     self.telemetry.record_commit_profile(
                         t0.elapsed().as_nanos() as u64,
@@ -421,7 +419,7 @@ impl Stm {
                 spans
             }
             Some(abort) => {
-                shard.record_abort(abort.reason, &tx.ops);
+                record.record_abort(abort.reason, &tx.ops);
                 self.telemetry.level() >= TelemetryLevel::Trace
             }
         };
@@ -440,23 +438,23 @@ impl Stm {
     }
 }
 
-/// One attempt's hold on its epoch slot. Dropping it releases whatever
-/// engine metadata the attempt still holds, then retires the slot — on
-/// the explicit paths, and equally when a panic in the body (or the
-/// fail-stop panic inside `commit`) unwinds through the attempt: a slot
-/// that stayed counted would make every later [`Stm::switch_to`] drain
+/// One attempt's presence in its epoch. Dropping it releases whatever
+/// engine metadata the attempt still holds, then retires from the epoch
+/// — on the explicit paths, and equally when a panic in the body (or the
+/// fail-stop panic inside `commit`) unwinds through the attempt: a count
+/// that stayed raised would make every later [`Stm::switch_to`] drain
 /// forever, and every `enter` spin behind it.
 struct Attempt<'s, 't, 'a> {
     machine: &'s ModeMachine,
-    /// The epoch slot entered for this attempt.
-    slot: usize,
+    /// The attempt record whose presence count `enter` raised.
+    record: &'s ThreadRecord,
     tx: &'t mut Tx<'a>,
 }
 
 impl Drop for Attempt<'_, '_, '_> {
     fn drop(&mut self) {
         self.tx.rollback();
-        self.machine.exit(self.slot);
+        self.machine.exit(self.record);
     }
 }
 

@@ -1,4 +1,4 @@
-//! The telemetry subsystem: sharded counters, log-bucketed latency
+//! The telemetry subsystem: per-thread counters, log-bucketed latency
 //! histograms, a ring of attempt spans, and an interval sampler.
 //!
 //! Everything the paper's evaluation measures — Table 3's per-operation
@@ -10,12 +10,15 @@
 //!
 //! Four levels, selected by [`StmConfig::telemetry`](crate::StmConfig):
 //!
-//! * [`TelemetryLevel::Counters`] (default) — the sharded counters only:
-//!   each thread increments a cache-line-padded [`StatShard`] selected by
-//!   its [`crate::util::thread_token`], so the hot commit/abort path
-//!   never bounces a counter cache line between cores. Cost: one relaxed
-//!   `fetch_add` for the commit or abort itself plus one per operation
-//!   kind the attempt actually used — a zero count is not flushed.
+//! * [`TelemetryLevel::Counters`] (default) — the per-thread counters
+//!   only: each thread adds to the cache-line-padded attempt record its
+//!   [lease](crate::util::LEASES) selects, which no other live thread
+//!   writes, so the hot commit/abort path never bounces a counter cache
+//!   line between cores and needs no locked instruction. Cost: one
+//!   relaxed load and store for the commit or abort itself plus one per
+//!   operation kind the attempt actually used — a zero count is not
+//!   flushed. Threads without a lease share an overflow record, written
+//!   with `fetch_add`s.
 //! * [`TelemetryLevel::Histograms`] — additionally samples commit
 //!   latency, attempts per transaction, read/compare-set sizes at
 //!   commit, and contention-manager backoff into fixed-size atomic
@@ -44,7 +47,8 @@
 use crate::error::{AbortReason, Conflict};
 use crate::heap::Addr;
 use crate::ring::EventRing;
-use crate::stats::{StatShard, StatsSnapshot};
+use crate::stats::{StatsSnapshot, ThreadRecord};
+use crate::util::{Lease, LEASES};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -77,17 +81,18 @@ impl TelemetryLevel {
     }
 }
 
-/// Number of counter shards (and span rings, and the mode machine's
-/// epoch slots). A power of two larger than any sane core count;
-/// threads map onto shards by `thread_token() % SHARDS`, so two threads
-/// share a shard only beyond 64 live threads — and sharing is merely a
-/// perf, not a correctness, concern.
+/// Number of span rings at [`TelemetryLevel::Trace`] and above. A span
+/// lands in ring `thread_token() % SHARDS`; tokens are never reused, so
+/// the 65th thread ever started shares thread 1's ring even while only
+/// the two are alive. A ring is a `Mutex`, so sharing costs only
+/// contention. The counters are not sharded by token: each thread writes
+/// the attempt record its [lease](crate::util::LEASES) selects.
 pub const SHARDS: usize = 64;
 
-/// The shard of the thread whose [token](crate::util::thread_token) is
-/// `token`. A transaction computes it once, from its one token read.
+/// The span ring of the thread whose [token](crate::util::thread_token)
+/// is `token`.
 #[inline]
-pub(crate) fn shard_index(token: u64) -> usize {
+fn ring_index(token: u64) -> usize {
     token as usize % SHARDS
 }
 
@@ -495,7 +500,7 @@ impl Sampler {
 
 /// All telemetry state of one [`crate::Stm`] instance.
 ///
-/// Each tier allocates only at its own level: the stat shards always,
+/// Each tier allocates only at its own level: the attempt records always,
 /// the five histograms at [`TelemetryLevel::Histograms`] and above, the
 /// per-thread span rings at [`TelemetryLevel::Trace`] and above. Below
 /// its level a tier's recorders do nothing and its readers return empty
@@ -503,10 +508,11 @@ impl Sampler {
 pub struct Telemetry {
     level: TelemetryLevel,
     started: Instant,
-    shards: Box<[StatShard]>,
+    /// One attempt record per lease, then the overflow record.
+    records: Box<[ThreadRecord]>,
     /// `Some` at `Histograms` and above.
     histograms: Option<Histograms>,
-    /// One ring per shard at `Trace` and above; empty below.
+    /// `SHARDS` rings at `Trace` and above; empty below.
     spans: Box<[Mutex<EventRing<SpanEvent>>]>,
     rates: Mutex<RateState>,
 }
@@ -521,10 +527,10 @@ struct Histograms {
     backoff_spins: Histogram,
 }
 
-// Every allocation `Telemetry::new` makes holds `SHARDS` or
-// `HISTOGRAM_BUCKETS` elements (a ring, `trace_capacity` events) of one
-// of these types, so their sizes pin its footprint; `StatShard`'s is
-// pinned in `stats.rs`. `Mutex` and `usize` sizes vary by platform.
+// Every allocation `Telemetry::new` makes holds `LEASES + 1`, `SHARDS`
+// or `HISTOGRAM_BUCKETS` elements (a ring, `trace_capacity` events) of
+// one of these types, so their sizes pin its footprint; `ThreadRecord`'s
+// is pinned in `stats.rs`. `Mutex` and `usize` sizes vary by platform.
 // The histogram tier's `Option` costs no space: its boxed buckets give
 // `None` a niche.
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
@@ -585,8 +591,9 @@ impl Telemetry {
     /// `Trace` and above. See [`crate::StmConfig::trace_capacity`] for
     /// the memory cost.
     pub fn new(level: TelemetryLevel, trace_capacity: usize) -> Telemetry {
-        let mut shards = Vec::with_capacity(SHARDS);
-        shards.resize_with(SHARDS, StatShard::default);
+        let mut records = Vec::with_capacity(LEASES + 1);
+        records.resize_with(LEASES, ThreadRecord::default);
+        records.push(ThreadRecord::overflow());
         let rings = if level >= TelemetryLevel::Trace {
             SHARDS
         } else {
@@ -597,7 +604,7 @@ impl Telemetry {
         Telemetry {
             level,
             started: Instant::now(),
-            shards: shards.into_boxed_slice(),
+            records: records.into_boxed_slice(),
             histograms: (level >= TelemetryLevel::Histograms).then(Histograms::default),
             spans: spans.into_boxed_slice(),
             rates: Mutex::new(RateState::default()),
@@ -616,17 +623,24 @@ impl Telemetry {
         self.started.elapsed().as_nanos() as u64
     }
 
-    /// The counter shard at `index` (a [`shard_index`]).
+    /// The attempt record `lease` selects.
     #[inline]
-    pub(crate) fn shard(&self, index: usize) -> &StatShard {
-        &self.shards[index]
+    pub(crate) fn record(&self, lease: Lease) -> &ThreadRecord {
+        &self.records[lease.index()]
     }
 
-    /// Merge all shards into one [`StatsSnapshot`].
+    /// Every attempt record, the overflow record last.
+    pub(crate) fn records(&self) -> &[ThreadRecord] {
+        &self.records
+    }
+
+    /// Merge all attempt records into one [`StatsSnapshot`]. Exact once
+    /// the threads that counted have been joined; while they run it may
+    /// miss their newest counts, never count one twice.
     pub fn snapshot(&self) -> StatsSnapshot {
         let mut out = StatsSnapshot::default();
-        for s in self.shards.iter() {
-            s.merge_into(&mut out);
+        for r in self.records.iter() {
+            r.merge_into(&mut out);
         }
         out
     }
@@ -723,11 +737,11 @@ impl Telemetry {
         }
     }
 
-    /// Append a span to the ring of its thread's shard (every attempt at
+    /// Append a span to its thread's ring (every attempt at
     /// `Spans`, aborted attempts at `Trace`; a no-op below `Trace`,
     /// which has no rings).
     pub fn record_span(&self, event: SpanEvent) {
-        if let Some(Ok(mut ring)) = self.spans.get(shard_index(event.thread)).map(Mutex::lock) {
+        if let Some(Ok(mut ring)) = self.spans.get(ring_index(event.thread)).map(Mutex::lock) {
             ring.push(event);
         }
     }
@@ -822,7 +836,7 @@ impl Telemetry {
     /// The most contended heap addresses seen by abort attribution,
     /// ranked by conflict count (descending; ties broken by address for
     /// determinism). The counts are exact over the retained spans — the
-    /// newest `trace_capacity` spans per shard, the window
+    /// newest `trace_capacity` spans per ring, the window
     /// [`Telemetry::span_events`] returns — so they sum to the number
     /// of retained aborted spans that name an address. Empty below
     /// [`TelemetryLevel::Trace`].
@@ -866,7 +880,7 @@ mod tests {
         use crate::stats::OpCounts;
         let t = Telemetry::new(TelemetryLevel::Counters, 1);
         let commit = |reads: u64, writes: u64| {
-            t.shards[0].record_commit(&OpCounts {
+            t.records[0].record_commit(&OpCounts {
                 reads,
                 writes,
                 ..OpCounts::default()
@@ -976,7 +990,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_merge_sums_counts() {
+    fn record_merge_sums_counts() {
         use crate::stats::OpCounts;
         let t = Telemetry::new(TelemetryLevel::Counters, 16);
         let ops = OpCounts {
@@ -984,10 +998,10 @@ mod tests {
             incs: 1,
             ..OpCounts::default()
         };
-        // Write into two different shards directly.
-        t.shards[0].record_commit(&ops);
-        t.shards[1].record_commit(&ops);
-        t.shards[1].record_abort(AbortReason::Validation, &ops);
+        // Write into a leased record and the overflow record directly.
+        t.records[0].record_commit(&ops);
+        t.records[LEASES].record_commit(&ops);
+        t.records[LEASES].record_abort(AbortReason::Validation, &ops);
         let s = t.snapshot();
         assert_eq!(s.commits, 2);
         assert_eq!(s.committed.reads, 4);
@@ -1002,7 +1016,8 @@ mod tests {
         use crate::stats::OpCounts;
         // Every mix of zero and non-zero operation kinds (bit i of `mix`
         // sets field i), committed and aborted under each reason, spread
-        // over several shards: the merged snapshot must be the hand sum.
+        // over two leased records and the overflow record: the merged
+        // snapshot must be the hand sum.
         let t = Telemetry::new(TelemetryLevel::Counters, 16);
         let reasons = AbortReason::ALL;
         let mut want = StatsSnapshot::default();
@@ -1016,13 +1031,13 @@ mod tests {
                 incs: field(4),
                 promotes: field(5),
             };
-            let shard = &t.shards[mix as usize % 3];
-            shard.record_commit(&ops);
+            let record = &t.records[[0, 1, LEASES][mix as usize % 3]];
+            record.record_commit(&ops);
             want.commits += 1;
             want.committed = want.committed + ops;
 
             let reason = reasons[mix as usize % reasons.len()];
-            shard.record_abort(reason, &ops);
+            record.record_abort(reason, &ops);
             want = want.with_aborts(reason, 1);
             want.aborted = want.aborted + ops;
         }

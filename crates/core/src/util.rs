@@ -1,10 +1,11 @@
 //! Small self-contained utilities: deterministic PRNG, spin-wait helper,
-//! per-thread tokens, and a fast integer hasher.
+//! per-thread tokens and record leases, and a fast integer hasher.
 //!
 //! We deliberately avoid external RNG crates in the runtime and workloads
 //! so that experiments are bit-reproducible across runs and machines.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// SplitMix64 — tiny, fast, statistically decent PRNG for workload
 /// generation and contention-manager jitter. Deterministic per seed.
@@ -83,12 +84,13 @@ impl SpinWait {
 
 thread_local! {
     static THREAD_SEED: Cell<u64> = const { Cell::new(0) };
+    static LEASE: HeldLease = const { HeldLease(Cell::new(LEASES)) };
 }
 
 /// A per-thread unique small integer, used to seed contention-manager
-/// jitter and as the TL2 lock-owner token.
+/// jitter and as the TL2 lock-owner token. Never reused: the millionth
+/// thread started gets token one million, whatever exited before it.
 pub fn thread_token() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(1);
     THREAD_SEED.with(|c| {
         let v = c.get();
@@ -100,6 +102,87 @@ pub fn thread_token() -> u64 {
             v
         }
     })
+}
+
+/// How many threads can hold a record lease at once. A thread takes the
+/// lowest free lease on its first transaction and returns it when it
+/// exits; every runtime keeps one attempt record per lease, written only
+/// by the lease holder, and one overflow record that threads without a
+/// lease share.
+pub const LEASES: usize = 64;
+
+/// Bit `i` set: lease `i` is held by a live thread.
+static TAKEN: AtomicU64 = AtomicU64::new(0);
+
+const _: () = assert!(LEASES == u64::BITS as usize, "one bit of TAKEN per lease");
+
+/// Which attempt record of a runtime the calling thread writes: the one
+/// its lease numbers, which no other live thread writes, or the overflow
+/// record, which every thread without a lease shares.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Lease(usize);
+
+impl Lease {
+    /// The overflow record's lease.
+    pub(crate) const OVERFLOW: Lease = Lease(LEASES);
+
+    /// The record's index: `0..LEASES`, or `LEASES` for the overflow.
+    #[inline]
+    pub(crate) fn index(self) -> usize {
+        self.0
+    }
+}
+
+/// The lease a thread holds, `LEASES` while it holds none. Dropping it
+/// at thread exit returns the lease.
+struct HeldLease(Cell<usize>);
+
+impl Drop for HeldLease {
+    fn drop(&mut self) {
+        let held = self.0.get();
+        if held < LEASES {
+            // Release: whoever takes the lease next (an `Acquire` RMW in
+            // `take_lease`) sees every counter this thread stored.
+            TAKEN.fetch_and(!(1 << held), Ordering::Release);
+        }
+    }
+}
+
+/// Take the lowest free lease, or `None` while all are held.
+fn take_lease() -> Option<usize> {
+    let mut taken = TAKEN.load(Ordering::Relaxed);
+    while taken != u64::MAX {
+        let free = (!taken).trailing_zeros();
+        match TAKEN.compare_exchange_weak(
+            taken,
+            taken | 1 << free,
+            Ordering::Acquire,
+            Ordering::Relaxed,
+        ) {
+            Ok(_) => return Some(free as usize),
+            Err(now) => taken = now,
+        }
+    }
+    None
+}
+
+/// The calling thread's lease. Taken on the thread's first call and
+/// kept until it exits, when a thread-local destructor returns it; a
+/// thread that found none free asks again on its next call. A thread
+/// whose lease was already returned (a transaction run from another
+/// thread-local's destructor) gets [`Lease::OVERFLOW`].
+#[inline]
+pub(crate) fn thread_lease() -> Lease {
+    LEASE
+        .try_with(|held| {
+            if held.0.get() == LEASES {
+                if let Some(lease) = take_lease() {
+                    held.0.set(lease);
+                }
+            }
+            Lease(held.0.get())
+        })
+        .unwrap_or(Lease::OVERFLOW)
 }
 
 /// Multiply-based avalanche for word-index keys (FxHash-style): the

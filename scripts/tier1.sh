@@ -39,7 +39,7 @@ echo "==> cargo test -q"
 timeout 600 cargo test -q --workspace
 grep -q "S-NOrec,4,slots" results/check/crash_matrix.csv
 
-echo "==> release-mode engine tests (semtm-core --lib, alloc_free, heap_footprint, opacity, concurrency_stress)"
+echo "==> release-mode engine tests (semtm-core --lib, alloc_free, heap_footprint, opacity, concurrency_stress, thread_records)"
 # The barriers are force-inlined fast paths with cold out-of-line tails
 # (DESIGN.md §8.2): a debug build never gives them the shape that ships,
 # so the engines' unit tests and the allocator-call pins run once more
@@ -53,8 +53,9 @@ timeout 300 cargo test --release -q --test heap_footprint
 # Write-back and the clock, shard and orec releases are `Release` stores
 # (DESIGN.md §8.5): a weaker ordering is what the optimiser may exploit,
 # so the real-thread opacity and publication tests run on optimised code
-# too.
-timeout 300 cargo test --release -q --test opacity --test concurrency_stress
+# too. So do the exact-count tests of the attempt records, whose counters
+# and `exit` are plain stores of the one thread holding the lease.
+timeout 300 cargo test --release -q --test opacity --test concurrency_stress --test thread_records
 
 echo "==> figures smokes: trace export, ablations A5, A6, A7"
 # One smoke-scale run in a scratch dir, so the checked-in paper-scale

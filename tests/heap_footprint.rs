@@ -30,6 +30,7 @@
 
 use semtm::core::heap::LINE_WORDS;
 use semtm::core::telemetry::{SpanEvent, HISTOGRAM_BUCKETS, SHARDS};
+use semtm::core::util::LEASES;
 use semtm::{Algorithm, Heap, Mode, Stm, StmConfig, TelemetryLevel};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -225,20 +226,20 @@ const FRESH_MAPPING_BYTES: usize = (32 << 20) + 8;
 const CLOCK_SHARD_BYTES: usize = 128;
 const HISTOGRAM_BYTES: usize = HISTOGRAM_BUCKETS * 8;
 const RING_BYTES: usize = 1024 * std::mem::size_of::<SpanEvent>();
-/// The 64 stat shards and the 64 epoch slots of the mode machine.
-const STAT_SHARDS_BYTES: usize = SHARDS * 256;
-const EPOCH_SLOTS_BYTES: usize = SHARDS * 128;
+/// The attempt records: one per lease and the overflow record, each
+/// holding a thread's presence count and its counters.
+const RECORDS_BYTES: usize = (LEASES + 1) * 256;
 
 /// Allocator requests and bytes per construction step, in this order:
 /// `Stm::new` of the three benchmark cells at `Counters`, of the S-NOrec
 /// cell at `Histograms` and at `Trace`, then the S-NOrec cell's first
 /// switch into S-TL2, the switch back and the second switch into S-TL2.
 const EXPECTED: &[(&str, u64, usize)] = &[
-    ("new snorec counters", 4, 33579144),
-    ("new scnorec counters", 4, 33581064),
-    ("new stl2 counters", 5, 67133584),
-    ("new snorec histograms", 9, 33598984),
-    ("new snorec trace", 74, 41991176),
+    ("new snorec counters", 3, 33571208),
+    ("new scnorec counters", 3, 33573128),
+    ("new stl2 counters", 4, 67125648),
+    ("new snorec histograms", 8, 33591048),
+    ("new snorec trace", 73, 41983240),
     ("switch snorec -> stl2", 1, 33554440),
     ("switch stl2 -> snorec", 0, 0),
     ("switch snorec -> stl2 again", 0, 0),
@@ -290,21 +291,20 @@ fn runtimes_allocate_only_what_their_configuration_reaches() {
     );
 
     // What the table is made of, request by request. An S-NOrec runtime
-    // at `Counters` asks for its heap, its clock shards, the stat shards
-    // and the epoch slots: no orec table, no histogram, no span ring.
+    // at `Counters` asks for its heap, its clock shards and the attempt
+    // records: no orec table, no histogram, no span ring.
     let base = |clock_shards: usize| {
         vec![
             FRESH_MAPPING_BYTES,
             clock_shards * CLOCK_SHARD_BYTES,
-            STAT_SHARDS_BYTES,
-            EPOCH_SLOTS_BYTES,
+            RECORDS_BYTES,
         ]
     };
     assert_eq!(sizes[0], base(1), "S-NOrec");
     assert_eq!(sizes[1], base(16), "S-NOrec over 16 clock shards");
     let with_orecs = [base(1), vec![FRESH_MAPPING_BYTES]].concat();
     assert_eq!(sizes[2], with_orecs, "S-TL2 adds its orec table, once");
-    let histograms = [&base(1)[..3], &[HISTOGRAM_BYTES; 5], &base(1)[3..]].concat();
+    let histograms = [base(1), vec![HISTOGRAM_BYTES; 5]].concat();
     assert_eq!(sizes[3], histograms, "Histograms adds five histograms");
     let ring_set = SHARDS * std::mem::size_of::<Mutex<semtm::core::ring::EventRing<SpanEvent>>>();
     assert_eq!(

@@ -1,11 +1,11 @@
 //! A panicking transaction must not wedge the runtime.
 //!
-//! An attempt holds an epoch slot of the adaptive mode machine from
-//! `enter` to `exit`; a panic unwinding out of the body used to skip the
-//! `exit`, after which `switch_to` drained forever and every later
-//! transaction spun behind the `Draining` word. The slot is now an RAII
-//! guard, so the unwind retires it (and rolls the engine back — which
-//! also frees a commit clock or orec the panic left locked).
+//! An attempt raises its thread's presence count in the adaptive mode
+//! machine from `enter` to `exit`; a panic unwinding out of the body used
+//! to skip the `exit`, after which `switch_to` drained forever and every
+//! later transaction spun behind the `Draining` word. The count is now
+//! held by an RAII guard, so the unwind lowers it (and rolls the engine
+//! back — which also frees a commit clock or orec the panic left locked).
 
 use semtm::{Abort, Addr, Algorithm, Mode, Stm, StmConfig, Tx};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -163,7 +163,7 @@ fn panic_in_body_releases_epoch_slot_stl2() {
 
 /// `Stm::alloc` past capacity inside `atomic` is a defined outcome: the
 /// "transactional heap exhausted" panic reaches the caller, the heap's
-/// allocation count is unchanged, the epoch slot is released (a switch
+/// allocation count is unchanged, the presence count is lowered (a switch
 /// completes) and the next transaction commits.
 #[test]
 fn heap_exhausted_in_body_reaches_the_caller_snorec_global() {
