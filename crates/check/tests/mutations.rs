@@ -59,7 +59,7 @@ fn row(fault: Fault) -> Row {
         Fault::Tl2SkipReadValidation => Row {
             scenario: |d, (_, shards)| scenario::tl2_read_validation(d, shards),
             budget: (3, 0),
-            clean: &[((Tl2, 1), 272), ((Tl2, 4), 209)],
+            clean: &[((Tl2, 1), 292), ((Tl2, 4), 275)],
             faulted: &[(Tl2, 1), (Tl2, 4)],
             message: NOT_SERIALIZABLE,
         },
@@ -99,8 +99,8 @@ fn row(fault: Fault) -> Row {
             clean: &[
                 ((NOrec, 4), 37),
                 ((SNOrec, 4), 37),
-                ((Tl2, 4), 68),
-                ((STl2, 4), 68),
+                ((Tl2, 4), 80),
+                ((STl2, 4), 80),
             ],
             faulted: &[(SNOrec, 4)],
             message: NOT_SERIALIZABLE,

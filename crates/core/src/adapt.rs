@@ -263,6 +263,7 @@ impl ModeMachine {
     /// Enter the current epoch: publish this thread's presence in its
     /// `record` and return the packed word the attempt runs under. Waits
     /// out any in-flight drain (bounded by one quiesce epoch).
+    #[inline]
     pub(crate) fn enter(&self, record: &ThreadRecord) -> u64 {
         let mut wait = SpinWait::new();
         loop {

@@ -452,6 +452,7 @@ struct Attempt<'s, 't, 'a> {
 }
 
 impl Drop for Attempt<'_, '_, '_> {
+    #[inline]
     fn drop(&mut self) {
         self.tx.rollback();
         self.machine.exit(self.record);

@@ -317,11 +317,12 @@ impl<'a> Tl2Tx<'a> {
     }
 
     /// `ValidateReadSet` (Algorithm 7 lines 51–55): version-based, aborts
-    /// on any moved orec. Self-locked orecs are checked against their
-    /// pre-lock version.
-    fn validate_read_set(&self) -> Result<(), Abort> {
-        let locked = &self.scratch.locked;
-        debug_assert!(locked.is_sorted_by_key(|&(oi, _)| oi));
+    /// on any moved orec. A self-locked read orec is checked against its
+    /// pre-lock word, which only needs looking up when some orec this
+    /// commit locked was newer than `start_version` (`newest_locked`, the
+    /// newest pre-lock version): otherwise every pre-lock version passes.
+    fn validate_read_set(&self, newest_locked: u64) -> Result<(), Abort> {
+        let look_up = newest_locked > self.start_version;
         for &oi in &self.scratch.orecs {
             let o = self.global.orecs.load(oi);
             if o.locked_by_other(self.owner) {
@@ -329,16 +330,20 @@ impl<'a> Tl2Tx<'a> {
                 // orec indices, not addresses, in the read-set.
                 return Err(Abort::locked().at_orec(oi).by(o.owner()));
             }
-            let version = if o.is_locked() {
-                // Locked by us at commit: consult the pre-lock word.
-                // `locked` is in acquisition order, ascending, and every
-                // write lock is held here — so search, do not scan.
-                let at = locked
-                    .binary_search_by_key(&oi, |&(i, _)| i)
-                    .expect("self-locked orec missing from lock list");
-                locked[at].1.version()
-            } else {
+            let version = if !o.is_locked() {
                 o.version()
+            } else if look_up {
+                // Locked by us at commit: consult the pre-lock word.
+                // `locked` is in acquisition order, so scan it.
+                let (_, pre) = self
+                    .scratch
+                    .locked
+                    .iter()
+                    .find(|&&(i, _)| i == oi)
+                    .expect("self-locked orec missing from lock list");
+                pre.version()
+            } else {
+                continue;
             };
             if version > self.start_version {
                 return Err(self.validation_at(oi));
@@ -347,9 +352,52 @@ impl<'a> Tl2Tx<'a> {
         Ok(())
     }
 
-    /// Acquire commit locks for every distinct write-set orec, in index
-    /// order (bounded spin per orec; failure rolls everything back).
-    fn acquire_write_locks(&mut self) -> Result<(), Abort> {
+    /// Lock the orec of every write-set address and return the newest
+    /// pre-lock version among them. TL2 may take them in any order; this
+    /// pass takes them in write-set order and never waits: it loads each
+    /// orec, skips one this commit already holds (two written addresses
+    /// on one orec) and CASes the others. The first orec another
+    /// committer holds, or a lost CAS, sends the commit to
+    /// [`Tl2Tx::acquire_ordered`], so only a commit that meets a lock
+    /// pays for sorting its orecs. No committer waits while it holds an
+    /// orec, except in ascending order (DESIGN.md §8.2).
+    fn acquire_write_locks(&mut self) -> Result<u64, Abort> {
+        let (orecs, owner) = (&self.global.orecs, self.owner);
+        let Scratch { writes, locked, .. } = &mut *self.scratch;
+        let mut newest = 0;
+        let contended = 'pass: {
+            for (addr, _) in writes.iter() {
+                let oi = orecs.index_of(addr.index());
+                sched::point(sched::PointKind::Tl2LockCas);
+                let o = orecs.load(oi);
+                if o.is_locked() {
+                    if o.owner() == owner {
+                        continue;
+                    }
+                    break 'pass true;
+                }
+                if !orecs.try_lock(oi, o, owner) {
+                    break 'pass true;
+                }
+                locked.push((oi, o));
+                newest = newest.max(o.version());
+            }
+            false
+        };
+        if contended {
+            return self.acquire_ordered();
+        }
+        Ok(newest)
+    }
+
+    /// The contended path of [`Tl2Tx::acquire_write_locks`]: give back
+    /// every orec taken, then lock the distinct write-set orecs in
+    /// ascending index order, waiting on each up to the configured
+    /// patience. Failure rolls everything back.
+    #[cold]
+    #[inline(never)]
+    fn acquire_ordered(&mut self) -> Result<u64, Abort> {
+        self.release_locks_rollback();
         let orecs = &self.global.orecs;
         let Scratch {
             writes, targets, ..
@@ -358,6 +406,7 @@ impl<'a> Tl2Tx<'a> {
         targets.extend(writes.iter().map(|(addr, _)| orecs.index_of(addr.index())));
         targets.sort_unstable();
         targets.dedup();
+        let mut newest = 0;
         for at in 0..self.scratch.targets.len() {
             let oi = self.scratch.targets[at];
             let mut acquired = false;
@@ -375,6 +424,7 @@ impl<'a> Tl2Tx<'a> {
                 }
                 if self.global.orecs.try_lock(oi, o, self.owner) {
                     self.scratch.locked.push((oi, o));
+                    newest = newest.max(o.version());
                     acquired = true;
                     break;
                 }
@@ -384,7 +434,7 @@ impl<'a> Tl2Tx<'a> {
                 return Err(Abort::lock_acquire().at_orec(oi).by(holder));
             }
         }
-        Ok(())
+        Ok(newest)
     }
 
     /// Roll back: restore every locked orec to its pre-lock word.
@@ -498,7 +548,7 @@ impl<'a> Engine<'a> for Tl2Tx<'a> {
             return Ok(());
         }
         self.phases.mark_lock();
-        self.acquire_write_locks()?;
+        let newest_locked = self.acquire_write_locks()?;
 
         // CAS-based timestamp advance with compare-set revalidation
         // (lines 68–72). The CAS — rather than fetch-and-add — guarantees
@@ -521,7 +571,7 @@ impl<'a> Engine<'a> for Tl2Tx<'a> {
         let write_version = time + 1;
 
         if time != self.start_version && !sched::fault(Fault::Tl2SkipReadValidation) {
-            if let Err(e) = self.validate_read_set() {
+            if let Err(e) = self.validate_read_set(newest_locked) {
                 self.release_locks_rollback();
                 return Err(e);
             }
@@ -751,6 +801,89 @@ mod tests {
             assert_eq!(heap.load(cells.offset(moved)), 7, "no write-back on abort");
             assert!(!global.orecs.load(orec).is_locked(), "locks rolled back");
         }
+    }
+
+    #[test]
+    fn a_foreign_lock_sends_the_commit_to_the_ordered_path() {
+        // The first pass takes `a`'s orec, meets `b`'s under another
+        // token and gives `a` back; only the ordered path waits, so the
+        // timeout (`LockAcquire`, by the holder) is its verdict.
+        let (heap, global) = setup();
+        let a = heap.alloc(1);
+        let b = heap.alloc(1);
+        let (oa, ob) = (
+            global.orecs.index_of(a.index()),
+            global.orecs.index_of(b.index()),
+        );
+        let (pre_a, pre_b) = (global.orecs.load(oa), global.orecs.load(ob));
+        assert!(global.orecs.try_lock(ob, pre_b, 999));
+        let mut t = Tl2Tx::new(&heap, &global, thread_token(), 16);
+        t.begin();
+        t.write(a, 1);
+        t.write(b, 2);
+        let err = t.commit().unwrap_err();
+        assert_eq!(err, Abort::lock_acquire());
+        assert_eq!(err.conflict().orec(), Some(ob as u32));
+        assert_eq!(err.conflict().by(), Some(999));
+        assert_eq!(global.orecs.load(oa), pre_a, "first-pass lock given back");
+        assert!(global.orecs.load(ob).locked_by_other(t.owner));
+        assert_eq!((heap.load(a), heap.load(b)), (0, 0), "nothing written");
+        global.orecs.store(ob, pre_b);
+        t.begin();
+        t.write(a, 1);
+        t.write(b, 2);
+        t.commit().expect("the lock is gone");
+        assert_eq!((heap.load(a), heap.load(b)), (1, 2));
+    }
+
+    #[test]
+    fn aliasing_addresses_lock_their_orec_once() {
+        // Two orecs: the words two apart share one.
+        let (heap, global) = (Heap::new(64), Tl2Global::new(2));
+        let x = heap.alloc(3);
+        let y = x.offset(2);
+        let oi = global.orecs.index_of(x.index());
+        assert_eq!(global.orecs.index_of(y.index()), oi);
+        let mut t = tx(&heap, &global);
+        t.write(x, 1);
+        t.write(y, 2);
+        assert_eq!(t.acquire_write_locks(), Ok(0));
+        assert_eq!(t.scratch.locked.as_slice(), &[(oi, OrecWord::unlocked(0))]);
+        assert!(global.orecs.load(oi).is_locked());
+        t.release_locks_rollback();
+        assert_eq!(global.orecs.load(oi), OrecWord::unlocked(0));
+        t.commit().unwrap();
+        assert_eq!((heap.load(x), heap.load(y)), (1, 2));
+        assert_eq!(global.orecs.load(oi), OrecWord::unlocked(global.time()));
+    }
+
+    #[test]
+    fn a_self_locked_read_orec_is_checked_against_its_pre_lock_version() {
+        let (heap, global) = setup();
+        let x = heap.alloc(1);
+        let y = heap.alloc(1);
+        let mut ops = OpCounts::default();
+        // `x` moved after it was read: the commit locks it over a version
+        // newer than its snapshot and must abort.
+        let mut t = tx(&heap, &global);
+        let v = t.read(x, &mut ops).unwrap();
+        commit_write(&heap, &global, x, 5);
+        t.write(x, v + 1);
+        let err = t.commit().unwrap_err();
+        assert_eq!(err, Abort::validation());
+        let ox = global.orecs.index_of(x.index());
+        assert_eq!(err.conflict().orec(), Some(ox as u32));
+        assert_eq!(heap.load(x), 5, "no write-back on abort");
+        assert!(!global.orecs.load(ox).is_locked(), "lock rolled back");
+        // Only the blind write's orec moved: the read orec is looked up,
+        // found unchanged, and the commit goes through.
+        let mut t = tx(&heap, &global);
+        let v = t.read(x, &mut ops).unwrap();
+        commit_write(&heap, &global, y, 7);
+        t.write(y, 8);
+        t.write(x, v + 1);
+        t.commit().expect("the read orec did not move");
+        assert_eq!((heap.load(x), heap.load(y)), (6, 8));
     }
 
     #[test]

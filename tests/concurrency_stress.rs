@@ -318,6 +318,39 @@ fn sharded_clock_disjoint_commits_never_time_out() {
 }
 
 #[test]
+fn tl2_crossed_commits_never_time_out() {
+    // Two threads increment the same three padded cells (distinct orecs)
+    // in opposite orders. A commit's first lock pass never waits, and one
+    // that meets the other's lock takes its orecs again in ascending
+    // order, so no wait cycle forms: with a patience far past any
+    // holder's commit, no commit gives up on a lock.
+    const TXS: u64 = 50_000;
+    for alg in [Algorithm::Tl2, Algorithm::STl2] {
+        let s = Stm::new(
+            StmConfig::new(alg)
+                .heap_words(1 << 10)
+                .orec_count(1 << 10)
+                .lock_wait_spins(1 << 22),
+        );
+        let cells = [s.alloc_padded(1), s.alloc_padded(1), s.alloc_padded(1)];
+        let r = run_fixed_work(&s, 2, TXS, 1, |tid, _i, _rng| {
+            s.atomic(|tx| {
+                for k in 0..cells.len() {
+                    let at = if tid == 0 { k } else { cells.len() - 1 - k };
+                    tx.inc(cells[at], 1)?;
+                }
+                Ok(())
+            });
+        });
+        let sum: i64 = cells.iter().map(|&c| s.read_now(c)).sum();
+        assert_eq!(sum, 3 * TXS as i64, "{alg}");
+        assert_eq!(r.stats.commits, TXS, "{alg}");
+        assert_eq!(s.stats().aborts(AbortReason::LockAcquire), 0, "{alg}");
+        assert_eq!(s.stats().aborts(AbortReason::Timeout), 0, "{alg}");
+    }
+}
+
+#[test]
 fn published_block_is_whole_to_every_reader() {
     // Write-back and lock release are `Release` stores (DESIGN.md §8.5):
     // a writer fills a padded 16-word block with round `r`, then commits
